@@ -12,7 +12,9 @@ import (
 // paper's batch-update algorithm (§5) — sort, group, build per-source edge
 // C-trees, then MultiInsert into the vertex-tree with a combine function
 // that unions edge trees — extended so payloads (edge weights, and any
-// future fixed-width property) ride the same compressed path.
+// future fixed-width property) ride the same compressed path. The
+// vertex-tree pass is pftree's batch-driven descent: the sorted sources
+// steer it, and only the nodes on the paths to them are reallocated.
 
 // vnode is a vertex-tree node: key = vertex id, value = edge C-tree,
 // augmented with the total number of edges in the subtree so NumEdges is
@@ -54,13 +56,13 @@ var (
 
 // groupBySourceKV splits the packed sorted batch into per-source runs of
 // destination ids and (when vals is non-nil) the aligned payload runs.
-// Every run is a subslice of one shared backing array (the low words of
+// Every run is a subslice of one shared backing array, all (the low words of
 // packed, materialized once in parallel) — no per-run copies.
-func groupBySourceKV[V ctree.Value](packed []uint64, vals []V) (srcs []uint32, dsts [][]uint32, vruns [][]V) {
+func groupBySourceKV[V ctree.Value](packed []uint64, vals []V) (srcs []uint32, dsts [][]uint32, vruns [][]V, all []uint32) {
 	if len(packed) == 0 {
-		return nil, nil, nil
+		return nil, nil, nil, nil
 	}
-	all := make([]uint32, len(packed))
+	all = make([]uint32, len(packed))
 	parallel.For(len(packed), func(i int) { all[i] = uint32(packed[i]) })
 	starts := parallel.PackIndices(len(packed), func(i int) bool {
 		return i == 0 || packed[i]>>32 != packed[i-1]>>32
@@ -82,12 +84,12 @@ func groupBySourceKV[V ctree.Value](packed []uint64, vals []V) (srcs []uint32, d
 			vruns[j] = vals[lo:hi]
 		}
 	})
-	return srcs, dsts, vruns
+	return srcs, dsts, vruns, all
 }
 
 // groupBySource is the id-only view of groupBySourceKV.
 func groupBySource(packed []uint64) (srcs []uint32, dsts [][]uint32) {
-	srcs, dsts, _ = groupBySourceKV[struct{}](packed, nil)
+	srcs, dsts, _, _ = groupBySourceKV[struct{}](packed, nil)
 	return srcs, dsts
 }
 
@@ -95,122 +97,86 @@ func groupBySource(packed []uint64) (srcs []uint32, dsts [][]uint32) {
 // payloads, nil for zero payloads) into the vertex-tree. Vertices appearing
 // as sources or destinations are created as needed; destination-only
 // endpoints ride along in the same MultiInsert as entries with empty edge
-// trees, so the whole batch is one vertex-tree pass. Payload collisions
+// trees, so the whole batch is one batch-driven descent of the vertex-tree
+// that copies only the paths to the batch's vertices. Payload collisions
 // with existing edges resolve to merge(oldVal, newVal), or the batch value
 // when merge is nil (last-writer-wins). O(k log n) work, polylog depth.
 func insertEdgesCore[V ctree.Value](ops *vopsT[V], p ctree.Params, vt *vnode[V], packed []uint64, vals []V, merge func(old, new V) V) *vnode[V] {
-	srcs, dsts, vruns := groupBySourceKV(packed, vals)
+	srcs, dsts, vruns, all := groupBySourceKV(packed, vals)
 	// One prototype tree interns the per-V operation table; every edge tree
 	// of the batch is built from it instead of re-resolving the table.
 	proto := ctree.NewKV[V](p)
-	// Destination endpoints must exist as vertices so traversals can land
-	// on them. Keep only the ids actually missing from the vertex tree
-	// (checked in parallel against the pre-update tree): in a populated
-	// graph this is usually empty, so the fused MultiInsert below carries
-	// no extra entries. A missing destination that is also a batch source
-	// is created by its source entry; the merge dedupes that case.
-	dstIDs := make([]uint32, len(packed))
-	parallel.For(len(packed), func(i int) { dstIDs[i] = uint32(packed[i]) })
-	parallel.RadixSortUint32(dstIDs)
-	dstIDs = parallel.DedupSortedUint32(dstIDs)
-	missing := make([]bool, len(dstIDs))
-	parallel.ForGrain(len(dstIDs), 64, func(i int) {
-		_, ok := ops.Find(vt, dstIDs[i])
-		missing[i] = !ok
+	entries := make([]pftree.Entry[uint32, ctree.Tree[V]], len(srcs))
+	parallel.ForGrain(len(srcs), 16, func(k int) {
+		var vr []V
+		if vruns != nil {
+			vr = vruns[k]
+		}
+		entries[k] = pftree.Entry[uint32, ctree.Tree[V]]{Key: srcs[k], Val: proto.BuildLike(dsts[k], vr)}
 	})
-	w := 0
-	for i, d := range dstIDs {
-		if missing[i] {
-			dstIDs[w] = d
-			w++
-		}
+	// The edge trees are encoded, so the runs' backing array is free to be
+	// reordered by the endpoint probe.
+	if extra := missingEndpoints(ops, vt, srcs, all); len(extra) > 0 {
+		entries = mergeEndpoints(entries, extra, proto)
 	}
-	dstIDs = dstIDs[:w]
-	// Merge sources and missing destinations into one sorted entry list:
-	// sources carry their batch edge tree (built below, in parallel),
-	// destination-only ids an empty tree. A single MultiInsert then both
-	// unions the edge batches and creates the missing endpoints.
-	entries := make([]pftree.Entry[uint32, ctree.Tree[V]], 0, len(srcs)+len(dstIDs))
-	runOf := make([]int, 0, len(srcs)+len(dstIDs)) // index into dsts, -1 for dst-only
-	i, j := 0, 0
-	for i < len(srcs) || j < len(dstIDs) {
-		switch {
-		case j >= len(dstIDs) || (i < len(srcs) && srcs[i] < dstIDs[j]):
-			entries = append(entries, pftree.Entry[uint32, ctree.Tree[V]]{Key: srcs[i]})
-			runOf = append(runOf, i)
-			i++
-		case i >= len(srcs) || dstIDs[j] < srcs[i]:
-			entries = append(entries, pftree.Entry[uint32, ctree.Tree[V]]{Key: dstIDs[j], Val: proto})
-			runOf = append(runOf, -1)
-			j++
-		default: // same id is both a source and a destination
-			entries = append(entries, pftree.Entry[uint32, ctree.Tree[V]]{Key: srcs[i]})
-			runOf = append(runOf, i)
-			i++
-			j++
-		}
-	}
-	parallel.ForGrain(len(entries), 16, func(k int) {
-		if r := runOf[k]; r >= 0 {
-			var vr []V
-			if vruns != nil {
-				vr = vruns[r]
-			}
-			entries[k].Val = proto.BuildLike(dsts[r], vr)
-		}
-	})
 	return ops.MultiInsert(vt, entries, func(old, new ctree.Tree[V]) ctree.Tree[V] {
 		return old.UnionWith(new, merge)
 	})
 }
 
+// missingEndpoints returns, sorted, the destination ids of the batch that
+// are neither batch sources nor vertices of vt — the endpoints the batch must
+// create so traversals can land on them. It sorts dstIDs in place. A
+// destination that is a batch source is created by its source entry and
+// costs no lookup; on a symmetrised batch that is every destination.
+func missingEndpoints[V ctree.Value](ops *vopsT[V], vt *vnode[V], srcs, dstIDs []uint32) []uint32 {
+	parallel.RadixSortUint32(dstIDs)
+	dstIDs = parallel.DedupSortedUint32(dstIDs)
+	w, j := 0, 0
+	for _, d := range dstIDs {
+		for j < len(srcs) && srcs[j] < d {
+			j++
+		}
+		if j == len(srcs) || srcs[j] != d {
+			dstIDs[w] = d
+			w++
+		}
+	}
+	return parallel.FilterUint32(dstIDs[:w], func(d uint32) bool {
+		_, ok := ops.Find(vt, d)
+		return !ok
+	})
+}
+
+// mergeEndpoints merges extra (sorted ids, disjoint from the entry keys)
+// into the sorted entries as vertices with empty edge trees.
+func mergeEndpoints[V ctree.Value](entries []pftree.Entry[uint32, ctree.Tree[V]], extra []uint32, empty ctree.Tree[V]) []pftree.Entry[uint32, ctree.Tree[V]] {
+	out := make([]pftree.Entry[uint32, ctree.Tree[V]], 0, len(entries)+len(extra))
+	i := 0
+	for _, d := range extra {
+		for i < len(entries) && entries[i].Key < d {
+			out = append(out, entries[i])
+			i++
+		}
+		out = append(out, pftree.Entry[uint32, ctree.Tree[V]]{Key: d, Val: empty})
+	}
+	return append(out, entries[i:]...)
+}
+
 // deleteEdgesCore removes a sorted, deduplicated packed batch from the
-// vertex-tree; absent edges are ignored. With dropEmpty set, vertices
-// whose edge tree becomes empty are removed from the vertex-tree (the
-// opt-in isolated-vertex GC; meaningful on symmetric graphs, where deletes
-// arrive in both directions).
+// vertex-tree; absent edges and absent sources are ignored. The descent
+// calls back only for sources it finds, so each deletion tree is built where
+// it is subtracted. With dropEmpty set, a batch source whose edge tree ends
+// up empty is dropped from the vertex-tree in the same pass (the opt-in
+// isolated-vertex GC; meaningful on symmetric graphs, where deletes arrive
+// in both directions).
 func deleteEdgesCore[V ctree.Value](ops *vopsT[V], p ctree.Params, vt *vnode[V], packed []uint64, dropEmpty bool) *vnode[V] {
-	srcs, dsts, _ := groupBySourceKV[struct{}](packed, nil)
+	srcs, dsts, _, _ := groupBySourceKV[struct{}](packed, nil)
 	proto := ctree.NewKV[V](p)
-	entries := make([]pftree.Entry[uint32, ctree.Tree[V]], 0, len(srcs))
-	keep := make([]bool, len(srcs))
-	parallel.ForGrain(len(srcs), 16, func(i int) {
-		_, ok := ops.Find(vt, srcs[i])
-		keep[i] = ok
+	return ops.MultiUpdate(vt, srcs, func(i int, old ctree.Tree[V]) (ctree.Tree[V], bool) {
+		et := old.Difference(proto.BuildLike(dsts[i], nil))
+		return et, !(dropEmpty && et.Empty())
 	})
-	for i := range srcs {
-		if keep[i] {
-			entries = append(entries, pftree.Entry[uint32, ctree.Tree[V]]{
-				Key: srcs[i], Val: proto.BuildLike(dsts[i], nil),
-			})
-		}
-	}
-	if len(entries) == 0 {
-		return vt
-	}
-	root := ops.MultiInsert(vt, entries, func(old, del ctree.Tree[V]) ctree.Tree[V] {
-		return old.Difference(del)
-	})
-	if !dropEmpty {
-		return root
-	}
-	// Drop batch-touched vertices that lost their last edge. Only entries
-	// from this batch can have become empty, so the sweep is O(batch).
-	emptied := make([]bool, len(entries))
-	parallel.ForGrain(len(entries), 16, func(i int) {
-		et, ok := ops.Find(root, entries[i].Key)
-		emptied[i] = ok && et.Empty()
-	})
-	var dead []uint32
-	for i := range entries {
-		if emptied[i] {
-			dead = append(dead, entries[i].Key)
-		}
-	}
-	if len(dead) == 0 {
-		return root
-	}
-	return ops.MultiDelete(root, dead)
 }
 
 // collectIsolatedCore removes every vertex with an empty edge tree.

@@ -34,10 +34,12 @@ func (k DiffKind) String() string {
 // to completion.
 //
 // Structural sharing is what makes this cheap: a pair of pointer-equal
-// subtrees is skipped in O(1), and functional updates (Insert, Union,
-// MultiInsert, ...) reallocate only the spine above the entries they touch,
-// so diffing a version against a batch-updated successor costs
-// O(d log(n/d + 1)) for d differing keys instead of O(n). The recursion
+// subtrees is skipped in O(1), and functional updates reallocate only the
+// search paths of the keys they touch (Insert one path; MultiInsert,
+// MultiUpdate and MultiDelete the union of their batch's paths, returning
+// every subtree that receives no key by pointer), so diffing a version
+// against a batch-updated successor costs O(d log(n/d + 1)) for d differing
+// keys instead of O(n). The recursion
 // aligns the two trees structurally while their shapes agree; where they
 // diverge (a rotation or key edit) it follows the new tree's structure and
 // narrows the old side by key bounds instead of physically splitting it, so

@@ -12,11 +12,17 @@
 // edge count of the graph in O(1) (paper §5), and C-trees use it to maintain
 // total element counts.
 //
-// Set operations (Union, Intersect, Difference, MultiInsert) run in parallel
+// Set operations (Union, Intersect, Difference) are join-based; batch updates
+// (MultiInsert, MultiUpdate, MultiDelete) descend the tree steered by the
+// sorted batch and copy only the paths to its keys. Both run in parallel
 // using fork-join recursion, matching the work/depth bounds the paper cites.
 package pftree
 
-import "repro/internal/parallel"
+import (
+	"slices"
+
+	"repro/internal/parallel"
+)
 
 // Node is an immutable tree node. The zero of *Node (nil) is the empty tree.
 type Node[K, V, A any] struct {
@@ -415,25 +421,120 @@ func (o *Ops[K, V, A]) BuildSorted(entries []Entry[K, V]) *Node[K, V, A] {
 	return o.mk(l, e.Key, e.Val, r)
 }
 
+// Batch updates (MultiInsert, MultiUpdate, MultiDelete) are driven by the
+// sorted batch, not by a second tree: at every node the batch is
+// binary-searched for the node's key and the two halves descend into the two
+// children. A subtree whose half is empty is returned by pointer, so a batch
+// allocates exactly the nodes on the union of the root-to-key paths of its
+// keys — the spine Diff prunes on. A node both of whose children kept their
+// sizes gained and lost no key below it, so its subtree kept its shape and
+// is rebuilt with a plain mk; Join runs only where a child's size changed.
+
+// forkEntries is the batch-half size at or above which a batch descent runs
+// its two halves in parallel; below it a goroutine costs more than the half.
+const forkEntries = 256
+
 // MultiInsert inserts the sorted, duplicate-free entries into t, merging
-// collisions with combine(oldInTree, newFromBatch). It is the bulk update
-// primitive used for batch edge insertions (paper §5).
+// collisions with combine(oldInTree, newFromBatch) (the batch value when
+// combine is nil). It is the bulk update primitive used for batch edge
+// insertions (paper §5). combine may be called from several goroutines.
+// O(m log(n/m + 1)) work, polylog depth.
 func (o *Ops[K, V, A]) MultiInsert(t *Node[K, V, A], entries []Entry[K, V], combine func(old, new V) V) *Node[K, V, A] {
-	return o.Union(t, o.BuildSorted(entries), func(a, b V) V {
-		if combine == nil {
-			return b
+	if len(entries) == 0 {
+		return t
+	}
+	if t == nil {
+		return o.BuildSorted(entries)
+	}
+	i, found := slices.BinarySearchFunc(entries, t.key, func(e Entry[K, V], k K) int { return o.Cmp(e.Key, k) })
+	lo, hi := entries[:i], entries[i:]
+	v := t.val
+	if found {
+		hi = hi[1:]
+		v = entries[i].Val
+		if combine != nil {
+			v = combine(t.val, v)
 		}
-		return combine(a, b)
-	})
+	}
+	var l, r *Node[K, V, A]
+	if parallel.Procs > 1 && len(lo) >= forkEntries && len(hi) >= forkEntries {
+		l, r = o.multiInsertFork(t, lo, hi, combine)
+	} else {
+		l, r = o.MultiInsert(t.left, lo, combine), o.MultiInsert(t.right, hi, combine)
+	}
+	if l.Size() == t.left.Size() && r.Size() == t.right.Size() {
+		return o.mk(l, t.key, v, r)
+	}
+	return o.Join(l, t.key, v, r)
 }
 
-// MultiDelete removes the sorted keys from t.
+// multiInsertFork is MultiInsert's parallel step. It is a function of its
+// own so that the closures (which move l and r to the heap) stay out of the
+// sequential path.
+func (o *Ops[K, V, A]) multiInsertFork(t *Node[K, V, A], lo, hi []Entry[K, V], combine func(old, new V) V) (l, r *Node[K, V, A]) {
+	parallel.Do(
+		func() { l = o.MultiInsert(t.left, lo, combine) },
+		func() { r = o.MultiInsert(t.right, hi, combine) },
+	)
+	return l, r
+}
+
+// MultiUpdate replaces or drops the values of those sorted, duplicate-free
+// keys that are present in t: for such a key, f(i, old) receives its index
+// in keys and its value, and returns the new value and whether the entry
+// stays. Keys absent from t are skipped without calling f, and a subtree
+// holding none of the keys is returned by pointer. f may be called from
+// several goroutines, each index at most once. A nil f drops every key
+// found.
+func (o *Ops[K, V, A]) MultiUpdate(t *Node[K, V, A], keys []K, f func(i int, old V) (V, bool)) *Node[K, V, A] {
+	return o.multiUpdate(t, keys, 0, f)
+}
+
+// MultiDelete removes the sorted, duplicate-free keys from t.
 func (o *Ops[K, V, A]) MultiDelete(t *Node[K, V, A], keys []K) *Node[K, V, A] {
-	entries := make([]Entry[K, V], len(keys))
-	for i, k := range keys {
-		entries[i] = Entry[K, V]{Key: k}
+	return o.multiUpdate(t, keys, 0, nil)
+}
+
+// multiUpdate is MultiUpdate over keys[base:] of the caller's slice, passed
+// as the sub-slice plus its offset so f sees indices into the whole batch.
+func (o *Ops[K, V, A]) multiUpdate(t *Node[K, V, A], keys []K, base int, f func(i int, old V) (V, bool)) *Node[K, V, A] {
+	if t == nil || len(keys) == 0 {
+		return t
 	}
-	return o.Difference(t, o.BuildSorted(entries))
+	i, found := slices.BinarySearchFunc(keys, t.key, o.Cmp)
+	lo, hi, hiBase := keys[:i], keys[i:], base+i
+	v, keep := t.val, true
+	if found {
+		hi, hiBase = hi[1:], hiBase+1
+		if keep = f != nil; keep {
+			v, keep = f(base+i, t.val)
+		}
+	}
+	var l, r *Node[K, V, A]
+	if parallel.Procs > 1 && len(lo) >= forkEntries && len(hi) >= forkEntries {
+		l, r = o.multiUpdateFork(t, lo, hi, base, hiBase, f)
+	} else {
+		l, r = o.multiUpdate(t.left, lo, base, f), o.multiUpdate(t.right, hi, hiBase, f)
+	}
+	switch {
+	case !keep:
+		return o.Join2(l, r)
+	case !found && l == t.left && r == t.right:
+		return t
+	case l.Size() == t.left.Size() && r.Size() == t.right.Size():
+		return o.mk(l, t.key, v, r)
+	default:
+		return o.Join(l, t.key, v, r)
+	}
+}
+
+// multiUpdateFork is multiUpdate's parallel step (see multiInsertFork).
+func (o *Ops[K, V, A]) multiUpdateFork(t *Node[K, V, A], lo, hi []K, loBase, hiBase int, f func(i int, old V) (V, bool)) (l, r *Node[K, V, A]) {
+	parallel.Do(
+		func() { l = o.multiUpdate(t.left, lo, loBase, f) },
+		func() { r = o.multiUpdate(t.right, hi, hiBase, f) },
+	)
+	return l, r
 }
 
 // ForEach applies f in key order; if f returns false iteration stops.

@@ -249,7 +249,7 @@ func (d *durable[G, E]) fail(err error) {
 // record encoding + buffered writes, syncDur the per-commit fsync
 // (zero unless Policy is SyncEveryCommit) — the split that makes the
 // PR 6 fsync overhead attributable per commit.
-func (d *durable[G, E]) logCommit(batch []pending[E], runs []run[E]) (appendDur, syncDur time.Duration, err error) {
+func (d *durable[G, E]) logCommit(batch []pending[E], runs []CommitRun[E]) (appendDur, syncDur time.Duration, err error) {
 	start := time.Now()
 	noted := false
 	for _, b := range batch {
@@ -260,7 +260,7 @@ func (d *durable[G, E]) logCommit(batch []pending[E], runs []run[E]) (appendDur,
 	}
 	if !noted {
 		for _, r := range runs {
-			if err := d.logOne(r.del, r.edges, Note{}); err != nil {
+			if err := d.logOne(r.Del, r.Edges, Note{}); err != nil {
 				return time.Since(start), 0, err
 			}
 		}

@@ -146,9 +146,11 @@ type Engine[G ligra.Graph, E any] struct {
 
 	// tracer aggregates per-stage commit latency (obs.StageTracer);
 	// trace is the ingest goroutine's reusable scratch record, a
-	// persistent field so recording a commit never allocates.
+	// persistent field so recording a commit never allocates. runs is the
+	// same kind of scratch for the commit's folded runs.
 	tracer obs.StageTracer
 	trace  obs.StageTrace
+	runs   []CommitRun[E]
 }
 
 // New builds an engine over an initial snapshot g and the two functional
@@ -274,12 +276,14 @@ func (e *Engine[G, E]) SetFlatPatcher(fn func(prev ligra.Graph, g G) ligra.Graph
 }
 
 // CommitRun is one same-kind run of a committed group, in application
-// order: the deletions or insertions folded into a single functional tree
-// pass. Slices are the engine's — observers must not mutate or retain them
-// past the hook call.
+// order: a maximal FIFO sequence of queued batches of one kind, concatenated
+// so the whole run pays one radix-sorted tree pass. The runs slice and the
+// edge slices are the engine's (the former is reused by the next commit) —
+// observers must not mutate or retain them past the hook call.
 type CommitRun[E any] struct {
 	Del   bool
 	Edges []E
+	owned bool // Edges is engine-allocated (safe to append to)
 }
 
 // OnCommit registers fn to observe every published version, called on the
@@ -555,14 +559,6 @@ func (e *Engine[G, E]) loop() {
 	}
 }
 
-// run is a maximal FIFO sequence of queued batches with the same kind,
-// concatenated so the whole run pays one radix-sorted tree pass.
-type run[E any] struct {
-	del   bool
-	edges []E
-	owned bool // edges is engine-allocated (safe to append to)
-}
-
 // commit folds the batch into same-kind runs, logs them to the WAL (when
 // durability is attached), applies them in order to the latest snapshot,
 // publishes one new version, then acknowledges every batch with the commit
@@ -587,24 +583,27 @@ func (e *Engine[G, E]) commit(batch []pending[E], totalEdges int, pickup time.Ti
 	tr.Durs[obs.StageCoalesce] = t.Sub(pickup)
 	stamp := e.reg.Current()
 	if totalEdges > 0 {
-		var runs []run[E]
+		runs := e.runs[:0]
 		for _, b := range batch {
 			if len(b.edges) == 0 {
 				continue
 			}
-			if n := len(runs); n > 0 && runs[n-1].del == b.del {
+			if n := len(runs); n > 0 && runs[n-1].Del == b.del {
 				last := &runs[n-1]
 				if !last.owned {
-					merged := make([]E, len(last.edges), len(last.edges)+len(b.edges))
-					copy(merged, last.edges)
-					last.edges = merged
+					merged := make([]E, len(last.Edges), len(last.Edges)+len(b.edges))
+					copy(merged, last.Edges)
+					last.Edges = merged
 					last.owned = true
 				}
-				last.edges = append(last.edges, b.edges...)
+				last.Edges = append(last.Edges, b.edges...)
 				continue
 			}
-			runs = append(runs, run[E]{del: b.del, edges: b.edges})
+			runs = append(runs, CommitRun[E]{Del: b.del, Edges: b.edges})
 		}
+		// Keep the scratch, but not the edge slices it points at.
+		e.runs = runs
+		defer clear(runs)
 		if e.dur != nil {
 			appendDur, syncDur, err := e.dur.logCommit(batch, runs)
 			tr.Durs[obs.StageWALAppend] = appendDur
@@ -620,10 +619,10 @@ func (e *Engine[G, E]) commit(batch []pending[E], totalEdges int, pickup time.Ti
 		stamp = e.reg.Update(func(g G) G {
 			before = g
 			for _, r := range runs {
-				if r.del {
-					g = e.remove(g, r.edges)
+				if r.Del {
+					g = e.remove(g, r.Edges)
 				} else {
-					g = e.insert(g, r.edges)
+					g = e.insert(g, r.Edges)
 				}
 			}
 			committed = g
@@ -642,11 +641,7 @@ func (e *Engine[G, E]) commit(batch []pending[E], totalEdges int, pickup time.Ti
 			tr.Durs[obs.StageFlatPatch] = time.Since(t)
 		}
 		if e.onCommit != nil {
-			crs := make([]CommitRun[E], len(runs))
-			for i, r := range runs {
-				crs[i] = CommitRun[E]{Del: r.del, Edges: r.edges}
-			}
-			e.onCommit(before, committed, stamp, crs)
+			e.onCommit(before, committed, stamp, runs)
 		}
 	}
 	// Counters and latencies first, acks last: a waiter woken by its ack

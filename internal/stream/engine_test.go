@@ -282,3 +282,30 @@ func TestSubmitCloseRace(t *testing.T) {
 		tx.Close()
 	}
 }
+
+// TestCommitAllocatesOnlyTheUpdate pins the commit loop's own allocation
+// count: with the functional update stubbed out, a submitted single-run
+// batch costs its ack channel and the published version record — the run
+// list handed to the update, the WAL and the OnCommit hook is ingest
+// scratch, not a per-commit slice.
+func TestCommitAllocatesOnlyTheUpdate(t *testing.T) {
+	same := func(g aspen.Graph, _ []aspen.Edge) aspen.Graph { return g }
+	e := New(aspen.NewGraph(testParams()), same, same, Options{})
+	defer e.Close()
+	runs := 0
+	e.OnCommit(func(_, _ aspen.Graph, _ uint64, rs []CommitRun[aspen.Edge]) { runs += len(rs) })
+	batch := []aspen.Edge{{Src: 1, Dst: 2}}
+	n := testing.AllocsPerRun(200, func() {
+		p, err := e.Insert(batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.Wait()
+	})
+	if n > 2 {
+		t.Errorf("single-run commit allocated %.1f/op, want <= 2 (ack channel + version)", n)
+	}
+	if runs == 0 {
+		t.Error("OnCommit hook saw no runs")
+	}
+}
