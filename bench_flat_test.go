@@ -53,41 +53,35 @@ func BenchmarkFlatWeightedBuild(b *testing.B) {
 }
 
 // BenchmarkFlatKernels runs each global kernel against the tree snapshot
-// and the flat view of the same rMAT graph.
+// and the flat view of the same rMAT graph. The BFS and CC rows report
+// allocs/op and CI gates them (BENCH_pr4_flat.json): both kernels allocate
+// per parallel block, a few hundred objects here, and a closure per vertex
+// coming back would read ≥ 16 384.
 func BenchmarkFlatKernels(b *testing.B) {
 	g := benchGraph(b, ctree.DefaultParams())
 	fs := aspen.BuildFlatSnapshot(g)
 	wg := benchWeightedGraph(ctree.DefaultParams())
 	fw := aspen.BuildFlatWeightedSnapshot(wg)
 
-	b.Run("bfs-tree", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			algos.BFS(g, 0, false)
-		}
-	})
-	b.Run("bfs-flat", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			algos.BFS(fs, 0, false)
-		}
-	})
-	b.Run("cc-tree", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			algos.ConnectedComponents(g)
-		}
-	})
-	b.Run("cc-flat", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			algos.ConnectedComponents(fs)
-		}
-	})
-	b.Run("sssp-tree", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			algos.SSSP(wg, 0)
-		}
-	})
-	b.Run("sssp-flat", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			algos.SSSP(fw, 0)
-		}
-	})
+	for _, k := range []struct {
+		name   string
+		allocs bool
+		run    func()
+	}{
+		{"bfs-tree", true, func() { algos.BFS(g, 0, false) }},
+		{"bfs-flat", true, func() { algos.BFS(fs, 0, false) }},
+		{"cc-tree", true, func() { algos.ConnectedComponents(g) }},
+		{"cc-flat", true, func() { algos.ConnectedComponents(fs) }},
+		{"sssp-tree", false, func() { algos.SSSP(wg, 0) }},
+		{"sssp-flat", false, func() { algos.SSSP(fw, 0) }},
+	} {
+		b.Run(k.name, func(b *testing.B) {
+			if k.allocs {
+				b.ReportAllocs()
+			}
+			for i := 0; i < b.N; i++ {
+				k.run()
+			}
+		})
+	}
 }

@@ -2,6 +2,12 @@
 // 2-hop and Local-Cluster) plus connected components and PageRank as
 // extensions, all written once against the ligra.Graph interface so they run
 // unchanged over Aspen snapshots, flat snapshots and every baseline engine.
+//
+// A kernel that scans neighbor lists outside ligra.EdgeMap runs its vertex
+// loop per block (parallel.Range) and builds the ForEachNeighbor callback
+// once per block, reading the current vertex from a block-local variable: a
+// closure literal that captures the loop vertex escapes through the interface
+// call and costs one heap object per vertex per pass.
 package algos
 
 import (

@@ -4,6 +4,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/ligra"
+	"repro/internal/parallel"
 )
 
 // BC computes single-source betweenness-centrality contributions from src
@@ -54,17 +55,20 @@ func BC(g ligra.Graph, src uint32, noDense bool) []float64 {
 	// one level deeper; a vertex's score is written only by its own task,
 	// so no atomics are needed.
 	for r := len(levels) - 2; r >= 0; r-- {
-		lv := ligra.FromSparse(n, levels[r])
-		ligra.VertexMap(lv, func(u uint32) {
-			var acc float64
-			pu := numPaths.Get(u)
-			g.ForEachNeighbor(u, func(v uint32) bool {
-				if level[v] == int32(r+1) {
+		lv, next := levels[r], int32(r+1)
+		parallel.Range(len(lv), 128, func(lo, hi int) {
+			var acc, pu float64
+			pull := func(v uint32) bool {
+				if level[v] == next {
 					acc += pu / numPaths.Get(v) * (1 + dep[v])
 				}
 				return true
-			})
-			dep[u] = acc
+			}
+			for _, u := range lv[lo:hi] {
+				acc, pu = 0, numPaths.Get(u)
+				g.ForEachNeighbor(u, pull)
+				dep[u] = acc
+			}
 		})
 	}
 	return dep

@@ -34,12 +34,11 @@ func BFS(g ligra.Graph, src uint32, noDense bool) BFSResult {
 	visited := 1
 	rounds := 0
 	opts := ligra.EdgeMapOpts{NoDense: noDense}
+	claim := func(u, v uint32) bool { return casInt32(parents, v, -1, int32(u)) }
+	unvisited := func(v uint32) bool { return atomic.LoadInt32(&parents[v]) == -1 }
 	for !frontier.IsEmpty() {
 		rounds++
-		frontier = ligra.EdgeMap(g, frontier,
-			func(u, v uint32) bool { return casInt32(parents, v, -1, int32(u)) },
-			func(v uint32) bool { return atomic.LoadInt32(&parents[v]) == -1 },
-			opts)
+		frontier = ligra.EdgeMap(g, frontier, claim, unvisited, opts)
 		visited += frontier.Size()
 	}
 	return BFSResult{Parents: parents, Rounds: rounds, Visited: visited}

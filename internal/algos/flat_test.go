@@ -8,6 +8,7 @@ import (
 	"repro/internal/aspen"
 	"repro/internal/ctree"
 	"repro/internal/ligra"
+	"repro/internal/parallel"
 	"repro/internal/rmat"
 )
 
@@ -157,5 +158,24 @@ func TestFlatWeightedMatchesTreeUnweightedKernels(t *testing.T) {
 	}
 	if !slices.Equal(ConnectedComponents(fw), ConnectedComponents(wg)) {
 		t.Fatal("CC differs between weighted flat and weighted tree")
+	}
+}
+
+// TestFlatKernelsAllocateByBlock: BFS and ConnectedComponents build their
+// neighbor callbacks once per parallel block, so a run over a flat view
+// allocates in proportion to rounds × blocks — a few hundred objects on this
+// graph — where a closure per visited vertex costs at least n (17 662 and
+// 122 913 before the per-block mapper and the union-find kernel).
+func TestFlatKernelsAllocateByBlock(t *testing.T) {
+	old := parallel.Procs
+	parallel.Procs = 4
+	defer func() { parallel.Procs = old }()
+	fs := aspen.BuildFlatSnapshot(rmatGraph(14, 150_000, 1))
+	limit := float64(fs.Order() / 32)
+	if a := testing.AllocsPerRun(5, func() { BFS(fs, 0, false) }); a > limit {
+		t.Errorf("BFS allocates %.0f objects per run on %d vertices, want at most %.0f", a, fs.Order(), limit)
+	}
+	if a := testing.AllocsPerRun(5, func() { ConnectedComponents(fs) }); a > limit {
+		t.Errorf("ConnectedComponents allocates %.0f objects per run on %d vertices, want at most %.0f", a, fs.Order(), limit)
 	}
 }

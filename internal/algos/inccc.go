@@ -8,7 +8,7 @@ import (
 
 // IncrementalCC maintains the connected components of an evolving
 // undirected graph under batched edge updates, so a component query is two
-// array reads instead of a label-propagation kernel run — the standing
+// array reads instead of a ConnectedComponents kernel run — the standing
 // sliding-window-connectivity structure the stream layer keeps hot on its
 // commit path (stream.AttachIncrementalCC).
 //

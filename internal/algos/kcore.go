@@ -46,9 +46,8 @@ func KCore(g ligra.Graph) []uint32 {
 			remaining -= int64(len(frontier))
 			var mu sync.Mutex
 			next := make(map[uint32]bool)
-			fs := ligra.FromSparse(n, frontier)
-			ligra.VertexMap(fs, func(v uint32) {
-				g.ForEachNeighbor(v, func(u uint32) bool {
+			parallel.Range(len(frontier), 128, func(lo, hi int) {
+				drop := func(u uint32) bool {
 					if atomic.LoadInt32(&peeled[u]) == 1 {
 						return true
 					}
@@ -58,7 +57,10 @@ func KCore(g ligra.Graph) []uint32 {
 						mu.Unlock()
 					}
 					return true
-				})
+				}
+				for _, v := range frontier[lo:hi] {
+					g.ForEachNeighbor(v, drop)
+				}
 			})
 			frontier = frontier[:0]
 			for u := range next {

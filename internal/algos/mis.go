@@ -31,24 +31,30 @@ func MIS(g ligra.Graph, seed uint64) []bool {
 		// Phase 1: decide entrants against a frozen view of status.
 		enter := make([]bool, n)
 		var entered atomic.Int64
-		parallel.ForGrain(n, 256, func(i int) {
-			v := uint32(i)
-			if atomic.LoadInt32(&status[v]) != misUndecided {
-				return
-			}
-			wins := true
-			g.ForEachNeighbor(v, func(u uint32) bool {
+		parallel.Range(n, 256, func(lo, hi int) {
+			var v uint32
+			var wins bool
+			contest := func(u uint32) bool {
 				s := atomic.LoadInt32(&status[u])
 				if s == misIn || (s == misUndecided && prio[u] < prio[v]) {
 					wins = false
-					return false
 				}
-				return true
-			})
-			if wins {
-				enter[v] = true
-				entered.Add(1)
+				return wins
 			}
+			won := 0
+			for i := lo; i < hi; i++ {
+				v = uint32(i)
+				if atomic.LoadInt32(&status[v]) != misUndecided {
+					continue
+				}
+				wins = true
+				g.ForEachNeighbor(v, contest)
+				if wins {
+					enter[v] = true
+					won++
+				}
+			}
+			entered.Add(int64(won))
 		})
 		if entered.Load() == 0 {
 			// No vertex can win only if the graph is empty of
@@ -57,19 +63,23 @@ func MIS(g ligra.Graph, seed uint64) []bool {
 		}
 		// Phase 2: commit entrants and retire their neighbors.
 		var retired atomic.Int64
-		parallel.ForGrain(n, 256, func(i int) {
-			v := uint32(i)
-			if !enter[v] {
-				return
-			}
-			atomic.StoreInt32(&status[v], misIn)
-			retired.Add(1)
-			g.ForEachNeighbor(v, func(u uint32) bool {
+		parallel.Range(n, 256, func(lo, hi int) {
+			out := 0
+			retire := func(u uint32) bool {
 				if atomic.CompareAndSwapInt32(&status[u], misUndecided, misOut) {
-					retired.Add(1)
+					out++
 				}
 				return true
-			})
+			}
+			for i := lo; i < hi; i++ {
+				if !enter[i] {
+					continue
+				}
+				atomic.StoreInt32(&status[i], misIn)
+				out++
+				g.ForEachNeighbor(uint32(i), retire)
+			}
+			retired.Add(int64(out))
 		})
 		remaining -= retired.Load()
 	}

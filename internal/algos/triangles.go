@@ -18,18 +18,21 @@ func TriangleCount(g ligra.Graph) uint64 {
 	// Materialize sorted adjacency once: the merge-based intersection
 	// needs indexed access.
 	adj := make([][]uint32, n)
-	parallel.ForGrain(n, 64, func(i int) {
-		u := uint32(i)
-		d := g.Degree(u)
-		if d == 0 {
-			return
-		}
-		lst := make([]uint32, 0, d)
-		g.ForEachNeighbor(u, func(v uint32) bool {
+	parallel.Range(n, 64, func(lo, hi int) {
+		var lst []uint32
+		collect := func(v uint32) bool {
 			lst = append(lst, v)
 			return true
-		})
-		adj[i] = lst
+		}
+		for i := lo; i < hi; i++ {
+			d := g.Degree(uint32(i))
+			if d == 0 {
+				continue
+			}
+			lst = make([]uint32, 0, d)
+			g.ForEachNeighbor(uint32(i), collect)
+			adj[i] = lst
+		}
 	})
 	var total atomic.Uint64
 	parallel.ForGrain(n, 16, func(i int) {

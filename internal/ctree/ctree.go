@@ -202,9 +202,11 @@ func (t Tree[V]) BuildLike(ids []uint32, vals []V) Tree[V] {
 	}
 	// Single pass: each element is hashed once (isHead costs a multiply and
 	// a divide) and every head's tail segment is encoded in place as soon
-	// as the next head is found. The entry slice is sized to the expected
-	// head count, n/B, so growth is rare.
-	entries := make([]pftree.Entry[uint32, tail[V]], 0, len(ids)/int(p.B)+1)
+	// as the next head is found. The entry slice is allocated at the first
+	// head — a short run (most batch runs at B = 256) holds none and is all
+	// prefix — and sized to the expected head count of the rest, so growth
+	// is rare.
+	var entries []pftree.Entry[uint32, tail[V]]
 	head := -1 // index of the pending head
 	for i, e := range ids {
 		if !p.isHead(e) {
@@ -212,6 +214,7 @@ func (t Tree[V]) BuildLike(ids []uint32, vals []V) Tree[V] {
 		}
 		if head < 0 {
 			t.prefix = encoding.EncodeKV(p.Codec, ids[:i], valRange(vals, 0, i))
+			entries = make([]pftree.Entry[uint32, tail[V]], 0, (len(ids)-i)/int(p.B)+1)
 		} else {
 			entries = append(entries, pftree.Entry[uint32, tail[V]]{
 				Key: ids[head],

@@ -2,6 +2,8 @@ package ligra
 
 import (
 	"testing"
+
+	"repro/internal/parallel"
 )
 
 // flatStub is a minimal FlatGraph over explicit adjacency, for exercising
@@ -61,7 +63,8 @@ func star(n int) [][]uint32 {
 }
 
 // TestFrontierBlocksInvariants: boundaries must be monotone, cover the
-// frontier exactly, and (with degrees) place the hub in its own ballpark.
+// frontier exactly, and place the hub in its own ballpark — with or without
+// a flat degree array, since the work sums come from Degree either way.
 func TestFrontierBlocksInvariants(t *testing.T) {
 	s := newFlatStub(star(500))
 	src := make([]uint32, s.Order())
@@ -69,8 +72,13 @@ func TestFrontierBlocksInvariants(t *testing.T) {
 		src[i] = uint32(i)
 	}
 	for _, degs := range [][]int32{nil, s.degs} {
+		var work []uint64
+		total := frontierWork(s, degs, src, &work)
+		if want := uint64(len(src)) + s.NumEdges(); total != want {
+			t.Fatalf("frontier work %d, want |U| + deg(U) = %d", total, want)
+		}
 		for _, maxBlocks := range []int{1, 3, 8, 64, 1000} {
-			bounds := frontierBlocks(degs, src, maxBlocks)
+			bounds := frontierBlocks(work, total, maxBlocks)
 			if bounds[0] != 0 || bounds[len(bounds)-1] != len(src) {
 				t.Fatalf("bounds do not cover the frontier: %v", bounds[:min(len(bounds), 8)])
 			}
@@ -80,13 +88,41 @@ func TestFrontierBlocksInvariants(t *testing.T) {
 				}
 			}
 		}
+		// Exact work split: with the hub at index 0 carrying half the
+		// edges, a work-based split must cut the rest into thin slices,
+		// i.e. the first boundary lands right after the hub rather than at
+		// len/blocks.
+		if bounds := frontierBlocks(work, total, 8); bounds[1] > len(src)/8 {
+			t.Fatalf("work-based split ignored the hub: first boundary %d", bounds[1])
+		}
 	}
-	// Exact work split: with the hub at index 0 carrying half the edges, a
-	// work-based split must cut the rest into thin slices, i.e. the first
-	// boundary lands right after the hub rather than at len/blocks.
-	bounds := frontierBlocks(s.degs, src, 8)
-	if bounds[1] > len(src)/8 {
-		t.Fatalf("work-based split ignored the hub: first boundary %d", bounds[1])
+}
+
+// TestSparseHubLast: a frontier whose last vertex carries most of the work
+// pushes block boundaries to len(src); the trailing empty blocks must not
+// index past the work sums, and every claim must survive the close-up of
+// the shared output array.
+func TestSparseHubLast(t *testing.T) {
+	s := newFlatStub(star(400))
+	src := []uint32{5, 9, 13, 0} // the hub last
+	old := parallel.Procs
+	parallel.Procs = 4
+	defer func() { parallel.Procs = old }()
+	for _, g := range []Graph{s, baseOnly{s}} {
+		got := EdgeMap(g, FromSparse(s.Order(), src),
+			func(src, dst uint32) bool { return src == 0 },
+			func(v uint32) bool { return true },
+			EdgeMapOpts{NoDense: true}).Sparse()
+		if len(got) != s.Degree(0) {
+			t.Fatalf("%T: hub claimed %d targets, want %d", g, len(got), s.Degree(0))
+		}
+		seen := map[uint32]bool{}
+		for _, v := range got {
+			if v == 0 || seen[v] {
+				t.Fatalf("%T: bad or duplicate target %d", g, v)
+			}
+			seen[v] = true
+		}
 	}
 }
 

@@ -52,23 +52,27 @@ func ringAdj(n, hubs int) [][]uint32 {
 func TestDenseGrainAdaptive(t *testing.T) {
 	g := buildFlatCSR(ringAdj(1<<12, 8))
 	denseGrainOverride = 0
-	grain := denseGrain(g, g.degs)
-	if grain < 16 || grain > 4096 {
-		t.Fatalf("grain %d outside clamp [16, 4096]", grain)
+	// Average degree here is ~4: blocks of denseGrainWork/5 slots, clamped.
+	if grain, want := denseGrain(g, g.Order()), min(denseGrainWork/5, 4096); grain < want*9/10 || grain > want {
+		t.Fatalf("grain %d, want about %d", grain, want)
 	}
-	// Average degree here is ~4, so the adaptive grain must be much finer
-	// than a sparse id space's and coarser than a dense one's.
-	dense := &flatCSR{degs: make([]int32, 100)}
-	dense.offs = make([]int, 101)
-	hi := denseGrain(dense, dense.degs) // m = 0: coarsest
-	if hi != 4096 {
+	dense := buildFlatCSR(make([][]uint32, 100))
+	if hi := denseGrain(dense, 100); hi != 4096 { // m = 0: coarsest
 		t.Fatalf("zero-edge graph grain = %d, want 4096 (coarsest)", hi)
 	}
-	if denseGrain(g, nil) != denseGrainFixed {
-		t.Fatalf("no degree array must keep the fixed grain %d", denseGrainFixed)
+	clique := make([][]uint32, 1<<12)
+	row := make([]uint32, 1<<12)
+	for i := range row {
+		row[i] = uint32(i)
+	}
+	for i := range clique {
+		clique[i] = row
+	}
+	if lo := denseGrain(buildFlatCSR(clique), 1<<12); lo != 16 {
+		t.Fatalf("clique grain = %d, want 16 (finest)", lo)
 	}
 	denseGrainOverride = 256
-	if denseGrain(g, g.degs) != 256 {
+	if denseGrain(g, g.Order()) != 256 {
 		t.Fatal("override ignored")
 	}
 	denseGrainOverride = 0
@@ -134,7 +138,7 @@ func BenchmarkEdgeMapDenseGrain(b *testing.B) {
 			defer func() { denseGrainOverride = 0 }()
 			if cfg.grain == 0 {
 				b.Logf("adaptive grain = %d (m/n = %.1f)",
-					denseGrain(g, g.degs), float64(g.NumEdges())/float64(g.Order()))
+					denseGrain(g, g.Order()), float64(g.NumEdges())/float64(g.Order()))
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

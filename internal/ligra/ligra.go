@@ -136,7 +136,7 @@ func (s VertexSubset) Contains(v uint32) bool {
 	return ok
 }
 
-// ToSparse returns the subset in sparse form.
+// ToSparse returns the subset in sparse form, ids increasing.
 func (s VertexSubset) ToSparse() VertexSubset {
 	if !s.isDen {
 		return s
@@ -208,173 +208,240 @@ type EdgeMapOpts struct {
 // safe for concurrent calls and, in sparse mode, should claim each target
 // atomically (e.g. with a CAS) if it must fire once per vertex — exactly the
 // Ligra contract. Direction optimization (§5.1) picks a dense, in-neighbor
-// oriented traversal when the frontier is large.
+// oriented traversal when the frontier is large; there C(v) is checked before
+// v's scan and again after each application of F to v, which is the only
+// thing that may change it.
 func EdgeMap(g Graph, u VertexSubset, f func(src, dst uint32) bool, c func(v uint32) bool, opts EdgeMapOpts) VertexSubset {
+	png, hasPar := g.(ParallelNeighborGraph)
+	return edgeMap(g, u, c, opts,
+		func(b *block, in []bool) func(v uint32) {
+			visit := func(s uint32) bool {
+				if !in[s] {
+					return true
+				}
+				if f(s, b.cur) {
+					b.hit = true
+				}
+				return c(b.cur)
+			}
+			return func(v uint32) { g.ForEachNeighbor(v, visit) }
+		},
+		func(b *block) func(s uint32) {
+			visit := func(v uint32) bool {
+				if c(v) && f(b.cur, v) {
+					b.out = append(b.out, v)
+				}
+				return true
+			}
+			return func(s uint32) {
+				if hasPar && g.Degree(s) >= parDegreeThreshold {
+					// High-degree vertex: fan out within its edge tree and
+					// collect targets under a mutex (rare path; the
+					// threshold keeps it off the common case).
+					var mu sync.Mutex
+					png.ForEachNeighborPar(s, func(v uint32) {
+						if c(v) && f(s, v) {
+							mu.Lock()
+							b.out = append(b.out, v)
+							mu.Unlock()
+						}
+					})
+					return
+				}
+				g.ForEachNeighbor(s, visit)
+			}
+		})
+}
+
+// block is the state one parallel block of an EdgeMap shares with its
+// neighbor callback. The callback is built once per block and reads the
+// vertex being scanned from cur, so scanning a vertex allocates nothing — a
+// closure literal capturing the loop vertex would escape through the
+// ForEachNeighbor interface call and cost one heap object per vertex.
+type block struct {
+	cur uint32   // vertex whose neighbor list is being scanned
+	hit bool     // dense direction: cur was claimed by some in-neighbor
+	out []uint32 // sparse direction: targets claimed by this block
+}
+
+// edgeMap is the direction-optimizing core under EdgeMap and
+// WeightedEdgeMap, which differ only in the neighbor callback's signature.
+// pull and push build one block's scan function over b: pull(b, in) scans
+// the in-neighbors of b.cur, setting b.hit when a member of in claims it and
+// consulting C(b.cur) after each application of F; push(b) scans the
+// out-neighbors of b.cur, appending the targets it claims to b.out.
+func edgeMap(g Graph, u VertexSubset, c func(v uint32) bool, opts EdgeMapOpts,
+	pull func(b *block, in []bool) func(v uint32), push func(b *block) func(s uint32)) VertexSubset {
 	if u.IsEmpty() {
 		return Empty(u.n)
 	}
+	degs := flatDegrees(g)
 	div := opts.DenseThresholdDiv
 	if div == 0 {
 		div = 20
 	}
-	if !opts.NoDense {
-		sp := u.ToSparse()
-		outDeg := degreeSum(g, sp.sparse)
-		if uint64(u.Size())+outDeg > g.NumEdges()/div {
-			return edgeMapDense(g, u, f, c)
+	threshold := g.NumEdges() / div
+	if u.isDen {
+		// A dense frontier is summed in place: packing it to sparse first
+		// would cost more than the round it is deciding about.
+		if !opts.NoDense && uint64(u.count)+denseDegreeSum(g, degs, u.dense) > threshold {
+			return edgeMapDense(g, degs, u, c, pull)
 		}
-		u = sp
+		u = u.ToSparse()
 	}
-	return edgeMapSparse(g, u.ToSparse(), f, c)
+	wp := workPool.Get().(*[]uint64)
+	defer workPool.Put(wp)
+	total := frontierWork(g, degs, u.sparse, wp)
+	if !opts.NoDense && total > threshold {
+		return edgeMapDense(g, degs, u.ToDense(), c, pull)
+	}
+	return edgeMapSparse(u, *wp, total, push)
 }
 
-// degreeSum sums the degrees of ids. On a FlatGraph the sum indexes the
-// dense degree array directly — no interface call per vertex.
-func degreeSum(g Graph, ids []uint32) uint64 {
+// flatDegrees returns g's id-indexed degree array when g is a FlatGraph
+// (every FlatWeightedGraph is one), else nil.
+func flatDegrees(g Graph) []int32 {
 	if fg, ok := g.(FlatGraph); ok {
-		degs := fg.Degrees()
-		return parallel.ReduceUint64(len(ids), 0,
-			func(i int) uint64 {
-				if v := ids[i]; int(v) < len(degs) {
-					return uint64(degs[v])
-				}
-				return 0
-			},
-			func(a, b uint64) uint64 { return a + b })
+		return fg.Degrees()
 	}
-	return parallel.ReduceUint64(len(ids), 0,
-		func(i int) uint64 { return uint64(g.Degree(ids[i])) },
-		func(a, b uint64) uint64 { return a + b })
+	return nil
 }
 
-// frontierBlocks partitions the frontier src into up to maxBlocks contiguous
-// ranges. With a degree array the boundaries fall on prefix sums of
-// (degree + 1) — exact work-based granularity, so one block of hubs does not
-// serialize the map while equal-count blocks of leaves sit idle. Without one
-// it falls back to equal-count ranges. Returns the block boundary indexes
-// (len = blocks + 1).
-func frontierBlocks(degs []int32, src []uint32, maxBlocks int) []int {
-	nb := maxBlocks
-	if nb > len(src) {
-		nb = len(src)
+// degree is Degree(v) through the flat array when there is one — no
+// interface call per vertex.
+func degree(g Graph, degs []int32, v uint32) uint64 {
+	if degs == nil {
+		return uint64(g.Degree(v))
 	}
+	if int(v) < len(degs) {
+		return uint64(degs[v])
+	}
+	return 0
+}
+
+// denseDegreeSum sums the degrees of the members of a dense subset.
+func denseDegreeSum(g Graph, degs []int32, in []bool) uint64 {
+	var total atomic.Uint64
+	parallel.Range(len(in), 4096, func(lo, hi int) {
+		var sum uint64
+		for i := lo; i < hi; i++ {
+			if in[i] {
+				sum += degree(g, degs, uint32(i))
+			}
+		}
+		total.Add(sum)
+	})
+	return total.Load()
+}
+
+// workPool recycles frontierWork's prefix-sum scratch (pointers pooled so
+// Put does not allocate).
+var workPool = sync.Pool{New: func() any { b := make([]uint64, 0, 4096); return &b }}
+
+// frontierWork fills *wp with the exclusive prefix sums of the per-vertex
+// cost of the frontier src (degree + 1: a zero-degree vertex still costs the
+// visit) and returns the total, which is exactly the |U| + deg(U) of the
+// density test. The sparse direction reuses the sums twice more: to cut the
+// frontier into equal-work blocks and to give every block its own slot
+// range in the shared output array.
+func frontierWork(g Graph, degs []int32, src []uint32, wp *[]uint64) uint64 {
+	work := *wp
+	if cap(work) < len(src) {
+		work = make([]uint64, len(src))
+	}
+	work = work[:len(src)]
+	*wp = work
+	parallel.Range(len(src), 1024, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			work[i] = degree(g, degs, src[i]) + 1
+		}
+	})
+	// One add per source, against at least a neighbor-list dispatch per
+	// source in the round itself: not worth a parallel scan's two spawns.
+	var total uint64
+	for i, w := range work {
+		work[i], total = total, total+w
+	}
+	return total
+}
+
+// frontierBlocks cuts a frontier with exclusive work prefix sums work and
+// total work total into up to maxBlocks contiguous ranges of about equal
+// work, so one block of hubs does not serialize the map while equal-count
+// blocks of leaves sit idle. Returns the block boundary indexes (len =
+// blocks + 1).
+func frontierBlocks(work []uint64, total uint64, maxBlocks int) []int {
+	nb := min(maxBlocks, len(work))
 	if nb <= 0 {
 		return nil
 	}
 	bounds := make([]int, nb+1)
-	bounds[nb] = len(src)
-	// Equal-count split when there is no degree array — and when every
-	// vertex gets its own block anyway (nb == len(src), i.e. a frontier no
-	// larger than the block budget): the work-based partition cannot differ
-	// from the trivial one there, so skip the prefix scan. BFS tails and
-	// heads hit this every round.
-	if degs == nil || nb == 1 || nb == len(src) {
-		sz := (len(src) + nb - 1) / nb
-		for b := 1; b < nb; b++ {
-			bounds[b] = min(b*sz, len(src))
-		}
-		return bounds
-	}
-	// Exclusive prefix sums of per-vertex cost (degree + 1: a zero-degree
-	// vertex still costs the visit), in pooled scratch so the per-round
-	// partitioning stays allocation-free on the EdgeMap hot path.
-	wp := workPool.Get().(*[]uint64)
-	work := *wp
-	if cap(work) < len(src) {
-		work = make([]uint64, len(src))
-	} else {
-		work = work[:len(src)]
-	}
-	parallel.For(len(src), func(i int) {
-		var d uint64
-		if v := src[i]; int(v) < len(degs) {
-			d = uint64(degs[v])
-		}
-		work[i] = d + 1
-	})
-	total := parallel.ScanExclusive(work)
+	bounds[nb] = len(work)
 	for b := 1; b < nb; b++ {
 		target := total / uint64(nb) * uint64(b)
-		bounds[b] = sort.Search(len(src), func(i int) bool { return work[i] >= target })
+		bounds[b] = sort.Search(len(work), func(i int) bool { return work[i] >= target })
 	}
-	*wp = work[:0]
-	workPool.Put(wp)
 	return bounds
 }
 
-// workPool recycles frontierBlocks' prefix-sum scratch (pointers pooled so
-// Put does not allocate).
-var workPool = sync.Pool{New: func() any { b := make([]uint64, 0, 4096); return &b }}
+// workBefore is the work of the frontier's first i vertices; a block
+// boundary can sit at len(work), where the prefix array has no entry.
+func workBefore(work []uint64, total uint64, i int) uint64 {
+	if i < len(work) {
+		return work[i]
+	}
+	return total
+}
 
-// edgeMapSparse maps over the out-edges of the frontier, collecting targets.
-// On a FlatGraph the frontier is partitioned by exact degree prefix sums
-// rather than equal vertex counts (see frontierBlocks).
-func edgeMapSparse(g Graph, u VertexSubset, f func(src, dst uint32) bool, c func(v uint32) bool) VertexSubset {
-	png, hasPar := g.(ParallelNeighborGraph)
-	var degs []int32
-	if fg, ok := g.(FlatGraph); ok {
-		degs = fg.Degrees()
-	}
+// sparseBlockWork is the least work (sources plus out-edges) worth a block
+// of its own in the sparse direction: the few-vertex frontiers at the head
+// and tail of a traversal run as one block on the calling goroutine.
+const sparseBlockWork = 2048
+
+// edgeMapSparse maps over the out-edges of the frontier, one scan function
+// per block. A block's claims go straight into its slot range of one shared
+// output array — the range starts at the block's work prefix and is as long
+// as its degree sum, which bounds what its sources can claim — and the
+// ranges are closed up afterwards, so a round allocates one array instead of
+// growing a buffer per block.
+func edgeMapSparse(u VertexSubset, work []uint64, total uint64, push func(b *block) func(s uint32)) VertexSubset {
 	src := u.sparse
-	bounds := frontierBlocks(degs, src, parallel.Procs*4)
+	bounds := frontierBlocks(work, total, min(parallel.Procs*4, int(total/sparseBlockWork)+1))
 	nb := len(bounds) - 1
-	if nb <= 0 {
-		return Empty(u.n)
-	}
-	buffers := make([][]uint32, nb)
-	parallel.ForGrain(nb, 1, func(b int) {
-		lo, hi := bounds[b], bounds[b+1]
-		if lo >= hi {
-			return
-		}
-		var buf []uint32
-		for _, s := range src[lo:hi] {
-			if hasPar && g.Degree(s) >= parDegreeThreshold {
-				// High-degree vertex: fan out within its edge tree
-				// and collect targets through a local channel-free
-				// mutex (rare path; the threshold keeps it off the
-				// common case).
-				var mu sync.Mutex
-				png.ForEachNeighborPar(s, func(v uint32) {
-					if c(v) && f(s, v) {
-						mu.Lock()
-						buf = append(buf, v)
-						mu.Unlock()
-					}
-				})
-				continue
+	out := make([]uint32, total)
+	claimed := make([][]uint32, nb)
+	parallel.Range(nb, 1, func(lo, hi int) {
+		b := &block{}
+		scan := push(b)
+		for k := lo; k < hi; k++ {
+			first := workBefore(work, total, bounds[k])
+			b.out = out[first:first:workBefore(work, total, bounds[k+1])]
+			for _, s := range src[bounds[k]:bounds[k+1]] {
+				b.cur = s
+				scan(s)
 			}
-			g.ForEachNeighbor(s, func(v uint32) bool {
-				if c(v) && f(s, v) {
-					buf = append(buf, v)
-				}
-				return true
-			})
+			claimed[k] = b.out
 		}
-		buffers[b] = buf
 	})
-	total := 0
-	for _, b := range buffers {
-		total += len(b)
-	}
-	out := make([]uint32, 0, total)
-	for _, b := range buffers {
-		out = append(out, b...)
+	// Every range starts at or after the end of the packed prefix, so the
+	// overlapping appends move data only downwards.
+	out = out[:0]
+	for _, c := range claimed {
+		out = append(out, c...)
 	}
 	return FromSparse(u.n, out)
 }
 
-// denseGrainWork is the edge-pull budget one dense-direction block targets
-// when a flat degree array is available; denseGrainFixed is the historical
-// grain used without one.
-const (
-	denseGrainWork  = 4096
-	denseGrainFixed = 256
-)
+// denseGrainWork is the edge-pull budget one dense-direction block targets:
+// enough work (tens of microseconds) that the block's own set-up — three
+// small heap objects for its scan function and one cursor claim — vanishes,
+// little enough that a round over any graph worth parallelising still has
+// blocks to balance.
+const denseGrainWork = 32768
 
 // denseGrainOverride, when positive, forces a fixed dense grain — a test
-// hook so the EdgeMap bench can compare the adaptive choice against the
-// old fixed 256 without forking the mapper.
+// hook so the EdgeMap bench can compare the adaptive choice against a
+// fixed 256 without forking the mapper.
 var denseGrainOverride int
 
 // denseGrain picks the dense-direction block size from m/n (ROADMAP (o)).
@@ -382,64 +449,54 @@ var denseGrainOverride int
 // live ones, so expected work per slot is about the average degree: blocks
 // of denseGrainWork/(m/n + 1) slots each cost roughly denseGrainWork edge
 // pulls, making blocks fine on dense graphs (load balance across heavy
-// regions of the degree array) and coarse on sparse id spaces (fewer
-// scheduling handoffs per scan). Without a degree array the estimate is
-// not worth the two interface calls — the fixed grain stands, as before.
-func denseGrain(g Graph, degs []int32) int {
+// regions of the id space) and coarse on sparse id spaces (fewer
+// scheduling handoffs per scan).
+func denseGrain(g Graph, n int) int {
 	if denseGrainOverride > 0 {
 		return denseGrainOverride
 	}
-	n := len(degs)
-	if n == 0 {
-		return denseGrainFixed
-	}
-	avg := float64(g.NumEdges()) / float64(n)
-	grain := int(float64(denseGrainWork) / (avg + 1))
-	if grain < 16 {
-		return 16
-	}
-	if grain > 4096 {
-		return 4096
-	}
-	return grain
+	avg := float64(g.NumEdges()) / float64(max(n, 1))
+	return min(max(int(denseGrainWork/(avg+1)), 16), 4096)
 }
 
 // edgeMapDense scans all vertices v with C(v) true and pulls from their
 // in-neighbors (== neighbors on symmetric graphs), stopping early once C(v)
-// turns false.
-func edgeMapDense(g Graph, u VertexSubset, f func(src, dst uint32) bool, c func(v uint32) bool) VertexSubset {
-	ud := u.ToDense()
-	var degs []int32
-	if fg, ok := g.(FlatGraph); ok {
-		degs = fg.Degrees()
-	}
-	out := make([]bool, ud.n)
+// turns false. Each block counts its own claims and publishes the count
+// once.
+func edgeMapDense(g Graph, degs []int32, u VertexSubset, c func(v uint32) bool, pull func(b *block, in []bool) func(v uint32)) VertexSubset {
+	out := make([]bool, u.n)
 	var count atomic.Int64
-	parallel.ForGrain(ud.n, denseGrain(g, degs), func(i int) {
-		// O(1) degree probe: a vertex with no neighbors cannot pull anything,
-		// so skip it before paying the condition and the edge-tree dispatch.
-		if degs != nil && i < len(degs) && degs[i] == 0 {
-			return
-		}
-		v := uint32(i)
-		if !c(v) {
-			return
-		}
-		g.ForEachNeighbor(v, func(s uint32) bool {
-			if ud.dense[s] && f(s, v) {
-				if !out[v] {
-					out[v] = true
-					count.Add(1)
-				}
+	parallel.Range(u.n, denseGrain(g, u.n), func(lo, hi int) {
+		b := &block{}
+		scan := pull(b, u.dense)
+		claimed := 0
+		for i := lo; i < hi; i++ {
+			// O(1) degree probe: a vertex with no neighbors cannot pull
+			// anything, so skip it before paying the condition and the
+			// edge-tree dispatch.
+			if i < len(degs) && degs[i] == 0 {
+				continue
 			}
-			return c(v)
-		})
+			v := uint32(i)
+			if !c(v) {
+				continue
+			}
+			b.cur, b.hit = v, false
+			scan(v)
+			if b.hit {
+				out[v] = true
+				claimed++
+			}
+		}
+		count.Add(int64(claimed))
 	})
 	return FromDense(out, int(count.Load()))
 }
 
 // EdgeCount sums the degrees of the subset (used by tests and schedulers).
 func EdgeCount(g Graph, u VertexSubset) uint64 {
-	sp := u.ToSparse()
-	return degreeSum(g, sp.sparse)
+	degs := flatDegrees(g)
+	var sum uint64
+	u.ForEach(func(v uint32) { sum += degree(g, degs, v) })
+	return sum
 }

@@ -93,27 +93,29 @@ func Range(n, grain int, f func(lo, hi int)) {
 	if p > blocks {
 		p = blocks
 	}
-	var cursor atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(p)
-	for w := 0; w < p; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				b := int(cursor.Add(1)) - 1
-				if b >= blocks {
-					return
-				}
-				lo := b * grain
-				hi := lo + grain
-				if hi > n {
-					hi = n
-				}
-				f(lo, hi)
-			}
-		}()
+	// One shared state object and one worker closure, and the caller works
+	// too: a Range call costs two heap objects and p-1 spawns.
+	var st struct {
+		cursor atomic.Int64
+		wg     sync.WaitGroup
 	}
-	wg.Wait()
+	worker := func() {
+		defer st.wg.Done()
+		for {
+			b := int(st.cursor.Add(1)) - 1
+			if b >= blocks {
+				return
+			}
+			lo := b * grain
+			f(lo, min(lo+grain, n))
+		}
+	}
+	st.wg.Add(p)
+	for w := 1; w < p; w++ {
+		go worker()
+	}
+	worker()
+	st.wg.Wait()
 }
 
 // Do runs the given thunks, possibly in parallel, and waits for all of them.
@@ -262,7 +264,10 @@ func FilterUint32(a []uint32, keep func(x uint32) bool) []uint32 {
 }
 
 // PackIndices returns the indices i in [0, n) for which keep(i) is true, in
-// increasing order.
+// increasing order. Large inputs are packed in two passes — count the kept
+// indices of each block, then write each block's at its offset — so the only
+// scratch is one counter per block; keep is called twice per index and must
+// be pure.
 func PackIndices(n int, keep func(i int) bool) []uint32 {
 	if n == 0 {
 		return nil
@@ -276,17 +281,29 @@ func PackIndices(n int, keep func(i int) bool) []uint32 {
 		}
 		return out
 	}
-	flags := make([]uint64, n)
-	For(n, func(i int) {
-		if keep(i) {
-			flags[i] = 1
+	const grain = 4 * defaultGrain
+	offs := make([]int, (n+grain-1)/grain)
+	Range(n, grain, func(lo, hi int) {
+		c := 0
+		for i := lo; i < hi; i++ {
+			if keep(i) {
+				c++
+			}
 		}
+		offs[lo/grain] = c
 	})
-	total := ScanExclusive(flags)
+	total := 0
+	for b, c := range offs {
+		offs[b], total = total, total+c
+	}
 	out := make([]uint32, total)
-	For(n, func(i int) {
-		if keep(i) {
-			out[flags[i]] = uint32(i)
+	Range(n, grain, func(lo, hi int) {
+		w := offs[lo/grain]
+		for i := lo; i < hi; i++ {
+			if keep(i) {
+				out[w] = uint32(i)
+				w++
+			}
 		}
 	})
 	return out

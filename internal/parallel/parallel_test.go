@@ -1,6 +1,7 @@
 package parallel
 
 import (
+	"slices"
 	"sort"
 	"sync/atomic"
 	"testing"
@@ -126,14 +127,25 @@ func TestFilterUint32(t *testing.T) {
 }
 
 func TestPackIndices(t *testing.T) {
-	got := PackIndices(10, func(i int) bool { return i%2 == 1 })
-	want := []uint32{1, 3, 5, 7, 9}
-	if len(got) != len(want) {
-		t.Fatalf("len = %d, want %d", len(got), len(want))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("got[%d] = %d, want %d", i, got[i], want[i])
+	old := Procs
+	Procs = 4 // the block-count path, whatever the runner has
+	defer func() { Procs = old }()
+	for _, n := range []int{0, 10, 4096, 3*4096 + 17, 100_000} {
+		for name, keep := range map[string]func(i int) bool{
+			"odd":   func(i int) bool { return i%2 == 1 },
+			"none":  func(i int) bool { return false },
+			"all":   func(i int) bool { return true },
+			"edges": func(i int) bool { return i%4096 == 0 || i%4096 == 4095 },
+		} {
+			var want []uint32
+			for i := 0; i < n; i++ {
+				if keep(i) {
+					want = append(want, uint32(i))
+				}
+			}
+			if got := PackIndices(n, keep); !slices.Equal(got, want) {
+				t.Fatalf("n=%d %s: packed %d indices, want %d in increasing order", n, name, len(got), len(want))
+			}
 		}
 	}
 }

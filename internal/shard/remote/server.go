@@ -548,30 +548,35 @@ func encodeRange(e *rpc.Encoder, g ligra.Graph, weighted bool, lo uint32) {
 	if weighted {
 		wbuf = buf[int(edges)*4:]
 	}
+	// Both callbacks are built once, outside the vertex loop: a literal
+	// inside it escapes through the interface call and costs one heap
+	// object per vertex of every range served.
 	i, lim := 0, int(edges)
 	if weighted {
+		putW := func(w uint32, wt float32) bool {
+			if i >= lim {
+				return false
+			}
+			binary.LittleEndian.PutUint32(nbuf[i*4:], w)
+			binary.LittleEndian.PutUint32(wbuf[i*4:], math.Float32bits(wt))
+			i++
+			return true
+		}
 		wg := g.(ligra.WeightedGraph)
 		for u := lo; u < lo+n; u++ {
-			wg.ForEachNeighborW(u, func(w uint32, wt float32) bool {
-				if i >= lim {
-					return false
-				}
-				binary.LittleEndian.PutUint32(nbuf[i*4:], w)
-				binary.LittleEndian.PutUint32(wbuf[i*4:], math.Float32bits(wt))
-				i++
-				return true
-			})
+			wg.ForEachNeighborW(u, putW)
 		}
-	} else {
-		for u := lo; u < lo+n; u++ {
-			g.ForEachNeighbor(u, func(w uint32) bool {
-				if i >= lim {
-					return false
-				}
-				binary.LittleEndian.PutUint32(nbuf[i*4:], w)
-				i++
-				return true
-			})
+		return
+	}
+	put := func(w uint32) bool {
+		if i >= lim {
+			return false
 		}
+		binary.LittleEndian.PutUint32(nbuf[i*4:], w)
+		i++
+		return true
+	}
+	for u := lo; u < lo+n; u++ {
+		g.ForEachNeighbor(u, put)
 	}
 }
