@@ -112,7 +112,12 @@ func TestClusterKillRecover(t *testing.T) {
 	}
 	part := shard.NewRangePartitioner(shards, span)
 	addrs := []string{procs[0].addr, procs[1].addr}
-	c, err := remote.DialGraph(part, addrs, nil, remote.Options{DialWait: 10 * time.Second})
+	// The submit right after the kill is expected to fail; a short retry
+	// budget surfaces that in milliseconds instead of the default 2 minutes.
+	c, err := remote.DialGraph(part, addrs, nil, remote.Options{
+		DialWait:      10 * time.Second,
+		RetryDeadline: 300 * time.Millisecond,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

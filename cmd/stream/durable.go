@@ -16,26 +16,14 @@ import (
 	"repro/internal/xhash"
 )
 
-// durabilityFlags carries the -data/-fsync/-ckpt-every settings.
-type durabilityFlags struct {
-	dir       string
-	policy    string
-	fsyncInt  time.Duration
-	ckptEvery int
-}
-
-// build translates the flags into a stream.Durability (dir must be set).
-func (df durabilityFlags) build() stream.Durability {
-	pol, err := stream.ParseSyncPolicy(df.policy)
+// durability translates the -data/-fsync/-ckpt-every settings into a
+// stream.Durability (Data must be non-empty).
+func (cfg config) durability() stream.Durability {
+	pol, err := stream.ParseSyncPolicy(cfg.Fsync)
 	if err != nil {
 		fatal("%v", err)
 	}
-	return stream.Durability{
-		Dir:             df.dir,
-		Policy:          pol,
-		Interval:        df.fsyncInt,
-		CheckpointEvery: df.ckptEvery,
-	}
+	return stream.Durability{Dir: cfg.Data, Policy: pol, CheckpointEvery: cfg.CkptEvery}
 }
 
 // killBatch is the deterministic update stream the kill -9 harness replays:

@@ -1,20 +1,28 @@
-// Command stream reproduces the paper's §7.8 experiment on the live-stream
-// engine: N reader goroutines issue analytics queries (BFS/CC/SSSP) against
-// pinned snapshots while a single writer sustains batched edge inserts and
+// Command stream reproduces the paper's §7.8 experiment on a live store: N
+// reader goroutines issue analytics queries (BFS/CC/SSSP) against pinned
+// snapshots while a single writer sustains batched edge inserts and
 // deletes, reporting update throughput and p50/p95/p99 commit and query
-// latencies. Examples:
+// latencies. The store is one of three deployments behind stream.Store —
+// a lone engine (the default), in-process shard clusters (-shards), or a
+// running cluster of cmd/shardd processes (-connect) — and every run goes
+// through the same workload, report and JSON shape. Examples:
 //
 //	stream -scale 17 -init 1000000 -batch 5000 -readers 1,4,8 -duration 5s
 //	stream -weighted -algos bfs,sssp -readers 4
 //	stream -quick -json BENCH_pr3_stream.json -merge bench_snap.json
 //
-// With -shards the driver instead runs the PR-5 sharded-ingest sweep
-// (shard counts × reader counts × saturated, plus paced when -interval is
-// set), comparing multi-writer clusters against the single-engine
-// baseline (shard count 1):
+// The engine sweep runs each reader count at the offered load (-interval,
+// or saturated) plus update-only and query-only baselines (-isolate). With
+// -shards or -connect the sweep is reader counts × {saturated, paced when
+// -interval is set} × deployments; shard count 1 is the lone engine, the
+// baseline every speedup is quoted against:
 //
 //	stream -scale 16 -init 500000 -shards 1,2,4 -readers 1,4 -interval 20ms
 //	stream -quick -shards 2 -partition hash -priority 64
+//	stream -quick -connect 127.0.0.1:7801,127.0.0.1:7802 -read-from 127.0.0.1:7901,
+//
+// Shard servers keep their state between runs, so against -connect the
+// writer schedule keeps one cursor across the sweep.
 //
 // With -json the results are written as a BENCH_*.json document; -merge
 // folds the "benchmarks" array of an existing snapshot (produced with
@@ -22,12 +30,12 @@
 // the §7.8 reproduction and the CI-gated benchmark metrics.
 //
 // -obs-addr mounts the observability plane for the whole process:
-// Prometheus-text /metrics for the current run's engine (or sharded
-// cluster, or remote client), JSON /statusz with the commit stage
-// breakdown and slow-commit traces, /healthz, and /debug/pprof.
-// -trace-slow <dur> additionally captures every commit slower than
-// <dur> into a bounded ring and dumps it (per-stage: enqueue, coalesce,
-// wal_append, fsync, apply, flat_patch, ack) after each run:
+// Prometheus-text /metrics for the current run's store, JSON /statusz
+// (with the commit stage breakdown and slow-commit traces of a lone
+// engine), /healthz, and /debug/pprof. -trace-slow <dur> additionally
+// captures every commit slower than <dur> into a bounded ring and dumps it
+// (per-stage: enqueue, coalesce, wal_append, fsync, apply, flat_patch,
+// ack) after each lone-engine run:
 //
 //	stream -quick -obs-addr 127.0.0.1:9090 -trace-slow 2ms -duration 30s
 package main
@@ -40,6 +48,7 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -50,12 +59,36 @@ import (
 	"repro/internal/aspen"
 	"repro/internal/ctree"
 	"repro/internal/ligra"
+	"repro/internal/obs"
 	"repro/internal/rmat"
 	"repro/internal/shard"
 	"repro/internal/shard/remote"
 	"repro/internal/stream"
 	"repro/internal/xhash"
 )
+
+// The three deployment modes a sweep can select.
+const (
+	modeEngine = "engine" // a lone in-process engine (default)
+	modeShards = "shards" // -shards: in-process clusters, 1 = the lone engine
+	modeRemote = "remote" // -connect: a running cluster of shardd processes
+)
+
+// flagModes lists, for every flag that only some deployments can honour,
+// the modes that do. Setting one to a non-default value under any other
+// mode is an error, not a silently ignored option.
+var flagModes = map[string][]string{
+	"shards":        {modeShards},
+	"read-from":     {modeRemote},
+	"partition":     {modeShards, modeRemote},
+	"data":          {modeEngine},
+	"inc-cc":        {modeEngine},
+	"flat":          {modeEngine, modeShards},
+	"prebuild-flat": {modeEngine, modeShards},
+	"patch-flat":    {modeEngine, modeShards},
+	"priority":      {modeEngine, modeShards},
+	"trace-slow":    {modeEngine, modeShards},
+}
 
 func main() {
 	var (
@@ -66,22 +99,16 @@ func main() {
 		duration = flag.Duration("duration", 3*time.Second, "sustained load per run")
 		weighted = flag.Bool("weighted", false, "serve aspen.WeightedGraph instead of aspen.Graph")
 		algoList = flag.String("algos", "", "comma list of kernels: bfs,cc,sssp (default bfs,cc; bfs,sssp when -weighted)")
-		queueCap = flag.Int("queue", 256, "ingest queue capacity (batches)")
-		coalesce = flag.Int("coalesce", 32, "max batches folded into one commit")
-		isolate  = flag.Bool("isolate", true, "also run update-only and query-only baselines")
+		isolate  = flag.Bool("isolate", true, "engine sweep: also run update-only and query-only baselines")
 		flat     = flag.Bool("flat", true, "run kernels on the per-version cached flat view (§5.1)")
 		prebuild = flag.Bool("prebuild-flat", false, "build each version's flat view on commit instead of lazily on first query")
 		patch    = flag.Bool("patch-flat", false, "derive each version's flat view from its predecessor's by O(batch) copy-on-write patching instead of O(n) rebuilds")
-		incCC    = flag.Bool("inc-cc", false, "maintain incremental connectivity on the commit path and query it as an extra kernel (single-engine runs)")
+		incCC    = flag.Bool("inc-cc", false, "maintain incremental connectivity on the commit path and query it as an extra kernel")
 		delmix   = flag.Uint64("delmix", 10, "delete-batch period of the writer schedule: one delete every N batches (10 = the classic 9:1 mix, 2 = delete-heavy expiry)")
 		interval = flag.Duration("interval", 0, "pace the writer to one batch per interval (0 = saturate)")
-		shards   = flag.String("shards", "", "comma list of shard counts: run the PR-5 sharded-ingest sweep instead of the single-engine sweep (1 = plain engine baseline)")
-		connect  = flag.String("connect", "", "comma list of shardd primary addresses: drive a remote cluster (PR 8) instead of in-process engines")
+		shards   = flag.String("shards", "", "comma list of shard counts: sweep in-process clusters (1 = the lone-engine baseline)")
+		connect  = flag.String("connect", "", "comma list of shardd primary addresses: drive a remote cluster instead of in-process engines")
 		readFrom = flag.String("read-from", "", "comma list of shardd replica addresses (one per -connect shard, empty entries allowed)")
-		dialTO   = flag.Duration("dial-timeout", 0, "remote: one dial attempt's timeout (0 = default 1s)")
-		rpcDL    = flag.Duration("rpc-deadline", 0, "remote: per-RPC response deadline (0 = default 10s, negative disables)")
-		retryDL  = flag.Duration("retry-deadline", 0, "remote: total retry budget per submit before its error surfaces (0 = default 2m)")
-		maxStale = flag.Duration("max-stale", 0, "remote: when a shard is fully unreachable, serve its last cached view if at most this old (0 = fail the read instead)")
 		partKind = flag.String("partition", "range", "shard partitioner: range or hash")
 		priority = flag.Int("priority", 0, "priority-lane threshold in edges (0 disables the small-batch lane)")
 		quick    = flag.Bool("quick", false, "tiny smoke-test configuration")
@@ -92,7 +119,6 @@ func main() {
 
 		dataDir  = flag.String("data", "", "durability directory: WAL + checkpoints; recovers existing state on start")
 		fsyncPol = flag.String("fsync", "interval", "WAL fsync policy with -data: per-commit, interval, or off")
-		fsyncInt = flag.Duration("fsync-every", 20*time.Millisecond, "fsync interval under -fsync interval")
 		ckptEv   = flag.Int("ckpt-every", 256, "checkpoint after this many commits with -data")
 		recOnly  = flag.Bool("recover-only", false, "recover -data, report what survived, and exit")
 		killN    = flag.Int("killtest", 0, "ingest N deterministic durable batches into -data, printing an ack line per commit (crash-harness mode)")
@@ -101,37 +127,38 @@ func main() {
 		traceSlow = flag.Duration("trace-slow", 0, "capture per-stage breakdowns of commits slower than this; dumped after each run and served via /statusz (0 disables)")
 	)
 	flag.Parse()
+	if (*killN > 0 || *recOnly) && *dataDir == "" {
+		fatal("-killtest and -recover-only require -data")
+	}
 	if *killN > 0 {
-		if *dataDir == "" {
-			fatal("-killtest requires -data")
-		}
 		runKillTest(*dataDir, *killN)
 		return
 	}
 	if *recOnly {
-		if *dataDir == "" {
-			fatal("-recover-only requires -data")
-		}
 		runRecoverOnly(*dataDir, *weighted)
 		return
 	}
+
+	mode := modeEngine
+	switch {
+	case *connect != "":
+		mode = modeRemote
+	case *shards != "":
+		mode = modeShards
+	}
+	set := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) {
+		set[f.Name] = true
+		if modes, ok := flagModes[f.Name]; ok && f.Value.String() != f.DefValue && !slices.Contains(modes, mode) {
+			fatal("-%s=%s does not apply to the %s deployment (honoured by: %s)",
+				f.Name, f.Value, mode, strings.Join(modes, ", "))
+		}
+	})
 	if *quick {
 		// Shrink only the flags the user did not set explicitly.
-		set := map[string]bool{}
-		flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
-		quickDefaults := []struct {
-			name  string
-			apply func()
-		}{
-			{"scale", func() { *scale = 12 }},
-			{"init", func() { *initE = 40_000 }},
-			{"batch", func() { *batch = 1_000 }},
-			{"duration", func() { *duration = 300 * time.Millisecond }},
-			{"readers", func() { *readers = "2" }},
-		}
-		for _, d := range quickDefaults {
-			if !set[d.name] {
-				d.apply()
+		for name, v := range map[string]string{"scale": "12", "init": "40000", "batch": "1000", "duration": "300ms", "readers": "2"} {
+			if !set[name] {
+				flag.Set(name, v)
 			}
 		}
 	}
@@ -149,25 +176,66 @@ func main() {
 	if *scale < 1 || *scale > 31 {
 		fatal("-scale must be in [1, 31] (vertex ids are uint32)")
 	}
-
 	if *delmix == 1 {
 		fatal("-delmix must be 0 (inserts only) or ≥ 2")
 	}
 	cfg := config{
 		Scale: *scale, InitEdges: *initE, Batch: *batch, Weighted: *weighted,
-		Algos: *algoList, QueueCap: *queueCap, MaxCoalesce: *coalesce,
-		Flat: *flat, PrebuildFlat: *prebuild, PatchFlat: *patch,
+		Algos: *algoList, Flat: *flat, PrebuildFlat: *prebuild, PatchFlat: *patch,
 		IncCC: *incCC, DelPeriod: *delmix, Priority: *priority,
 		Partition:  *partKind,
 		DurationNS: duration.Nanoseconds(), IntervalNS: interval.Nanoseconds(),
 		Seed: *seed, Procs: runtime.GOMAXPROCS(0),
-		Data: *dataDir, Fsync: *fsyncPol,
-		FsyncIntervalNS: fsyncInt.Nanoseconds(), CkptEvery: *ckptEv,
+		Data: *dataDir, Fsync: *fsyncPol, CkptEvery: *ckptEv,
 		TraceSlowNS: traceSlow.Nanoseconds(),
 	}
+	kernels(cfg, nil) // reject a bad -algos before any store is built
+
+	// The sweep: every load × pace × deployment.
+	sw := sweep{mode: mode, paces: []time.Duration{0}}
+	if *interval > 0 {
+		sw.paces = append(sw.paces, *interval)
+	}
+	for _, r := range readerCounts {
+		sw.loads = append(sw.loads, load{readers: r, writer: true})
+	}
+	switch mode {
+	case modeEngine:
+		// The §7.8 sweep measures one offered load, bracketed by the
+		// isolated update and query baselines.
+		sw.paces = []time.Duration{*interval}
+		sw.deps = []deployment{{name: "single engine"}}
+		if *isolate {
+			last := readerCounts[len(readerCounts)-1]
+			sw.loads = append(append([]load{{writer: true}}, sw.loads...), load{readers: last})
+		}
+	case modeShards:
+		counts, err := parseInts(*shards)
+		if err != nil {
+			fatal("bad -shards: %v", err)
+		}
+		for _, s := range counts {
+			d := deployment{name: fmt.Sprintf("%d shards", s), shards: s}
+			if s <= 1 {
+				d.name = "single engine"
+			}
+			sw.deps = append(sw.deps, d)
+		}
+	case modeRemote:
+		d := deployment{primaries: splitAddrs(*connect)}
+		d.name = fmt.Sprintf("remote %d shards", len(d.primaries))
+		if *readFrom != "" {
+			d.replicas = splitAddrs(*readFrom)
+			if len(d.replicas) != len(d.primaries) {
+				fatal("-read-from lists %d addresses for %d shards (use empty entries for shards without replicas)", len(d.replicas), len(d.primaries))
+			}
+		}
+		sw.deps = []deployment{d}
+	}
+
 	startObs(*obsAddr)
-	fmt.Printf("stream: scale=%d init=%d batch=%d weighted=%v algos=%s flat=%v patch=%v inc-cc=%v delmix=%d procs=%d\n",
-		*scale, *initE, *batch, *weighted, *algoList, *flat, *patch, *incCC, *delmix, cfg.Procs)
+	fmt.Printf("stream: %s scale=%d init=%d batch=%d weighted=%v algos=%s flat=%v patch=%v inc-cc=%v delmix=%d procs=%d\n",
+		mode, *scale, *initE, *batch, *weighted, *algoList, *flat, *patch, *incCC, *delmix, cfg.Procs)
 
 	// Graceful shutdown: SIGINT/SIGTERM stops the in-flight run early (the
 	// writer quits, submitted batches flush, readers drain) and skips the
@@ -175,71 +243,21 @@ func main() {
 	// final checkpoint.
 	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stopSignals()
-	stop := ctx.Done()
-
-	if *connect != "" {
-		if *shards != "" || *dataDir != "" {
-			fatal("-connect drives remote shardd processes; -shards/-data do not apply")
-		}
-		ro := remote.Options{
-			DialTimeout:   *dialTO,
-			RPCDeadline:   *rpcDL,
-			RetryDeadline: *retryDL,
-			MaxStaleness:  *maxStale,
-		}
-		runRemote(ctx, cfg, *connect, *readFrom, ro, readerCounts, *duration,
-			time.Duration(cfg.IntervalNS), *jsonOut, *jsonTag, *mergeIn)
-		return
-	}
-	if *readFrom != "" || *dialTO != 0 || *rpcDL != 0 || *retryDL != 0 || *maxStale != 0 {
-		fatal("-read-from/-dial-timeout/-rpc-deadline/-retry-deadline/-max-stale require -connect")
-	}
-
-	if *shards != "" {
-		if *dataDir != "" {
-			fatal("-data applies to the single-engine sweep (shard durability is driven through the library)")
-		}
-		shardCounts, err := parseInts(*shards)
-		if err != nil {
-			fatal("bad -shards: %v", err)
-		}
-		sruns := shardSweep(ctx, cfg, shardCounts, readerCounts, *duration, time.Duration(cfg.IntervalNS))
-		if *jsonOut != "" {
-			writeShardJSON(*jsonOut, *jsonTag, *mergeIn, cfg, sruns)
-			fmt.Printf("wrote %s\n", *jsonOut)
-		}
-		return
-	}
 
 	var runs []runResult
-	addRun := func(rr runResult) {
-		printRun(rr)
-		runs = append(runs, rr)
+	if cfg.Weighted {
+		runs = runSweep(ctx, cfg, sw, weightedBatch, openWeighted)
+	} else {
+		runs = runSweep(ctx, cfg, sw, graphBatch, openGraph)
 	}
-	interrupted := func() bool {
-		if ctx.Err() != nil {
-			fmt.Println("stream: interrupted, skipping remaining runs")
-			return true
-		}
-		return false
-	}
-	if *isolate && !interrupted() {
-		addRun(oneRun(cfg, 0, "update-only", *duration, true, stop))
-	}
-	for _, r := range readerCounts {
-		if interrupted() {
-			break
-		}
-		addRun(oneRun(cfg, r, fmt.Sprintf("%d readers", r), *duration, true, stop))
-	}
-	if *isolate && !interrupted() {
-		last := readerCounts[len(readerCounts)-1]
-		addRun(oneRun(cfg, last, fmt.Sprintf("query-only (%d readers)", last), *duration, false, stop))
-	}
-
 	if *jsonOut != "" {
-		writeJSON(*jsonOut, *jsonTag, *mergeIn, cfg, runs)
+		writeJSON(*jsonOut, *jsonTag, *mergeIn, experiment{Deployment: mode, Config: cfg, Runs: runs})
 		fmt.Printf("wrote %s\n", *jsonOut)
+	}
+	for _, rr := range runs {
+		if rr.Report.SubmitErr != "" {
+			fatal("%s: writer stopped early: %s", rr.Name, rr.Report.SubmitErr)
+		}
 	}
 }
 
@@ -250,8 +268,6 @@ type config struct {
 	Batch        uint64 `json:"batch"`
 	Weighted     bool   `json:"weighted"`
 	Algos        string `json:"algos"`
-	QueueCap     int    `json:"queue_cap"`
-	MaxCoalesce  int    `json:"max_coalesce"`
 	Flat         bool   `json:"flat"`
 	PrebuildFlat bool   `json:"prebuild_flat"`
 	PatchFlat    bool   `json:"patch_flat"`
@@ -265,24 +281,164 @@ type config struct {
 	Procs        int    `json:"procs"`
 
 	// Durability settings (-data empty means in-memory).
-	Data            string `json:"data_dir,omitempty"`
-	Fsync           string `json:"fsync,omitempty"`
-	FsyncIntervalNS int64  `json:"fsync_interval_ns,omitempty"`
-	CkptEvery       int    `json:"ckpt_every,omitempty"`
+	Data      string `json:"data_dir,omitempty"`
+	Fsync     string `json:"fsync,omitempty"`
+	CkptEvery int    `json:"ckpt_every,omitempty"`
 
 	// TraceSlowNS is the -trace-slow slow-commit threshold (0 = off).
 	TraceSlowNS int64 `json:"trace_slow_ns,omitempty"`
 }
 
-// durability translates the config into a stream.Durability (Data must be
-// non-empty).
-func (cfg config) durability() stream.Durability {
-	return durabilityFlags{
-		dir: cfg.Data, policy: cfg.Fsync,
-		fsyncInt: time.Duration(cfg.FsyncIntervalNS), ckptEvery: cfg.CkptEvery,
-	}.build()
+func (cfg config) engineOptions() stream.Options {
+	return stream.Options{PrebuildFlat: cfg.PrebuildFlat, PatchFlat: cfg.PatchFlat,
+		PriorityEdges: cfg.Priority, TraceSlow: time.Duration(cfg.TraceSlowNS)}
 }
 
+// partitioner builds the requested partitioner over the id space.
+func (cfg config) partitioner(s int) shard.Partitioner {
+	if cfg.Partition == "hash" {
+		return shard.NewHashPartitioner(s)
+	}
+	return shard.NewRangePartitioner(s, uint32(1)<<cfg.Scale)
+}
+
+// deployment is one way of serving the graph: a lone engine (shards ≤ 1, no
+// primaries), an in-process cluster, or a dialed remote cluster.
+type deployment struct {
+	name                string
+	shards              int
+	primaries, replicas []string
+}
+
+// load is the traffic of one run: readers == 0 is the update-only
+// baseline, !writer the query-only one.
+type load struct {
+	readers int
+	writer  bool
+}
+
+func (l load) String() string {
+	switch {
+	case !l.writer:
+		return fmt.Sprintf("query-only (%d readers)", l.readers)
+	case l.readers == 0:
+		return "update-only"
+	}
+	return fmt.Sprintf("%d readers", l.readers)
+}
+
+// sweep is the experiment plan: one run per load × pace × deployment.
+type sweep struct {
+	mode  string
+	loads []load
+	paces []time.Duration
+	deps  []deployment
+}
+
+// opened is a store built for one run plus the handles only some
+// deployments have.
+type opened[E any] struct {
+	stream.Store[E]
+	health func() error         // fail-stop error of a durable engine; nil elsewhere
+	tracer *obs.StageTracer     // commit stage tracer of a lone engine; nil elsewhere
+	incCC  *algos.IncrementalCC // standing connectivity under -inc-cc
+}
+
+func openedEngine[G ligra.Graph, E any](cfg config, e *stream.Engine[G, E], attachCC func(*stream.Engine[G, E]) *algos.IncrementalCC) opened[E] {
+	o := opened[E]{Store: e.Store(), health: e.Err, tracer: e.Tracer()}
+	if cfg.IncCC {
+		// Attached with ingest quiescent (after any preload flush): the
+		// bootstrap covers the initial graph, the commit hook everything
+		// after.
+		o.incCC = attachCC(e)
+	}
+	return o
+}
+
+// openGraph builds deployment d over unweighted graphs. In-process stores
+// load the initial edges outside the serving path, so counters and latency
+// digests see only the stream; a durable engine recovers its directory and
+// preloads through its own ingest path (WAL-logged like any other batch).
+func openGraph(cfg config, d deployment, initial func() []aspen.Edge) opened[aspen.Edge] {
+	p, opts := ctree.DefaultParams(), cfg.engineOptions()
+	switch {
+	case d.primaries != nil:
+		c, err := remote.DialGraph(cfg.partitioner(len(d.primaries)), d.primaries, d.replicas, remote.Options{})
+		if err != nil {
+			fatal("%v", err)
+		}
+		return opened[aspen.Edge]{Store: c.Store()}
+	case d.shards > 1:
+		return opened[aspen.Edge]{Store: shard.NewGraphClusterFrom(cfg.partitioner(d.shards), p, initial(), opts).Store()}
+	case cfg.Data != "":
+		e, err := stream.RecoverGraphEngine(p, opts, cfg.durability())
+		if err != nil {
+			fatal("recover %s: %v", cfg.Data, err)
+		}
+		preload(e.Store(), initial())
+		return openedEngine(cfg, e, stream.AttachGraphIncrementalCC)
+	}
+	return openedEngine(cfg, stream.NewGraphEngine(aspen.NewGraph(p).InsertEdges(initial()), opts), stream.AttachGraphIncrementalCC)
+}
+
+// openWeighted is openGraph for weighted graphs.
+func openWeighted(cfg config, d deployment, initial func() []aspen.WeightedEdge) opened[aspen.WeightedEdge] {
+	p, opts := ctree.DefaultParams(), cfg.engineOptions()
+	switch {
+	case d.primaries != nil:
+		c, err := remote.DialWeighted(cfg.partitioner(len(d.primaries)), d.primaries, d.replicas, remote.Options{})
+		if err != nil {
+			fatal("%v", err)
+		}
+		return opened[aspen.WeightedEdge]{Store: c.Store()}
+	case d.shards > 1:
+		return opened[aspen.WeightedEdge]{Store: shard.NewWeightedClusterFrom(cfg.partitioner(d.shards), p, initial(), opts).Store()}
+	case cfg.Data != "":
+		e, err := stream.RecoverWeightedEngine(p, opts, cfg.durability())
+		if err != nil {
+			fatal("recover %s: %v", cfg.Data, err)
+		}
+		preload(e.Store(), initial())
+		return openedEngine(cfg, e, stream.AttachWeightedIncrementalCC)
+	}
+	return openedEngine(cfg, stream.NewWeightedEngine(aspen.NewWeightedGraph().InsertEdges(initial()), opts), stream.AttachWeightedIncrementalCC)
+}
+
+// preload pushes the initial edge set through the store's own ingest path
+// in moderate chunks and flushes.
+func preload[E any](s stream.Store[E], edges []E) {
+	const chunk = 1 << 17
+	for lo := 0; lo < len(edges); lo += chunk {
+		if err := s.Submit(false, edges[lo:min(lo+chunk, len(edges))]); err != nil {
+			fatal("preload: %v", err)
+		}
+	}
+	if _, err := s.Flush(); err != nil {
+		fatal("preload: %v", err)
+	}
+}
+
+// graphBatch maps a directed edge range of the generator onto symmetrized
+// updates.
+func graphBatch(gen rmat.Generator, lo, hi uint64) []aspen.Edge {
+	return aspen.MakeUndirected(gen.Edges(lo, hi))
+}
+
+// weightedBatch is graphBatch with a deterministic non-negative weight per
+// stream edge.
+func weightedBatch(gen rmat.Generator, lo, hi uint64) []aspen.WeightedEdge {
+	es := gen.Edges(lo, hi)
+	out := make([]aspen.WeightedEdge, 0, 2*len(es))
+	for j, e := range es {
+		w := 1 + float32(xhash.Mix64(lo+uint64(j))%1000)/1000
+		out = append(out,
+			aspen.WeightedEdge{Src: e.Src, Dst: e.Dst, Weight: w},
+			aspen.WeightedEdge{Src: e.Dst, Dst: e.Src, Weight: w})
+	}
+	return out
+}
+
+// runResult is one entry of the sweep.
 type runResult struct {
 	Name   string        `json:"name"`
 	Report stream.Report `json:"report"`
@@ -291,451 +447,146 @@ type runResult struct {
 	IncCC *algos.IncrementalCCStats `json:"inc_cc,omitempty"`
 }
 
-// weightOf derives a deterministic non-negative weight for stream edge i.
-func weightOf(i uint64) float32 {
-	return 1 + float32(xhash.Mix64(i)%1000)/1000
-}
-
-// weightedBatch maps a directed edge range of the generator onto
-// symmetrized weighted updates.
-func weightedBatch(gen rmat.Generator, lo, hi uint64) []aspen.WeightedEdge {
-	es := gen.Edges(lo, hi)
-	out := make([]aspen.WeightedEdge, 0, 2*len(es))
-	for j, e := range es {
-		w := weightOf(lo + uint64(j))
-		out = append(out,
-			aspen.WeightedEdge{Src: e.Src, Dst: e.Dst, Weight: w},
-			aspen.WeightedEdge{Src: e.Dst, Dst: e.Src, Weight: w})
+// runSweep executes the plan over one payload type: batch materializes a
+// generator range as updates, open builds a deployment's store.
+func runSweep[E any](ctx context.Context, cfg config, sw sweep,
+	batch func(gen rmat.Generator, lo, hi uint64) []E,
+	open func(cfg config, d deployment, initial func() []E) opened[E]) []runResult {
+	gen := rmat.NewGenerator(cfg.Scale, cfg.Seed)
+	mk := func(lo, hi uint64) []E { return batch(gen, lo, hi) }
+	initial := func() []E { return mk(0, cfg.InitEdges) }
+	// An in-process store is rebuilt from the initial graph every run, so
+	// each run's schedule restarts past the initial edges; remote servers
+	// keep their state, so one schedule's cursor spans the sweep (Workload
+	// restarts its batch index at 0 every run; the wrapper counts calls).
+	schedule := func() func(uint64) (bool, []E) {
+		return stream.UpdateScheduleMix(cfg.InitEdges, cfg.Batch, cfg.DelPeriod, mk)
 	}
-	return out
-}
+	if sw.mode == modeRemote {
+		inner, calls := stream.UpdateScheduleMix(0, cfg.Batch, cfg.DelPeriod, mk), uint64(0)
+		one := func(uint64) (bool, []E) { calls++; return inner(calls - 1) }
+		schedule = func() func(uint64) (bool, []E) { return one }
+	}
 
-// preload pushes the initial edge set through a durable engine's own
-// ingest path in moderate chunks (so it is WAL-logged and checkpointed like
-// any other batch) and flushes.
-func preload[G ligra.Graph, E any](e *stream.Engine[G, E], edges []E) {
-	const chunk = 1 << 17
-	for lo := 0; lo < len(edges); lo += chunk {
-		hi := min(lo+chunk, len(edges))
-		if _, err := e.Insert(edges[lo:hi]); err != nil {
-			fatal("preload: %v", err)
+	var runs []runResult
+	for _, pace := range sw.paces {
+		mode := "saturated"
+		if pace > 0 {
+			mode = fmt.Sprintf("paced %v", pace)
+		}
+		for _, ld := range sw.loads {
+			// Speedups are quoted against the lone-engine run of the same
+			// load and pace — like against like.
+			var base float64
+			for _, d := range sw.deps {
+				if ctx.Err() != nil {
+					fmt.Println("stream: interrupted, skipping remaining runs")
+					return runs
+				}
+				o := open(cfg, d, initial)
+				mountObs(o)
+				w := stream.Workload[E]{
+					Store: o, Readers: ld.readers, Kernels: kernels(cfg, o.incCC),
+					Duration: time.Duration(cfg.DurationNS), Interval: pace,
+					UseFlat: cfg.Flat, Stop: ctx.Done(),
+				}
+				if ld.writer {
+					w.NextBatch = schedule()
+				}
+				rr := runResult{Name: fmt.Sprintf("%s, %s, %s", d.name, ld, mode), Report: w.Run()}
+				if o.incCC != nil {
+					st := o.incCC.Stats()
+					rr.IncCC = &st
+				}
+				if rr.Report.Shards == 1 {
+					base = rr.Report.UpdatesPerSec
+				}
+				printRun(rr, base)
+				if o.tracer != nil && cfg.TraceSlowNS > 0 {
+					dumpSlowTraces(o.tracer, time.Duration(cfg.TraceSlowNS))
+				}
+				closeStore(cfg, o)
+				runs = append(runs, rr)
+			}
 		}
 	}
-	if _, err := e.Flush(); err != nil {
-		fatal("preload flush: %v", err)
-	}
-	if err := e.Err(); err != nil {
-		fatal("preload: %v", err)
-	}
+	return runs
 }
 
-// closeEngine closes e and, when durable, reports the WAL/checkpoint work
+// closeStore closes o and, when durable, reports the WAL/checkpoint work
 // the run generated (Close writes a final checkpoint).
-func closeEngine[G ligra.Graph, E any](e *stream.Engine[G, E]) {
-	st := e.Stats()
-	e.Close()
-	if err := e.Err(); err != nil {
+func closeStore[E any](cfg config, o opened[E]) {
+	o.Close()
+	if o.health == nil {
+		return
+	}
+	if err := o.health(); err != nil {
 		fatal("durability failure: %v", err)
 	}
-	if st.Durable {
-		fin := e.Stats()
+	if cfg.Data != "" {
+		fin := o.Stats().PerShard[0]
 		fmt.Printf("durability: %d WAL appends, %d fsyncs, %d MiB logged, %d checkpoints (final on close)\n",
 			fin.WAL.Appends, fin.WAL.Syncs, fin.WAL.Bytes>>20, fin.Checkpoints)
 	}
 }
 
-// oneRun executes one run: combined writer+readers, update-only
-// (readers == 0), or query-only (withWriter == false, the isolated
-// query-latency baseline). With cfg.Data set the engine is durable: it
-// recovers the directory's prior state, logs every commit, and writes a
-// final checkpoint on close; stop (when non-nil) ends the run early.
-func oneRun(cfg config, readers int, name string, d time.Duration, withWriter bool, stop <-chan struct{}) runResult {
-	gen := rmat.NewGenerator(cfg.Scale, cfg.Seed)
-	opts := stream.Options{QueueCap: cfg.QueueCap, MaxCoalesce: cfg.MaxCoalesce,
-		PrebuildFlat: cfg.PrebuildFlat, PatchFlat: cfg.PatchFlat, PriorityEdges: cfg.Priority,
-		TraceSlow: time.Duration(cfg.TraceSlowNS)}
-	var rep stream.Report
-	var ccq *algos.IncrementalCC
-	if cfg.Weighted {
-		var e *stream.Engine[aspen.WeightedGraph, aspen.WeightedEdge]
-		if cfg.Data != "" {
-			var err error
-			e, err = stream.RecoverWeightedEngine(ctree.DefaultParams(), opts, cfg.durability())
-			if err != nil {
-				fatal("recover %s: %v", cfg.Data, err)
-			}
-			preload(e, weightedBatch(gen, 0, cfg.InitEdges))
-		} else {
-			g := aspen.NewWeightedGraph().InsertEdges(weightedBatch(gen, 0, cfg.InitEdges))
-			e = stream.NewWeightedEngine(g, opts)
-		}
-		if cfg.IncCC {
-			// Attached after the preload flush (ingest is quiescent here):
-			// the bootstrap covers the initial graph, the commit hook
-			// everything after.
-			ccq = stream.AttachWeightedIncrementalCC(e)
-		}
-		mountEngineObs(e)
-		w := stream.Workload[aspen.WeightedGraph, aspen.WeightedEdge]{
-			Engine:   e,
-			Readers:  readers,
-			Kernels:  weightedKernels(cfg, ccq),
-			Duration: d,
-			Interval: time.Duration(cfg.IntervalNS),
-			UseFlat:  cfg.Flat,
-			Stop:     stop,
-		}
-		if withWriter {
-			w.NextBatch = stream.UpdateScheduleMix(cfg.InitEdges, cfg.Batch, cfg.DelPeriod,
-				func(lo, hi uint64) []aspen.WeightedEdge { return weightedBatch(gen, lo, hi) })
-		}
-		rep = w.Run()
-		if cfg.TraceSlowNS > 0 {
-			dumpSlowTraces(e.Tracer(), time.Duration(cfg.TraceSlowNS))
-		}
-		closeEngine(e)
-	} else {
-		var e *stream.Engine[aspen.Graph, aspen.Edge]
-		if cfg.Data != "" {
-			var err error
-			e, err = stream.RecoverGraphEngine(ctree.DefaultParams(), opts, cfg.durability())
-			if err != nil {
-				fatal("recover %s: %v", cfg.Data, err)
-			}
-			preload(e, aspen.MakeUndirected(gen.Edges(0, cfg.InitEdges)))
-		} else {
-			g := aspen.NewGraph(ctree.DefaultParams()).InsertEdges(aspen.MakeUndirected(gen.Edges(0, cfg.InitEdges)))
-			e = stream.NewGraphEngine(g, opts)
-		}
-		if cfg.IncCC {
-			ccq = stream.AttachGraphIncrementalCC(e)
-		}
-		mountEngineObs(e)
-		w := stream.Workload[aspen.Graph, aspen.Edge]{
-			Engine:   e,
-			Readers:  readers,
-			Kernels:  unweightedKernels(cfg, ccq),
-			Duration: d,
-			Interval: time.Duration(cfg.IntervalNS),
-			UseFlat:  cfg.Flat,
-			Stop:     stop,
-		}
-		if withWriter {
-			w.NextBatch = stream.UpdateScheduleMix(cfg.InitEdges, cfg.Batch, cfg.DelPeriod,
-				func(lo, hi uint64) []aspen.Edge { return aspen.MakeUndirected(gen.Edges(lo, hi)) })
-		}
-		rep = w.Run()
-		if cfg.TraceSlowNS > 0 {
-			dumpSlowTraces(e.Tracer(), time.Duration(cfg.TraceSlowNS))
-		}
-		closeEngine(e)
-	}
-	rr := runResult{Name: name, Report: rep}
-	if ccq != nil {
-		st := ccq.Stats()
-		rr.IncCC = &st
-	}
-	return rr
+// kernelTable is every -algos kernel: each runs on whatever view the store
+// pinned (always a ligra.Graph; sssp asserts the weighted capability) from
+// the source it is handed.
+var kernelTable = map[string]func(g ligra.Graph, src uint32){
+	"bfs":  func(g ligra.Graph, src uint32) { algos.BFS(g, src, false) },
+	"cc":   func(g ligra.Graph, _ uint32) { algos.ConnectedComponents(g) },
+	"sssp": func(g ligra.Graph, src uint32) { algos.SSSP(g.(ligra.WeightedGraph), src) },
 }
 
-// srcCycler varies kernel sources deterministically across calls; shared
-// by every reader goroutine, hence the atomic counter.
-func srcCycler(n uint32) func() uint32 {
-	var i atomic.Uint64
-	return func() uint32 {
-		return uint32(xhash.Seeded(13, i.Add(1)) % uint64(n))
+// kernels builds the -algos list, plus the standing-connectivity probe
+// under -inc-cc. Sources vary deterministically across calls, from one
+// counter per kernel that all reader goroutines share.
+func kernels(cfg config, ccq *algos.IncrementalCC) []stream.Kernel {
+	sources := func() func() uint32 {
+		var i atomic.Uint64
+		return func() uint32 { return uint32(xhash.Seeded(13, i.Add(1)) % (uint64(1) << cfg.Scale)) }
 	}
-}
-
-func unweightedKernels(cfg config, ccq *algos.IncrementalCC) []stream.Kernel[aspen.Graph] {
-	n := uint32(1) << cfg.Scale
-	var ks []stream.Kernel[aspen.Graph]
+	var ks []stream.Kernel
 	for _, a := range strings.Split(cfg.Algos, ",") {
-		switch strings.TrimSpace(a) {
-		case "bfs":
-			src := srcCycler(n)
-			ks = append(ks, stream.Kernel[aspen.Graph]{Name: "bfs",
-				Run:     func(g aspen.Graph) { algos.BFS(g, src(), false) },
-				RunFlat: func(g ligra.Graph) { algos.BFS(g, src(), false) }})
-		case "cc":
-			ks = append(ks, stream.Kernel[aspen.Graph]{Name: "cc",
-				Run:     func(g aspen.Graph) { algos.ConnectedComponents(g) },
-				RunFlat: func(g ligra.Graph) { algos.ConnectedComponents(g) }})
-		case "sssp":
-			fatal("sssp requires -weighted")
-		default:
+		name := strings.TrimSpace(a)
+		run, ok := kernelTable[name]
+		if !ok {
 			fatal("unknown algo %q", a)
 		}
+		if name == "sssp" && !cfg.Weighted {
+			fatal("sssp requires -weighted")
+		}
+		src := sources()
+		ks = append(ks, stream.Kernel{Name: name, Run: func(g ligra.Graph) { run(g, src()) }})
 	}
 	if ccq != nil {
 		// The standing structure answers from its arrays — no kernel run,
-		// no transaction snapshot needed; its latency row is the point.
-		src := srcCycler(n)
-		ks = append(ks, stream.Kernel[aspen.Graph]{Name: "inccc",
-			Run:     func(aspen.Graph) { ccq.Component(src()) },
-			RunFlat: func(ligra.Graph) { ccq.Component(src()) }})
+		// no snapshot needed; its latency row is the point.
+		src := sources()
+		ks = append(ks, stream.Kernel{Name: "inccc", Run: func(ligra.Graph) { ccq.Component(src()) }})
 	}
 	return ks
 }
 
-func weightedKernels(cfg config, ccq *algos.IncrementalCC) []stream.Kernel[aspen.WeightedGraph] {
-	n := uint32(1) << cfg.Scale
-	var ks []stream.Kernel[aspen.WeightedGraph]
-	for _, a := range strings.Split(cfg.Algos, ",") {
-		switch strings.TrimSpace(a) {
-		case "bfs":
-			src := srcCycler(n)
-			ks = append(ks, stream.Kernel[aspen.WeightedGraph]{Name: "bfs",
-				Run:     func(g aspen.WeightedGraph) { algos.BFS(g, src(), false) },
-				RunFlat: func(g ligra.Graph) { algos.BFS(g, src(), false) }})
-		case "cc":
-			ks = append(ks, stream.Kernel[aspen.WeightedGraph]{Name: "cc",
-				Run:     func(g aspen.WeightedGraph) { algos.ConnectedComponents(g) },
-				RunFlat: func(g ligra.Graph) { algos.ConnectedComponents(g) }})
-		case "sssp":
-			src := srcCycler(n)
-			ks = append(ks, stream.Kernel[aspen.WeightedGraph]{Name: "sssp",
-				Run:     func(g aspen.WeightedGraph) { algos.SSSP(g, src()) },
-				RunFlat: func(g ligra.Graph) { algos.SSSP(g.(ligra.WeightedGraph), src()) }})
-		default:
-			fatal("unknown algo %q", a)
-		}
-	}
-	if ccq != nil {
-		src := srcCycler(n)
-		ks = append(ks, stream.Kernel[aspen.WeightedGraph]{Name: "inccc",
-			Run:     func(aspen.WeightedGraph) { ccq.Component(src()) },
-			RunFlat: func(ligra.Graph) { ccq.Component(src()) }})
-	}
-	return ks
-}
-
-// shardRunResult is one entry of the PR-5 sharded sweep.
-type shardRunResult struct {
-	Name   string       `json:"name"`
-	Shards int          `json:"shards"`
-	Report shard.Report `json:"report"`
-}
-
-// shardSweep runs the PR-5 experiment: shard counts × reader counts ×
-// {saturated, paced (when -interval is set)}. Shard count 1 runs the plain
-// single engine — the baseline every speedup is quoted against.
-func shardSweep(ctx context.Context, cfg config, shardCounts, readerCounts []int, d, interval time.Duration) []shardRunResult {
-	var out []shardRunResult
-	paceModes := []time.Duration{0}
-	if interval > 0 {
-		paceModes = append(paceModes, interval)
-	}
-	stop := ctx.Done()
-	for _, pace := range paceModes {
-		mode := "saturated"
-		if pace > 0 {
-			mode = fmt.Sprintf("paced %v", pace)
-		}
-		for _, r := range readerCounts {
-			// Speedups are quoted against the single-engine run of the
-			// same reader count and pace mode — like against like.
-			var base float64
-			for _, s := range shardCounts {
-				if ctx.Err() != nil {
-					fmt.Println("stream: interrupted, skipping remaining runs")
-					return out
-				}
-				name := fmt.Sprintf("%d shards, %d readers, %s", s, r, mode)
-				var rep shard.Report
-				if s <= 1 {
-					name = fmt.Sprintf("single engine, %d readers, %s", r, mode)
-					rep = oneShardRunSingle(cfg, r, d, pace, stop)
-					base = rep.UpdatesPerSec
-				} else {
-					rep = oneShardRun(cfg, s, r, d, pace, stop)
-				}
-				printShardRun(name, rep, base)
-				out = append(out, shardRunResult{Name: name, Shards: max(s, 1), Report: rep})
-			}
-		}
-	}
-	return out
-}
-
-// shardPartitioner builds the requested partitioner over the id space.
-func shardPartitioner(cfg config, s int) shard.Partitioner {
-	if cfg.Partition == "hash" {
-		return shard.NewHashPartitioner(s)
-	}
-	return shard.NewRangePartitioner(s, uint32(1)<<cfg.Scale)
-}
-
-// shardKernels adapts the -algos list to sharded views (both tree and
-// stitched flat arrive as ligra.Graph; weighted kernels type-assert).
-func shardKernels(cfg config) []shard.Kernel {
-	n := uint32(1) << cfg.Scale
-	var ks []shard.Kernel
-	for _, a := range strings.Split(cfg.Algos, ",") {
-		switch strings.TrimSpace(a) {
-		case "bfs":
-			src := srcCycler(n)
-			ks = append(ks, shard.Kernel{Name: "bfs",
-				Run: func(g ligra.Graph) { algos.BFS(g, src(), false) }})
-		case "cc":
-			ks = append(ks, shard.Kernel{Name: "cc",
-				Run: func(g ligra.Graph) { algos.ConnectedComponents(g) }})
-		case "sssp":
-			if !cfg.Weighted {
-				fatal("sssp requires -weighted")
-			}
-			src := srcCycler(n)
-			ks = append(ks, shard.Kernel{Name: "sssp",
-				Run: func(g ligra.Graph) { algos.SSSP(g.(ligra.WeightedGraph), src()) }})
-		default:
-			fatal("unknown algo %q", a)
-		}
-	}
-	return ks
-}
-
-// oneShardRun executes one sharded run at s shards.
-func oneShardRun(cfg config, s, readers int, d, pace time.Duration, stop <-chan struct{}) shard.Report {
-	gen := rmat.NewGenerator(cfg.Scale, cfg.Seed)
-	part := shardPartitioner(cfg, s)
-	opts := stream.Options{QueueCap: cfg.QueueCap, MaxCoalesce: cfg.MaxCoalesce,
-		PrebuildFlat: cfg.PrebuildFlat, PatchFlat: cfg.PatchFlat, PriorityEdges: cfg.Priority,
-		TraceSlow: time.Duration(cfg.TraceSlowNS)}
-	if cfg.Weighted {
-		// Initial load outside the serving path (NewWeightedClusterFrom),
-		// matching how the single-engine baseline preloads before engine
-		// construction — counters and latency digests see only the stream.
-		c := shard.NewWeightedClusterFrom(part, ctree.DefaultParams(), weightedBatch(gen, 0, cfg.InitEdges), opts)
-		mountClusterObs(c)
-		w := shard.Workload[aspen.WeightedGraph, aspen.WeightedEdge]{
-			Cluster: c, Readers: readers, Kernels: shardKernels(cfg),
-			Duration: d, Interval: pace, UseFlat: cfg.Flat, Stop: stop,
-			NextBatch: stream.UpdateScheduleMix(cfg.InitEdges, cfg.Batch, cfg.DelPeriod,
-				func(lo, hi uint64) []aspen.WeightedEdge { return weightedBatch(gen, lo, hi) }),
-		}
-		rep := w.Run()
-		c.Close()
-		return rep
-	}
-	c := shard.NewGraphClusterFrom(part, ctree.DefaultParams(),
-		aspen.MakeUndirected(gen.Edges(0, cfg.InitEdges)), opts)
-	mountClusterObs(c)
-	w := shard.Workload[aspen.Graph, aspen.Edge]{
-		Cluster: c, Readers: readers, Kernels: shardKernels(cfg),
-		Duration: d, Interval: pace, UseFlat: cfg.Flat, Stop: stop,
-		NextBatch: stream.UpdateScheduleMix(cfg.InitEdges, cfg.Batch, cfg.DelPeriod,
-			func(lo, hi uint64) []aspen.Edge { return aspen.MakeUndirected(gen.Edges(lo, hi)) }),
-	}
-	rep := w.Run()
-	c.Close()
-	return rep
-}
-
-// oneShardRunSingle is the unsharded baseline of the sweep, reported in the
-// sharded Report shape so the rows compare directly.
-func oneShardRunSingle(cfg config, readers int, d, pace time.Duration, stop <-chan struct{}) shard.Report {
-	pacedCfg := cfg
-	pacedCfg.IntervalNS = pace.Nanoseconds()
-	rr := oneRun(pacedCfg, readers, "baseline", d, true, stop)
+func printRun(rr runResult, base float64) {
 	r := rr.Report
-	return shard.Report{
-		Shards: 1, Duration: r.Duration, Readers: r.Readers,
-		Updates: r.Updates, UpdatesPerSec: r.UpdatesPerSec,
-		Commits: r.Commits, Batches: r.Batches,
-		CommitWorst: r.Commit,
-		Queries:     r.Queries, QueriesPerSec: r.QueriesPerSec, Query: r.Query,
-		PerKernel:    r.PerKernel,
-		LiveVersions: r.LiveVersions, RetiredVersions: r.RetiredVersions,
-		FinalStamps: []uint64{r.FinalStamp},
-		FlatBuilds:  r.FlatBuilds, FlatPatches: r.FlatPatches, FlatHits: r.FlatHits,
-	}
-}
-
-func printShardRun(name string, r shard.Report, base float64) {
-	fmt.Printf("\n== %s ==\n", name)
+	fmt.Printf("\n== %s ==\n", rr.Name)
 	if r.Updates > 0 {
-		speed := ""
-		if base > 0 && r.Shards > 1 {
-			speed = fmt.Sprintf(" (%.2fx vs single engine)", r.UpdatesPerSec/base)
+		across, worst, speed := "", "", ""
+		if r.Shards > 1 {
+			across, worst = fmt.Sprintf(" across %d shards", r.Shards), " (worst shard)"
+			if base > 0 {
+				speed = fmt.Sprintf(" (%.2fx vs single engine)", r.UpdatesPerSec/base)
+			}
 		}
-		fmt.Printf("updates: %.3g edges/sec%s (%d edges, %d batches, %d commits across %d shards)\n",
-			r.UpdatesPerSec, speed, r.Updates, r.Batches, r.Commits, r.Shards)
-		fmt.Printf("commit latency (worst shard): p50 %-10v p95 %-10v p99 %-10v max %v\n",
-			r.CommitWorst.P50, r.CommitWorst.P95, r.CommitWorst.P99, r.CommitWorst.Max)
+		fmt.Printf("updates: %.3g edges/sec%s (%d edges, %d batches, %d commits%s, coalesce %.2f)\n",
+			r.UpdatesPerSec, speed, r.Updates, r.Batches, r.Commits, across, r.Coalesce)
+		fmt.Printf("commit latency%s: p50 %-10v p95 %-10v p99 %-10v max %v\n",
+			worst, r.Commit.P50, r.Commit.P95, r.Commit.P99, r.Commit.Max)
 	}
-	if r.Queries > 0 {
-		fmt.Printf("queries: %.1f/sec across %d readers\n", r.QueriesPerSec, r.Readers)
-		fmt.Printf("query latency:   p50 %-10v p95 %-10v p99 %-10v max %v\n",
-			r.Query.P50, r.Query.P95, r.Query.P99, r.Query.Max)
-	}
-	fmt.Printf("versions: stamps %v, %d retired, %d live\n", r.FinalStamps, r.RetiredVersions, r.LiveVersions)
-	if r.StitchBuilds+r.StitchPatches+r.StitchHits > 0 {
-		fmt.Printf("stitched flat: %d builds, %d delta stitches, %d hits; per-shard flat: %d builds, %d patches, %d hits\n",
-			r.StitchBuilds, r.StitchPatches, r.StitchHits, r.FlatBuilds, r.FlatPatches, r.FlatHits)
-	}
-}
-
-// writeShardJSON writes the sharded sweep as a BENCH_*.json document
-// (benchdiff reads the benchmarks array; the shard_experiment payload is
-// the PR-5 record).
-func writeShardJSON(path, tag, mergePath string, cfg config, runs []shardRunResult) {
-	doc := shardBenchDoc{
-		Tag: tag,
-		Description: "Sharded serving layer sweep: multi-writer vertex-range shards with " +
-			"consistent cross-shard snapshots (PR 5); shard count 1 is the plain single " +
-			"engine. Benchmarks array gates allocs in CI via cmd/benchdiff.",
-		Machine:    runtime.GOOS + "/" + runtime.GOARCH,
-		Benchmarks: json.RawMessage("[]"),
-		Shard:      shardDoc{Config: cfg, Runs: runs},
-	}
-	if mergePath != "" {
-		raw, err := os.ReadFile(mergePath)
-		if err != nil {
-			fatal("-merge: %v", err)
-		}
-		var snap struct {
-			Benchmarks json.RawMessage `json:"benchmarks"`
-		}
-		if err := json.Unmarshal(raw, &snap); err != nil {
-			fatal("-merge: %v", err)
-		}
-		if len(snap.Benchmarks) > 0 {
-			doc.Benchmarks = snap.Benchmarks
-		}
-	}
-	out, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		fatal("marshal: %v", err)
-	}
-	if err := os.WriteFile(path, append(out, '\n'), 0o644); err != nil {
-		fatal("write: %v", err)
-	}
-}
-
-type shardBenchDoc struct {
-	Tag         string          `json:"tag"`
-	Description string          `json:"description"`
-	Machine     string          `json:"machine,omitempty"`
-	Benchmarks  json.RawMessage `json:"benchmarks"`
-	Shard       shardDoc        `json:"shard_experiment"`
-}
-
-type shardDoc struct {
-	Config config           `json:"config"`
-	Runs   []shardRunResult `json:"runs"`
-}
-
-func printRun(rr runResult) {
-	name, r := rr.Name, rr.Report
-	fmt.Printf("\n== %s ==\n", name)
-	if r.Updates > 0 {
-		fmt.Printf("updates: %.3g edges/sec (%d edges, %d batches, %d commits, coalesce %.2f)\n",
-			r.UpdatesPerSec, r.Updates, r.Batches, r.Commits, r.Coalesce)
-		fmt.Printf("commit latency:  p50 %-10v p95 %-10v p99 %-10v max %v\n",
-			r.Commit.P50, r.Commit.P95, r.Commit.P99, r.Commit.Max)
-	}
-	if r.Queries > 0 {
-		fmt.Printf("queries: %.1f/sec across %d readers\n", r.QueriesPerSec, r.Readers)
+	if r.Queries+r.QueryErrs > 0 {
+		fmt.Printf("queries: %.1f/sec across %d readers, %d failed\n", r.QueriesPerSec, r.Readers, r.QueryErrs)
 		fmt.Printf("query latency:   p50 %-10v p95 %-10v p99 %-10v max %v\n",
 			r.Query.P50, r.Query.P95, r.Query.P99, r.Query.Max)
 		for _, k := range r.PerKernel {
@@ -743,43 +594,58 @@ func printRun(rr runResult) {
 				k.Name, k.Latency.P50, k.Latency.P95, k.Latency.P99, k.Latency.Count)
 		}
 	}
-	fmt.Printf("versions: %d published, %d retired+released, %d live\n",
-		r.FinalStamp, r.RetiredVersions, r.LiveVersions)
-	if r.FlatBuilds+r.FlatPatches+r.FlatHits > 0 {
+	fmt.Printf("versions: stamps %v, %d retired, %d live\n", r.FinalStamps, r.RetiredVersions, r.LiveVersions)
+	if n := r.FlatBuilds + r.FlatPatches; n+r.FlatHits > 0 {
 		fmt.Printf("flat cache: %d builds, %d patches, %d hits (%.1f queries per materialization)\n",
-			r.FlatBuilds, r.FlatPatches, r.FlatHits,
-			float64(r.FlatBuilds+r.FlatPatches+r.FlatHits)/float64(max(r.FlatBuilds+r.FlatPatches, 1)))
+			r.FlatBuilds, r.FlatPatches, r.FlatHits, float64(n+r.FlatHits)/float64(max(n, 1)))
+	}
+	if r.StitchBuilds+r.StitchPatches+r.StitchHits > 0 {
+		fmt.Printf("stitched flat: %d builds, %d delta stitches, %d hits\n", r.StitchBuilds, r.StitchPatches, r.StitchHits)
+	}
+	if cs, ok := r.Detail.(remote.Stats); ok {
+		fmt.Printf("client: %d range RPCs, %d view fetches, %d view hits, %d replica reads, %d primary fallbacks\n",
+			cs.RangeRPCs, cs.ViewFetches, cs.ViewHits, cs.ReplicaReads, cs.PrimaryFallbacks)
+		if cs.Retries+cs.DedupAcks+cs.BreakerOpens+cs.BreakerFastFails+cs.RPCTimeouts+
+			cs.Failovers+cs.Promotions+cs.DegradedPins+cs.StaleReads > 0 {
+			fmt.Printf("faults: %d retries, %d dedup acks, %d breaker opens (%d fast fails), %d rpc timeouts, %d failovers, %d promotions, %d degraded pins, %d stale reads\n",
+				cs.Retries, cs.DedupAcks, cs.BreakerOpens, cs.BreakerFastFails, cs.RPCTimeouts,
+				cs.Failovers, cs.Promotions, cs.DegradedPins, cs.StaleReads)
+		}
 	}
 	if rr.IncCC != nil {
 		fmt.Printf("inc-cc: %d unions, %d delete recomputes, %d vertices reverified\n",
 			rr.IncCC.Unions, rr.IncCC.Recomputes, rr.IncCC.Reverified)
 	}
+	if r.SubmitErr != "" {
+		fmt.Printf("SUBMIT ERROR (writer stopped early): %s\n", r.SubmitErr)
+	}
 }
 
 // benchDoc is the on-disk BENCH_*.json shape: the benchdiff snapshot
-// fields plus the §7.8 experiment payload (benchdiff ignores the extras).
+// fields plus the experiment payload (benchdiff reads only benchmarks).
 type benchDoc struct {
 	Tag         string          `json:"tag"`
 	Description string          `json:"description"`
 	Machine     string          `json:"machine,omitempty"`
 	Benchmarks  json.RawMessage `json:"benchmarks"`
-	Stream      streamDoc       `json:"stream_experiment"`
+	Experiment  experiment      `json:"experiment"`
 }
 
-type streamDoc struct {
-	Config config      `json:"config"`
-	Runs   []runResult `json:"runs"`
+type experiment struct {
+	Deployment string      `json:"deployment"`
+	Config     config      `json:"config"`
+	Runs       []runResult `json:"runs"`
 }
 
-func writeJSON(path, tag, mergePath string, cfg config, runs []runResult) {
+func writeJSON(path, tag, mergePath string, exp experiment) {
 	doc := benchDoc{
 		Tag: tag,
-		Description: "Live-stream engine §7.8 reproduction: concurrent readers + single writer " +
-			"over epoch-refcounted snapshots, kernels on per-version cached flat views; " +
-			"benchmarks array gates allocs in CI via cmd/benchdiff.",
+		Description: "§7.8 reproduction through stream.Store: concurrent readers + one writer over " +
+			"epoch-refcounted snapshots on the deployment named in experiment.deployment " +
+			"(engine, shards or remote); benchmarks array gates allocs in CI via cmd/benchdiff.",
 		Machine:    runtime.GOOS + "/" + runtime.GOARCH,
 		Benchmarks: json.RawMessage("[]"),
-		Stream:     streamDoc{Config: cfg, Runs: runs},
+		Experiment: exp,
 	}
 	if mergePath != "" {
 		raw, err := os.ReadFile(mergePath)
@@ -817,10 +683,17 @@ func parseInts(s string) ([]int, error) {
 		}
 		out = append(out, n)
 	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("empty list")
-	}
 	return out, nil
+}
+
+// splitAddrs splits a comma list, keeping empty entries (a shard with no
+// replica).
+func splitAddrs(s string) []string {
+	parts := strings.Split(s, ",")
+	for i := range parts {
+		parts[i] = strings.TrimSpace(parts[i])
+	}
+	return parts
 }
 
 func fatal(format string, args ...any) {

@@ -1,9 +1,9 @@
 // Observability plane of cmd/stream: -obs-addr mounts one obs.Server
 // for the whole process (metrics, statusz, healthz, pprof) and each
-// sweep run swaps in a registry for the engine/cluster/client it just
-// built — the engine is rebuilt per run, the server is not. -trace-slow
-// additionally dumps the slow-commit ring (per-stage breakdown) after
-// every run, attributing fsync and flat-patch cost per commit.
+// sweep run swaps in a registry for the store it just built — the store
+// is rebuilt per run, the server is not. -trace-slow additionally dumps
+// the slow-commit ring (per-stage breakdown) after every lone-engine run,
+// attributing fsync and flat-patch cost per commit.
 package main
 
 import (
@@ -12,11 +12,7 @@ import (
 	"time"
 
 	"repro/internal/faults"
-	"repro/internal/ligra"
 	"repro/internal/obs"
-	"repro/internal/shard"
-	"repro/internal/shard/remote"
-	"repro/internal/stream"
 )
 
 // obsSrv is the process-wide observability server; nil without
@@ -36,71 +32,32 @@ func startObs(addr string) {
 	fmt.Printf("stream: obs on http://%s (/metrics /statusz /healthz /debug/pprof)\n", obsSrv.Addr())
 }
 
-// faultsGauge registers the armed-failpoint gauge every mode shares.
-func faultsGauge(reg *obs.Registry) {
+// mountObs swaps the current run's store into the obs server: the store's
+// metrics, /healthz from a durable engine's fail-stop error, and /statusz
+// with the store counters — plus, for a lone engine, the stage breakdown
+// and slow-commit ring.
+func mountObs[E any](o opened[E]) {
+	if obsSrv == nil {
+		return
+	}
+	reg := obs.NewRegistry()
+	o.RegisterMetrics(reg)
 	reg.GaugeFunc("aspen_faults_armed",
 		"Failpoints currently armed in the process-global registry.",
 		func() float64 { return float64(faults.Default.ArmedCount()) })
-}
-
-// mountEngineObs swaps the current run's engine into the obs server:
-// full engine metrics, /healthz from the durability error, /statusz
-// with the stage breakdown and slow-commit ring.
-func mountEngineObs[G ligra.Graph, E any](e *stream.Engine[G, E]) {
-	if obsSrv == nil {
-		return
-	}
-	reg := obs.NewRegistry()
-	e.RegisterMetrics(reg)
-	faultsGauge(reg)
 	obsSrv.SetRegistry(reg)
-	obsSrv.SetHealth(e.Err)
+	obsSrv.SetHealth(o.health)
 	obsSrv.SetStatus(func() any {
-		slow, seen := e.Tracer().SlowViews()
-		return map[string]any{
-			"engine":       e.Stats(),
-			"stages":       stageStatus(e.Tracer()),
-			"slow_commits": map[string]any{"seen": seen, "traces": slow},
+		st := map[string]any{
+			"store":        o.Stats(),
 			"faults_armed": faults.Default.ArmedCount(),
 		}
-	})
-}
-
-// mountClusterObs is mountEngineObs for the in-process sharded sweep:
-// per-shard engine series (shard="N") plus the stitch counters.
-func mountClusterObs[G ligra.Graph, E any](c *shard.Cluster[G, E]) {
-	if obsSrv == nil {
-		return
-	}
-	reg := obs.NewRegistry()
-	c.RegisterMetrics(reg)
-	faultsGauge(reg)
-	obsSrv.SetRegistry(reg)
-	obsSrv.SetHealth(nil)
-	obsSrv.SetStatus(func() any {
-		return map[string]any{
-			"cluster":      c.Stats(),
-			"faults_armed": faults.Default.ArmedCount(),
+		if o.tracer != nil {
+			slow, seen := o.tracer.SlowViews()
+			st["stages"] = stageStatus(o.tracer)
+			st["slow_commits"] = map[string]any{"seen": seen, "traces": slow}
 		}
-	})
-}
-
-// mountRemoteObs mounts the remote-mode client counters (the PR 9
-// resilience ladder live, instead of only in the end-of-run report).
-func mountRemoteObs[E any](c *remote.Cluster[E]) {
-	if obsSrv == nil {
-		return
-	}
-	reg := obs.NewRegistry()
-	c.RegisterMetrics(reg)
-	faultsGauge(reg)
-	obsSrv.SetRegistry(reg)
-	obsSrv.SetHealth(nil)
-	obsSrv.SetStatus(func() any {
-		return map[string]any{
-			"client":       c.Stats(),
-			"faults_armed": faults.Default.ArmedCount(),
-		}
+		return st
 	})
 }
 

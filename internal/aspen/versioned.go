@@ -192,26 +192,3 @@ func (vg *VersionedGraph) InsertVertices(ids []uint32) uint64 {
 func (vg *VersionedGraph) DeleteVertices(ids []uint32) uint64 {
 	return vg.Update(func(g Graph) Graph { return g.DeleteVertices(ids) })
 }
-
-// VersionedWeightedGraph is the weighted instantiation of Versioned with
-// edge-batch conveniences.
-type VersionedWeightedGraph struct {
-	Versioned[WeightedGraph]
-}
-
-// NewVersionedWeightedGraph wraps an initial weighted graph.
-func NewVersionedWeightedGraph(g WeightedGraph) *VersionedWeightedGraph {
-	vg := &VersionedWeightedGraph{}
-	vg.Versioned.init(g)
-	return vg
-}
-
-// InsertEdges atomically inserts a batch of weighted directed edges.
-func (vg *VersionedWeightedGraph) InsertEdges(edges []WeightedEdge) uint64 {
-	return vg.Update(func(g WeightedGraph) WeightedGraph { return g.InsertEdges(edges) })
-}
-
-// DeleteEdges atomically deletes a batch of weighted directed edges.
-func (vg *VersionedWeightedGraph) DeleteEdges(edges []WeightedEdge) uint64 {
-	return vg.Update(func(g WeightedGraph) WeightedGraph { return g.DeleteEdges(edges) })
-}

@@ -199,9 +199,11 @@ func TestRetireClearsSnapshot(t *testing.T) {
 }
 
 func TestVersionedWeightedGraph(t *testing.T) {
-	vg := NewVersionedWeightedGraph(NewWeightedGraph())
+	vg := NewVersioned(NewWeightedGraph())
 	before := vg.Acquire()
-	stamp := vg.InsertEdges([]WeightedEdge{{Src: 1, Dst: 2, Weight: 0.5}})
+	stamp := vg.Update(func(g WeightedGraph) WeightedGraph {
+		return g.InsertEdges([]WeightedEdge{{Src: 1, Dst: 2, Weight: 0.5}})
+	})
 	after := vg.Acquire()
 	if before.Graph.NumEdges() != 0 || after.Graph.NumEdges() != 1 {
 		t.Fatal("weighted snapshot isolation violated")
@@ -214,7 +216,9 @@ func TestVersionedWeightedGraph(t *testing.T) {
 	}
 	vg.Release(before)
 	vg.Release(after)
-	vg.DeleteEdges([]WeightedEdge{{Src: 1, Dst: 2}})
+	vg.Update(func(g WeightedGraph) WeightedGraph {
+		return g.DeleteEdges([]WeightedEdge{{Src: 1, Dst: 2}})
+	})
 	final := vg.Acquire()
 	defer vg.Release(final)
 	if final.Graph.NumEdges() != 0 {

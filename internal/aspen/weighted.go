@@ -105,11 +105,6 @@ func (g WeightedGraph) ForEachNeighborW(u uint32, f func(v uint32, w float32) bo
 	}
 }
 
-// ForEachNeighborWeight is the historical name of ForEachNeighborW.
-func (g WeightedGraph) ForEachNeighborWeight(u uint32, f func(v uint32, w float32) bool) {
-	g.ForEachNeighborW(u, f)
-}
-
 // sortWeightedEdgeBatch packs, stably sorts and dedupes a weighted batch;
 // for duplicate (src, dst) pairs the last weight in batch order wins.
 func sortWeightedEdgeBatch(edges []WeightedEdge) ([]uint64, []float32) {

@@ -103,7 +103,7 @@ func TestWeightedNeighborOrder(t *testing.T) {
 		{Src: 0, Dst: 3, Weight: 3},
 	})
 	var order []uint32
-	g.ForEachNeighborWeight(0, func(v uint32, w float32) bool {
+	g.ForEachNeighborW(0, func(v uint32, w float32) bool {
 		order = append(order, v)
 		if float32(v) != w {
 			t.Fatalf("weight of %d is %f", v, w)

@@ -35,51 +35,30 @@ func Shard(w io.Writer, cfg Config) {
 		gen := rmat.NewGenerator(ds.Scale, ds.Seed+4000)
 		var base float64
 		for _, shards := range []int{1, 2, 4} {
-			var upsec float64
-			var commitP99, queryP50 time.Duration
-			var builds, hits uint64
+			// Same initial edges at every shard count (one generator
+			// prefix), loaded outside the serving path, so the sweep
+			// compares deployments, not inputs, and measures only the
+			// streamed updates.
+			initial := aspen.MakeUndirected(gen.Edges(0, ds.GenEdges))
+			var st stream.Store[aspen.Edge]
 			if shards == 1 {
-				// Same initial edges as the sharded runs (one generator
-				// prefix), so the sweep compares engines, not inputs.
-				g := aspen.NewGraph(ctree.DefaultParams()).
-					InsertEdges(aspen.MakeUndirected(gen.Edges(0, ds.GenEdges)))
-				e := stream.NewGraphEngine(g, stream.Options{})
-				wl := stream.Workload[aspen.Graph, aspen.Edge]{
-					Engine: e,
-					NextBatch: stream.UpdateSchedule(ds.GenEdges, batch,
-						func(lo, hi uint64) []aspen.Edge { return aspen.MakeUndirected(gen.Edges(lo, hi)) }),
-					Readers: readers,
-					Kernels: []stream.Kernel[aspen.Graph]{{Name: "bfs",
-						Run:     func(g aspen.Graph) { algos.BFS(g, 0, false) },
-						RunFlat: func(g ligra.Graph) { algos.BFS(g, 0, false) }}},
-					Duration: d,
-					UseFlat:  true,
-				}
-				rep := wl.Run()
-				e.Close()
-				upsec, commitP99, queryP50 = rep.UpdatesPerSec, rep.Commit.P99, rep.Query.P50
+				st = stream.NewGraphEngine(aspen.NewGraph(ctree.DefaultParams()).InsertEdges(initial), stream.Options{}).Store()
 			} else {
 				part := shard.NewRangePartitioner(shards, uint32(1)<<ds.Scale)
-				// Preload outside the serving path (same generator prefix
-				// as the 1-shard baseline), so the table measures only the
-				// streamed updates.
-				c := shard.NewGraphClusterFrom(part, ctree.DefaultParams(),
-					aspen.MakeUndirected(gen.Edges(0, ds.GenEdges)), stream.Options{})
-				wl := shard.Workload[aspen.Graph, aspen.Edge]{
-					Cluster: c,
-					NextBatch: stream.UpdateSchedule(ds.GenEdges, batch,
-						func(lo, hi uint64) []aspen.Edge { return aspen.MakeUndirected(gen.Edges(lo, hi)) }),
-					Readers: readers,
-					Kernels: []shard.Kernel{{Name: "bfs",
-						Run: func(g ligra.Graph) { algos.BFS(g, 0, false) }}},
-					Duration: d,
-					UseFlat:  true,
-				}
-				rep := wl.Run()
-				c.Close()
-				upsec, commitP99, queryP50 = rep.UpdatesPerSec, rep.CommitWorst.P99, rep.Query.P50
-				builds, hits = rep.StitchBuilds, rep.StitchHits
+				st = shard.NewGraphClusterFrom(part, ctree.DefaultParams(), initial, stream.Options{}).Store()
 			}
+			wl := stream.Workload[aspen.Edge]{
+				Store: st,
+				NextBatch: stream.UpdateSchedule(ds.GenEdges, batch,
+					func(lo, hi uint64) []aspen.Edge { return aspen.MakeUndirected(gen.Edges(lo, hi)) }),
+				Readers:  readers,
+				Kernels:  []stream.Kernel{{Name: "bfs", Run: func(g ligra.Graph) { algos.BFS(g, 0, false) }}},
+				Duration: d,
+				UseFlat:  true,
+			}
+			rep := wl.Run()
+			st.Close()
+			upsec := rep.UpdatesPerSec
 			if shards == 1 {
 				base = upsec
 			}
@@ -88,7 +67,7 @@ func Shard(w io.Writer, cfg Config) {
 				speedup = upsec / base
 			}
 			fmt.Fprintf(t, "%s\t%d\t%.3g\t%.2fx\t%s\t%s\t%d/%d\n",
-				ds.Name, shards, upsec, speedup, secs(commitP99), secs(queryP50), builds, hits)
+				ds.Name, shards, upsec, speedup, secs(rep.Commit.P99), secs(rep.Query.P50), rep.StitchBuilds, rep.StitchHits)
 		}
 	}
 	t.Flush()

@@ -32,25 +32,21 @@ func Sec78(w io.Writer, cfg Config) {
 	for _, ds := range datasets(cfg.Quick) {
 		g := ds.AspenGraph(ctree.DefaultParams())
 		gen := rmat.NewGenerator(ds.Scale, ds.Seed+3000)
-		e := stream.NewGraphEngine(g, stream.Options{})
-		wl := stream.Workload[aspen.Graph, aspen.Edge]{
-			Engine: e,
+		st := stream.NewGraphEngine(g, stream.Options{}).Store()
+		wl := stream.Workload[aspen.Edge]{
+			Store: st,
 			NextBatch: stream.UpdateSchedule(ds.GenEdges, batch,
 				func(lo, hi uint64) []aspen.Edge { return aspen.MakeUndirected(gen.Edges(lo, hi)) }),
 			Readers: readers,
-			Kernels: []stream.Kernel[aspen.Graph]{
-				{Name: "bfs",
-					Run:     func(g aspen.Graph) { algos.BFS(g, 0, false) },
-					RunFlat: func(g ligra.Graph) { algos.BFS(g, 0, false) }},
-				{Name: "cc",
-					Run:     func(g aspen.Graph) { algos.ConnectedComponents(g) },
-					RunFlat: func(g ligra.Graph) { algos.ConnectedComponents(g) }},
+			Kernels: []stream.Kernel{
+				{Name: "bfs", Run: func(g ligra.Graph) { algos.BFS(g, 0, false) }},
+				{Name: "cc", Run: func(g ligra.Graph) { algos.ConnectedComponents(g) }},
 			},
 			Duration: d,
 			UseFlat:  true,
 		}
 		rep := wl.Run()
-		e.Close()
+		st.Close()
 		fmt.Fprintf(t, "%s\t%.3g\t%s\t%s\t%s\t%s\t%.2f\t%d\t%d/%d\n", ds.Name,
 			rep.UpdatesPerSec, secs(rep.Commit.P50), secs(rep.Commit.P99),
 			secs(rep.Query.P50), secs(rep.Query.P99), rep.Coalesce, rep.RetiredVersions,

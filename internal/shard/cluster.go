@@ -217,57 +217,39 @@ func (c *Cluster[G, E]) Close() {
 	wg.Wait()
 }
 
-// Stats aggregates the engines' counters across the cluster.
-type Stats struct {
-	Shards int `json:"shards"`
-	// Edges / Batches / Commits sum the per-shard ingest counters (a routed
-	// batch counts once per touched shard in Batches).
-	Edges   uint64 `json:"edges"`
-	Batches uint64 `json:"batches"`
-	Commits uint64 `json:"commits"`
-	// QueueDepth sums the shards' queued-but-uncommitted batches.
-	QueueDepth int `json:"queue_depth"`
-	// LiveVersions / RetiredVersions sum the per-shard epoch registries
-	// (live is ≥ Shards: each shard's current version is live).
-	LiveVersions    int64  `json:"live_versions"`
-	RetiredVersions uint64 `json:"retired_versions"`
-	// FlatBuilds / FlatPatches / FlatHits sum the per-shard §5.1 flat-view
-	// caches; StitchBuilds / StitchPatches / StitchHits count cross-shard
-	// stitched views (at most one full build or delta stitch per distinct
-	// version vector, served from the cluster's stitch slot otherwise; a
-	// delta stitch reuses unmoved shards' views verbatim).
-	FlatBuilds    uint64 `json:"flat_builds"`
-	FlatPatches   uint64 `json:"flat_patches,omitempty"`
-	FlatHits      uint64 `json:"flat_hits"`
-	StitchBuilds  uint64 `json:"stitch_builds"`
-	StitchPatches uint64 `json:"stitch_patches,omitempty"`
-	StitchHits    uint64 `json:"stitch_hits"`
-	// PerShard carries each engine's full counter set, in shard order.
-	PerShard []stream.Stats `json:"per_shard"`
-}
-
 // Stats returns the aggregated cluster counters. Safe to call concurrently
 // with everything else.
-func (c *Cluster[G, E]) Stats() Stats {
-	st := Stats{
-		Shards:        len(c.engines),
-		StitchBuilds:  c.stitch.builds.Load(),
-		StitchPatches: c.stitch.patches.Load(),
-		StitchHits:    c.stitch.hits.Load(),
-		PerShard:      make([]stream.Stats, len(c.engines)),
-	}
+func (c *Cluster[G, E]) Stats() stream.StoreStats {
+	per := make([]stream.Stats, len(c.engines))
 	for s, e := range c.engines {
-		es := e.Stats()
-		st.PerShard[s] = es
-		st.Edges += es.Edges
-		st.Batches += es.Batches
-		st.Commits += es.Commits
-		st.QueueDepth += es.QueueDepth
-		st.LiveVersions += es.LiveVersions
-		st.RetiredVersions += es.RetiredVersions
-		st.FlatBuilds += es.FlatBuilds
-		st.FlatPatches += es.FlatPatches
-		st.FlatHits += es.FlatHits
+		per[s] = e.Stats()
 	}
+	st := stream.SumStats(per)
+	st.StitchBuilds = c.stitch.builds.Load()
+	st.StitchPatches = c.stitch.patches.Load()
+	st.StitchHits = c.stitch.hits.Load()
 	return st
 }
+
+// Store returns the cluster as a stream.Store.
+func (c *Cluster[G, E]) Store() stream.Store[E] { return clusterStore[G, E]{c} }
+
+// clusterStore adapts Cluster to stream.Store; Stats, RegisterMetrics and
+// Close are the cluster's own.
+type clusterStore[G ligra.Graph, E any] struct{ *Cluster[G, E] }
+
+func (s clusterStore[G, E]) Submit(del bool, edges []E) error {
+	_, err := s.submit(del, edges)
+	return err
+}
+
+func (s clusterStore[G, E]) Pin() (stream.Snapshot, error) { return txSnapshot[G, E]{s.Begin()}, nil }
+
+func (s clusterStore[G, E]) Flush() ([]uint64, error) { return s.FlushAll() }
+
+// txSnapshot adapts Tx to stream.Snapshot; Stamps and Close are the
+// transaction's own.
+type txSnapshot[G ligra.Graph, E any] struct{ *Tx[G, E] }
+
+func (t txSnapshot[G, E]) Flat() (ligra.Graph, error) { return t.Tx.Flat(), nil }
+func (t txSnapshot[G, E]) Tree() ligra.Graph          { return t.Ligra() }

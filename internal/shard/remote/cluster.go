@@ -595,3 +595,56 @@ func (t *Tx[E]) releasePins() {
 		}, ca)
 	}
 }
+
+// Store returns the cluster client as a stream.Store.
+func (c *Cluster[E]) Store() stream.Store[E] { return clusterStore[E]{c} }
+
+// clusterStore adapts Cluster to stream.Store; RegisterMetrics and Close
+// are the client's own.
+type clusterStore[E any] struct{ *Cluster[E] }
+
+// Submit pipelines the batch; its acks drain through the in-flight window.
+func (s clusterStore[E]) Submit(del bool, edges []E) error {
+	_, err := s.submit(context.Background(), del, edges)
+	return err
+}
+
+func (s clusterStore[E]) Pin() (stream.Snapshot, error) {
+	tx, err := s.Begin()
+	if err != nil {
+		return nil, err
+	}
+	return txSnapshot[E]{tx}, nil
+}
+
+// Flush also reports submits whose retry budget ran out: their error
+// resolved on a Pending nobody waited on.
+func (s clusterStore[E]) Flush() ([]uint64, error) {
+	stamps, err := s.FlushAll()
+	if n := s.submitErrs.Load(); err == nil && n > 0 {
+		err = fmt.Errorf("remote: %d submits failed after exhausting retries", n)
+	}
+	return stamps, err
+}
+
+// Stats totals the shard servers' engine counters (left empty when a server
+// is unreachable); ingest volume is the client-observed acked count and
+// Detail the client's own Stats.
+func (s clusterStore[E]) Stats() stream.StoreStats {
+	cs := s.Cluster.Stats()
+	per, err := s.ShardStats()
+	if err != nil {
+		per = nil
+	}
+	st := stream.SumStats(per)
+	st.Shards, st.Edges, st.Batches = cs.Shards, cs.Edges, cs.Batches
+	st.StitchBuilds, st.StitchHits = cs.StitchBuilds, cs.StitchHits
+	st.Detail = cs
+	return st
+}
+
+// txSnapshot adapts Tx to stream.Snapshot: Stamps, Flat and Close are the
+// transaction's own, and a remote cluster ships no tree view.
+type txSnapshot[E any] struct{ *Tx[E] }
+
+func (txSnapshot[E]) Tree() ligra.Graph { return nil }

@@ -554,40 +554,6 @@ func TestReplicaSnapshotBootstrap(t *testing.T) {
 	checkAgainst(t, single, g)
 }
 
-// TestRemoteWorkload smoke-runs the remote §7.8 driver.
-func TestRemoteWorkload(t *testing.T) {
-	part := shard.NewRangePartitioner(2, 1<<9)
-	_, addrs := startServers(t, part, false)
-	c, err := DialGraph(part, addrs, nil, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	gen := rmat.NewGenerator(9, 17)
-	w := &Workload[aspen.Edge]{
-		Cluster: c,
-		NextBatch: stream.UpdateSchedule(0, 500, func(lo, hi uint64) []aspen.Edge {
-			return aspen.MakeUndirected(gen.Edges(lo, hi))
-		}),
-		Readers: 2,
-		Kernels: []shard.Kernel{
-			{Name: "bfs", Run: func(g ligra.Graph) { algos.BFS(g, 0, false) }},
-			{Name: "cc", Run: func(g ligra.Graph) { algos.ConnectedComponents(g) }},
-		},
-		Duration: 150 * time.Millisecond,
-	}
-	rep := w.Run()
-	if rep.Updates == 0 {
-		t.Fatal("workload applied no updates")
-	}
-	if rep.Queries == 0 {
-		t.Fatal("workload ran no queries")
-	}
-	if rep.QueryErrs != 0 {
-		t.Fatalf("%d query errors", rep.QueryErrs)
-	}
-}
-
 // BenchmarkRemoteTxBegin measures the pin round trip against a local
 // server — the per-query fixed cost of the remote read path. Gated on
 // allocs/op in CI.

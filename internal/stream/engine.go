@@ -139,7 +139,7 @@ type Engine[G ligra.Graph, E any] struct {
 	prio   chan pending[E] // small-batch priority lane; nil unless enabled
 	wg     sync.WaitGroup
 
-	commitHist Hist
+	commitHist obs.Hist
 	edges      atomic.Uint64 // directed edge updates applied
 	batches    atomic.Uint64 // batches committed
 	commits    atomic.Uint64 // versions published
@@ -708,7 +708,7 @@ type Stats struct {
 	FlatHits    uint64 `json:"flat_hits"`
 	FlatCached  int    `json:"flat_cached"`
 	// Commit digests the enqueue-to-visible latency of committed batches.
-	Commit LatencySummary `json:"commit"`
+	Commit obs.LatencySummary `json:"commit"`
 	// Durable reports whether the engine has a durable commit path; the
 	// remaining fields are zero without one. WAL mirrors the log's
 	// counters; Checkpoints / CheckpointSeq account the background

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/aspen"
 	"repro/internal/ctree"
+	"repro/internal/obs"
 	"repro/internal/rmat"
 )
 
@@ -27,7 +28,7 @@ func BenchmarkTxBeginClose(b *testing.B) {
 // BenchmarkHistObserve measures the latency-sample cost paid on the commit
 // path and by every reader. Must stay allocation-free (gated in CI).
 func BenchmarkHistObserve(b *testing.B) {
-	var h Hist
+	var h obs.Hist
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -8,7 +8,6 @@ import (
 	"repro/internal/algos"
 	"repro/internal/aspen"
 	"repro/internal/ctree"
-	"repro/internal/rmat"
 )
 
 func testParams() ctree.Params { return ctree.Params{B: 8} }
@@ -202,44 +201,6 @@ func TestWeightedEngineKernels(t *testing.T) {
 	dist := algos.SSSP(tx.Graph(), 0)
 	if dist[2] != 3 {
 		t.Fatalf("SSSP dist[2] = %v, want 3 (via vertex 1)", dist[2])
-	}
-}
-
-// TestWorkloadRun smoke-tests the §7.8 runner at tiny scale.
-func TestWorkloadRun(t *testing.T) {
-	gen := rmat.NewGenerator(10, 3)
-	g := aspen.NewGraph(testParams()).InsertEdges(aspen.MakeUndirected(gen.Edges(0, 4_000)))
-	e := NewGraphEngine(g, Options{QueueCap: 16})
-	defer e.Close()
-	w := Workload[aspen.Graph, aspen.Edge]{
-		Engine: e,
-		NextBatch: func(i uint64) (bool, []aspen.Edge) {
-			lo := 4_000 + i*100
-			batch := aspen.MakeUndirected(gen.Edges(lo, lo+100))
-			return i%10 == 9, batch
-		},
-		Readers: 2,
-		Kernels: []Kernel[aspen.Graph]{
-			{Name: "bfs", Run: func(g aspen.Graph) { algos.BFS(g, 0, false) }},
-			{Name: "cc", Run: func(g aspen.Graph) { algos.ConnectedComponents(g) }},
-		},
-		Duration: 150 * time.Millisecond,
-	}
-	rep := w.Run()
-	if rep.Updates == 0 || rep.Queries == 0 {
-		t.Fatalf("workload idle: %d updates, %d queries", rep.Updates, rep.Queries)
-	}
-	if rep.LiveVersions != 1 {
-		t.Fatalf("LiveVersions = %d after drain, want 1", rep.LiveVersions)
-	}
-	if rep.RetiredVersions != rep.FinalStamp {
-		t.Fatalf("retired %d versions, want %d (every superseded version)", rep.RetiredVersions, rep.FinalStamp)
-	}
-	if rep.Commit.Count == 0 || rep.Query.Count == 0 {
-		t.Fatal("latency histograms empty")
-	}
-	if len(rep.PerKernel) != 2 {
-		t.Fatalf("PerKernel = %v", rep.PerKernel)
 	}
 }
 

@@ -7,26 +7,24 @@ import (
 	"time"
 
 	"repro/internal/ligra"
+	"repro/internal/obs"
 )
 
-// Kernel is a named analytics query run inside read transactions — any
-// algos kernel (BFS, CC, SSSP, ...) closed over its parameters.
-type Kernel[G ligra.Graph] struct {
+// Kernel is a named analytics query run on pinned snapshots — any algos
+// kernel (BFS, CC, SSSP, ...) closed over its parameters. Every view a
+// Store hands out is a ligra.Graph; weighted kernels type-assert
+// ligra.WeightedGraph.
+type Kernel struct {
 	Name string
-	// Run executes the kernel against the pinned tree snapshot.
-	Run func(g G)
-	// RunFlat, when set and the workload has UseFlat, executes against the
-	// transaction's cached flat view (Tx.Flat) instead — the §5.1 fast path.
-	// Weighted kernels type-assert the view to ligra.FlatWeightedGraph.
-	RunFlat func(g ligra.Graph)
+	Run  func(g ligra.Graph)
 }
 
-// Workload drives the paper's §7.8 experiment against a live engine: one
+// Workload drives the paper's §7.8 experiment against a live Store: one
 // writer goroutine sustains batched updates while Readers goroutines issue
 // queries on pinned snapshots, for Duration. All latencies are measured
-// end-to-end (commit: enqueue → visible; query: begin → close).
-type Workload[G ligra.Graph, E any] struct {
-	Engine *Engine[G, E]
+// end-to-end (commit: enqueue → visible; query: pin → close).
+type Workload[E any] struct {
+	Store Store[E]
 	// NextBatch returns the i-th update batch of the stream (del reports
 	// a deletion batch). Called only from the writer goroutine. Nil means
 	// an idle writer (the query-only baseline).
@@ -34,21 +32,21 @@ type Workload[G ligra.Graph, E any] struct {
 	// Readers is the number of concurrent query goroutines.
 	Readers int
 	// Kernels are cycled round-robin by every reader.
-	Kernels []Kernel[G]
+	Kernels []Kernel
 	// Duration is how long the writer sustains updates; readers stop with
 	// the writer.
 	Duration time.Duration
 	// Interval, when positive, paces the writer to one batch per Interval
 	// (an offered-load experiment: commit latency is measured at that
-	// rate). Zero saturates: submit as fast as the queue accepts
-	// (latency then includes queue backpressure).
+	// rate). Zero saturates: submit as fast as the store accepts (latency
+	// then includes queue backpressure).
 	Interval time.Duration
-	// UseFlat routes kernels that define RunFlat through the per-version
-	// cached flat view; kernels without RunFlat keep the tree snapshot.
+	// UseFlat runs kernels on the snapshot's flat view instead of its tree
+	// view. Deployments without a tree view always serve the flat one.
 	UseFlat bool
 	// Stop, when non-nil, ends the run early once closed (graceful
-	// shutdown): the writer stops submitting, everything already submitted
-	// is flushed, and readers drain as usual.
+	// shutdown): the writer stops submitting (a pacing wait is interrupted),
+	// everything already submitted is flushed, and readers drain as usual.
 	Stop <-chan struct{}
 }
 
@@ -89,12 +87,16 @@ func UpdateScheduleMix[E any](start, batch, period uint64, mk func(lo, hi uint64
 
 // KernelStat pairs a kernel with its query-latency digest.
 type KernelStat struct {
-	Name    string         `json:"name"`
-	Latency LatencySummary `json:"latency"`
+	Name    string             `json:"name"`
+	Latency obs.LatencySummary `json:"latency"`
 }
 
-// Report is the outcome of one Workload run — the §7.8 numbers.
+// Report is the outcome of one Workload run — the §7.8 numbers. Counters
+// are deltas over the run, so a store that already served traffic (or was
+// preloaded through its own ingest path) measures only this run's updates;
+// latency digests and LiveVersions are store-lifetime.
 type Report struct {
+	Shards        int           `json:"shards"`
 	Duration      time.Duration `json:"duration_ns"`
 	Readers       int           `json:"readers"`
 	Updates       uint64        `json:"updates"`         // directed edge updates applied
@@ -103,227 +105,179 @@ type Report struct {
 	Batches       uint64        `json:"batches"`
 	Coalesce      float64       `json:"coalesce_factor"` // batches per commit
 
-	Commit LatencySummary `json:"commit_latency"`
+	// Commit is the commit-latency digest of the shard with the highest
+	// p99 — tail latency is the serving metric, and the slowest shard is
+	// the tail. PerShard carries every shard's full counters.
+	Commit   obs.LatencySummary `json:"commit_latency"`
+	PerShard []Stats            `json:"per_shard,omitempty"`
 
-	Queries       uint64         `json:"queries"`
-	QueriesPerSec float64        `json:"queries_per_sec"`
-	Query         LatencySummary `json:"query_latency"`
-	PerKernel     []KernelStat   `json:"per_kernel"`
+	Queries       uint64             `json:"queries"`
+	QueriesPerSec float64            `json:"queries_per_sec"`
+	Query         obs.LatencySummary `json:"query_latency"`
+	PerKernel     []KernelStat       `json:"per_kernel"`
+	// QueryErrs counts queries whose pin or view fetch failed.
+	QueryErrs uint64 `json:"query_errs,omitempty"`
+	// SubmitErr is the error that stopped the writer early, or failed the
+	// final flush; empty when every submitted batch committed.
+	SubmitErr string `json:"submit_err,omitempty"`
 
 	// LiveVersions and RetiredVersions are sampled after the run drains:
-	// live must be 1 (only the current version) when every reader exited,
-	// proving retired snapshots were released.
-	LiveVersions    int64  `json:"live_versions"`
-	RetiredVersions uint64 `json:"retired_versions"`
-	FinalStamp      uint64 `json:"final_stamp"`
+	// live must equal Shards (only each shard's current version) when every
+	// reader exited, proving retired snapshots were released.
+	LiveVersions    int64    `json:"live_versions"`
+	RetiredVersions uint64   `json:"retired_versions"`
+	FinalStamps     []uint64 `json:"final_stamps"`
 
-	// FlatBuilds / FlatPatches / FlatHits prove the flat-cache contract
-	// under load: with flat kernels, builds + patches ≤ versions published
-	// + 1 (at most one materialization per committed version; under
-	// Options.PatchFlat all but the first are O(batch) patches) while hits
-	// cover every other query.
-	FlatBuilds  uint64 `json:"flat_builds"`
-	FlatPatches uint64 `json:"flat_patches,omitempty"`
-	FlatHits    uint64 `json:"flat_hits"`
+	// Flat* prove the flat-cache contract under load: builds + patches ≤
+	// versions published + 1 per shard (under Options.PatchFlat all but the
+	// first are O(batch) patches) while hits cover every other query.
+	// Stitch* are the cross-shard equivalents.
+	FlatBuilds    uint64 `json:"flat_builds"`
+	FlatPatches   uint64 `json:"flat_patches,omitempty"`
+	FlatHits      uint64 `json:"flat_hits"`
+	StitchBuilds  uint64 `json:"stitch_builds,omitempty"`
+	StitchPatches uint64 `json:"stitch_patches,omitempty"`
+	StitchHits    uint64 `json:"stitch_hits,omitempty"`
+
+	// Detail is StoreStats.Detail at the end of the run.
+	Detail any `json:"detail,omitempty"`
 }
 
-// DriveSpec parameterizes the shared §7.8 load loop (Drive) that both the
-// single-engine Workload and the sharded cluster workload run: Readers
-// goroutines cycle Kernels round-robin, each query through RunKernel,
-// while one writer goroutine feeds Submit until the deadline — paced to
-// Interval or saturated — and Flush then drains everything submitted.
-// One implementation keeps the two workloads' measurement semantics
-// identical by construction.
-type DriveSpec struct {
-	Readers int
-	// Kernels is the number of kernels cycled; 0 disables readers.
-	Kernels int
-	// RunKernel executes one query against kernel k (begin a transaction,
-	// run, close). Called concurrently from reader goroutines.
-	RunKernel func(k int)
-	// Submit enqueues update batch i; nil means an idle writer.
-	Submit func(i uint64) error
-	// Flush blocks until everything submitted has committed.
-	Flush    func()
-	Duration time.Duration
-	Interval time.Duration
-	// Stop, when non-nil, ends the loop early once closed: the writer
-	// stops submitting (mid-sleep pacing waits are interrupted), Flush
-	// still runs, and readers join as usual.
-	Stop <-chan struct{}
-}
-
-// DriveStats is what the loop itself measures: wall time and query
-// latencies. Callers fold in their engine or cluster counter deltas.
-type DriveStats struct {
-	Elapsed   time.Duration
-	Queries   uint64
-	Query     LatencySummary
-	PerKernel []LatencySummary
-}
-
-// Drive runs the load loop to completion (writer deadline reached, flush
-// drained, readers joined).
-func Drive(s DriveSpec) DriveStats {
-	kh := make([]*Hist, s.Kernels)
-	for i := range kh {
-		kh[i] = &Hist{}
+// query runs kernel k on a freshly pinned snapshot.
+func (w *Workload[E]) query(k Kernel) error {
+	snap, err := w.Store.Pin()
+	if err != nil {
+		return err
 	}
-	var queryHist Hist
-	var queries atomic.Uint64
-	var stop atomic.Bool
-
-	var readerWG sync.WaitGroup
-	readers := s.Readers
-	if s.Kernels == 0 {
-		readers = 0
+	defer snap.Close()
+	var g ligra.Graph
+	if !w.UseFlat {
+		g = snap.Tree()
 	}
-	for r := 0; r < readers; r++ {
-		readerWG.Add(1)
+	if g == nil {
+		if g, err = snap.Flat(); err != nil {
+			return err
+		}
+	}
+	k.Run(g)
+	return nil
+}
+
+// sleep waits for d unless Stop closes first; reports whether the writer
+// should keep going. A nil Stop never fires.
+func (w *Workload[E]) sleep(d time.Duration) bool {
+	t := time.NewTimer(d)
+	defer t.Stop()
+	select {
+	case <-w.Stop:
+		return false
+	case <-t.C:
+		return true
+	}
+}
+
+func (w *Workload[E]) stopped() bool {
+	select {
+	case <-w.Stop:
+		return true
+	default:
+		return false
+	}
+}
+
+// Run executes the workload and reports: readers cycle Kernels round-robin
+// while the writer feeds NextBatch to the store until the deadline, then
+// everything submitted is flushed and the readers join. The store is left
+// open (Close it separately).
+func (w *Workload[E]) Run() Report {
+	before := w.Store.Stats()
+	kh := make([]obs.Hist, len(w.Kernels))
+	var queryHist obs.Hist
+	var queryErrs atomic.Uint64
+	var done atomic.Bool
+
+	var readers sync.WaitGroup
+	for r := 0; r < w.Readers && len(w.Kernels) > 0; r++ {
+		readers.Add(1)
 		go func(r int) {
-			defer readerWG.Done()
-			for i := r; !stop.Load(); i++ {
-				k := i % s.Kernels
+			defer readers.Done()
+			for i := r; !done.Load(); i++ {
+				k := i % len(w.Kernels)
 				t0 := time.Now()
-				s.RunKernel(k)
+				if w.query(w.Kernels[k]) != nil {
+					queryErrs.Add(1)
+					continue
+				}
 				d := time.Since(t0)
 				queryHist.Observe(d)
 				kh[k].Observe(d)
-				queries.Add(1)
 			}
 		}(r)
 	}
 
-	// sleep waits for d unless Stop closes first; reports whether the loop
-	// should keep going.
-	sleep := func(d time.Duration) bool {
-		if s.Stop == nil {
-			time.Sleep(d)
-			return true
-		}
-		t := time.NewTimer(d)
-		defer t.Stop()
-		select {
-		case <-s.Stop:
-			return false
-		case <-t.C:
-			return true
-		}
-	}
-	stopped := func() bool {
-		if s.Stop == nil {
-			return false
-		}
-		select {
-		case <-s.Stop:
-			return true
-		default:
-			return false
-		}
-	}
-
-	// Writer: pipeline batches through the bounded queue(s) until the
-	// deadline, then flush so every submitted batch is committed.
+	// Writer: pipeline batches through the store until the deadline, then
+	// flush so every submitted batch is committed.
+	var submitErr error
 	start := time.Now()
-	deadline := start.Add(s.Duration)
-	if s.Submit == nil {
-		sleep(s.Duration)
+	deadline := start.Add(w.Duration)
+	if w.NextBatch == nil {
+		w.sleep(w.Duration)
 	}
-	for i := uint64(0); s.Submit != nil && time.Now().Before(deadline); i++ {
-		if stopped() {
+	for i := uint64(0); w.NextBatch != nil && time.Now().Before(deadline) && !w.stopped(); i++ {
+		// Absolute schedule: batch i is due at start + i*Interval, so a
+		// slow commit doesn't shift the whole offered load.
+		if due := time.Until(start.Add(time.Duration(i) * w.Interval)); due > 0 && !w.sleep(due) {
 			break
 		}
-		if s.Interval > 0 {
-			// Absolute schedule: batch i is due at start + i*Interval, so
-			// a slow commit doesn't shift the whole offered load.
-			if due := start.Add(time.Duration(i) * s.Interval); time.Until(due) > 0 {
-				if !sleep(time.Until(due)) {
-					break
-				}
-			}
-		}
-		if s.Submit(i) != nil {
+		del, edges := w.NextBatch(i)
+		if submitErr = w.Store.Submit(del, edges); submitErr != nil {
 			break
 		}
 	}
-	s.Flush()
+	stamps, err := w.Store.Flush()
+	if submitErr == nil {
+		submitErr = err
+	}
 	elapsed := time.Since(start)
-	stop.Store(true)
-	readerWG.Wait()
+	done.Store(true)
+	readers.Wait()
 
-	ds := DriveStats{
-		Elapsed: elapsed,
-		Queries: queries.Load(),
-		Query:   queryHist.Summary(),
-	}
-	for _, h := range kh {
-		ds.PerKernel = append(ds.PerKernel, h.Summary())
-	}
-	return ds
-}
-
-// Run executes the workload and reports. The engine is flushed but left
-// open (Close it separately). Counters are reported as deltas over the
-// run, so an engine that already served traffic (or was preloaded through
-// its own ingest path) measures only this run's updates.
-func (w *Workload[G, E]) Run() Report {
-	before := w.Engine.Stats()
-	var stamp uint64
-	spec := DriveSpec{
-		Readers: w.Readers,
-		Kernels: len(w.Kernels),
-		RunKernel: func(k int) {
-			kn := w.Kernels[k]
-			tx := w.Engine.Begin()
-			if w.UseFlat && kn.RunFlat != nil {
-				kn.RunFlat(tx.Flat())
-			} else {
-				kn.Run(tx.Graph())
-			}
-			tx.Close()
-		},
-		Flush:    func() { stamp, _ = w.Engine.Flush() },
-		Duration: w.Duration,
-		Interval: w.Interval,
-		Stop:     w.Stop,
-	}
-	if w.NextBatch != nil {
-		spec.Submit = func(i uint64) error {
-			del, edges := w.NextBatch(i)
-			var err error
-			if del {
-				_, err = w.Engine.Delete(edges)
-			} else {
-				_, err = w.Engine.Insert(edges)
-			}
-			return err
-		}
-	}
-	ds := Drive(spec)
-
-	st := w.Engine.Stats()
-	runStats := Stats{Commits: st.Commits - before.Commits, Batches: st.Batches - before.Batches}
+	st := w.Store.Stats()
 	rep := Report{
-		Duration:        ds.Elapsed,
+		Shards:          st.Shards,
+		Duration:        elapsed,
 		Readers:         w.Readers,
 		Updates:         st.Edges - before.Edges,
-		UpdatesPerSec:   float64(st.Edges-before.Edges) / ds.Elapsed.Seconds(),
-		Commits:         runStats.Commits,
-		Batches:         runStats.Batches,
-		Coalesce:        runStats.CoalesceFactor(),
-		Commit:          st.Commit,
-		Queries:         ds.Queries,
-		QueriesPerSec:   float64(ds.Queries) / ds.Elapsed.Seconds(),
-		Query:           ds.Query,
+		UpdatesPerSec:   float64(st.Edges-before.Edges) / elapsed.Seconds(),
+		Commits:         st.Commits - before.Commits,
+		Batches:         st.Batches - before.Batches,
+		PerShard:        st.PerShard,
+		Queries:         queryHist.Count(),
+		QueriesPerSec:   float64(queryHist.Count()) / elapsed.Seconds(),
+		Query:           queryHist.Summary(),
+		QueryErrs:       queryErrs.Load(),
 		LiveVersions:    st.LiveVersions,
 		RetiredVersions: st.RetiredVersions - before.RetiredVersions,
-		FinalStamp:      stamp,
+		FinalStamps:     stamps,
 		FlatBuilds:      st.FlatBuilds - before.FlatBuilds,
 		FlatPatches:     st.FlatPatches - before.FlatPatches,
 		FlatHits:        st.FlatHits - before.FlatHits,
+		StitchBuilds:    st.StitchBuilds - before.StitchBuilds,
+		StitchPatches:   st.StitchPatches - before.StitchPatches,
+		StitchHits:      st.StitchHits - before.StitchHits,
+		Detail:          st.Detail,
+	}
+	rep.Coalesce = Stats{Commits: rep.Commits, Batches: rep.Batches}.CoalesceFactor()
+	if submitErr != nil {
+		rep.SubmitErr = submitErr.Error()
+	}
+	for _, es := range st.PerShard {
+		if es.Commit.P99 >= rep.Commit.P99 {
+			rep.Commit = es.Commit
+		}
 	}
 	for i, k := range w.Kernels {
-		rep.PerKernel = append(rep.PerKernel, KernelStat{Name: k.Name, Latency: ds.PerKernel[i]})
+		rep.PerKernel = append(rep.PerKernel, KernelStat{Name: k.Name, Latency: kh[i].Summary()})
 	}
 	sort.Slice(rep.PerKernel, func(i, j int) bool { return rep.PerKernel[i].Name < rep.PerKernel[j].Name })
 	return rep
