@@ -76,8 +76,12 @@ const (
 
 // flagModes lists, for every flag that only some deployments can honour,
 // the modes that do. Setting one to a non-default value under any other
-// mode is an error, not a silently ignored option.
+// mode is an error, not a silently ignored option. -init is rejected
+// whenever it is set at all: its default is a real size, so "non-default"
+// cannot tell a deliberate -init from none (shardd servers hold the graph
+// a -connect run starts from).
 var flagModes = map[string][]string{
+	"init":          {modeEngine, modeShards},
 	"shards":        {modeShards},
 	"read-from":     {modeRemote},
 	"partition":     {modeShards, modeRemote},
@@ -149,7 +153,7 @@ func main() {
 	set := map[string]bool{}
 	flag.Visit(func(f *flag.Flag) {
 		set[f.Name] = true
-		if modes, ok := flagModes[f.Name]; ok && f.Value.String() != f.DefValue && !slices.Contains(modes, mode) {
+		if modes, ok := flagModes[f.Name]; ok && (f.Name == "init" || f.Value.String() != f.DefValue) && !slices.Contains(modes, mode) {
 			fatal("-%s=%s does not apply to the %s deployment (honoured by: %s)",
 				f.Name, f.Value, mode, strings.Join(modes, ", "))
 		}
@@ -605,6 +609,8 @@ func printRun(rr runResult, base float64) {
 	if cs, ok := r.Detail.(remote.Stats); ok {
 		fmt.Printf("client: %d range RPCs, %d view fetches, %d view hits, %d replica reads, %d primary fallbacks\n",
 			cs.RangeRPCs, cs.ViewFetches, cs.ViewHits, cs.ReplicaReads, cs.PrimaryFallbacks)
+		fmt.Printf("delta reads: %d (%d edge changes), %d whole-range fallbacks (%d no base, %d too large, %d verify failed)\n",
+			cs.DeltaReads, cs.DeltaEdges, cs.DeltaFallbacks, cs.DeltaNoBase, cs.DeltaTooLarge, cs.DeltaVerifyFailed)
 		if cs.Retries+cs.DedupAcks+cs.BreakerOpens+cs.BreakerFastFails+cs.RPCTimeouts+
 			cs.Failovers+cs.Promotions+cs.DegradedPins+cs.StaleReads > 0 {
 			fmt.Printf("faults: %d retries, %d dedup acks, %d breaker opens (%d fast fails), %d rpc timeouts, %d failovers, %d promotions, %d degraded pins, %d stale reads\n",

@@ -41,9 +41,9 @@ func (s Stage) String() string {
 // commit, so recording never allocates; the tracer copies it into the
 // slow ring by value when it crosses the threshold.
 type StageTrace struct {
-	Stamp   uint64                  `json:"stamp"`
-	Edges   int                     `json:"edges"`
-	Batches int                     `json:"batches"`
+	Stamp   uint64                   `json:"stamp"`
+	Edges   int                      `json:"edges"`
+	Batches int                      `json:"batches"`
 	Durs    [NumStages]time.Duration `json:"-"`
 }
 

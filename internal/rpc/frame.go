@@ -42,9 +42,13 @@ const (
 	VerbPin Verb = 4
 	// VerbRelease releases one pin taken by VerbPin.
 	VerbRelease Verb = 5
-	// VerbRead fetches a vertex range (degrees + adjacency) of a
-	// pinned version (by stamp) or of a replica state (by WAL seq,
-	// with FlagBySeq).
+	// VerbRead reads a pinned version (by stamp) or a replica state (by
+	// WAL seq, with FlagBySeq). The request [ref u64][lo u32] fetches the
+	// vertex range starting at lo (degrees + adjacency); with a trailing
+	// [base u64] it asks instead for the edge diff from the version base —
+	// one the client already holds, named the same way as ref — to ref,
+	// and the response leads with a status byte that may decline ("no
+	// base", "too large"), sending the client back to the whole range.
 	VerbRead Verb = 6
 	// VerbStats returns a JSON-encoded server stats snapshot.
 	VerbStats Verb = 7
@@ -119,7 +123,8 @@ const (
 	// ProtoVersion is bumped on any incompatible wire change.
 	// v2: VerbSubmit bodies lead with a (clientID u64, clientSeq u64)
 	// idempotency note; VerbHealth added.
-	ProtoVersion = 2
+	// v3: VerbRead requests may name a base and get a delta body back.
+	ProtoVersion = 3
 )
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)

@@ -690,6 +690,110 @@ func TestReplicaChurnFallback(t *testing.T) {
 	}
 }
 
+// TestDeltaReadsUnderFaults is the chaos half of the promise: a delta
+// request that is lost, sent twice, or cut off by a reset never yields a
+// wrong view. The read either fails (and its retry, on a new connection
+// with the base pin gone, is a counted fallback) or returns the model
+// graph. Rows: deltas served by the primaries, and by a read replica.
+func TestDeltaReadsUnderFaults(t *testing.T) {
+	for _, row := range []string{"primary", "replica"} {
+		t.Run(row, func(t *testing.T) {
+			part := shard.NewRangePartitioner(1, 1<<9)
+			_, addrs := startServers(t, part, true)
+			var replicas []string
+			if row == "replica" {
+				repl := NewGraphReplica(addrs[0], testParams(), 0, 1, 0, Options{})
+				rln, err := net.Listen("tcp", "127.0.0.1:0")
+				if err != nil {
+					t.Fatal(err)
+				}
+				go repl.Serve(rln)
+				t.Cleanup(repl.Close)
+				replicas = []string{rln.Addr().String()}
+			}
+			tr := faults.NewTransport()
+			o := chaosOpts()
+			o.Dialer = tr.Dialer(nil)
+			c, err := DialGraph(part, addrs, replicas, o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+
+			model := aspen.NewGraph(testParams())
+			seedEdges := aspen.MakeUndirected(rmat.NewGenerator(9, 21).Edges(0, 4_000))
+			model = model.InsertEdges(seedEdges)
+			if _, err := c.Insert(seedEdges); err != nil {
+				t.Fatal(err)
+			}
+			faultsHit := 0
+			for i, op := range randomOps(1<<9, 30, 40, 77) {
+				if op.del {
+					model = model.DeleteEdges(op.edges)
+					_, err = c.Delete(op.edges)
+				} else {
+					model = model.InsertEdges(op.edges)
+					_, err = c.Insert(op.edges)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := c.Barrier(); err != nil {
+					t.Fatal(err)
+				}
+				before := c.Stats()
+				for attempt := 0; ; attempt++ {
+					if attempt == 20 {
+						t.Fatalf("step %d: no read succeeded in 20 attempts", i)
+					}
+					tx, err := c.Begin()
+					if err != nil {
+						continue
+					}
+					if attempt == 0 && i > 0 {
+						// The pin is in; the next frame out is the delta request.
+						switch i % 4 {
+						case 1:
+							tr.DropNext(1)
+						case 2:
+							tr.DuplicateNext(1)
+						case 3:
+							tr.KillAll()
+						}
+					}
+					flat, err := tx.Flat()
+					if err != nil {
+						tx.Close()
+						continue
+					}
+					if d := copyView(flat).diff(copyView(model)); d != "" {
+						t.Fatalf("step %d (fault %d, attempt %d): wrong view: %s", i, i%4, attempt, d)
+					}
+					tx.Close()
+					break
+				}
+				st := c.Stats()
+				if i > 0 && (i%4 == 1 || i%4 == 3) {
+					faultsHit++
+					if st.DeltaFallbacks == before.DeltaFallbacks {
+						t.Fatalf("step %d: a lost delta / reset read back without a counted fallback: %+v", i, st)
+					}
+				}
+			}
+			tr.ClearScheduled()
+			st := c.Stats()
+			if st.DeltaReads == 0 || st.DeltaVerifyFailed != 0 || st.DeltaNoBase < uint64(faultsHit) {
+				t.Fatalf("%d lost or reset reads: %+v", faultsHit, st)
+			}
+			if row == "replica" && st.ReplicaReads == 0 {
+				t.Fatalf("replica served nothing: %+v", st)
+			}
+			t.Logf("%s: %d delta reads, %d no-base fallbacks, %d replica reads, %d primary fallbacks",
+				row, st.DeltaReads, st.DeltaNoBase, st.ReplicaReads, st.PrimaryFallbacks)
+		})
+	}
+}
+
 // BenchmarkSubmitEncode measures the healthy-path submit frame encode —
 // the (clientID, seq) identity plus the edge payload. Gated on
 // allocs/op in CI: the hot ingest path must not allocate.

@@ -4,6 +4,7 @@ import (
 	"context"
 	crand "crypto/rand"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"sync"
@@ -51,19 +52,8 @@ type Cluster[E any] struct {
 	pins, rangeRPCs, viewFetches       atomic.Uint64
 	viewHits, stitchBuilds, stitchHits atomic.Uint64
 	replicaReads, primaryFallbacks     atomic.Uint64
-}
-
-type cachedView struct {
-	stamp uint64
-	seq   uint64
-	at    time.Time
-	view  ligra.Graph
-}
-
-type stitchSlot struct {
-	stamps []uint64
-	seqs   []uint64
-	flat   ligra.Graph
+	deltaReads, deltaEdges             atomic.Uint64
+	deltaFallbacks                     [numFallReasons]atomic.Uint64
 }
 
 // Dial connects a generic cluster client: one primary address per
@@ -354,10 +344,12 @@ func (c *Cluster[E]) Barrier() error {
 	return err
 }
 
-// Close tears down every connection. Server-side pins held by them are
-// released by the servers' connection teardown.
+// Close releases the base pins the view cache holds and tears down every
+// connection. Pins still held by open transactions are released by the
+// servers' connection teardown.
 func (c *Cluster[E]) Close() {
 	c.stopOnce.Do(func() { close(c.stop) })
+	c.dropViews()
 	for _, sn := range c.send {
 		sn.close()
 	}
@@ -388,6 +380,21 @@ type Stats struct {
 	StitchHits       uint64 `json:"stitch_hits"`
 	ReplicaReads     uint64 `json:"replica_reads,omitempty"`
 	PrimaryFallbacks uint64 `json:"primary_fallbacks,omitempty"`
+
+	// A moved shard is read as a delta against the view the client holds
+	// (DeltaReads, carrying DeltaEdges edge changes in all) or, when no
+	// delta can be had, whole — one DeltaFallbacks, split by why: the
+	// server no longer holds the base (a reconnect, a base read from the
+	// other endpoint, a retired replica state), the diff exceeds a quarter
+	// of the shard, or the patch did not verify. A shard's first fetch has
+	// no view to patch and is neither.
+	DeltaReads        uint64 `json:"delta_reads"`
+	DeltaEdges        uint64 `json:"delta_edges"`
+	DeltaFallbacks    uint64 `json:"delta_fallbacks"`
+	DeltaNoBase       uint64 `json:"delta_no_base,omitempty"`
+	DeltaTooLarge     uint64 `json:"delta_too_large,omitempty"`
+	DeltaVerifyFailed uint64 `json:"delta_verify_failed,omitempty"`
+
 	Retries          uint64 `json:"retries,omitempty"`
 	DedupAcks        uint64 `json:"dedup_acks,omitempty"`
 	BreakerOpens     uint64 `json:"breaker_opens,omitempty"`
@@ -403,6 +410,7 @@ type Stats struct {
 
 // Stats returns the client-side counters.
 func (c *Cluster[E]) Stats() Stats {
+	noBase, tooLarge, verify := c.deltaFallbacks[fallNoBase].Load(), c.deltaFallbacks[fallTooLarge].Load(), c.deltaFallbacks[fallVerifyFailed].Load()
 	return Stats{
 		Shards:           len(c.prim),
 		Edges:            c.edges.Load(),
@@ -416,6 +424,14 @@ func (c *Cluster[E]) Stats() Stats {
 		StitchHits:       c.stitchHits.Load(),
 		ReplicaReads:     c.replicaReads.Load(),
 		PrimaryFallbacks: c.primaryFallbacks.Load(),
+
+		DeltaReads:        c.deltaReads.Load(),
+		DeltaEdges:        c.deltaEdges.Load(),
+		DeltaFallbacks:    noBase + tooLarge + verify,
+		DeltaNoBase:       noBase,
+		DeltaTooLarge:     tooLarge,
+		DeltaVerifyFailed: verify,
+
 		Retries:          c.nstat.retries.Load(),
 		DedupAcks:        c.nstat.dedupAcks.Load(),
 		BreakerOpens:     c.nstat.breakerOpens.Load(),
@@ -445,17 +461,34 @@ func (c *Cluster[E]) ShardStats() ([]stream.Stats, error) {
 	return out, nil
 }
 
+// fetchStatsJSON pulls the server's JSON stats snapshot.
+func fetchStatsJSON(cn *Conn) ([]byte, error) {
+	var raw []byte
+	err := cn.roundTrip(rpc.VerbStats, 0, nil, func(_ uint8, d *rpc.Body) error {
+		raw = append([]byte(nil), d.Rest()...) // body aliases reader scratch
+		return nil
+	})
+	return raw, err
+}
+
+func unmarshalStats(raw []byte, out *stream.Stats) error {
+	return json.Unmarshal(raw, out)
+}
+
 // Tx is a pinned cross-shard read transaction: stamps is the version
 // vector (one committed prefix per shard; 0 means the shard is pinned
 // on a replica and addressed purely by seq), seqs the per-shard WAL
 // watermarks replica reads are addressed by. pinned records which
 // connection holds each shard's pin (nil: stale cached view, nothing
-// to release).
+// to release) and gens the generation of that connection the pin lives
+// on: reads and the release stay on it, since a redialed connection
+// knows nothing of the pin.
 type Tx[E any] struct {
 	c      *Cluster[E]
 	stamps []uint64
 	seqs   []uint64
 	pinned []*Conn
+	gens   []uint64
 	open   bool
 }
 
@@ -472,11 +505,12 @@ func (c *Cluster[E]) Begin() (*Tx[E], error) {
 			stamps: make([]uint64, len(c.prim)),
 			seqs:   make([]uint64, len(c.prim)),
 			pinned: make([]*Conn, len(c.prim)),
+			gens:   make([]uint64, len(c.prim)),
 		}
 	}
 	tx.open = true
 	for s := range tx.pinned {
-		tx.stamps[s], tx.seqs[s], tx.pinned[s] = 0, 0, nil
+		tx.stamps[s], tx.seqs[s], tx.pinned[s], tx.gens[s] = 0, 0, nil, 0
 	}
 	calls := make([]*call, len(c.prim))
 	for s := range c.prim {
@@ -491,12 +525,13 @@ func (c *Cluster[E]) Begin() (*Tx[E], error) {
 		if c.opts.RPCDeadline > 0 {
 			ca.deadline = time.Now().Add(c.opts.RPCDeadline).UnixNano()
 		}
-		if err := c.prim[s].start(rpc.VerbPin, 0, nil, ca); err != nil {
+		gen, err := c.prim[s].startPinned(rpc.VerbPin, 0, nil, ca, 0)
+		if err != nil {
 			ca.onBody = nil
 			callPool.Put(ca)
 			continue // fall back below
 		}
-		calls[s] = ca
+		calls[s], tx.gens[s] = ca, gen
 	}
 	var firstErr error
 	for s, ca := range calls {
@@ -530,14 +565,14 @@ func (c *Cluster[E]) Begin() (*Tx[E], error) {
 func (c *Cluster[E]) pinFallback(tx *Tx[E], s int) error {
 	if rc := c.repl[s]; rc != nil {
 		var stamp, seq uint64
-		err := rc.roundTrip(rpc.VerbPin, 0, nil, func(_ uint8, d *rpc.Body) error {
+		gen, err := rc.roundTripOn(0, rpc.VerbPin, 0, nil, func(_ uint8, d *rpc.Body) error {
 			stamp = d.U64()
 			seq = d.U64()
 			return nil
 		})
 		if err == nil {
 			tx.stamps[s], tx.seqs[s] = stamp, seq
-			tx.pinned[s] = rc
+			tx.pinned[s], tx.gens[s] = rc, gen
 			c.nstat.degradedPins.Add(1)
 			return nil
 		}
@@ -562,12 +597,14 @@ func (t *Tx[E]) Stamps() []uint64 { return t.stamps }
 func (t *Tx[E]) Seqs() []uint64 { return t.seqs }
 
 // Flat fetches (or reuses) the stitched flat view of the pinned
-// vector; every algos kernel runs on it unmodified.
+// vector; every algos kernel runs on it unmodified. The view is
+// immutable and stays valid for this transaction however far later
+// ones patch past it.
 func (t *Tx[E]) Flat() (ligra.Graph, error) {
 	if !t.open {
 		return nil, errors.New("remote: use of closed Tx")
 	}
-	return t.c.flatFor(t.stamps, t.seqs)
+	return t.c.flatFor(t)
 }
 
 // Close releases the pins. Idempotent.
@@ -580,19 +617,19 @@ func (t *Tx[E]) Close() {
 	t.c.txPool.Put(t)
 }
 
+// releasePins gives every pin back — except a primary pin the shard's
+// view-cache slot needs as its delta base, which the slot takes over
+// (see cachedView).
 func (t *Tx[E]) releasePins() {
 	for s, pc := range t.pinned {
 		if pc == nil {
 			continue
 		}
 		t.pinned[s] = nil
-		stamp := t.stamps[s]
-		// Fire-and-forget: a lost release is reclaimed by server-side
-		// connection teardown.
-		ca := &call{done: make(chan error, 1)}
-		_ = pc.start(rpc.VerbRelease, 0, func(e *rpc.Encoder) {
-			e.U64(stamp)
-		}, ca)
+		if pc == t.c.prim[s] && t.c.adoptPin(s, pc, t.stamps[s], t.gens[s]) {
+			continue
+		}
+		releasePin(pc, t.stamps[s], t.gens[s])
 	}
 }
 

@@ -1,6 +1,8 @@
 package remote
 
 import (
+	"slices"
+
 	"repro/internal/obs"
 	"repro/internal/rpc"
 )
@@ -37,6 +39,16 @@ func (c *Cluster[E]) RegisterMetrics(reg *obs.Registry, labels ...obs.Label) {
 	reg.CounterFunc("aspen_client_primary_fallbacks_total",
 		"Replica reads that fell back to the primary (lagging watermark).",
 		c.primaryFallbacks.Load, labels...)
+	reg.CounterFunc("aspen_client_delta_reads_total",
+		"Moved shards read as a delta against the held view.", c.deltaReads.Load, labels...)
+	reg.CounterFunc("aspen_client_delta_edges_total",
+		"Edge changes carried by delta reads.", c.deltaEdges.Load, labels...)
+	for reason, name := range [numFallReasons]string{fallNoBase: "no_base", fallTooLarge: "too_large", fallVerifyFailed: "verify_failed"} {
+		ls := append(slices.Clone(labels), obs.Label{Key: "reason", Value: name})
+		reg.CounterFunc("aspen_client_delta_fallbacks_total",
+			"Moved shards with a view held that were read whole instead, by reason.",
+			c.deltaFallbacks[reason].Load, ls...)
+	}
 	reg.CounterFunc("aspen_client_retries_total",
 		"Submit frames retransmitted.", c.nstat.retries.Load, labels...)
 	reg.CounterFunc("aspen_client_dedup_acks_total",
@@ -64,19 +76,21 @@ func (c *Cluster[E]) RegisterMetrics(reg *obs.Registry, labels ...obs.Label) {
 // RegisterMetrics registers the server's per-verb RPC dispatch latency
 // summaries and the dedup window occupancy gauges.
 func (s *Server[G, E]) RegisterMetrics(reg *obs.Registry, labels ...obs.Label) {
+	summary := func(verb string, h *obs.Hist) {
+		reg.Summary("aspen_rpc_dispatch_seconds",
+			"Synchronous RPC dispatch latency per verb (submit acks complete asynchronously).",
+			h, append(slices.Clone(labels), obs.Label{Key: "verb", Value: verb})...)
+	}
 	for v := rpc.Verb(1); int(v) < rpc.NumVerbs; v++ {
 		// Push-only verbs (tail_rec, tail_snap) never arrive as
 		// requests; skip their always-empty series.
-		if v == rpc.VerbTailRec || v == rpc.VerbTailSnap {
-			continue
+		if v != rpc.VerbTailRec && v != rpc.VerbTailSnap {
+			summary(v.String(), &s.verbHists[v])
 		}
-		ls := make([]obs.Label, 0, len(labels)+1)
-		ls = append(ls, labels...)
-		ls = append(ls, obs.Label{Key: "verb", Value: v.String()})
-		reg.Summary("aspen_rpc_dispatch_seconds",
-			"Synchronous RPC dispatch latency per verb (submit acks complete asynchronously).",
-			&s.verbHists[v], ls...)
 	}
+	// Reads that name a base — answered with the edge diff, or declined;
+	// verb="read" keeps the whole-range reads.
+	summary("read_delta", &s.deltaReadHist)
 	d := s.dedup
 	reg.GaugeFunc("aspen_dedup_clients",
 		"Clients tracked by the exactly-once dedup window.", func() float64 {

@@ -4,9 +4,10 @@
 // present the same facade as the in-process shard.Cluster — batches
 // are routed with the same zero-copy shard.Route, reads pin a version
 // vector of per-shard commit stamps, and flat views are stitched with
-// the same shard.StitchViews from per-shard degree/adjacency ranges
-// fetched over the wire, so every algos kernel runs unmodified against
-// a cluster of processes.
+// the same shard.Stitch from per-shard views kept current over the wire
+// (a moved shard is read as the edge diff against the view already held
+// and patched; the whole range is the fallback), so every algos kernel
+// runs unmodified against a cluster of processes.
 //
 // Consistency model. Each pinned stamp is a committed prefix of its
 // shard's serialized history, exactly as in-process; a Barrier with
@@ -50,6 +51,10 @@ var ErrLagging = errors.New("remote: replica lagging")
 // ErrUnavailable is returned without touching the network while an
 // endpoint's circuit breaker is open.
 var ErrUnavailable = errors.New("remote: endpoint unavailable (breaker open)")
+
+// errGenMoved is returned, without touching the network, by an operation
+// pinned to a connection generation that is no longer the live one.
+var errGenMoved = errors.New("connection superseded")
 
 // ServerError is a remote-side failure relayed over an error frame.
 type ServerError struct{ Msg string }
@@ -128,6 +133,13 @@ type Conn struct {
 	pgen    uint64 // generation the pending map belongs to
 	nextID  uint64
 }
+
+// Server roles confirmed in the Hello exchange.
+const (
+	rolePrimary  uint8 = 0
+	roleReplica  uint8 = 1
+	rolePromoted uint8 = 2 // replica that assumed primary duty after sustained primary loss
+)
 
 // helloInfo is the identity the client expects the server to confirm.
 type helloInfo struct {
@@ -432,21 +444,15 @@ func (c *Conn) drainGen(gen uint64, err error) {
 	}
 }
 
-// start registers ca, encodes one request frame and flushes it. On a
-// write error the call is unregistered and the error returned — the
-// caller must not wait on it.
 // connGenCtr issues globally unique connection generations, so a
 // (conn, dial) incarnation is identified by its gen alone — senders pin
 // in-flight records to one.
 var connGenCtr atomic.Uint64
 
-func (c *Conn) start(verb rpc.Verb, flags uint8, build func(e *rpc.Encoder), ca *call) error {
-	_, err := c.startPinned(verb, flags, build, ca, 0)
-	return err
-}
-
-// startPinned is start with a connection-generation pin: when mustGen
-// is nonzero the frame is only written if the connection is live on
+// startPinned registers ca, encodes one request frame and flushes it. On a
+// write error the call is unregistered and the error returned — the
+// caller must not wait on it. mustGen is a connection-generation pin: when
+// nonzero the frame is only written if the connection is live on
 // exactly that generation — it never redials. Senders use the pin to
 // keep a shard's FIFO intact across connection churn: records sent on
 // a generation that died are requeued by its teardown drain, and until
@@ -456,7 +462,7 @@ func (c *Conn) startPinned(verb rpc.Verb, flags uint8, build func(e *rpc.Encoder
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if mustGen != 0 && (c.nc == nil || c.gen != mustGen) {
-		return 0, fmt.Errorf("remote: %s: connection superseded, in-flight requeue pending", c.addr)
+		return 0, fmt.Errorf("remote: %s: %w", c.addr, errGenMoved)
 	}
 	if err := c.ensureLocked(); err != nil {
 		return 0, err
@@ -500,21 +506,31 @@ func (c *Conn) startPinned(verb rpc.Verb, flags uint8, build func(e *rpc.Encoder
 // roundTrip issues one request and blocks for its response. onBody
 // parses the success body (reader goroutine; must not block).
 func (c *Conn) roundTrip(verb rpc.Verb, flags uint8, build func(e *rpc.Encoder), onBody func(flags uint8, d *rpc.Body) error) error {
+	_, err := c.roundTripOn(0, verb, flags, build, onBody)
+	return err
+}
+
+// roundTripOn is roundTrip pinned to a connection generation (see
+// startPinned; 0 = whichever is live, dialing if need be) and returns the
+// generation the request ran on. Reads use it to stay on the connection
+// their pins live on.
+func (c *Conn) roundTripOn(mustGen uint64, verb rpc.Verb, flags uint8, build func(e *rpc.Encoder), onBody func(flags uint8, d *rpc.Body) error) (uint64, error) {
 	ca := callPool.Get().(*call)
 	ca.onBody, ca.onDone, ca.rec = onBody, nil, nil
 	ca.deadline = 0
 	if c.opts.RPCDeadline > 0 {
 		ca.deadline = time.Now().Add(c.opts.RPCDeadline).UnixNano()
 	}
-	if err := c.start(verb, flags, build, ca); err != nil {
+	gen, err := c.startPinned(verb, flags, build, ca, mustGen)
+	if err != nil {
 		ca.onBody = nil
 		callPool.Put(ca)
-		return err
+		return 0, err
 	}
-	err := <-ca.done
+	err = <-ca.done
 	ca.onBody = nil
 	callPool.Put(ca)
-	return err
+	return gen, err
 }
 
 // health asks the endpoint for its role and progress (VerbHealth).

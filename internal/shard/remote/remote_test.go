@@ -216,23 +216,7 @@ func TestRemoteMatchesInProcess(t *testing.T) {
 
 func TestRemoteWeightedSSSP(t *testing.T) {
 	part := shard.NewRangePartitioner(2, 1<<10)
-	n := part.Shards()
-	addrs := make([]string, n)
-	for s := 0; s < n; s++ {
-		eng := stream.NewWeightedEngine(aspen.NewWeightedGraphWith(testParams()), stream.Options{})
-		srv := NewWeightedServer(eng, testParams(), "", s, n)
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		go srv.Serve(ln)
-		addrs[s] = ln.Addr().String()
-		t.Cleanup(func() {
-			srv.Close()
-			eng.Close()
-		})
-	}
-	c, err := DialWeighted(part, addrs, nil, Options{})
+	c, err := DialWeighted(part, startWeightedServers(t, part), nil, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -512,6 +512,7 @@ func (r *Replica[G, E]) handle(nc net.Conn) {
 		reply(verb, rpc.FlagDeduped, id, func(e *rpc.Encoder) { e.U64(stamp) })
 	}
 	rd := rpc.NewReader(bufio.NewReaderSize(nc, 1<<16))
+	var diff delta // delta-read scratch, reused across requests
 	for {
 		m, err := rd.Next()
 		if err != nil {
@@ -548,10 +549,8 @@ func (r *Replica[G, E]) handle(nc net.Conn) {
 				return
 			}
 		case rpc.VerbRead:
-			d := rpc.NewBody(m.Body)
-			seq := d.U64()
-			lo := d.U32()
-			if err := d.Err(); err != nil {
+			seq, lo, base, isDelta, err := readRequest(m.Body)
+			if err != nil {
 				if replyErr(m.Verb, m.ReqID, 0, err.Error()) != nil {
 					return
 				}
@@ -572,9 +571,21 @@ func (r *Replica[G, E]) handle(nc net.Conn) {
 				}
 				continue
 			}
-			if reply(m.Verb, 0, m.ReqID, func(e *rpc.Encoder) {
-				encodeRange(e, g, r.weighted, lo)
-			}) != nil {
+			if !isDelta {
+				if reply(m.Verb, 0, m.ReqID, func(e *rpc.Encoder) { encodeRange(e, g, r.weighted, lo) }) != nil {
+					return
+				}
+				continue
+			}
+			// The base is whatever the ring still retains at that seq; a
+			// retired one sends the client back to the whole range.
+			status := deltaNoBase
+			if bg, ok := r.stateAt(base); ok {
+				status = diff.diff(bg, g, lo)
+			}
+			err = reply(m.Verb, 0, m.ReqID, func(e *rpc.Encoder) { diff.encode(e, status) })
+			diff.reset()
+			if err != nil {
 				return
 			}
 		case rpc.VerbPin:

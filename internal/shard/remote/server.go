@@ -52,8 +52,11 @@ type Server[G ligra.Graph, E any] struct {
 	// verb (indexed by rpc.Verb): parse-to-reply for reads, parse-to-
 	// enqueue for submits (the commit ack goes out asynchronously) and
 	// tail handshakes (the stream runs on its own goroutine). Exported
-	// by RegisterMetrics as aspen_rpc_dispatch_seconds{verb=...}.
-	verbHists [rpc.NumVerbs]obs.Hist
+	// by RegisterMetrics as aspen_rpc_dispatch_seconds{verb=...}. Reads
+	// that name a base are kept apart (verb="read_delta"), so a slow read
+	// says which of the two it was.
+	verbHists     [rpc.NumVerbs]obs.Hist
+	deltaReadHist obs.Hist
 
 	mu     sync.Mutex
 	ln     net.Listener
@@ -178,6 +181,7 @@ type serverConn[G ligra.Graph, E any] struct {
 	bw   *bufio.Writer
 	enc  rpc.Encoder
 	pins map[uint64]*pinEntry[G]
+	diff delta // delta-read scratch, reused across requests
 }
 
 func (s *Server[G, E]) handle(nc net.Conn) {
@@ -244,7 +248,10 @@ func (sc *serverConn[G, E]) replyErr(verb rpc.Verb, id uint64, flags uint8, msg 
 func (sc *serverConn[G, E]) dispatch(m rpc.Msg) error {
 	start := time.Now()
 	err := sc.dispatchVerb(m)
-	if int(m.Verb) < len(sc.s.verbHists) {
+	switch {
+	case m.Verb == rpc.VerbRead && len(m.Body) > readReqLen:
+		sc.s.deltaReadHist.Observe(time.Since(start))
+	case int(m.Verb) < len(sc.s.verbHists):
 		sc.s.verbHists[m.Verb].Observe(time.Since(start))
 	}
 	return err
@@ -473,11 +480,23 @@ func (sc *serverConn[G, E]) handleRelease(m rpc.Msg) error {
 	return sc.reply(m.Verb, 0, m.ReqID, nil)
 }
 
+// readRequest parses a VerbRead body: the whole-range form
+// [ref u64][lo u32], or the delta form with a trailing [base u64].
+func readRequest(body []byte) (ref uint64, lo uint32, base uint64, isDelta bool, err error) {
+	d := rpc.NewBody(body)
+	ref, lo = d.U64(), d.U32()
+	if isDelta = d.Len() > 0; isDelta {
+		base = d.U64()
+	}
+	return ref, lo, base, isDelta, d.Err()
+}
+
+// handleRead serves a pinned version. A delta read is answered from the
+// two tree snapshots the connection has pinned and never builds a flat
+// view; only the whole-range fallback does.
 func (sc *serverConn[G, E]) handleRead(m rpc.Msg) error {
-	d := rpc.NewBody(m.Body)
-	ref := d.U64()
-	lo := d.U32()
-	if err := d.Err(); err != nil {
+	ref, lo, base, isDelta, err := readRequest(m.Body)
+	if err != nil {
 		return sc.replyErr(m.Verb, m.ReqID, 0, err.Error())
 	}
 	if m.Flags&rpc.FlagBySeq != 0 {
@@ -487,9 +506,18 @@ func (sc *serverConn[G, E]) handleRead(m rpc.Msg) error {
 	if !ok {
 		return sc.replyErr(m.Verb, m.ReqID, 0, fmt.Sprintf("stamp %d not pinned on this connection", ref))
 	}
-	return sc.reply(m.Verb, 0, m.ReqID, func(e *rpc.Encoder) {
-		encodeRange(e, ent.tx.Flat(), sc.s.weighted, lo)
-	})
+	if !isDelta {
+		return sc.reply(m.Verb, 0, m.ReqID, func(e *rpc.Encoder) {
+			encodeRange(e, ent.tx.Flat(), sc.s.weighted, lo)
+		})
+	}
+	status := deltaNoBase
+	if bent, ok := sc.pins[base]; ok {
+		status = sc.diff.diff(bent.tx.Graph(), ent.tx.Graph(), lo)
+	}
+	err = sc.reply(m.Verb, 0, m.ReqID, func(e *rpc.Encoder) { sc.diff.encode(e, status) })
+	sc.diff.reset()
+	return err
 }
 
 func (sc *serverConn[G, E]) handleStats(m rpc.Msg) error {

@@ -2,7 +2,6 @@ package remote
 
 import (
 	"fmt"
-	"net"
 	"slices"
 	"testing"
 	"time"
@@ -109,19 +108,7 @@ func weightedRows() []storeRow[aspen.WeightedEdge] {
 	}
 	return append(rows, storeRow[aspen.WeightedEdge]{"remote2", 2, false, func(t *testing.T) stream.Store[aspen.WeightedEdge] {
 		part := shard.NewRangePartitioner(2, 1<<conformScale)
-		addrs := make([]string, 2)
-		for s := range addrs {
-			eng := stream.NewWeightedEngine(aspen.NewWeightedGraphWith(testParams()), stream.Options{})
-			srv := NewWeightedServer(eng, testParams(), "", s, len(addrs))
-			ln, err := net.Listen("tcp", "127.0.0.1:0")
-			if err != nil {
-				t.Fatal(err)
-			}
-			go srv.Serve(ln)
-			t.Cleanup(func() { srv.Close(); eng.Close() })
-			addrs[s] = ln.Addr().String()
-		}
-		c, err := DialWeighted(part, addrs, nil, Options{})
+		c, err := DialWeighted(part, startWeightedServers(t, part), nil, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

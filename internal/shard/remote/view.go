@@ -2,52 +2,60 @@ package remote
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"math"
-	"sync"
-	"time"
+	"slices"
 
-	"repro/internal/ligra"
 	"repro/internal/rpc"
-	"repro/internal/shard"
-	"repro/internal/stream"
 )
 
-// Server roles confirmed in the Hello exchange.
-const (
-	rolePrimary  uint8 = 0
-	roleReplica  uint8 = 1
-	rolePromoted uint8 = 2 // replica that assumed primary duty after sustained primary loss
-)
-
-// remoteView is one shard's flat snapshot assembled from fetched
-// degree/adjacency ranges: a CSR (degrees + prefix offsets +
-// concatenated neighbor lists) over the shard's whole vertex-id range.
-// It satisfies ligra.FlatGraph, so shard.StitchViews stitches it
-// exactly like an engine-local flat view.
+// remoteView is one shard's flat snapshot on the client: a base CSR
+// (prefix offsets + concatenated neighbor lists, as fetched whole or last
+// compacted) under a per-vertex overlay of the lists later deltas rewrote,
+// plus one contiguous id-indexed degree array. Which of the two holds u's
+// list is in the top bits of u's own offset: offs[u] is the start of u's
+// CSR range in its low offBits bits and, above them, 0 or the 1-based index
+// of the overlay list that replaces it. A traversal therefore reads exactly
+// what it reads on a plain CSR — offs[u] and offs[u+1] — and touches the
+// overlay only for a vertex the deltas rewrote.
+//
+// Views are immutable. patch derives the next version's view copy-on-write
+// — it copies the degree array, the offsets and the table of list headers,
+// writes the touched vertices' new lists into one allocation, and aliases
+// the CSR's neighbor array and every untouched list — so a transaction
+// pinned on an older version keeps reading the view it was handed while
+// newer ones patch past it. It satisfies ligra.FlatGraph, so shard.Stitch
+// stitches it exactly like an engine-local flat view.
+//
+// over is what the overlay cost since the base CSR was built, in 4-byte
+// words: every list a patch wrote (live ones and the ones later patches
+// superseded, which stay reachable as long as a neighbor in the same
+// allocation does) plus overlayEntryWords per rewritten vertex for its
+// table entry. When it passes a quarter of the shard's edges the patched
+// view is compacted into a fresh CSR locally, which bounds a view at 1.25×
+// its CSR.
 type remoteView struct {
-	order int
-	m     uint64
-	degs  []int32
-	offs  []uint64
-	nbrs  []uint32
-	wts   []float32 // nil for unweighted shards
+	order    int
+	m        uint64
+	weighted bool
+	degs     []int32
+	offs     []uint64    // order+1 entries: CSR offset | overlay index << offBits
+	nbrs     []uint32    // base CSR neighbors
+	wts      []float32   // parallel to nbrs on weighted shards
+	lists    [][]uint32  // overlay neighbor lists
+	wlists   [][]float32 // parallel to lists on weighted shards
+	over     uint64
 }
 
-func newRemoteView(order uint32, m uint64, weighted bool) *remoteView {
-	v := &remoteView{
-		order: int(order),
-		m:     m,
-		degs:  make([]int32, order),
-		offs:  make([]uint64, uint64(order)+1),
-		nbrs:  make([]uint32, 0, m),
-	}
-	if weighted {
-		v.wts = make([]float32, 0, m)
-	}
-	return v
-}
+const (
+	// offBits is the width of a CSR offset inside an offs entry; the bits
+	// above it index the overlay (2^24 lists, 2^40 edges per shard — patch
+	// compacts or refuses before either runs out).
+	offBits = 40
+	offMask = 1<<offBits - 1
+	// overlayEntryWords is a list header's size in 4-byte words.
+	overlayEntryWords = 6
+)
 
 // Order returns the shard's vertex-id space size.
 func (v *remoteView) Order() int { return v.order }
@@ -66,13 +74,31 @@ func (v *remoteView) Degree(u uint32) int {
 // Degrees exposes the id-indexed degree array (ligra.FlatGraph).
 func (v *remoteView) Degrees() []int32 { return v.degs }
 
+// list returns u's neighbors (and weights, on weighted shards) in
+// increasing neighbor order. u must be below order.
+func (v *remoteView) list(u uint32) ([]uint32, []float32) {
+	lo := v.offs[u]
+	if k := lo >> offBits; k != 0 {
+		if v.weighted {
+			return v.lists[k-1], v.wlists[k-1]
+		}
+		return v.lists[k-1], nil
+	}
+	hi := v.offs[u+1] & offMask
+	if v.weighted {
+		return v.nbrs[lo:hi], v.wts[lo:hi]
+	}
+	return v.nbrs[lo:hi], nil
+}
+
 // ForEachNeighbor applies f to u's neighbors in increasing order until
 // f returns false.
 func (v *remoteView) ForEachNeighbor(u uint32, f func(w uint32) bool) {
 	if int(u) >= v.order {
 		return
 	}
-	for _, w := range v.nbrs[v.offs[u]:v.offs[u+1]] {
+	nbrs, _ := v.list(u)
+	for _, w := range nbrs {
 		if !f(w) {
 			return
 		}
@@ -88,210 +114,294 @@ func (v remoteWeightedView) ForEachNeighborW(u uint32, f func(w uint32, wt float
 	if int(u) >= v.order {
 		return
 	}
-	lo, hi := v.offs[u], v.offs[u+1]
-	for i := lo; i < hi; i++ {
-		if !f(v.nbrs[i], v.wts[i]) {
+	nbrs, wts := v.list(u)
+	for i, w := range nbrs {
+		if !f(w, wts[i]) {
 			return
 		}
 	}
 }
 
-// appendRange folds one Read response chunk starting at vertex lo.
-func (v *remoteView) appendRange(lo uint32, n uint32, degs, nbrs, wts []byte) error {
-	if uint64(lo)+uint64(n) > uint64(v.order) {
-		return fmt.Errorf("remote: read chunk [%d,%d) exceeds order %d", lo, uint64(lo)+uint64(n), v.order)
+// rangeBuilder assembles a whole-range fetch chunk by chunk. Nothing is
+// sized from a peer-supplied header: every count is checked against the
+// bytes the frame actually holds before it is used, the degree array grows
+// with the vertices received and the neighbor array by append.
+type rangeBuilder struct {
+	order   uint32
+	m       uint64
+	started bool
+	degs    []int32
+	nbrs    []uint32
+	wts     []float32
+}
+
+// chunk folds one whole-range Read response body, which must continue at
+// the vertex after the last one received:
+//
+//	[order u32][m u64][n u32][edges u64][degs n*u32][nbrs edges*u32][wts edges*f32?]
+//
+// It returns how many vertices the chunk carried.
+func (b *rangeBuilder) chunk(d *rpc.Body, weighted bool) (uint32, error) {
+	order, m := d.U32(), d.U64()
+	n, edges := d.U32(), d.U64()
+	if err := d.Err(); err != nil {
+		return 0, err
 	}
-	for i := uint32(0); i < n; i++ {
-		d := binary.LittleEndian.Uint32(degs[i*4:])
-		v.degs[lo+i] = int32(d)
-		v.offs[lo+i+1] = v.offs[lo+i] + uint64(d)
+	per := uint64(4)
+	if weighted {
+		per = 8
 	}
-	for i := 0; i+4 <= len(nbrs); i += 4 {
-		v.nbrs = append(v.nbrs, binary.LittleEndian.Uint32(nbrs[i:]))
+	// edges ≤ Len/4 first, so the products below cannot overflow.
+	if left := uint64(d.Len()); edges > left/4 || uint64(n)*4+edges*per != left {
+		return 0, fmt.Errorf("remote: read chunk claims %d vertices, %d edges in %d bytes", n, edges, left)
 	}
-	if v.wts != nil {
-		for i := 0; i+4 <= len(wts); i += 4 {
-			v.wts = append(v.wts, math.Float32frombits(binary.LittleEndian.Uint32(wts[i:])))
+	if !b.started {
+		b.order, b.m, b.started = order, m, true
+	} else if b.order != order || b.m != m {
+		return 0, fmt.Errorf("remote: shard view changed mid-fetch (order %d→%d, m %d→%d)", b.order, order, b.m, m)
+	}
+	if uint64(len(b.degs))+uint64(n) > uint64(order) || uint64(len(b.nbrs))+edges > m {
+		return 0, fmt.Errorf("remote: read chunk of %d vertices, %d edges at vertex %d overruns order %d, m %d",
+			n, edges, len(b.degs), order, m)
+	}
+	degs := d.Bytes(int(n) * 4)
+	b.degs = slices.Grow(b.degs, int(n))
+	var sum uint64
+	for i := 0; i < len(degs); i += 4 {
+		deg := binary.LittleEndian.Uint32(degs[i:])
+		sum += uint64(deg)
+		b.degs = append(b.degs, int32(deg))
+	}
+	if sum != edges {
+		return 0, fmt.Errorf("remote: read chunk degrees sum to %d, chunk carries %d edges", sum, edges)
+	}
+	nbrs := d.Bytes(int(edges) * 4)
+	at := len(b.nbrs)
+	b.nbrs = append(b.nbrs, make([]uint32, edges)...)
+	for i, out := 0, b.nbrs[at:]; i < len(out); i++ {
+		out[i] = binary.LittleEndian.Uint32(nbrs[i*4:])
+	}
+	if weighted {
+		wts := d.Bytes(int(edges) * 4)
+		b.wts = append(b.wts, make([]float32, edges)...)
+		for i, out := 0, b.wts[at:]; i < len(out); i++ {
+			out[i] = math.Float32frombits(binary.LittleEndian.Uint32(wts[i*4:]))
 		}
 	}
-	return nil
+	return n, d.Err()
 }
 
-// finish validates that the fetched ranges cover the whole shard.
-func (v *remoteView) finish() error {
-	if v.offs[v.order] != v.m || uint64(len(v.nbrs)) != v.m {
-		return fmt.Errorf("remote: fetched %d edges (offsets %d), shard reports %d",
-			len(v.nbrs), v.offs[v.order], v.m)
+// done reports whether every vertex of the shard has arrived.
+func (b *rangeBuilder) done() bool { return b.started && uint64(len(b.degs)) >= uint64(b.order) }
+
+// view validates that the fetched ranges cover the whole shard and
+// returns them as a CSR view.
+func (b *rangeBuilder) view(weighted bool) (*remoteView, error) {
+	if !b.done() || uint64(len(b.nbrs)) != b.m {
+		return nil, fmt.Errorf("remote: fetched %d of %d vertices, %d of %d edges", len(b.degs), b.order, len(b.nbrs), b.m)
 	}
-	if v.wts != nil && uint64(len(v.wts)) != v.m {
-		return fmt.Errorf("remote: fetched %d weights for %d edges", len(v.wts), v.m)
+	offs := make([]uint64, len(b.degs)+1)
+	for u, deg := range b.degs {
+		offs[u+1] = offs[u] + uint64(deg)
 	}
-	return nil
+	// Append growth over several chunks can leave a quarter of the array
+	// unused; a view lives long enough to be worth one exact copy.
+	if cap(b.nbrs) > len(b.nbrs)+len(b.nbrs)/16 {
+		b.nbrs, b.wts = slices.Clone(b.nbrs), slices.Clone(b.wts)
+	}
+	return &remoteView{order: len(b.degs), m: b.m, weighted: weighted, degs: b.degs, offs: offs, nbrs: b.nbrs, wts: b.wts}, nil
 }
 
-func equalVec(a, b []uint64) bool {
-	if len(a) != len(b) {
-		return false
+// patch derives the view of the delta's target version from v, which must
+// be the view of the delta's base: each touched vertex's list is rewritten
+// into the overlay as the sorted merge old − dels + adds (an add of a
+// neighbor already present replaces its weight) and everything else is
+// aliased. v is never mutated. The patch is checked as it is applied —
+// ascending neighbors, every del matching an edge the vertex has, every
+// rewritten list exactly as long as the server's degree for it, the running
+// edge count equal to the server's m — and any mismatch is an error: the
+// caller discards the patch and refetches the shard whole.
+func (v *remoteView) patch(d *delta) (*remoteView, error) {
+	order := int(d.order)
+	// order is a header field, and the arrays below are sized by it. A delta
+	// may grow the id space by as much as the view already holds plus one id
+	// per element it carried; a larger jump goes through the whole-range
+	// read, which allocates as the vertices arrive.
+	if order-v.order > v.order+len(d.verts)+d.edges() {
+		return nil, fmt.Errorf("remote: delta of %d elements grows order %d → %d", len(d.verts)+d.edges(), v.order, order)
 	}
-	for i := range a {
-		if a[i] != b[i] {
+	// Pass 1: the degree and edge-count bookkeeping, and the size of the
+	// lists to write. Bounded by what v holds plus what the frames carried:
+	// a vertex's new degree cannot exceed its old one plus its adds.
+	m, arena := int64(v.m), 0
+	for _, dv := range d.verts {
+		old := v.Degree(dv.id)
+		if int(dv.id) >= order && dv.deg != 0 {
+			return nil, fmt.Errorf("remote: delta gives vertex %d degree %d beyond order %d", dv.id, dv.deg, order)
+		}
+		if int64(dv.deg) > int64(old)+int64(dv.nAdd) || int64(dv.deg)+int64(dv.nDel) < int64(old) {
+			return nil, fmt.Errorf("remote: delta degree %d for vertex %d does not follow from %d +%d −%d", dv.deg, dv.id, old, dv.nAdd, dv.nDel)
+		}
+		m += int64(dv.deg) - int64(old)
+		if int(dv.id) < order {
+			arena += int(dv.deg)
+		}
+	}
+	if m != int64(d.m) {
+		return nil, fmt.Errorf("remote: patched edge count %d, server reports %d", m, d.m)
+	}
+	if uint64(len(v.nbrs)) > offMask || len(v.lists)+len(d.verts) >= 1<<(64-offBits) {
+		return nil, fmt.Errorf("remote: shard too large to patch (%d CSR edges, %d overlay lists)", len(v.nbrs), len(v.lists)+len(d.verts))
+	}
+
+	weighted := v.weighted
+	nv := &remoteView{
+		order: order, m: d.m, weighted: weighted,
+		degs: make([]int32, order),
+		offs: make([]uint64, order+1),
+		nbrs: v.nbrs, wts: v.wts,
+		lists: append(make([][]uint32, 0, len(v.lists)+len(d.verts)), v.lists...),
+		over:  v.over + uint64(arena+overlayEntryWords*len(d.verts)),
+	}
+	copy(nv.degs, v.degs)
+	// Ids past v's space start with an empty CSR range at its end.
+	for u := copy(nv.offs, v.offs); u <= order; u++ {
+		nv.offs[u] = uint64(len(v.nbrs))
+	}
+	buf := make([]uint32, arena)
+	var wbuf []float32
+	if weighted {
+		nv.wlists = append(make([][]float32, 0, cap(nv.lists)), v.wlists...)
+		wbuf = make([]float32, arena)
+		nv.over += uint64(arena)
+	}
+	a, x, at := 0, 0, 0
+	for _, dv := range d.verts {
+		adds, dels := d.adds[a:a+int(dv.nAdd)], d.dels[x:x+int(dv.nDel)]
+		var addW []float32
+		if weighted {
+			addW = d.wts[a : a+int(dv.nAdd)]
+		}
+		a, x = a+int(dv.nAdd), x+int(dv.nDel)
+		if int(dv.id) >= order {
+			continue // dropped with the id space; pass 1 accounted its edges
+		}
+		var old []uint32
+		var oldW []float32
+		if int(dv.id) < v.order {
+			old, oldW = v.list(dv.id)
+		}
+		out, outW := buf[at:at:at+int(dv.deg)], wbuf
+		if weighted {
+			outW = wbuf[at : at : at+int(dv.deg)]
+		}
+		var ok bool
+		if out, outW, ok = mergeList(out, outW, old, oldW, adds, addW, dels); !ok {
+			return nil, fmt.Errorf("remote: delta for vertex %d does not apply to the held view (degree %d, +%d −%d → %d)",
+				dv.id, len(old), dv.nAdd, dv.nDel, dv.deg)
+		}
+		at += int(dv.deg)
+		k := nv.offs[dv.id] >> offBits
+		if k == 0 {
+			nv.lists = append(nv.lists, nil)
+			if weighted {
+				nv.wlists = append(nv.wlists, nil)
+			}
+			k = uint64(len(nv.lists))
+			nv.offs[dv.id] |= k << offBits
+		}
+		nv.lists[k-1] = out
+		if weighted {
+			nv.wlists[k-1] = outW
+		}
+		nv.degs[dv.id] = int32(dv.deg)
+	}
+	if order < v.order || nv.over > nv.m/4 {
+		return nv.compact(), nil
+	}
+	return nv, nil
+}
+
+// mergeList appends old − dels + adds to out (and the weights alongside,
+// when outW is non-nil) in ascending neighbor order and reports whether the
+// delta applied cleanly: adds strictly ascending, every del found in old,
+// no neighbor both added and deleted, and the result filling out exactly.
+// A vertex's changes are few and a hub's list is long, so the stretches of
+// old between two changes are located by binary search and copied whole.
+func mergeList(out []uint32, outW []float32, old []uint32, oldW []float32, adds []uint32, addW []float32, dels []uint32) ([]uint32, []float32, bool) {
+	i, j, k := 0, 0, 0
+	keep := func(upto int) bool { // old[i:upto] survives
+		if len(out)+upto-i > cap(out) {
 			return false
 		}
+		out = append(out, old[i:upto]...)
+		if outW != nil {
+			outW = append(outW, oldW[i:upto]...)
+		}
+		i = upto
+		return true
 	}
-	return true
-}
-
-// flatFor returns the stitched flat view of a pinned version vector:
-// a single-slot stitched cache (keyed by the exact stamp vector), a
-// per-shard view cache (unmoved shards reuse their fetched views, the
-// remote analogue of the in-process delta stitch), and a fetch for
-// whatever moved — replica first when one is configured, primary
-// fallback when the replica lags or is down.
-func (c *Cluster[E]) flatFor(stamps, seqs []uint64) (ligra.Graph, error) {
-	// Cache keys are the composite (stamp, seq): a degraded replica pin
-	// has stamp 0 and is identified purely by its WAL watermark, and a
-	// promoted replica's stamps live in a different domain than the old
-	// primary's, so neither vector alone is unique.
-	c.vmu.Lock()
-	if c.stitch.flat != nil && equalVec(c.stitch.stamps, stamps) && equalVec(c.stitch.seqs, seqs) {
-		flat := c.stitch.flat
-		c.vmu.Unlock()
-		c.stitchHits.Add(1)
-		return flat, nil
-	}
-	c.vmu.Unlock()
-
-	views := make([]ligra.Graph, len(stamps))
-	errs := make([]error, len(stamps))
-	var wg sync.WaitGroup
-	for s := range stamps {
-		c.vmu.Lock()
-		cv := c.views[s]
-		c.vmu.Unlock()
-		if cv.view != nil && cv.stamp == stamps[s] && cv.seq == seqs[s] {
-			views[s] = cv.view
-			c.viewHits.Add(1)
+	for j < len(dels) || k < len(adds) {
+		if k < len(adds) && (j == len(dels) || adds[k] <= dels[j]) {
+			w := adds[k]
+			if k > 0 && w <= adds[k-1] || j < len(dels) && dels[j] == w {
+				return out, outW, false
+			}
+			at, found := slices.BinarySearch(old[i:], w)
+			if !keep(i+at) || len(out) == cap(out) {
+				return out, outW, false
+			}
+			if found {
+				i++ // re-weight: the add replaces the edge it names
+			}
+			out = append(out, w)
+			if outW != nil {
+				outW = append(outW, addW[k])
+			}
+			k++
 			continue
 		}
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			v, err := c.fetchShardView(s, stamps[s], seqs[s])
-			if err != nil {
-				errs[s] = err
-				return
-			}
-			views[s] = v
-			c.vmu.Lock()
-			c.views[s] = cachedView{stamp: stamps[s], seq: seqs[s], at: time.Now(), view: v}
-			c.vmu.Unlock()
-		}(s)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
+		at, found := slices.BinarySearch(old[i:], dels[j])
+		if !found || !keep(i+at) {
+			return out, outW, false
 		}
+		i, j = i+1, j+1
 	}
-	flat := shard.StitchViews(c.part, views)
-	c.stitchBuilds.Add(1)
-	c.vmu.Lock()
-	c.stitch = stitchSlot{
-		stamps: append([]uint64(nil), stamps...),
-		seqs:   append([]uint64(nil), seqs...),
-		flat:   flat,
-	}
-	c.vmu.Unlock()
-	return flat, nil
+	return out, outW, keep(len(old)) && len(out) == cap(out)
 }
 
-// fetchShardView fetches shard s's complete flat snapshot: from its
-// replica at the pinned WAL watermark when one is configured (a state
-// at least as fresh as the pinned stamp), falling back to the primary
-// (exactly the pinned stamp) when the replica lags or errors.
-func (c *Cluster[E]) fetchShardView(s int, stamp, seq uint64) (ligra.Graph, error) {
-	c.viewFetches.Add(1)
-	if rc := c.repl[s]; rc != nil && seq > 0 {
-		v, err := c.fetchFrom(rc, rpc.FlagBySeq, seq)
-		if err == nil {
-			c.replicaReads.Add(1)
-			return v, nil
-		}
-		if stamp == 0 {
-			// Degraded pin: the shard is addressed purely by replica
-			// seq; there is no primary stamp to fall back to.
-			return nil, err
-		}
-		c.primaryFallbacks.Add(1)
+// compact rewrites v as a fresh CSR with no overlay: one pass over the
+// lists, runs of vertices the overlay never touched copied from the old CSR
+// in one piece, no network. The degree array is shared — both views are
+// immutable.
+func (v *remoteView) compact() *remoteView {
+	nv := &remoteView{order: v.order, m: v.m, weighted: v.weighted, degs: v.degs,
+		offs: make([]uint64, v.order+1), nbrs: make([]uint32, v.m)}
+	if v.weighted {
+		nv.wts = make([]float32, v.m)
 	}
-	return c.fetchFrom(c.prim[s], 0, stamp)
-}
-
-// fetchFrom pulls one shard view in range chunks over cn, addressed by
-// pinned stamp (primary) or WAL seq (replica, FlagBySeq).
-func (c *Cluster[E]) fetchFrom(cn *Conn, flags uint8, ref uint64) (ligra.Graph, error) {
-	var v *remoteView
-	lo := uint32(0)
-	for {
-		var n uint32
-		err := cn.roundTrip(rpc.VerbRead, flags, func(e *rpc.Encoder) {
-			e.U64(ref)
-			e.U32(lo)
-		}, func(_ uint8, d *rpc.Body) error {
-			order := d.U32()
-			m := d.U64()
-			n = d.U32()
-			edges := d.U64()
-			degs := d.Bytes(int(n) * 4)
-			nbrs := d.Bytes(int(edges) * 4)
-			var wts []byte
-			if c.weighted {
-				wts = d.Bytes(int(edges) * 4)
+	for u, deg := range v.degs {
+		nv.offs[u+1] = nv.offs[u] + uint64(deg)
+	}
+	for u := 0; u < v.order; {
+		a := u
+		for u < v.order && v.offs[u]>>offBits == 0 {
+			u++
+		}
+		if a < u {
+			lo, hi := v.offs[a], v.offs[u]&offMask
+			copy(nv.nbrs[nv.offs[a]:], v.nbrs[lo:hi])
+			if v.weighted {
+				copy(nv.wts[nv.offs[a]:], v.wts[lo:hi])
 			}
-			if err := d.Err(); err != nil {
-				return err
-			}
-			if v == nil {
-				v = newRemoteView(order, m, c.weighted)
-			} else if v.order != int(order) || v.m != m {
-				return fmt.Errorf("remote: shard view changed mid-fetch (order %d→%d, m %d→%d)", v.order, order, v.m, m)
-			}
-			return v.appendRange(lo, n, degs, nbrs, wts)
-		})
-		if err != nil {
-			return nil, err
+			continue
 		}
-		c.rangeRPCs.Add(1)
-		lo += n
-		if v == nil || int(lo) >= v.order {
-			break
+		nbrs, wts := v.list(uint32(u))
+		copy(nv.nbrs[nv.offs[u]:], nbrs)
+		if v.weighted {
+			copy(nv.wts[nv.offs[u]:], wts)
 		}
-		if n == 0 {
-			return nil, fmt.Errorf("remote: read made no progress at vertex %d of %d", lo, v.order)
-		}
+		u++
 	}
-	if v == nil {
-		return nil, fmt.Errorf("remote: empty read response")
-	}
-	if err := v.finish(); err != nil {
-		return nil, err
-	}
-	if c.weighted {
-		return remoteWeightedView{v}, nil
-	}
-	return v, nil
-}
-
-// fetchStatsJSON pulls the server's JSON stats snapshot.
-func fetchStatsJSON(cn *Conn) ([]byte, error) {
-	var raw []byte
-	err := cn.roundTrip(rpc.VerbStats, 0, nil, func(_ uint8, d *rpc.Body) error {
-		raw = append([]byte(nil), d.Rest()...) // body aliases reader scratch
-		return nil
-	})
-	return raw, err
-}
-
-func unmarshalStats(raw []byte, out *stream.Stats) error {
-	return json.Unmarshal(raw, out)
+	return nv
 }

@@ -111,28 +111,32 @@ func (t *Tx[G, E]) Flat() ligra.Graph {
 		return f
 	}
 	// Slot miss. When the slot holds a stitched view of an earlier vector,
-	// delta-stitch off it: shards whose component didn't move keep their
+	// stitch off it: shards whose component didn't move keep their
 	// per-shard views verbatim (no engine round-trip, pointer-identical),
-	// only moved shards fetch fresh views and refill their degree ranges.
-	// Concurrent first-stitchers of the same vector may duplicate this
-	// work; the slot keeps the last result, and correctness never depends
-	// on which copy a reader holds.
-	if base, baseStamps := t.c.stitch.base(len(t.stamps)); base != nil {
-		if f := deltaStitch(t.c.part, base, baseStamps, t.stamps, func(s int) ligra.Graph { return t.txs[s].Flat() }); f != nil {
-			t.c.stitch.patches.Add(1)
-			t.c.stitch.store(t.stamps, f)
-			t.flat = f
-			return f
+	// only moved shards fetch fresh views (cache hits inside each engine
+	// unless the component is fresh) and refill their degree ranges. With
+	// no shard kept it is the full stitch. Concurrent first-stitchers of
+	// the same vector may duplicate this work; the slot keeps the last
+	// result, and correctness never depends on which copy a reader holds.
+	base, baseStamps := t.c.stitch.base(len(t.stamps))
+	bv := flatViewOf(base)
+	views := make([]ligra.Graph, len(t.txs))
+	moved := make([]bool, len(t.txs))
+	kept := false
+	for s := range t.txs {
+		if bv != nil && baseStamps[s] == t.stamps[s] {
+			views[s], kept = bv.views[s], true
+		} else {
+			views[s], moved[s] = t.txs[s].Flat(), true
 		}
 	}
-	// No usable base: gather every per-shard view (cache hits inside each
-	// engine unless this vector component is fresh) and stitch in full.
-	views := make([]ligra.Graph, len(t.txs))
-	for i := range t.txs {
-		views[i] = t.txs[i].Flat()
+	if kept {
+		t.c.stitch.patches.Add(1)
+	} else {
+		t.c.stitch.builds.Add(1)
+		base = nil
 	}
-	f := stitchFlat(t.c.part, views)
-	t.c.stitch.builds.Add(1)
+	f := Stitch(t.c.part, base, views, moved)
 	t.c.stitch.store(t.stamps, f)
 	t.flat = f
 	return f

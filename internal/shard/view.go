@@ -130,47 +130,58 @@ func (f FlatWeightedView) ForEachNeighborW(u uint32, fn func(w uint32, wt float3
 	}
 }
 
-// stitchFlat assembles the global flat view from per-shard views. O(n)
-// work: the stitched degree array is filled by contiguous copies of each
-// shard's owned range (RangePartitioner) or a parallel ownership scatter
-// (any other partitioner); ids a shard never saw keep degree 0, matching
-// the unsharded flat view's totality. Returns a FlatWeightedView when
-// every shard view carries weights.
-func stitchFlat(part Partitioner, views []ligra.Graph) ligra.Graph {
+// Stitch assembles the global flat view of a version vector from per-shard
+// views — the one stitcher behind the in-process Tx.Flat and the remote
+// cluster client. moved[s] reports whether shard s's view differs from the
+// one behind base, a previously stitched view: unmoved shards keep their
+// stretch of base's degree array (copied wholesale, a memmove) and only
+// moved shards refill theirs — a contiguous copy of the owned range under a
+// RangePartitioner, an owner-tested parallel scatter otherwise. With no
+// usable base (nil, not a stitched view, another width) or a nil moved,
+// every shard counts as moved: the full O(n) stitch. Ids a shard never saw
+// keep degree 0, matching the unsharded flat view's totality, and base is
+// never mutated. Views must answer as complete per-shard snapshots (Order,
+// NumEdges, Degree, ForEachNeighbor over owned vertices); the result is a
+// FlatWeightedView when every view satisfies ligra.WeightedGraph.
+func Stitch(part Partitioner, base ligra.Graph, views []ligra.Graph, moved []bool) ligra.Graph {
 	order := 0
 	var m uint64
-	for _, v := range views {
-		if o := v.Order(); o > order {
-			order = o
-		}
-		m += v.NumEdges()
-	}
-	degs := make([]int32, order)
 	// Per-shard dense degree arrays, nil when a shard has no flat view
 	// (engine flatten disabled): those fall back to Degree calls.
 	sdegs := make([][]int32, len(views))
 	for s, v := range views {
+		if o := v.Order(); o > order {
+			order = o
+		}
+		m += v.NumEdges()
 		if fg, ok := v.(ligra.FlatGraph); ok {
 			sdegs[s] = fg.Degrees()
 		}
 	}
+	degs := make([]int32, order)
+	if bv := flatViewOf(base); bv != nil && len(bv.views) == len(views) && moved != nil {
+		copy(degs, bv.degs) // ids beyond the base order stay 0 until refilled
+	} else {
+		moved = nil
+	}
 	if rp, ok := part.(RangePartitioner); ok {
 		for s, v := range views {
-			lo, hi := rp.Range(s)
-			if lo >= uint64(order) {
+			if moved != nil && !moved[s] {
 				continue
 			}
-			if hi > uint64(order) {
-				hi = uint64(order)
+			lo, hi := rp.Range(s)
+			hi = min(hi, uint64(order))
+			if lo >= hi {
+				continue
 			}
 			if sd := sdegs[s]; sd != nil {
-				end := hi
-				if end > uint64(len(sd)) {
-					end = uint64(len(sd))
-				}
-				if lo < end {
+				// The shard may have shrunk below the copied base: whatever
+				// its array no longer covers is stale, zero it.
+				end := min(hi, uint64(len(sd)))
+				if end > lo {
 					copy(degs[lo:end], sd[lo:end])
 				}
+				clear(degs[max(lo, end):hi])
 				continue
 			}
 			for u := lo; u < hi; u++ {
@@ -180,32 +191,18 @@ func stitchFlat(part Partitioner, views []ligra.Graph) ligra.Graph {
 	} else {
 		parallel.ForGrain(order, 1024, func(u int) {
 			s := part.Owner(uint32(u))
-			if sd := sdegs[s]; sd != nil {
-				if u < len(sd) {
-					degs[u] = sd[u]
-				}
-				return
+			switch sd := sdegs[s]; {
+			case moved != nil && !moved[s]:
+			case sd == nil:
+				degs[u] = int32(views[s].Degree(uint32(u)))
+			case u < len(sd):
+				degs[u] = sd[u]
+			default:
+				degs[u] = 0
 			}
-			degs[u] = int32(views[s].Degree(uint32(u)))
 		})
 	}
 	fv := &FlatView{part: part, views: views, degs: degs, order: order, m: m}
-	return wrapWeighted(fv, views)
-}
-
-// StitchViews assembles the global flat view from per-shard views under
-// part's ownership — the same stitch the in-process Tx.Flat performs,
-// exported so a remote cluster client can stitch views it fetched over
-// the wire. Views must answer as complete per-shard snapshots (Order,
-// NumEdges, Degree, ForEachNeighbor over owned vertices); the result is
-// a FlatWeightedView when every view satisfies ligra.WeightedGraph.
-func StitchViews(part Partitioner, views []ligra.Graph) ligra.Graph {
-	return stitchFlat(part, views)
-}
-
-// wrapWeighted returns the view as FlatWeightedView when every shard view
-// carries weights, else as-is.
-func wrapWeighted(fv *FlatView, views []ligra.Graph) ligra.Graph {
 	for _, v := range views {
 		if _, ok := v.(ligra.WeightedGraph); !ok {
 			return fv
@@ -223,111 +220,4 @@ func flatViewOf(g ligra.Graph) *FlatView {
 		return v.FlatView
 	}
 	return nil
-}
-
-// deltaStitch assembles the flat view of a version vector out of a
-// previously stitched base: every shard whose vector component did not move
-// keeps its per-shard view verbatim (pointer identity — its version is
-// unchanged, so its flat view is too), and only moved shards fetch fresh
-// views and refill their slice of the degree array. The base degree array
-// is copied wholesale (a memmove) before the refill, so the cost is
-// O(n copy + moved-shard ranges) instead of the full O(n) degree gather
-// with per-shard dispatch — and, more importantly, unmoved shards' engines
-// are never asked for their views at all. The base is never mutated.
-// Returns nil when the delta brings no advantage (no unmoved shard, or the
-// base is not a stitched flat view), signaling the caller to stitch fully.
-func deltaStitch(part Partitioner, base ligra.Graph, baseStamps, stamps []uint64, fetch func(s int) ligra.Graph) ligra.Graph {
-	bv := flatViewOf(base)
-	if bv == nil || len(bv.views) != len(stamps) || len(baseStamps) != len(stamps) {
-		return nil
-	}
-	moved := make([]bool, len(stamps))
-	anyKept := false
-	for s := range stamps {
-		moved[s] = stamps[s] != baseStamps[s]
-		anyKept = anyKept || !moved[s]
-	}
-	if !anyKept {
-		return nil
-	}
-	views := make([]ligra.Graph, len(stamps))
-	order := 0
-	var m uint64
-	for s := range views {
-		if moved[s] {
-			views[s] = fetch(s)
-		} else {
-			views[s] = bv.views[s]
-		}
-		if o := views[s].Order(); o > order {
-			order = o
-		}
-		m += views[s].NumEdges()
-	}
-	degs := make([]int32, order)
-	copy(degs, bv.degs) // ids beyond the base order stay 0 until refilled
-	if rp, ok := part.(RangePartitioner); ok {
-		for s, v := range views {
-			if !moved[s] {
-				continue
-			}
-			lo, hi := rp.Range(s)
-			if lo >= uint64(order) {
-				continue
-			}
-			if hi > uint64(order) {
-				hi = uint64(order)
-			}
-			var sd []int32
-			if fg, ok := v.(ligra.FlatGraph); ok {
-				sd = fg.Degrees()
-			}
-			if sd != nil {
-				end := hi
-				if end > uint64(len(sd)) {
-					end = uint64(len(sd))
-				}
-				if lo < end {
-					copy(degs[lo:end], sd[lo:end])
-				}
-				// The shard may have shrunk (or the base order may exceed
-				// the new per-shard array): the copied base values past the
-				// new array are stale, zero them.
-				for u := end; u < hi; u++ {
-					degs[u] = 0
-				}
-				continue
-			}
-			for u := lo; u < hi; u++ {
-				degs[u] = int32(v.Degree(uint32(u)))
-			}
-		}
-	} else {
-		// Arbitrary ownership: one O(n) pass testing the owner against the
-		// moved set — still far cheaper than the full gather, which
-		// dispatches a Degree read (or array index) per id on every shard.
-		sdegs := make([][]int32, len(views))
-		for s, v := range views {
-			if fg, ok := v.(ligra.FlatGraph); ok {
-				sdegs[s] = fg.Degrees()
-			}
-		}
-		parallel.ForGrain(order, 1024, func(u int) {
-			s := part.Owner(uint32(u))
-			if !moved[s] {
-				return
-			}
-			if sd := sdegs[s]; sd != nil {
-				if u < len(sd) {
-					degs[u] = sd[u]
-				} else {
-					degs[u] = 0
-				}
-				return
-			}
-			degs[u] = int32(views[s].Degree(uint32(u)))
-		})
-	}
-	fv := &FlatView{part: part, views: views, degs: degs, order: order, m: m}
-	return wrapWeighted(fv, views)
 }

@@ -36,7 +36,10 @@ type flatCache[G any] struct {
 	mu sync.Mutex
 	m  map[uint64]*flatEntry
 	// Patch-chain anchor: the newest view materialized so far and its
-	// stamp. Only consulted when patch != nil.
+	// stamp. Only kept when patch != nil — without a patcher nothing would
+	// read it, and it would hold a whole flat view past its version for as
+	// long as no newer one is built (a shard server that serves only delta
+	// reads builds none).
 	lastStamp uint64
 	lastView  ligra.Graph
 
@@ -91,11 +94,13 @@ func (c *flatCache[G]) viewOf(stamp uint64, g G) ligra.Graph {
 			e.view = c.flatten(g)
 			c.builds.Add(1)
 		}
-		c.mu.Lock()
-		if stamp > c.lastStamp {
-			c.lastStamp, c.lastView = stamp, e.view
+		if c.patch != nil {
+			c.mu.Lock()
+			if stamp > c.lastStamp {
+				c.lastStamp, c.lastView = stamp, e.view
+			}
+			c.mu.Unlock()
 		}
-		c.mu.Unlock()
 		built = true
 	})
 	if !built {
