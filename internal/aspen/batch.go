@@ -43,6 +43,9 @@ func newVops[V ctree.Value]() *vopsT[V] {
 			Zero:      0,
 			FromEntry: func(_ uint32, et ctree.Tree[V]) uint64 { return et.Size() },
 			Combine:   func(a, b uint64) uint64 { return a + b },
+			// Edge counts subtract: copying a path node reads neither its
+			// untouched sibling nor an unchanged entry's edge tree.
+			Sub: func(a, b uint64) uint64 { return a - b },
 		},
 	}
 }

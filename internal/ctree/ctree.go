@@ -113,6 +113,8 @@ type config[V Value] struct {
 	// takeNew keeps the second (newer) value, takeOld the first.
 	takeNew func(V, V) V
 	takeOld func(V, V) V
+	// diffPool recycles Diff's element streams (*diffScratch[V]).
+	diffPool sync.Pool
 }
 
 // cfgKey keys the intern table by payload type and parameters.

@@ -3,6 +3,7 @@ package ctree
 import (
 	"repro/internal/encoding"
 	"repro/internal/pftree"
+	"repro/internal/scratch"
 )
 
 // DiffKind classifies one element's change between two tree versions. The
@@ -42,6 +43,16 @@ func (s *diffStream[V]) add(e uint32, v V) {
 	s.vals = append(s.vals, v)
 }
 
+// reset empties s for reuse under the scratch.Keep rule.
+func (s *diffStream[V]) reset() {
+	s.ids, s.vals = scratch.Trim(s.ids), scratch.Trim(s.vals)
+}
+
+// diffScratch is the pair of streams one Diff call fills. Diffs run once
+// per touched vertex of every delta read, so the pair is pooled per tree
+// class (config.diffPool) instead of allocated and grown per call.
+type diffScratch[V Value] struct{ os, ns diffStream[V] }
+
 func (s *diffStream[V]) addChunk(codec encoding.Codec, c encoding.Chunk) {
 	encoding.ForEachKV[V](codec, c, func(e uint32, v V) bool {
 		s.add(e, v)
@@ -76,7 +87,11 @@ func Diff[V Value](old, new Tree[V], emit func(e uint32, kind DiffKind, oldV, ne
 		return true
 	}
 	codec := old.h.p.Codec
-	var os, ns diffStream[V]
+	sc, _ := old.h.diffPool.Get().(*diffScratch[V])
+	if sc == nil {
+		sc = &diffScratch[V]{}
+	}
+	os, ns := &sc.os, &sc.ns
 	if !chunkSameRep(old.prefix, new.prefix) {
 		os.addChunk(codec, old.prefix)
 		ns.addChunk(codec, new.prefix)
@@ -94,14 +109,18 @@ func Diff[V Value](old, new Tree[V], emit func(e uint32, kind DiffKind, oldV, ne
 			}
 			return true
 		})
-	return mergeDiff(os, ns, emit)
+	done := mergeDiff(os, ns, emit)
+	os.reset()
+	ns.reset()
+	old.h.diffPool.Put(sc)
+	return done
 }
 
 // mergeDiff merges the two sorted differing-region streams and emits the
 // element-level classification. Elements appearing in both streams with
 // equal payloads only moved containers (a head deletion redistributing its
 // tail, say) and are not a diff.
-func mergeDiff[V Value](os, ns diffStream[V], emit func(e uint32, kind DiffKind, oldV, newV V) bool) bool {
+func mergeDiff[V Value](os, ns *diffStream[V], emit func(e uint32, kind DiffKind, oldV, newV V) bool) bool {
 	var z V
 	i, j := 0, 0
 	for i < len(os.ids) && j < len(ns.ids) {

@@ -221,3 +221,24 @@ func TestDiffEarlyStop(t *testing.T) {
 		}
 	}
 }
+
+// TestDiffReusesStreams pins Diff's allocation count: the two element
+// streams come from the tree class's pool, so a warmed-up Diff of a small
+// change allocates nothing that scales with the elements it decodes.
+func TestDiffReusesStreams(t *testing.T) {
+	ids := make([]uint32, 2000)
+	for i := range ids {
+		ids[i] = uint32(3 * i)
+	}
+	old := Build(DefaultParams(), ids)
+	cur := old.MultiInsert([]uint32{301, 3001}).MultiDelete([]uint32{600})
+	n := 0
+	emit := func(uint32, DiffKind, struct{}, struct{}) bool { n++; return true }
+	allocs := testing.AllocsPerRun(100, func() { Diff(old, cur, emit) })
+	if n == 0 {
+		t.Fatal("Diff emitted nothing")
+	}
+	if allocs > 0 && !raceEnabled {
+		t.Fatalf("Diff allocates %.0f objects per call, want 0", allocs)
+	}
+}

@@ -17,8 +17,11 @@ import "encoding/binary"
 //   - Delta–Delta (unionDeltaKV): the hottest merge loop of the batch-update
 //     path (every MultiInsert tail union lands here under the default
 //     params). Gap decoding, payload copy and output encoding are inlined
-//     into one loop with no iterator or builder method calls; kept gaps are
-//     re-emitted as bytes when the predecessor element is unchanged.
+//     into one loop with no iterator or builder method calls. Every output
+//     gap is re-encoded, including those whose predecessor is unchanged: a
+//     variant that copies such runs as bytes was prototyped (PR 17), passes
+//     the same differential and fuzz suites and moves a 1 000-edge apply by
+//     less than 1 %, so it is not here.
 //
 // The generic path remains the reference implementation: differential and
 // fuzz tests (TestUnionFastMatchesGeneric, FuzzStreamingSetOps) hold the

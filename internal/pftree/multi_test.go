@@ -127,7 +127,17 @@ func height(t *Node[int, int, int]) int {
 // from the keys) through all three descents against their references.
 func checkBatch(t *testing.T, base Tree[int, int, int], keys []int) {
 	t.Helper()
-	o, root := base.Ops(), base.Root()
+	plain := *base.Ops()
+	inv := plain
+	inv.Aug.Sub = func(a, b int) int { return a - b }
+	checkBatchOps(t, &plain, base.Root(), keys)
+	checkBatchOps(t, &inv, base.Root(), keys)
+}
+
+// checkBatchOps is checkBatch under one operation table: the same asserts
+// hold whether or not the augmentation declares its inverse.
+func checkBatchOps(t *testing.T, o *Ops[int, int, int], root *Node[int, int, int], keys []int) {
+	t.Helper()
 	before := contents(o, root)
 	es := make([]Entry[int, int], len(keys))
 	present := 0

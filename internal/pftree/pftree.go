@@ -73,6 +73,12 @@ type Augment[K, V, A any] struct {
 	// Combine merges augmented values; it must be associative with
 	// identity Zero.
 	Combine func(A, A) A
+	// Sub, when set, is the inverse of a commutative Combine:
+	// Sub(Combine(a, b), b) == a. A batch descent then re-derives a copied
+	// node's augmented value from the old node's by exchanging only the
+	// parts that changed, without reading the untouched sibling subtree
+	// or recomputing FromEntry of an unchanged value.
+	Sub func(A, A) A
 }
 
 // NoAug is the trivial augmentation for trees that do not need one.
@@ -127,6 +133,35 @@ func (o *Ops[K, V, A]) mk(l *Node[K, V, A], k K, v V, r *Node[K, V, A]) *Node[K,
 	n.size = uint32(l.Size()+r.Size()) + 1
 	n.aug = o.Aug.Combine(o.AugOf(l), o.Aug.Combine(o.Aug.FromEntry(k, v), o.AugOf(r)))
 	return n
+}
+
+// keptShape reports whether l and r, the results of a batch descent into t's
+// children, kept their sizes — no key came or went below t. Pointer equality
+// is tried first so that an untouched sibling is not read for its size.
+func keptShape[K, V, A any](t, l, r *Node[K, V, A]) bool {
+	return (l == t.left || l.Size() == t.left.Size()) && (r == t.right || r.Size() == t.right.Size())
+}
+
+// remk copies t over children l and r that kept the sizes of t's own, with
+// value v (changed reports whether it differs from t's), so the subtree kept
+// its shape. With an invertible augmentation the copy reads nothing but t
+// and the children that were themselves copied.
+func (o *Ops[K, V, A]) remk(t, l *Node[K, V, A], v V, changed bool, r *Node[K, V, A]) *Node[K, V, A] {
+	sub := o.Aug.Sub
+	if sub == nil {
+		return o.mk(l, t.key, v, r)
+	}
+	aug := t.aug
+	if l != t.left { // equal sizes and distinct, so neither is nil
+		aug = o.Aug.Combine(sub(aug, t.left.aug), l.aug)
+	}
+	if r != t.right {
+		aug = o.Aug.Combine(sub(aug, t.right.aug), r.aug)
+	}
+	if changed {
+		aug = o.Aug.Combine(sub(aug, o.Aug.FromEntry(t.key, t.val)), o.Aug.FromEntry(t.key, v))
+	}
+	return &Node[K, V, A]{key: t.key, val: v, left: l, right: r, size: t.size, aug: aug}
 }
 
 // rotateLeft returns the left rotation of n; n.right must be non-nil.
@@ -462,8 +497,8 @@ func (o *Ops[K, V, A]) MultiInsert(t *Node[K, V, A], entries []Entry[K, V], comb
 	} else {
 		l, r = o.MultiInsert(t.left, lo, combine), o.MultiInsert(t.right, hi, combine)
 	}
-	if l.Size() == t.left.Size() && r.Size() == t.right.Size() {
-		return o.mk(l, t.key, v, r)
+	if keptShape(t, l, r) {
+		return o.remk(t, l, v, found, r)
 	}
 	return o.Join(l, t.key, v, r)
 }
@@ -521,8 +556,8 @@ func (o *Ops[K, V, A]) multiUpdate(t *Node[K, V, A], keys []K, base int, f func(
 		return o.Join2(l, r)
 	case !found && l == t.left && r == t.right:
 		return t
-	case l.Size() == t.left.Size() && r.Size() == t.right.Size():
-		return o.mk(l, t.key, v, r)
+	case keptShape(t, l, r):
+		return o.remk(t, l, v, found, r)
 	default:
 		return o.Join(l, t.key, v, r)
 	}

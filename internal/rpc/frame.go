@@ -8,9 +8,10 @@
 // little-endian throughout. len counts everything after the crc field
 // (the 12-byte message head plus the body) and crc is CRC32C
 // (Castagnoli) over those same bytes, so a torn or bit-flipped frame is
-// refused on decode exactly like a torn WAL record. Encoding reuses a
-// grow-only scratch buffer per Encoder, so the steady-state hot path
-// performs zero allocations (CI-gated by BenchmarkFrameEncode).
+// refused on decode exactly like a torn WAL record. Encoder and Reader
+// each reuse one scratch buffer of at most scratch.Keep bytes, so the
+// steady-state hot path performs zero allocations (CI-gated by
+// BenchmarkFrameEncode/Decode); a larger frame's buffer is one-shot.
 package rpc
 
 import (
@@ -20,6 +21,8 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+
+	"repro/internal/scratch"
 )
 
 // Verb identifies the operation a frame carries.
@@ -142,8 +145,8 @@ type Msg struct {
 	Body  []byte
 }
 
-// Encoder builds frames into a grow-only scratch buffer. It is not
-// safe for concurrent use; callers serialize access (one Encoder per
+// Encoder builds frames into a reused scratch buffer. It is not safe
+// for concurrent use; callers serialize access (one Encoder per
 // connection writer).
 type Encoder struct {
 	buf []byte
@@ -193,7 +196,7 @@ func (e *Encoder) String(s string) { e.buf = append(e.buf, s...) }
 func (e *Encoder) Reserve(n int) []byte {
 	off := len(e.buf)
 	if cap(e.buf)-off < n {
-		grown := make([]byte, off, off+n+off/2)
+		grown := make([]byte, off, scratch.Cap(off+n))
 		copy(grown, e.buf)
 		e.buf = grown
 	}
@@ -215,8 +218,21 @@ func (e *Encoder) Finish() ([]byte, error) {
 	return e.buf, nil
 }
 
-// Reader decodes frames from an io.Reader into a grow-only scratch
-// buffer. Not safe for concurrent use.
+// WriteTo finishes the frame and writes it to w with one Write call. A
+// frame buffer above scratch.Keep is released on return, so w must have
+// consumed (written or copied) the bytes by then, as a bufio.Writer has.
+func (e *Encoder) WriteTo(w io.Writer) (int64, error) {
+	f, err := e.Finish()
+	n := 0
+	if err == nil {
+		n, err = w.Write(f)
+	}
+	e.buf = scratch.Trim(e.buf)
+	return int64(n), err
+}
+
+// Reader decodes frames from an io.Reader into a reused scratch buffer.
+// Not safe for concurrent use.
 type Reader struct {
 	r    io.Reader
 	head [frameHead]byte
@@ -234,23 +250,44 @@ func NewReader(r io.Reader) *Reader {
 // io.ErrUnexpectedEOF; a checksum or length violation returns an error
 // wrapping ErrFrame. The returned Msg's Body aliases internal scratch.
 func (r *Reader) Next() (Msg, error) {
+	// The previous message has been handled: a buffer above scratch.Keep
+	// goes now, before blocking on the next head, so an idle connection
+	// never pins its last big message.
+	r.buf = scratch.Trim(r.buf)
 	if _, err := io.ReadFull(r.r, r.head[:]); err != nil {
 		return Msg{}, err // io.EOF only at a frame boundary
 	}
-	plen := binary.LittleEndian.Uint32(r.head[0:])
+	plen := int(binary.LittleEndian.Uint32(r.head[0:]))
 	want := binary.LittleEndian.Uint32(r.head[4:])
-	if plen < msgHead || int(plen) > MaxFrame-frameHead {
+	if plen < msgHead || plen > MaxFrame-frameHead {
 		return Msg{}, fmt.Errorf("%w: payload length %d", ErrFrame, plen)
 	}
-	if cap(r.buf) < int(plen) {
-		r.buf = make([]byte, plen)
-	}
-	r.buf = r.buf[:plen]
-	if _, err := io.ReadFull(r.r, r.buf); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
+	// The body is read in steps of at most scratch.Keep and the buffer
+	// doubles as bytes arrive (going straight to plen once that is within
+	// a step): a header alone can claim MaxFrame, but can make this side
+	// allocate only one step more than twice what the peer goes on to send.
+	for len(r.buf) < plen {
+		have := len(r.buf)
+		step := min(plen-have, scratch.Keep)
+		if cap(r.buf)-have < step {
+			grow := step
+			if have > 0 {
+				grow = 2 * have
+				if grow+scratch.Keep >= plen {
+					grow = plen
+				}
+			}
+			grown := make([]byte, have, grow)
+			copy(grown, r.buf)
+			r.buf = grown
 		}
-		return Msg{}, err
+		r.buf = r.buf[:have+step]
+		if _, err := io.ReadFull(r.r, r.buf[have:]); err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return Msg{}, err
+		}
 	}
 	if got := crc32.Checksum(r.buf, castagnoli); got != want {
 		return Msg{}, fmt.Errorf("%w: checksum mismatch (got %08x want %08x)", ErrFrame, got, want)

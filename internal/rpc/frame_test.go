@@ -5,7 +5,10 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"runtime"
 	"testing"
+
+	"repro/internal/scratch"
 )
 
 func encodeFrame(t *testing.T, e *Encoder, v Verb, flags uint8, id uint64, body []byte) []byte {
@@ -154,6 +157,86 @@ func TestFinishRejectsOversizeFrame(t *testing.T) {
 	}
 }
 
+// TestHeaderCannotSizeTheAllocation: eight header bytes may claim a
+// MaxFrame body, but the reader allocates as the body arrives, so a peer
+// that then sends nothing costs one scratch.Keep step, not 64 MiB.
+func TestHeaderCannotSizeTheAllocation(t *testing.T) {
+	var lie [frameHead + 100]byte
+	binary.LittleEndian.PutUint32(lie[0:], MaxFrame-frameHead)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	r := NewReader(bytes.NewReader(lie[:]))
+	_, err := r.Next()
+	runtime.ReadMemStats(&after)
+	if err != io.ErrUnexpectedEOF {
+		t.Fatalf("truncated 64 MiB frame: err = %v, want io.ErrUnexpectedEOF", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 2<<20 {
+		t.Fatalf("a 108-byte stream made the reader allocate %d bytes, want < 2 MiB", got)
+	}
+	// The same reader releases even that on its next call.
+	r.Next()
+	if cap(r.buf) > scratch.Keep {
+		t.Fatalf("reader keeps %d bytes between frames, bound %d", cap(r.buf), scratch.Keep)
+	}
+}
+
+// TestScratchRetentionBound is the codec's row of the scratch-retention
+// sweep: an 8 MiB frame leaves at most scratch.Keep behind in the Encoder
+// once written and in the Reader once the next Next is entered, and the
+// steady-state frames after it (256 KB) reuse one buffer each that never
+// grows again and allocate nothing.
+func TestScratchRetentionBound(t *testing.T) {
+	var e Encoder
+	var wire bytes.Buffer
+	body := bytes.Repeat([]byte{0xA5}, 8<<20)
+	e.Begin(VerbRead, FlagResp, 1)
+	copy(e.Reserve(len(body)), body)
+	if _, err := e.WriteTo(&wire); err != nil {
+		t.Fatal(err)
+	}
+	if cap(e.buf) > scratch.Keep {
+		t.Fatalf("encoder keeps %d bytes after writing an 8 MiB frame, bound %d", cap(e.buf), scratch.Keep)
+	}
+	small := bytes.Repeat([]byte{0x5A}, 256<<10)
+	encodeSmall := func() {
+		e.Begin(VerbSubmit, 0, 2)
+		copy(e.Reserve(len(small)), small)
+		if _, err := e.WriteTo(&wire); err != nil {
+			t.Fatal(err)
+		}
+	}
+	encodeSmall()
+	frames := bytes.NewReader(wire.Bytes())
+	r := NewReader(frames)
+	m, err := r.Next()
+	if err != nil || !bytes.Equal(m.Body, body) {
+		t.Fatalf("8 MiB frame did not round-trip: %v", err)
+	}
+	if m, err = r.Next(); err != nil || !bytes.Equal(m.Body, small) {
+		t.Fatalf("256 KB frame did not round-trip: %v", err)
+	}
+	encKept, readKept := cap(e.buf), cap(r.buf)
+	if encKept > scratch.Keep || readKept > scratch.Keep {
+		t.Fatalf("after the large frame: encoder keeps %d, reader %d, bound %d", encKept, readKept, scratch.Keep)
+	}
+	smallFrame := wire.Bytes()[wire.Len()-(frameHead+msgHead+len(small)):]
+	steady := func() {
+		wire.Reset()
+		encodeSmall()
+		frames.Reset(smallFrame)
+		if _, err := r.Next(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if allocs := testing.AllocsPerRun(1000, steady); allocs != 0 {
+		t.Fatalf("a 256 KB frame after the large one allocates %.0f objects, want 0", allocs)
+	}
+	if cap(e.buf) != encKept || cap(r.buf) != readKept {
+		t.Fatalf("buffers re-grew over steady-state frames: encoder %d -> %d, reader %d -> %d", encKept, cap(e.buf), readKept, cap(r.buf))
+	}
+}
+
 func BenchmarkFrameEncode(b *testing.B) {
 	var e Encoder
 	edges := make([]byte, 1000*8)
@@ -194,6 +277,47 @@ func BenchmarkFrameDecode(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		br.Reset(frame)
+		if _, err := r.Next(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// The Large pair pins what a frame above scratch.Keep costs (the shape of a
+// whole-range fallback chunk): its buffer is allocated for the message and
+// released once written or handled. On the decode side the buffer grows as
+// the body arrives, Keep, 2·Keep, then the full length.
+
+func BenchmarkFrameEncodeLarge(b *testing.B) {
+	var e Encoder
+	body := bytes.Repeat([]byte{7}, 4<<20)
+	b.ReportAllocs()
+	b.SetBytes(int64(frameHead + msgHead + len(body)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.Begin(VerbRead, FlagResp, uint64(i))
+		copy(e.Reserve(len(body)), body)
+		if _, err := e.WriteTo(io.Discard); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkFrameDecodeLarge(b *testing.B) {
+	var e Encoder
+	e.Begin(VerbRead, FlagResp, 1)
+	e.Reserve(4 << 20)
+	f, err := e.Finish()
+	if err != nil {
+		b.Fatal(err)
+	}
+	br := bytes.NewReader(f)
+	r := NewReader(br)
+	b.ReportAllocs()
+	b.SetBytes(int64(len(f)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		br.Reset(f)
 		if _, err := r.Next(); err != nil {
 			b.Fatal(err)
 		}

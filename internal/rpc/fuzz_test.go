@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"io"
 	"testing"
+
+	"repro/internal/scratch"
 )
 
 // FuzzFrameCodec mirrors the WAL corruption sweep at the RPC layer:
@@ -30,12 +32,19 @@ func FuzzFrameCodec(f *testing.F) {
 	f.Add(two[:len(two)-3]) // torn tail
 	f.Add([]byte{})
 	f.Add(bytes.Repeat([]byte{0xFF}, 64))
+	// A header claiming a MaxFrame body over a hundred bytes of stream.
+	f.Add(append([]byte{0xF8, 0xFF, 0xFF, 0x03, 0, 0, 0, 0}, bytes.Repeat([]byte{1}, 100)...))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := NewReader(bytes.NewReader(data))
 		var re Encoder
 		for {
 			m, err := r.Next()
+			// What the reader holds is bounded by what the stream
+			// delivered, whatever its headers claim.
+			if limit := 2*len(data) + scratch.Keep; cap(r.buf) > limit {
+				t.Fatalf("reader holds %d bytes over a %d-byte stream, bound %d", cap(r.buf), len(data), limit)
+			}
 			if err != nil {
 				if err == io.EOF || err == io.ErrUnexpectedEOF {
 					return

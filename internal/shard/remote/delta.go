@@ -8,6 +8,7 @@ import (
 	"repro/internal/ctree"
 	"repro/internal/ligra"
 	"repro/internal/rpc"
+	"repro/internal/scratch"
 )
 
 // A VerbRead that names a base (the version the client already holds a
@@ -54,14 +55,11 @@ type delta struct {
 }
 
 // reset empties d for reuse. Scratch that one large diff grew (a walk that
-// ended in "too large" collects up to a quarter of the shard) is dropped,
-// not kept for the connection's lifetime.
+// ended in "too large" collects up to a quarter of the shard) is dropped by
+// the scratch.Keep rule, not kept for the connection's lifetime.
 func (d *delta) reset() {
-	if cap(d.adds)+cap(d.dels) > 1<<16 {
-		*d = delta{}
-	}
 	d.order, d.m, d.more = 0, 0, false
-	d.verts, d.adds, d.wts, d.dels = d.verts[:0], d.adds[:0], d.wts[:0], d.dels[:0]
+	d.verts, d.adds, d.wts, d.dels = scratch.Trim(d.verts), scratch.Trim(d.adds), scratch.Trim(d.wts), scratch.Trim(d.dels)
 }
 
 // edges is the number of edge changes the delta carries.

@@ -473,20 +473,19 @@ func (c *Conn) startPinned(verb rpc.Verb, flags uint8, build func(e *rpc.Encoder
 	id := c.nextID
 	c.pending[id] = ca
 	c.pmu.Unlock()
-	c.enc.Begin(verb, flags, id)
-	if build != nil {
-		build(&c.enc)
-	}
-	f, err := c.enc.Finish()
-	if err == nil && c.opts.WriteTimeout > 0 {
+	var err error
+	if c.opts.WriteTimeout > 0 {
 		err = c.nc.SetWriteDeadline(time.Now().Add(c.opts.WriteTimeout))
 	}
 	if err == nil {
-		if _, werr := c.bw.Write(f); werr != nil {
-			err = werr
-		} else {
-			err = c.bw.Flush()
+		c.enc.Begin(verb, flags, id)
+		if build != nil {
+			build(&c.enc)
 		}
+		_, err = c.enc.WriteTo(c.bw)
+	}
+	if err == nil {
+		err = c.bw.Flush()
 	}
 	if err != nil {
 		// The connection is unusable: earlier pipelined calls on it

@@ -487,14 +487,10 @@ func (r *Replica[G, E]) handle(nc net.Conn) {
 		if build != nil {
 			build(&enc)
 		}
-		f, err := enc.Finish()
-		if err != nil {
-			return err
-		}
 		if err := nc.SetWriteDeadline(time.Now().Add(serverWriteTimeout)); err != nil {
 			return err
 		}
-		if _, err := bw.Write(f); err != nil {
+		if _, err := enc.WriteTo(bw); err != nil {
 			return err
 		}
 		return bw.Flush()

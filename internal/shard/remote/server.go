@@ -224,14 +224,10 @@ func (sc *serverConn[G, E]) reply(verb rpc.Verb, flags uint8, id uint64, build f
 	if build != nil {
 		build(&sc.enc)
 	}
-	f, err := sc.enc.Finish()
-	if err != nil {
-		return err
-	}
 	if err := sc.nc.SetWriteDeadline(time.Now().Add(serverWriteTimeout)); err != nil {
 		return err
 	}
-	if _, err := sc.bw.Write(f); err != nil {
+	if _, err := sc.enc.WriteTo(sc.bw); err != nil {
 		return err
 	}
 	return sc.bw.Flush()
@@ -561,16 +557,19 @@ func encodeRange(e *rpc.Encoder, g ligra.Graph, weighted bool, lo uint32) {
 	e.U64(g.NumEdges())
 	e.U32(n)
 	e.U64(edges)
-	for u := lo; u < lo+n; u++ {
-		e.U32(degOf(u))
-	}
-	// One Reserve for both arrays: a second Reserve could reallocate
-	// the frame buffer and invalidate the first slice.
+	// One Reserve for the degrees and both arrays: the body's size is known
+	// here, so a range too large to keep costs one allocation (appending the
+	// degrees one by one would regrow a fresh buffer a dozen times), and a
+	// second Reserve could reallocate the frame and invalidate the first.
 	total := int(edges) * 4
 	if weighted {
 		total *= 2
 	}
-	buf := e.Reserve(total)
+	buf := e.Reserve(int(n)*4 + total)
+	for i := uint32(0); i < n; i++ {
+		binary.LittleEndian.PutUint32(buf[i*4:], degOf(lo+i))
+	}
+	buf = buf[n*4:]
 	nbuf := buf[:int(edges)*4]
 	var wbuf []byte
 	if weighted {

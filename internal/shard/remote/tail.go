@@ -32,7 +32,7 @@ type tailSub struct {
 
 // tailHub fans the engine's WAL append stream out to subscribers. The
 // publish callback runs synchronously on the ingest goroutine (data
-// aliases the engine's scratch buffer), so it copies the payload once
+// aliases the WAL's frame buffer), so it copies the payload once
 // and only ever does non-blocking sends.
 type tailHub struct {
 	mu   chMutex

@@ -206,16 +206,15 @@ type ckptReq[G any] struct {
 	seq   uint64
 }
 
-// durable is the engine's durability state. The scratch buffer and
-// sinceCkpt counter are owned by the ingest goroutine; everything else is
-// safe for the checkpointer and sync ticker.
+// durable is the engine's durability state. The sinceCkpt counter is owned
+// by the ingest goroutine; everything else is safe for the checkpointer and
+// sync ticker.
 type durable[G ligra.Graph, E any] struct {
 	opts  Durability
 	log   *wal.Log
 	codec Codec[E]
 	snap  SnapshotCodec[G]
 
-	scratch   []byte
 	sinceCkpt int
 	onAppend  func(seq uint64, kind wal.Kind, width uint8, count uint32, data []byte)
 
@@ -283,7 +282,8 @@ func (d *durable[G, E]) logCommit(batch []pending[E], runs []CommitRun[E]) (appe
 	return appendDur, syncDur, err
 }
 
-// logOne appends one WAL record for a merged run or a noted batch.
+// logOne appends one WAL record for a merged run or a noted batch, encoding
+// the edges straight into the log's frame.
 func (d *durable[G, E]) logOne(del bool, edges []E, note Note) error {
 	w := d.codec.Width
 	hdr := 0
@@ -298,24 +298,20 @@ func (d *durable[G, E]) logOne(del bool, edges []E, note Note) error {
 			kind = wal.NotedDelete
 		}
 	}
-	need := hdr + w*len(edges)
-	if cap(d.scratch) < need {
-		d.scratch = make([]byte, need+need/2)
-	}
-	buf := d.scratch[:need]
-	if hdr != 0 {
-		binary.LittleEndian.PutUint64(buf, note.Client)
-		binary.LittleEndian.PutUint64(buf[8:], note.Seq)
-	}
-	for i, ed := range edges {
-		d.codec.Encode(buf[hdr+i*w:], ed)
-	}
-	seq, err := d.log.Append(kind, uint8(w), uint32(len(edges)), buf)
+	seq, data, err := d.log.AppendFill(kind, uint8(w), uint32(len(edges)), hdr+w*len(edges), func(buf []byte) {
+		if hdr != 0 {
+			binary.LittleEndian.PutUint64(buf, note.Client)
+			binary.LittleEndian.PutUint64(buf[8:], note.Seq)
+		}
+		for i, ed := range edges {
+			d.codec.Encode(buf[hdr+i*w:], ed)
+		}
+	})
 	if err != nil {
 		return err
 	}
 	if d.onAppend != nil {
-		d.onAppend(seq, kind, uint8(w), uint32(len(edges)), buf)
+		d.onAppend(seq, kind, uint8(w), uint32(len(edges)), data)
 	}
 	return nil
 }
@@ -482,10 +478,10 @@ func (e *Engine[G, E]) SyncWAL() error {
 // OnWALAppend registers fn to observe every WAL record as it is
 // appended on the commit path, before the commit is acknowledged —
 // the feed a replication tail ships to read replicas. fn runs on the
-// ingest goroutine and data aliases the engine's scratch buffer:
-// observers must copy what they keep and return quickly. Like
-// OnCommit, it must be registered before the engine serves traffic.
-// No-op without durability.
+// ingest goroutine and data aliases the WAL's frame buffer, valid only
+// until the next append: observers must copy what they keep and return
+// quickly. Like OnCommit, it must be registered before the engine serves
+// traffic. No-op without durability.
 func (e *Engine[G, E]) OnWALAppend(fn func(seq uint64, kind wal.Kind, width uint8, count uint32, data []byte)) {
 	if e.dur != nil {
 		e.dur.onAppend = fn

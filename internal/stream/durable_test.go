@@ -608,3 +608,58 @@ func mustOpenNewestCkpt(t *testing.T, dir string) *os.File {
 }
 
 var _ ligra.Graph = blockGraph{}
+
+// TestWALAppendObserverSeesTheLog: OnWALAppend is handed the record
+// payload as an alias of the log's own frame, so what an observer copies
+// out must be byte-for-byte what a replay of the directory yields — for
+// plain and noted records, and for a record large enough (> scratch.Keep)
+// that its frame is released after the append instead of reused.
+func TestWALAppendObserverSeesTheLog(t *testing.T) {
+	dir := t.TempDir()
+	e, err := RecoverGraphEngine(testParams(), Options{}, Durability{Dir: dir, CheckpointEvery: 1 << 30})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var seen []wal.Record
+	e.OnWALAppend(func(seq uint64, kind wal.Kind, width uint8, count uint32, data []byte) {
+		seen = append(seen, wal.Record{Seq: seq, Kind: kind, Width: width, Count: count, Data: append([]byte(nil), data...)})
+	})
+	big := make([]aspen.Edge, 200_000) // 1.6 MB of payload
+	for i := range big {
+		big[i] = aspen.Edge{Src: uint32(i % 5000), Dst: uint32(i / 7)}
+	}
+	submit := func(del bool, edges []aspen.Edge, note Note) {
+		t.Helper()
+		p, err := e.SubmitNoted(del, edges, note)
+		if err != nil || p.Wait() == 0 {
+			t.Fatalf("submit failed: %v", err)
+		}
+	}
+	for i := 0; i < 6; i++ {
+		del, edges := durBatch(i)
+		submit(del, edges, Note{})
+	}
+	submit(false, big, Note{})
+	for i := 6; i < 12; i++ {
+		del, edges := durBatch(i)
+		submit(del, edges, Note{Client: 9, Seq: uint64(i)})
+	}
+	e.Close()
+	n := 0
+	if _, err := wal.Replay(dir, 0, func(r wal.Record) error {
+		if n >= len(seen) {
+			return fmt.Errorf("log holds record %d the observer never saw", r.Seq)
+		}
+		s := seen[n]
+		if r.Seq != s.Seq || r.Kind != s.Kind || r.Width != s.Width || r.Count != s.Count || string(r.Data) != string(s.Data) {
+			return fmt.Errorf("record %d on disk differs from what the observer was handed", r.Seq)
+		}
+		n++
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if n != len(seen) || n != 13 {
+		t.Fatalf("replayed %d records, observer saw %d, want 13 of each", n, len(seen))
+	}
+}

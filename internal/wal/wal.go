@@ -31,6 +31,8 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+
+	"repro/internal/scratch"
 )
 
 // Kind labels a record's batch operation.
@@ -176,7 +178,7 @@ type Log struct {
 	next     uint64 // next seq to assign
 	segments int
 	closed   bool
-	frame    []byte // grow-only frame scratch
+	frame    []byte // frame scratch, at most scratch.Keep between appends
 
 	appends atomic.Uint64
 	syncs   atomic.Uint64
@@ -273,17 +275,27 @@ func (l *Log) fail(op string) error {
 // record is buffered, then file-written; only Sync (or rotation/Close)
 // forces it to stable storage.
 func (l *Log) Append(kind Kind, width uint8, count uint32, data []byte) (uint64, error) {
+	seq, _, err := l.AppendFill(kind, width, count, len(data), func(p []byte) { copy(p, data) })
+	return seq, err
+}
+
+// AppendFill is Append without the copy: fill writes the size-byte payload
+// straight into the frame. The returned payload aliases the log's frame
+// buffer and is valid until the next append — what a commit-path observer
+// is handed. A frame above scratch.Keep is released once written (the
+// returned slice is then its only reference); smaller ones are reused.
+func (l *Log) AppendFill(kind Kind, width uint8, count uint32, size int, fill func(payload []byte)) (uint64, []byte, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
-		return 0, errors.New("wal: closed")
+		return 0, nil, errors.New("wal: closed")
 	}
 	if err := l.fail("append"); err != nil {
-		return 0, err
+		return 0, nil, err
 	}
-	payload := recHead + len(data)
+	payload := recHead + size
 	if need := frameHead + payload; cap(l.frame) < need {
-		l.frame = make([]byte, 0, need+need/2)
+		l.frame = make([]byte, 0, scratch.Cap(need))
 	}
 	fr := l.frame[:frameHead+payload]
 	binary.LittleEndian.PutUint32(fr[0:], uint32(payload))
@@ -292,12 +304,12 @@ func (l *Log) Append(kind Kind, width uint8, count uint32, data []byte) (uint64,
 	fr[17] = width
 	fr[18], fr[19] = 0, 0
 	binary.LittleEndian.PutUint32(fr[20:], count)
-	copy(fr[frameHead+recHead:], data)
+	fill(fr[frameHead+recHead:])
 	binary.LittleEndian.PutUint32(fr[4:], crc32.Checksum(fr[8:], castagnoli))
 
 	if l.written+int64(len(fr)) > l.opts.SegmentBytes && l.written > headerSize {
 		if err := l.rotate(); err != nil {
-			return 0, err
+			return 0, nil, err
 		}
 	}
 	if err := l.fail("append.partial"); err != nil {
@@ -307,11 +319,12 @@ func (l *Log) Append(kind Kind, width uint8, count uint32, data []byte) (uint64,
 		if _, werr := l.bw.Write(fr[:n]); werr == nil {
 			l.bw.Flush()
 		}
-		return 0, err
+		return 0, nil, err
 	}
 	if _, err := l.bw.Write(fr); err != nil {
-		return 0, err
+		return 0, nil, err
 	}
+	l.frame = scratch.Trim(l.frame) // bufio copied or wrote every byte
 	seq := l.next
 	l.next++
 	l.written += int64(len(fr))
@@ -321,9 +334,9 @@ func (l *Log) Append(kind Kind, width uint8, count uint32, data []byte) (uint64,
 		// Frame fully written: flush it to the file (surviving a process
 		// death) but report the crash before the caller can ack.
 		l.bw.Flush()
-		return 0, err
+		return 0, nil, err
 	}
-	return seq, nil
+	return seq, fr[frameHead+recHead:], nil
 }
 
 // Sync flushes buffered frames and fsyncs the current segment. A record
