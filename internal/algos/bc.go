@@ -54,6 +54,7 @@ func BC(g ligra.Graph, src uint32, noDense bool) []float64 {
 	// Backward sweep: each vertex pulls dependencies from its successors
 	// one level deeper; a vertex's score is written only by its own task,
 	// so no atomics are needed.
+	scan := ligra.NewScan(g)
 	for r := len(levels) - 2; r >= 0; r-- {
 		lv, next := levels[r], int32(r+1)
 		parallel.Range(len(lv), 128, func(lo, hi int) {
@@ -64,11 +65,11 @@ func BC(g ligra.Graph, src uint32, noDense bool) []float64 {
 				}
 				return true
 			}
-			for _, u := range lv[lo:hi] {
+			scan.List(lv[lo:hi], func(u uint32) {
 				acc, pu = 0, numPaths.Get(u)
 				g.ForEachNeighbor(u, pull)
 				dep[u] = acc
-			}
+			})
 		})
 	}
 	return dep

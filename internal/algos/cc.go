@@ -48,31 +48,33 @@ func ConnectedComponents(g ligra.Graph) []uint32 {
 			parent[i] = uint32(i)
 		}
 	})
-	// link unites every vertex skip does not exclude with its neighbors —
-	// the first `first` of them, or all when first is 0 (left then counts
+	// link unites every vertex keep holds for (nil: all) with its neighbors
+	// — the first `first` of them, or all when first is 0 (left then counts
 	// down from 0 and never returns to it). The neighbor callback is built
-	// once per block and reads the vertex from u.
-	link := func(first int, skip func(u uint32) bool) {
+	// once per block and reads the vertex from st, the one object a block
+	// allocates besides its two closures.
+	scan := ligra.NewScan(g)
+	link := func(first int, keep func(u uint32) bool) {
 		parallel.Range(n, ccGrain, func(lo, hi int) {
-			var u uint32
-			var left int
+			st := &struct {
+				ligra.Scan
+				u    uint32
+				left int
+			}{Scan: scan}
 			visit := func(v uint32) bool {
-				ufUnite(parent, u, v)
-				left--
-				return left != 0
+				ufUnite(parent, st.u, v)
+				st.left--
+				return st.left != 0
 			}
-			for i := lo; i < hi; i++ {
-				if u = uint32(i); skip != nil && skip(u) {
-					continue
-				}
-				left = first
+			st.Range(lo, hi, keep, func(u uint32) {
+				st.u, st.left = u, first
 				g.ForEachNeighbor(u, visit)
-			}
+			})
 		})
 	}
 	link(ccLinkFirst, nil)
 	big := ufSampleRoot(parent)
-	link(0, func(u uint32) bool { return ufFind(parent, u) == ufFind(parent, big) })
+	link(0, func(u uint32) bool { return ufFind(parent, u) != ufFind(parent, big) })
 	// Flatten: every hook is done, so each find returns the component's
 	// final root. Writes stay atomic because other blocks' finds still walk
 	// through these slots.
@@ -164,6 +166,7 @@ func PageRank(g ligra.Graph, tol float64, maxIters int) []float64 {
 			deg[i] = float64(g.Degree(uint32(i)))
 		}
 	})
+	scan := ligra.NewScan(g)
 	for iter := 0; iter < maxIters; iter++ {
 		// Dangling mass (degree-0 ids) is redistributed uniformly.
 		var danglingMass float64
@@ -176,16 +179,17 @@ func PageRank(g ligra.Graph, tol float64, maxIters int) []float64 {
 		}
 		base := (1-damping)*inv + damping*danglingMass*inv
 		parallel.Range(n, 256, func(lo, hi int) {
+			sc := scan
 			var acc float64
 			pull := func(u uint32) bool {
 				acc += share[u]
 				return true
 			}
-			for i := lo; i < hi; i++ {
+			sc.Range(lo, hi, nil, func(v uint32) {
 				acc = 0
-				g.ForEachNeighbor(uint32(i), pull)
-				next[i] = base + damping*acc
-			}
+				g.ForEachNeighbor(v, pull)
+				next[v] = base + damping*acc
+			})
 		})
 		var delta float64
 		for i := 0; i < n; i++ {

@@ -26,6 +26,7 @@ func KCore(g ligra.Graph) []uint32 {
 			peeled[i] = 1 // isolated ids have coreness 0
 		}
 	}
+	scan := ligra.NewScan(g)
 	k := int32(0)
 	for remaining > 0 {
 		// Frontier: live vertices whose induced degree dropped to <= k.
@@ -58,9 +59,7 @@ func KCore(g ligra.Graph) []uint32 {
 					}
 					return true
 				}
-				for _, v := range frontier[lo:hi] {
-					g.ForEachNeighbor(v, drop)
-				}
+				scan.List(frontier[lo:hi], func(v uint32) { g.ForEachNeighbor(v, drop) })
 			})
 			frontier = frontier[:0]
 			for u := range next {

@@ -27,11 +27,14 @@ func MIS(g ligra.Graph, seed uint64) []bool {
 		prio[i] = xhash.Seeded(seed, uint64(i))<<20 | uint64(i)
 	})
 	remaining := int64(n)
+	scan := ligra.NewScan(g)
+	undecided := func(v uint32) bool { return atomic.LoadInt32(&status[v]) == misUndecided }
 	for remaining > 0 {
 		// Phase 1: decide entrants against a frozen view of status.
 		enter := make([]bool, n)
 		var entered atomic.Int64
 		parallel.Range(n, 256, func(lo, hi int) {
+			sc := scan
 			var v uint32
 			var wins bool
 			contest := func(u uint32) bool {
@@ -42,18 +45,14 @@ func MIS(g ligra.Graph, seed uint64) []bool {
 				return wins
 			}
 			won := 0
-			for i := lo; i < hi; i++ {
-				v = uint32(i)
-				if atomic.LoadInt32(&status[v]) != misUndecided {
-					continue
-				}
-				wins = true
+			sc.Range(lo, hi, undecided, func(u uint32) {
+				v, wins = u, true
 				g.ForEachNeighbor(v, contest)
 				if wins {
 					enter[v] = true
 					won++
 				}
-			}
+			})
 			entered.Add(int64(won))
 		})
 		if entered.Load() == 0 {
@@ -64,6 +63,7 @@ func MIS(g ligra.Graph, seed uint64) []bool {
 		// Phase 2: commit entrants and retire their neighbors.
 		var retired atomic.Int64
 		parallel.Range(n, 256, func(lo, hi int) {
+			sc := scan
 			out := 0
 			retire := func(u uint32) bool {
 				if atomic.CompareAndSwapInt32(&status[u], misUndecided, misOut) {
@@ -71,14 +71,11 @@ func MIS(g ligra.Graph, seed uint64) []bool {
 				}
 				return true
 			}
-			for i := lo; i < hi; i++ {
-				if !enter[i] {
-					continue
-				}
-				atomic.StoreInt32(&status[i], misIn)
+			sc.Range(lo, hi, func(v uint32) bool { return enter[v] }, func(v uint32) {
+				atomic.StoreInt32(&status[v], misIn)
 				out++
-				g.ForEachNeighbor(uint32(i), retire)
-			}
+				g.ForEachNeighbor(v, retire)
+			})
 			retired.Add(int64(out))
 		})
 		remaining -= retired.Load()

@@ -18,21 +18,23 @@ func TriangleCount(g ligra.Graph) uint64 {
 	// Materialize sorted adjacency once: the merge-based intersection
 	// needs indexed access.
 	adj := make([][]uint32, n)
+	scan := ligra.NewScan(g)
 	parallel.Range(n, 64, func(lo, hi int) {
+		sc := scan
 		var lst []uint32
 		collect := func(v uint32) bool {
 			lst = append(lst, v)
 			return true
 		}
-		for i := lo; i < hi; i++ {
-			d := g.Degree(uint32(i))
+		sc.Range(lo, hi, nil, func(v uint32) {
+			d := g.Degree(v)
 			if d == 0 {
-				continue
+				return
 			}
 			lst = make([]uint32, 0, d)
-			g.ForEachNeighbor(uint32(i), collect)
-			adj[i] = lst
-		}
+			g.ForEachNeighbor(v, collect)
+			adj[v] = lst
+		})
 	})
 	var total atomic.Uint64
 	parallel.ForGrain(n, 16, func(i int) {

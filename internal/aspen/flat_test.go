@@ -3,6 +3,7 @@ package aspen
 import (
 	"testing"
 
+	"repro/internal/ctree"
 	"repro/internal/parallel"
 	"repro/internal/xhash"
 )
@@ -146,4 +147,104 @@ func TestFlatSnapshotStaleness(t *testing.T) {
 		}()
 		fs.MustCurrent(g2)
 	}
+}
+
+// warmSum is what Warm(ids) must return: the first byte of every edge tree
+// the ids reach, by the public accessors.
+func warmSum[V ctree.Value](fv *FlatView[V], ids []uint32) (sum uint32) {
+	for _, u := range ids {
+		if et, ok := fv.EdgeTree(u); ok {
+			sum += uint32(et.Touch())
+		}
+	}
+	return sum
+}
+
+// checkWarmTotal sweeps Warm over the whole id space and past it, in one
+// call and id by id.
+func checkWarmTotal[V ctree.Value](t *testing.T, what string, fv *FlatView[V]) {
+	t.Helper()
+	if fv.Warm(nil) != 0 || fv.Warm([]uint32{}) != 0 {
+		t.Fatalf("%s: Warm of no ids is not 0", what)
+	}
+	// What lets Warm and ForEachNeighbor skip the presence test: a slot
+	// without a vertex holds a tree without elements.
+	for pi, pg := range fv.pages {
+		for s := 0; pg != nil && s < flatPageSize; s++ {
+			if !pg.present[s] && (pg.trees[s].Size() != 0 || pg.trees[s].Touch() != 0) {
+				t.Fatalf("%s: absent slot %d holds a non-empty tree", what, pi<<flatPageBits+s)
+			}
+		}
+	}
+	ids := []uint32{1 << 30, ^uint32(0)}
+	for u := 0; u < fv.Order()+2*flatPageSize; u++ {
+		ids = append(ids, uint32(u))
+	}
+	if got, want := fv.Warm(ids), warmSum(fv, ids); got != want || want == 0 {
+		t.Fatalf("%s: Warm(all ids) = %d, want %d (non-zero)", what, got, want)
+	}
+	for _, u := range ids {
+		if got, want := fv.Warm([]uint32{u}), warmSum(fv, []uint32{u}); got != want {
+			t.Fatalf("%s: Warm(%d) = %d, want %d", what, u, got, want)
+		}
+	}
+}
+
+// TestFlatWarm: the Warm capability is total and touches exactly the heads
+// ForEachNeighbor starts from — on built views and on patched ones (aliased
+// pages, nil pages where the id space grew), for ids past Order, absent
+// vertices, vertices without edges, and a vertex whose first neighbor is a
+// head, so that its prefix chunk is empty and the head tree's root is the
+// first read.
+func TestFlatWarm(t *testing.T) {
+	p := params()
+	var head uint32
+	for head = 300; ; head++ {
+		if b := byte(head); b > 1 && ctree.Build(p, []uint32{head}).Touch() == b {
+			break // a lone non-head reads the chunk's count byte, 1
+		}
+	}
+	const lone, headFirst, absent = 130, 140, 150
+	r := xhash.NewRNG(55)
+	g := NewGraph(p).InsertEdges(MakeUndirected(randomEdges(r, 600, 120)))
+	g = g.InsertVertices([]uint32{lone}).InsertEdges([]Edge{{Src: headFirst, Dst: head}, {Src: headFirst, Dst: head + 1}})
+	built := BuildFlatSnapshot(g)
+	checkWarmTotal(t, "built", &built.FlatView)
+	if !built.HasVertex(lone) || built.Degree(lone) != 0 || built.Warm([]uint32{lone}) != 0 {
+		t.Fatal("a vertex without edges must warm nothing")
+	}
+	if built.HasVertex(absent) || built.Warm([]uint32{absent}) != 0 {
+		t.Fatal("an absent vertex must warm nothing")
+	}
+	if got := built.Warm([]uint32{headFirst}); got != uint32(byte(head)) {
+		t.Fatalf("head-first vertex: Warm = %d, want the head tree root's key byte %d", got, byte(head))
+	}
+
+	// Grow the id space far past the built view, touch a few old vertices
+	// and remove one: the patched view aliases most pages, owns a few, and
+	// has nil pages over the untouched part of the new range.
+	far := uint32(built.Order() + 40*flatPageSize)
+	g2 := g.InsertEdges(MakeUndirected([]Edge{{Src: far, Dst: far + 1}, {Src: 3, Dst: 99}})).DeleteVertices([]uint32{7})
+	patched := PatchFlatSnapshot(built, g2)
+	checkWarmTotal(t, "patched", &patched.FlatView)
+	gap := uint32(built.Order() + 20*flatPageSize)
+	if pg, _ := patched.page(gap); pg != nil {
+		t.Fatalf("expected a nil page at id %d of the patched view", gap)
+	}
+	if patched.Warm([]uint32{gap, 7}) != 0 {
+		t.Fatal("nil pages and removed vertices must warm nothing")
+	}
+	var all []uint32
+	for u := 0; u < patched.Order(); u++ {
+		all = append(all, uint32(u))
+	}
+	if got, want := patched.Warm(all), BuildFlatSnapshot(g2).Warm(all); got != want {
+		t.Fatalf("patched and rebuilt views of one version warm differently: %d vs %d", got, want)
+	}
+
+	wg := NewWeightedGraph().InsertEdges(randomWeightedBatch(r, 800, 150))
+	fw := BuildFlatWeightedSnapshot(wg)
+	checkWarmTotal(t, "weighted built", &fw.FlatView)
+	wp := PatchFlatWeightedSnapshot(fw, wg.InsertEdges(randomWeightedBatch(r, 50, 400)))
+	checkWarmTotal(t, "weighted patched", &wp.FlatView)
 }

@@ -333,12 +333,30 @@ func (t Tree[V]) chunkForEach(c encoding.Chunk, f func(e uint32) bool) bool {
 	return encoding.ForEachIDs[V](t.h.p.Codec, c, f)
 }
 
+// Touch loads the first byte a ForEach over t reads — of the prefix chunk,
+// or of the head-tree root when the prefix is empty — and returns it (0 for
+// the empty tree). It decodes nothing: a caller about to traverse many
+// unrelated trees touches them all first, so that their cache misses overlap
+// instead of being taken one per traversal.
+func (t Tree[V]) Touch() byte {
+	if len(t.prefix) != 0 {
+		return t.prefix[0]
+	}
+	if t.root != nil {
+		return byte(t.root.Key())
+	}
+	return 0
+}
+
 // ForEach applies f to every element in increasing order until f returns
 // false.
 func (t Tree[V]) ForEach(f func(e uint32) bool) {
-	t = t.norm()
-	if !t.chunkForEach(t.prefix, f) {
+	if len(t.prefix) == 0 && t.root == nil {
 		return
+	}
+	t = t.norm()
+	if !t.chunkForEach(t.prefix, f) || t.root == nil {
+		return // most adjacency sets are below one chunk: all prefix, no heads
 	}
 	t.ops().ops.ForEach(t.root, func(h uint32, tl tail[V]) bool {
 		if !f(h) {

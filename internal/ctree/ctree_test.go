@@ -497,3 +497,40 @@ func TestZeroValueTreeReads(t *testing.T) {
 	}
 	w.ForEachKV(func(uint32, float32) bool { t.Fatal("zero weighted tree enumerated"); return false })
 }
+
+// TestTouch: Touch returns the first byte a traversal reads — the prefix
+// chunk's when there is a prefix, the head-tree root's key otherwise — and 0
+// for empty and zero-value trees. Plain trees (every element a head) never
+// have a prefix.
+func TestTouch(t *testing.T) {
+	p := DefaultParams()
+	var head, plain uint32
+	for head = 1; !p.isHead(head); head++ {
+	}
+	for plain = head + 1; p.isHead(plain); plain++ {
+	}
+	if got := (Set{}).Touch(); got != 0 {
+		t.Fatalf("zero tree: Touch = %d", got)
+	}
+	if got := New(p).Touch(); got != 0 {
+		t.Fatalf("empty tree: Touch = %d", got)
+	}
+	pre := Build(p, []uint32{plain})
+	if len(pre.prefix) == 0 || pre.root != nil || pre.Touch() != pre.prefix[0] {
+		t.Fatalf("prefix-only tree: prefix %d bytes, Touch = %d", len(pre.prefix), pre.Touch())
+	}
+	hd := Build(p, []uint32{head, head + 1})
+	if len(hd.prefix) != 0 || hd.root == nil || hd.Touch() != byte(hd.root.Key()) {
+		t.Fatalf("head-first tree: prefix %d bytes, Touch = %d", len(hd.prefix), hd.Touch())
+	}
+	both := Build(p, []uint32{0, head, head + 1})
+	if p.isHead(0) {
+		t.Skip("0 is a head under the default parameters")
+	}
+	if both.root == nil || both.Touch() != both.prefix[0] {
+		t.Fatalf("prefix + heads: Touch = %d, want the prefix's first byte", both.Touch())
+	}
+	if pl := Build(PlainParams(), []uint32{7, 9}); len(pl.prefix) != 0 || pl.Touch() != byte(pl.root.Key()) {
+		t.Fatalf("plain tree: Touch = %d", pl.Touch())
+	}
+}

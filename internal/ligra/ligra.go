@@ -210,7 +210,10 @@ type EdgeMapOpts struct {
 // Ligra contract. Direction optimization (§5.1) picks a dense, in-neighbor
 // oriented traversal when the frontier is large; there C(v) is checked before
 // v's scan and again after each application of F to v, which is the only
-// thing that may change it.
+// thing that may change it. C must be free of side effects: the dense
+// direction may also evaluate it up to one scan block ahead, to choose whose
+// adjacency to warm (see Scan) — an answer it does not act on, the check
+// directly before the scan is still made.
 func EdgeMap(g Graph, u VertexSubset, f func(src, dst uint32) bool, c func(v uint32) bool, opts EdgeMapOpts) VertexSubset {
 	png, hasPar := g.(ParallelNeighborGraph)
 	return edgeMap(g, u, c, opts,
@@ -220,11 +223,11 @@ func EdgeMap(g Graph, u VertexSubset, f func(src, dst uint32) bool, c func(v uin
 					return true
 				}
 				if f(s, b.cur) {
-					b.hit = true
+					b.claim()
 				}
 				return c(b.cur)
 			}
-			return func(v uint32) { g.ForEachNeighbor(v, visit) }
+			return func(v uint32) { b.cur = v; g.ForEachNeighbor(v, visit) }
 		},
 		func(b *block) func(s uint32) {
 			visit := func(v uint32) bool {
@@ -234,6 +237,7 @@ func EdgeMap(g Graph, u VertexSubset, f func(src, dst uint32) bool, c func(v uin
 				return true
 			}
 			return func(s uint32) {
+				b.cur = s
 				if hasPar && g.Degree(s) >= parDegreeThreshold {
 					// High-degree vertex: fan out within its edge tree and
 					// collect targets under a mutex (rare path; the
@@ -257,25 +261,37 @@ func EdgeMap(g Graph, u VertexSubset, f func(src, dst uint32) bool, c func(v uin
 // neighbor callback. The callback is built once per block and reads the
 // vertex being scanned from cur, so scanning a vertex allocates nothing — a
 // closure literal capturing the loop vertex would escape through the
-// ForEachNeighbor interface call and cost one heap object per vertex.
+// ForEachNeighbor interface call and cost one heap object per vertex. The
+// block's Scan rides in the same object for the same reason.
 type block struct {
-	cur uint32   // vertex whose neighbor list is being scanned
-	hit bool     // dense direction: cur was claimed by some in-neighbor
-	out []uint32 // sparse direction: targets claimed by this block
+	Scan
+	cur     uint32   // vertex whose neighbor list is being scanned
+	out     []uint32 // sparse direction: targets claimed by this block
+	dense   []bool   // dense direction: the round's output flags, shared by all blocks
+	claimed int      // dense direction: flags this block set
+}
+
+// claim adds cur to the dense direction's output; F may claim it again.
+func (b *block) claim() {
+	if !b.dense[b.cur] {
+		b.dense[b.cur] = true
+		b.claimed++
+	}
 }
 
 // edgeMap is the direction-optimizing core under EdgeMap and
 // WeightedEdgeMap, which differ only in the neighbor callback's signature.
-// pull and push build one block's scan function over b: pull(b, in) scans
-// the in-neighbors of b.cur, setting b.hit when a member of in claims it and
-// consulting C(b.cur) after each application of F; push(b) scans the
+// pull and push build one block's scan function over b, which records the
+// vertex it is given in b.cur for its neighbor callback to read: pull(b, in)
+// scans the in-neighbors of b.cur, calling b.claim when a member of in claims
+// it and consulting C(b.cur) after each application of F; push(b) scans the
 // out-neighbors of b.cur, appending the targets it claims to b.out.
 func edgeMap(g Graph, u VertexSubset, c func(v uint32) bool, opts EdgeMapOpts,
 	pull func(b *block, in []bool) func(v uint32), push func(b *block) func(s uint32)) VertexSubset {
 	if u.IsEmpty() {
 		return Empty(u.n)
 	}
-	degs := flatDegrees(g)
+	sc, degs := NewScan(g), flatDegrees(g)
 	div := opts.DenseThresholdDiv
 	if div == 0 {
 		div = 20
@@ -285,7 +301,7 @@ func edgeMap(g Graph, u VertexSubset, c func(v uint32) bool, opts EdgeMapOpts,
 		// A dense frontier is summed in place: packing it to sparse first
 		// would cost more than the round it is deciding about.
 		if !opts.NoDense && uint64(u.count)+denseDegreeSum(g, degs, u.dense) > threshold {
-			return edgeMapDense(g, degs, u, c, pull)
+			return edgeMapDense(g, sc, degs, u, c, pull)
 		}
 		u = u.ToSparse()
 	}
@@ -293,9 +309,9 @@ func edgeMap(g Graph, u VertexSubset, c func(v uint32) bool, opts EdgeMapOpts,
 	defer workPool.Put(wp)
 	total := frontierWork(g, degs, u.sparse, wp)
 	if !opts.NoDense && total > threshold {
-		return edgeMapDense(g, degs, u.ToDense(), c, pull)
+		return edgeMapDense(g, sc, degs, u.ToDense(), c, pull)
 	}
-	return edgeMapSparse(u, *wp, total, push)
+	return edgeMapSparse(sc, u, *wp, total, push)
 }
 
 // flatDegrees returns g's id-indexed degree array when g is a FlatGraph
@@ -404,22 +420,19 @@ const sparseBlockWork = 2048
 // as its degree sum, which bounds what its sources can claim — and the
 // ranges are closed up afterwards, so a round allocates one array instead of
 // growing a buffer per block.
-func edgeMapSparse(u VertexSubset, work []uint64, total uint64, push func(b *block) func(s uint32)) VertexSubset {
+func edgeMapSparse(sc Scan, u VertexSubset, work []uint64, total uint64, push func(b *block) func(s uint32)) VertexSubset {
 	src := u.sparse
 	bounds := frontierBlocks(work, total, min(parallel.Procs*4, int(total/sparseBlockWork)+1))
 	nb := len(bounds) - 1
 	out := make([]uint32, total)
 	claimed := make([][]uint32, nb)
 	parallel.Range(nb, 1, func(lo, hi int) {
-		b := &block{}
+		b := &block{Scan: sc}
 		scan := push(b)
 		for k := lo; k < hi; k++ {
 			first := workBefore(work, total, bounds[k])
 			b.out = out[first:first:workBefore(work, total, bounds[k+1])]
-			for _, s := range src[bounds[k]:bounds[k+1]] {
-				b.cur = s
-				scan(s)
-			}
+			b.List(src[bounds[k]:bounds[k+1]], scan)
 			claimed[k] = b.out
 		}
 	})
@@ -463,32 +476,16 @@ func denseGrain(g Graph, n int) int {
 // in-neighbors (== neighbors on symmetric graphs), stopping early once C(v)
 // turns false. Each block counts its own claims and publishes the count
 // once.
-func edgeMapDense(g Graph, degs []int32, u VertexSubset, c func(v uint32) bool, pull func(b *block, in []bool) func(v uint32)) VertexSubset {
+func edgeMapDense(g Graph, sc Scan, degs []int32, u VertexSubset, c func(v uint32) bool, pull func(b *block, in []bool) func(v uint32)) VertexSubset {
 	out := make([]bool, u.n)
 	var count atomic.Int64
 	parallel.Range(u.n, denseGrain(g, u.n), func(lo, hi int) {
-		b := &block{}
-		scan := pull(b, u.dense)
-		claimed := 0
-		for i := lo; i < hi; i++ {
-			// O(1) degree probe: a vertex with no neighbors cannot pull
-			// anything, so skip it before paying the condition and the
-			// edge-tree dispatch.
-			if i < len(degs) && degs[i] == 0 {
-				continue
-			}
-			v := uint32(i)
-			if !c(v) {
-				continue
-			}
-			b.cur, b.hit = v, false
-			scan(v)
-			if b.hit {
-				out[v] = true
-				claimed++
-			}
-		}
-		count.Add(int64(claimed))
+		b := &block{Scan: sc, dense: out}
+		// The O(1) degree probe comes first: a vertex with no neighbors
+		// cannot pull anything, so it is dropped before paying the condition
+		// and the edge-tree dispatch.
+		b.scanRange(lo, hi, degs, c, pull(b, u.dense))
+		count.Add(int64(b.claimed))
 	})
 	return FromDense(out, int(count.Load()))
 }

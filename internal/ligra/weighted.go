@@ -41,11 +41,11 @@ func WeightedEdgeMap(g WeightedGraph, u VertexSubset, f func(src, dst uint32, w 
 					return true
 				}
 				if f(s, b.cur, w) {
-					b.hit = true
+					b.claim()
 				}
 				return c(b.cur)
 			}
-			return func(v uint32) { g.ForEachNeighborW(v, visit) }
+			return func(v uint32) { b.cur = v; g.ForEachNeighborW(v, visit) }
 		},
 		func(b *block) func(s uint32) {
 			visit := func(v uint32, w float32) bool {
@@ -54,6 +54,6 @@ func WeightedEdgeMap(g WeightedGraph, u VertexSubset, f func(src, dst uint32, w 
 				}
 				return true
 			}
-			return func(s uint32) { g.ForEachNeighborW(s, visit) }
+			return func(s uint32) { b.cur = s; g.ForEachNeighborW(s, visit) }
 		})
 }

@@ -168,3 +168,41 @@ func TestTxPoolReuseIsClean(t *testing.T) {
 		}
 	}
 }
+
+// TestFlatViewWarmForwards: the stitched view forwards Warm to each id's
+// owning shard — under either partitioner the checksum is the sum of what
+// the owners' views return id by id — stays total past the id space, and
+// does not have the capability when no shard view has it.
+func TestFlatViewWarmForwards(t *testing.T) {
+	const span = 1 << 8
+	edges := aspen.MakeUndirected(randomEdges(2000, span, 3))
+	ids := []uint32{span + 5, 1 << 30}
+	for u := uint32(0); u < span; u++ {
+		ids = append(ids, (u*37)%span) // scattered: runs of one owner are short
+	}
+	for _, part := range []Partitioner{NewRangePartitioner(3, span), NewHashPartitioner(3)} {
+		c := NewGraphClusterFrom(part, testParams(), edges, stream.Options{})
+		tx := c.Begin()
+		fv := tx.Flat().(ligra.Warmer)
+		var want uint32
+		for _, u := range ids {
+			want += flatViewOf(tx.Flat()).views[part.Owner(u)].(ligra.Warmer).Warm([]uint32{u})
+		}
+		if got := fv.Warm(ids); got != want || want == 0 {
+			t.Errorf("%T: Warm = %d, want %d (non-zero)", part, got, want)
+		}
+		if fv.Warm(nil) != 0 {
+			t.Errorf("%T: Warm of no ids is not 0", part)
+		}
+		// The same shard graphs behind views without the capability.
+		cold := make([]ligra.Graph, c.Shards())
+		for s := range cold {
+			cold[s] = tx.Shard(s)
+		}
+		if _, ok := Stitch(part, nil, cold, nil).(ligra.Warmer); ok {
+			t.Errorf("%T: a stitch of views with nothing to warm must not offer to", part)
+		}
+		tx.Close()
+		c.Close()
+	}
+}

@@ -73,6 +73,7 @@ func (v WeightedView) ForEachNeighborW(u uint32, f func(w uint32, wt float32) bo
 type FlatView struct {
 	part  Partitioner
 	views []ligra.Graph
+	warm  []ligra.Warmer // views[s] as a Warmer, nil where it is none; nil when none is
 	degs  []int32
 	order int
 	m     uint64
@@ -130,6 +131,35 @@ func (f FlatWeightedView) ForEachNeighborW(u uint32, fn func(w uint32, wt float3
 	}
 }
 
+// warmFlatView and warmFlatWeightedView are the stitched views of shards
+// whose own flat views have the ligra.Warmer capability (engine flat views
+// do; the remote client's CSR ranges have nothing to warm, and a stitch of
+// those stays a plain FlatView so kernels take ligra.Scan's plain loop).
+type warmFlatView struct{ *FlatView }
+
+type warmFlatWeightedView struct{ FlatWeightedView }
+
+func (f warmFlatView) Warm(ids []uint32) uint32 { return f.warmRuns(ids) }
+
+func (f warmFlatWeightedView) Warm(ids []uint32) uint32 { return f.warmRuns(ids) }
+
+// warmRuns forwards ligra.Warmer.Warm: each run of ids with one owner goes
+// to that shard's view in one call (a whole scan block, under a
+// RangePartitioner), so no id scratch is needed.
+func (f *FlatView) warmRuns(ids []uint32) (sum uint32) {
+	for len(ids) > 0 {
+		s, k := f.part.Owner(ids[0]), 1
+		for k < len(ids) && f.part.Owner(ids[k]) == s {
+			k++
+		}
+		if w := f.warm[s]; w != nil {
+			sum += w.Warm(ids[:k])
+		}
+		ids = ids[k:]
+	}
+	return sum
+}
+
 // Stitch assembles the global flat view of a version vector from per-shard
 // views — the one stitcher behind the in-process Tx.Flat and the remote
 // cluster client. moved[s] reports whether shard s's view differs from the
@@ -142,7 +172,8 @@ func (f FlatWeightedView) ForEachNeighborW(u uint32, fn func(w uint32, wt float3
 // keep degree 0, matching the unsharded flat view's totality, and base is
 // never mutated. Views must answer as complete per-shard snapshots (Order,
 // NumEdges, Degree, ForEachNeighbor over owned vertices); the result is a
-// FlatWeightedView when every view satisfies ligra.WeightedGraph.
+// FlatWeightedView when every view satisfies ligra.WeightedGraph, and
+// either kind forwards ligra.Warmer when some view has it.
 func Stitch(part Partitioner, base ligra.Graph, views []ligra.Graph, moved []bool) ligra.Graph {
 	order := 0
 	var m uint64
@@ -203,21 +234,36 @@ func Stitch(part Partitioner, base ligra.Graph, views []ligra.Graph, moved []boo
 		})
 	}
 	fv := &FlatView{part: part, views: views, degs: degs, order: order, m: m}
-	for _, v := range views {
+	weighted := true
+	for s, v := range views {
 		if _, ok := v.(ligra.WeightedGraph); !ok {
-			return fv
+			weighted = false
+		}
+		if w, ok := v.(ligra.Warmer); ok {
+			if fv.warm == nil {
+				fv.warm = make([]ligra.Warmer, len(views))
+			}
+			fv.warm[s] = w
 		}
 	}
-	return FlatWeightedView{fv}
+	switch {
+	case weighted && fv.warm != nil:
+		return warmFlatWeightedView{FlatWeightedView{fv}}
+	case weighted:
+		return FlatWeightedView{fv}
+	case fv.warm != nil:
+		return warmFlatView{fv}
+	}
+	return fv
 }
 
-// flatViewOf unwraps the stitched FlatView behind either wrapper.
+// stitched is promoted through every wrapper, for flatViewOf.
+func (f *FlatView) stitched() *FlatView { return f }
+
+// flatViewOf unwraps the stitched FlatView behind any of the wrappers.
 func flatViewOf(g ligra.Graph) *FlatView {
-	switch v := g.(type) {
-	case *FlatView:
-		return v
-	case FlatWeightedView:
-		return v.FlatView
+	if s, ok := g.(interface{ stitched() *FlatView }); ok {
+		return s.stitched()
 	}
 	return nil
 }

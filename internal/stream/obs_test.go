@@ -37,6 +37,7 @@ func TestEngineMetricsUnderLoad(t *testing.T) {
 		}
 		p.Wait()
 	}
+	flushTrace(t, e)
 
 	var sb strings.Builder
 	if err := reg.WritePrometheus(&sb); err != nil {
@@ -70,6 +71,18 @@ func TestEngineMetricsUnderLoad(t *testing.T) {
 	}
 }
 
+// flushTrace makes the stage trace of every acknowledged commit readable.
+// A commit sends its acks and only then records its trace (the ack stage
+// cannot be timed earlier), so right after Pending.Wait the last record may
+// still be missing; Flush's marker commits strictly after the previous
+// commit function has returned.
+func flushTrace(t *testing.T, e *Engine[aspen.Graph, aspen.Edge]) {
+	t.Helper()
+	if _, err := e.Flush(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestDurableEngineMetrics checks the WAL/checkpoint families appear on
 // a durable engine and that fsync/wal_append stages record.
 func TestDurableEngineMetrics(t *testing.T) {
@@ -87,6 +100,7 @@ func TestDurableEngineMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	p.Wait()
+	flushTrace(t, e)
 
 	var sb strings.Builder
 	if err := reg.WritePrometheus(&sb); err != nil {
