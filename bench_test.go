@@ -157,12 +157,13 @@ func BenchmarkTable06FlatSnapshot(b *testing.B) {
 // BenchmarkTable07SingleUpdates measures the sequential single-edge update
 // path (Table 7's update stream).
 func BenchmarkTable07SingleUpdates(b *testing.B) {
-	vg := aspen.NewVersionedGraph(benchGraph(b, ctree.DefaultParams()))
+	vg := aspen.NewVersioned(benchGraph(b, ctree.DefaultParams()))
 	gen := rmat.NewGenerator(benchScale, 9)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e := gen.Edge(uint64(i))
-		vg.InsertEdges(aspen.MakeUndirected([]aspen.Edge{e}))
+		ue := aspen.MakeUndirected([]aspen.Edge{e})
+		vg.Update(func(g aspen.Graph) aspen.Graph { return g.InsertEdges(ue) })
 	}
 }
 

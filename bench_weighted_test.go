@@ -22,7 +22,7 @@ func benchWeightedBatch() []aspen.WeightedEdge {
 	for u, nbrs := range adj {
 		for _, v := range nbrs {
 			w := 0.5 + float32(xhash.Mix32(uint32(u)^v*0x9e3779b9)%1000)/100
-			batch = append(batch, aspen.WeightedEdge{Src: uint32(u), Dst: v, Weight: w})
+			batch = append(batch, aspen.WeightedEdge{Src: uint32(u), Dst: v, Val: w})
 		}
 	}
 	return batch
@@ -44,7 +44,7 @@ func BenchmarkWeightedInsertEdges(b *testing.B) {
 			// Shift weights so every update is a real overwrite.
 			shifted := make([]aspen.WeightedEdge, len(batch))
 			for i, e := range batch {
-				shifted[i] = aspen.WeightedEdge{Src: e.Src, Dst: e.Dst, Weight: e.Weight + 1}
+				shifted[i] = aspen.WeightedEdge{Src: e.Src, Dst: e.Dst, Val: e.Val + 1}
 			}
 			b.ReportAllocs()
 			b.ResetTimer()

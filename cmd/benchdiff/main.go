@@ -1,6 +1,6 @@
 // Command benchdiff compares a `go test -bench` run against a committed
 // BENCH_*.json baseline snapshot and flags regressions beyond a threshold
-// (ROADMAP follow-up (d); see BENCHMARKS.md for the workflow).
+// (see BENCHMARKS.md for the workflow).
 //
 // Usage:
 //

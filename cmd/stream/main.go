@@ -436,8 +436,8 @@ func weightedBatch(gen rmat.Generator, lo, hi uint64) []aspen.WeightedEdge {
 	for j, e := range es {
 		w := 1 + float32(xhash.Mix64(lo+uint64(j))%1000)/1000
 		out = append(out,
-			aspen.WeightedEdge{Src: e.Src, Dst: e.Dst, Weight: w},
-			aspen.WeightedEdge{Src: e.Dst, Dst: e.Src, Weight: w})
+			aspen.WeightedEdge{Src: e.Src, Dst: e.Dst, Val: w},
+			aspen.WeightedEdge{Src: e.Dst, Dst: e.Src, Val: w})
 	}
 	return out
 }

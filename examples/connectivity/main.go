@@ -24,7 +24,7 @@ func countComponents(labels []uint32, g aspen.Graph) int {
 
 func main() {
 	gen := rmat.NewGenerator(12, 7)
-	vg := aspen.NewVersionedGraph(aspen.NewGraph(ctree.DefaultParams()))
+	vg := aspen.NewVersioned(aspen.NewGraph(ctree.DefaultParams()))
 
 	// Stream edges in rounds; after each round analyze a snapshot. Because
 	// versions are persistent, all rounds could equally be analyzed at the
@@ -33,7 +33,8 @@ func main() {
 	const perRound = 20_000
 	for round := 1; round <= rounds; round++ {
 		lo := uint64((round - 1) * perRound)
-		vg.InsertEdges(aspen.MakeUndirected(gen.Edges(lo, lo+perRound)))
+		batch := aspen.MakeUndirected(gen.Edges(lo, lo+perRound))
+		vg.Update(func(g aspen.Graph) aspen.Graph { return g.InsertEdges(batch) })
 
 		v := vg.Acquire()
 		g := v.Graph

@@ -21,8 +21,10 @@ func main() {
 	fmt.Printf("graph: %d vertices, %d directed edges\n", g.NumVertices(), g.NumEdges())
 
 	// The versioned graph coordinates a writer with concurrent readers.
-	vg := aspen.NewVersionedGraph(g)
-	vg.InsertEdges(aspen.MakeUndirected([]aspen.Edge{{Src: 4, Dst: 5}}))
+	vg := aspen.NewVersioned(g)
+	vg.Update(func(g aspen.Graph) aspen.Graph {
+		return g.InsertEdges(aspen.MakeUndirected([]aspen.Edge{{Src: 4, Dst: 5}}))
+	})
 
 	// Readers acquire a snapshot; updates never disturb it.
 	v := vg.Acquire()

@@ -23,7 +23,7 @@ func main() {
 	// Bootstrap with an initial graph.
 	g := aspen.NewGraph(ctree.DefaultParams())
 	g = g.InsertEdges(aspen.MakeUndirected(gen.Edges(0, 50_000)))
-	vg := aspen.NewVersionedGraph(g)
+	vg := aspen.NewVersioned(g)
 	fmt.Printf("initial graph: %d vertices, %d edges\n",
 		g.NumVertices(), g.NumEdges())
 
@@ -43,7 +43,7 @@ func main() {
 		deadline := time.Now().Add(1 * time.Second)
 		for time.Now().Before(deadline) {
 			batch := aspen.MakeUndirected(gen.Edges(pos, pos+10_000))
-			vg.InsertEdges(batch)
+			vg.Update(func(g aspen.Graph) aspen.Graph { return g.InsertEdges(batch) })
 			pos += 10_000
 			batches.Add(1)
 		}

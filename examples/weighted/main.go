@@ -10,19 +10,34 @@ import (
 
 	"repro/internal/algos"
 	"repro/internal/aspen"
+	"repro/internal/ctree"
 )
+
+// totalWeight sums all edge weights — an associative aggregation the paper
+// notes could be maintained by augmentation.
+func totalWeight(g aspen.WeightedGraph) float64 {
+	var total float64
+	g.ForEachVertex(func(_ uint32, et ctree.Tree[float32]) bool {
+		et.ForEachKV(func(_ uint32, w float32) bool {
+			total += float64(w)
+			return true
+		})
+		return true
+	})
+	return total
+}
 
 func main() {
 	// A small road-network-like weighted graph. Roads are symmetric, so
 	// each segment is inserted in both directions with the same weight.
 	g := aspen.NewWeightedGraph().InsertEdges(aspen.MakeUndirectedWeighted([]aspen.WeightedEdge{
-		{Src: 0, Dst: 1, Weight: 4},
-		{Src: 1, Dst: 2, Weight: 3},
-		{Src: 0, Dst: 3, Weight: 10},
-		{Src: 2, Dst: 3, Weight: 2},
+		{Src: 0, Dst: 1, Val: 4},
+		{Src: 1, Dst: 2, Val: 3},
+		{Src: 0, Dst: 3, Val: 10},
+		{Src: 2, Dst: 3, Val: 2},
 	}))
 	fmt.Printf("network: %d nodes, %d directed road segments, total length %.0f\n",
-		g.NumVertices(), g.NumEdges(), g.TotalWeight())
+		g.NumVertices(), g.NumEdges(), totalWeight(g))
 	s := g.Stats()
 	fmt.Printf("compressed weighted adjacency: %d chunk bytes (ids + weights interleaved)\n",
 		s.Edge.ChunkBytes)
@@ -34,7 +49,7 @@ func main() {
 	// existing edge overwrites its weight); snapshots are persistent, so
 	// the old distances remain queryable.
 	g2 := g.InsertEdges(aspen.MakeUndirectedWeighted([]aspen.WeightedEdge{
-		{Src: 1, Dst: 2, Weight: 20},
+		{Src: 1, Dst: 2, Val: 20},
 	}))
 	after := algos.SSSP(g2, 0)
 	fmt.Printf("shortest 0 -> 3 after congestion:  %.0f (direct road wins)\n", after[3])

@@ -59,7 +59,7 @@ func warmViews(t *testing.T) map[string]ligra.Graph {
 		ws := make([]aspen.WeightedEdge, len(es))
 		for i, e := range es {
 			lo, hi := min(e.Src, e.Dst), max(e.Src, e.Dst)
-			ws[i] = aspen.WeightedEdge{Src: e.Src, Dst: e.Dst, Weight: 1 + float32((lo*31+hi*17)%97)/8}
+			ws[i] = aspen.WeightedEdge{Src: e.Src, Dst: e.Dst, Val: 1 + float32((lo*31+hi*17)%97)/8}
 		}
 		return ws
 	}

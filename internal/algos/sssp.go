@@ -59,8 +59,7 @@ func SSSP(g ligra.WeightedGraph, src uint32) []float32 {
 	// claimed vertex with the round number: a vertex joins round r's output
 	// frontier on the first successful CAS from a stale stamp to r. Stamps
 	// from earlier rounds are simply stale, so no per-round reset pass is
-	// needed (ROADMAP (f): this drops the VertexMap reset from the hot
-	// loop). Stamp 0 means "never claimed"; rounds start at 1.
+	// needed: the VertexMap reset stays out of the hot loop. Stamp 0 means "never claimed"; rounds start at 1.
 	visited := make([]atomic.Uint32, n)
 	round := uint32(0)
 	frontier := ligra.FromVertex(n, src)

@@ -30,8 +30,8 @@ func weightedRMATGraph(scale int, m uint64, seed uint64) aspen.WeightedGraph {
 		}
 		w := symWeight(e.Src, e.Dst)
 		batch = append(batch,
-			aspen.WeightedEdge{Src: e.Src, Dst: e.Dst, Weight: w},
-			aspen.WeightedEdge{Src: e.Dst, Dst: e.Src, Weight: w})
+			aspen.WeightedEdge{Src: e.Src, Dst: e.Dst, Val: w},
+			aspen.WeightedEdge{Src: e.Dst, Dst: e.Src, Val: w})
 	}
 	return aspen.NewWeightedGraph().InsertEdges(batch)
 }
@@ -85,10 +85,10 @@ func TestSSSPSmallHandmade(t *testing.T) {
 	//  \             /
 	//   10 -- 3 -- 2     (0-3 weight 10, 3-2 weight 2)
 	batch := aspen.MakeUndirectedWeighted([]aspen.WeightedEdge{
-		{Src: 0, Dst: 1, Weight: 4},
-		{Src: 1, Dst: 2, Weight: 3},
-		{Src: 0, Dst: 3, Weight: 10},
-		{Src: 2, Dst: 3, Weight: 2},
+		{Src: 0, Dst: 1, Val: 4},
+		{Src: 1, Dst: 2, Val: 3},
+		{Src: 0, Dst: 3, Val: 10},
+		{Src: 2, Dst: 3, Val: 2},
 	})
 	g := aspen.NewWeightedGraph().InsertEdges(batch)
 	dist := SSSP(g, 0)
@@ -99,7 +99,7 @@ func TestSSSPSmallHandmade(t *testing.T) {
 		}
 	}
 	// Unreachable vertices report +Inf.
-	g2 := g.InsertEdges([]aspen.WeightedEdge{{Src: 7, Dst: 8, Weight: 1}, {Src: 8, Dst: 7, Weight: 1}})
+	g2 := g.InsertEdges([]aspen.WeightedEdge{{Src: 7, Dst: 8, Val: 1}, {Src: 8, Dst: 7, Val: 1}})
 	dist2 := SSSP(g2, 0)
 	if dist2[7] != Inf || dist2[8] != Inf {
 		t.Fatalf("disconnected component got finite distance: %v, %v", dist2[7], dist2[8])
@@ -118,9 +118,9 @@ func TestSSSPStampReclaim(t *testing.T) {
 	const k = 200
 	var edges []aspen.WeightedEdge
 	for i := uint32(0); i < k; i++ {
-		edges = append(edges, aspen.WeightedEdge{Src: i, Dst: i + 1, Weight: 1})
+		edges = append(edges, aspen.WeightedEdge{Src: i, Dst: i + 1, Val: 1})
 	}
-	edges = append(edges, aspen.WeightedEdge{Src: 0, Dst: k, Weight: 2 * k})
+	edges = append(edges, aspen.WeightedEdge{Src: 0, Dst: k, Val: 2 * k})
 	g := aspen.NewWeightedGraph().InsertEdges(aspen.MakeUndirectedWeighted(edges))
 	dist := SSSP(g, 0)
 	for i := uint32(0); i <= k; i++ {

@@ -13,8 +13,8 @@ import (
 // of the old per-run copies and double vertex-tree passes (which cost >100).
 func TestInsertEdgesSmallBatchAllocBound(t *testing.T) {
 	g := NewGraph(ctree.DefaultParams())
-	g = g.InsertEdges([]Edge{{1, 2}, {2, 1}, {3, 4}, {4, 3}})
-	batch := []Edge{{10, 20}, {20, 10}, {5, 7}, {7, 5}}
+	g = g.InsertEdges([]Edge{{Src: 1, Dst: 2}, {Src: 2, Dst: 1}, {Src: 3, Dst: 4}, {Src: 4, Dst: 3}})
+	batch := []Edge{{Src: 10, Dst: 20}, {Src: 20, Dst: 10}, {Src: 5, Dst: 7}, {Src: 7, Dst: 5}}
 	if n := testing.AllocsPerRun(200, func() { g.InsertEdges(batch) }); n > 80 {
 		t.Errorf("small-batch InsertEdges allocated %.1f/op, want <= 80", n)
 	}
@@ -68,7 +68,7 @@ func TestGroupBySourceSharesBacking(t *testing.T) {
 // pass: destination-only endpoints must exist after a single InsertEdges.
 func TestInsertEdgesCreatesDestinationVertices(t *testing.T) {
 	g := NewGraph(ctree.DefaultParams())
-	g = g.InsertEdges([]Edge{{1, 100}, {2, 100}, {1, 200}})
+	g = g.InsertEdges([]Edge{{Src: 1, Dst: 100}, {Src: 2, Dst: 100}, {Src: 1, Dst: 200}})
 	for _, u := range []uint32{1, 2, 100, 200} {
 		if !g.HasVertex(u) {
 			t.Errorf("vertex %d missing after InsertEdges", u)
@@ -84,7 +84,7 @@ func TestInsertEdgesCreatesDestinationVertices(t *testing.T) {
 		t.Errorf("NumEdges = %d, want 3", g.NumEdges())
 	}
 	// A destination that is also a source must keep its edges.
-	g2 := g.InsertEdges([]Edge{{100, 1}, {5, 100}})
+	g2 := g.InsertEdges([]Edge{{Src: 100, Dst: 1}, {Src: 5, Dst: 100}})
 	if !g2.HasEdge(100, 1) || !g2.HasEdge(5, 100) || !g2.HasVertex(5) {
 		t.Error("mixed source/destination batch mishandled")
 	}

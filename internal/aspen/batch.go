@@ -1,14 +1,17 @@
 package aspen
 
 import (
+	"reflect"
+	"sync"
+
 	"repro/internal/ctree"
 	"repro/internal/parallel"
 	"repro/internal/pftree"
 )
 
-// This file is the shared batch-update engine behind both Graph (V =
-// struct{}) and WeightedGraph (V = float32): one radix-sorted, fused
-// vertex-tree pass per batch, generic over the edge payload. It is the
+// This file is the batch-update engine behind GraphOf[V] — Graph (V =
+// struct{}), WeightedGraph (V = float32) or any other fixed-width payload:
+// one radix-sorted, fused vertex-tree pass per batch. It is the
 // paper's batch-update algorithm (§5) — sort, group, build per-source edge
 // C-trees, then MultiInsert into the vertex-tree with a combine function
 // that unions edge trees — extended so payloads (edge weights, and any
@@ -50,12 +53,19 @@ func newVops[V ctree.Value]() *vopsT[V] {
 	}
 }
 
-// vops and wvops are the two vertex-tree tables instantiated in this
-// repository: the unweighted graph and the float32-weighted graph.
-var (
-	vops  = newVops[struct{}]()
-	wvops = newVops[float32]()
-)
+var vopsCache sync.Map // reflect.Type of V -> *vopsT[V]
+
+// vopsFor returns the interned vertex-tree table for payload type V. Graphs
+// resolve it once at construction and carry it, so accessors never look it
+// up.
+func vopsFor[V ctree.Value]() *vopsT[V] {
+	key := reflect.TypeFor[V]()
+	if o, ok := vopsCache.Load(key); ok {
+		return o.(*vopsT[V])
+	}
+	o, _ := vopsCache.LoadOrStore(key, newVops[V]())
+	return o.(*vopsT[V])
+}
 
 // groupBySourceKV splits the packed sorted batch into per-source runs of
 // destination ids and (when vals is non-nil) the aligned payload runs.

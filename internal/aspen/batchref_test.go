@@ -219,7 +219,7 @@ func TestBatchCoresMatchReferenceWeighted(t *testing.T) {
 		es := make([]WeightedEdge, 0, 2*k)
 		for _, e := range randomEdges(r, k, n) {
 			w := float32(r.Intn(1000)) / 8
-			es = append(es, WeightedEdge{Src: e.Src, Dst: e.Dst, Weight: w}, WeightedEdge{Src: e.Dst, Dst: e.Src, Weight: w})
+			es = append(es, WeightedEdge{Src: e.Src, Dst: e.Dst, Val: w}, WeightedEdge{Src: e.Dst, Dst: e.Src, Val: w})
 		}
 		return sortWeightedEdgeBatch(es)
 	}

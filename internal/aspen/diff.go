@@ -47,18 +47,18 @@ func diffVersionsCore[V ctree.Value](ops *vopsT[V], old, cur *vnode[V], f func(V
 }
 
 // DiffVersions applies f to every vertex whose adjacency differs between
-// two versions of an unweighted graph, in ascending vertex order; f may
-// return false to stop, and DiffVersions reports whether the walk ran to
-// completion. Because versions of one lineage share structure, the cost is
-// proportional to the number of touched vertices (plus a logarithmic
-// alignment term), not the graph size — the primitive behind flat-view
-// patching and incremental kernel maintenance.
-func DiffVersions(old, cur Graph, f func(VertexDelta[struct{}]) bool) bool {
-	return diffVersionsCore(vops, old.vt, cur.vt, f)
+// two versions of a graph, in ascending vertex order; f may return false to
+// stop, and DiffVersions reports whether the walk ran to completion. Payload
+// updates on an existing edge surface as DiffChanged at both levels. Because
+// versions of one lineage share structure, the cost is proportional to the
+// number of touched vertices (plus a logarithmic alignment term), not the
+// graph size — the primitive behind flat-view patching and incremental
+// kernel maintenance.
+func DiffVersions[V ctree.Value](old, cur GraphOf[V], f func(VertexDelta[V]) bool) bool {
+	return diffVersionsCore(cur.table(), old.vt, cur.vt, f)
 }
 
-// DiffVersionsWeighted is the weighted analogue of DiffVersions; weight
-// updates on an existing edge surface as DiffChanged at both levels.
+// DiffVersionsWeighted is DiffVersions on weighted graphs.
 func DiffVersionsWeighted(old, cur WeightedGraph, f func(VertexDelta[float32]) bool) bool {
-	return diffVersionsCore(wvops, old.vt, cur.vt, f)
+	return DiffVersions(old, cur, f)
 }

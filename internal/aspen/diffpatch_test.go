@@ -163,23 +163,23 @@ func TestPatchFlatSnapshotDifferential(t *testing.T) {
 // TestPatchFlatSnapshotShrink exercises a shrinking id space: deleting the
 // highest vertices' edges must drop Order and never read stale slots.
 func TestPatchFlatSnapshotShrink(t *testing.T) {
-	g := NewGraph(params()).InsertEdges(MakeUndirected([]Edge{{1, 2}, {3, 4000}, {5, 6}}))
+	g := NewGraph(params()).InsertEdges(MakeUndirected([]Edge{{Src: 1, Dst: 2}, {Src: 3, Dst: 4000}, {Src: 5, Dst: 6}}))
 	fs := BuildFlatSnapshot(g)
-	g2 := g.DeleteEdgesGC(MakeUndirected([]Edge{{3, 4000}}))
+	g2 := g.DeleteEdgesGC(MakeUndirected([]Edge{{Src: 3, Dst: 4000}}))
 	if g2.Order() >= g.Order() {
 		t.Fatalf("setup: order did not shrink (%d -> %d)", g.Order(), g2.Order())
 	}
 	p := PatchFlatSnapshot(fs, g2)
 	checkFlatAgainstGraph(t, p, g2, "shrunk")
 	// And growing again from the shrunk patched view.
-	g3 := g2.InsertEdges(MakeUndirected([]Edge{{7, 5000}}))
+	g3 := g2.InsertEdges(MakeUndirected([]Edge{{Src: 7, Dst: 5000}}))
 	checkFlatAgainstGraph(t, PatchFlatSnapshot(p, g3), g3, "regrown")
 }
 
 // TestPatchFlatSnapshotIdentity pins the trivial cases: nil prev falls back
 // to a full build, an already-current prev is returned as-is.
 func TestPatchFlatSnapshotIdentity(t *testing.T) {
-	g := NewGraph(params()).InsertEdges(MakeUndirected([]Edge{{1, 2}, {2, 3}}))
+	g := NewGraph(params()).InsertEdges(MakeUndirected([]Edge{{Src: 1, Dst: 2}, {Src: 2, Dst: 3}}))
 	fs := PatchFlatSnapshot(nil, g)
 	checkFlatAgainstGraph(t, fs, g, "nil prev")
 	if again := PatchFlatSnapshot(fs, g); again != fs {
@@ -198,7 +198,7 @@ func TestPatchFlatSnapshotSharing(t *testing.T) {
 		t.Fatalf("fresh build reports %d shared bytes", built.SharedMemoryBytes())
 	}
 	// One tiny batch: a handful of touched pages.
-	g2 := g.InsertEdges(MakeUndirected([]Edge{{10, 11}, {500, 501}}))
+	g2 := g.InsertEdges(MakeUndirected([]Edge{{Src: 10, Dst: 11}, {Src: 500, Dst: 501}}))
 	p := PatchFlatSnapshot(built, g2)
 	checkFlatAgainstGraph(t, p, g2, "small patch")
 	if p.SharedMemoryBytes() == 0 {

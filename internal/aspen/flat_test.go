@@ -209,7 +209,7 @@ func TestFlatWarm(t *testing.T) {
 	g := NewGraph(p).InsertEdges(MakeUndirected(randomEdges(r, 600, 120)))
 	g = g.InsertVertices([]uint32{lone}).InsertEdges([]Edge{{Src: headFirst, Dst: head}, {Src: headFirst, Dst: head + 1}})
 	built := BuildFlatSnapshot(g)
-	checkWarmTotal(t, "built", &built.FlatView)
+	checkWarmTotal(t, "built", built)
 	if !built.HasVertex(lone) || built.Degree(lone) != 0 || built.Warm([]uint32{lone}) != 0 {
 		t.Fatal("a vertex without edges must warm nothing")
 	}
@@ -226,7 +226,7 @@ func TestFlatWarm(t *testing.T) {
 	far := uint32(built.Order() + 40*flatPageSize)
 	g2 := g.InsertEdges(MakeUndirected([]Edge{{Src: far, Dst: far + 1}, {Src: 3, Dst: 99}})).DeleteVertices([]uint32{7})
 	patched := PatchFlatSnapshot(built, g2)
-	checkWarmTotal(t, "patched", &patched.FlatView)
+	checkWarmTotal(t, "patched", patched)
 	gap := uint32(built.Order() + 20*flatPageSize)
 	if pg, _ := patched.page(gap); pg != nil {
 		t.Fatalf("expected a nil page at id %d of the patched view", gap)
@@ -244,7 +244,7 @@ func TestFlatWarm(t *testing.T) {
 
 	wg := NewWeightedGraph().InsertEdges(randomWeightedBatch(r, 800, 150))
 	fw := BuildFlatWeightedSnapshot(wg)
-	checkWarmTotal(t, "weighted built", &fw.FlatView)
+	checkWarmTotal(t, "weighted built", fw)
 	wp := PatchFlatWeightedSnapshot(fw, wg.InsertEdges(randomWeightedBatch(r, 50, 400)))
-	checkWarmTotal(t, "weighted patched", &wp.FlatView)
+	checkWarmTotal(t, "weighted patched", wp)
 }

@@ -70,44 +70,42 @@ type FlatView[V ctree.Value] struct {
 	root     *vnode[V] // identity of the snapshot the view was built from
 }
 
-// FlatSnapshot is the unweighted flat view (the paper's original §5.1
+// FlatSnapshot is the id-only flat view (the paper's original §5.1
 // structure). It satisfies ligra.Graph, ligra.ParallelNeighborGraph and
-// ligra.FlatGraph.
-type FlatSnapshot struct {
-	FlatView[struct{}]
+// ligra.FlatGraph; FlatWeightedSnapshot, the flat view of a WeightedGraph,
+// additionally satisfies ligra.WeightedGraph and ligra.FlatWeightedGraph, so
+// weighted kernels (SSSP) skip the vertex-tree lookups too.
+type (
+	FlatSnapshot         = FlatView[struct{}]
+	FlatWeightedSnapshot = FlatView[float32]
+)
+
+// newFlatView allocates the view of g with an empty page table (one page
+// per flatPageSize ids of its id space) and a zeroed degree array.
+func newFlatView[V ctree.Value](g GraphOf[V]) *FlatView[V] {
+	order := g.Order()
+	np := (order + flatPageSize - 1) >> flatPageBits
+	return &FlatView[V]{
+		pages:    make([]*flatPage[V], np),
+		owned:    make([]bool, np),
+		degrees:  make([]int32, order),
+		order:    order,
+		numEdges: g.NumEdges(),
+		root:     g.vt,
+	}
 }
 
-// FlatWeightedSnapshot is the flat view of a WeightedGraph. It additionally
-// satisfies ligra.WeightedGraph and ligra.FlatWeightedGraph, so weighted
-// kernels (SSSP) skip the vertex-tree lookups too.
-type FlatWeightedSnapshot struct {
-	FlatView[float32]
-}
-
-// flatPageCount returns the number of pages covering an id space of size
-// order.
-func flatPageCount(order int) int {
-	return (order + flatPageSize - 1) >> flatPageBits
-}
-
-// buildFlatView materializes the dense view with an indexed parallel
+// BuildFlatSnapshot materializes the flat view of g with an indexed parallel
 // vertex-tree traversal: the tree's in-order ranks are partitioned into
 // per-worker ranges and each worker walks its range with one rank-pruned
 // descent (pftree.ForEachRankRange) — O(n) work, O(n/P + log n) depth, as
 // §5.1 specifies. Safe to run concurrently with updates: it only reads the
 // persistent version. All pages come from one backing allocation and are
 // owned by the view.
-func buildFlatView[V ctree.Value](ops *vopsT[V], vt *vnode[V], order int, numEdges uint64) FlatView[V] {
-	np := flatPageCount(order)
-	backing := make([]flatPage[V], np)
-	fv := FlatView[V]{
-		pages:    make([]*flatPage[V], np),
-		owned:    make([]bool, np),
-		degrees:  make([]int32, order),
-		order:    order,
-		numEdges: numEdges,
-		root:     vt,
-	}
+func BuildFlatSnapshot[V ctree.Value](g GraphOf[V]) *FlatView[V] {
+	ops, vt := g.table(), g.vt
+	fv := newFlatView(g)
+	backing := make([]flatPage[V], len(fv.pages))
 	for i := range fv.pages {
 		fv.pages[i] = &backing[i]
 		fv.owned[i] = true
@@ -141,33 +139,35 @@ func buildFlatView[V ctree.Value](ops *vopsT[V], vt *vnode[V], order int, numEdg
 	return fv
 }
 
-// patchFlatView derives the flat view of the version rooted at vt from the
-// previous version's view, paying O(diff) instead of O(n) tree work: the
+// PatchFlatSnapshot returns the flat view of g derived from prev, a view of
+// an earlier (or later — the diff is two-sided) version of the same graph
+// lineage, paying O(diff) copy-on-write work instead of an O(n) rebuild: the
 // vertex-tree diff (pruned by pointer sharing) enumerates exactly the
 // touched vertices, each touched page is copied once (copy-on-write) and
 // every other page is aliased from prev. The degree array is copied
 // wholesale (a memmove) and patched per touched vertex, keeping it
 // contiguous for ligra's flat routing. prev is never mutated — it and the
-// result serve concurrent readers of their respective versions.
-func patchFlatView[V ctree.Value](ops *vopsT[V], prev *FlatView[V], vt *vnode[V], order int, numEdges uint64) FlatView[V] {
-	np := flatPageCount(order)
-	fv := FlatView[V]{
-		pages:    make([]*flatPage[V], np),
-		owned:    make([]bool, np),
-		degrees:  make([]int32, order),
-		order:    order,
-		numEdges: numEdges,
-		root:     vt,
+// result serve concurrent readers of their respective versions. A nil prev
+// falls back to a full build; a prev already current for g is returned
+// as-is. The result is equivalent to BuildFlatSnapshot(g) in every
+// observable way.
+func PatchFlatSnapshot[V ctree.Value](prev *FlatView[V], g GraphOf[V]) *FlatView[V] {
+	if prev == nil {
+		return BuildFlatSnapshot(g)
 	}
+	if prev.Current(g) {
+		return prev
+	}
+	fv := newFlatView(g)
 	copy(fv.pages, prev.pages) // aliased until touched; nil beyond prev's space
 	copy(fv.degrees, prev.degrees)
 	// Copied pages come from slab allocations: a batch touches its pages in
 	// ascending id order, so grabbing pages off a chunk keeps the patch at a
 	// handful of allocations instead of one per touched page.
 	var slab []flatPage[V]
-	diffVersionsCore(ops, prev.root, vt, func(d VertexDelta[V]) bool {
+	diffVersionsCore(g.table(), prev.root, g.vt, func(d VertexDelta[V]) bool {
 		u := d.ID
-		if int(u) >= order {
+		if int(u) >= fv.order {
 			// A vertex removed beyond the (shrunk) id space has no slot to
 			// clear; stale slots in aliased pages past order are never read
 			// (every accessor bounds-checks against order first).
@@ -198,41 +198,12 @@ func patchFlatView[V ctree.Value](ops *vopsT[V], prev *FlatView[V], vt *vnode[V]
 	return fv
 }
 
-// BuildFlatSnapshot materializes the flat view of g.
-func BuildFlatSnapshot(g Graph) *FlatSnapshot {
-	return &FlatSnapshot{buildFlatView(vops, g.vt, g.Order(), g.NumEdges())}
-}
+// BuildFlatWeightedSnapshot is BuildFlatSnapshot on a weighted graph.
+func BuildFlatWeightedSnapshot(g WeightedGraph) *FlatWeightedSnapshot { return BuildFlatSnapshot(g) }
 
-// BuildFlatWeightedSnapshot materializes the flat view of the weighted g.
-func BuildFlatWeightedSnapshot(g WeightedGraph) *FlatWeightedSnapshot {
-	return &FlatWeightedSnapshot{buildFlatView(wvops, g.vt, g.Order(), g.NumEdges())}
-}
-
-// PatchFlatSnapshot returns the flat view of g derived from prev, a view of
-// an earlier (or later — the diff is two-sided) version of the same graph
-// lineage, in O(batch) copy-on-write work instead of an O(n) rebuild. A nil
-// prev falls back to a full build; a prev already current for g is returned
-// as-is. The result is equivalent to BuildFlatSnapshot(g) in every
-// observable way.
-func PatchFlatSnapshot(prev *FlatSnapshot, g Graph) *FlatSnapshot {
-	if prev == nil {
-		return BuildFlatSnapshot(g)
-	}
-	if prev.root == g.vt {
-		return prev
-	}
-	return &FlatSnapshot{patchFlatView(vops, &prev.FlatView, g.vt, g.Order(), g.NumEdges())}
-}
-
-// PatchFlatWeightedSnapshot is the weighted analogue of PatchFlatSnapshot.
+// PatchFlatWeightedSnapshot is PatchFlatSnapshot on a weighted graph.
 func PatchFlatWeightedSnapshot(prev *FlatWeightedSnapshot, g WeightedGraph) *FlatWeightedSnapshot {
-	if prev == nil {
-		return BuildFlatWeightedSnapshot(g)
-	}
-	if prev.root == g.vt {
-		return prev
-	}
-	return &FlatWeightedSnapshot{patchFlatView(wvops, &prev.FlatView, g.vt, g.Order(), g.NumEdges())}
+	return PatchFlatSnapshot(prev, g)
 }
 
 // Order returns the vertex-id space size.
@@ -316,9 +287,10 @@ func (fv *FlatView[V]) ForEachNeighborPar(u uint32, f func(v uint32)) {
 	}
 }
 
-// ForEachNeighborKV applies f to u's (neighbor, payload) pairs in increasing
-// neighbor order until f returns false.
-func (fv *FlatView[V]) ForEachNeighborKV(u uint32, f func(v uint32, val V) bool) {
+// ForEachNeighborW applies f to u's (neighbor, payload) pairs in increasing
+// neighbor order until f returns false — with V = float32, the
+// ligra.WeightedGraph capability.
+func (fv *FlatView[V]) ForEachNeighborW(u uint32, f func(v uint32, w V) bool) {
 	if int(u) >= fv.order {
 		return
 	}
@@ -371,48 +343,29 @@ func (fv *FlatView[V]) SharedMemoryBytes() uint64 {
 	return uint64(shared) * flatPageSize * (8 + 1)
 }
 
-// sameRoot reports whether the view was built from exactly the given
-// vertex-tree root (pointer identity — functional updates always produce a
-// fresh root).
-func (fv *FlatView[V]) sameRoot(root *vnode[V]) bool { return fv.root == root }
+// Current reports whether fv still reflects g — i.e. it was built from g's
+// exact immutable snapshot (pointer identity of the vertex-tree root:
+// functional updates always produce a fresh root). A false result means g is
+// a different (typically newer) version and the view, while still safe to
+// use, answers queries about the version it was built from. Compiled with
+// -tags aspendebug, MustCurrent turns a mismatch into a panic.
+func (fv *FlatView[V]) Current(g GraphOf[V]) bool { return fv.root == g.vt }
 
-// Current reports whether fs still reflects g — i.e. it was built from g's
-// exact immutable snapshot. A false result means g is a different (typically
-// newer) version and the view, while still safe to use, answers queries
-// about the version it was built from. Compiled with -tags aspendebug,
-// MustCurrent turns a mismatch into a panic.
-func (fs *FlatSnapshot) Current(g Graph) bool { return fs.sameRoot(g.vt) }
-
-// Current is the weighted analogue of FlatSnapshot.Current.
-func (fs *FlatWeightedSnapshot) Current(g WeightedGraph) bool { return fs.sameRoot(g.vt) }
-
-// MustCurrent panics when fs was not built from g's exact snapshot. The
+// MustCurrent panics when fv was not built from g's exact snapshot. The
 // check runs only under the aspendebug build tag; release builds compile it
 // to nothing, so hot paths may call it unconditionally.
-func (fs *FlatSnapshot) MustCurrent(g Graph) {
-	if flatDebug && !fs.Current(g) {
+func (fv *FlatView[V]) MustCurrent(g GraphOf[V]) {
+	if flatDebug && !fv.Current(g) {
 		panic("aspen: flat snapshot is stale for this graph version")
 	}
 }
 
-// MustCurrent is the weighted analogue of FlatSnapshot.MustCurrent.
-func (fs *FlatWeightedSnapshot) MustCurrent(g WeightedGraph) {
-	if flatDebug && !fs.Current(g) {
-		panic("aspen: flat snapshot is stale for this graph version")
-	}
-}
-
-// Weight returns the weight of edge (u, v) in O(1) tree access.
-func (fs *FlatWeightedSnapshot) Weight(u, v uint32) (float32, bool) {
-	et, ok := fs.EdgeTree(u)
+// Weight returns the payload of edge (u, v) in O(1) tree access.
+func (fv *FlatView[V]) Weight(u, v uint32) (V, bool) {
+	et, ok := fv.EdgeTree(u)
 	if !ok {
-		return 0, false
+		var zero V
+		return zero, false
 	}
 	return et.Find(v)
-}
-
-// ForEachNeighborW applies f to u's (neighbor, weight) pairs in increasing
-// neighbor order until f returns false — the ligra.WeightedGraph capability.
-func (fs *FlatWeightedSnapshot) ForEachNeighborW(u uint32, f func(v uint32, w float32) bool) {
-	fs.ForEachNeighborKV(u, f)
 }

@@ -2,16 +2,17 @@
 // an undirected graph represented as a purely-functional vertex-tree whose
 // values are C-trees of neighbor ids (a tree of compressed trees, Figure 4),
 // with lightweight snapshots, functional batch updates, flat snapshots for
-// global algorithms, and a single-writer / multi-reader versioned graph that
-// provides strictly serializable concurrent updates and queries. The batch
-// machinery (batch.go) is generic over a fixed-width edge payload: Graph is
-// the id-only instantiation and WeightedGraph (weighted.go) the float32 one,
-// both riding the same compressed chunks.
+// global algorithms, and a single-writer / multi-reader versioned store that
+// provides strictly serializable concurrent updates and queries. There is one
+// graph type, GraphOf[V], generic over a fixed-width edge payload V that rides
+// the compressed chunks next to each neighbor id: Graph is the id-only
+// instantiation (V = struct{}, the paper's structure) and WeightedGraph the
+// float32 one (edge weights, which the paper defers to future work in §6).
 //
-// All Graph methods are read-only or functional: updates return a new Graph
+// All graph methods are read-only or functional: updates return a new graph
 // that shares almost all structure with the old one, so existing snapshots
-// are never disturbed. Use VersionedGraph to coordinate a writer with
-// concurrent readers.
+// are never disturbed. Use Versioned to coordinate a writer with concurrent
+// readers.
 package aspen
 
 import (
@@ -20,21 +21,55 @@ import (
 	"repro/internal/pftree"
 )
 
-// Edge is a directed edge update. Undirected graphs insert both directions
-// (the harness helper MakeUndirected does this).
-type Edge struct {
+// EdgeOf is a directed edge update carrying a payload of type V. Undirected
+// graphs insert both directions (MakeUndirected does this). The payload comes
+// first: Go pads a trailing zero-size field so that its address stays inside
+// the struct, which would make EdgeOf[struct{}] 12 bytes instead of 8.
+type EdgeOf[V ctree.Value] struct {
+	Val      V
 	Src, Dst uint32
 }
 
-// Graph is an immutable snapshot of an undirected graph. The zero Graph uses
-// unusable parameters; construct with NewGraph or FromAdjacency.
-type Graph struct {
-	p  ctree.Params
-	vt *vnode[struct{}]
+// Edge is the id-only edge update; WeightedEdge carries a float32 weight.
+type (
+	Edge         = EdgeOf[struct{}]
+	WeightedEdge = EdgeOf[float32]
+)
+
+// GraphOf is an immutable snapshot of a graph whose edges carry payloads of
+// type V. The zero GraphOf uses unusable parameters; construct with NewGraphOf
+// (or NewGraph, FromAdjacency, FromSnapshot). Batch updates share one
+// radix-sorted fused vertex-tree pass (batch.go); duplicate updates to one
+// edge resolve last-writer-wins in batch order, and re-inserting an existing
+// edge overwrites its payload (the paper's interface updates weights through
+// the same insertion path, §5).
+type GraphOf[V ctree.Value] struct {
+	p   ctree.Params
+	vt  *vnode[V]
+	ops *vopsT[V] // the interned table of V, resolved at construction
 }
 
-// NewGraph returns an empty graph whose edge trees use params p.
-func NewGraph(p ctree.Params) Graph { return Graph{p: p} }
+// Graph is the id-only graph; WeightedGraph stores a float32 weight per edge.
+type (
+	Graph         = GraphOf[struct{}]
+	WeightedGraph = GraphOf[float32]
+)
+
+// NewGraphOf returns an empty graph whose edge trees use params p.
+func NewGraphOf[V ctree.Value](p ctree.Params) GraphOf[V] {
+	return GraphOf[V]{p: p, ops: vopsFor[V]()}
+}
+
+// NewGraph returns an empty id-only graph whose edge trees use params p.
+func NewGraph(p ctree.Params) Graph { return NewGraphOf[struct{}](p) }
+
+// NewWeightedGraph returns an empty weighted graph with the paper's default
+// compression parameters.
+func NewWeightedGraph() WeightedGraph { return NewGraphOf[float32](ctree.DefaultParams()) }
+
+// NewWeightedGraphWith returns an empty weighted graph whose edge trees use
+// params p.
+func NewWeightedGraphWith(p ctree.Params) WeightedGraph { return NewGraphOf[float32](p) }
 
 // FromAdjacency builds a graph from adjacency lists: adj[u] lists the
 // neighbors of vertex u (they will be sorted and deduplicated). Every index
@@ -42,48 +77,60 @@ func NewGraph(p ctree.Params) Graph { return Graph{p: p} }
 func FromAdjacency(p ctree.Params, adj [][]uint32) Graph {
 	entries := make([]pftree.Entry[uint32, ctree.Set], len(adj))
 	parallel.ForGrain(len(adj), 64, func(u int) {
-		nbrs := append([]uint32(nil), adj[u]...)
-		parallel.SortUint32(nbrs)
-		nbrs = parallel.DedupSortedUint32(nbrs)
-		entries[u] = pftree.Entry[uint32, ctree.Set]{Key: uint32(u), Val: ctree.Build(p, nbrs)}
+		entries[u] = pftree.Entry[uint32, ctree.Set]{Key: uint32(u), Val: ctree.Build(p, sortedIDs(adj[u]))}
 	})
-	return Graph{p: p, vt: vops.BuildSorted(entries)}
+	g := NewGraph(p)
+	return g.with(g.ops.BuildSorted(entries))
+}
+
+// table returns g's vertex-tree operation table; only the zero graph lacks
+// one and resolves it here.
+func (g GraphOf[V]) table() *vopsT[V] {
+	if g.ops != nil {
+		return g.ops
+	}
+	return vopsFor[V]()
+}
+
+// with returns the version of g rooted at vt.
+func (g GraphOf[V]) with(vt *vnode[V]) GraphOf[V] {
+	return GraphOf[V]{p: g.p, vt: vt, ops: g.table()}
 }
 
 // Params returns the edge-tree parameters of g.
-func (g Graph) Params() ctree.Params { return g.p }
+func (g GraphOf[V]) Params() ctree.Params { return g.p }
 
 // NumVertices returns the number of vertices, in O(1).
-func (g Graph) NumVertices() int { return g.vt.Size() }
+func (g GraphOf[V]) NumVertices() int { return g.vt.Size() }
 
 // NumEdges returns the number of directed edges, in O(1) via the vertex-tree
 // augmentation.
-func (g Graph) NumEdges() uint64 { return vops.AugOf(g.vt) }
+func (g GraphOf[V]) NumEdges() uint64 { return g.table().AugOf(g.vt) }
 
 // Order returns the size of the vertex-id space (max id + 1); algorithm
 // state arrays are indexed by vertex id.
-func (g Graph) Order() int {
-	last := vops.Last(g.vt)
+func (g GraphOf[V]) Order() int {
+	last := g.table().Last(g.vt)
 	if last == nil {
 		return 0
 	}
 	return int(last.Key()) + 1
 }
 
+// EdgeTree returns u's edge C-tree. O(log n).
+func (g GraphOf[V]) EdgeTree(u uint32) (ctree.Tree[V], bool) {
+	return g.table().Find(g.vt, u)
+}
+
 // HasVertex reports whether u is a vertex of g.
-func (g Graph) HasVertex(u uint32) bool {
-	_, ok := vops.Find(g.vt, u)
+func (g GraphOf[V]) HasVertex(u uint32) bool {
+	_, ok := g.EdgeTree(u)
 	return ok
 }
 
-// EdgeTree returns u's edge C-tree. O(log n).
-func (g Graph) EdgeTree(u uint32) (ctree.Set, bool) {
-	return vops.Find(g.vt, u)
-}
-
 // Degree returns the degree of u (0 for absent vertices). O(log n).
-func (g Graph) Degree(u uint32) int {
-	et, ok := vops.Find(g.vt, u)
+func (g GraphOf[V]) Degree(u uint32) int {
+	et, ok := g.EdgeTree(u)
 	if !ok {
 		return 0
 	}
@@ -91,16 +138,35 @@ func (g Graph) Degree(u uint32) int {
 }
 
 // HasEdge reports whether the directed edge (u, v) exists.
-func (g Graph) HasEdge(u, v uint32) bool {
-	et, ok := vops.Find(g.vt, u)
+func (g GraphOf[V]) HasEdge(u, v uint32) bool {
+	et, ok := g.EdgeTree(u)
 	return ok && et.Contains(v)
 }
 
+// Weight returns the payload of edge (u, v): the weight, on a WeightedGraph.
+func (g GraphOf[V]) Weight(u, v uint32) (V, bool) {
+	et, ok := g.EdgeTree(u)
+	if !ok {
+		var zero V
+		return zero, false
+	}
+	return et.Find(v)
+}
+
 // ForEachNeighbor applies f to u's neighbors in increasing order until f
-// returns false.
-func (g Graph) ForEachNeighbor(u uint32, f func(v uint32) bool) {
-	if et, ok := vops.Find(g.vt, u); ok {
+// returns false (payloads dropped).
+func (g GraphOf[V]) ForEachNeighbor(u uint32, f func(v uint32) bool) {
+	if et, ok := g.EdgeTree(u); ok {
 		et.ForEach(f)
+	}
+}
+
+// ForEachNeighborW applies f to u's (neighbor, payload) pairs in increasing
+// neighbor order until f returns false. With V = float32 this is the
+// ligra.WeightedGraph capability; other payloads do not match it.
+func (g GraphOf[V]) ForEachNeighborW(u uint32, f func(v uint32, w V) bool) {
+	if et, ok := g.EdgeTree(u); ok {
+		et.ForEachKV(f)
 	}
 }
 
@@ -108,27 +174,22 @@ func (g Graph) ForEachNeighbor(u uint32, f func(v uint32) bool) {
 // (unordered). Tree-structured adjacency makes intra-vertex parallelism
 // possible — the capability §7.5 credits for Aspen's fast traversals of
 // high-degree vertices.
-func (g Graph) ForEachNeighborPar(u uint32, f func(v uint32)) {
-	if et, ok := vops.Find(g.vt, u); ok {
+func (g GraphOf[V]) ForEachNeighborPar(u uint32, f func(v uint32)) {
+	if et, ok := g.EdgeTree(u); ok {
 		et.ForEachPar(f)
 	}
 }
 
 // ForEachVertex applies f to every (vertex, edge-tree) pair in id order
 // until f returns false.
-func (g Graph) ForEachVertex(f func(u uint32, et ctree.Set) bool) {
-	vops.ForEach(g.vt, f)
+func (g GraphOf[V]) ForEachVertex(f func(u uint32, et ctree.Tree[V]) bool) {
+	g.table().ForEach(g.vt, f)
 }
 
-// ForEachVertexPar applies f to every vertex in parallel.
-func (g Graph) ForEachVertexPar(f func(u uint32, et ctree.Set)) {
-	vops.ForEachPar(g.vt, f)
-}
-
-// sortEdgeBatch encodes, sorts and dedupes a batch of directed edges,
-// returning packed (src<<32 | dst) keys. The parallel LSD radix sort makes
-// this O(k) work per populated key byte.
-func sortEdgeBatch(edges []Edge) []uint64 {
+// sortEdgeBatch encodes, sorts and dedupes a batch of directed edges by id,
+// returning packed (src<<32 | dst) keys; payloads are ignored. The parallel
+// LSD radix sort makes this O(k) work per populated key byte.
+func sortEdgeBatch[V ctree.Value](edges []EdgeOf[V]) []uint64 {
 	packed := make([]uint64, len(edges))
 	parallel.For(len(edges), func(i int) {
 		packed[i] = uint64(edges[i].Src)<<32 | uint64(edges[i].Dst)
@@ -137,84 +198,109 @@ func sortEdgeBatch(edges []Edge) []uint64 {
 	return parallel.DedupSortedUint64(packed)
 }
 
-// InsertEdges returns a graph with the batch inserted (duplicates combined).
+// sortEdgeBatchKV is sortEdgeBatch keeping the payloads aligned with the
+// keys: a stable pair sort whose dedup keeps, for duplicate (src, dst) pairs,
+// the last payload in batch order. A zero-width V takes the id-only sort and
+// returns nil payloads.
+func sortEdgeBatchKV[V ctree.Value](edges []EdgeOf[V]) ([]uint64, []V) {
+	if payloadWidth[V]() == 0 {
+		return sortEdgeBatch(edges), nil
+	}
+	packed := make([]uint64, len(edges))
+	vals := make([]V, len(edges))
+	parallel.For(len(edges), func(i int) {
+		packed[i] = uint64(edges[i].Src)<<32 | uint64(edges[i].Dst)
+		vals[i] = edges[i].Val
+	})
+	parallel.RadixSortUint64Pairs(packed, vals)
+	return parallel.DedupSortedUint64PairsLast(packed, vals)
+}
+
+// InsertEdges returns a graph with the batch inserted (duplicates combined,
+// last payload in batch order winning; existing edges take the new payload).
 // Vertices appearing as sources or destinations are created as needed; the
 // whole batch is one radix sort plus one fused vertex-tree pass (batch.go).
 // O(k log n) work, polylog depth.
-func (g Graph) InsertEdges(edges []Edge) Graph {
-	if len(edges) == 0 {
-		return g
-	}
-	packed := sortEdgeBatch(edges)
-	return Graph{p: g.p, vt: insertEdgesCore(vops, g.p, g.vt, packed, nil, nil)}
+func (g GraphOf[V]) InsertEdges(edges []EdgeOf[V]) GraphOf[V] {
+	return g.InsertEdgesWith(edges, nil)
 }
 
-// DeleteEdges returns a graph with the batch removed; absent edges are
-// ignored and vertices are kept even at degree zero (the paper makes
-// singleton removal optional — see DeleteEdgesGC for the opt-in).
-func (g Graph) DeleteEdges(edges []Edge) Graph {
+// InsertEdgesWith is InsertEdges with an explicit payload-merge policy for
+// edges that already exist: the stored payload becomes merge(old, new). A
+// nil merge overwrites (last-writer-wins).
+func (g GraphOf[V]) InsertEdgesWith(edges []EdgeOf[V], merge func(old, new V) V) GraphOf[V] {
 	if len(edges) == 0 {
 		return g
 	}
-	packed := sortEdgeBatch(edges)
-	return Graph{p: g.p, vt: deleteEdgesCore(vops, g.p, g.vt, packed, false)}
+	packed, vals := sortEdgeBatchKV(edges)
+	return g.with(insertEdgesCore(g.table(), g.p, g.vt, packed, vals, merge))
 }
+
+// DeleteEdges returns a graph with the batch removed (payloads ignored);
+// absent edges are ignored and vertices are kept even at degree zero (the
+// paper makes singleton removal optional — see DeleteEdgesGC for the opt-in).
+func (g GraphOf[V]) DeleteEdges(edges []EdgeOf[V]) GraphOf[V] { return g.deleteEdges(edges, false) }
 
 // DeleteEdgesGC is DeleteEdges with the isolated-vertex GC opted in: any
 // vertex whose edge tree becomes empty is dropped from the vertex-tree in
 // the same pass. Intended for symmetric graphs, where deletes arrive in
 // both directions and so both endpoints empty out together.
-func (g Graph) DeleteEdgesGC(edges []Edge) Graph {
+func (g GraphOf[V]) DeleteEdgesGC(edges []EdgeOf[V]) GraphOf[V] { return g.deleteEdges(edges, true) }
+
+func (g GraphOf[V]) deleteEdges(edges []EdgeOf[V], dropEmpty bool) GraphOf[V] {
 	if len(edges) == 0 {
 		return g
 	}
-	packed := sortEdgeBatch(edges)
-	return Graph{p: g.p, vt: deleteEdgesCore(vops, g.p, g.vt, packed, true)}
+	return g.with(deleteEdgesCore(g.table(), g.p, g.vt, sortEdgeBatch(edges), dropEmpty))
 }
 
 // CollectIsolated returns a graph without its degree-zero vertices — the
 // full-sweep form of the isolated-vertex GC. O(n).
-func (g Graph) CollectIsolated() Graph {
-	return Graph{p: g.p, vt: collectIsolatedCore(vops, g.vt)}
+func (g GraphOf[V]) CollectIsolated() GraphOf[V] {
+	return g.with(collectIsolatedCore(g.table(), g.vt))
+}
+
+// sortedIDs returns a sorted, deduplicated copy of ids.
+func sortedIDs(ids []uint32) []uint32 {
+	sorted := append([]uint32(nil), ids...)
+	parallel.SortUint32(sorted)
+	return parallel.DedupSortedUint32(sorted)
 }
 
 // InsertVertices adds the given vertex ids with empty edge trees.
-func (g Graph) InsertVertices(ids []uint32) Graph {
+func (g GraphOf[V]) InsertVertices(ids []uint32) GraphOf[V] {
 	if len(ids) == 0 {
 		return g
 	}
-	sorted := append([]uint32(nil), ids...)
-	parallel.SortUint32(sorted)
-	sorted = parallel.DedupSortedUint32(sorted)
-	entries := make([]pftree.Entry[uint32, ctree.Set], len(sorted))
+	sorted := sortedIDs(ids)
+	empty := ctree.NewKV[V](g.p)
+	entries := make([]pftree.Entry[uint32, ctree.Tree[V]], len(sorted))
 	for i, id := range sorted {
-		entries[i] = pftree.Entry[uint32, ctree.Set]{Key: id, Val: ctree.New(g.p)}
+		entries[i] = pftree.Entry[uint32, ctree.Tree[V]]{Key: id, Val: empty}
 	}
-	root := vops.MultiInsert(g.vt, entries, func(old, _ ctree.Set) ctree.Set { return old })
-	return Graph{p: g.p, vt: root}
+	return g.with(g.table().MultiInsert(g.vt, entries, func(old, _ ctree.Tree[V]) ctree.Tree[V] { return old }))
 }
 
 // DeleteVertices removes the given vertices and every edge incident to them
 // (the induced-subgraph semantics of the paper's interface, G[V \ V']).
-func (g Graph) DeleteVertices(ids []uint32) Graph {
+func (g GraphOf[V]) DeleteVertices(ids []uint32) GraphOf[V] {
 	if len(ids) == 0 {
 		return g
 	}
-	sorted := append([]uint32(nil), ids...)
-	parallel.SortUint32(sorted)
-	sorted = parallel.DedupSortedUint32(sorted)
-	root := vops.MultiDelete(g.vt, sorted)
+	ops := g.table()
+	sorted := sortedIDs(ids)
+	root := ops.MultiDelete(g.vt, sorted)
 	// Strip edges pointing at the removed vertices from every survivor.
-	del := ctree.Build(g.p, sorted)
-	entries := make([]pftree.Entry[uint32, ctree.Set], 0, root.Size())
-	vops.ForEach(root, func(u uint32, et ctree.Set) bool {
-		entries = append(entries, pftree.Entry[uint32, ctree.Set]{Key: u, Val: et})
+	del := ctree.BuildKV[V](g.p, sorted, nil)
+	entries := make([]pftree.Entry[uint32, ctree.Tree[V]], 0, root.Size())
+	ops.ForEach(root, func(u uint32, et ctree.Tree[V]) bool {
+		entries = append(entries, pftree.Entry[uint32, ctree.Tree[V]]{Key: u, Val: et})
 		return true
 	})
 	parallel.ForGrain(len(entries), 16, func(i int) {
 		entries[i].Val = entries[i].Val.Difference(del)
 	})
-	return Graph{p: g.p, vt: vops.BuildSorted(entries)}
+	return g.with(ops.BuildSorted(entries))
 }
 
 // Stats aggregates the memory shape of the whole graph: vertex-tree nodes
@@ -224,23 +310,28 @@ type Stats struct {
 	Edge        ctree.Stats
 }
 
-// Stats walks the graph and returns its memory shape.
-func (g Graph) Stats() Stats {
+// Stats walks the graph and returns its memory shape (chunk bytes include
+// the interleaved payload bytes).
+func (g GraphOf[V]) Stats() Stats {
 	s := Stats{VertexNodes: g.vt.Size()}
-	vops.ForEach(g.vt, func(_ uint32, et ctree.Set) bool {
+	g.ForEachVertex(func(_ uint32, et ctree.Tree[V]) bool {
 		s.Edge.Add(et.Stats())
 		return true
 	})
 	return s
 }
 
-// MakeUndirected duplicates each edge in both directions, the form batch
-// updates on symmetric graphs use (paper §7.3 inserts each undirected edge
-// as two directed updates within a single batch).
-func MakeUndirected(edges []Edge) []Edge {
-	out := make([]Edge, 0, 2*len(edges))
+// MakeUndirected duplicates each edge in both directions with the same
+// payload, the form batch updates on symmetric graphs use (paper §7.3
+// inserts each undirected edge as two directed updates within a single
+// batch).
+func MakeUndirected[V ctree.Value](edges []EdgeOf[V]) []EdgeOf[V] {
+	out := make([]EdgeOf[V], 0, 2*len(edges))
 	for _, e := range edges {
-		out = append(out, e, Edge{Src: e.Dst, Dst: e.Src})
+		out = append(out, e, EdgeOf[V]{Val: e.Val, Src: e.Dst, Dst: e.Src})
 	}
 	return out
 }
+
+// MakeUndirectedWeighted is MakeUndirected on weighted edges.
+func MakeUndirectedWeighted(edges []WeightedEdge) []WeightedEdge { return MakeUndirected(edges) }

@@ -96,7 +96,7 @@ func TestInsertDeleteModel(t *testing.T) {
 
 func TestInsertEdgesDedupes(t *testing.T) {
 	g := NewGraph(params())
-	g = g.InsertEdges([]Edge{{1, 2}, {1, 2}, {1, 2}})
+	g = g.InsertEdges([]Edge{{Src: 1, Dst: 2}, {Src: 1, Dst: 2}, {Src: 1, Dst: 2}})
 	if g.NumEdges() != 1 {
 		t.Fatalf("NumEdges = %d, want 1", g.NumEdges())
 	}
@@ -106,8 +106,8 @@ func TestInsertEdgesDedupes(t *testing.T) {
 }
 
 func TestDeleteAbsentEdges(t *testing.T) {
-	g := NewGraph(params()).InsertEdges([]Edge{{1, 2}})
-	g2 := g.DeleteEdges([]Edge{{3, 4}, {1, 9}})
+	g := NewGraph(params()).InsertEdges([]Edge{{Src: 1, Dst: 2}})
+	g2 := g.DeleteEdges([]Edge{{Src: 3, Dst: 4}, {Src: 1, Dst: 9}})
 	if g2.NumEdges() != 1 || !g2.HasEdge(1, 2) {
 		t.Fatal("deleting absent edges changed the graph")
 	}
@@ -136,7 +136,7 @@ func TestVertexOperations(t *testing.T) {
 	if g.NumVertices() != 3 {
 		t.Fatalf("NumVertices = %d", g.NumVertices())
 	}
-	g = g.InsertEdges(MakeUndirected([]Edge{{1, 5}, {5, 9}}))
+	g = g.InsertEdges(MakeUndirected([]Edge{{Src: 1, Dst: 5}, {Src: 5, Dst: 9}}))
 	if g.NumEdges() != 4 {
 		t.Fatalf("NumEdges = %d", g.NumEdges())
 	}
@@ -158,7 +158,7 @@ func TestVertexOperations(t *testing.T) {
 }
 
 func TestInsertVerticesKeepsEdges(t *testing.T) {
-	g := NewGraph(params()).InsertEdges([]Edge{{1, 2}})
+	g := NewGraph(params()).InsertEdges([]Edge{{Src: 1, Dst: 2}})
 	g2 := g.InsertVertices([]uint32{1})
 	if !g2.HasEdge(1, 2) {
 		t.Fatal("re-inserting an existing vertex dropped its edges")
@@ -255,8 +255,8 @@ func TestStats(t *testing.T) {
 }
 
 func TestMakeUndirected(t *testing.T) {
-	u := MakeUndirected([]Edge{{1, 2}})
-	if len(u) != 2 || u[0] != (Edge{1, 2}) || u[1] != (Edge{2, 1}) {
+	u := MakeUndirected([]Edge{{Src: 1, Dst: 2}})
+	if len(u) != 2 || u[0] != (Edge{Src: 1, Dst: 2}) || u[1] != (Edge{Src: 2, Dst: 1}) {
 		t.Fatalf("MakeUndirected = %v", u)
 	}
 }

@@ -3,8 +3,6 @@ package aspen
 import (
 	"sort"
 	"sync"
-
-	"repro/internal/ctree"
 )
 
 // History retains every published version of an evolving graph and answers
@@ -22,7 +20,7 @@ type History struct {
 	// refcounting: a retained version is never retired until TrimBefore
 	// releases its pin, and each pin is released exactly once.
 	pins []*Version[Graph]
-	vg   *VersionedGraph
+	vg   *Versioned[Graph]
 }
 
 // NewHistory wraps an initial graph, retaining it as stamp 0.
@@ -31,12 +29,12 @@ func NewHistory(g Graph) *History {
 		stamps:   []uint64{0},
 		versions: []Graph{g},
 		pins:     []*Version[Graph]{nil},
-		vg:       NewVersionedGraph(g),
+		vg:       NewVersioned(g),
 	}
 }
 
-// Versioned exposes the underlying versioned graph (for concurrent readers).
-func (h *History) Versioned() *VersionedGraph { return h.vg }
+// Versioned exposes the underlying versioned store (for concurrent readers).
+func (h *History) Versioned() *Versioned[Graph] { return h.vg }
 
 // retain records the just-published version, keeping v's reference pinned
 // until TrimBefore.
@@ -113,54 +111,4 @@ func (h *History) Latest() Graph {
 	h.mu.RLock()
 	defer h.mu.RUnlock()
 	return h.versions[len(h.versions)-1]
-}
-
-// DiffEdges structurally compares two versions and returns the directed
-// edges added and removed going from old to new. Untouched vertices keep
-// pointer-identical edge trees across versions and are skipped in O(1)
-// (EqualRep), so the edge work scales with the difference rather than the
-// graph — the temporal-analytics primitive functional snapshots enable.
-// The vertex walk itself is linear in the vertex count.
-func DiffEdges(old, new Graph) (added, removed []Edge) {
-	// Walk both vertex trees in merged key order.
-	oldEntries := map[uint32]ctree.Set{}
-	old.ForEachVertex(func(u uint32, et ctree.Set) bool {
-		oldEntries[u] = et
-		return true
-	})
-	seen := map[uint32]bool{}
-	new.ForEachVertex(func(u uint32, etNew ctree.Set) bool {
-		seen[u] = true
-		etOld, had := oldEntries[u]
-		if had && etNew.EqualRep(etOld) {
-			// Shared subtree: this vertex is untouched between the
-			// versions, skip it in O(1).
-			return true
-		}
-		if !had {
-			etNew.ForEach(func(v uint32) bool {
-				added = append(added, Edge{Src: u, Dst: v})
-				return true
-			})
-			return true
-		}
-		etNew.Difference(etOld).ForEach(func(v uint32) bool {
-			added = append(added, Edge{Src: u, Dst: v})
-			return true
-		})
-		etOld.Difference(etNew).ForEach(func(v uint32) bool {
-			removed = append(removed, Edge{Src: u, Dst: v})
-			return true
-		})
-		return true
-	})
-	for u, et := range oldEntries {
-		if !seen[u] {
-			et.ForEach(func(v uint32) bool {
-				removed = append(removed, Edge{Src: u, Dst: v})
-				return true
-			})
-		}
-	}
-	return added, removed
 }

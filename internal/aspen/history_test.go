@@ -1,10 +1,6 @@
 package aspen
 
-import (
-	"testing"
-
-	"repro/internal/xhash"
-)
+import "testing"
 
 func TestHistoryAsOf(t *testing.T) {
 	h := NewHistory(NewGraph(params()))
@@ -29,41 +25,6 @@ func TestHistoryAsOf(t *testing.T) {
 	// Querying between stamps resolves to the newest not-after version.
 	if g, ok := h.AsOf(s3 + 100); !ok || g.NumEdges() != h.Latest().NumEdges() {
 		t.Fatal("future stamp should resolve to latest")
-	}
-}
-
-func TestDiffEdges(t *testing.T) {
-	g1 := NewGraph(params()).InsertEdges([]Edge{{Src: 0, Dst: 1}, {Src: 0, Dst: 2}, {Src: 3, Dst: 4}})
-	g2 := g1.DeleteEdges([]Edge{{Src: 0, Dst: 2}}).InsertEdges([]Edge{{Src: 5, Dst: 6}})
-	added, removed := DiffEdges(g1, g2)
-	if len(added) != 1 || added[0] != (Edge{Src: 5, Dst: 6}) {
-		t.Fatalf("added = %v", added)
-	}
-	if len(removed) != 1 || removed[0] != (Edge{Src: 0, Dst: 2}) {
-		t.Fatalf("removed = %v", removed)
-	}
-	// Identity diff.
-	a2, r2 := DiffEdges(g2, g2)
-	if len(a2) != 0 || len(r2) != 0 {
-		t.Fatal("self-diff should be empty")
-	}
-}
-
-func TestDiffEdgesRandomized(t *testing.T) {
-	r := xhash.NewRNG(17)
-	g1 := NewGraph(params()).InsertEdges(randomEdges(r, 400, 60))
-	ins := randomEdges(r, 100, 60)
-	del := randomEdges(r, 100, 60)
-	g2 := g1.InsertEdges(ins).DeleteEdges(del)
-	added, removed := DiffEdges(g1, g2)
-	// Applying the diff to g1 must reproduce g2 exactly.
-	g3 := g1.InsertEdges(added).DeleteEdges(removed)
-	if g3.NumEdges() != g2.NumEdges() {
-		t.Fatalf("patched edges = %d, want %d", g3.NumEdges(), g2.NumEdges())
-	}
-	moreAdded, moreRemoved := DiffEdges(g2, g3)
-	if len(moreAdded) != 0 || len(moreRemoved) != 0 {
-		t.Fatalf("patch incomplete: +%d -%d", len(moreAdded), len(moreRemoved))
 	}
 }
 

@@ -1,10 +1,12 @@
 package aspen
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
-	"math"
+	"slices"
 	"sync/atomic"
+	"unsafe"
 
 	"repro/internal/ctree"
 	"repro/internal/graphio"
@@ -20,16 +22,32 @@ import (
 // deterministic, a graph imported from a checkpoint and then replayed
 // through the same WAL suffix reconverges with the pre-crash state.
 
-// Snapshot flattens g into its serializable form. Vertex ids are preserved
-// exactly — gaps and isolated vertices survive the round trip.
-func (g Graph) Snapshot() *graphio.Snapshot {
-	verts, trees, offs := flattenVertexTree(vops, g.vt)
-	s := &graphio.Snapshot{Verts: verts, Offs: offs, Edges: make([]uint32, offs[len(offs)-1])}
+// Snapshot flattens g into its serializable form: each edge's payload is
+// interleaved into the payload section as its little-endian byte image
+// (Width = the payload size; 0 and no payload for Graph, 4 for a
+// WeightedGraph's float32). Vertex ids are preserved exactly — gaps and
+// isolated vertices survive the round trip.
+func (g GraphOf[V]) Snapshot() *graphio.Snapshot {
+	verts, trees, offs := flattenVertexTree(g.table(), g.vt)
+	m := offs[len(offs)-1]
+	w := uint64(payloadWidth[V]())
+	s := &graphio.Snapshot{Width: int(w), Verts: verts, Offs: offs, Edges: make([]uint32, m)}
+	if w > 0 {
+		s.Payload = make([]byte, w*m)
+	}
 	parallel.ForGrain(len(trees), 16, func(i int) {
-		out := s.Edges[offs[i]:offs[i+1]]
-		k := 0
-		trees[i].ForEach(func(v uint32) bool {
-			out[k] = v
+		k := offs[i]
+		if w == 0 { // the id-only walk is ~30% faster than ForEachKV's
+			trees[i].ForEach(func(v uint32) bool {
+				s.Edges[k] = v
+				k++
+				return true
+			})
+			return
+		}
+		trees[i].ForEachKV(func(v uint32, val V) bool {
+			s.Edges[k] = v
+			putPayload(s.Payload[w*k:], val)
 			k++
 			return true
 		})
@@ -37,28 +55,39 @@ func (g Graph) Snapshot() *graphio.Snapshot {
 	return s
 }
 
-// Snapshot flattens g, interleaving each edge's float32 weight into the
-// payload section (Width = 4, little-endian).
-func (g WeightedGraph) Snapshot() *graphio.Snapshot {
-	verts, trees, offs := flattenVertexTree(wvops, g.vt)
-	m := offs[len(offs)-1]
-	s := &graphio.Snapshot{
-		Width:   4,
-		Verts:   verts,
-		Offs:    offs,
-		Edges:   make([]uint32, m),
-		Payload: make([]byte, 4*m),
+// bigEndian reports the host byte order; snapshot payloads are little-endian
+// whatever the host's.
+var bigEndian = binary.NativeEndian.Uint16([]byte{1, 0}) != 1
+
+// payloadBytes returns the in-memory byte image of *v.
+func payloadBytes[V ctree.Value](v *V) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(v)), unsafe.Sizeof(*v))
+}
+
+// payloadWidth returns the byte width of V; 0 is the id-only struct{}.
+func payloadWidth[V ctree.Value]() int {
+	var zero V
+	return int(unsafe.Sizeof(zero))
+}
+
+// putPayload writes v's little-endian image to the front of dst. The byte
+// order swap is exact for the scalar payloads (float32, uint64) this
+// repository stores.
+func putPayload[V ctree.Value](dst []byte, v V) {
+	b := dst[:copy(dst, payloadBytes(&v))]
+	if bigEndian {
+		slices.Reverse(b)
 	}
-	parallel.ForGrain(len(trees), 16, func(i int) {
-		k := offs[i]
-		trees[i].ForEachKV(func(v uint32, w float32) bool {
-			s.Edges[k] = v
-			binary.LittleEndian.PutUint32(s.Payload[4*k:], math.Float32bits(w))
-			k++
-			return true
-		})
-	})
-	return s
+}
+
+// getPayload decodes the value putPayload wrote at the front of src.
+func getPayload[V ctree.Value](src []byte) (v V) {
+	b := payloadBytes(&v)
+	copy(b, src)
+	if bigEndian {
+		slices.Reverse(b)
+	}
+	return v
 }
 
 // flattenVertexTree walks the vertex tree once, collecting ids, edge trees
@@ -77,50 +106,43 @@ func flattenVertexTree[V ctree.Value](ops *vopsT[V], vt *vnode[V]) ([]uint32, []
 	return verts, trees, offs
 }
 
-// GraphFromSnapshot rebuilds an unweighted graph from its snapshot form.
-// The snapshot's structure was already validated by graphio.ReadSnapshot;
-// the per-vertex neighbor order is checked here (building a C-tree from an
-// unsorted list would corrupt it silently), so a damaged-but-checksum-valid
-// file still cannot produce an invalid graph.
-func GraphFromSnapshot(p ctree.Params, s *graphio.Snapshot) (Graph, error) {
-	if s.Width != 0 {
-		return Graph{}, fmt.Errorf("aspen: snapshot has payload width %d, want 0: %w", s.Width, graphio.ErrCorrupt)
+// FromSnapshot rebuilds a graph from its snapshot form; the payload width
+// must be V's. The snapshot's structure was already validated by
+// graphio.ReadSnapshot; the per-vertex neighbor order is checked here
+// (building a C-tree from an unsorted list would corrupt it silently), so a
+// damaged-but-checksum-valid file still cannot produce an invalid graph.
+func FromSnapshot[V ctree.Value](p ctree.Params, s *graphio.Snapshot) (GraphOf[V], error) {
+	w := payloadWidth[V]()
+	if s.Width != w {
+		return GraphOf[V]{}, fmt.Errorf("aspen: snapshot has payload width %d, want %d: %w", s.Width, w, graphio.ErrCorrupt)
 	}
 	if err := checkSnapshotOrder(s); err != nil {
-		return Graph{}, err
+		return GraphOf[V]{}, err
 	}
-	entries := make([]pftree.Entry[uint32, ctree.Set], len(s.Verts))
-	parallel.ForGrain(len(s.Verts), 16, func(i int) {
-		entries[i] = pftree.Entry[uint32, ctree.Set]{
-			Key: s.Verts[i],
-			Val: ctree.Build(p, s.Edges[s.Offs[i]:s.Offs[i+1]]),
-		}
-	})
-	return Graph{p: p, vt: vops.BuildSorted(entries)}, nil
-}
-
-// WeightedGraphFromSnapshot rebuilds a weighted graph from its snapshot
-// form (payload width must be 4: one little-endian float32 per edge).
-func WeightedGraphFromSnapshot(p ctree.Params, s *graphio.Snapshot) (WeightedGraph, error) {
-	if s.Width != 4 {
-		return WeightedGraph{}, fmt.Errorf("aspen: snapshot has payload width %d, want 4: %w", s.Width, graphio.ErrCorrupt)
-	}
-	if err := checkSnapshotOrder(s); err != nil {
-		return WeightedGraph{}, err
-	}
-	entries := make([]pftree.Entry[uint32, ctree.Tree[float32]], len(s.Verts))
+	g, proto := NewGraphOf[V](p), ctree.NewKV[V](p)
+	entries := make([]pftree.Entry[uint32, ctree.Tree[V]], len(s.Verts))
 	parallel.ForGrain(len(s.Verts), 16, func(i int) {
 		lo, hi := s.Offs[i], s.Offs[i+1]
-		ws := make([]float32, hi-lo)
-		for j := range ws {
-			ws[j] = math.Float32frombits(binary.LittleEndian.Uint32(s.Payload[4*(lo+uint64(j)):]))
+		var vals []V
+		if w > 0 {
+			vals = make([]V, hi-lo)
+			for j := range vals {
+				vals[j] = getPayload[V](s.Payload[uint64(w)*(lo+uint64(j)):])
+			}
 		}
-		entries[i] = pftree.Entry[uint32, ctree.Tree[float32]]{
-			Key: s.Verts[i],
-			Val: ctree.BuildKV(p, s.Edges[lo:hi], ws),
-		}
+		entries[i] = pftree.Entry[uint32, ctree.Tree[V]]{Key: s.Verts[i], Val: proto.BuildLike(s.Edges[lo:hi], vals)}
 	})
-	return WeightedGraph{p: p, vt: wvops.BuildSorted(entries)}, nil
+	return g.with(g.ops.BuildSorted(entries)), nil
+}
+
+// GraphFromSnapshot rebuilds an id-only graph from its snapshot form.
+func GraphFromSnapshot(p ctree.Params, s *graphio.Snapshot) (Graph, error) {
+	return FromSnapshot[struct{}](p, s)
+}
+
+// WeightedGraphFromSnapshot rebuilds a weighted graph from its snapshot form.
+func WeightedGraphFromSnapshot(p ctree.Params, s *graphio.Snapshot) (WeightedGraph, error) {
+	return FromSnapshot[float32](p, s)
 }
 
 // checkSnapshotOrder verifies every neighbor list is strictly increasing.
@@ -142,13 +164,14 @@ func checkSnapshotOrder(s *graphio.Snapshot) error {
 }
 
 // Equal reports whether g and o are the same logical graph: the same vertex
-// set and, per vertex, the same neighbor set. Vertices whose edge trees are
-// pointer-identical across the two graphs (the common case when one version
-// derives from the other) compare in O(1) via EqualRep; only genuinely
-// divergent trees are walked. Needed by crash-recovery verification, where
-// the recovered graph was rebuilt from disk and shares no pointers with the
-// original.
-func (g Graph) Equal(o Graph) bool {
+// set and, per vertex, the same neighbors with bit-identical payloads (so a
+// NaN weight equals itself and +0 differs from −0, as a checkpoint round trip
+// requires). Vertices whose edge trees are pointer-identical across the two
+// graphs (the common case when one version derives from the other) compare
+// in O(1) via EqualRep; only genuinely divergent trees are walked. Needed by
+// crash-recovery verification, where the recovered graph was rebuilt from
+// disk and shares no pointers with the original.
+func (g GraphOf[V]) Equal(o GraphOf[V]) bool {
 	if g.vt == o.vt {
 		return true
 	}
@@ -156,9 +179,9 @@ func (g Graph) Equal(o Graph) bool {
 		return false
 	}
 	equal := true
-	g.ForEachVertex(func(u uint32, et ctree.Set) bool {
-		ot, ok := vops.Find(o.vt, u)
-		if !ok || !setsEqual(et, ot) {
+	g.ForEachVertex(func(u uint32, et ctree.Tree[V]) bool {
+		ot, ok := o.EdgeTree(u)
+		if !ok || !treesEqual(et, ot) {
 			equal = false
 			return false
 		}
@@ -167,71 +190,25 @@ func (g Graph) Equal(o Graph) bool {
 	return equal
 }
 
-func setsEqual(a, b ctree.Set) bool {
+func treesEqual[V ctree.Value](a, b ctree.Tree[V]) bool {
 	if a.EqualRep(b) {
 		return true
 	}
 	if a.Size() != b.Size() {
 		return false
 	}
-	nbrs := make([]uint32, 0, a.Size())
-	a.ForEach(func(v uint32) bool {
-		nbrs = append(nbrs, v)
-		return true
-	})
-	i, same := 0, true
-	b.ForEach(func(v uint32) bool {
-		if nbrs[i] != v {
-			same = false
-			return false
-		}
-		i++
-		return true
-	})
-	return same
-}
-
-// Equal reports whether g and o are the same logical weighted graph,
-// comparing neighbor sets and exact float32 weights. Same EqualRep fast
-// path as the unweighted form.
-func (g WeightedGraph) Equal(o WeightedGraph) bool {
-	if g.vt == o.vt {
-		return true
-	}
-	if g.NumVertices() != o.NumVertices() || g.NumEdges() != o.NumEdges() {
-		return false
-	}
-	equal := true
-	g.ForEachVertexW(func(u uint32, et ctree.Tree[float32]) bool {
-		ot, ok := wvops.Find(o.vt, u)
-		if !ok || !weightedEqual(et, ot) {
-			equal = false
-			return false
-		}
-		return true
-	})
-	return equal
-}
-
-func weightedEqual(a, b ctree.Tree[float32]) bool {
-	if a.EqualRep(b) {
-		return true
-	}
-	if a.Size() != b.Size() {
-		return false
-	}
-	type kv struct {
-		v uint32
-		w float32
+	type kv struct { // payload first: a trailing struct{} would pad kv
+		val V
+		v   uint32
 	}
 	kvs := make([]kv, 0, a.Size())
-	a.ForEachKV(func(v uint32, w float32) bool {
-		kvs = append(kvs, kv{v, w})
+	a.ForEachKV(func(v uint32, val V) bool {
+		kvs = append(kvs, kv{val, v})
 		return true
 	})
 	i, same := 0, true
-	b.ForEachKV(func(v uint32, w float32) bool {
-		if kvs[i].v != v || math.Float32bits(kvs[i].w) != math.Float32bits(w) {
+	b.ForEachKV(func(v uint32, val V) bool {
+		if kvs[i].v != v || !bytes.Equal(payloadBytes(&kvs[i].val), payloadBytes(&val)) {
 			same = false
 			return false
 		}

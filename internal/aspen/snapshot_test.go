@@ -44,9 +44,9 @@ func TestWeightedSnapshotRoundTrip(t *testing.T) {
 	var edges []WeightedEdge
 	for i := 0; i < 500; i++ {
 		edges = append(edges, WeightedEdge{
-			Src:    uint32(r.Next() % 80),
-			Dst:    uint32(r.Next() % 80),
-			Weight: float32(r.Next()%1000) / 7,
+			Src: uint32(r.Next() % 80),
+			Dst: uint32(r.Next() % 80),
+			Val: float32(r.Next()%1000) / 7,
 		})
 	}
 	g := NewWeightedGraph().InsertEdges(MakeUndirectedWeighted(edges))
@@ -74,7 +74,7 @@ func TestSnapshotWidthMismatch(t *testing.T) {
 	if _, err := WeightedGraphFromSnapshot(g.Params(), g.Snapshot()); err == nil {
 		t.Fatal("unweighted snapshot accepted as weighted")
 	}
-	w := NewWeightedGraph().InsertEdges([]WeightedEdge{{Src: 0, Dst: 1, Weight: 2}})
+	w := NewWeightedGraph().InsertEdges([]WeightedEdge{{Src: 0, Dst: 1, Val: 2}})
 	if _, err := GraphFromSnapshot(w.Params(), w.Snapshot()); err == nil {
 		t.Fatal("weighted snapshot accepted as unweighted")
 	}
@@ -109,13 +109,13 @@ func TestGraphEqual(t *testing.T) {
 }
 
 func TestWeightedEqualWeightSensitive(t *testing.T) {
-	e := []WeightedEdge{{Src: 0, Dst: 1, Weight: 1.5}, {Src: 1, Dst: 2, Weight: 2.5}}
+	e := []WeightedEdge{{Src: 0, Dst: 1, Val: 1.5}, {Src: 1, Dst: 2, Val: 2.5}}
 	g1 := NewWeightedGraph().InsertEdges(e)
 	g2 := NewWeightedGraph().InsertEdges(e)
 	if !g1.Equal(g2) {
 		t.Fatal("equal weighted graphs compare unequal")
 	}
-	g3 := g1.InsertEdges([]WeightedEdge{{Src: 0, Dst: 1, Weight: 9}})
+	g3 := g1.InsertEdges([]WeightedEdge{{Src: 0, Dst: 1, Val: 9}})
 	if g1.Equal(g3) {
 		t.Fatal("weight change not detected")
 	}

@@ -59,17 +59,11 @@ type Version[G any] struct {
 // NewVersioned wraps an initial snapshot as version 0.
 func NewVersioned[G any](g G) *Versioned[G] {
 	vs := &Versioned[G]{}
-	vs.init(g)
-	return vs
-}
-
-// init installs g as version 0. Wrapper types embed Versioned and must
-// init in place (the initial Version points back at the embedded store).
-func (vs *Versioned[G]) init(g G) {
 	v := &Version[G]{Graph: g, Stamp: 0, vs: vs}
 	v.refs.Store(1) // the store's own reference to the current version
 	vs.live.Store(1)
 	vs.cur.Store(v)
+	return vs
 }
 
 // SetRetireHook registers fn to run when a version is retired (its last
@@ -159,36 +153,3 @@ func (vs *Versioned[G]) LiveVersions() int64 { return vs.live.Load() }
 // RetiredVersions returns the number of versions fully drained and
 // retired since construction.
 func (vs *Versioned[G]) RetiredVersions() uint64 { return vs.retired.Load() }
-
-// VersionedGraph is the unweighted instantiation of Versioned with
-// edge-batch conveniences — the acquire/set/release store §6 describes.
-type VersionedGraph struct {
-	Versioned[Graph]
-}
-
-// NewVersionedGraph wraps an initial graph.
-func NewVersionedGraph(g Graph) *VersionedGraph {
-	vg := &VersionedGraph{}
-	vg.Versioned.init(g)
-	return vg
-}
-
-// InsertEdges atomically inserts a batch of directed edges.
-func (vg *VersionedGraph) InsertEdges(edges []Edge) uint64 {
-	return vg.Update(func(g Graph) Graph { return g.InsertEdges(edges) })
-}
-
-// DeleteEdges atomically deletes a batch of directed edges.
-func (vg *VersionedGraph) DeleteEdges(edges []Edge) uint64 {
-	return vg.Update(func(g Graph) Graph { return g.DeleteEdges(edges) })
-}
-
-// InsertVertices atomically inserts vertices.
-func (vg *VersionedGraph) InsertVertices(ids []uint32) uint64 {
-	return vg.Update(func(g Graph) Graph { return g.InsertVertices(ids) })
-}
-
-// DeleteVertices atomically removes vertices and their incident edges.
-func (vg *VersionedGraph) DeleteVertices(ids []uint32) uint64 {
-	return vg.Update(func(g Graph) Graph { return g.DeleteVertices(ids) })
-}

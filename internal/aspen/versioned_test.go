@@ -9,8 +9,13 @@ import (
 	"repro/internal/xhash"
 )
 
+// insertVersion publishes vg's latest graph with edges inserted.
+func insertVersion(vg *Versioned[Graph], edges []Edge) uint64 {
+	return vg.Update(func(g Graph) Graph { return g.InsertEdges(edges) })
+}
+
 func TestAcquireReleaseAccounting(t *testing.T) {
-	vg := NewVersionedGraph(NewGraph(params()))
+	vg := NewVersioned(NewGraph(params()))
 	v1 := vg.Acquire()
 	v2 := vg.Acquire()
 	if v1 != v2 {
@@ -19,16 +24,16 @@ func TestAcquireReleaseAccounting(t *testing.T) {
 	if vg.Release(v1) {
 		t.Fatal("release should not report last while current")
 	}
-	vg.InsertEdges([]Edge{{1, 2}}) // supersedes v1
+	insertVersion(vg, []Edge{{Src: 1, Dst: 2}}) // supersedes v1
 	if !vg.Release(v2) {
 		t.Fatal("releasing the last reference of a superseded version should report true")
 	}
 }
 
 func TestUpdateVisibility(t *testing.T) {
-	vg := NewVersionedGraph(NewGraph(params()))
+	vg := NewVersioned(NewGraph(params()))
 	before := vg.Acquire()
-	stamp := vg.InsertEdges(MakeUndirected([]Edge{{1, 2}}))
+	stamp := insertVersion(vg, MakeUndirected([]Edge{{Src: 1, Dst: 2}}))
 	after := vg.Acquire()
 	if before.Graph.NumEdges() != 0 {
 		t.Fatal("old snapshot observed the update")
@@ -47,7 +52,7 @@ func TestUpdateVisibility(t *testing.T) {
 // a batch inserts a clique edge set atomically, so any snapshot must observe
 // either none or all edges of a batch, never a partial batch.
 func TestSnapshotIsolation(t *testing.T) {
-	vg := NewVersionedGraph(NewGraph(params()))
+	vg := NewVersioned(NewGraph(params()))
 	const batches = 50
 	const perBatch = 20
 	var stop atomic.Bool
@@ -79,7 +84,7 @@ func TestSnapshotIsolation(t *testing.T) {
 				edges[i] = Edge{Src: base, Dst: base + 1}
 			}
 			_ = r
-			vg.InsertEdges(edges)
+			insertVersion(vg, edges)
 		}
 		stop.Store(true)
 	}()
@@ -95,7 +100,7 @@ func TestSnapshotIsolation(t *testing.T) {
 }
 
 func TestConcurrentWriters(t *testing.T) {
-	vg := NewVersionedGraph(NewGraph(ctree.DefaultParams()))
+	vg := NewVersioned(NewGraph(ctree.DefaultParams()))
 	const writers = 4
 	const each = 25
 	var wg sync.WaitGroup
@@ -105,7 +110,7 @@ func TestConcurrentWriters(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < each; i++ {
 				u := uint32(w*1000 + i)
-				vg.InsertEdges([]Edge{{Src: u, Dst: u + 1}})
+				insertVersion(vg, []Edge{{Src: u, Dst: u + 1}})
 			}
 		}(w)
 	}
@@ -125,7 +130,7 @@ func TestConcurrentWriters(t *testing.T) {
 // version retires exactly once, no version retires while a reader holds it,
 // and at quiescence only the current version is live.
 func TestRetireHookExactlyOnce(t *testing.T) {
-	vg := NewVersionedGraph(NewGraph(params()))
+	vg := NewVersioned(NewGraph(params()))
 	var mu sync.Mutex
 	retired := map[uint64]int{}
 	vg.SetRetireHook(func(stamp uint64) {
@@ -155,7 +160,7 @@ func TestRetireHookExactlyOnce(t *testing.T) {
 		}()
 	}
 	for i := 0; i < updates && !stop.Load(); i++ {
-		vg.InsertEdges([]Edge{{Src: uint32(2 * i), Dst: uint32(2*i + 1)}})
+		insertVersion(vg, []Edge{{Src: uint32(2 * i), Dst: uint32(2*i + 1)}})
 	}
 	stop.Store(true)
 	wg.Wait()
@@ -182,13 +187,13 @@ func TestRetireHookExactlyOnce(t *testing.T) {
 // TestRetireClearsSnapshot checks that a retired version drops its snapshot
 // reference (the memory-reclamation substitute documented in DESIGN.md).
 func TestRetireClearsSnapshot(t *testing.T) {
-	vg := NewVersionedGraph(NewGraph(params()))
-	vg.InsertEdges(MakeUndirected([]Edge{{1, 2}}))
+	vg := NewVersioned(NewGraph(params()))
+	insertVersion(vg, MakeUndirected([]Edge{{Src: 1, Dst: 2}}))
 	v := vg.Acquire()
 	if v.Graph.NumEdges() != 2 {
 		t.Fatal("acquired snapshot incomplete")
 	}
-	vg.InsertEdges(MakeUndirected([]Edge{{3, 4}})) // supersede v
+	insertVersion(vg, MakeUndirected([]Edge{{Src: 3, Dst: 4}})) // supersede v
 	if !vg.Release(v) {
 		t.Fatal("release of last reference should retire")
 	}
@@ -202,7 +207,7 @@ func TestVersionedWeightedGraph(t *testing.T) {
 	vg := NewVersioned(NewWeightedGraph())
 	before := vg.Acquire()
 	stamp := vg.Update(func(g WeightedGraph) WeightedGraph {
-		return g.InsertEdges([]WeightedEdge{{Src: 1, Dst: 2, Weight: 0.5}})
+		return g.InsertEdges([]WeightedEdge{{Src: 1, Dst: 2, Val: 0.5}})
 	})
 	after := vg.Acquire()
 	if before.Graph.NumEdges() != 0 || after.Graph.NumEdges() != 1 {
@@ -227,8 +232,8 @@ func TestVersionedWeightedGraph(t *testing.T) {
 }
 
 func TestConcurrentFlatSnapshotDuringUpdates(t *testing.T) {
-	vg := NewVersionedGraph(NewGraph(params()))
-	vg.InsertEdges(MakeUndirected([]Edge{{0, 1}, {1, 2}, {2, 3}}))
+	vg := NewVersioned(NewGraph(params()))
+	insertVersion(vg, MakeUndirected([]Edge{{Src: 0, Dst: 1}, {Src: 1, Dst: 2}, {Src: 2, Dst: 3}}))
 	var wg sync.WaitGroup
 	wg.Add(2)
 	var bad atomic.Bool
@@ -246,7 +251,7 @@ func TestConcurrentFlatSnapshotDuringUpdates(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := uint32(0); i < 50; i++ {
-			vg.InsertEdges(MakeUndirected([]Edge{{i, i + 100}}))
+			insertVersion(vg, MakeUndirected([]Edge{{Src: i, Dst: i + 100}}))
 		}
 	}()
 	wg.Wait()

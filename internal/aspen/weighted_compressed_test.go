@@ -42,9 +42,9 @@ func randomWeightedBatch(r *xhash.RNG, n, idSpace int) []WeightedEdge {
 	batch := make([]WeightedEdge, n)
 	for i := range batch {
 		batch[i] = WeightedEdge{
-			Src:    uint32(r.Intn(idSpace)),
-			Dst:    uint32(r.Intn(idSpace)),
-			Weight: float32(r.Intn(10_000)) / 16,
+			Src: uint32(r.Intn(idSpace)),
+			Dst: uint32(r.Intn(idSpace)),
+			Val: float32(r.Intn(10_000)) / 16,
 		}
 	}
 	return batch
@@ -68,7 +68,7 @@ func TestWeightedCompressedDifferential(t *testing.T) {
 			ins := randomWeightedBatch(r, 400, 150)
 			g = g.InsertEdges(ins)
 			for _, e := range ins {
-				ref[uint64(e.Src)<<32|uint64(e.Dst)] = e.Weight
+				ref[uint64(e.Src)<<32|uint64(e.Dst)] = e.Val
 			}
 			del := randomWeightedBatch(r, 120, 150)
 			g = g.DeleteEdges(del)
@@ -103,8 +103,8 @@ func TestWeightedCompressedDifferential(t *testing.T) {
 }
 
 func TestWeightedInsertEdgesWithMerge(t *testing.T) {
-	g := NewWeightedGraph().InsertEdges([]WeightedEdge{{Src: 1, Dst: 2, Weight: 10}})
-	g = g.InsertEdgesWith([]WeightedEdge{{Src: 1, Dst: 2, Weight: 5}},
+	g := NewWeightedGraph().InsertEdges([]WeightedEdge{{Src: 1, Dst: 2, Val: 10}})
+	g = g.InsertEdgesWith([]WeightedEdge{{Src: 1, Dst: 2, Val: 5}},
 		func(old, new float32) float32 { return old + new })
 	if w, _ := g.Weight(1, 2); w != 15 {
 		t.Fatalf("additive merge: weight = %v, want 15", w)
@@ -112,8 +112,8 @@ func TestWeightedInsertEdgesWithMerge(t *testing.T) {
 }
 
 func TestWeightedPersistenceAcrossBatches(t *testing.T) {
-	g0 := NewWeightedGraph().InsertEdges([]WeightedEdge{{Src: 0, Dst: 1, Weight: 1}})
-	g1 := g0.InsertEdges([]WeightedEdge{{Src: 0, Dst: 1, Weight: 2}, {Src: 0, Dst: 9, Weight: 9}})
+	g0 := NewWeightedGraph().InsertEdges([]WeightedEdge{{Src: 0, Dst: 1, Val: 1}})
+	g1 := g0.InsertEdges([]WeightedEdge{{Src: 0, Dst: 1, Val: 2}, {Src: 0, Dst: 9, Val: 9}})
 	g2 := g1.DeleteEdges([]WeightedEdge{{Src: 0, Dst: 1}})
 	if w, _ := g0.Weight(0, 1); w != 1 {
 		t.Fatal("version 0 mutated")
@@ -130,18 +130,18 @@ func TestWeightedPersistenceAcrossBatches(t *testing.T) {
 }
 
 func TestDeleteEdgesGC(t *testing.T) {
-	und := MakeUndirected([]Edge{{1, 2}, {3, 4}, {3, 5}})
+	und := MakeUndirected([]Edge{{Src: 1, Dst: 2}, {Src: 3, Dst: 4}, {Src: 3, Dst: 5}})
 	g := NewGraph(ctree.DefaultParams()).InsertEdges(und)
 	if g.NumVertices() != 5 {
 		t.Fatalf("n = %d", g.NumVertices())
 	}
 	// Default DeleteEdges keeps emptied vertices.
-	kept := g.DeleteEdges(MakeUndirected([]Edge{{1, 2}}))
+	kept := g.DeleteEdges(MakeUndirected([]Edge{{Src: 1, Dst: 2}}))
 	if !kept.HasVertex(1) || !kept.HasVertex(2) {
 		t.Fatal("DeleteEdges must keep degree-zero vertices")
 	}
 	// Opt-in GC drops exactly the emptied endpoints.
-	gc := g.DeleteEdgesGC(MakeUndirected([]Edge{{1, 2}}))
+	gc := g.DeleteEdgesGC(MakeUndirected([]Edge{{Src: 1, Dst: 2}}))
 	if gc.HasVertex(1) || gc.HasVertex(2) {
 		t.Fatal("DeleteEdgesGC kept emptied vertices")
 	}
@@ -151,7 +151,7 @@ func TestDeleteEdgesGC(t *testing.T) {
 		}
 	}
 	// Deleting one of vertex 3's two edges must not drop 3.
-	gc2 := g.DeleteEdgesGC(MakeUndirected([]Edge{{3, 4}}))
+	gc2 := g.DeleteEdgesGC(MakeUndirected([]Edge{{Src: 3, Dst: 4}}))
 	if !gc2.HasVertex(3) || gc2.HasVertex(4) {
 		t.Fatal("DeleteEdgesGC dropped a vertex that still has edges (or kept an empty one)")
 	}
@@ -160,7 +160,7 @@ func TestDeleteEdgesGC(t *testing.T) {
 func TestCollectIsolated(t *testing.T) {
 	g := NewGraph(ctree.DefaultParams()).
 		InsertVertices([]uint32{10, 20, 30}).
-		InsertEdges(MakeUndirected([]Edge{{1, 2}}))
+		InsertEdges(MakeUndirected([]Edge{{Src: 1, Dst: 2}}))
 	cg := g.CollectIsolated()
 	if cg.NumVertices() != 2 || !cg.HasVertex(1) || !cg.HasVertex(2) {
 		t.Fatalf("CollectIsolated: n = %d", cg.NumVertices())
@@ -173,7 +173,7 @@ func TestCollectIsolated(t *testing.T) {
 		t.Fatal("idempotence violated")
 	}
 	// Weighted variant.
-	wg := NewWeightedGraph().InsertEdges([]WeightedEdge{{Src: 1, Dst: 2, Weight: 3}})
+	wg := NewWeightedGraph().InsertEdges([]WeightedEdge{{Src: 1, Dst: 2, Val: 3}})
 	wg = wg.DeleteEdges([]WeightedEdge{{Src: 1, Dst: 2}})
 	if wg.CollectIsolated().NumVertices() != 0 {
 		t.Fatal("weighted CollectIsolated kept isolated vertices")
@@ -200,8 +200,8 @@ func TestWeightedBytesPerEdgeRatio(t *testing.T) {
 	for _, e := range edges {
 		w := float32(xhash.Mix32(e[0]^e[1])%1000) / 8
 		batch = append(batch,
-			WeightedEdge{Src: e[0], Dst: e[1], Weight: w},
-			WeightedEdge{Src: e[1], Dst: e[0], Weight: w})
+			WeightedEdge{Src: e[0], Dst: e[1], Val: w},
+			WeightedEdge{Src: e[1], Dst: e[0], Val: w})
 	}
 	comp := NewWeightedGraphWith(ctree.DefaultParams()).InsertEdges(batch)
 	plain := NewWeightedGraphWith(ctree.PlainParams()).InsertEdges(batch)

@@ -10,9 +10,9 @@ import (
 func TestWeightedInsertFind(t *testing.T) {
 	g := NewWeightedGraph()
 	g = g.InsertEdges([]WeightedEdge{
-		{Src: 0, Dst: 1, Weight: 1.5},
-		{Src: 0, Dst: 2, Weight: 2.5},
-		{Src: 1, Dst: 0, Weight: 1.5},
+		{Src: 0, Dst: 1, Val: 1.5},
+		{Src: 0, Dst: 2, Val: 2.5},
+		{Src: 1, Dst: 0, Val: 1.5},
 	})
 	// Like the unweighted graph, the shared batch path creates
 	// destination-only endpoints (vertex 2) so traversals can land on them.
@@ -31,8 +31,8 @@ func TestWeightedInsertFind(t *testing.T) {
 }
 
 func TestWeightedUpdateOverwrites(t *testing.T) {
-	g := NewWeightedGraph().InsertEdges([]WeightedEdge{{Src: 1, Dst: 2, Weight: 1}})
-	g2 := g.InsertEdges([]WeightedEdge{{Src: 1, Dst: 2, Weight: 9}})
+	g := NewWeightedGraph().InsertEdges([]WeightedEdge{{Src: 1, Dst: 2, Val: 1}})
+	g2 := g.InsertEdges([]WeightedEdge{{Src: 1, Dst: 2, Val: 9}})
 	if w, _ := g2.Weight(1, 2); w != 9 {
 		t.Fatalf("weight not updated: %f", w)
 	}
@@ -47,8 +47,8 @@ func TestWeightedUpdateOverwrites(t *testing.T) {
 
 func TestWeightedDelete(t *testing.T) {
 	g := NewWeightedGraph().InsertEdges([]WeightedEdge{
-		{Src: 0, Dst: 1, Weight: 1},
-		{Src: 0, Dst: 2, Weight: 2},
+		{Src: 0, Dst: 1, Val: 1},
+		{Src: 0, Dst: 2, Val: 2},
 	})
 	g2 := g.DeleteEdges([]WeightedEdge{{Src: 0, Dst: 1}, {Src: 5, Dst: 6}})
 	if g2.NumEdges() != 1 {
@@ -70,12 +70,12 @@ func TestWeightedModel(t *testing.T) {
 		var batch []WeightedEdge
 		for i := 0; i < 50; i++ {
 			e := WeightedEdge{
-				Src:    uint32(r.Intn(20)),
-				Dst:    uint32(r.Intn(20)),
-				Weight: float32(r.Intn(100)),
+				Src: uint32(r.Intn(20)),
+				Dst: uint32(r.Intn(20)),
+				Val: float32(r.Intn(100)),
 			}
 			batch = append(batch, e)
-			ref[uint64(e.Src)<<32|uint64(e.Dst)] = e.Weight
+			ref[uint64(e.Src)<<32|uint64(e.Dst)] = e.Val
 		}
 		g = g.InsertEdges(batch)
 	}
@@ -91,16 +91,16 @@ func TestWeightedModel(t *testing.T) {
 		}
 		wantTotal += float64(w)
 	}
-	if math.Abs(g.TotalWeight()-wantTotal) > 1e-3 {
-		t.Fatalf("TotalWeight = %f, want %f", g.TotalWeight(), wantTotal)
+	if math.Abs(totalWeight(g)-wantTotal) > 1e-3 {
+		t.Fatalf("total weight = %f, want %f", totalWeight(g), wantTotal)
 	}
 }
 
 func TestWeightedNeighborOrder(t *testing.T) {
 	g := NewWeightedGraph().InsertEdges([]WeightedEdge{
-		{Src: 0, Dst: 5, Weight: 5},
-		{Src: 0, Dst: 1, Weight: 1},
-		{Src: 0, Dst: 3, Weight: 3},
+		{Src: 0, Dst: 5, Val: 5},
+		{Src: 0, Dst: 1, Val: 1},
+		{Src: 0, Dst: 3, Val: 3},
 	})
 	var order []uint32
 	g.ForEachNeighborW(0, func(v uint32, w float32) bool {

@@ -70,7 +70,7 @@ func weightedDataset(d Dataset) aspen.WeightedGraph {
 			}
 			batch = append(batch, aspen.WeightedEdge{
 				Src: uint32(u), Dst: v,
-				Weight: 0.5 + float32(xhash.Mix32(lo^hi*0x9e3779b9)%1000)/100,
+				Val: 0.5 + float32(xhash.Mix32(lo^hi*0x9e3779b9)%1000)/100,
 			})
 		}
 	}

@@ -31,12 +31,12 @@ func Table7(w io.Writer, cfg Config) {
 			sampleK, queries = 500, 2
 		}
 		start, stream := rmat.SampleUpdateStream(g, sampleK, 11)
-		vg := aspen.NewVersionedGraph(start)
+		vg := aspen.NewVersioned(start)
 
 		// Isolated query latency on the final state of the stream. The
 		// queries repeat over one static snapshot, so the §5.1 flat view
-		// amortizes its O(n) build and is the right access path (ROADMAP
-		// (n)); the concurrent path below stays tree-based — every query
+		// amortizes its O(n) build and is the right access path; the
+		// concurrent path below stays tree-based — every query
 		// there lands on a fresh version, so a per-query flat build would
 		// never amortize.
 		final := start
@@ -69,9 +69,9 @@ func Table7(w io.Writer, cfg Config) {
 				ue := aspen.MakeUndirected([]aspen.Edge{op.Edge})
 				t0 := time.Now()
 				if op.Delete {
-					vg.DeleteEdges(ue)
+					vg.Update(func(g aspen.Graph) aspen.Graph { return g.DeleteEdges(ue) })
 				} else {
-					vg.InsertEdges(ue)
+					vg.Update(func(g aspen.Graph) aspen.Graph { return g.InsertEdges(ue) })
 				}
 				updDur.Add(int64(time.Since(t0)))
 				updates.Add(2)

@@ -2,11 +2,11 @@ package encoding
 
 import "encoding/binary"
 
-// This file holds the specialized chunk-union kernels behind UnionKV —
-// ROADMAP items (b) and (h). The generic streaming merge (unionKVGeneric in
-// kv.go) pays an out-of-line IterKV.Next/Builder.AppendKV call per element;
-// these kernels open-code the same two-pointer merge against the byte
-// layout directly:
+// This file holds the specialized chunk-union kernels behind UnionKV, the
+// innermost loop of every batch insert. The generic streaming merge
+// (unionKVGeneric in kv.go) pays an out-of-line IterKV.Next/Builder.AppendKV
+// call per element; these kernels open-code the same two-pointer merge
+// against the byte layout directly:
 //
 //   - Raw–Raw (unionRawKV): elements are fixed-stride words, so every
 //     maximal run of one side that falls strictly below the other side's

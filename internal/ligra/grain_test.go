@@ -118,7 +118,7 @@ func TestDenseGrainSameResults(t *testing.T) {
 	denseGrainOverride = 0
 }
 
-// BenchmarkEdgeMapDenseGrain shows the ROADMAP (o) effect: a full-frontier
+// BenchmarkEdgeMapDenseGrain shows why the dense grain adapts: a full-frontier
 // dense EdgeMap under the historical fixed 256 grain versus the adaptive
 // m/n-derived grain, on a skewed degree profile where equal-count blocks
 // strand the hub block on one worker.

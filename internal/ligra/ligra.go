@@ -457,7 +457,7 @@ const denseGrainWork = 32768
 // fixed 256 without forking the mapper.
 var denseGrainOverride int
 
-// denseGrain picks the dense-direction block size from m/n (ROADMAP (o)).
+// denseGrain picks the dense-direction block size from m/n.
 // The dense scan visits every id slot and pulls ~deg(v) edges from the
 // live ones, so expected work per slot is about the average degree: blocks
 // of denseGrainWork/(m/n + 1) slots each cost roughly denseGrainWork edge

@@ -99,8 +99,8 @@ func TestWeightedClusterViews(t *testing.T) {
 	c := NewWeightedCluster(NewRangePartitioner(2, 1<<8), testParams(), stream.Options{})
 	defer c.Close()
 	batch := aspen.MakeUndirectedWeighted([]aspen.WeightedEdge{
-		{Src: 3, Dst: 200, Weight: 2.5},
-		{Src: 7, Dst: 9, Weight: 1.25},
+		{Src: 3, Dst: 200, Val: 2.5},
+		{Src: 7, Dst: 9, Val: 1.25},
 	})
 	if _, err := c.Insert(batch); err != nil {
 		t.Fatal(err)

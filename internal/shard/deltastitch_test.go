@@ -172,8 +172,8 @@ func TestDeltaStitchWeighted(t *testing.T) {
 		out := make([]aspen.WeightedEdge, 0, 2*len(es))
 		for _, e := range es {
 			out = append(out,
-				aspen.WeightedEdge{Src: e.Src, Dst: e.Dst, Weight: w},
-				aspen.WeightedEdge{Src: e.Dst, Dst: e.Src, Weight: w})
+				aspen.WeightedEdge{Src: e.Src, Dst: e.Dst, Val: w},
+				aspen.WeightedEdge{Src: e.Dst, Dst: e.Src, Val: w})
 		}
 		return out
 	}

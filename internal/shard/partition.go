@@ -1,6 +1,6 @@
 // Package shard scales the serving layer across writers: a Cluster runs N
 // independent stream.Engine instances — each the single writer for one
-// slice of the vertex-id space — behind one facade (ROADMAP (j)). A
+// slice of the vertex-id space — behind one facade. A
 // Partitioner assigns every vertex to exactly one shard by its *source*
 // endpoint, so each shard holds the complete out-adjacency of the vertices
 // it owns over the full id space; a Router splits incoming edge batches

@@ -149,7 +149,7 @@ func (st deltaStep) weightedEdges() []aspen.WeightedEdge {
 	var out []aspen.WeightedEdge
 	for i, p := range st.pairs {
 		w := 1 + float32(xhash.Mix64(st.w<<32|uint64(i))%1000)/1000
-		out = append(out, aspen.WeightedEdge{Src: p[0], Dst: p[1], Weight: w}, aspen.WeightedEdge{Src: p[1], Dst: p[0], Weight: w})
+		out = append(out, aspen.WeightedEdge{Src: p[0], Dst: p[1], Val: w}, aspen.WeightedEdge{Src: p[1], Dst: p[0], Val: w})
 	}
 	return out
 }

@@ -72,7 +72,7 @@ func FuzzReadBody(f *testing.F) {
 	next := base.InsertEdges(aspen.MakeUndirected([]aspen.Edge{{Src: 0, Dst: 3}, {Src: 6, Dst: 9}})).
 		DeleteEdges(aspen.MakeUndirected([]aspen.Edge{{Src: 1, Dst: 2}}))
 	wedge := func(u, v uint32, w float32) []aspen.WeightedEdge {
-		return []aspen.WeightedEdge{{Src: u, Dst: v, Weight: w}, {Src: v, Dst: u, Weight: w}}
+		return []aspen.WeightedEdge{{Src: u, Dst: v, Val: w}, {Src: v, Dst: u, Val: w}}
 	}
 	wbase := aspen.NewWeightedGraphWith(p).InsertEdges(slices.Concat(wedge(0, 1, 1), wedge(1, 2, 2), wedge(2, 5, 3), wedge(3, 4, 4)))
 	wnext := wbase.InsertEdges(slices.Concat(wedge(0, 1, 9), wedge(6, 8, 5))).DeleteEdges(wedge(3, 4, 0))

@@ -233,8 +233,8 @@ func TestRemoteWeightedSSSP(t *testing.T) {
 			}
 			w := weightOf(lo + uint64(j))
 			out = append(out,
-				aspen.WeightedEdge{Src: e.Src, Dst: e.Dst, Weight: w},
-				aspen.WeightedEdge{Src: e.Dst, Dst: e.Src, Weight: w})
+				aspen.WeightedEdge{Src: e.Src, Dst: e.Dst, Val: w},
+				aspen.WeightedEdge{Src: e.Dst, Dst: e.Src, Val: w})
 		}
 		return out
 	}

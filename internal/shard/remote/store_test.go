@@ -232,11 +232,11 @@ func TestStoreConformance(t *testing.T) {
 					out := make([]aspen.WeightedEdge, len(es))
 					for i, e := range es {
 						// Symmetric, so both directions of an edge agree.
-						out[i] = aspen.WeightedEdge{Src: e.Src, Dst: e.Dst, Weight: float32(1 + (e.Src^e.Dst)%7)}
+						out[i] = aspen.WeightedEdge{Src: e.Src, Dst: e.Dst, Val: float32(1 + (e.Src^e.Dst)%7)}
 					}
 					return out
 				},
-				func(e aspen.WeightedEdge) (uint32, uint32, float32) { return e.Src, e.Dst, e.Weight })
+				func(e aspen.WeightedEdge) (uint32, uint32, float32) { return e.Src, e.Dst, e.Val })
 		})
 	}
 }

@@ -148,13 +148,13 @@ var WeightedEdgeCodec = Codec[aspen.WeightedEdge]{
 	Encode: func(dst []byte, e aspen.WeightedEdge) {
 		binary.LittleEndian.PutUint32(dst, e.Src)
 		binary.LittleEndian.PutUint32(dst[4:], e.Dst)
-		binary.LittleEndian.PutUint32(dst[8:], math.Float32bits(e.Weight))
+		binary.LittleEndian.PutUint32(dst[8:], math.Float32bits(e.Val))
 	},
 	Decode: func(src []byte) aspen.WeightedEdge {
 		return aspen.WeightedEdge{
-			Src:    binary.LittleEndian.Uint32(src),
-			Dst:    binary.LittleEndian.Uint32(src[4:]),
-			Weight: math.Float32frombits(binary.LittleEndian.Uint32(src[8:])),
+			Src: binary.LittleEndian.Uint32(src),
+			Dst: binary.LittleEndian.Uint32(src[4:]),
+			Val: math.Float32frombits(binary.LittleEndian.Uint32(src[8:])),
 		}
 	},
 }

@@ -134,7 +134,7 @@ func TestDurableWeightedRestart(t *testing.T) {
 	{
 		g := aspen.NewWeightedGraphWith(testParams())
 		for i := 0; i < 6; i++ {
-			batch := []aspen.WeightedEdge{{Src: uint32(i), Dst: uint32(i + 1), Weight: float32(i) + 0.5}}
+			batch := []aspen.WeightedEdge{{Src: uint32(i), Dst: uint32(i + 1), Val: float32(i) + 0.5}}
 			g = g.InsertEdges(batch)
 			p, err := e.Insert(batch)
 			if err != nil || p.Wait() == 0 {

@@ -63,11 +63,11 @@ type Options struct {
 	// priority lane that the ingest loop drains first (a second channel
 	// behind a biased select), so small-batch commit latency under
 	// saturation is bounded by one in-flight commit instead of the whole
-	// backlog of giant coalesced batches (ROADMAP (i)). 0 disables the
-	// lane. Note the lane relaxes cross-lane FIFO: a priority batch may
-	// commit before normal-lane batches submitted earlier, so updates whose
-	// relative order matters (insert then delete of the same edge) must
-	// ride the same lane. Flush covers both lanes.
+	// backlog of giant coalesced batches. 0 disables the lane. Note the
+	// lane relaxes cross-lane FIFO: a priority batch may commit before
+	// normal-lane batches submitted earlier, so updates whose relative
+	// order matters (insert then delete of the same edge) must ride the
+	// same lane. Flush covers both lanes.
 	PriorityEdges int
 	// TraceSlow arms the stage tracer's slow-commit ring: commits whose
 	// total staged time (enqueue through ack) reaches this threshold are

@@ -187,9 +187,9 @@ func TestWeightedEngineKernels(t *testing.T) {
 	e := NewWeightedEngine(aspen.NewWeightedGraph(), Options{})
 	defer e.Close()
 	edges := []aspen.WeightedEdge{
-		{Src: 0, Dst: 1, Weight: 1},
-		{Src: 1, Dst: 2, Weight: 2},
-		{Src: 0, Dst: 2, Weight: 5},
+		{Src: 0, Dst: 1, Val: 1},
+		{Src: 1, Dst: 2, Val: 2},
+		{Src: 0, Dst: 2, Val: 5},
 	}
 	p, err := e.Insert(aspen.MakeUndirectedWeighted(edges))
 	if err != nil {

@@ -119,8 +119,8 @@ func TestWeightedTxFlat(t *testing.T) {
 	for i, ed := range gen.Edges(0, 2_000) {
 		w := 1 + float32(i%7)
 		batch = append(batch,
-			aspen.WeightedEdge{Src: ed.Src, Dst: ed.Dst, Weight: w},
-			aspen.WeightedEdge{Src: ed.Dst, Dst: ed.Src, Weight: w})
+			aspen.WeightedEdge{Src: ed.Src, Dst: ed.Dst, Val: w},
+			aspen.WeightedEdge{Src: ed.Dst, Dst: ed.Src, Val: w})
 	}
 	e := NewWeightedEngine(aspen.NewWeightedGraph().InsertEdges(batch), Options{})
 	defer e.Close()

@@ -14,7 +14,7 @@ import (
 // transaction pinning that version shares the result — and the entry is
 // dropped by the engine's retire hook exactly when the version's last
 // reader finishes, so the dense arrays live no longer than the snapshot
-// they index (ROADMAP (k)).
+// they index.
 //
 // With a patcher registered (Options.PatchFlat), the cache additionally
 // keeps an anchor — the newest view it ever materialized — and derives each

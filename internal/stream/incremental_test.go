@@ -94,8 +94,8 @@ func TestPatchFlatWeightedEngine(t *testing.T) {
 		for i, ed := range gen.Edges(lo, hi) {
 			w := scale + float32(i%5)
 			batch = append(batch,
-				aspen.WeightedEdge{Src: ed.Src, Dst: ed.Dst, Weight: w},
-				aspen.WeightedEdge{Src: ed.Dst, Dst: ed.Src, Weight: w})
+				aspen.WeightedEdge{Src: ed.Src, Dst: ed.Dst, Val: w},
+				aspen.WeightedEdge{Src: ed.Dst, Dst: ed.Src, Val: w})
 		}
 		return batch
 	}
@@ -276,8 +276,8 @@ func TestIncrementalCCCoalescedRuns(t *testing.T) {
 func TestIncrementalCCWeighted(t *testing.T) {
 	var batch []aspen.WeightedEdge
 	add := func(u, v uint32, w float32) {
-		batch = append(batch, aspen.WeightedEdge{Src: u, Dst: v, Weight: w},
-			aspen.WeightedEdge{Src: v, Dst: u, Weight: w})
+		batch = append(batch, aspen.WeightedEdge{Src: u, Dst: v, Val: w},
+			aspen.WeightedEdge{Src: v, Dst: u, Val: w})
 	}
 	add(1, 2, 1)
 	add(2, 3, 1)
@@ -289,11 +289,11 @@ func TestIncrementalCCWeighted(t *testing.T) {
 		t.Fatal("bootstrap labeling wrong")
 	}
 	// Re-weight 1-2 (no connectivity change), then bridge the components.
-	reweight := []aspen.WeightedEdge{{Src: 1, Dst: 2, Weight: 9}, {Src: 2, Dst: 1, Weight: 9}}
+	reweight := []aspen.WeightedEdge{{Src: 1, Dst: 2, Val: 9}, {Src: 2, Dst: 1, Val: 9}}
 	if _, err := e.Insert(reweight); err != nil {
 		t.Fatal(err)
 	}
-	bridge := []aspen.WeightedEdge{{Src: 3, Dst: 10, Weight: 1}, {Src: 10, Dst: 3, Weight: 1}}
+	bridge := []aspen.WeightedEdge{{Src: 3, Dst: 10, Val: 1}, {Src: 10, Dst: 3, Val: 1}}
 	if _, err := e.Insert(bridge); err != nil {
 		t.Fatal(err)
 	}

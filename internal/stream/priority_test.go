@@ -31,7 +31,7 @@ func dummyBatch(n int, base uint32) []aspen.Edge {
 	return out
 }
 
-// TestPriorityLaneBoundsSmallBatchLatency is the ROADMAP (i) contract: a
+// TestPriorityLaneBoundsSmallBatchLatency is the priority lane's contract: a
 // small batch submitted behind a backlog of giant batches commits after at
 // most the commit in flight plus its own, not after the whole backlog —
 // bounding small-batch tail latency under saturation.
