@@ -609,7 +609,7 @@ func printRun(rr runResult, base float64) {
 	if cs, ok := r.Detail.(remote.Stats); ok {
 		fmt.Printf("client: %d range RPCs, %d view fetches, %d view hits, %d replica reads, %d primary fallbacks\n",
 			cs.RangeRPCs, cs.ViewFetches, cs.ViewHits, cs.ReplicaReads, cs.PrimaryFallbacks)
-		fmt.Printf("delta reads: %d (%d edge changes), %d whole-range fallbacks (%d no base, %d too large, %d verify failed)\n",
+		fmt.Printf("delta reads: %d (%d edge changes), %d fallbacks read from the empty version (%d no base, %d too large, %d verify failed)\n",
 			cs.DeltaReads, cs.DeltaEdges, cs.DeltaFallbacks, cs.DeltaNoBase, cs.DeltaTooLarge, cs.DeltaVerifyFailed)
 		if cs.Retries+cs.DedupAcks+cs.BreakerOpens+cs.BreakerFastFails+cs.RPCTimeouts+
 			cs.Failovers+cs.Promotions+cs.DegradedPins+cs.StaleReads > 0 {

@@ -46,12 +46,13 @@ const (
 	// VerbRelease releases one pin taken by VerbPin.
 	VerbRelease Verb = 5
 	// VerbRead reads a pinned version (by stamp) or a replica state (by
-	// WAL seq, with FlagBySeq). The request [ref u64][lo u32] fetches the
-	// vertex range starting at lo (degrees + adjacency); with a trailing
-	// [base u64] it asks instead for the edge diff from the version base —
-	// one the client already holds, named the same way as ref — to ref,
-	// and the response leads with a status byte that may decline ("no
-	// base", "too large"), sending the client back to the whole range.
+	// WAL seq, with FlagBySeq). The request [ref u64][lo u32][base u64]
+	// asks for the chunk starting at vertex lo of the edge diff from the
+	// version base — one the client already holds, named the same way as
+	// ref; 0 is the empty version — to ref. The response leads with a
+	// status byte: the diff is from base, or, when the server cannot use
+	// base ("no base", "too large"), from the empty version, in the same
+	// response.
 	VerbRead Verb = 6
 	// VerbStats returns a JSON-encoded server stats snapshot.
 	VerbStats Verb = 7
@@ -119,7 +120,7 @@ const (
 	msgHead   = 12 // verb u8 | flags u8 | reserved u16 | reqID u64
 
 	// MaxFrame bounds a single frame (head + body). Large enough for a
-	// whole-shard adjacency fetch at bench scale, small enough that a
+	// read chunk at bench scale, small enough that a
 	// corrupt length field cannot drive an absurd allocation.
 	MaxFrame = 1 << 26
 
@@ -127,7 +128,9 @@ const (
 	// v2: VerbSubmit bodies lead with a (clientID u64, clientSeq u64)
 	// idempotency note; VerbHealth added.
 	// v3: VerbRead requests may name a base and get a delta body back.
-	ProtoVersion = 3
+	// v4: every VerbRead names a base (0: the empty version) and every
+	// response is a delta body; the whole-range body is gone.
+	ProtoVersion = 4
 )
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)

@@ -9,7 +9,7 @@ import "unsafe"
 
 // Keep is the most a scratch buffer may retain between uses. The largest
 // steady-state record or frame on any ledger workload is 256 KB; only the
-// preload submit and whole-range fallback chunks exceed 1 MiB.
+// preload submit and reads from the empty version exceed 1 MiB.
 const Keep = 1 << 20
 
 // Trim returns b emptied for reuse, or nil when holding on to its backing

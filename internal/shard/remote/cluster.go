@@ -265,13 +265,15 @@ func (c *Cluster[E]) submitChunk(ctx context.Context, s int, del bool, chunk []E
 		return nil
 	}
 	ca.onDone = func(err error) {
-		<-sem
+		// Counted before the slot is given back: a drained window means
+		// every outcome is in the counters (clusterStore.Flush).
 		if err != nil {
 			c.submitErrs.Add(1)
 		} else {
 			c.edges.Add(n)
 			c.batches.Add(1)
 		}
+		<-sem
 	}
 	flags := uint8(0)
 	if del {
@@ -383,11 +385,11 @@ type Stats struct {
 
 	// A moved shard is read as a delta against the view the client holds
 	// (DeltaReads, carrying DeltaEdges edge changes in all) or, when no
-	// delta can be had, whole — one DeltaFallbacks, split by why: the
-	// server no longer holds the base (a reconnect, a base read from the
-	// other endpoint, a retired replica state), the diff exceeds a quarter
-	// of the shard, or the patch did not verify. A shard's first fetch has
-	// no view to patch and is neither.
+	// delta can be had, from the empty version — one DeltaFallbacks, split
+	// by why: the server no longer holds the base (a reconnect, a base read
+	// from the other endpoint, a retired replica state), the diff exceeds a
+	// quarter of the shard, or the patch did not verify. A shard's first
+	// fetch has no view to patch and is neither.
 	DeltaReads        uint64 `json:"delta_reads"`
 	DeltaEdges        uint64 `json:"delta_edges"`
 	DeltaFallbacks    uint64 `json:"delta_fallbacks"`
@@ -654,10 +656,20 @@ func (s clusterStore[E]) Pin() (stream.Snapshot, error) {
 	return txSnapshot[E]{tx}, nil
 }
 
-// Flush also reports submits whose retry budget ran out: their error
-// resolved on a Pending nobody waited on.
+// Flush also waits until every shard's in-flight window is empty — a
+// shard writes a flush reply and a submit ack from two goroutines, so the
+// reply can overtake the ack — and reports submits whose retry budget ran
+// out: their error resolved on a Pending nobody waited on.
 func (s clusterStore[E]) Flush() ([]uint64, error) {
 	stamps, err := s.FlushAll()
+	for _, sem := range s.sems {
+		for range cap(sem) {
+			sem <- struct{}{}
+		}
+		for range cap(sem) {
+			<-sem
+		}
+	}
 	if n := s.submitErrs.Load(); err == nil && n > 0 {
 		err = fmt.Errorf("remote: %d submits failed after exhausting retries", n)
 	}

@@ -503,7 +503,8 @@ func (c *countingConn) Read(p []byte) (int, error) {
 // BenchmarkRemoteFlat measures one read of a moved cluster — pin, Flat,
 // close — on a loopback 2-shard cluster with one 500-edge batch committed
 // between reads: "delta" is the read path (the held views are patched),
-// "whole" the same read with nothing held, i.e. the fallback every time.
+// "whole" the same read with nothing held, answered from the empty version
+// every time.
 // rx-B/op is what the client received per read.
 func BenchmarkRemoteFlat(b *testing.B) {
 	for _, mode := range []string{"whole", "delta"} {

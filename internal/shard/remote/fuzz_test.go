@@ -28,19 +28,31 @@ func bodyOf(t testing.TB, build func(e *rpc.Encoder)) []byte {
 	return slices.Clone(m.Body)
 }
 
-// wholeView decodes g's whole-range body into a client view.
+// wholeView decodes g's body from the empty version into a client view.
 func wholeView(t testing.TB, g ligra.Graph, weighted bool) *remoteView {
 	t.Helper()
-	body := rpc.NewBody(bodyOf(t, func(e *rpc.Encoder) { encodeRange(e, g, weighted, 0) }))
-	var b rangeBuilder
-	if _, err := b.chunk(&body, weighted); err != nil {
+	body := rpc.NewBody(readBody(t, nil, g, 0))
+	var d delta
+	if _, err := d.decode(&body, weighted); err != nil {
 		t.Fatal(err)
 	}
-	v, err := b.view(weighted)
+	v, err := d.view(weighted)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return v
+}
+
+// readBody is the response body a server sends for the chunk of to from
+// vertex lo on, as the diff from version from (nil: the empty version).
+func readBody(t testing.TB, from, to ligra.Graph, lo uint32) []byte {
+	t.Helper()
+	var d delta
+	status, err := d.diff(from, to, lo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return bodyOf(t, func(e *rpc.Encoder) { d.encode(e, status) })
 }
 
 // checkView asserts the invariants every served view holds: one sorted
@@ -60,12 +72,12 @@ func checkView(t *testing.T, v *remoteView) {
 	}
 }
 
-// FuzzReadBody feeds arbitrary bytes to the two decoders that read a
-// peer's VerbRead responses, on both payloads: the whole-range chunk and
-// the delta (decode, then patch against a held view). Neither may panic or
-// hold more decoded elements than the frame has bytes for, and a body that
-// decodes is either applied with every per-vertex and edge-count check
-// passing, or rejected.
+// FuzzReadBody feeds arbitrary bytes to the decoder of a peer's VerbRead
+// responses, on both payloads. It may not panic or hold more decoded
+// elements than the frame has bytes for; a body from the empty version
+// that decodes builds a view that passes checkView or is rejected, and a
+// delta body is either applied to a held view with every per-vertex and
+// edge-count check passing, or rejected.
 func FuzzReadBody(f *testing.F) {
 	p := testParams()
 	base := aspen.NewGraph(p).InsertEdges(aspen.MakeUndirected([]aspen.Edge{{Src: 0, Dst: 1}, {Src: 1, Dst: 2}, {Src: 2, Dst: 5}, {Src: 3, Dst: 4}, {Src: 0, Dst: 7}}))
@@ -78,47 +90,51 @@ func FuzzReadBody(f *testing.F) {
 	wnext := wbase.InsertEdges(slices.Concat(wedge(0, 1, 9), wedge(6, 8, 5))).DeleteEdges(wedge(3, 4, 0))
 	held := map[bool]*remoteView{false: wholeView(f, base, false), true: wholeView(f, wbase, true)}
 
-	deltaBody := func(from, to ligra.Graph) []byte {
-		var d delta
-		status := d.diff(from, to, 0)
-		return bodyOf(f, func(e *rpc.Encoder) { d.encode(e, status) })
-	}
-	f.Add(bodyOf(f, func(e *rpc.Encoder) { encodeRange(e, base, false, 0) }), false)
-	f.Add(bodyOf(f, func(e *rpc.Encoder) { encodeRange(e, next, false, 2) }), false)
-	f.Add(bodyOf(f, func(e *rpc.Encoder) { encodeRange(e, wnext, true, 0) }), true)
-	f.Add(deltaBody(base, next), false)
-	f.Add(deltaBody(next, base), false)
-	f.Add(deltaBody(wbase, wnext), true)
+	f.Add(readBody(f, nil, base, 0), false)
+	f.Add(readBody(f, nil, next, 2), false)
+	f.Add(readBody(f, nil, wnext, 0), true)
+	f.Add(readBody(f, base, next, 0), false)
+	f.Add(readBody(f, next, base, 0), false)
+	f.Add(readBody(f, wbase, wnext, 0), true)
 	f.Add([]byte{deltaNoBase}, false)
 	f.Add([]byte{deltaTooLarge}, true)
 	// The headers the hardening is about: counts far beyond the frame.
 	f.Add(bodyOf(f, func(e *rpc.Encoder) { e.U32(1 << 31); e.U64(1 << 40); e.U32(1 << 30); e.U64(1 << 61) }), false)
 	f.Add(bodyOf(f, func(e *rpc.Encoder) { e.U8(deltaOK); e.U32(1 << 31); e.U64(1 << 40); e.U8(0); e.U32(1 << 30) }), true)
+	f.Add(bodyOf(f, func(e *rpc.Encoder) {
+		e.U8(deltaNoBase)
+		e.U32(1 << 31)
+		e.U64(0)
+		e.U8(0)
+		e.U32(1)
+		e.U32(0)
+		e.U32(0)
+		e.U32(0)
+		e.U32(0)
+	}), false)
 
 	f.Fuzz(func(t *testing.T, data []byte, weighted bool) {
 		per := 1
 		if weighted {
 			per = 2
 		}
-		var b rangeBuilder
-		body := rpc.NewBody(data)
-		if _, err := b.chunk(&body, weighted); err == nil {
-			if 4*(len(b.degs)+per*len(b.nbrs)) > len(data) || weighted && len(b.wts) != len(b.nbrs) {
-				t.Fatalf("whole-range chunk decoded %d degrees, %d neighbors, %d weights from %d bytes", len(b.degs), len(b.nbrs), len(b.wts), len(data))
-			}
-			if v, err := b.view(weighted); err == nil {
-				checkView(t, v)
-			}
-		}
-
 		var d delta
-		body = rpc.NewBody(data)
+		body := rpc.NewBody(data)
 		status, err := d.decode(&body, weighted)
-		if err != nil || status != deltaOK {
+		if err != nil {
 			return
 		}
 		if 16*len(d.verts)+4*(per*len(d.adds)+len(d.dels)) > len(data) || weighted && len(d.wts) != len(d.adds) {
-			t.Fatalf("delta decoded %d vertices, %d adds, %d weights, %d dels from %d bytes", len(d.verts), len(d.adds), len(d.wts), len(d.dels), len(data))
+			t.Fatalf("decoded %d vertices, %d adds, %d weights, %d dels from %d bytes", len(d.verts), len(d.adds), len(d.wts), len(d.dels), len(data))
+		}
+		if status != deltaOK {
+			if v, err := d.view(weighted); err == nil {
+				if v.order != len(d.verts) || uint64(len(v.nbrs)) != v.m || v.m != uint64(len(d.adds)) {
+					t.Fatalf("built order %d, %d neighbors, m %d from %d vertices, %d adds", v.order, len(v.nbrs), v.m, len(d.verts), len(d.adds))
+				}
+				checkView(t, v)
+			}
+			return
 		}
 		before := copyView(viewOf(held[weighted]))
 		if nv, err := held[weighted].patch(&d); err == nil {

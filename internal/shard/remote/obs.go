@@ -46,7 +46,7 @@ func (c *Cluster[E]) RegisterMetrics(reg *obs.Registry, labels ...obs.Label) {
 	for reason, name := range [numFallReasons]string{fallNoBase: "no_base", fallTooLarge: "too_large", fallVerifyFailed: "verify_failed"} {
 		ls := append(slices.Clone(labels), obs.Label{Key: "reason", Value: name})
 		reg.CounterFunc("aspen_client_delta_fallbacks_total",
-			"Moved shards with a view held that were read whole instead, by reason.",
+			"Moved shards with a view held that were read from the empty version instead, by reason.",
 			c.deltaFallbacks[reason].Load, ls...)
 	}
 	reg.CounterFunc("aspen_client_retries_total",
@@ -88,8 +88,8 @@ func (s *Server[G, E]) RegisterMetrics(reg *obs.Registry, labels ...obs.Label) {
 			summary(v.String(), &s.verbHists[v])
 		}
 	}
-	// Reads that name a base — answered with the edge diff, or declined;
-	// verb="read" keeps the whole-range reads.
+	// Reads that name a base (base ≠ 0) — answered with the edge diff, or
+	// from the empty version; verb="read" keeps those that name none.
 	summary("read_delta", &s.deltaReadHist)
 	d := s.dedup
 	reg.GaugeFunc("aspen_dedup_clients",

@@ -2,8 +2,6 @@ package remote
 
 import (
 	"errors"
-	"fmt"
-	"math"
 	"slices"
 	"sync"
 	"time"
@@ -61,7 +59,7 @@ type stitchSlot struct {
 }
 
 // How a read of a shard the client already holds a view of went: as a
-// delta, or whole for one of three reasons (Stats.Delta*).
+// delta, or from the empty version for one of three reasons (Stats.Delta*).
 const (
 	fallNoBase = iota // the server no longer holds the base, or the held view was read on another connection
 	fallTooLarge
@@ -74,8 +72,8 @@ const (
 // single-slot stitched cache (keyed by the exact vector), a per-shard view
 // cache (unmoved shards reuse their views), and for whatever moved a delta
 // read that patches the cached view — replica first when one is
-// configured, primary when the replica lags or is down, the whole range
-// when no delta can be had. Only moved shards are re-stitched.
+// configured, primary when the replica lags or is down, the diff from the
+// empty version when no delta can be had. Only moved shards are re-stitched.
 func (c *Cluster[E]) flatFor(t *Tx[E]) (ligra.Graph, error) {
 	// Cache keys are the composite (stamp, seq): a degraded replica pin
 	// has stamp 0 and is identified purely by its WAL watermark, and a
@@ -185,45 +183,41 @@ func (c *Cluster[E]) fetchShardView(t *Tx[E], s int, held cachedView) (cachedVie
 // fetchFrom reads one shard view over cn, addressed by pinned stamp
 // (primary) or WAL seq (replica, FlagBySeq); gen, when nonzero, is the
 // connection generation the read must run on. With a view already held
-// from cn on that generation it asks for the delta and patches (how is
-// fallNone); a declined or unverifiable delta is answered by the whole
-// range, never served, and how says why.
-func (c *Cluster[E]) fetchFrom(cn *Conn, flags uint8, ref, gen uint64, held cachedView) (nv cachedView, how int, err error) {
-	how = fallNoBase
+// from cn on that generation the read names it as the base and patches the
+// diff it gets back (how is fallNone). Anything else is a fallback, and how
+// says why: the server answered from the empty version (no base, too
+// large), or the diff did not verify and is read again from the empty
+// version on gen.
+func (c *Cluster[E]) fetchFrom(cn *Conn, flags uint8, ref, gen uint64, held cachedView) (cachedView, int, error) {
+	how := fallNoBase
 	if base := held.base(); base != nil && held.src == cn && (gen == 0 || gen == held.gen) {
 		var d delta
-		if how, err = c.fetchDelta(cn, flags, ref, held, &d); err != nil {
+		status, _, err := c.readChunks(cn, flags, ref, held.ref, held.gen, &d)
+		how = fallVerifyFailed
+		switch {
+		case errors.Is(err, errGenMoved):
+			how = fallNoBase // reconnected since: the base pin is gone
+		case err != nil && !errors.Is(err, errDeltaBody):
 			return cachedView{}, how, err
-		}
-		if how == fallNone {
-			if v, perr := base.patch(&d); perr == nil {
+		case err != nil:
+		case status == deltaOK:
+			if v, err := base.patch(&d); err == nil {
 				c.deltaEdges.Add(uint64(d.edges()))
 				return c.slotFor(v, cn, ref, held.gen), fallNone, nil
 			}
-			how = fallVerifyFailed
+		default: // answered from the empty version, for the reason status gives
+			if v, err := d.view(c.weighted); err == nil {
+				how = [...]int{deltaNoBase: fallNoBase, deltaTooLarge: fallTooLarge}[status]
+				return c.slotFor(v, cn, ref, held.gen), how, nil
+			}
 		}
 	}
-	var b rangeBuilder
-	for !b.done() {
-		var n uint32
-		lo := uint32(len(b.degs))
-		g, err := cn.roundTripOn(gen, rpc.VerbRead, flags, func(e *rpc.Encoder) {
-			e.U64(ref)
-			e.U32(lo)
-		}, func(_ uint8, d *rpc.Body) (err error) {
-			n, err = b.chunk(d, c.weighted)
-			return err
-		})
-		if err != nil {
-			return cachedView{}, how, err
-		}
-		c.rangeRPCs.Add(1)
-		gen = g // later chunks stay on the first one's connection
-		if n == 0 && !b.done() {
-			return cachedView{}, how, fmt.Errorf("remote: read made no progress at vertex %d of %d", lo, b.order)
-		}
+	var d delta
+	_, gen, err := c.readChunks(cn, flags, ref, 0, gen, &d)
+	var v *remoteView
+	if err == nil {
+		v, err = d.view(c.weighted)
 	}
-	v, err := b.view(c.weighted)
 	if err != nil {
 		return cachedView{}, how, err
 	}
@@ -239,43 +233,37 @@ func (c *Cluster[E]) slotFor(v *remoteView, cn *Conn, ref, gen uint64) cachedVie
 	return cv
 }
 
-// fetchDelta reads the diff from the held view to ref into d, on the
-// generation the held view was read on. how is fallNone when d is
-// complete, else why the whole range must be read instead; err is a
-// transport or server failure of the read itself.
-func (c *Cluster[E]) fetchDelta(cn *Conn, flags uint8, ref uint64, held cachedView, d *delta) (how int, err error) {
-	lo := uint32(0)
-	for {
-		status := deltaOK
-		var derr error
-		_, err := cn.roundTripOn(held.gen, rpc.VerbRead, flags, func(e *rpc.Encoder) {
+// readChunks reads version ref over cn into d as the diff from base (0:
+// the empty version), chunk by chunk on one connection generation — gen,
+// or whichever is live when gen is 0 — and returns the first chunk's
+// status and the generation the read ran on. A body from the empty version
+// in the middle of a diff (the base went away between chunks) starts the
+// read over from the empty version.
+func (c *Cluster[E]) readChunks(cn *Conn, flags uint8, ref, base, gen uint64, d *delta) (uint8, uint64, error) {
+	var status uint8
+	for lo := uint32(0); ; {
+		var st uint8
+		g, err := cn.roundTripOn(gen, rpc.VerbRead, flags, func(e *rpc.Encoder) {
 			e.U64(ref)
 			e.U32(lo)
-			e.U64(held.ref)
-		}, func(_ uint8, b *rpc.Body) error {
-			status, derr = d.decode(b, c.weighted)
-			return nil
+			e.U64(base)
+		}, func(_ uint8, b *rpc.Body) (err error) {
+			st, err = d.decode(b, c.weighted)
+			return err
 		})
 		switch {
-		case errors.Is(err, errGenMoved):
-			return fallNoBase, nil // reconnected since: the base pin is gone
-		case derr != nil || errors.Is(err, rpc.ErrBody):
-			return fallVerifyFailed, nil
+		case errors.Is(err, errBaseGone) && base != 0:
+			*d, lo, base = delta{}, 0, 0
+			continue
 		case err != nil:
-			return fallNoBase, err
+			return status, gen, err
+		case lo == 0:
+			status = st
 		}
 		c.rangeRPCs.Add(1)
-		switch status {
-		case deltaNoBase:
-			return fallNoBase, nil
-		case deltaTooLarge:
-			return fallTooLarge, nil
-		}
+		gen = g // later chunks stay on the first one's connection
 		if !d.more {
-			return fallNone, nil
-		}
-		if len(d.verts) == 0 || d.verts[len(d.verts)-1].id == math.MaxUint32 {
-			return fallVerifyFailed, nil // "more" with nowhere to continue from
+			return status, gen, nil
 		}
 		lo = d.verts[len(d.verts)-1].id + 1
 	}

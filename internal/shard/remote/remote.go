@@ -6,8 +6,8 @@
 // vector of per-shard commit stamps, and flat views are stitched with
 // the same shard.Stitch from per-shard views kept current over the wire
 // (a moved shard is read as the edge diff against the view already held
-// and patched; the whole range is the fallback), so every algos kernel
-// runs unmodified against a cluster of processes.
+// and patched; the diff from the empty version is the fallback), so
+// every algos kernel runs unmodified against a cluster of processes.
 //
 // Consistency model. Each pinned stamp is a committed prefix of its
 // shard's serialized history, exactly as in-process; a Barrier with

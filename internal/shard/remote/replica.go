@@ -545,7 +545,7 @@ func (r *Replica[G, E]) handle(nc net.Conn) {
 				return
 			}
 		case rpc.VerbRead:
-			seq, lo, base, isDelta, err := readRequest(m.Body)
+			seq, lo, base, err := readRequest(m.Body)
 			if err != nil {
 				if replyErr(m.Verb, m.ReqID, 0, err.Error()) != nil {
 					return
@@ -567,19 +567,18 @@ func (r *Replica[G, E]) handle(nc net.Conn) {
 				}
 				continue
 			}
-			if !isDelta {
-				if reply(m.Verb, 0, m.ReqID, func(e *rpc.Encoder) { encodeRange(e, g, r.weighted, lo) }) != nil {
-					return
-				}
-				continue
-			}
 			// The base is whatever the ring still retains at that seq; a
-			// retired one sends the client back to the whole range.
-			status := deltaNoBase
-			if bg, ok := r.stateAt(base); ok {
-				status = diff.diff(bg, g, lo)
+			// retired one is answered from the empty version.
+			var bg ligra.Graph
+			if b, ok := r.stateAt(base); ok && base != 0 {
+				bg = b
 			}
-			err = reply(m.Verb, 0, m.ReqID, func(e *rpc.Encoder) { diff.encode(e, status) })
+			status, err := diff.diff(bg, g, lo)
+			if err == nil {
+				err = reply(m.Verb, 0, m.ReqID, func(e *rpc.Encoder) { diff.encode(e, status) })
+			} else {
+				err = replyErr(m.Verb, m.ReqID, 0, err.Error())
+			}
 			diff.reset()
 			if err != nil {
 				return

@@ -2,11 +2,9 @@ package remote
 
 import (
 	"bufio"
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math"
 	"net"
 	"sync"
 	"time"
@@ -53,8 +51,9 @@ type Server[G ligra.Graph, E any] struct {
 	// enqueue for submits (the commit ack goes out asynchronously) and
 	// tail handshakes (the stream runs on its own goroutine). Exported
 	// by RegisterMetrics as aspen_rpc_dispatch_seconds{verb=...}. Reads
-	// that name a base are kept apart (verb="read_delta"), so a slow read
-	// says which of the two it was.
+	// that name a base (base ≠ 0) are kept apart (verb="read_delta") from
+	// those that ask from the empty version, so a slow read says which of
+	// the two it was.
 	verbHists     [rpc.NumVerbs]obs.Hist
 	deltaReadHist obs.Hist
 
@@ -244,8 +243,8 @@ func (sc *serverConn[G, E]) replyErr(verb rpc.Verb, id uint64, flags uint8, msg 
 func (sc *serverConn[G, E]) dispatch(m rpc.Msg) error {
 	start := time.Now()
 	err := sc.dispatchVerb(m)
-	switch {
-	case m.Verb == rpc.VerbRead && len(m.Body) > readReqLen:
+	switch _, _, base, _ := readRequest(m.Body); {
+	case m.Verb == rpc.VerbRead && base != 0:
 		sc.s.deltaReadHist.Observe(time.Since(start))
 	case int(m.Verb) < len(sc.s.verbHists):
 		sc.s.verbHists[m.Verb].Observe(time.Since(start))
@@ -476,22 +475,20 @@ func (sc *serverConn[G, E]) handleRelease(m rpc.Msg) error {
 	return sc.reply(m.Verb, 0, m.ReqID, nil)
 }
 
-// readRequest parses a VerbRead body: the whole-range form
-// [ref u64][lo u32], or the delta form with a trailing [base u64].
-func readRequest(body []byte) (ref uint64, lo uint32, base uint64, isDelta bool, err error) {
+// readRequest parses a VerbRead body, [ref u64][lo u32][base u64]: the
+// chunk starting at vertex lo of version ref, as the diff from version base
+// (0: the empty version).
+func readRequest(body []byte) (ref uint64, lo uint32, base uint64, err error) {
 	d := rpc.NewBody(body)
-	ref, lo = d.U64(), d.U32()
-	if isDelta = d.Len() > 0; isDelta {
-		base = d.U64()
-	}
-	return ref, lo, base, isDelta, d.Err()
+	ref, lo, base = d.U64(), d.U32(), d.U64()
+	return ref, lo, base, d.Err()
 }
 
-// handleRead serves a pinned version. A delta read is answered from the
-// two tree snapshots the connection has pinned and never builds a flat
-// view; only the whole-range fallback does.
+// handleRead serves a pinned version as the diff from the base the client
+// names, when this connection has it pinned, else from the empty version.
+// It reads the two tree snapshots only and never builds a flat view.
 func (sc *serverConn[G, E]) handleRead(m rpc.Msg) error {
-	ref, lo, base, isDelta, err := readRequest(m.Body)
+	ref, lo, base, err := readRequest(m.Body)
 	if err != nil {
 		return sc.replyErr(m.Verb, m.ReqID, 0, err.Error())
 	}
@@ -502,14 +499,13 @@ func (sc *serverConn[G, E]) handleRead(m rpc.Msg) error {
 	if !ok {
 		return sc.replyErr(m.Verb, m.ReqID, 0, fmt.Sprintf("stamp %d not pinned on this connection", ref))
 	}
-	if !isDelta {
-		return sc.reply(m.Verb, 0, m.ReqID, func(e *rpc.Encoder) {
-			encodeRange(e, ent.tx.Flat(), sc.s.weighted, lo)
-		})
+	var bg ligra.Graph
+	if bent, ok := sc.pins[base]; ok && base != 0 {
+		bg = bent.tx.Graph()
 	}
-	status := deltaNoBase
-	if bent, ok := sc.pins[base]; ok {
-		status = sc.diff.diff(bent.tx.Graph(), ent.tx.Graph(), lo)
+	status, err := sc.diff.diff(bg, ent.tx.Graph(), lo)
+	if err != nil {
+		return sc.replyErr(m.Verb, m.ReqID, 0, err.Error())
 	}
 	err = sc.reply(m.Verb, 0, m.ReqID, func(e *rpc.Encoder) { sc.diff.encode(e, status) })
 	sc.diff.reset()
@@ -522,88 +518,4 @@ func (sc *serverConn[G, E]) handleStats(m rpc.Msg) error {
 		return sc.replyErr(m.Verb, m.ReqID, 0, err.Error())
 	}
 	return sc.reply(m.Verb, 0, m.ReqID, func(e *rpc.Encoder) { e.Bytes(raw) })
-}
-
-// encodeRange appends one Read response body: the chunk of g starting
-// at vertex lo, bounded by maxReadVerts/maxReadEdges with at least one
-// vertex of progress.
-//
-//	[order u32][m u64][n u32][edges u64][degs n*u32][nbrs edges*u32][wts edges*f32?]
-func encodeRange(e *rpc.Encoder, g ligra.Graph, weighted bool, lo uint32) {
-	order := g.Order()
-	var degs []int32
-	if fg, ok := g.(ligra.FlatGraph); ok {
-		degs = fg.Degrees()
-	}
-	degOf := func(u uint32) uint32 {
-		if degs != nil {
-			if int(u) < len(degs) {
-				return uint32(degs[u])
-			}
-			return 0
-		}
-		return uint32(g.Degree(u))
-	}
-	n := uint32(0)
-	edges := uint64(0)
-	for u := uint64(lo); u < uint64(order); u++ {
-		if n >= maxReadVerts || edges >= maxReadEdges {
-			break
-		}
-		edges += uint64(degOf(uint32(u)))
-		n++
-	}
-	e.U32(uint32(order))
-	e.U64(g.NumEdges())
-	e.U32(n)
-	e.U64(edges)
-	// One Reserve for the degrees and both arrays: the body's size is known
-	// here, so a range too large to keep costs one allocation (appending the
-	// degrees one by one would regrow a fresh buffer a dozen times), and a
-	// second Reserve could reallocate the frame and invalidate the first.
-	total := int(edges) * 4
-	if weighted {
-		total *= 2
-	}
-	buf := e.Reserve(int(n)*4 + total)
-	for i := uint32(0); i < n; i++ {
-		binary.LittleEndian.PutUint32(buf[i*4:], degOf(lo+i))
-	}
-	buf = buf[n*4:]
-	nbuf := buf[:int(edges)*4]
-	var wbuf []byte
-	if weighted {
-		wbuf = buf[int(edges)*4:]
-	}
-	// Both callbacks are built once, outside the vertex loop: a literal
-	// inside it escapes through the interface call and costs one heap
-	// object per vertex of every range served.
-	i, lim := 0, int(edges)
-	if weighted {
-		putW := func(w uint32, wt float32) bool {
-			if i >= lim {
-				return false
-			}
-			binary.LittleEndian.PutUint32(nbuf[i*4:], w)
-			binary.LittleEndian.PutUint32(wbuf[i*4:], math.Float32bits(wt))
-			i++
-			return true
-		}
-		wg := g.(ligra.WeightedGraph)
-		for u := lo; u < lo+n; u++ {
-			wg.ForEachNeighborW(u, putW)
-		}
-		return
-	}
-	put := func(w uint32) bool {
-		if i >= lim {
-			return false
-		}
-		binary.LittleEndian.PutUint32(nbuf[i*4:], w)
-		i++
-		return true
-	}
-	for u := lo; u < lo+n; u++ {
-		g.ForEachNeighbor(u, put)
-	}
 }

@@ -2,6 +2,7 @@ package remote
 
 import (
 	"fmt"
+	"runtime"
 	"slices"
 	"testing"
 	"time"
@@ -237,6 +238,46 @@ func TestStoreConformance(t *testing.T) {
 					return out
 				},
 				func(e aspen.WeightedEdge) (uint32, uint32, float32) { return e.Src, e.Dst, e.Val })
+		})
+	}
+}
+
+// TestFlushCountsEveryAck holds every deployment to stream.Store.Flush's
+// contract: once Flush returns, every earlier Submit is counted in Stats.
+// Two Ps, one of them taken by a spinning goroutine, make a flush reply
+// that overtakes a submit ack likely.
+func TestFlushCountsEveryAck(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	stop := make(chan struct{})
+	defer close(stop)
+	go func() {
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+		}
+	}()
+	gen := rmat.NewGenerator(conformScale, 5)
+	for _, row := range graphRows() {
+		t.Run(row.name, func(t *testing.T) {
+			st := row.open(t)
+			defer st.Close()
+			var submitted uint64
+			for i := uint64(0); i < 200; i++ {
+				edges := aspen.MakeUndirected(gen.Edges(20*i, 20*i+20))
+				if err := st.Submit(false, edges); err != nil {
+					t.Fatal(err)
+				}
+				submitted += uint64(len(edges))
+				if _, err := st.Flush(); err != nil {
+					t.Fatal(err)
+				}
+				if got := st.Stats().Edges; got != submitted {
+					t.Fatalf("iteration %d: Stats().Edges = %d after Flush, %d submitted", i, got, submitted)
+				}
+			}
 		})
 	}
 }

@@ -1,18 +1,14 @@
 package remote
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math"
 	"slices"
-
-	"repro/internal/rpc"
 )
 
 // remoteView is one shard's flat snapshot on the client: a base CSR
-// (prefix offsets + concatenated neighbor lists, as fetched whole or last
-// compacted) under a per-vertex overlay of the lists later deltas rewrote,
-// plus one contiguous id-indexed degree array. Which of the two holds u's
+// (prefix offsets + concatenated neighbor lists, as read from the empty
+// version or last compacted) under a per-vertex overlay of the lists later
+// deltas rewrote, plus one contiguous id-indexed degree array. Which of the two holds u's
 // list is in the top bits of u's own offset: offs[u] is the start of u's
 // CSR range in its low offBits bits and, above them, 0 or the 1-based index
 // of the overlay list that replaces it. A traversal therefore reads exactly
@@ -122,96 +118,6 @@ func (v remoteWeightedView) ForEachNeighborW(u uint32, f func(w uint32, wt float
 	}
 }
 
-// rangeBuilder assembles a whole-range fetch chunk by chunk. Nothing is
-// sized from a peer-supplied header: every count is checked against the
-// bytes the frame actually holds before it is used, the degree array grows
-// with the vertices received and the neighbor array by append.
-type rangeBuilder struct {
-	order   uint32
-	m       uint64
-	started bool
-	degs    []int32
-	nbrs    []uint32
-	wts     []float32
-}
-
-// chunk folds one whole-range Read response body, which must continue at
-// the vertex after the last one received:
-//
-//	[order u32][m u64][n u32][edges u64][degs n*u32][nbrs edges*u32][wts edges*f32?]
-//
-// It returns how many vertices the chunk carried.
-func (b *rangeBuilder) chunk(d *rpc.Body, weighted bool) (uint32, error) {
-	order, m := d.U32(), d.U64()
-	n, edges := d.U32(), d.U64()
-	if err := d.Err(); err != nil {
-		return 0, err
-	}
-	per := uint64(4)
-	if weighted {
-		per = 8
-	}
-	// edges ≤ Len/4 first, so the products below cannot overflow.
-	if left := uint64(d.Len()); edges > left/4 || uint64(n)*4+edges*per != left {
-		return 0, fmt.Errorf("remote: read chunk claims %d vertices, %d edges in %d bytes", n, edges, left)
-	}
-	if !b.started {
-		b.order, b.m, b.started = order, m, true
-	} else if b.order != order || b.m != m {
-		return 0, fmt.Errorf("remote: shard view changed mid-fetch (order %d→%d, m %d→%d)", b.order, order, b.m, m)
-	}
-	if uint64(len(b.degs))+uint64(n) > uint64(order) || uint64(len(b.nbrs))+edges > m {
-		return 0, fmt.Errorf("remote: read chunk of %d vertices, %d edges at vertex %d overruns order %d, m %d",
-			n, edges, len(b.degs), order, m)
-	}
-	degs := d.Bytes(int(n) * 4)
-	b.degs = slices.Grow(b.degs, int(n))
-	var sum uint64
-	for i := 0; i < len(degs); i += 4 {
-		deg := binary.LittleEndian.Uint32(degs[i:])
-		sum += uint64(deg)
-		b.degs = append(b.degs, int32(deg))
-	}
-	if sum != edges {
-		return 0, fmt.Errorf("remote: read chunk degrees sum to %d, chunk carries %d edges", sum, edges)
-	}
-	nbrs := d.Bytes(int(edges) * 4)
-	at := len(b.nbrs)
-	b.nbrs = append(b.nbrs, make([]uint32, edges)...)
-	for i, out := 0, b.nbrs[at:]; i < len(out); i++ {
-		out[i] = binary.LittleEndian.Uint32(nbrs[i*4:])
-	}
-	if weighted {
-		wts := d.Bytes(int(edges) * 4)
-		b.wts = append(b.wts, make([]float32, edges)...)
-		for i, out := 0, b.wts[at:]; i < len(out); i++ {
-			out[i] = math.Float32frombits(binary.LittleEndian.Uint32(wts[i*4:]))
-		}
-	}
-	return n, d.Err()
-}
-
-// done reports whether every vertex of the shard has arrived.
-func (b *rangeBuilder) done() bool { return b.started && uint64(len(b.degs)) >= uint64(b.order) }
-
-// view validates that the fetched ranges cover the whole shard and
-// returns them as a CSR view.
-func (b *rangeBuilder) view(weighted bool) (*remoteView, error) {
-	if !b.done() || uint64(len(b.nbrs)) != b.m {
-		return nil, fmt.Errorf("remote: fetched %d of %d vertices, %d of %d edges", len(b.degs), b.order, len(b.nbrs), b.m)
-	}
-	offs := make([]uint64, len(b.degs)+1)
-	for u, deg := range b.degs {
-		offs[u+1] = offs[u] + uint64(deg)
-	}
-	// Append growth over several chunks can leave a quarter of the array
-	// unused; a view lives long enough to be worth one exact copy.
-	if cap(b.nbrs) > len(b.nbrs)+len(b.nbrs)/16 {
-		b.nbrs, b.wts = slices.Clone(b.nbrs), slices.Clone(b.wts)
-	}
-	return &remoteView{order: len(b.degs), m: b.m, weighted: weighted, degs: b.degs, offs: offs, nbrs: b.nbrs, wts: b.wts}, nil
-}
-
 // patch derives the view of the delta's target version from v, which must
 // be the view of the delta's base: each touched vertex's list is rewritten
 // into the overlay as the sorted merge old − dels + adds (an add of a
@@ -220,13 +126,13 @@ func (b *rangeBuilder) view(weighted bool) (*remoteView, error) {
 // ascending neighbors, every del matching an edge the vertex has, every
 // rewritten list exactly as long as the server's degree for it, the running
 // edge count equal to the server's m — and any mismatch is an error: the
-// caller discards the patch and refetches the shard whole.
+// caller discards the patch and reads the shard from the empty version.
 func (v *remoteView) patch(d *delta) (*remoteView, error) {
 	order := int(d.order)
 	// order is a header field, and the arrays below are sized by it. A delta
 	// may grow the id space by as much as the view already holds plus one id
-	// per element it carried; a larger jump goes through the whole-range
-	// read, which allocates as the vertices arrive.
+	// per element it carried; a larger jump goes through a read from the
+	// empty version, which lists every id it sizes.
 	if order-v.order > v.order+len(d.verts)+d.edges() {
 		return nil, fmt.Errorf("remote: delta of %d elements grows order %d → %d", len(d.verts)+d.edges(), v.order, order)
 	}

@@ -20,7 +20,9 @@ type Store[E any] interface {
 	// Pin acquires the latest committed version of every shard.
 	Pin() (Snapshot, error)
 	// Flush blocks until everything submitted before the call has committed
-	// and returns the stamp then current on each shard.
+	// and returns the stamp then current on each shard. It returns after
+	// every earlier Submit's outcome has been delivered, counted (Stats)
+	// and made visible to a later Pin.
 	Flush() ([]uint64, error)
 	// Stats reads the deployment's counters.
 	Stats() StoreStats
