@@ -18,6 +18,7 @@ import (
 	"repro/internal/llama"
 	"repro/internal/rmat"
 	"repro/internal/stinger"
+	"repro/internal/stream"
 	"repro/internal/worklist"
 )
 
@@ -221,6 +222,77 @@ func BenchmarkInsertEdges(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkApplyRuns measures the apply of saturated commits in the shape
+// the ledger's engine.update workload gives them: an rMAT-16 graph of
+// 500 000 sampled edges (both directions), aged by 2 000 batches of the §7.8
+// schedule (500 sampled edges a batch, one delete batch in ten), then 25
+// commits of 32 further batches, each folded into same-kind runs as
+// stream.Engine folds them (about seven runs a commit). One op applies the
+// 25 commits in order. per-run applies a commit run by run through
+// InsertEdges / DeleteEdges, one sort and one vertex-tree pass each;
+// one-pass applies it with one ApplyRuns.
+func BenchmarkApplyRuns(b *testing.B) {
+	const (
+		scale, preload, batch = 16, 500_000, 500
+		aging, commits, group = 2_000, 25, 32
+	)
+	gen := rmat.NewGenerator(scale, 37)
+	mk := func(lo, hi uint64) []aspen.Edge { return aspen.MakeUndirected(gen.Edges(lo, hi)) }
+	base := aspen.NewGraph(ctree.DefaultParams()).InsertEdges(mk(0, preload))
+	next := stream.UpdateScheduleMix(preload, batch, 10, mk)
+	for i := uint64(0); i < aging; i++ {
+		if del, edges := next(i); del {
+			base = base.DeleteEdges(edges)
+		} else {
+			base = base.InsertEdges(edges)
+		}
+	}
+	runs := make([][]aspen.Run[struct{}], commits)
+	edges := 0
+	for c := range runs {
+		for j := 0; j < group; j++ {
+			del, es := next(aging + uint64(c*group+j))
+			edges += len(es)
+			if n := len(runs[c]); n > 0 && runs[c][n-1].Del == del {
+				runs[c][n-1].Edges = append(runs[c][n-1].Edges, es...)
+			} else {
+				runs[c] = append(runs[c], aspen.Run[struct{}]{Del: del, Edges: es})
+			}
+		}
+	}
+	for _, c := range []struct {
+		name  string
+		apply func(aspen.Graph, []aspen.Run[struct{}]) aspen.Graph
+	}{
+		{"per-run", func(g aspen.Graph, rs []aspen.Run[struct{}]) aspen.Graph {
+			for _, r := range rs {
+				if r.Del {
+					g = g.DeleteEdges(r.Edges)
+				} else {
+					g = g.InsertEdges(r.Edges)
+				}
+			}
+			return g
+		}},
+		{"one-pass", aspen.Graph.ApplyRuns},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				g := base
+				for _, rs := range runs {
+					g = c.apply(g, rs)
+				}
+				benchSink = g.NumEdges()
+			}
+			b.ReportMetric(float64(edges)*float64(b.N)/b.Elapsed().Seconds(), "edges/sec")
+		})
+	}
+}
+
+// benchSink keeps benchmarked results alive.
+var benchSink uint64
 
 // BenchmarkEdgeMap measures one EdgeMap relaxation round over a mid-size
 // frontier (the traversal primitive under BFS/BC), reporting allocs/op.

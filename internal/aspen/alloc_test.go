@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/ctree"
+	"repro/internal/parallel"
 )
 
 // TestInsertEdgesSmallBatchAllocBound is the allocation regression test for
@@ -18,6 +19,47 @@ func TestInsertEdgesSmallBatchAllocBound(t *testing.T) {
 	if n := testing.AllocsPerRun(200, func() { g.InsertEdges(batch) }); n > 80 {
 		t.Errorf("small-batch InsertEdges allocated %.1f/op, want <= 80", n)
 	}
+}
+
+// groupBySourceKV splits the packed sorted batch into per-source runs of
+// destination ids and (when vals is non-nil) the aligned payload runs.
+// Every run is a subslice of one shared backing array, all (the low words of
+// packed, materialized once in parallel) — no per-run copies. It is the
+// grouping of the reference cores (batchref_test.go); applyCore lays its
+// runs out the same way as it splits each one by kind.
+func groupBySourceKV[V ctree.Value](packed []uint64, vals []V) (srcs []uint32, dsts [][]uint32, vruns [][]V, all []uint32) {
+	if len(packed) == 0 {
+		return nil, nil, nil, nil
+	}
+	all = make([]uint32, len(packed))
+	parallel.For(len(packed), func(i int) { all[i] = uint32(packed[i]) })
+	starts := parallel.PackIndices(len(packed), func(i int) bool {
+		return i == 0 || packed[i]>>32 != packed[i-1]>>32
+	})
+	srcs = make([]uint32, len(starts))
+	dsts = make([][]uint32, len(starts))
+	if vals != nil {
+		vruns = make([][]V, len(starts))
+	}
+	parallel.ForGrain(len(starts), 64, func(j int) {
+		lo := int(starts[j])
+		hi := len(packed)
+		if j+1 < len(starts) {
+			hi = int(starts[j+1])
+		}
+		srcs[j] = uint32(packed[lo] >> 32)
+		dsts[j] = all[lo:hi]
+		if vals != nil {
+			vruns[j] = vals[lo:hi]
+		}
+	})
+	return srcs, dsts, vruns, all
+}
+
+// groupBySource is the id-only view of groupBySourceKV.
+func groupBySource(packed []uint64) (srcs []uint32, dsts [][]uint32) {
+	srcs, dsts, _, _ = groupBySourceKV[struct{}](packed, nil)
+	return srcs, dsts
 }
 
 // TestGroupBySourceSharesBacking verifies the zero-copy grouping: all runs

@@ -14,9 +14,11 @@ import (
 // one radix-sorted, fused vertex-tree pass per batch. It is the
 // paper's batch-update algorithm (§5) — sort, group, build per-source edge
 // C-trees, then MultiInsert into the vertex-tree with a combine function
-// that unions edge trees — extended so payloads (edge weights, and any
-// future fixed-width property) ride the same compressed path. The
-// vertex-tree pass is pftree's batch-driven descent: the sorted sources
+// that unions edge trees — extended two ways: payloads (edge weights, and any
+// future fixed-width property) ride the same compressed path, and a batch may
+// mix inserts and deletes (a signed batch: each edge's last update wins), so
+// a commit of several runs is still one sort and one pass. The vertex-tree
+// pass is pftree's batch-driven descent (MultiUpsert): the sorted sources
 // steer it, and only the nodes on the paths to them are reallocated.
 
 // vnode is a vertex-tree node: key = vertex id, value = edge C-tree,
@@ -67,129 +69,176 @@ func vopsFor[V ctree.Value]() *vopsT[V] {
 	return o.(*vopsT[V])
 }
 
-// groupBySourceKV splits the packed sorted batch into per-source runs of
-// destination ids and (when vals is non-nil) the aligned payload runs.
-// Every run is a subslice of one shared backing array, all (the low words of
-// packed, materialized once in parallel) — no per-run copies.
-func groupBySourceKV[V ctree.Value](packed []uint64, vals []V) (srcs []uint32, dsts [][]uint32, vruns [][]V, all []uint32) {
-	if len(packed) == 0 {
-		return nil, nil, nil, nil
-	}
-	all = make([]uint32, len(packed))
-	parallel.For(len(packed), func(i int) { all[i] = uint32(packed[i]) })
-	starts := parallel.PackIndices(len(packed), func(i int) bool {
-		return i == 0 || packed[i]>>32 != packed[i-1]>>32
-	})
-	srcs = make([]uint32, len(starts))
-	dsts = make([][]uint32, len(starts))
-	if vals != nil {
-		vruns = make([][]V, len(starts))
-	}
-	parallel.ForGrain(len(starts), 64, func(j int) {
-		lo := int(starts[j])
-		hi := len(packed)
-		if j+1 < len(starts) {
-			hi = int(starts[j+1])
-		}
-		srcs[j] = uint32(packed[lo] >> 32)
-		dsts[j] = all[lo:hi]
-		if vals != nil {
-			vruns[j] = vals[lo:hi]
-		}
-	})
-	return srcs, dsts, vruns, all
+// signedVal is the sort companion of one update of a mixed batch: its
+// payload, whether it deletes the edge, and — after the dedup — whether any
+// update of the edge in the batch inserted it.
+type signedVal[V ctree.Value] struct {
+	val      V
+	del, ins bool
 }
 
-// groupBySource is the id-only view of groupBySourceKV.
-func groupBySource(packed []uint64) (srcs []uint32, dsts [][]uint32) {
-	srcs, dsts, _, _ = groupBySourceKV[struct{}](packed, nil)
-	return srcs, dsts
+// sortedBatch is a batch of edge updates sorted and deduplicated by packed
+// (src<<32 | dst) key, ready for applyCore. A single-kind batch has kind del
+// and, for inserts of a payload-carrying V, the aligned payloads vals; a
+// mixed batch carries each edge's last update and its ever-inserted bit in
+// comp instead.
+type sortedBatch[V ctree.Value] struct {
+	packed []uint64
+	vals   []V
+	comp   []signedVal[V]
+	del    bool
 }
 
-// insertEdgesCore inserts a sorted, deduplicated packed batch (with aligned
-// payloads, nil for zero payloads) into the vertex-tree. Vertices appearing
-// as sources or destinations are created as needed; destination-only
-// endpoints ride along in the same MultiInsert as entries with empty edge
-// trees, so the whole batch is one batch-driven descent of the vertex-tree
-// that copies only the paths to the batch's vertices. Payload collisions
-// with existing edges resolve to merge(oldVal, newVal), or the batch value
-// when merge is nil (last-writer-wins). O(k log n) work, polylog depth.
-func insertEdgesCore[V ctree.Value](ops *vopsT[V], p ctree.Params, vt *vnode[V], packed []uint64, vals []V, merge func(old, new V) V) *vnode[V] {
-	srcs, dsts, vruns, all := groupBySourceKV(packed, vals)
+// at reports whether update i deletes and whether any update of its edge inserts.
+func (b *sortedBatch[V]) at(i int) (del, ins bool) {
+	if b.comp == nil {
+		return b.del, !b.del
+	}
+	return b.comp[i].del, b.comp[i].ins
+}
+
+// split writes the destination ids of updates [lo, hi) of b, one source's
+// run, to ids[lo:hi]: those whose last update inserts first, their payloads
+// to vals[lo:] of a mixed batch, then those whose last update deletes. It
+// returns where the deletes begin and whether any update of the run inserts,
+// in which case the source must exist afterwards.
+func (b *sortedBatch[V]) split(lo, hi int, ids []uint32, vals []V) (mid int, created bool) {
+	mid = lo
+	for i := lo; i < hi; i++ {
+		del, ins := b.at(i)
+		created = created || ins
+		if !del {
+			ids[mid] = uint32(b.packed[i])
+			if b.comp != nil && vals != nil {
+				vals[mid] = b.comp[i].val
+			}
+			mid++
+		}
+	}
+	for i, d := lo, mid; i < hi; i++ {
+		if del, _ := b.at(i); del {
+			ids[d] = uint32(b.packed[i])
+			d++
+		}
+	}
+	return mid, created
+}
+
+// upsert is what a batch does to one vertex: subtract the ids del, union
+// ins, and create the vertex from ins when it is absent and created is set.
+type upsert[V ctree.Value] struct {
+	ins     ctree.Tree[V]
+	del     []uint32
+	created bool
+}
+
+// applyCore folds a sorted batch into the vertex-tree in one batch-driven
+// descent (pftree.MultiUpsert) that copies only the paths to the batch's
+// vertices. A source's edge tree becomes old.Difference(del).UnionWith(ins,
+// merge) (ins and del are disjoint); merge resolves payload collisions,
+// last-writer-wins when nil. The vertex rule is that of applying the runs in
+// order: every endpoint of an edge some update inserts exists afterwards,
+// even if a later update deletes the edge, and a delete creates no vertex.
+// Destination-only endpoints ride the descent as empty edge trees. With
+// dropEmpty set, a present source whose edge tree ends up empty is dropped
+// (the opt-in isolated-vertex GC). O(k log n) work, polylog depth.
+func applyCore[V ctree.Value](ops *vopsT[V], p ctree.Params, vt *vnode[V], b sortedBatch[V], merge func(old, new V) V, dropEmpty bool) *vnode[V] {
+	n := len(b.packed)
+	starts := parallel.PackIndices(n, func(i int) bool { return i == 0 || b.packed[i]>>32 != b.packed[i-1]>>32 })
+	ids, vals := make([]uint32, n), b.vals
+	if b.comp != nil && payloadWidth[V]() > 0 {
+		vals = make([]V, n)
+	}
+	keys, ups := make([]uint32, len(starts)), make([]upsert[V], len(starts))
 	// One prototype tree interns the per-V operation table; every edge tree
 	// of the batch is built from it instead of re-resolving the table.
 	proto := ctree.NewKV[V](p)
-	entries := make([]pftree.Entry[uint32, ctree.Tree[V]], len(srcs))
-	parallel.ForGrain(len(srcs), 16, func(k int) {
-		var vr []V
-		if vruns != nil {
-			vr = vruns[k]
+	parallel.ForGrain(len(starts), 16, func(k int) {
+		lo, hi := int(starts[k]), n
+		if k+1 < len(starts) {
+			hi = int(starts[k+1])
 		}
-		entries[k] = pftree.Entry[uint32, ctree.Tree[V]]{Key: srcs[k], Val: proto.BuildLike(dsts[k], vr)}
+		keys[k] = uint32(b.packed[lo] >> 32)
+		mid, created := b.split(lo, hi, ids, vals)
+		u := &ups[k]
+		u.ins, u.del, u.created = proto, ids[mid:hi], created
+		if mid > lo {
+			var vr []V
+			if vals != nil {
+				vr = vals[lo:mid]
+			}
+			u.ins = proto.BuildLike(ids[lo:mid], vr)
+		}
 	})
-	// The edge trees are encoded, so the runs' backing array is free to be
-	// reordered by the endpoint probe.
-	if extra := missingEndpoints(ops, vt, srcs, all); len(extra) > 0 {
-		entries = mergeEndpoints(entries, extra, proto)
+	// The endpoints inserts make exist: in ids, once the insert trees are
+	// built, unless a mixed batch's deletes still need it.
+	ends := ids[:0]
+	if b.comp != nil {
+		ends = make([]uint32, 0, n)
 	}
-	return ops.MultiInsert(vt, entries, func(old, new ctree.Tree[V]) ctree.Tree[V] {
-		return old.UnionWith(new, merge)
+	for i, k := range b.packed {
+		if _, ins := b.at(i); ins {
+			ends = append(ends, uint32(k))
+		}
+	}
+	if extra := missingEndpoints(ops, vt, keys, ups, ends); len(extra) > 0 {
+		keys, ups = mergeEndpoints(keys, ups, extra, upsert[V]{ins: proto, created: true})
+	}
+	return ops.MultiUpsert(vt, keys, func(i int, old ctree.Tree[V], found bool) (ctree.Tree[V], bool) {
+		u := &ups[i]
+		if !found {
+			return u.ins, u.created
+		}
+		if len(u.del) > 0 { // built here, where the descent found the source
+			old = old.Difference(proto.BuildLike(u.del, nil))
+		}
+		if !u.ins.Empty() {
+			old = old.UnionWith(u.ins, merge)
+		}
+		return old, !(dropEmpty && old.Empty())
 	})
 }
 
-// missingEndpoints returns, sorted, the destination ids of the batch that
-// are neither batch sources nor vertices of vt — the endpoints the batch must
-// create so traversals can land on them. It sorts dstIDs in place. A
-// destination that is a batch source is created by its source entry and
-// costs no lookup; on a symmetrised batch that is every destination.
-func missingEndpoints[V ctree.Value](ops *vopsT[V], vt *vnode[V], srcs, dstIDs []uint32) []uint32 {
-	parallel.RadixSortUint32(dstIDs)
-	dstIDs = parallel.DedupSortedUint32(dstIDs)
+// missingEndpoints returns, sorted, the ids in ends that are neither batch
+// sources nor vertices of vt — the endpoints the batch must create so
+// traversals can land on them. An id in ends that is a batch source costs no
+// lookup: its update (ups is aligned with srcs) is marked created. On a
+// symmetrised batch that is every id. It sorts ends in place.
+func missingEndpoints[V ctree.Value](ops *vopsT[V], vt *vnode[V], srcs []uint32, ups []upsert[V], ends []uint32) []uint32 {
+	parallel.RadixSortUint32(ends)
+	ends = parallel.DedupSortedUint32(ends)
 	w, j := 0, 0
-	for _, d := range dstIDs {
+	for _, d := range ends {
 		for j < len(srcs) && srcs[j] < d {
 			j++
 		}
-		if j == len(srcs) || srcs[j] != d {
-			dstIDs[w] = d
-			w++
+		if j < len(srcs) && srcs[j] == d {
+			ups[j].created = true
+			continue
 		}
+		ends[w] = d
+		w++
 	}
-	return parallel.FilterUint32(dstIDs[:w], func(d uint32) bool {
+	return parallel.FilterUint32(ends[:w], func(d uint32) bool {
 		_, ok := ops.Find(vt, d)
 		return !ok
 	})
 }
 
-// mergeEndpoints merges extra (sorted ids, disjoint from the entry keys)
-// into the sorted entries as vertices with empty edge trees.
-func mergeEndpoints[V ctree.Value](entries []pftree.Entry[uint32, ctree.Tree[V]], extra []uint32, empty ctree.Tree[V]) []pftree.Entry[uint32, ctree.Tree[V]] {
-	out := make([]pftree.Entry[uint32, ctree.Tree[V]], 0, len(entries)+len(extra))
+// mergeEndpoints merges extra (sorted ids, disjoint from keys) into the
+// sorted keys and their aligned updates, each with the update empty.
+func mergeEndpoints[U any](keys []uint32, ups []U, extra []uint32, empty U) ([]uint32, []U) {
+	outK := make([]uint32, 0, len(keys)+len(extra))
+	outU := make([]U, 0, len(keys)+len(extra))
 	i := 0
 	for _, d := range extra {
-		for i < len(entries) && entries[i].Key < d {
-			out = append(out, entries[i])
+		for i < len(keys) && keys[i] < d {
+			outK, outU = append(outK, keys[i]), append(outU, ups[i])
 			i++
 		}
-		out = append(out, pftree.Entry[uint32, ctree.Tree[V]]{Key: d, Val: empty})
+		outK, outU = append(outK, d), append(outU, empty)
 	}
-	return append(out, entries[i:]...)
-}
-
-// deleteEdgesCore removes a sorted, deduplicated packed batch from the
-// vertex-tree; absent edges and absent sources are ignored. The descent
-// calls back only for sources it finds, so each deletion tree is built where
-// it is subtracted. With dropEmpty set, a batch source whose edge tree ends
-// up empty is dropped from the vertex-tree in the same pass (the opt-in
-// isolated-vertex GC; meaningful on symmetric graphs, where deletes arrive
-// in both directions).
-func deleteEdgesCore[V ctree.Value](ops *vopsT[V], p ctree.Params, vt *vnode[V], packed []uint64, dropEmpty bool) *vnode[V] {
-	srcs, dsts, _, _ := groupBySourceKV[struct{}](packed, nil)
-	proto := ctree.NewKV[V](p)
-	return ops.MultiUpdate(vt, srcs, func(i int, old ctree.Tree[V]) (ctree.Tree[V], bool) {
-		et := old.Difference(proto.BuildLike(dsts[i], nil))
-		return et, !(dropEmpty && et.Empty())
-	})
+	return append(outK, keys[i:]...), append(outU, ups[i:]...)
 }
 
 // collectIsolatedCore removes every vertex with an empty edge tree.

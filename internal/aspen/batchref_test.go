@@ -141,10 +141,10 @@ func runBatchDifferential[V ctree.Value](t *testing.T, ops *vopsT[V], p ctree.Pa
 		ctx := fmt.Sprintf("step %d (%s)", i, s.name)
 		prevGot, prevRef := got, ref
 		if s.del {
-			got = deleteEdgesCore(ops, p, got, s.packed, s.gc)
+			got = applyCore(ops, p, got, sortedBatch[V]{packed: s.packed, del: true}, nil, s.gc)
 			ref = refDeleteCore(ops, p, ref, s.packed, s.gc)
 		} else {
-			got = insertEdgesCore(ops, p, got, s.packed, s.vals, s.merge)
+			got = applyCore(ops, p, got, sortedBatch[V]{packed: s.packed, vals: s.vals}, s.merge, false)
 			ref = refInsertCore(ops, p, ref, s.packed, s.vals, s.merge)
 		}
 		if err := pftree.Wrap(ops, got).CheckInvariants(func(a, b uint64) bool { return a == b }); err != nil {

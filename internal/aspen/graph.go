@@ -216,6 +216,64 @@ func sortEdgeBatchKV[V ctree.Value](edges []EdgeOf[V]) ([]uint64, []V) {
 	return parallel.DedupSortedUint64PairsLast(packed, vals)
 }
 
+// sortSigned is the sort of a mixed batch: the runs' updates, in run order
+// with their kind as the sort companion, sorted stably by edge and
+// deduplicated keeping each edge's last update while ORing whether any of
+// its updates inserts it.
+func sortSigned[V ctree.Value](runs []Run[V]) sortedBatch[V] {
+	n := 0
+	for _, r := range runs {
+		n += len(r.Edges)
+	}
+	if n == 0 {
+		return sortedBatch[V]{}
+	}
+	packed, comp := make([]uint64, 0, n), make([]signedVal[V], 0, n)
+	for _, r := range runs {
+		for _, e := range r.Edges {
+			packed = append(packed, uint64(e.Src)<<32|uint64(e.Dst))
+			comp = append(comp, signedVal[V]{val: e.Val, del: r.Del, ins: !r.Del})
+		}
+	}
+	parallel.RadixSortUint64Pairs(packed, comp)
+	w := 0
+	for i := 1; i < n; i++ {
+		if packed[i] != packed[w] {
+			w++
+			packed[w], comp[w] = packed[i], comp[i]
+		} else {
+			comp[w] = signedVal[V]{val: comp[i].val, del: comp[i].del, ins: comp[i].ins || comp[w].ins}
+		}
+	}
+	return sortedBatch[V]{packed: packed[:w+1], comp: comp[:w+1]}
+}
+
+// Run is one same-kind run of edge updates for ApplyRuns (a delete ignores
+// payloads).
+type Run[V ctree.Value] struct {
+	Del   bool
+	Edges []EdgeOf[V]
+}
+
+// ApplyRuns returns g with the runs applied in order — the graph InsertEdges
+// and DeleteEdges give run by run — in one radix sort and one fused
+// vertex-tree pass: each edge's last update wins, payload included, and the
+// vertex rule is the sequential one (applyCore). A single run takes the
+// key-only sort of InsertEdges or DeleteEdges.
+func (g GraphOf[V]) ApplyRuns(runs []Run[V]) GraphOf[V] {
+	if len(runs) == 1 {
+		if runs[0].Del {
+			return g.DeleteEdges(runs[0].Edges)
+		}
+		return g.InsertEdges(runs[0].Edges)
+	}
+	sb := sortSigned(runs)
+	if len(sb.packed) == 0 {
+		return g
+	}
+	return g.with(applyCore(g.table(), g.p, g.vt, sb, nil, false))
+}
+
 // InsertEdges returns a graph with the batch inserted (duplicates combined,
 // last payload in batch order winning; existing edges take the new payload).
 // Vertices appearing as sources or destinations are created as needed; the
@@ -233,7 +291,7 @@ func (g GraphOf[V]) InsertEdgesWith(edges []EdgeOf[V], merge func(old, new V) V)
 		return g
 	}
 	packed, vals := sortEdgeBatchKV(edges)
-	return g.with(insertEdgesCore(g.table(), g.p, g.vt, packed, vals, merge))
+	return g.with(applyCore(g.table(), g.p, g.vt, sortedBatch[V]{packed: packed, vals: vals}, merge, false))
 }
 
 // DeleteEdges returns a graph with the batch removed (payloads ignored);
@@ -251,7 +309,7 @@ func (g GraphOf[V]) deleteEdges(edges []EdgeOf[V], dropEmpty bool) GraphOf[V] {
 	if len(edges) == 0 {
 		return g
 	}
-	return g.with(deleteEdgesCore(g.table(), g.p, g.vt, sortEdgeBatch(edges), dropEmpty))
+	return g.with(applyCore(g.table(), g.p, g.vt, sortedBatch[V]{packed: sortEdgeBatch(edges), del: true}, nil, dropEmpty))
 }
 
 // CollectIsolated returns a graph without its degree-zero vertices — the
@@ -272,13 +330,13 @@ func (g GraphOf[V]) InsertVertices(ids []uint32) GraphOf[V] {
 	if len(ids) == 0 {
 		return g
 	}
-	sorted := sortedIDs(ids)
 	empty := ctree.NewKV[V](g.p)
-	entries := make([]pftree.Entry[uint32, ctree.Tree[V]], len(sorted))
-	for i, id := range sorted {
-		entries[i] = pftree.Entry[uint32, ctree.Tree[V]]{Key: id, Val: empty}
-	}
-	return g.with(g.table().MultiInsert(g.vt, entries, func(old, _ ctree.Tree[V]) ctree.Tree[V] { return old }))
+	return g.with(g.table().MultiUpsert(g.vt, sortedIDs(ids), func(_ int, old ctree.Tree[V], found bool) (ctree.Tree[V], bool) {
+		if found {
+			return old, true
+		}
+		return empty, true
+	}))
 }
 
 // DeleteVertices removes the given vertices and every edge incident to them

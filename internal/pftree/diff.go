@@ -35,8 +35,8 @@ func (k DiffKind) String() string {
 //
 // Structural sharing is what makes this cheap: a pair of pointer-equal
 // subtrees is skipped in O(1), and functional updates reallocate only the
-// search paths of the keys they touch (Insert one path; MultiInsert,
-// MultiUpdate and MultiDelete the union of their batch's paths, returning
+// search paths of the keys they touch (Insert one path; MultiUpsert and
+// its wrappers the union of their batch's paths, returning
 // every subtree that receives no key by pointer), so diffing a version
 // against a batch-updated successor costs O(d log(n/d + 1)) for d differing
 // keys instead of O(n). The recursion

@@ -11,7 +11,9 @@ import (
 
 // The batch-driven descents (MultiInsert, MultiUpdate, MultiDelete) are
 // checked against the compositions they replaced — Union / Difference with a
-// tree built over the batch — which stay here as the reference.
+// tree built over the batch — which stay here as the reference; MultiUpsert,
+// which they wrap, against the same keys applied one Insert or Delete at a
+// time.
 
 func refMultiInsert(o *Ops[int, int, int], t *Node[int, int, int], es []Entry[int, int], combine func(old, new int) int) *Node[int, int, int] {
 	return o.Union(t, o.BuildSorted(es), func(a, b int) int {
@@ -124,7 +126,7 @@ func height(t *Node[int, int, int]) int {
 }
 
 // checkBatch runs one batch (sorted, duplicate-free keys; values derived
-// from the keys) through all three descents against their references.
+// from the keys) through every batch update against its reference.
 func checkBatch(t *testing.T, base Tree[int, int, int], keys []int) {
 	t.Helper()
 	plain := *base.Ops()
@@ -228,6 +230,68 @@ func checkBatchOps(t *testing.T, o *Ops[int, int, int], root *Node[int, int, int
 	if fresh, limit := freshNodes(root, got), 3*paths+3*present*h; fresh > limit {
 		t.Fatalf("MultiDelete: allocated %d nodes, limit %d (paths %d, deleted %d)", fresh, limit, paths, present)
 	}
+
+	for _, r := range upsertRules {
+		got, want, resized := runUpsert(t, o, root, keys, r)
+		check("MultiUpsert/"+r.name, got, want)
+		if resized == 0 {
+			checkSameShape(t, root, got, keys)
+		}
+		if fresh, limit := freshNodes(root, got), 3*paths+3*resized*h; fresh > limit {
+			t.Fatalf("MultiUpsert/%s: allocated %d nodes, limit %d (paths %d, keys created or dropped %d)", r.name, fresh, limit, paths, resized)
+		}
+		if resized == 0 && present == 0 && got != root {
+			t.Fatalf("MultiUpsert/%s: every key absent and skipped but the root was reallocated", r.name)
+		}
+	}
+}
+
+// upsertRule is one MultiUpsert policy over int keys: what happens to a
+// present key (updated to old+k, or dropped) and to an absent one (created
+// as 7k+1, or skipped).
+type upsertRule struct {
+	name         string
+	drop, create func(k int) bool
+}
+
+var upsertRules = []upsertRule{
+	{"mixed", func(k int) bool { return k%3 == 0 }, func(k int) bool { return k%2 == 0 }},
+	{"update-or-create", func(int) bool { return false }, func(int) bool { return true }},
+	{"drop-or-skip", func(int) bool { return true }, func(int) bool { return false }},
+	{"update-or-skip", func(int) bool { return false }, func(int) bool { return false }},
+}
+
+// runUpsert applies rule r to the sorted keys with MultiUpsert and with
+// single-key Insert / Delete, and returns both trees and the number of keys
+// created or dropped. It checks that f sees each index exactly once, with
+// found telling the truth.
+func runUpsert(t *testing.T, o *Ops[int, int, int], root *Node[int, int, int], keys []int, r upsertRule) (got, want *Node[int, int, int], resized int) {
+	t.Helper()
+	calls := make([]int, len(keys))
+	got = o.MultiUpsert(root, keys, func(i int, old int, found bool) (int, bool) {
+		calls[i]++
+		k := keys[i]
+		if found {
+			return old + k, !r.drop(k)
+		}
+		return 7*k + 1, r.create(k)
+	})
+	want = root
+	for i, k := range keys {
+		if calls[i] != 1 {
+			t.Fatalf("MultiUpsert/%s: f called %d times for index %d", r.name, calls[i], i)
+		}
+		v, found := o.Find(root, k)
+		switch {
+		case found && r.drop(k):
+			want, resized = o.Delete(want, k), resized+1
+		case found:
+			want = o.Insert(want, k, v+k, nil)
+		case r.create(k):
+			want, resized = o.Insert(want, k, 7*k+1, nil), resized+1
+		}
+	}
+	return got, want, resized
 }
 
 // batchShapes names the adversarial batch shapes; batchKeys realises one
@@ -325,6 +389,30 @@ func TestMultiBatchForked(t *testing.T) {
 			t.Fatalf("%s: batch of %d keys over a %d/%d root cannot fork", shape, len(keys), root.left.Size(), root.right.Size())
 		}
 		checkBatch(t, base, keys)
+	}
+}
+
+// TestMultiUpsertForked forks MultiUpsert with Procs raised: the descent
+// (batch halves of forkEntries or more) and the build of an empty subtree
+// (thousands of absent keys above the maximum, created or skipped by turns).
+// Run under -race it is the data race check for the forked branches.
+func TestMultiUpsertForked(t *testing.T) {
+	defer func(p int) { parallel.Procs = p }(parallel.Procs)
+	parallel.Procs = 4
+	const n = 6000
+	base := threesTree(41, n)
+	keys := batchKeys("random", xhash.NewRNG(8), n, 8*forkEntries)
+	for k := keys[len(keys)-1] + 1; len(keys) < 8*forkEntries+3*parThreshold; k++ {
+		keys = append(keys, k)
+	}
+	for _, r := range upsertRules {
+		got, want, _ := runUpsert(t, base.Ops(), base.Root(), keys, r)
+		if !sameContents(contents(base.Ops(), got), contents(base.Ops(), want)) {
+			t.Fatalf("%s: contents differ from the reference", r.name)
+		}
+		if err := Wrap(base.Ops(), got).CheckInvariants(intEq); err != nil {
+			t.Fatalf("%s: %v", r.name, err)
+		}
 	}
 }
 

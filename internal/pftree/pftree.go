@@ -13,9 +13,10 @@
 // total element counts.
 //
 // Set operations (Union, Intersect, Difference) are join-based; batch updates
-// (MultiInsert, MultiUpdate, MultiDelete) descend the tree steered by the
-// sorted batch and copy only the paths to its keys. Both run in parallel
-// using fork-join recursion, matching the work/depth bounds the paper cites.
+// (MultiUpsert, and MultiInsert, MultiUpdate, MultiDelete over it) descend
+// the tree steered by the sorted batch and copy only the paths to its keys.
+// Both run in parallel using fork-join recursion, matching the work/depth
+// bounds the paper cites.
 package pftree
 
 import (
@@ -456,62 +457,97 @@ func (o *Ops[K, V, A]) BuildSorted(entries []Entry[K, V]) *Node[K, V, A] {
 	return o.mk(l, e.Key, e.Val, r)
 }
 
-// Batch updates (MultiInsert, MultiUpdate, MultiDelete) are driven by the
-// sorted batch, not by a second tree: at every node the batch is
-// binary-searched for the node's key and the two halves descend into the two
-// children. A subtree whose half is empty is returned by pointer, so a batch
-// allocates exactly the nodes on the union of the root-to-key paths of its
-// keys — the spine Diff prunes on. A node both of whose children kept their
-// sizes gained and lost no key below it, so its subtree kept its shape and
-// is rebuilt with a plain mk; Join runs only where a child's size changed.
+// Batch updates (MultiUpsert and its wrappers MultiInsert, MultiUpdate,
+// MultiDelete) are driven by the sorted batch, not by a second tree: at every
+// node the batch is binary-searched for the node's key and the two halves
+// descend into the two children. A subtree whose half is empty is returned by
+// pointer, so a batch allocates exactly the nodes on the union of the
+// root-to-key paths of its keys — the spine Diff prunes on. A node both of
+// whose children kept their sizes gained and lost no key below it, so its
+// subtree kept its shape and is rebuilt with a plain mk; Join runs only where
+// a child's size changed.
 
 // forkEntries is the batch-half size at or above which a batch descent runs
 // its two halves in parallel; below it a goroutine costs more than the half.
 const forkEntries = 256
 
-// MultiInsert inserts the sorted, duplicate-free entries into t, merging
-// collisions with combine(oldInTree, newFromBatch) (the batch value when
-// combine is nil). It is the bulk update primitive used for batch edge
-// insertions (paper §5). combine may be called from several goroutines.
-// O(m log(n/m + 1)) work, polylog depth.
-func (o *Ops[K, V, A]) MultiInsert(t *Node[K, V, A], entries []Entry[K, V], combine func(old, new V) V) *Node[K, V, A] {
-	if len(entries) == 0 {
+// MultiUpsert applies one update to each of the sorted, duplicate-free keys
+// in a single descent of t: f(i, old, found) receives the key's index in keys
+// and, when t holds the key, its value, and returns the key's new value and
+// whether the entry is kept. A present key that is not kept is dropped; an
+// absent key that is not kept is not created; a subtree whose keys are all
+// absent and not kept is returned by pointer. f is called once per index,
+// possibly from several goroutines. O(m log(n/m + 1)) work, polylog depth.
+func (o *Ops[K, V, A]) MultiUpsert(t *Node[K, V, A], keys []K, f func(i int, old V, found bool) (V, bool)) *Node[K, V, A] {
+	return o.multiUpsert(t, keys, 0, f)
+}
+
+// multiUpsert is MultiUpsert over keys[base:] of the caller's slice, passed
+// as the sub-slice plus its offset so f sees indices into the whole batch.
+// An empty subtree is split at its middle key, as BuildSorted splits, so
+// that when every key is kept each Join below it is a plain mk.
+func (o *Ops[K, V, A]) multiUpsert(t *Node[K, V, A], keys []K, base int, f func(i int, old V, found bool) (V, bool)) *Node[K, V, A] {
+	if len(keys) == 0 {
 		return t
 	}
-	if t == nil {
-		return o.BuildSorted(entries)
+	var tl, tr *Node[K, V, A]
+	var v V
+	i, found := len(keys)/2, false
+	if t != nil {
+		tl, tr, v = t.left, t.right, t.val
+		i, found = slices.BinarySearchFunc(keys, t.key, o.Cmp)
 	}
-	i, found := slices.BinarySearchFunc(entries, t.key, func(e Entry[K, V], k K) int { return o.Cmp(e.Key, k) })
-	lo, hi := entries[:i], entries[i:]
-	v := t.val
-	if found {
-		hi = hi[1:]
-		v = entries[i].Val
-		if combine != nil {
-			v = combine(t.val, v)
-		}
+	lo, hi, hiBase, keep := keys[:i], keys[i:], base+i, true
+	if found || t == nil {
+		hi, hiBase = hi[1:], hiBase+1
+		v, keep = f(base+i, v, found)
 	}
 	var l, r *Node[K, V, A]
 	if parallel.Procs > 1 && len(lo) >= forkEntries && len(hi) >= forkEntries {
-		l, r = o.multiInsertFork(t, lo, hi, combine)
+		l, r = o.multiUpsertFork(tl, tr, lo, hi, base, hiBase, f)
 	} else {
-		l, r = o.MultiInsert(t.left, lo, combine), o.MultiInsert(t.right, hi, combine)
+		l, r = o.multiUpsert(tl, lo, base, f), o.multiUpsert(tr, hi, hiBase, f)
 	}
-	if keptShape(t, l, r) {
+	switch {
+	case !keep:
+		return o.Join2(l, r)
+	case t == nil:
+		return o.Join(l, keys[i], v, r)
+	case !found && l == t.left && r == t.right:
+		return t
+	case keptShape(t, l, r):
 		return o.remk(t, l, v, found, r)
+	default:
+		return o.Join(l, t.key, v, r)
 	}
-	return o.Join(l, t.key, v, r)
 }
 
-// multiInsertFork is MultiInsert's parallel step. It is a function of its
+// multiUpsertFork is multiUpsert's parallel step. It is a function of its
 // own so that the closures (which move l and r to the heap) stay out of the
 // sequential path.
-func (o *Ops[K, V, A]) multiInsertFork(t *Node[K, V, A], lo, hi []Entry[K, V], combine func(old, new V) V) (l, r *Node[K, V, A]) {
+func (o *Ops[K, V, A]) multiUpsertFork(tl, tr *Node[K, V, A], lo, hi []K, loBase, hiBase int, f func(i int, old V, found bool) (V, bool)) (l, r *Node[K, V, A]) {
 	parallel.Do(
-		func() { l = o.MultiInsert(t.left, lo, combine) },
-		func() { r = o.MultiInsert(t.right, hi, combine) },
+		func() { l = o.multiUpsert(tl, lo, loBase, f) },
+		func() { r = o.multiUpsert(tr, hi, hiBase, f) },
 	)
 	return l, r
+}
+
+// MultiInsert inserts the sorted, duplicate-free entries into t, merging
+// collisions with combine(oldInTree, newFromBatch) (the batch value when
+// combine is nil): MultiUpsert keeping every key. combine may be called from
+// several goroutines.
+func (o *Ops[K, V, A]) MultiInsert(t *Node[K, V, A], entries []Entry[K, V], combine func(old, new V) V) *Node[K, V, A] {
+	keys := make([]K, len(entries))
+	for i, e := range entries {
+		keys[i] = e.Key
+	}
+	return o.MultiUpsert(t, keys, func(i int, old V, found bool) (V, bool) {
+		if found && combine != nil {
+			return combine(old, entries[i].Val), true
+		}
+		return entries[i].Val, true
+	})
 }
 
 // MultiUpdate replaces or drops the values of those sorted, duplicate-free
@@ -522,54 +558,17 @@ func (o *Ops[K, V, A]) multiInsertFork(t *Node[K, V, A], lo, hi []Entry[K, V], c
 // several goroutines, each index at most once. A nil f drops every key
 // found.
 func (o *Ops[K, V, A]) MultiUpdate(t *Node[K, V, A], keys []K, f func(i int, old V) (V, bool)) *Node[K, V, A] {
-	return o.multiUpdate(t, keys, 0, f)
+	return o.MultiUpsert(t, keys, func(i int, old V, found bool) (V, bool) {
+		if !found || f == nil {
+			return old, false
+		}
+		return f(i, old)
+	})
 }
 
 // MultiDelete removes the sorted, duplicate-free keys from t.
 func (o *Ops[K, V, A]) MultiDelete(t *Node[K, V, A], keys []K) *Node[K, V, A] {
-	return o.multiUpdate(t, keys, 0, nil)
-}
-
-// multiUpdate is MultiUpdate over keys[base:] of the caller's slice, passed
-// as the sub-slice plus its offset so f sees indices into the whole batch.
-func (o *Ops[K, V, A]) multiUpdate(t *Node[K, V, A], keys []K, base int, f func(i int, old V) (V, bool)) *Node[K, V, A] {
-	if t == nil || len(keys) == 0 {
-		return t
-	}
-	i, found := slices.BinarySearchFunc(keys, t.key, o.Cmp)
-	lo, hi, hiBase := keys[:i], keys[i:], base+i
-	v, keep := t.val, true
-	if found {
-		hi, hiBase = hi[1:], hiBase+1
-		if keep = f != nil; keep {
-			v, keep = f(base+i, t.val)
-		}
-	}
-	var l, r *Node[K, V, A]
-	if parallel.Procs > 1 && len(lo) >= forkEntries && len(hi) >= forkEntries {
-		l, r = o.multiUpdateFork(t, lo, hi, base, hiBase, f)
-	} else {
-		l, r = o.multiUpdate(t.left, lo, base, f), o.multiUpdate(t.right, hi, hiBase, f)
-	}
-	switch {
-	case !keep:
-		return o.Join2(l, r)
-	case !found && l == t.left && r == t.right:
-		return t
-	case keptShape(t, l, r):
-		return o.remk(t, l, v, found, r)
-	default:
-		return o.Join(l, t.key, v, r)
-	}
-}
-
-// multiUpdateFork is multiUpdate's parallel step (see multiInsertFork).
-func (o *Ops[K, V, A]) multiUpdateFork(t *Node[K, V, A], lo, hi []K, loBase, hiBase int, f func(i int, old V) (V, bool)) (l, r *Node[K, V, A]) {
-	parallel.Do(
-		func() { l = o.multiUpdate(t.left, lo, loBase, f) },
-		func() { r = o.multiUpdate(t.right, hi, hiBase, f) },
-	)
-	return l, r
+	return o.MultiUpdate(t, keys, nil)
 }
 
 // ForEach applies f in key order; if f returns false iteration stops.

@@ -50,7 +50,7 @@ type Replica[G ligra.Graph, E any] struct {
 	primary  string
 	codec    stream.Codec[E]
 	snap     stream.SnapshotCodec[G]
-	apply    func(g G, del bool, edges []E) G
+	apply    func(g G, runs []stream.CommitRun[E]) G
 	weighted bool
 	shardID  int
 	shards   int
@@ -79,7 +79,7 @@ type Replica[G ligra.Graph, E any] struct {
 
 // NewReplica builds a replica of the shard primary at addr. ringCap
 // bounds retained states (<=0: default 512).
-func NewReplica[G ligra.Graph, E any](addr string, empty G, apply func(g G, del bool, edges []E) G, codec stream.Codec[E], snap stream.SnapshotCodec[G], weighted bool, shardID, shards, ringCap int, o Options) *Replica[G, E] {
+func NewReplica[G ligra.Graph, E any](addr string, empty G, apply func(g G, runs []stream.CommitRun[E]) G, codec stream.Codec[E], snap stream.SnapshotCodec[G], weighted bool, shardID, shards, ringCap int, o Options) *Replica[G, E] {
 	if ringCap <= 0 {
 		ringCap = defaultReplicaRing
 	}
@@ -103,24 +103,12 @@ func NewReplica[G ligra.Graph, E any](addr string, empty G, apply func(g G, del 
 
 // NewGraphReplica builds an unweighted replica.
 func NewGraphReplica(addr string, p ctree.Params, shardID, shards, ringCap int, o Options) *Replica[aspen.Graph, aspen.Edge] {
-	apply := func(g aspen.Graph, del bool, edges []aspen.Edge) aspen.Graph {
-		if del {
-			return g.DeleteEdges(edges)
-		}
-		return g.InsertEdges(edges)
-	}
-	return NewReplica(addr, aspen.NewGraph(p), apply, stream.EdgeCodec, stream.GraphSnapshotCodec(p), false, shardID, shards, ringCap, o)
+	return NewReplica(addr, aspen.NewGraph(p), stream.ApplyRuns[struct{}], stream.EdgeCodec, stream.GraphSnapshotCodec(p), false, shardID, shards, ringCap, o)
 }
 
 // NewWeightedReplica builds a weighted replica.
 func NewWeightedReplica(addr string, p ctree.Params, shardID, shards, ringCap int, o Options) *Replica[aspen.WeightedGraph, aspen.WeightedEdge] {
-	apply := func(g aspen.WeightedGraph, del bool, edges []aspen.WeightedEdge) aspen.WeightedGraph {
-		if del {
-			return g.DeleteEdges(edges)
-		}
-		return g.InsertEdges(edges)
-	}
-	return NewReplica(addr, aspen.NewWeightedGraphWith(p), apply, stream.WeightedEdgeCodec, stream.WeightedSnapshotCodec(p), true, shardID, shards, ringCap, o)
+	return NewReplica(addr, aspen.NewWeightedGraphWith(p), stream.ApplyRuns[float32], stream.WeightedEdgeCodec, stream.WeightedSnapshotCodec(p), true, shardID, shards, ringCap, o)
 }
 
 // Applied returns the highest WAL seq the replica has applied.
@@ -364,7 +352,7 @@ func (r *Replica[G, E]) applyRec(body []byte) error {
 	for i := range edges {
 		edges[i] = r.codec.Decode(payload[i*width:])
 	}
-	r.cur = r.apply(r.cur, kind.IsDelete(), edges)
+	r.cur = r.apply(r.cur, []stream.CommitRun[E]{{Del: kind.IsDelete(), Edges: edges}})
 	r.applied = seq
 	r.pushStateLocked(seq, r.cur)
 	r.records.Add(1)
@@ -713,7 +701,7 @@ func (r *Replica[G, E]) handlePromotedSubmit(
 		edges[i] = r.codec.Decode(payload[i*w:])
 	}
 	r.smu.Lock()
-	r.cur = r.apply(r.cur, m.Flags&rpc.FlagDel != 0, edges)
+	r.cur = r.apply(r.cur, []stream.CommitRun[E]{{Del: m.Flags&rpc.FlagDel != 0, Edges: edges}})
 	r.applied++
 	stamp := r.applied
 	r.pushStateLocked(stamp, r.cur)

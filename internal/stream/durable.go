@@ -167,33 +167,25 @@ type SnapshotCodec[G any] struct {
 
 // GraphSnapshotCodec checkpoints aspen.Graph through graphio.Snapshot;
 // p supplies the C-tree parameters for the rebuild.
-func GraphSnapshotCodec(p ctree.Params) SnapshotCodec[aspen.Graph] {
-	return SnapshotCodec[aspen.Graph]{
-		Write: func(w io.Writer, g aspen.Graph) error {
-			return graphio.WriteSnapshot(w, g.Snapshot())
-		},
-		Read: func(r io.Reader) (aspen.Graph, error) {
-			s, err := graphio.ReadSnapshot(r)
-			if err != nil {
-				return aspen.Graph{}, err
-			}
-			return aspen.GraphFromSnapshot(p, s)
-		},
-	}
-}
+func GraphSnapshotCodec(p ctree.Params) SnapshotCodec[aspen.Graph] { return snapshotCodec[struct{}](p) }
 
 // WeightedSnapshotCodec checkpoints aspen.WeightedGraph.
 func WeightedSnapshotCodec(p ctree.Params) SnapshotCodec[aspen.WeightedGraph] {
-	return SnapshotCodec[aspen.WeightedGraph]{
-		Write: func(w io.Writer, g aspen.WeightedGraph) error {
+	return snapshotCodec[float32](p)
+}
+
+// snapshotCodec checkpoints an aspen graph of any payload V.
+func snapshotCodec[V ctree.Value](p ctree.Params) SnapshotCodec[aspen.GraphOf[V]] {
+	return SnapshotCodec[aspen.GraphOf[V]]{
+		Write: func(w io.Writer, g aspen.GraphOf[V]) error {
 			return graphio.WriteSnapshot(w, g.Snapshot())
 		},
-		Read: func(r io.Reader) (aspen.WeightedGraph, error) {
+		Read: func(r io.Reader) (aspen.GraphOf[V], error) {
 			s, err := graphio.ReadSnapshot(r)
 			if err != nil {
-				return aspen.WeightedGraph{}, err
+				return aspen.GraphOf[V]{}, err
 			}
-			return aspen.WeightedGraphFromSnapshot(p, s)
+			return aspen.FromSnapshot[V](p, s)
 		},
 	}
 }
@@ -566,13 +558,13 @@ func listCheckpoints(dir string) ([]ckptFile, error) {
 // surviving WAL tail. Returns the recovered snapshot and the last WAL
 // sequence number it includes. Tolerates the torn final record a crash
 // leaves; reports mid-log damage as wal.ErrCorrupt.
-func Load[G ligra.Graph, E any](dir string, g0 G, insert, remove func(G, []E) G, codec Codec[E], sc SnapshotCodec[G]) (G, uint64, error) {
-	return loadWithNotes(dir, g0, insert, remove, codec, sc, nil)
+func Load[G ligra.Graph, E any](dir string, g0 G, apply func(G, []CommitRun[E]) G, codec Codec[E], sc SnapshotCodec[G]) (G, uint64, error) {
+	return loadWithNotes(dir, g0, apply, codec, sc, nil)
 }
 
 // loadWithNotes is Load plus an observer for the idempotency notes of
 // replayed Noted* records (Durability.OnReplayNote).
-func loadWithNotes[G ligra.Graph, E any](dir string, g0 G, insert, remove func(G, []E) G, codec Codec[E], sc SnapshotCodec[G], onNote func(client, seq uint64)) (G, uint64, error) {
+func loadWithNotes[G ligra.Graph, E any](dir string, g0 G, apply func(G, []CommitRun[E]) G, codec Codec[E], sc SnapshotCodec[G], onNote func(client, seq uint64)) (G, uint64, error) {
 	g, after := g0, uint64(0)
 	cks, err := listCheckpoints(dir)
 	if err != nil && !errors.Is(err, os.ErrNotExist) {
@@ -596,6 +588,7 @@ func loadWithNotes[G ligra.Graph, E any](dir string, g0 G, insert, remove func(G
 		// completed would leave no file at all, but a damaged disk can):
 		// fall back to the previous one; the WAL still covers the gap.
 	}
+	run := make([]CommitRun[E], 1) // one record is one run
 	last, err := wal.Replay(dir, after, func(rec wal.Record) error {
 		if int(rec.Width) != codec.Width {
 			return fmt.Errorf("%w: record width %d, engine expects %d", wal.ErrCorrupt, rec.Width, codec.Width)
@@ -611,11 +604,8 @@ func loadWithNotes[G ligra.Graph, E any](dir string, g0 G, insert, remove func(G
 		for i := range edges {
 			edges[i] = codec.Decode(data[i*codec.Width:])
 		}
-		if rec.Kind.IsDelete() {
-			g = remove(g, edges)
-		} else {
-			g = insert(g, edges)
-		}
+		run[0] = CommitRun[E]{Del: rec.Kind.IsDelete(), Edges: edges}
+		g = apply(g, run)
 		return nil
 	})
 	if err != nil {
@@ -660,12 +650,12 @@ func LoadCheckpoint[G any](dir string, sc SnapshotCodec[G]) (g G, seq uint64, ok
 // appending at the next sequence number, and start serving. A fresh
 // directory comes up as g0 with an empty log, so Recover is also the
 // constructor for new durable engines.
-func Recover[G ligra.Graph, E any](g0 G, insert, remove func(G, []E) G, opts Options, d Durability, codec Codec[E], sc SnapshotCodec[G]) (*Engine[G, E], error) {
+func Recover[G ligra.Graph, E any](g0 G, apply func(G, []CommitRun[E]) G, opts Options, d Durability, codec Codec[E], sc SnapshotCodec[G]) (*Engine[G, E], error) {
 	if d.Dir == "" {
 		return nil, errors.New("stream: Durability.Dir is required")
 	}
 	d = d.withDefaults()
-	g, last, err := loadWithNotes(d.Dir, g0, insert, remove, codec, sc, d.OnReplayNote)
+	g, last, err := loadWithNotes(d.Dir, g0, apply, codec, sc, d.OnReplayNote)
 	if err != nil {
 		return nil, err
 	}
@@ -673,7 +663,7 @@ func Recover[G ligra.Graph, E any](g0 G, insert, remove func(G, []E) G, opts Opt
 	if err != nil {
 		return nil, err
 	}
-	e := newEngine(g, insert, remove, opts)
+	e := newEngine(g, apply, opts)
 	e.dur = &durable[G, E]{
 		opts:     d,
 		log:      log,
@@ -688,43 +678,31 @@ func Recover[G ligra.Graph, E any](g0 G, insert, remove func(G, []E) G, opts Opt
 
 // RecoverGraphEngine recovers (or creates) a durable unweighted engine.
 func RecoverGraphEngine(p ctree.Params, opts Options, d Durability) (*Engine[aspen.Graph, aspen.Edge], error) {
-	e, err := Recover(aspen.NewGraph(p),
-		func(g aspen.Graph, b []aspen.Edge) aspen.Graph { return g.InsertEdges(b) },
-		func(g aspen.Graph, b []aspen.Edge) aspen.Graph { return g.DeleteEdges(b) },
-		opts, d, EdgeCodec, GraphSnapshotCodec(p))
-	if err != nil {
-		return nil, err
-	}
-	wireGraphFlat(e, opts)
-	return e, nil
+	return recoverAspen(p, opts, d, EdgeCodec)
 }
 
 // RecoverWeightedEngine recovers (or creates) a durable weighted engine.
 func RecoverWeightedEngine(p ctree.Params, opts Options, d Durability) (*Engine[aspen.WeightedGraph, aspen.WeightedEdge], error) {
-	e, err := Recover(aspen.NewWeightedGraphWith(p),
-		func(g aspen.WeightedGraph, b []aspen.WeightedEdge) aspen.WeightedGraph { return g.InsertEdges(b) },
-		func(g aspen.WeightedGraph, b []aspen.WeightedEdge) aspen.WeightedGraph { return g.DeleteEdges(b) },
-		opts, d, WeightedEdgeCodec, WeightedSnapshotCodec(p))
+	return recoverAspen(p, opts, d, WeightedEdgeCodec)
+}
+
+// recoverAspen is Recover for an aspen graph of any payload V, with the
+// flat-view cache wired as the in-memory constructors wire it.
+func recoverAspen[V ctree.Value](p ctree.Params, opts Options, d Durability, codec Codec[aspen.EdgeOf[V]]) (*Engine[aspen.GraphOf[V], aspen.EdgeOf[V]], error) {
+	e, err := Recover(aspen.NewGraphOf[V](p), ApplyRuns[V], opts, d, codec, snapshotCodec[V](p))
 	if err != nil {
 		return nil, err
 	}
-	wireWeightedFlat(e, opts)
-	return e, nil
+	return wireFlat(e, opts), nil
 }
 
 // LoadGraph recovers just the unweighted snapshot from dir (read-only; the
 // -recover-only verification path).
 func LoadGraph(p ctree.Params, dir string) (aspen.Graph, uint64, error) {
-	return Load(dir, aspen.NewGraph(p),
-		func(g aspen.Graph, b []aspen.Edge) aspen.Graph { return g.InsertEdges(b) },
-		func(g aspen.Graph, b []aspen.Edge) aspen.Graph { return g.DeleteEdges(b) },
-		EdgeCodec, GraphSnapshotCodec(p))
+	return Load(dir, aspen.NewGraph(p), ApplyRuns[struct{}], EdgeCodec, GraphSnapshotCodec(p))
 }
 
 // LoadWeightedGraph is LoadGraph for weighted directories.
 func LoadWeightedGraph(p ctree.Params, dir string) (aspen.WeightedGraph, uint64, error) {
-	return Load(dir, aspen.NewWeightedGraphWith(p),
-		func(g aspen.WeightedGraph, b []aspen.WeightedEdge) aspen.WeightedGraph { return g.InsertEdges(b) },
-		func(g aspen.WeightedGraph, b []aspen.WeightedEdge) aspen.WeightedGraph { return g.DeleteEdges(b) },
-		WeightedEdgeCodec, WeightedSnapshotCodec(p))
+	return Load(dir, aspen.NewWeightedGraphWith(p), ApplyRuns[float32], WeightedEdgeCodec, WeightedSnapshotCodec(p))
 }

@@ -447,12 +447,12 @@ func (blockGraph) ForEachNeighbor(uint32, func(v uint32) bool) {}
 func newBlockedEngine(queueCap int) (*Engine[blockGraph, aspen.Edge], chan struct{}, chan struct{}) {
 	entered := make(chan struct{}, 64)
 	release := make(chan struct{})
-	apply := func(g blockGraph, _ []aspen.Edge) blockGraph {
+	apply := func(g blockGraph, _ []CommitRun[aspen.Edge]) blockGraph {
 		entered <- struct{}{}
 		<-release
 		return g
 	}
-	e := New(blockGraph{}, apply, apply, Options{QueueCap: queueCap, MaxCoalesce: 1})
+	e := New(blockGraph{}, apply, Options{QueueCap: queueCap, MaxCoalesce: 1})
 	return e, entered, release
 }
 

@@ -11,7 +11,8 @@
 // The engine is generic over the snapshot type G (aspen.Graph,
 // aspen.WeightedGraph, or anything else satisfying ligra.Graph) and the
 // update type E (aspen.Edge, aspen.WeightedEdge), so one serving path
-// covers every graph flavor in the repository.
+// covers every graph flavor in the repository. A commit, inserts and deletes
+// alike, is one call of the engine's update (for aspen graphs, one tree pass).
 package stream
 
 import (
@@ -22,6 +23,7 @@ import (
 	"time"
 
 	"repro/internal/aspen"
+	"repro/internal/ctree"
 	"repro/internal/ligra"
 	"repro/internal/obs"
 	"repro/internal/wal"
@@ -113,10 +115,9 @@ type pending[E any] struct {
 // New (or the NewGraphEngine / NewWeightedEngine conveniences); the ingest
 // loop starts immediately.
 type Engine[G ligra.Graph, E any] struct {
-	reg    *aspen.Versioned[G]
-	insert func(G, []E) G
-	remove func(G, []E) G
-	opts   Options
+	reg   *aspen.Versioned[G]
+	apply func(G, []CommitRun[E]) G
+	opts  Options
 
 	// flat caches one §5.1 flat view per live version (see flatcache.go);
 	// userRetire is the client hook chained after the cache drop.
@@ -153,24 +154,24 @@ type Engine[G ligra.Graph, E any] struct {
 	runs   []CommitRun[E]
 }
 
-// New builds an engine over an initial snapshot g and the two functional
-// batch operations of the snapshot type. The ingest loop starts running;
+// New builds an engine over an initial snapshot g and the functional
+// update of the snapshot type: apply returns the snapshot with a commit's
+// runs applied in order, as one version. The ingest loop starts running;
 // call Close to stop it. Submitted edge slices must not be mutated by the
 // caller afterwards (the engine never mutates them).
-func New[G ligra.Graph, E any](g G, insert, remove func(G, []E) G, opts Options) *Engine[G, E] {
-	e := newEngine(g, insert, remove, opts)
+func New[G ligra.Graph, E any](g G, apply func(G, []CommitRun[E]) G, opts Options) *Engine[G, E] {
+	e := newEngine(g, apply, opts)
 	e.start()
 	return e
 }
 
 // newEngine builds the engine without starting any goroutine, so durable
 // state (Recover) can attach before the ingest loop first reads it.
-func newEngine[G ligra.Graph, E any](g G, insert, remove func(G, []E) G, opts Options) *Engine[G, E] {
+func newEngine[G ligra.Graph, E any](g G, apply func(G, []CommitRun[E]) G, opts Options) *Engine[G, E] {
 	e := &Engine[G, E]{
-		reg:    aspen.NewVersioned(g),
-		insert: insert,
-		remove: remove,
-		opts:   opts.withDefaults(),
+		reg:   aspen.NewVersioned(g),
+		apply: apply,
+		opts:  opts.withDefaults(),
 	}
 	e.queue = make(chan pending[E], e.opts.QueueCap)
 	if e.opts.PriorityEdges > 0 {
@@ -208,53 +209,42 @@ func (e *Engine[G, E]) start() {
 // NewGraphEngine serves an unweighted aspen.Graph with the §5.1 flat-view
 // cache wired to aspen.BuildFlatSnapshot.
 func NewGraphEngine(g aspen.Graph, opts Options) *Engine[aspen.Graph, aspen.Edge] {
-	e := New(g,
-		func(g aspen.Graph, b []aspen.Edge) aspen.Graph { return g.InsertEdges(b) },
-		func(g aspen.Graph, b []aspen.Edge) aspen.Graph { return g.DeleteEdges(b) },
-		opts)
-	wireGraphFlat(e, opts)
-	return e
+	return wireFlat(New(g, ApplyRuns[struct{}], opts), opts)
 }
 
-// wireGraphFlat registers the aspen flat-view builder (and, under
-// Options.PatchFlat, the incremental patcher) on an unweighted engine —
-// shared by the in-memory and durable constructors.
-func wireGraphFlat(e *Engine[aspen.Graph, aspen.Edge], opts Options) {
-	e.SetFlatten(func(g aspen.Graph) ligra.Graph { return aspen.BuildFlatSnapshot(g) })
+// NewWeightedEngine serves an aspen.WeightedGraph with the flat-view cache
+// wired to aspen.BuildFlatSnapshot (the returned views satisfy
+// ligra.FlatWeightedGraph, so weighted kernels can type-assert for
+// ForEachNeighborW).
+func NewWeightedEngine(g aspen.WeightedGraph, opts Options) *Engine[aspen.WeightedGraph, aspen.WeightedEdge] {
+	return wireFlat(New(g, ApplyRuns[float32], opts), opts)
+}
+
+// ApplyRuns is the update of every aspen engine, WAL replay and replica,
+// whatever the payload V: a commit's runs in one aspen.GraphOf.ApplyRuns
+// pass.
+func ApplyRuns[V ctree.Value](g aspen.GraphOf[V], runs []CommitRun[aspen.EdgeOf[V]]) aspen.GraphOf[V] {
+	rs := make([]aspen.Run[V], len(runs))
+	for i, r := range runs {
+		rs[i] = aspen.Run[V]{Del: r.Del, Edges: r.Edges}
+	}
+	return g.ApplyRuns(rs)
+}
+
+// wireFlat registers the aspen flat-view builder (and, under
+// Options.PatchFlat, the incremental patcher) on an aspen engine — shared by
+// the in-memory and durable constructors of every payload.
+func wireFlat[V ctree.Value](e *Engine[aspen.GraphOf[V], aspen.EdgeOf[V]], opts Options) *Engine[aspen.GraphOf[V], aspen.EdgeOf[V]] {
+	e.SetFlatten(func(g aspen.GraphOf[V]) ligra.Graph { return aspen.BuildFlatSnapshot(g) })
 	if opts.PatchFlat {
-		e.SetFlatPatcher(func(prev ligra.Graph, g aspen.Graph) ligra.Graph {
-			if fs, ok := prev.(*aspen.FlatSnapshot); ok {
+		e.SetFlatPatcher(func(prev ligra.Graph, g aspen.GraphOf[V]) ligra.Graph {
+			if fs, ok := prev.(*aspen.FlatView[V]); ok {
 				return aspen.PatchFlatSnapshot(fs, g)
 			}
 			return aspen.BuildFlatSnapshot(g)
 		})
 	}
-}
-
-// NewWeightedEngine serves an aspen.WeightedGraph with the flat-view cache
-// wired to aspen.BuildFlatWeightedSnapshot (the returned views satisfy
-// ligra.FlatWeightedGraph, so weighted kernels can type-assert for
-// ForEachNeighborW).
-func NewWeightedEngine(g aspen.WeightedGraph, opts Options) *Engine[aspen.WeightedGraph, aspen.WeightedEdge] {
-	e := New(g,
-		func(g aspen.WeightedGraph, b []aspen.WeightedEdge) aspen.WeightedGraph { return g.InsertEdges(b) },
-		func(g aspen.WeightedGraph, b []aspen.WeightedEdge) aspen.WeightedGraph { return g.DeleteEdges(b) },
-		opts)
-	wireWeightedFlat(e, opts)
 	return e
-}
-
-// wireWeightedFlat is wireGraphFlat for weighted engines.
-func wireWeightedFlat(e *Engine[aspen.WeightedGraph, aspen.WeightedEdge], opts Options) {
-	e.SetFlatten(func(g aspen.WeightedGraph) ligra.Graph { return aspen.BuildFlatWeightedSnapshot(g) })
-	if opts.PatchFlat {
-		e.SetFlatPatcher(func(prev ligra.Graph, g aspen.WeightedGraph) ligra.Graph {
-			if fs, ok := prev.(*aspen.FlatWeightedSnapshot); ok {
-				return aspen.PatchFlatWeightedSnapshot(fs, g)
-			}
-			return aspen.BuildFlatWeightedSnapshot(g)
-		})
-	}
 }
 
 // SetFlatten registers the snapshot-to-flat-view builder behind Tx.Flat.
@@ -276,10 +266,11 @@ func (e *Engine[G, E]) SetFlatPatcher(fn func(prev ligra.Graph, g G) ligra.Graph
 }
 
 // CommitRun is one same-kind run of a committed group, in application
-// order: a maximal FIFO sequence of queued batches of one kind, concatenated
-// so the whole run pays one radix-sorted tree pass. The runs slice and the
-// edge slices are the engine's (the former is reused by the next commit) —
-// observers must not mutate or retain them past the hook call.
+// order: a maximal FIFO sequence of queued batches of one kind, concatenated.
+// A kind change does not split the tree pass: the engine's update takes all
+// of a commit's runs (aspen.GraphOf.ApplyRuns, one signed batch). The runs
+// slice and the edge slices are the engine's (the former is reused by the
+// next commit) — observers must not mutate or retain them past the hook call.
 type CommitRun[E any] struct {
 	Del   bool
 	Edges []E
@@ -560,8 +551,8 @@ func (e *Engine[G, E]) loop() {
 }
 
 // commit folds the batch into same-kind runs, logs them to the WAL (when
-// durability is attached), applies them in order to the latest snapshot,
-// publishes one new version, then acknowledges every batch with the commit
+// durability is attached), applies them to the latest snapshot in one call
+// of the engine's update, publishes one new version, then acknowledges every batch with the commit
 // stamp. Durability failures are fail-stop: the batch (and every later one)
 // is nacked — its done channel closes without a stamp — and nothing further
 // is applied, so an acknowledged batch is always both applied and logged
@@ -617,16 +608,8 @@ func (e *Engine[G, E]) commit(batch []pending[E], totalEdges int, pickup time.Ti
 		var before, committed G
 		t = time.Now()
 		stamp = e.reg.Update(func(g G) G {
-			before = g
-			for _, r := range runs {
-				if r.Del {
-					g = e.remove(g, r.Edges)
-				} else {
-					g = e.insert(g, r.Edges)
-				}
-			}
-			committed = g
-			return g
+			before, committed = g, e.apply(g, runs)
+			return committed
 		})
 		tr.Durs[obs.StageApply] = time.Since(t)
 		e.commits.Add(1)

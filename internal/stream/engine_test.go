@@ -51,11 +51,10 @@ func TestEngineCoalescing(t *testing.T) {
 	gate := make(chan struct{})
 	var gated sync.Once
 	e := New(aspen.NewGraph(testParams()),
-		func(g aspen.Graph, b []aspen.Edge) aspen.Graph {
+		func(g aspen.Graph, runs []CommitRun[aspen.Edge]) aspen.Graph {
 			gated.Do(func() { <-gate })
-			return g.InsertEdges(b)
+			return ApplyRuns(g, runs)
 		},
-		func(g aspen.Graph, b []aspen.Edge) aspen.Graph { return g.DeleteEdges(b) },
 		Options{QueueCap: 64, MaxCoalesce: 16})
 	defer e.Close()
 
@@ -114,12 +113,15 @@ func TestEngineCoalesceEdgeCap(t *testing.T) {
 	var gated sync.Once
 	var groups []int // edges per insert run; loop-goroutine only, read after Close
 	e := New(aspen.NewGraph(testParams()),
-		func(g aspen.Graph, b []aspen.Edge) aspen.Graph {
+		func(g aspen.Graph, runs []CommitRun[aspen.Edge]) aspen.Graph {
 			gated.Do(func() { <-gate })
-			groups = append(groups, len(b))
-			return g.InsertEdges(b)
+			for _, r := range runs {
+				if !r.Del {
+					groups = append(groups, len(r.Edges))
+				}
+			}
+			return ApplyRuns(g, runs)
 		},
-		func(g aspen.Graph, b []aspen.Edge) aspen.Graph { return g.DeleteEdges(b) },
 		Options{QueueCap: 64, MaxCoalesce: 16, MaxCoalesceEdges: 250})
 	const batches = 10
 	const per = 100
@@ -250,8 +252,8 @@ func TestSubmitCloseRace(t *testing.T) {
 // list handed to the update, the WAL and the OnCommit hook is ingest
 // scratch, not a per-commit slice.
 func TestCommitAllocatesOnlyTheUpdate(t *testing.T) {
-	same := func(g aspen.Graph, _ []aspen.Edge) aspen.Graph { return g }
-	e := New(aspen.NewGraph(testParams()), same, same, Options{})
+	same := func(g aspen.Graph, _ []CommitRun[aspen.Edge]) aspen.Graph { return g }
+	e := New(aspen.NewGraph(testParams()), same, Options{})
 	defer e.Close()
 	runs := 0
 	e.OnCommit(func(_, _ aspen.Graph, _ uint64, rs []CommitRun[aspen.Edge]) { runs += len(rs) })

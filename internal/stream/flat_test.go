@@ -73,10 +73,7 @@ func TestTxFlatCachedPerVersion(t *testing.T) {
 // tree snapshot from Flat.
 func TestTxFlatFallback(t *testing.T) {
 	g := aspen.NewGraph(ctree.DefaultParams()).InsertEdges([]aspen.Edge{{Src: 1, Dst: 2}, {Src: 2, Dst: 1}})
-	e := New(g,
-		func(g aspen.Graph, b []aspen.Edge) aspen.Graph { return g.InsertEdges(b) },
-		func(g aspen.Graph, b []aspen.Edge) aspen.Graph { return g.DeleteEdges(b) },
-		Options{})
+	e := New(g, ApplyRuns[struct{}], Options{})
 	defer e.Close()
 	tx := e.Begin()
 	defer tx.Close()

@@ -14,12 +14,15 @@ import (
 func slowEngine(gate chan struct{}, perBatch time.Duration, opts Options) *Engine[aspen.Graph, aspen.Edge] {
 	var gated sync.Once
 	return New(aspen.NewGraph(testParams()),
-		func(g aspen.Graph, b []aspen.Edge) aspen.Graph {
+		func(g aspen.Graph, runs []CommitRun[aspen.Edge]) aspen.Graph {
 			gated.Do(func() { <-gate })
-			time.Sleep(perBatch)
-			return g.InsertEdges(b)
+			for _, r := range runs {
+				if !r.Del {
+					time.Sleep(perBatch)
+				}
+			}
+			return ApplyRuns(g, runs)
 		},
-		func(g aspen.Graph, b []aspen.Edge) aspen.Graph { return g.DeleteEdges(b) },
 		opts)
 }
 
