@@ -18,6 +18,7 @@ package stream
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -451,6 +452,9 @@ func (e *Engine[G, E]) Close() {
 
 // loop is the single-writer ingest loop: take one batch (blocking), drain
 // whatever else is already queued up to the coalescing caps, commit once.
+// When the lanes run dry the loop yields once, again while batches keep
+// coming, and for up to a millisecond while the group is short of what the
+// last commit left behind (DESIGN.md, "Ingest queue and coalescing").
 // A batch received past the MaxCoalesceEdges budget is carried over to
 // start the next commit group, so the edge cap is a hard bound per group
 // (except for a single batch that alone exceeds it, which commits alone).
@@ -462,7 +466,7 @@ func (e *Engine[G, E]) loop() {
 	defer e.wg.Done()
 	var batch []pending[E]
 	var carry pending[E]
-	hasCarry := false
+	hasCarry, expect := false, 0 // expect: what the last commit acknowledged and left queued
 	queue, prio := e.queue, e.prio
 	for {
 		var first pending[E]
@@ -508,7 +512,7 @@ func (e *Engine[G, E]) loop() {
 		}
 		pickup := time.Now() // StageEnqueue ends, StageCoalesce begins
 		batch = append(batch[:0], first)
-		edges := len(first.edges)
+		edges, seen := len(first.edges), 0 // seen: the group size at the last yield
 		for len(batch) < e.opts.MaxCoalesce && edges < e.opts.MaxCoalesceEdges {
 			var next pending[E]
 			got := false
@@ -537,7 +541,12 @@ func (e *Engine[G, E]) loop() {
 				}
 			}
 			if !got {
-				break // both lanes idle (or closed): commit what we have
+				if len(batch) == seen && ((prio == nil && queue == nil) || len(batch) >= expect || time.Since(pickup) >= time.Millisecond) {
+					break // both lanes idle (or closed): commit what we have
+				}
+				seen = len(batch)
+				runtime.Gosched() // let submitters that are running add theirs
+				continue
 			}
 			if edges > 0 && edges+len(next.edges) > e.opts.MaxCoalesceEdges {
 				carry, hasCarry = next, true
@@ -547,6 +556,7 @@ func (e *Engine[G, E]) loop() {
 			edges += len(next.edges)
 		}
 		e.commit(batch, edges, pickup)
+		expect = len(batch) + len(queue) + len(prio)
 	}
 }
 

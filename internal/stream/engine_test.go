@@ -105,6 +105,40 @@ func TestEngineCoalescing(t *testing.T) {
 	}
 }
 
+// TestGroupWaitsForTheRefill is the closed-loop case of coalescing: when a
+// commit acknowledges a batch whose client resubmits at once, the next group
+// (here the two batches queued behind that commit) waits for the resubmission
+// instead of closing the moment its lane runs dry. Without the wait the pair
+// and the refill commit apart, and a saturated closed-loop client's groups
+// stay split in two for the rest of the stream.
+func TestGroupWaitsForTheRefill(t *testing.T) {
+	gate := make(chan struct{})
+	e := slowEngine(gate, 0, Options{})
+	defer e.Close()
+	a, err := e.Insert(dummyBatch(1, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for len(e.queue) > 0 { // the loop owns batch a and blocks on the gate
+		time.Sleep(time.Millisecond)
+	}
+	for i := uint32(1); i <= 2; i++ {
+		if _, err := e.Insert(dummyBatch(1, 10*i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(gate)
+	a.Wait()
+	d, err := e.Insert(dummyBatch(1, 30)) // the client's resubmission
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.Wait()
+	if st := e.Stats(); st.Commits != 2 || st.Batches != 4 {
+		t.Fatalf("%d batches in %d commits, want 4 in 2: the queued pair did not wait for the refill", st.Batches, st.Commits)
+	}
+}
+
 // TestEngineCoalesceEdgeCap checks that MaxCoalesceEdges is a hard bound
 // per commit group: a batch that would push the group over the budget is
 // carried into the next group instead (and still commits).
