@@ -625,6 +625,9 @@ func printRun(rr runResult, base float64) {
 	if r.SubmitErr != "" {
 		fmt.Printf("SUBMIT ERROR (writer stopped early): %s\n", r.SubmitErr)
 	}
+	if r.StatsErr != "" {
+		fmt.Printf("STATS ERROR (counts miss these shards): %s\n", r.StatsErr)
+	}
 }
 
 // benchDoc is the on-disk BENCH_*.json shape: the benchdiff snapshot

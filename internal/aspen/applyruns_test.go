@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/ctree"
 	"repro/internal/parallel"
-	"repro/internal/pftree"
 	"repro/internal/xhash"
 )
 
@@ -27,7 +26,7 @@ func applySequentially[V ctree.Value](g GraphOf[V], runs []Run[V]) GraphOf[V] {
 }
 
 // checkApplyRuns requires ApplyRuns to give the sequential graph — equal
-// contents, vertex count, order and edge count, an intact vertex tree — and
+// contents, vertex count, order and edge count, an intact vertex index — and
 // the same DiffVersions records from base.
 func checkApplyRuns[V ctree.Value](t *testing.T, base GraphOf[V], runs []Run[V]) GraphOf[V] {
 	t.Helper()
@@ -38,7 +37,7 @@ func checkApplyRuns[V ctree.Value](t *testing.T, base GraphOf[V], runs []Run[V])
 			got.NumVertices(), got.Order(), got.NumEdges(), got.Equal(want), want.NumVertices(), want.Order(), want.NumEdges())
 	}
 	ops := got.table()
-	if err := pftree.Wrap(ops, got.vt).CheckInvariants(func(a, b uint64) bool { return a == b }); err != nil {
+	if err := checkIndex(ops, got.vt); err != nil {
 		t.Fatal(err)
 	}
 	gd, wd := realDeltas(deltasOf(ops, base.vt, got.vt)), realDeltas(deltasOf(ops, base.vt, want.vt))

@@ -1,12 +1,8 @@
 package aspen
 
 import (
-	"reflect"
-	"sync"
-
 	"repro/internal/ctree"
 	"repro/internal/parallel"
-	"repro/internal/pftree"
 )
 
 // This file is the batch-update engine behind GraphOf[V] — Graph (V =
@@ -18,56 +14,9 @@ import (
 // future fixed-width property) ride the same compressed path, and a batch may
 // mix inserts and deletes (a signed batch: each edge's last update wins), so
 // a commit of several runs is still one sort and one pass. The vertex-tree
-// pass is pftree's batch-driven descent (MultiUpsert): the sorted sources
-// steer it, and only the nodes on the paths to them are reallocated.
-
-// vnode is a vertex-tree node: key = vertex id, value = edge C-tree,
-// augmented with the total number of edges in the subtree so NumEdges is
-// O(1) (paper §5, "we augment the vertex-tree to store the number of edges
-// contained in its subtrees").
-type vnode[V ctree.Value] = pftree.Node[uint32, ctree.Tree[V], uint64]
-
-// vopsT is the vertex-tree operation table for payload type V.
-type vopsT[V ctree.Value] = pftree.Ops[uint32, ctree.Tree[V], uint64]
-
-func cmpU32(a, b uint32) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
-	default:
-		return 0
-	}
-}
-
-func newVops[V ctree.Value]() *vopsT[V] {
-	return &vopsT[V]{
-		Cmp: cmpU32,
-		Aug: pftree.Augment[uint32, ctree.Tree[V], uint64]{
-			Zero:      0,
-			FromEntry: func(_ uint32, et ctree.Tree[V]) uint64 { return et.Size() },
-			Combine:   func(a, b uint64) uint64 { return a + b },
-			// Edge counts subtract: copying a path node reads neither its
-			// untouched sibling nor an unchanged entry's edge tree.
-			Sub: func(a, b uint64) uint64 { return a - b },
-		},
-	}
-}
-
-var vopsCache sync.Map // reflect.Type of V -> *vopsT[V]
-
-// vopsFor returns the interned vertex-tree table for payload type V. Graphs
-// resolve it once at construction and carry it, so accessors never look it
-// up.
-func vopsFor[V ctree.Value]() *vopsT[V] {
-	key := reflect.TypeFor[V]()
-	if o, ok := vopsCache.Load(key); ok {
-		return o.(*vopsT[V])
-	}
-	o, _ := vopsCache.LoadOrStore(key, newVops[V]())
-	return o.(*vopsT[V])
-}
+// pass is pftree's batch-driven descent (MultiUpsert) over the paged vertex
+// index (pages.go): the sorted sources, grouped by page, steer it, and only
+// the nodes on the paths to their pages, and those pages, are reallocated.
 
 // signedVal is the sort companion of one update of a mixed batch: its
 // payload, whether it deletes the edge, and — after the dedup — whether any
@@ -132,9 +81,9 @@ type upsert[V ctree.Value] struct {
 	created bool
 }
 
-// applyCore folds a sorted batch into the vertex-tree in one batch-driven
-// descent (pftree.MultiUpsert) that copies only the paths to the batch's
-// vertices. A source's edge tree becomes old.Difference(del).UnionWith(ins,
+// applyCore folds a sorted batch into the vertex index in one batch-driven
+// descent (upsertVertices) that copies only the paths to the batch's pages
+// and each touched page once. A source's edge tree becomes old.Difference(del).UnionWith(ins,
 // merge) (ins and del are disjoint); merge resolves payload collisions,
 // last-writer-wins when nil. The vertex rule is that of applying the runs in
 // order: every endpoint of an edge some update inserts exists afterwards,
@@ -184,7 +133,7 @@ func applyCore[V ctree.Value](ops *vopsT[V], p ctree.Params, vt *vnode[V], b sor
 	if extra := missingEndpoints(ops, vt, keys, ups, ends); len(extra) > 0 {
 		keys, ups = mergeEndpoints(keys, ups, extra, upsert[V]{ins: proto, created: true})
 	}
-	return ops.MultiUpsert(vt, keys, func(i int, old ctree.Tree[V], found bool) (ctree.Tree[V], bool) {
+	return upsertVertices(ops, vt, keys, func(i int, old ctree.Tree[V], found bool) (ctree.Tree[V], bool) {
 		u := &ups[i]
 		if !found {
 			return u.ins, u.created
@@ -220,7 +169,7 @@ func missingEndpoints[V ctree.Value](ops *vopsT[V], vt *vnode[V], srcs []uint32,
 		w++
 	}
 	return parallel.FilterUint32(ends[:w], func(d uint32) bool {
-		_, ok := ops.Find(vt, d)
+		_, ok := findVertex(ops, vt, d)
 		return !ok
 	})
 }
@@ -243,15 +192,16 @@ func mergeEndpoints[U any](keys []uint32, ups []U, extra []uint32, empty U) ([]u
 
 // collectIsolatedCore removes every vertex with an empty edge tree.
 func collectIsolatedCore[V ctree.Value](ops *vopsT[V], vt *vnode[V]) *vnode[V] {
-	entries := make([]pftree.Entry[uint32, ctree.Tree[V]], 0, vt.Size())
-	ops.ForEach(vt, func(u uint32, et ctree.Tree[V]) bool {
+	ids, trees := vertices(ops, vt)
+	w := 0
+	for i, et := range trees {
 		if !et.Empty() {
-			entries = append(entries, pftree.Entry[uint32, ctree.Tree[V]]{Key: u, Val: et})
+			ids[w], trees[w] = ids[i], et
+			w++
 		}
-		return true
-	})
-	if len(entries) == vt.Size() {
+	}
+	if w == len(ids) {
 		return vt
 	}
-	return ops.BuildSorted(entries)
+	return buildPages(ops, ids[:w], func(i int) ctree.Tree[V] { return trees[i] })
 }

@@ -2,77 +2,64 @@ package aspen
 
 import (
 	"fmt"
+	"maps"
 	"slices"
 	"testing"
 
 	"repro/internal/ctree"
 	"repro/internal/parallel"
-	"repro/internal/pftree"
 	"repro/internal/xhash"
 )
 
-// The reference batch cores: the composition the batch-driven descent
-// replaced. The batch is built into a vertex tree of its own and merged
-// with pftree's Split/Join set operations; destination endpoints and
-// emptied vertices are found with plain lookups. Test-only.
+// The reference batch cores: a map from vertex id to edge tree, updated
+// vertex by vertex with the same edge-tree operations the descent applies
+// (union for inserts, difference for deletes); destination endpoints and
+// emptied vertices are found with plain lookups. It shares no code with the
+// paged index. Test-only.
 
-func refInsertCore[V ctree.Value](ops *vopsT[V], p ctree.Params, vt *vnode[V], packed []uint64, vals []V, merge func(old, new V) V) *vnode[V] {
+type refIndex[V ctree.Value] map[uint32]ctree.Tree[V]
+
+func refInsertCore[V ctree.Value](p ctree.Params, ref refIndex[V], packed []uint64, vals []V, merge func(old, new V) V) refIndex[V] {
+	next := maps.Clone(ref)
 	srcs, dsts, vruns, _ := groupBySourceKV(packed, vals)
 	proto := ctree.NewKV[V](p)
-	trees := map[uint32]ctree.Tree[V]{}
 	for i, s := range srcs {
 		var vr []V
 		if vruns != nil {
 			vr = vruns[i]
 		}
-		trees[s] = proto.BuildLike(dsts[i], vr)
+		ins := proto.BuildLike(dsts[i], vr)
+		if old, ok := next[s]; ok {
+			ins = old.UnionWith(ins, merge)
+		}
+		next[s] = ins
 	}
 	for _, k := range packed {
-		d := uint32(k)
-		if _, isSrc := trees[d]; isSrc {
-			continue
-		}
-		if _, ok := ops.Find(vt, d); !ok {
-			trees[d] = proto
+		if _, ok := next[uint32(k)]; !ok {
+			next[uint32(k)] = proto
 		}
 	}
-	ids := make([]uint32, 0, len(trees))
-	for id := range trees {
-		ids = append(ids, id)
-	}
-	slices.Sort(ids)
-	entries := make([]pftree.Entry[uint32, ctree.Tree[V]], len(ids))
-	for i, id := range ids {
-		entries[i] = pftree.Entry[uint32, ctree.Tree[V]]{Key: id, Val: trees[id]}
-	}
-	return ops.Union(vt, ops.BuildSorted(entries), func(old, new ctree.Tree[V]) ctree.Tree[V] {
-		return old.UnionWith(new, merge)
-	})
+	return next
 }
 
-func refDeleteCore[V ctree.Value](ops *vopsT[V], p ctree.Params, vt *vnode[V], packed []uint64, dropEmpty bool) *vnode[V] {
+func refDeleteCore[V ctree.Value](p ctree.Params, ref refIndex[V], packed []uint64, dropEmpty bool) refIndex[V] {
+	next := maps.Clone(ref)
 	srcs, dsts, _, _ := groupBySourceKV[struct{}](packed, nil)
 	proto := ctree.NewKV[V](p)
-	var entries []pftree.Entry[uint32, ctree.Tree[V]]
 	for i, s := range srcs {
-		if _, ok := ops.Find(vt, s); ok {
-			entries = append(entries, pftree.Entry[uint32, ctree.Tree[V]]{Key: s, Val: proto.BuildLike(dsts[i], nil)})
+		if old, ok := next[s]; ok {
+			if et := old.Difference(proto.BuildLike(dsts[i], nil)); dropEmpty && et.Empty() {
+				delete(next, s)
+			} else {
+				next[s] = et
+			}
 		}
 	}
-	root := ops.Union(vt, ops.BuildSorted(entries), func(old, del ctree.Tree[V]) ctree.Tree[V] {
-		return old.Difference(del)
-	})
-	if !dropEmpty {
-		return root
-	}
-	var dead []pftree.Entry[uint32, ctree.Tree[V]]
-	for _, e := range entries {
-		if et, _ := ops.Find(root, e.Key); et.Empty() {
-			dead = append(dead, pftree.Entry[uint32, ctree.Tree[V]]{Key: e.Key})
-		}
-	}
-	return ops.Difference(root, ops.BuildSorted(dead))
+	return next
 }
+
+// ids returns the reference's vertex ids in order.
+func (r refIndex[V]) ids() []uint32 { return slices.Sorted(maps.Keys(r)) }
 
 // batchStep is one update of a differential schedule.
 type batchStep[V ctree.Value] struct {
@@ -108,10 +95,18 @@ func (a vertexImage[V]) equal(b vertexImage[V]) bool {
 
 func imagesOf[V ctree.Value](ops *vopsT[V], vt *vnode[V]) []vertexImage[V] {
 	var out []vertexImage[V]
-	ops.ForEach(vt, func(u uint32, et ctree.Tree[V]) bool {
+	forEachVertex(ops, vt, func(u uint32, et ctree.Tree[V]) bool {
 		out = append(out, imageOf(u, et))
 		return true
 	})
+	return out
+}
+
+func (r refIndex[V]) images() []vertexImage[V] {
+	var out []vertexImage[V]
+	for _, u := range r.ids() {
+		out = append(out, imageOf(u, r[u]))
+	}
 	return out
 }
 
@@ -130,35 +125,64 @@ func deltasOf[V ctree.Value](ops *vopsT[V], old, cur *vnode[V]) []deltaImage[V] 
 	return out
 }
 
+// refDeltas is what DiffVersions must emit between two reference versions:
+// per id, in order, whether it came, went, or kept its slot with an edge tree
+// of another representation.
+func refDeltas[V ctree.Value](old, cur refIndex[V]) []deltaImage[V] {
+	var out []deltaImage[V]
+	both := maps.Clone(old)
+	maps.Copy(both, cur)
+	for _, u := range both.ids() {
+		ot, was := old[u]
+		nt, in := cur[u]
+		d := deltaImage[V]{old: imageOf(u, ot), new: imageOf(u, nt)}
+		switch {
+		case was && in && ot.EqualRep(nt):
+			continue
+		case was && in:
+			d.kind = DiffChanged
+		case in:
+			d.kind = DiffAdded
+		default:
+			d.kind = DiffRemoved
+		}
+		out = append(out, d)
+	}
+	return out
+}
+
 // runBatchDifferential applies the schedule through the production cores
 // and through the reference cores, each on its own lineage, and requires
 // equal graphs, equal O(1) aggregates and identical version diffs at every
-// step, with the vertex tree's invariants intact.
+// step, with the vertex index's invariants intact.
 func runBatchDifferential[V ctree.Value](t *testing.T, ops *vopsT[V], p ctree.Params, steps []batchStep[V]) {
 	t.Helper()
-	var got, ref *vnode[V]
+	var got *vnode[V]
+	ref := refIndex[V]{}
 	for i, s := range steps {
 		ctx := fmt.Sprintf("step %d (%s)", i, s.name)
 		prevGot, prevRef := got, ref
 		if s.del {
 			got = applyCore(ops, p, got, sortedBatch[V]{packed: s.packed, del: true}, nil, s.gc)
-			ref = refDeleteCore(ops, p, ref, s.packed, s.gc)
+			ref = refDeleteCore(p, ref, s.packed, s.gc)
 		} else {
 			got = applyCore(ops, p, got, sortedBatch[V]{packed: s.packed, vals: s.vals}, s.merge, false)
-			ref = refInsertCore(ops, p, ref, s.packed, s.vals, s.merge)
+			ref = refInsertCore(p, ref, s.packed, s.vals, s.merge)
 		}
-		if err := pftree.Wrap(ops, got).CheckInvariants(func(a, b uint64) bool { return a == b }); err != nil {
+		if err := checkIndex(ops, got); err != nil {
 			t.Fatalf("%s: %v", ctx, err)
 		}
-		if got.Size() != ref.Size() || ops.AugOf(got) != ops.AugOf(ref) {
-			t.Fatalf("%s: %d vertices / %d edges, reference has %d / %d",
-				ctx, got.Size(), ops.AugOf(got), ref.Size(), ops.AugOf(ref))
+		var refEdges uint64
+		for _, et := range ref {
+			refEdges += et.Size()
 		}
-		gi, ri := imagesOf(ops, got), imagesOf(ops, ref)
-		if !slices.EqualFunc(gi, ri, vertexImage[V].equal) {
+		if c := got.AugOrZero(); c.verts != uint64(len(ref)) || c.edges != refEdges {
+			t.Fatalf("%s: %d vertices / %d edges, reference has %d / %d", ctx, c.verts, c.edges, len(ref), refEdges)
+		}
+		if !slices.EqualFunc(imagesOf(ops, got), ref.images(), vertexImage[V].equal) {
 			t.Fatalf("%s: graph differs from the reference", ctx)
 		}
-		gd, rd := deltasOf(ops, prevGot, got), deltasOf(ops, prevRef, ref)
+		gd, rd := deltasOf(ops, prevGot, got), refDeltas(prevRef, ref)
 		if !slices.EqualFunc(gd, rd, func(a, b deltaImage[V]) bool {
 			return a.kind == b.kind && a.old.equal(b.old) && a.new.equal(b.new)
 		}) {

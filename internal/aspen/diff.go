@@ -34,15 +34,38 @@ func (d VertexDelta[V]) Edges(emit func(e uint32, kind ctree.DiffKind, oldV, new
 	return ctree.Diff(d.Old, d.New, emit)
 }
 
-// diffVersionsCore walks two vertex trees, pruning pointer-shared subtrees
-// and, at matching vertices, comparing edge trees by representation
-// (EqualRep) — O(1) per untouched vertex, so the walk costs O(d log(n/d+1))
-// for d touched vertices between versions of one lineage.
+// diffVersionsCore walks two vertex indexes, pruning pointer-shared
+// subtrees and pages, and compares the slots of each page that differs by
+// edge-tree representation (EqualRep) — O(1) per untouched vertex, so the
+// walk costs O(d log(n/d+1)) for d touched pages between versions of one
+// lineage. Deltas come out in ascending id order.
 func diffVersionsCore[V ctree.Value](ops *vopsT[V], old, cur *vnode[V], f func(VertexDelta[V]) bool) bool {
 	return ops.Diff(old, cur,
-		func(a, b ctree.Tree[V]) bool { return a.EqualRep(b) },
-		func(u uint32, kind DiffKind, ot, nt ctree.Tree[V]) bool {
-			return f(VertexDelta[V]{ID: u, Kind: kind, Old: ot, New: nt})
+		func(a, b *page[V]) bool { return a == b },
+		func(p uint32, _ DiffKind, op, np *page[V]) bool {
+			for s := range uint32(pageSize) {
+				d := VertexDelta[V]{ID: p<<pageBits | s}
+				var in, was bool
+				d.Old, was = op.slot(s)
+				d.New, in = np.slot(s)
+				switch {
+				case was && in:
+					if d.Old.EqualRep(d.New) {
+						continue
+					}
+					d.Kind = DiffChanged
+				case in:
+					d.Kind = DiffAdded
+				case was:
+					d.Kind = DiffRemoved
+				default:
+					continue
+				}
+				if !f(d) {
+					return false
+				}
+			}
+			return true
 		})
 }
 

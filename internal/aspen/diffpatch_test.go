@@ -2,6 +2,7 @@ package aspen
 
 import (
 	"testing"
+	"unsafe"
 
 	"repro/internal/ctree"
 	"repro/internal/xhash"
@@ -187,29 +188,42 @@ func TestPatchFlatSnapshotIdentity(t *testing.T) {
 	}
 }
 
-// TestPatchFlatSnapshotSharing verifies the copy-on-write accounting: a
-// small batch against a large graph must leave most pages aliased (owned
-// bytes far below a full build) while a fresh build owns everything.
+// TestPatchFlatSnapshotSharing verifies the ownership accounting: the pages
+// belong to the graph, so a built and a patched view each own only their
+// page table and degree array and alias every page of their version; and a
+// small batch against a large graph leaves the patched view sharing all but
+// the touched pages with its predecessor.
 func TestPatchFlatSnapshotSharing(t *testing.T) {
 	r := xhash.NewRNG(73)
 	g := NewGraph(params()).InsertEdges(MakeUndirected(randomEdges(r, 40_000, 30_000)))
 	built := BuildFlatSnapshot(g)
-	if built.SharedMemoryBytes() != 0 {
-		t.Fatalf("fresh build reports %d shared bytes", built.SharedMemoryBytes())
-	}
 	// One tiny batch: a handful of touched pages.
 	g2 := g.InsertEdges(MakeUndirected([]Edge{{Src: 10, Dst: 11}, {Src: 500, Dst: 501}}))
 	p := PatchFlatSnapshot(built, g2)
 	checkFlatAgainstGraph(t, p, g2, "small patch")
-	if p.SharedMemoryBytes() == 0 {
-		t.Fatal("patched view aliases no pages")
-	}
 	rebuilt := BuildFlatSnapshot(g2)
-	// Owned bytes = page table + degrees + touched pages only; require the
-	// slot-page share to be well under a full build's.
-	if p.MemoryBytes() >= rebuilt.MemoryBytes() {
-		t.Fatalf("patched view owns %d bytes, full build %d — no sharing",
-			p.MemoryBytes(), rebuilt.MemoryBytes())
+	for _, c := range []struct {
+		what string
+		fv   *FlatSnapshot
+		g    Graph
+	}{{"built", built, g}, {"patched", p, g2}, {"rebuilt", rebuilt, g2}} {
+		table, pages := uint64(len(c.fv.pages))*8+uint64(c.fv.Order())*4, uint64(c.g.vt.Size())*uint64(unsafe.Sizeof(page[struct{}]{}))
+		if c.fv.MemoryBytes() != table || c.fv.SharedMemoryBytes() != pages {
+			t.Fatalf("%s view owns %d and shares %d bytes, want the table and degrees %d and the graph's pages %d",
+				c.what, c.fv.MemoryBytes(), c.fv.SharedMemoryBytes(), table, pages)
+		}
+	}
+	same := 0
+	for i := range p.pages {
+		if p.pages[i] == built.pages[i] {
+			same++
+		}
+		if p.pages[i] != rebuilt.pages[i] {
+			t.Fatalf("page %d: the patched and rebuilt views point at different pages", i)
+		}
+	}
+	if touched := len(p.pages) - same; touched == 0 || touched > 4 {
+		t.Fatalf("patch re-pointed %d pages, want 1–4 (ids 10, 11, 500, 501)", touched)
 	}
 }
 

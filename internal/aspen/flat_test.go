@@ -170,14 +170,14 @@ func checkWarmTotal[V ctree.Value](t *testing.T, what string, fv *FlatView[V]) {
 	// What lets Warm and ForEachNeighbor skip the presence test: a slot
 	// without a vertex holds a tree without elements.
 	for pi, pg := range fv.pages {
-		for s := 0; pg != nil && s < flatPageSize; s++ {
-			if !pg.present[s] && (pg.trees[s].Size() != 0 || pg.trees[s].Touch() != 0) {
-				t.Fatalf("%s: absent slot %d holds a non-empty tree", what, pi<<flatPageBits+s)
+		for s := 0; pg != nil && s < pageSize; s++ {
+			if pg.deg[s] < 0 && (pg.trees[s].Size() != 0 || pg.trees[s].Touch() != 0) {
+				t.Fatalf("%s: absent slot %d holds a non-empty tree", what, pi<<pageBits+s)
 			}
 		}
 	}
 	ids := []uint32{1 << 30, ^uint32(0)}
-	for u := 0; u < fv.Order()+2*flatPageSize; u++ {
+	for u := 0; u < fv.Order()+2*pageSize; u++ {
 		ids = append(ids, uint32(u))
 	}
 	if got, want := fv.Warm(ids), warmSum(fv, ids); got != want || want == 0 {
@@ -221,13 +221,14 @@ func TestFlatWarm(t *testing.T) {
 	}
 
 	// Grow the id space far past the built view, touch a few old vertices
-	// and remove one: the patched view aliases most pages, owns a few, and
-	// has nil pages over the untouched part of the new range.
-	far := uint32(built.Order() + 40*flatPageSize)
+	// and remove one: the patched view keeps most of its predecessor's pages,
+	// points at a few new ones, and has nil pages over the untouched part of
+	// the new range.
+	far := uint32(built.Order() + 40*pageSize)
 	g2 := g.InsertEdges(MakeUndirected([]Edge{{Src: far, Dst: far + 1}, {Src: 3, Dst: 99}})).DeleteVertices([]uint32{7})
 	patched := PatchFlatSnapshot(built, g2)
 	checkWarmTotal(t, "patched", patched)
-	gap := uint32(built.Order() + 20*flatPageSize)
+	gap := uint32(built.Order() + 20*pageSize)
 	if pg, _ := patched.page(gap); pg != nil {
 		t.Fatalf("expected a nil page at id %d of the patched view", gap)
 	}

@@ -1,40 +1,20 @@
 package aspen
 
 import (
+	"unsafe"
+
 	"repro/internal/ctree"
 	"repro/internal/parallel"
 )
 
-// Flat-view slot storage is paged so that patching a new version's view out
-// of its predecessor's can copy-on-write only the pages the version diff
-// touches: flatPageSize vertices per page, pages untouched by a batch are
-// aliased between chained views. The batch's touched vertices are scattered
-// (graph updates have no id locality), so a patch copies roughly one page
-// per touched vertex no matter the page size — which makes small pages
-// win: 16 slots keeps the per-touched-vertex copy under a cache line's
-// worth of tree handles, while the page table that every patch must copy
-// stays at 1/16th of a slot-per-id table. (One backing allocation still
-// serves a full build, so build cost is unaffected.)
-//
-// Measured at the ledger's sizes (65 536 ids, 1 M directed edges, a patch of
-// one 5 000-directed-edge batch ≈ 4 500 touched pages): 4-slot pages patch
-// in 2.49 ms against 3.06 ms with 16 (2.0 → 1.2 MB copied), but every live
-// view's page table grows 4× — engine.query bytes_per_edge +2.9 % — and the
-// traced span_flat_patch_p50_ms falls only 3.32 → 2.96. At 1 M ids
-// (BenchmarkFlatPatch) the table copy dominates: 6.6 → 6.7 ms at batch=1000,
-// 31.4 → 26.6–29.5 ms at batch=10000. So 16 slots it is.
-const (
-	flatPageBits = 4
-	flatPageSize = 1 << flatPageBits
-	flatPageMask = flatPageSize - 1
-)
-
-// flatPage holds the per-vertex edge-tree handles and presence bits of one
-// aligned id range [p<<flatPageBits, (p+1)<<flatPageBits).
-type flatPage[V ctree.Value] struct {
-	trees   [flatPageSize]ctree.Tree[V]
-	present [flatPageSize]bool
-}
+// A flat view is a page table over the graph's own vertex-index pages
+// (pages.go): pages[p] is the page of ids [p<<pageBits, (p+1)<<pageBits), the
+// very page the vertex index stores, so building or patching a view copies
+// no edge-tree handle — only the page pointers and the degrees. The degree
+// array stays one contiguous id-indexed slice, which ligra's flat routing
+// consumes for work-based frontier partitioning. Pages are immutable and
+// belong to the graph; a view owns its table and degrees only, and any
+// number of views and versions share a page.
 
 // FlatView is a dense, id-indexed view of one immutable graph version: one
 // edge C-tree handle per vertex id plus its degree. It removes the O(log n)
@@ -53,17 +33,12 @@ type flatPage[V ctree.Value] struct {
 // ForEachNeighbor are total: ids outside the id space (or absent vertices)
 // yield degree 0 and an empty neighbor iteration rather than a panic.
 //
-// Slot storage (tree handles + presence) is paged; a patched view aliases
-// every page the version diff did not touch, copying only the rest
-// (owned tracks which is which, for MemoryBytes). The degree array stays
-// one contiguous id-indexed slice — ligra's flat routing consumes it for
-// work-based frontier partitioning — and is copied per view, a pure memmove
-// that is two orders of magnitude cheaper than rebuilding it from tree
-// traversals. Views are immutable once returned, so chained views can
-// share pages freely across any number of concurrent readers.
+// The slots are the graph's own pages, aliased (see above); the degree
+// array is copied per view, a pure memmove that is two orders of magnitude
+// cheaper than rebuilding it from tree traversals. Views are immutable once
+// returned, so any number of concurrent readers share them.
 type FlatView[V ctree.Value] struct {
-	pages    []*flatPage[V]
-	owned    []bool // owned[p]: pages[p] was allocated by this view, not aliased
+	pages    []*page[V]
 	degrees  []int32
 	order    int
 	numEdges uint64
@@ -80,14 +55,12 @@ type (
 	FlatWeightedSnapshot = FlatView[float32]
 )
 
-// newFlatView allocates the view of g with an empty page table (one page
-// per flatPageSize ids of its id space) and a zeroed degree array.
+// newFlatView allocates the view of g with an empty page table (one entry
+// per pageSize ids of its id space) and a zeroed degree array.
 func newFlatView[V ctree.Value](g GraphOf[V]) *FlatView[V] {
 	order := g.Order()
-	np := (order + flatPageSize - 1) >> flatPageBits
 	return &FlatView[V]{
-		pages:    make([]*flatPage[V], np),
-		owned:    make([]bool, np),
+		pages:    make([]*page[V], (order+pageMask)>>pageBits),
 		degrees:  make([]int32, order),
 		order:    order,
 		numEdges: g.NumEdges(),
@@ -95,35 +68,39 @@ func newFlatView[V ctree.Value](g GraphOf[V]) *FlatView[V] {
 	}
 }
 
+// setPage points table entry p at pg (nil: no vertex there) and copies its
+// degrees; an entry past the view's id space is ignored. It always returns
+// true, so it serves as a walk callback.
+func (fv *FlatView[V]) setPage(p uint32, pg *page[V]) bool {
+	if int(p) >= len(fv.pages) {
+		return true
+	}
+	fv.pages[p] = pg
+	lo := int(p) << pageBits
+	degs := fv.degrees[lo:min(lo+pageSize, fv.order)]
+	for s := range degs {
+		degs[s] = 0
+		if pg != nil {
+			degs[s] = max(pg.deg[s], 0)
+		}
+	}
+	return true
+}
+
 // BuildFlatSnapshot materializes the flat view of g with an indexed parallel
-// vertex-tree traversal: the tree's in-order ranks are partitioned into
+// walk of its vertex index: the index's in-order ranks are partitioned into
 // per-worker ranges and each worker walks its range with one rank-pruned
-// descent (pftree.ForEachRankRange) — O(n) work, O(n/P + log n) depth, as
-// §5.1 specifies. Safe to run concurrently with updates: it only reads the
-// persistent version. All pages come from one backing allocation and are
-// owned by the view.
+// descent (pftree.ForEachRankRange), pointing the table at each page and
+// copying its degrees — O(n) work, O(n/P + log n) depth, as §5.1 specifies,
+// and no edge tree is read. Safe to run concurrently with updates: it only
+// reads the persistent version.
 func BuildFlatSnapshot[V ctree.Value](g GraphOf[V]) *FlatView[V] {
 	ops, vt := g.table(), g.vt
 	fv := newFlatView(g)
-	backing := make([]flatPage[V], len(fv.pages))
-	for i := range fv.pages {
-		fv.pages[i] = &backing[i]
-		fv.owned[i] = true
-	}
-	fill := func(u uint32, et ctree.Tree[V]) bool {
-		pg := fv.pages[u>>flatPageBits]
-		pg.trees[u&flatPageMask] = et
-		pg.present[u&flatPageMask] = true
-		fv.degrees[u] = int32(et.Size())
-		return true
-	}
 	n := vt.Size()
-	nb := parallel.Procs * 4
-	if nb > n {
-		nb = n
-	}
-	if nb <= 1 {
-		ops.ForEachRankRange(vt, 0, n, fill)
+	nb := min(parallel.Procs*4, n)
+	if parallel.Procs <= 1 || nb <= 1 {
+		ops.ForEachRankRange(vt, 0, n, fv.setPage)
 		return fv
 	}
 	sz := (n + nb - 1) / nb
@@ -133,7 +110,7 @@ func BuildFlatSnapshot[V ctree.Value](g GraphOf[V]) *FlatView[V] {
 			hi = n
 		}
 		if lo < hi {
-			ops.ForEachRankRange(vt, lo, hi, fill)
+			ops.ForEachRankRange(vt, lo, hi, fv.setPage)
 		}
 	})
 	return fv
@@ -141,16 +118,14 @@ func BuildFlatSnapshot[V ctree.Value](g GraphOf[V]) *FlatView[V] {
 
 // PatchFlatSnapshot returns the flat view of g derived from prev, a view of
 // an earlier (or later — the diff is two-sided) version of the same graph
-// lineage, paying O(diff) copy-on-write work instead of an O(n) rebuild: the
-// vertex-tree diff (pruned by pointer sharing) enumerates exactly the
-// touched vertices, each touched page is copied once (copy-on-write) and
-// every other page is aliased from prev. The degree array is copied
-// wholesale (a memmove) and patched per touched vertex, keeping it
-// contiguous for ligra's flat routing. prev is never mutated — it and the
-// result serve concurrent readers of their respective versions. A nil prev
-// falls back to a full build; a prev already current for g is returned
-// as-is. The result is equivalent to BuildFlatSnapshot(g) in every
-// observable way.
+// lineage, paying O(diff) work instead of an O(n) rebuild: the page table
+// and degree array are copied wholesale (two memmoves), and the diff of the
+// two vertex indexes (pftree.Diff, pruned by pointer sharing) re-points
+// exactly the pages that changed and copies their degrees. No page is
+// copied. prev is never mutated — it and the result serve concurrent
+// readers of their respective versions. A nil prev falls back to a full
+// build; a prev already current for g is returned as-is. The result is
+// equivalent to BuildFlatSnapshot(g) in every observable way.
 func PatchFlatSnapshot[V ctree.Value](prev *FlatView[V], g GraphOf[V]) *FlatView[V] {
 	if prev == nil {
 		return BuildFlatSnapshot(g)
@@ -159,42 +134,13 @@ func PatchFlatSnapshot[V ctree.Value](prev *FlatView[V], g GraphOf[V]) *FlatView
 		return prev
 	}
 	fv := newFlatView(g)
-	copy(fv.pages, prev.pages) // aliased until touched; nil beyond prev's space
+	copy(fv.pages, prev.pages) // entries past prev's space start nil
 	copy(fv.degrees, prev.degrees)
-	// Copied pages come from slab allocations: a batch touches its pages in
-	// ascending id order, so grabbing pages off a chunk keeps the patch at a
-	// handful of allocations instead of one per touched page.
-	var slab []flatPage[V]
-	diffVersionsCore(g.table(), prev.root, g.vt, func(d VertexDelta[V]) bool {
-		u := d.ID
-		if int(u) >= fv.order {
-			// A vertex removed beyond the (shrunk) id space has no slot to
-			// clear; stale slots in aliased pages past order are never read
-			// (every accessor bounds-checks against order first).
-			return true
-		}
-		pi := int(u) >> flatPageBits
-		if !fv.owned[pi] {
-			if len(slab) == 0 {
-				slab = make([]flatPage[V], 256)
-			}
-			pg := &slab[0]
-			slab = slab[1:]
-			if shared := fv.pages[pi]; shared != nil {
-				*pg = *shared
-			}
-			fv.pages[pi], fv.owned[pi] = pg, true
-		}
-		pg, s := fv.pages[pi], u&flatPageMask
-		if d.Kind == DiffRemoved {
-			pg.trees[s], pg.present[s] = ctree.Tree[V]{}, false
-			fv.degrees[u] = 0
-		} else {
-			pg.trees[s], pg.present[s] = d.New, true
-			fv.degrees[u] = int32(d.New.Size())
-		}
-		return true
-	})
+	// No page of g holds a vertex past its order, so a page the diff skips
+	// needs no clipping, and one past a shrunk space is dropped by setPage.
+	g.table().Diff(prev.root, g.vt,
+		func(a, b *page[V]) bool { return a == b },
+		func(p uint32, _ DiffKind, _, pg *page[V]) bool { return fv.setPage(p, pg) })
 	return fv
 }
 
@@ -226,10 +172,10 @@ func (fv *FlatView[V]) Degree(u uint32) int {
 // for exact work-based partitioning.
 func (fv *FlatView[V]) Degrees() []int32 { return fv.degrees }
 
-// page returns u's slot page and index; the nil page means an id range no
-// version ever populated.
-func (fv *FlatView[V]) page(u uint32) (*flatPage[V], uint32) {
-	return fv.pages[u>>flatPageBits], u & flatPageMask
+// page returns u's page and slot; the nil page means an id range without
+// vertices.
+func (fv *FlatView[V]) page(u uint32) (*page[V], uint32) {
+	return fv.pages[u>>pageBits], u & pageMask
 }
 
 // HasVertex reports whether u is a vertex of the underlying version.
@@ -238,7 +184,7 @@ func (fv *FlatView[V]) HasVertex(u uint32) bool {
 		return false
 	}
 	pg, s := fv.page(u)
-	return pg != nil && pg.present[s]
+	return pg != nil && pg.deg[s] >= 0
 }
 
 // ForEachNeighbor applies f to u's neighbors in increasing order until f
@@ -282,7 +228,7 @@ func (fv *FlatView[V]) ForEachNeighborPar(u uint32, f func(v uint32)) {
 	if int(u) >= fv.order {
 		return
 	}
-	if pg, s := fv.page(u); pg != nil && pg.present[s] {
+	if pg, s := fv.page(u); pg != nil && pg.deg[s] >= 0 {
 		pg.trees[s].ForEachPar(f)
 	}
 }
@@ -294,7 +240,7 @@ func (fv *FlatView[V]) ForEachNeighborW(u uint32, f func(v uint32, w V) bool) {
 	if int(u) >= fv.order {
 		return
 	}
-	if pg, s := fv.page(u); pg != nil && pg.present[s] {
+	if pg, s := fv.page(u); pg != nil && pg.deg[s] >= 0 {
 		pg.trees[s].ForEachKV(f)
 	}
 }
@@ -304,43 +250,31 @@ func (fv *FlatView[V]) EdgeTree(u uint32) (ctree.Tree[V], bool) {
 	if int(u) >= fv.order {
 		return ctree.Tree[V]{}, false
 	}
-	if pg, s := fv.page(u); pg != nil && pg.present[s] {
+	if pg, s := fv.page(u); pg != nil && pg.deg[s] >= 0 {
 		return pg.trees[s], true
 	}
 	return ctree.Tree[V]{}, false
 }
 
-// MemoryBytes returns the analytic size of the storage this view uniquely
-// owns, at the Table-2 accounting of one pointer-sized slot plus one
-// presence byte per id and a 4-byte degree word: the page table, the degree
-// array, and every slot page the view allocated itself. Pages aliased from
-// the predecessor (patching copies only the pages a batch touches) are
-// charged to the view that built them and reported here by
-// SharedMemoryBytes, so bytes-per-version stays honest when views chain: a
-// freshly built view owns everything, a patched one owns its degree array
-// plus O(batch/pageSize) pages.
+// MemoryBytes returns the size of the storage this view owns: its page
+// table (one pointer per pageSize ids) and its degree array (4 bytes per
+// id). The pages themselves belong to the graph's vertex index and are
+// reported by SharedMemoryBytes.
 func (fv *FlatView[V]) MemoryBytes() uint64 {
-	owned := 0
-	for _, o := range fv.owned {
-		if o {
-			owned++
-		}
-	}
-	return uint64(len(fv.pages))*(8+1) + uint64(len(fv.degrees))*4 +
-		uint64(owned)*flatPageSize*(8+1)
+	return uint64(len(fv.pages))*8 + uint64(len(fv.degrees))*4
 }
 
-// SharedMemoryBytes returns the analytic size of the slot pages this view
-// aliases from an ancestor view instead of owning (zero for a freshly built
-// view).
+// SharedMemoryBytes returns the size of the vertex-index pages this view
+// aliases: every page it points at, shared with the graph and with every
+// other view of a version that holds the page.
 func (fv *FlatView[V]) SharedMemoryBytes() uint64 {
-	shared := 0
-	for i, o := range fv.owned {
-		if !o && fv.pages[i] != nil {
-			shared++
+	n := 0
+	for _, pg := range fv.pages {
+		if pg != nil {
+			n++
 		}
 	}
-	return uint64(shared) * flatPageSize * (8 + 1)
+	return uint64(n) * uint64(unsafe.Sizeof(page[V]{}))
 }
 
 // Current reports whether fv still reflects g — i.e. it was built from g's

@@ -1,7 +1,8 @@
 // Package aspen implements the Aspen graph-streaming framework (paper §5–§6):
 // an undirected graph represented as a purely-functional vertex-tree whose
-// values are C-trees of neighbor ids (a tree of compressed trees, Figure 4),
-// with lightweight snapshots, functional batch updates, flat snapshots for
+// values are C-trees of neighbor ids (a tree of compressed trees, Figure 4;
+// here the vertex-tree holds pages of 16 consecutive ids, pages.go), with
+// lightweight snapshots, functional batch updates, flat snapshots for
 // global algorithms, and a single-writer / multi-reader versioned store that
 // provides strictly serializable concurrent updates and queries. There is one
 // graph type, GraphOf[V], generic over a fixed-width edge payload V that rides
@@ -18,7 +19,6 @@ package aspen
 import (
 	"repro/internal/ctree"
 	"repro/internal/parallel"
-	"repro/internal/pftree"
 )
 
 // EdgeOf is a directed edge update carrying a payload of type V. Undirected
@@ -75,12 +75,12 @@ func NewWeightedGraphWith(p ctree.Params) WeightedGraph { return NewGraphOf[floa
 // neighbors of vertex u (they will be sorted and deduplicated). Every index
 // of adj becomes a vertex, including isolated ones.
 func FromAdjacency(p ctree.Params, adj [][]uint32) Graph {
-	entries := make([]pftree.Entry[uint32, ctree.Set], len(adj))
-	parallel.ForGrain(len(adj), 64, func(u int) {
-		entries[u] = pftree.Entry[uint32, ctree.Set]{Key: uint32(u), Val: ctree.Build(p, sortedIDs(adj[u]))}
-	})
+	ids := make([]uint32, len(adj))
+	for u := range ids {
+		ids[u] = uint32(u)
+	}
 	g := NewGraph(p)
-	return g.with(g.ops.BuildSorted(entries))
+	return g.with(buildPages(g.ops, ids, func(u int) ctree.Set { return ctree.Build(p, sortedIDs(adj[u])) }))
 }
 
 // table returns g's vertex-tree operation table; only the zero graph lacks
@@ -100,12 +100,13 @@ func (g GraphOf[V]) with(vt *vnode[V]) GraphOf[V] {
 // Params returns the edge-tree parameters of g.
 func (g GraphOf[V]) Params() ctree.Params { return g.p }
 
-// NumVertices returns the number of vertices, in O(1).
-func (g GraphOf[V]) NumVertices() int { return g.vt.Size() }
-
-// NumEdges returns the number of directed edges, in O(1) via the vertex-tree
+// NumVertices returns the number of vertices, in O(1) via the vertex-index
 // augmentation.
-func (g GraphOf[V]) NumEdges() uint64 { return g.table().AugOf(g.vt) }
+func (g GraphOf[V]) NumVertices() int { return int(g.vt.AugOrZero().verts) }
+
+// NumEdges returns the number of directed edges, in O(1) via the
+// vertex-index augmentation.
+func (g GraphOf[V]) NumEdges() uint64 { return g.vt.AugOrZero().edges }
 
 // Order returns the size of the vertex-id space (max id + 1); algorithm
 // state arrays are indexed by vertex id.
@@ -114,12 +115,16 @@ func (g GraphOf[V]) Order() int {
 	if last == nil {
 		return 0
 	}
-	return int(last.Key()) + 1
+	s := pageMask
+	for last.Val().deg[s] < 0 { // the index keeps no page without a vertex
+		s--
+	}
+	return int(last.Key())<<pageBits + s + 1
 }
 
 // EdgeTree returns u's edge C-tree. O(log n).
 func (g GraphOf[V]) EdgeTree(u uint32) (ctree.Tree[V], bool) {
-	return g.table().Find(g.vt, u)
+	return findVertex(g.table(), g.vt, u)
 }
 
 // HasVertex reports whether u is a vertex of g.
@@ -130,11 +135,11 @@ func (g GraphOf[V]) HasVertex(u uint32) bool {
 
 // Degree returns the degree of u (0 for absent vertices). O(log n).
 func (g GraphOf[V]) Degree(u uint32) int {
-	et, ok := g.EdgeTree(u)
-	if !ok {
+	pg, _ := g.table().Find(g.vt, u>>pageBits)
+	if pg == nil {
 		return 0
 	}
-	return int(et.Size())
+	return int(max(pg.deg[u&pageMask], 0))
 }
 
 // HasEdge reports whether the directed edge (u, v) exists.
@@ -183,7 +188,7 @@ func (g GraphOf[V]) ForEachNeighborPar(u uint32, f func(v uint32)) {
 // ForEachVertex applies f to every (vertex, edge-tree) pair in id order
 // until f returns false.
 func (g GraphOf[V]) ForEachVertex(f func(u uint32, et ctree.Tree[V]) bool) {
-	g.table().ForEach(g.vt, f)
+	forEachVertex(g.table(), g.vt, f)
 }
 
 // sortEdgeBatch encodes, sorts and dedupes a batch of directed edges by id,
@@ -331,7 +336,7 @@ func (g GraphOf[V]) InsertVertices(ids []uint32) GraphOf[V] {
 		return g
 	}
 	empty := ctree.NewKV[V](g.p)
-	return g.with(g.table().MultiUpsert(g.vt, sortedIDs(ids), func(_ int, old ctree.Tree[V], found bool) (ctree.Tree[V], bool) {
+	return g.with(upsertVertices(g.table(), g.vt, sortedIDs(ids), func(_ int, old ctree.Tree[V], found bool) (ctree.Tree[V], bool) {
 		if found {
 			return old, true
 		}
@@ -347,22 +352,22 @@ func (g GraphOf[V]) DeleteVertices(ids []uint32) GraphOf[V] {
 	}
 	ops := g.table()
 	sorted := sortedIDs(ids)
-	root := ops.MultiDelete(g.vt, sorted)
+	root := upsertVertices(ops, g.vt, sorted, func(int, ctree.Tree[V], bool) (ctree.Tree[V], bool) {
+		return ctree.Tree[V]{}, false
+	})
 	// Strip edges pointing at the removed vertices from every survivor.
 	del := ctree.BuildKV[V](g.p, sorted, nil)
-	entries := make([]pftree.Entry[uint32, ctree.Tree[V]], 0, root.Size())
-	ops.ForEach(root, func(u uint32, et ctree.Tree[V]) bool {
-		entries = append(entries, pftree.Entry[uint32, ctree.Tree[V]]{Key: u, Val: et})
-		return true
+	verts, trees := vertices(ops, root)
+	parallel.ForGrain(len(trees), 16, func(i int) {
+		trees[i] = trees[i].Difference(del)
 	})
-	parallel.ForGrain(len(entries), 16, func(i int) {
-		entries[i].Val = entries[i].Val.Difference(del)
-	})
-	return g.with(ops.BuildSorted(entries))
+	return g.with(buildPages(ops, verts, func(i int) ctree.Tree[V] { return trees[i] }))
 }
 
 // Stats aggregates the memory shape of the whole graph: vertex-tree nodes
-// plus all edge C-trees. Used by the space experiments.
+// plus all edge C-trees. Used by the space experiments, whose analytic model
+// (Table 2) charges one vertex-tree node per vertex, so VertexNodes counts
+// vertices, not index pages.
 type Stats struct {
 	VertexNodes int
 	Edge        ctree.Stats
@@ -371,7 +376,7 @@ type Stats struct {
 // Stats walks the graph and returns its memory shape (chunk bytes include
 // the interleaved payload bytes).
 func (g GraphOf[V]) Stats() Stats {
-	s := Stats{VertexNodes: g.vt.Size()}
+	s := Stats{VertexNodes: g.NumVertices()}
 	g.ForEachVertex(func(_ uint32, et ctree.Tree[V]) bool {
 		s.Edge.Add(et.Stats())
 		return true

@@ -11,7 +11,6 @@ import (
 	"repro/internal/ctree"
 	"repro/internal/graphio"
 	"repro/internal/parallel"
-	"repro/internal/pftree"
 )
 
 // This file converts graphs to and from graphio.Snapshot, the checkpoint
@@ -28,7 +27,11 @@ import (
 // WeightedGraph's float32). Vertex ids are preserved exactly — gaps and
 // isolated vertices survive the round trip.
 func (g GraphOf[V]) Snapshot() *graphio.Snapshot {
-	verts, trees, offs := flattenVertexTree(g.table(), g.vt)
+	verts, trees := vertices(g.table(), g.vt)
+	offs := make([]uint64, len(trees)+1)
+	for i, et := range trees {
+		offs[i+1] = offs[i] + et.Size()
+	}
 	m := offs[len(offs)-1]
 	w := uint64(payloadWidth[V]())
 	s := &graphio.Snapshot{Width: int(w), Verts: verts, Offs: offs, Edges: make([]uint32, m)}
@@ -90,22 +93,6 @@ func getPayload[V ctree.Value](src []byte) (v V) {
 	return v
 }
 
-// flattenVertexTree walks the vertex tree once, collecting ids, edge trees
-// and the exclusive prefix-sum of degrees.
-func flattenVertexTree[V ctree.Value](ops *vopsT[V], vt *vnode[V]) ([]uint32, []ctree.Tree[V], []uint64) {
-	n := vt.Size()
-	verts := make([]uint32, 0, n)
-	trees := make([]ctree.Tree[V], 0, n)
-	offs := make([]uint64, 1, n+1)
-	ops.ForEach(vt, func(u uint32, et ctree.Tree[V]) bool {
-		verts = append(verts, u)
-		trees = append(trees, et)
-		offs = append(offs, offs[len(offs)-1]+et.Size())
-		return true
-	})
-	return verts, trees, offs
-}
-
 // FromSnapshot rebuilds a graph from its snapshot form; the payload width
 // must be V's. The snapshot's structure was already validated by
 // graphio.ReadSnapshot; the per-vertex neighbor order is checked here
@@ -120,8 +107,7 @@ func FromSnapshot[V ctree.Value](p ctree.Params, s *graphio.Snapshot) (GraphOf[V
 		return GraphOf[V]{}, err
 	}
 	g, proto := NewGraphOf[V](p), ctree.NewKV[V](p)
-	entries := make([]pftree.Entry[uint32, ctree.Tree[V]], len(s.Verts))
-	parallel.ForGrain(len(s.Verts), 16, func(i int) {
+	return g.with(buildPages(g.ops, s.Verts, func(i int) ctree.Tree[V] {
 		lo, hi := s.Offs[i], s.Offs[i+1]
 		var vals []V
 		if w > 0 {
@@ -130,9 +116,8 @@ func FromSnapshot[V ctree.Value](p ctree.Params, s *graphio.Snapshot) (GraphOf[V
 				vals[j] = getPayload[V](s.Payload[uint64(w)*(lo+uint64(j)):])
 			}
 		}
-		entries[i] = pftree.Entry[uint32, ctree.Tree[V]]{Key: s.Verts[i], Val: proto.BuildLike(s.Edges[lo:hi], vals)}
-	})
-	return g.with(g.ops.BuildSorted(entries)), nil
+		return proto.BuildLike(s.Edges[lo:hi], vals)
+	})), nil
 }
 
 // GraphFromSnapshot rebuilds an id-only graph from its snapshot form.

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/encoding"
-	"repro/internal/pftree"
 )
 
 // CheckInvariants verifies the structural invariants of the C-tree:
@@ -18,8 +17,7 @@ import (
 // It is O(n) and intended for tests.
 func (t Tree[V]) CheckInvariants() error {
 	t = t.norm()
-	ht := pftree.Wrap(t.h.ops, t.root)
-	if err := ht.CheckInvariants(func(a, b uint64) bool { return a == b }); err != nil {
+	if err := t.h.ops.CheckInvariants(t.root, func(a, b uint64) bool { return a == b }); err != nil {
 		return err
 	}
 	if !t.prefix.Empty() {

@@ -9,27 +9,29 @@ import (
 	"repro/internal/xhash"
 )
 
-// The batch-driven descents (MultiInsert, MultiUpdate, MultiDelete) are
-// checked against the compositions they replaced — Union / Difference with a
-// tree built over the batch — which stay here as the reference; MultiUpsert,
-// which they wrap, against the same keys applied one Insert or Delete at a
-// time.
+// The batch-driven descent (MultiUpsert) is checked under its insert,
+// update and delete policies (helpers_test.go) and under upsert rules
+// against a reference built from a map model of the tree with the batch
+// applied key by key.
 
 func refMultiInsert(o *Ops[int, int, int], t *Node[int, int, int], es []Entry[int, int], combine func(old, new int) int) *Node[int, int, int] {
-	return o.Union(t, o.BuildSorted(es), func(a, b int) int {
-		if combine == nil {
-			return b
+	m := modelOf(o, t)
+	for _, e := range es {
+		if old, ok := m[e.Key]; ok && combine != nil {
+			m[e.Key] = combine(old, e.Val)
+		} else {
+			m[e.Key] = e.Val
 		}
-		return combine(a, b)
-	})
+	}
+	return fromModel(o, m)
 }
 
 func refMultiDelete(o *Ops[int, int, int], t *Node[int, int, int], keys []int) *Node[int, int, int] {
-	es := make([]Entry[int, int], len(keys))
-	for i, k := range keys {
-		es[i] = Entry[int, int]{Key: k}
+	m := modelOf(o, t)
+	for _, k := range keys {
+		delete(m, k)
 	}
-	return o.Difference(t, o.BuildSorted(es))
+	return fromModel(o, m)
 }
 
 func contents(o *Ops[int, int, int], t *Node[int, int, int]) []Entry[int, int] {
@@ -172,7 +174,7 @@ func checkBatchOps(t *testing.T, o *Ops[int, int, int], root *Node[int, int, int
 		name    string
 		combine func(old, new int) int
 	}{{"nil", nil}, {"add", add}} {
-		got := o.MultiInsert(root, es, c.combine)
+		got := multiInsert(o, root, es, c.combine)
 		check("MultiInsert/"+c.name, got, refMultiInsert(o, root, es, c.combine))
 		fresh := freshNodes(root, got)
 		if absent == 0 {
@@ -187,42 +189,42 @@ func checkBatchOps(t *testing.T, o *Ops[int, int, int], root *Node[int, int, int
 
 	// MultiUpdate keeping every entry: shape-preserving whatever the batch.
 	seen := make([]bool, len(keys))
-	got := o.MultiUpdate(root, keys, func(i int, old int) (int, bool) {
+	got := multiUpdate(o, root, keys, func(i int, old int) (int, bool) {
 		if seen[i] {
 			t.Errorf("MultiUpdate: index %d visited twice", i)
 		}
 		seen[i] = true
 		return old + keys[i], true
 	})
-	want := root
+	model := modelOf(o, root)
 	for i, k := range keys {
 		if v, ok := o.Find(root, k); ok {
-			want = o.Insert(want, k, v+k, nil)
+			model[k] = v + k
 		} else if seen[i] {
 			t.Fatalf("MultiUpdate: called for absent key %d", k)
 		}
 	}
-	check("MultiUpdate/keep", got, want)
+	check("MultiUpdate/keep", got, fromModel(o, model))
 	checkSameShape(t, root, got, keys)
 	if present == 0 && got != root {
 		t.Fatal("MultiUpdate: no key present but the root was reallocated")
 	}
 
 	// MultiUpdate dropping odd keys, updating even ones.
-	got = o.MultiUpdate(root, keys, func(i int, old int) (int, bool) { return -old, keys[i]%2 == 0 })
-	want = root
+	got = multiUpdate(o, root, keys, func(i int, old int) (int, bool) { return -old, keys[i]%2 == 0 })
+	model = modelOf(o, root)
 	for _, k := range keys {
-		if v, ok := o.Find(root, k); ok {
+		if v, ok := model[k]; ok {
 			if k%2 == 0 {
-				want = o.Insert(want, k, -v, nil)
+				model[k] = -v
 			} else {
-				want = o.Delete(want, k)
+				delete(model, k)
 			}
 		}
 	}
-	check("MultiUpdate/mixed", got, want)
+	check("MultiUpdate/mixed", got, fromModel(o, model))
 
-	got = o.MultiDelete(root, keys)
+	got = multiDelete(o, root, keys)
 	check("MultiDelete", got, refMultiDelete(o, root, keys))
 	if present == 0 && got != root {
 		t.Fatal("MultiDelete: no key present but the root was reallocated")
@@ -261,9 +263,9 @@ var upsertRules = []upsertRule{
 	{"update-or-skip", func(int) bool { return false }, func(int) bool { return false }},
 }
 
-// runUpsert applies rule r to the sorted keys with MultiUpsert and with
-// single-key Insert / Delete, and returns both trees and the number of keys
-// created or dropped. It checks that f sees each index exactly once, with
+// runUpsert applies rule r to the sorted keys with MultiUpsert and to a map
+// model of the tree, and returns both trees and the number of keys created
+// or dropped. It checks that f sees each index exactly once, with
 // found telling the truth.
 func runUpsert(t *testing.T, o *Ops[int, int, int], root *Node[int, int, int], keys []int, r upsertRule) (got, want *Node[int, int, int], resized int) {
 	t.Helper()
@@ -276,22 +278,24 @@ func runUpsert(t *testing.T, o *Ops[int, int, int], root *Node[int, int, int], k
 		}
 		return 7*k + 1, r.create(k)
 	})
-	want = root
+	model := modelOf(o, root)
 	for i, k := range keys {
 		if calls[i] != 1 {
 			t.Fatalf("MultiUpsert/%s: f called %d times for index %d", r.name, calls[i], i)
 		}
-		v, found := o.Find(root, k)
+		v, found := model[k]
 		switch {
 		case found && r.drop(k):
-			want, resized = o.Delete(want, k), resized+1
+			delete(model, k)
+			resized++
 		case found:
-			want = o.Insert(want, k, v+k, nil)
+			model[k] = v + k
 		case r.create(k):
-			want, resized = o.Insert(want, k, 7*k+1, nil), resized+1
+			model[k] = 7*k + 1
+			resized++
 		}
 	}
-	return got, want, resized
+	return got, fromModel(o, model), resized
 }
 
 // batchShapes names the adversarial batch shapes; batchKeys realises one
@@ -375,7 +379,7 @@ func TestMultiBatchDifferential(t *testing.T) {
 	}
 }
 
-// TestMultiBatchForked forces the parallel step of both descents (batch
+// TestMultiBatchForked forces the parallel step of the descent (batch
 // halves of forkEntries or more, Procs > 1); run under -race it is the data
 // race check for the forked branch.
 func TestMultiBatchForked(t *testing.T) {

@@ -9,17 +9,18 @@
 // Trees are parameterized by key K, value V and augmented value A. The
 // augmented value of a node combines the augmented values of its children
 // with FromEntry(key, value); the vertex-tree uses this to maintain the total
-// edge count of the graph in O(1) (paper §5), and C-trees use it to maintain
-// total element counts.
+// edge and vertex counts of the graph in O(1) (paper §5), and C-trees use it
+// to maintain total element counts.
 //
-// Set operations (Union, Intersect, Difference) are join-based; batch updates
-// (MultiUpsert, and MultiInsert, MultiUpdate, MultiDelete over it) descend
-// the tree steered by the sorted batch and copy only the paths to its keys.
-// Both run in parallel using fork-join recursion, matching the work/depth
-// bounds the paper cites.
+// Join is the one rebalancing primitive; batch updates (MultiUpsert) descend
+// the tree steered by the sorted batch, copy only the paths to its keys and
+// run in parallel using fork-join recursion, matching the work/depth bounds
+// the paper cites. Diff (diff.go) walks two versions of a tree, pruning the
+// subtrees they share.
 package pftree
 
 import (
+	"fmt"
 	"slices"
 
 	"repro/internal/parallel"
@@ -82,17 +83,8 @@ type Augment[K, V, A any] struct {
 	Sub func(A, A) A
 }
 
-// NoAug is the trivial augmentation for trees that do not need one.
-func NoAug[K, V any]() Augment[K, V, struct{}] {
-	return Augment[K, V, struct{}]{
-		FromEntry: func(K, V) struct{} { return struct{}{} },
-		Combine:   func(struct{}, struct{}) struct{} { return struct{}{} },
-	}
-}
-
 // Ops bundles the comparison and augmentation of a tree type and hosts the
-// node-level persistent algorithms. Clients that need structural access (the
-// C-tree) use Ops directly; others use the Tree wrapper.
+// node-level persistent algorithms; clients hold an Ops and a root.
 type Ops[K, V, A any] struct {
 	// Cmp is a total order on keys: negative, zero or positive as a<b,
 	// a==b, a>b.
@@ -233,15 +225,6 @@ func (o *Ops[K, V, A]) SplitLast(t *Node[K, V, A]) (rest *Node[K, V, A], k K, v 
 	return o.Join(t.left, t.key, t.val, rest), k, v
 }
 
-// SplitFirst removes and returns the minimum entry of t (t must be non-nil).
-func (o *Ops[K, V, A]) SplitFirst(t *Node[K, V, A]) (rest *Node[K, V, A], k K, v V) {
-	if t.left == nil {
-		return t.right, t.key, t.val
-	}
-	rest, k, v = o.SplitFirst(t.left)
-	return o.Join(rest, t.key, t.val, t.right), k, v
-}
-
 // Join2 concatenates l and r (all keys in l smaller than all keys in r).
 func (o *Ops[K, V, A]) Join2(l, r *Node[K, V, A]) *Node[K, V, A] {
 	if l == nil {
@@ -249,24 +232,6 @@ func (o *Ops[K, V, A]) Join2(l, r *Node[K, V, A]) *Node[K, V, A] {
 	}
 	rest, k, v := o.SplitLast(l)
 	return o.Join(rest, k, v, r)
-}
-
-// Split partitions t by key k into trees of smaller and larger keys,
-// reporting k's value if present. O(log n) work.
-func (o *Ops[K, V, A]) Split(t *Node[K, V, A], k K) (l *Node[K, V, A], v V, found bool, r *Node[K, V, A]) {
-	if t == nil {
-		return nil, v, false, nil
-	}
-	switch c := o.Cmp(k, t.key); {
-	case c == 0:
-		return t.left, t.val, true, t.right
-	case c < 0:
-		ll, v, found, lr := o.Split(t.left, k)
-		return ll, v, found, o.Join(lr, t.key, t.val, t.right)
-	default:
-		rl, v, found, rr := o.Split(t.right, k)
-		return o.Join(t.left, t.key, t.val, rl), v, found, rr
-	}
 }
 
 // Find returns the value stored at k.
@@ -344,92 +309,9 @@ func (o *Ops[K, V, A]) Insert(t *Node[K, V, A], k K, v V, combine func(old, new 
 	}
 }
 
-// Delete returns t without key k (no-op if absent).
-func (o *Ops[K, V, A]) Delete(t *Node[K, V, A], k K) *Node[K, V, A] {
-	if t == nil {
-		return nil
-	}
-	switch c := o.Cmp(k, t.key); {
-	case c == 0:
-		return o.Join2(t.left, t.right)
-	case c < 0:
-		return o.Join(o.Delete(t.left, k), t.key, t.val, t.right)
-	default:
-		return o.Join(t.left, t.key, t.val, o.Delete(t.right, k))
-	}
-}
-
-// parThreshold is the subtree size above which set operations fork.
+// parThreshold is the subtree size above which bulk builds and parallel
+// traversals fork.
 const parThreshold = 1 << 11
-
-// Union merges t1 and t2; values of keys present in both are merged with
-// combine(valueInT1, valueInT2) (t2's value wins when combine is nil).
-// O(m log(n/m + 1)) work, polylog depth.
-func (o *Ops[K, V, A]) Union(t1, t2 *Node[K, V, A], combine func(a, b V) V) *Node[K, V, A] {
-	if t1 == nil {
-		return t2
-	}
-	if t2 == nil {
-		return t1
-	}
-	l1, v1, found, r1 := o.Split(t1, t2.key)
-	var l, r *Node[K, V, A]
-	o.maybePar(t1, t2,
-		func() { l = o.Union(l1, t2.left, combine) },
-		func() { r = o.Union(r1, t2.right, combine) },
-	)
-	v := t2.val
-	if found && combine != nil {
-		v = combine(v1, v)
-	}
-	return o.Join(l, t2.key, v, r)
-}
-
-// Intersect keeps keys present in both trees, merging values with
-// combine(valueInT1, valueInT2) (t2's value when nil).
-func (o *Ops[K, V, A]) Intersect(t1, t2 *Node[K, V, A], combine func(a, b V) V) *Node[K, V, A] {
-	if t1 == nil || t2 == nil {
-		return nil
-	}
-	l1, v1, found, r1 := o.Split(t1, t2.key)
-	var l, r *Node[K, V, A]
-	o.maybePar(t1, t2,
-		func() { l = o.Intersect(l1, t2.left, combine) },
-		func() { r = o.Intersect(r1, t2.right, combine) },
-	)
-	if found {
-		v := t2.val
-		if combine != nil {
-			v = combine(v1, v)
-		}
-		return o.Join(l, t2.key, v, r)
-	}
-	return o.Join2(l, r)
-}
-
-// Difference returns the entries of t1 whose keys are not in t2.
-func (o *Ops[K, V, A]) Difference(t1, t2 *Node[K, V, A]) *Node[K, V, A] {
-	if t1 == nil || t2 == nil {
-		return t1
-	}
-	l1, _, _, r1 := o.Split(t1, t2.key)
-	var l, r *Node[K, V, A]
-	o.maybePar(t1, t2,
-		func() { l = o.Difference(l1, t2.left) },
-		func() { r = o.Difference(r1, t2.right) },
-	)
-	return o.Join2(l, r)
-}
-
-// maybePar runs f and g in parallel when both trees are large.
-func (o *Ops[K, V, A]) maybePar(t1, t2 *Node[K, V, A], f, g func()) {
-	if parallel.Procs > 1 && t1.Size() > parThreshold && t2.Size() > parThreshold {
-		parallel.Do(f, g)
-	} else {
-		f()
-		g()
-	}
-}
 
 // Entry is a key-value pair used by bulk constructors.
 type Entry[K, V any] struct {
@@ -457,10 +339,9 @@ func (o *Ops[K, V, A]) BuildSorted(entries []Entry[K, V]) *Node[K, V, A] {
 	return o.mk(l, e.Key, e.Val, r)
 }
 
-// Batch updates (MultiUpsert and its wrappers MultiInsert, MultiUpdate,
-// MultiDelete) are driven by the sorted batch, not by a second tree: at every
-// node the batch is binary-searched for the node's key and the two halves
-// descend into the two children. A subtree whose half is empty is returned by
+// Batch updates (MultiUpsert) are driven by the sorted batch, not by a
+// second tree: at every node the batch is binary-searched for the node's key
+// and the two halves descend into the two children. A subtree whose half is empty is returned by
 // pointer, so a batch allocates exactly the nodes on the union of the
 // root-to-key paths of its keys — the spine Diff prunes on. A node both of
 // whose children kept their sizes gained and lost no key below it, so its
@@ -533,44 +414,6 @@ func (o *Ops[K, V, A]) multiUpsertFork(tl, tr *Node[K, V, A], lo, hi []K, loBase
 	return l, r
 }
 
-// MultiInsert inserts the sorted, duplicate-free entries into t, merging
-// collisions with combine(oldInTree, newFromBatch) (the batch value when
-// combine is nil): MultiUpsert keeping every key. combine may be called from
-// several goroutines.
-func (o *Ops[K, V, A]) MultiInsert(t *Node[K, V, A], entries []Entry[K, V], combine func(old, new V) V) *Node[K, V, A] {
-	keys := make([]K, len(entries))
-	for i, e := range entries {
-		keys[i] = e.Key
-	}
-	return o.MultiUpsert(t, keys, func(i int, old V, found bool) (V, bool) {
-		if found && combine != nil {
-			return combine(old, entries[i].Val), true
-		}
-		return entries[i].Val, true
-	})
-}
-
-// MultiUpdate replaces or drops the values of those sorted, duplicate-free
-// keys that are present in t: for such a key, f(i, old) receives its index
-// in keys and its value, and returns the new value and whether the entry
-// stays. Keys absent from t are skipped without calling f, and a subtree
-// holding none of the keys is returned by pointer. f may be called from
-// several goroutines, each index at most once. A nil f drops every key
-// found.
-func (o *Ops[K, V, A]) MultiUpdate(t *Node[K, V, A], keys []K, f func(i int, old V) (V, bool)) *Node[K, V, A] {
-	return o.MultiUpsert(t, keys, func(i int, old V, found bool) (V, bool) {
-		if !found || f == nil {
-			return old, false
-		}
-		return f(i, old)
-	})
-}
-
-// MultiDelete removes the sorted, duplicate-free keys from t.
-func (o *Ops[K, V, A]) MultiDelete(t *Node[K, V, A], keys []K) *Node[K, V, A] {
-	return o.MultiUpdate(t, keys, nil)
-}
-
 // ForEach applies f in key order; if f returns false iteration stops.
 func (o *Ops[K, V, A]) ForEach(t *Node[K, V, A], f func(K, V) bool) bool {
 	if t == nil {
@@ -592,30 +435,6 @@ func (o *Ops[K, V, A]) ForEachPar(t *Node[K, V, A], f func(K, V)) {
 		func() { o.ForEachPar(t.left, f) },
 		func() { f(t.key, t.val) },
 		func() { o.ForEachPar(t.right, f) },
-	)
-}
-
-// ForEachIndexed applies f(i, k, v) in parallel, where i is the in-order rank
-// of the entry. Used to build flat snapshots in O(n) work and O(log n) depth.
-func (o *Ops[K, V, A]) ForEachIndexed(t *Node[K, V, A], f func(int, K, V)) {
-	o.forEachIndexed(t, 0, f)
-}
-
-func (o *Ops[K, V, A]) forEachIndexed(t *Node[K, V, A], offset int, f func(int, K, V)) {
-	if t == nil {
-		return
-	}
-	mid := offset + t.left.Size()
-	if t.Size() <= parThreshold || parallel.Procs <= 1 {
-		o.forEachIndexed(t.left, offset, f)
-		f(mid, t.key, t.val)
-		o.forEachIndexed(t.right, mid+1, f)
-		return
-	}
-	parallel.Do(
-		func() { o.forEachIndexed(t.left, offset, f) },
-		func() { f(mid, t.key, t.val) },
-		func() { o.forEachIndexed(t.right, mid+1, f) },
 	)
 }
 
@@ -647,33 +466,42 @@ func (o *Ops[K, V, A]) ForEachRankRange(t *Node[K, V, A], lo, hi int, f func(K, 
 	return true
 }
 
-// Select returns the i-th entry (0-based) in key order.
-func (o *Ops[K, V, A]) Select(t *Node[K, V, A], i int) (*Node[K, V, A], bool) {
-	for t != nil {
-		ls := t.left.Size()
-		switch {
-		case i < ls:
-			t = t.left
-		case i == ls:
-			return t, true
-		default:
-			i -= ls + 1
-			t = t.right
-		}
-	}
-	return nil, false
+// CheckInvariants verifies the BST ordering, weight-balance, size and
+// augmentation bookkeeping of the tree at t. It is O(n) and meant for tests.
+// The aug check uses eq; pass nil to skip it.
+func (o *Ops[K, V, A]) CheckInvariants(t *Node[K, V, A], eq func(a, b A) bool) error {
+	_, err := o.check(t, eq)
+	return err
 }
 
-// Rank returns the number of keys in t smaller than k.
-func (o *Ops[K, V, A]) Rank(t *Node[K, V, A], k K) int {
-	rank := 0
-	for t != nil {
-		if o.Cmp(k, t.key) <= 0 {
-			t = t.left
-		} else {
-			rank += t.left.Size() + 1
-			t = t.right
-		}
+func (o *Ops[K, V, A]) check(n *Node[K, V, A], eq func(a, b A) bool) (A, error) {
+	if n == nil {
+		return o.Aug.Zero, nil
 	}
-	return rank
+	if n.left != nil && o.Cmp(n.left.key, n.key) >= 0 {
+		return o.Aug.Zero, fmt.Errorf("pftree: order violation at left child")
+	}
+	if n.right != nil && o.Cmp(n.right.key, n.key) <= 0 {
+		return o.Aug.Zero, fmt.Errorf("pftree: order violation at right child")
+	}
+	if !balancedWeights(weight(n.left), weight(n.right)) {
+		return o.Aug.Zero, fmt.Errorf("pftree: balance violation: left weight %d, right weight %d",
+			weight(n.left), weight(n.right))
+	}
+	if got, want := int(n.size), n.left.Size()+n.right.Size()+1; got != want {
+		return o.Aug.Zero, fmt.Errorf("pftree: size %d, want %d", got, want)
+	}
+	la, err := o.check(n.left, eq)
+	if err != nil {
+		return o.Aug.Zero, err
+	}
+	ra, err := o.check(n.right, eq)
+	if err != nil {
+		return o.Aug.Zero, err
+	}
+	aug := o.Aug.Combine(la, o.Aug.Combine(o.Aug.FromEntry(n.key, n.val), ra))
+	if eq != nil && !eq(aug, n.aug) {
+		return o.Aug.Zero, fmt.Errorf("pftree: augmentation mismatch")
+	}
+	return aug, nil
 }

@@ -3,7 +3,6 @@ package pftree
 import (
 	"sort"
 	"testing"
-	"testing/quick"
 
 	"repro/internal/xhash"
 )
@@ -142,124 +141,6 @@ func randomTree(seed uint64, maxKey, n int) (Tree[int, int, int], map[int]int) {
 	return tr, model
 }
 
-func TestUnionProperty(t *testing.T) {
-	if err := quick.Check(func(s1, s2 uint64) bool {
-		t1, m1 := randomTree(s1, 300, 150)
-		t2, m2 := randomTree(s2, 300, 150)
-		u := t1.Union(t2, nil)
-		if err := u.CheckInvariants(intEq); err != nil {
-			return false
-		}
-		want := map[int]int{}
-		for k, v := range m1 {
-			want[k] = v
-		}
-		for k, v := range m2 {
-			want[k] = v // t2 wins
-		}
-		if u.Size() != len(want) {
-			return false
-		}
-		ok := true
-		u.ForEach(func(k, v int) bool {
-			if want[k] != v {
-				ok = false
-				return false
-			}
-			return true
-		})
-		return ok
-	}, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestIntersectDifferenceProperty(t *testing.T) {
-	if err := quick.Check(func(s1, s2 uint64) bool {
-		t1, m1 := randomTree(s1, 200, 120)
-		t2, m2 := randomTree(s2, 200, 120)
-		in := t1.Intersect(t2, func(a, _ int) int { return a })
-		di := t1.Difference(t2)
-		if err := in.CheckInvariants(intEq); err != nil {
-			return false
-		}
-		if err := di.CheckInvariants(intEq); err != nil {
-			return false
-		}
-		wantIn, wantDi := 0, 0
-		for k := range m1 {
-			if _, ok := m2[k]; ok {
-				wantIn++
-			} else {
-				wantDi++
-			}
-		}
-		if in.Size() != wantIn || di.Size() != wantDi {
-			return false
-		}
-		okAll := true
-		in.ForEach(func(k, v int) bool {
-			if m1[k] != v {
-				okAll = false
-			}
-			if _, ok := m2[k]; !ok {
-				okAll = false
-			}
-			return okAll
-		})
-		di.ForEach(func(k, v int) bool {
-			if m1[k] != v {
-				okAll = false
-			}
-			if _, ok := m2[k]; ok {
-				okAll = false
-			}
-			return okAll
-		})
-		return okAll
-	}, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestSplitProperty(t *testing.T) {
-	if err := quick.Check(func(seed uint64, kRaw uint16) bool {
-		k := int(kRaw % 250)
-		tr, model := randomTree(seed, 200, 100)
-		l, v, found, r := tr.Split(k)
-		if err := l.CheckInvariants(intEq); err != nil {
-			return false
-		}
-		if err := r.CheckInvariants(intEq); err != nil {
-			return false
-		}
-		wantV, wantFound := model[k]
-		if found != wantFound || (found && v != wantV) {
-			return false
-		}
-		ok := true
-		l.ForEach(func(kk, _ int) bool {
-			if kk >= k {
-				ok = false
-			}
-			return ok
-		})
-		r.ForEach(func(kk, _ int) bool {
-			if kk <= k {
-				ok = false
-			}
-			return ok
-		})
-		n := l.Size() + r.Size()
-		if found {
-			n++
-		}
-		return ok && n == len(model)
-	}, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestMultiInsertDelete(t *testing.T) {
 	tr, model := randomTree(77, 1000, 500)
 	var batch []Entry[int, int]
@@ -304,46 +185,6 @@ func TestFindLE(t *testing.T) {
 		}
 		if ok && n.Key() != c.want {
 			t.Fatalf("FindLE(%d) = %d, want %d", c.q, n.Key(), c.want)
-		}
-	}
-}
-
-func TestSelectRank(t *testing.T) {
-	tr := newIntTree()
-	keys := []int{3, 1, 4, 1, 5, 9, 2, 6}
-	for _, k := range keys {
-		tr = tr.Insert(k, k)
-	}
-	uniq := []int{1, 2, 3, 4, 5, 6, 9}
-	o := tr.Ops()
-	for i, want := range uniq {
-		n, ok := o.Select(tr.Root(), i)
-		if !ok || n.Key() != want {
-			t.Fatalf("Select(%d) = %v, want %d", i, n, want)
-		}
-		if got := o.Rank(tr.Root(), want); got != i {
-			t.Fatalf("Rank(%d) = %d, want %d", want, got, i)
-		}
-	}
-	if _, ok := o.Select(tr.Root(), len(uniq)); ok {
-		t.Fatal("Select out of range should fail")
-	}
-	if got := o.Rank(tr.Root(), 100); got != len(uniq) {
-		t.Fatalf("Rank(100) = %d", got)
-	}
-}
-
-func TestForEachIndexed(t *testing.T) {
-	tr := newIntTree()
-	const n = 5000
-	for i := 0; i < n; i++ {
-		tr = tr.Insert(i*2, i)
-	}
-	got := make([]int, n)
-	tr.ForEachIndexed(func(i, k, _ int) { got[i] = k })
-	for i := 0; i < n; i++ {
-		if got[i] != i*2 {
-			t.Fatalf("rank %d: key %d, want %d", i, got[i], i*2)
 		}
 	}
 }
@@ -428,13 +269,5 @@ func TestEmptyTreeOperations(t *testing.T) {
 	tr2 := tr.Delete(1)
 	if tr2.Size() != 0 {
 		t.Fatal("delete on empty changed size")
-	}
-	u := tr.Union(tr, nil)
-	if u.Size() != 0 {
-		t.Fatal("union of empties non-empty")
-	}
-	l, _, found, r := tr.Split(5)
-	if found || l.Size() != 0 || r.Size() != 0 {
-		t.Fatal("split of empty wrong")
 	}
 }

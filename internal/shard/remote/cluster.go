@@ -448,19 +448,22 @@ func (c *Cluster[E]) Stats() Stats {
 	}
 }
 
-// ShardStats fetches every shard server's engine counters.
+// ShardStats fetches every shard server's engine counters. A server that
+// cannot be read leaves its entry zero and names its shard in the error;
+// the others are still read.
 func (c *Cluster[E]) ShardStats() ([]stream.Stats, error) {
 	out := make([]stream.Stats, len(c.prim))
+	var errs []error
 	for s, cn := range c.prim {
 		raw, err := fetchStatsJSON(cn)
-		if err != nil {
-			return out, err
+		if err == nil {
+			err = unmarshalStats(raw, &out[s])
 		}
-		if err := unmarshalStats(raw, &out[s]); err != nil {
-			return out, err
+		if err != nil {
+			errs = append(errs, fmt.Errorf("shard %d: %w", s, err))
 		}
 	}
-	return out, nil
+	return out, errors.Join(errs...)
 }
 
 // fetchStatsJSON pulls the server's JSON stats snapshot.
@@ -676,16 +679,16 @@ func (s clusterStore[E]) Flush() ([]uint64, error) {
 	return stamps, err
 }
 
-// Stats totals the shard servers' engine counters (left empty when a server
-// is unreachable); ingest volume is the client-observed acked count and
-// Detail the client's own Stats.
+// Stats totals the shard servers' engine counters; ingest volume is the
+// client-observed acked count and Detail the client's own Stats. A server
+// that cannot be read contributes zeros and its error to Err.
 func (s clusterStore[E]) Stats() stream.StoreStats {
 	cs := s.Cluster.Stats()
 	per, err := s.ShardStats()
-	if err != nil {
-		per = nil
-	}
 	st := stream.SumStats(per)
+	if err != nil {
+		st.Err = err.Error()
+	}
 	st.Shards, st.Edges, st.Batches = cs.Shards, cs.Edges, cs.Batches
 	st.StitchBuilds, st.StitchHits = cs.StitchBuilds, cs.StitchHits
 	st.Detail = cs

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -279,5 +280,37 @@ func TestFlushCountsEveryAck(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestStatsReportsAnUnreachableShard: with one of two shard servers gone,
+// Stats names the failure and still totals the shard it can read, instead
+// of zero counters that would pass for an idle deployment.
+func TestStatsReportsAnUnreachableShard(t *testing.T) {
+	part := shard.NewRangePartitioner(2, 1<<conformScale)
+	servers, addrs := startServers(t, part, false)
+	c, err := DialGraph(part, addrs, nil, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := c.Store()
+	defer st.Close()
+	if err := st.Submit(false, aspen.MakeUndirected(rmat.NewGenerator(conformScale, 7).Edges(0, 400))); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	before := st.Stats()
+	if before.Err != "" || before.PerShard[0].Commits == 0 || before.PerShard[1].Commits == 0 {
+		t.Fatalf("both shards up: err %q, commits %d and %d", before.Err, before.PerShard[0].Commits, before.PerShard[1].Commits)
+	}
+	servers[1].srv.Close()
+	got := st.Stats()
+	if !strings.Contains(got.Err, "shard 1") {
+		t.Fatalf("shard 1 down: Stats().Err = %q, want it named", got.Err)
+	}
+	if got.PerShard[0].Commits != before.PerShard[0].Commits || got.Commits != before.PerShard[0].Commits {
+		t.Fatalf("shard 1 down: shard 0 commits %d (total %d), want %d", got.PerShard[0].Commits, got.Commits, before.PerShard[0].Commits)
 	}
 }

@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"cmp"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -120,6 +121,9 @@ type Report struct {
 	// SubmitErr is the error that stopped the writer early, or failed the
 	// final flush; empty when every submitted batch committed.
 	SubmitErr string `json:"submit_err,omitempty"`
+	// StatsErr is a failed counter read (StoreStats.Err) before or after
+	// the run; the counts then miss the unreadable shards' share.
+	StatsErr string `json:"stats_err,omitempty"`
 
 	// LiveVersions and RetiredVersions are sampled after the run drains:
 	// live must equal Shards (only each shard's current version) when every
@@ -271,6 +275,7 @@ func (w *Workload[E]) Run() Report {
 	if submitErr != nil {
 		rep.SubmitErr = submitErr.Error()
 	}
+	rep.StatsErr = cmp.Or(st.Err, before.Err)
 	for _, es := range st.PerShard {
 		if es.Commit.P99 >= rep.Commit.P99 {
 			rep.Commit = es.Commit

@@ -78,6 +78,10 @@ type StoreStats struct {
 	// Detail carries counters only one deployment has (remote.Stats: the
 	// client's read-path cache and resilience counters).
 	Detail any `json:"detail,omitempty"`
+	// Err names the shards whose counters could not be read (a remote
+	// server that is down); their share of every total above is missing,
+	// so a run must not take deltas across a read that has one.
+	Err string `json:"err,omitempty"`
 }
 
 // SumStats totals per-shard engine counters into a StoreStats.
