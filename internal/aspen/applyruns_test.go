@@ -37,10 +37,10 @@ func checkApplyRuns[V ctree.Value](t *testing.T, base GraphOf[V], runs []Run[V])
 			got.NumVertices(), got.Order(), got.NumEdges(), got.Equal(want), want.NumVertices(), want.Order(), want.NumEdges())
 	}
 	ops := got.table()
-	if err := checkIndex(ops, got.vt); err != nil {
+	if err := checkIndex(ops, got.cls, got.vt); err != nil {
 		t.Fatal(err)
 	}
-	gd, wd := realDeltas(deltasOf(ops, base.vt, got.vt)), realDeltas(deltasOf(ops, base.vt, want.vt))
+	gd, wd := realDeltas(deltasOf(ops, got.cls, base.vt, got.vt)), realDeltas(deltasOf(ops, got.cls, base.vt, want.vt))
 	if !slices.EqualFunc(gd, wd, func(a, b deltaImage[V]) bool {
 		return a.kind == b.kind && a.old.equal(b.old) && a.new.equal(b.new)
 	}) {

@@ -91,7 +91,7 @@ type upsert[V ctree.Value] struct {
 // Destination-only endpoints ride the descent as empty edge trees. With
 // dropEmpty set, a present source whose edge tree ends up empty is dropped
 // (the opt-in isolated-vertex GC). O(k log n) work, polylog depth.
-func applyCore[V ctree.Value](ops *vopsT[V], p ctree.Params, vt *vnode[V], b sortedBatch[V], merge func(old, new V) V, dropEmpty bool) *vnode[V] {
+func applyCore[V ctree.Value](ops *vopsT[V], cls ctree.Class[V], vt *vnode[V], b sortedBatch[V], merge func(old, new V) V, dropEmpty bool) *vnode[V] {
 	n := len(b.packed)
 	starts := parallel.PackIndices(n, func(i int) bool { return i == 0 || b.packed[i]>>32 != b.packed[i-1]>>32 })
 	ids, vals := make([]uint32, n), b.vals
@@ -101,7 +101,7 @@ func applyCore[V ctree.Value](ops *vopsT[V], p ctree.Params, vt *vnode[V], b sor
 	keys, ups := make([]uint32, len(starts)), make([]upsert[V], len(starts))
 	// One prototype tree interns the per-V operation table; every edge tree
 	// of the batch is built from it instead of re-resolving the table.
-	proto := ctree.NewKV[V](p)
+	proto := ctree.NewKV[V](cls.Params())
 	parallel.ForGrain(len(starts), 16, func(k int) {
 		lo, hi := int(starts[k]), n
 		if k+1 < len(starts) {
@@ -130,10 +130,10 @@ func applyCore[V ctree.Value](ops *vopsT[V], p ctree.Params, vt *vnode[V], b sor
 			ends = append(ends, uint32(k))
 		}
 	}
-	if extra := missingEndpoints(ops, vt, keys, ups, ends); len(extra) > 0 {
+	if extra := missingEndpoints(ops, cls, vt, keys, ups, ends); len(extra) > 0 {
 		keys, ups = mergeEndpoints(keys, ups, extra, upsert[V]{ins: proto, created: true})
 	}
-	return upsertVertices(ops, vt, keys, func(i int, old ctree.Tree[V], found bool) (ctree.Tree[V], bool) {
+	return upsertVertices(ops, cls, vt, keys, func(i int, old ctree.Tree[V], found bool) (ctree.Tree[V], bool) {
 		u := &ups[i]
 		if !found {
 			return u.ins, u.created
@@ -153,7 +153,7 @@ func applyCore[V ctree.Value](ops *vopsT[V], p ctree.Params, vt *vnode[V], b sor
 // traversals can land on them. An id in ends that is a batch source costs no
 // lookup: its update (ups is aligned with srcs) is marked created. On a
 // symmetrised batch that is every id. It sorts ends in place.
-func missingEndpoints[V ctree.Value](ops *vopsT[V], vt *vnode[V], srcs []uint32, ups []upsert[V], ends []uint32) []uint32 {
+func missingEndpoints[V ctree.Value](ops *vopsT[V], cls ctree.Class[V], vt *vnode[V], srcs []uint32, ups []upsert[V], ends []uint32) []uint32 {
 	parallel.RadixSortUint32(ends)
 	ends = parallel.DedupSortedUint32(ends)
 	w, j := 0, 0
@@ -169,7 +169,7 @@ func missingEndpoints[V ctree.Value](ops *vopsT[V], vt *vnode[V], srcs []uint32,
 		w++
 	}
 	return parallel.FilterUint32(ends[:w], func(d uint32) bool {
-		_, ok := findVertex(ops, vt, d)
+		_, ok := findVertex(ops, cls, vt, d)
 		return !ok
 	})
 }
@@ -191,8 +191,8 @@ func mergeEndpoints[U any](keys []uint32, ups []U, extra []uint32, empty U) ([]u
 }
 
 // collectIsolatedCore removes every vertex with an empty edge tree.
-func collectIsolatedCore[V ctree.Value](ops *vopsT[V], vt *vnode[V]) *vnode[V] {
-	ids, trees := vertices(ops, vt)
+func collectIsolatedCore[V ctree.Value](ops *vopsT[V], cls ctree.Class[V], vt *vnode[V]) *vnode[V] {
+	ids, trees := vertices(ops, cls, vt)
 	w := 0
 	for i, et := range trees {
 		if !et.Empty() {

@@ -93,9 +93,9 @@ func (a vertexImage[V]) equal(b vertexImage[V]) bool {
 	return a.id == b.id && slices.Equal(a.nbrs, b.nbrs) && slices.Equal(a.vals, b.vals)
 }
 
-func imagesOf[V ctree.Value](ops *vopsT[V], vt *vnode[V]) []vertexImage[V] {
+func imagesOf[V ctree.Value](ops *vopsT[V], cls ctree.Class[V], vt *vnode[V]) []vertexImage[V] {
 	var out []vertexImage[V]
-	forEachVertex(ops, vt, func(u uint32, et ctree.Tree[V]) bool {
+	forEachVertex(ops, cls, vt, func(u uint32, et ctree.Tree[V]) bool {
 		out = append(out, imageOf(u, et))
 		return true
 	})
@@ -116,9 +116,9 @@ type deltaImage[V ctree.Value] struct {
 	old, new vertexImage[V]
 }
 
-func deltasOf[V ctree.Value](ops *vopsT[V], old, cur *vnode[V]) []deltaImage[V] {
+func deltasOf[V ctree.Value](ops *vopsT[V], cls ctree.Class[V], old, cur *vnode[V]) []deltaImage[V] {
 	var out []deltaImage[V]
-	diffVersionsCore(ops, old, cur, func(d VertexDelta[V]) bool {
+	diffVersionsCore(ops, cls, cls, old, cur, func(d VertexDelta[V]) bool {
 		out = append(out, deltaImage[V]{kind: d.Kind, old: imageOf(d.ID, d.Old), new: imageOf(d.ID, d.New)})
 		return true
 	})
@@ -158,18 +158,19 @@ func refDeltas[V ctree.Value](old, cur refIndex[V]) []deltaImage[V] {
 func runBatchDifferential[V ctree.Value](t *testing.T, ops *vopsT[V], p ctree.Params, steps []batchStep[V]) {
 	t.Helper()
 	var got *vnode[V]
+	cls := ctree.ClassOf[V](p)
 	ref := refIndex[V]{}
 	for i, s := range steps {
 		ctx := fmt.Sprintf("step %d (%s)", i, s.name)
 		prevGot, prevRef := got, ref
 		if s.del {
-			got = applyCore(ops, p, got, sortedBatch[V]{packed: s.packed, del: true}, nil, s.gc)
+			got = applyCore(ops, cls, got, sortedBatch[V]{packed: s.packed, del: true}, nil, s.gc)
 			ref = refDeleteCore(p, ref, s.packed, s.gc)
 		} else {
-			got = applyCore(ops, p, got, sortedBatch[V]{packed: s.packed, vals: s.vals}, s.merge, false)
+			got = applyCore(ops, cls, got, sortedBatch[V]{packed: s.packed, vals: s.vals}, s.merge, false)
 			ref = refInsertCore(p, ref, s.packed, s.vals, s.merge)
 		}
-		if err := checkIndex(ops, got); err != nil {
+		if err := checkIndex(ops, cls, got); err != nil {
 			t.Fatalf("%s: %v", ctx, err)
 		}
 		var refEdges uint64
@@ -179,10 +180,10 @@ func runBatchDifferential[V ctree.Value](t *testing.T, ops *vopsT[V], p ctree.Pa
 		if c := got.AugOrZero(); c.verts != uint64(len(ref)) || c.edges != refEdges {
 			t.Fatalf("%s: %d vertices / %d edges, reference has %d / %d", ctx, c.verts, c.edges, len(ref), refEdges)
 		}
-		if !slices.EqualFunc(imagesOf(ops, got), ref.images(), vertexImage[V].equal) {
+		if !slices.EqualFunc(imagesOf(ops, cls, got), ref.images(), vertexImage[V].equal) {
 			t.Fatalf("%s: graph differs from the reference", ctx)
 		}
-		gd, rd := deltasOf(ops, prevGot, got), refDeltas(prevRef, ref)
+		gd, rd := deltasOf(ops, cls, prevGot, got), refDeltas(prevRef, ref)
 		if !slices.EqualFunc(gd, rd, func(a, b deltaImage[V]) bool {
 			return a.kind == b.kind && a.old.equal(b.old) && a.new.equal(b.new)
 		}) {

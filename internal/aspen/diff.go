@@ -39,27 +39,24 @@ func (d VertexDelta[V]) Edges(emit func(e uint32, kind ctree.DiffKind, oldV, new
 // edge-tree representation (EqualRep) — O(1) per untouched vertex, so the
 // walk costs O(d log(n/d+1)) for d touched pages between versions of one
 // lineage. Deltas come out in ascending id order.
-func diffVersionsCore[V ctree.Value](ops *vopsT[V], old, cur *vnode[V], f func(VertexDelta[V]) bool) bool {
+func diffVersionsCore[V ctree.Value](ops *vopsT[V], ocls, ncls ctree.Class[V], old, cur *vnode[V], f func(VertexDelta[V]) bool) bool {
 	return ops.Diff(old, cur,
 		func(a, b *page[V]) bool { return a == b },
 		func(p uint32, _ DiffKind, op, np *page[V]) bool {
 			for s := range uint32(pageSize) {
-				d := VertexDelta[V]{ID: p<<pageBits | s}
-				var in, was bool
-				d.Old, was = op.slot(s)
-				d.New, in = np.slot(s)
-				switch {
-				case was && in:
-					if d.Old.EqualRep(d.New) {
-						continue
-					}
-					d.Kind = DiffChanged
-				case in:
-					d.Kind = DiffAdded
-				case was:
-					d.Kind = DiffRemoved
-				default:
+				// Compared as handles: an unchanged slot, the common case
+				// in a changed page, builds no tree.
+				was, in := op.present(s), np.present(s)
+				if !was && !in || was && in && op.trees[s].EqualRep(np.trees[s]) {
 					continue
+				}
+				d := VertexDelta[V]{ID: p<<pageBits | s, Kind: DiffChanged}
+				d.Old, _ = op.slot(ocls, s)
+				d.New, _ = np.slot(ncls, s)
+				if !was {
+					d.Kind = DiffAdded
+				} else if !in {
+					d.Kind = DiffRemoved
 				}
 				if !f(d) {
 					return false
@@ -78,7 +75,7 @@ func diffVersionsCore[V ctree.Value](ops *vopsT[V], old, cur *vnode[V], f func(V
 // graph size — the primitive behind flat-view patching and incremental
 // kernel maintenance.
 func DiffVersions[V ctree.Value](old, cur GraphOf[V], f func(VertexDelta[V]) bool) bool {
-	return diffVersionsCore(cur.table(), old.vt, cur.vt, f)
+	return diffVersionsCore(cur.table(), old.cls, cur.cls, old.vt, cur.vt, f)
 }
 
 // DiffVersionsWeighted is DiffVersions on weighted graphs.

@@ -149,12 +149,13 @@ func TestFlatSnapshotStaleness(t *testing.T) {
 	}
 }
 
-// warmSum is what Warm(ids) must return: the first byte of every edge tree
+// warmSum is what Warm(ids) must return: the first neighbor of every vertex
 // the ids reach, by the public accessors.
 func warmSum[V ctree.Value](fv *FlatView[V], ids []uint32) (sum uint32) {
 	for _, u := range ids {
 		if et, ok := fv.EdgeTree(u); ok {
-			sum += uint32(et.Touch())
+			first, _ := et.First()
+			sum += first
 		}
 	}
 	return sum
@@ -167,12 +168,12 @@ func checkWarmTotal[V ctree.Value](t *testing.T, what string, fv *FlatView[V]) {
 	if fv.Warm(nil) != 0 || fv.Warm([]uint32{}) != 0 {
 		t.Fatalf("%s: Warm of no ids is not 0", what)
 	}
-	// What lets Warm and ForEachNeighbor skip the presence test: a slot
-	// without a vertex holds a tree without elements.
+	// What lets Warm skip the presence test: a slot without a vertex holds
+	// a tree without elements and zero heads.
 	for pi, pg := range fv.pages {
 		for s := 0; pg != nil && s < pageSize; s++ {
-			if pg.deg[s] < 0 && (pg.trees[s].Size() != 0 || pg.trees[s].Touch() != 0) {
-				t.Fatalf("%s: absent slot %d holds a non-empty tree", what, pi<<pageBits+s)
+			if pg.deg[s] < 0 && (!fv.cls.Tree(pg.trees[s]).Empty() || pg.heads[s] != [2]uint32{}) {
+				t.Fatalf("%s: absent slot %d holds a non-empty tree or heads", what, pi<<pageBits+s)
 			}
 		}
 	}
@@ -190,19 +191,16 @@ func checkWarmTotal[V ctree.Value](t *testing.T, what string, fv *FlatView[V]) {
 	}
 }
 
-// TestFlatWarm: the Warm capability is total and touches exactly the heads
-// ForEachNeighbor starts from — on built views and on patched ones (aliased
-// pages, nil pages where the id space grew), for ids past Order, absent
-// vertices, vertices without edges, and a vertex whose first neighbor is a
-// head, so that its prefix chunk is empty and the head tree's root is the
-// first read.
+// TestFlatWarm: the Warm capability is total and loads exactly the first
+// head id ForEachNeighbor starts from — on built views and on patched ones
+// (aliased pages, nil pages where the id space grew), for ids past Order,
+// absent vertices, vertices without edges, and a vertex whose first neighbor
+// is a C-tree head, so that its prefix chunk is empty and the page's heads
+// come from the head tree.
 func TestFlatWarm(t *testing.T) {
 	p := params()
 	var head uint32
-	for head = 300; ; head++ {
-		if b := byte(head); b > 1 && ctree.Build(p, []uint32{head}).Touch() == b {
-			break // a lone non-head reads the chunk's count byte, 1
-		}
+	for head = 300; ctree.Build(p, []uint32{head}).Stats().Nodes != 1; head++ {
 	}
 	const lone, headFirst, absent = 130, 140, 150
 	r := xhash.NewRNG(55)
@@ -216,8 +214,8 @@ func TestFlatWarm(t *testing.T) {
 	if built.HasVertex(absent) || built.Warm([]uint32{absent}) != 0 {
 		t.Fatal("an absent vertex must warm nothing")
 	}
-	if got := built.Warm([]uint32{headFirst}); got != uint32(byte(head)) {
-		t.Fatalf("head-first vertex: Warm = %d, want the head tree root's key byte %d", got, byte(head))
+	if got := built.Warm([]uint32{headFirst}); got != head {
+		t.Fatalf("head-first vertex: Warm = %d, want its first neighbor %d", got, head)
 	}
 
 	// Grow the id space far past the built view, touch a few old vertices

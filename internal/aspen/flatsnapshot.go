@@ -14,7 +14,8 @@ import (
 // array stays one contiguous id-indexed slice, which ligra's flat routing
 // consumes for work-based frontier partitioning. Pages are immutable and
 // belong to the graph; a view owns its table and degrees only, and any
-// number of views and versions share a page.
+// number of views and versions share a page. The view carries the graph's
+// tree class once and rebuilds an edge tree from a slot's handle on demand.
 
 // FlatView is a dense, id-indexed view of one immutable graph version: one
 // edge C-tree handle per vertex id plus its degree. It removes the O(log n)
@@ -38,6 +39,7 @@ import (
 // cheaper than rebuilding it from tree traversals. Views are immutable once
 // returned, so any number of concurrent readers share them.
 type FlatView[V ctree.Value] struct {
+	cls      ctree.Class[V]
 	pages    []*page[V]
 	degrees  []int32
 	order    int
@@ -60,6 +62,7 @@ type (
 func newFlatView[V ctree.Value](g GraphOf[V]) *FlatView[V] {
 	order := g.Order()
 	return &FlatView[V]{
+		cls:      g.cls,
 		pages:    make([]*page[V], (order+pageMask)>>pageBits),
 		degrees:  make([]int32, order),
 		order:    order,
@@ -189,37 +192,51 @@ func (fv *FlatView[V]) HasVertex(u uint32) bool {
 
 // ForEachNeighbor applies f to u's neighbors in increasing order until f
 // returns false. O(1) access to the edge tree; total on out-of-range ids.
+// The first two neighbors come from the page (page.heads), so a callback
+// that stops by then never reaches the tree; a third is read from the tree,
+// past the two it skips.
 func (fv *FlatView[V]) ForEachNeighbor(u uint32, f func(v uint32) bool) {
 	if int(u) >= fv.order {
 		return
 	}
-	// No presence test: an absent slot holds the zero tree, which has no
-	// elements, and skipping the test skips a cache line (Warm does too).
-	if pg, s := fv.page(u); pg != nil {
-		pg.trees[s].ForEach(f)
+	d := fv.degrees[u] // 0 for an absent vertex, whose page may be nil
+	if d == 0 {
+		return
 	}
+	pg, s := fv.page(u)
+	h := &pg.heads[s]
+	if !f(h[0]) || d == 1 || !f(h[1]) || d == 2 {
+		return
+	}
+	fv.cls.Tree(pg.trees[s]).ForEachFrom(len(h), f)
 }
 
 // Warm brings the adjacency heads of ids near the core — the ligra.Warmer
 // capability. For each id that is in range and present it loads the first
-// byte ForEachNeighbor(id) would read from the heap (ctree.Tree.Touch) and
-// returns the sum of those bytes, which only exists to keep the loads live.
-// The loop's iterations do not depend on one another, so their cache misses
-// overlap: one round trip per block instead of one per scanned vertex. It
-// decodes nothing, stores nothing and is total: out-of-range, absent and
-// degree-0 ids are skipped.
+// word ForEachNeighbor(id) reads from the heap, the slot's first head id,
+// and returns the sum of those words, which only exists to keep the loads
+// live. The loop's iterations do not depend on one another, so their cache
+// misses overlap: one round trip per block instead of one per scanned
+// vertex. It decodes nothing, stores nothing and is total: out-of-range,
+// absent and degree-0 ids add 0.
 func (fv *FlatView[V]) Warm(ids []uint32) (sum uint32) {
 	for _, u := range ids {
 		if int(u) >= fv.order {
 			continue
 		}
-		// No presence test: an absent slot holds the zero tree, whose Touch
-		// loads nothing.
+		// No presence test: the heads of an absent or degree-0 slot are 0,
+		// and skipping the test skips the degree array's cache line.
 		if pg, s := fv.page(u); pg != nil {
-			sum += uint32(pg.trees[s].Touch())
+			sum += pg.heads[s][0]
 		}
 	}
 	return sum
+}
+
+// tree returns u's edge tree and whether u is a vertex; u must be in range.
+func (fv *FlatView[V]) tree(u uint32) (ctree.Tree[V], bool) {
+	pg, s := fv.page(u)
+	return pg.slot(fv.cls, s)
 }
 
 // ForEachNeighborPar applies f to u's neighbors with edge-tree parallelism
@@ -228,8 +245,8 @@ func (fv *FlatView[V]) ForEachNeighborPar(u uint32, f func(v uint32)) {
 	if int(u) >= fv.order {
 		return
 	}
-	if pg, s := fv.page(u); pg != nil && pg.deg[s] >= 0 {
-		pg.trees[s].ForEachPar(f)
+	if et, ok := fv.tree(u); ok {
+		et.ForEachPar(f)
 	}
 }
 
@@ -240,8 +257,8 @@ func (fv *FlatView[V]) ForEachNeighborW(u uint32, f func(v uint32, w V) bool) {
 	if int(u) >= fv.order {
 		return
 	}
-	if pg, s := fv.page(u); pg != nil && pg.deg[s] >= 0 {
-		pg.trees[s].ForEachKV(f)
+	if et, ok := fv.tree(u); ok {
+		et.ForEachKV(f)
 	}
 }
 
@@ -250,10 +267,7 @@ func (fv *FlatView[V]) EdgeTree(u uint32) (ctree.Tree[V], bool) {
 	if int(u) >= fv.order {
 		return ctree.Tree[V]{}, false
 	}
-	if pg, s := fv.page(u); pg != nil && pg.deg[s] >= 0 {
-		return pg.trees[s], true
-	}
-	return ctree.Tree[V]{}, false
+	return fv.tree(u)
 }
 
 // MemoryBytes returns the size of the storage this view owns: its page

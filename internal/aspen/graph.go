@@ -44,7 +44,7 @@ type (
 // edge overwrites its payload (the paper's interface updates weights through
 // the same insertion path, §5).
 type GraphOf[V ctree.Value] struct {
-	p   ctree.Params
+	cls ctree.Class[V] // of every edge tree; the pages store handles
 	vt  *vnode[V]
 	ops *vopsT[V] // the interned table of V, resolved at construction
 }
@@ -57,7 +57,7 @@ type (
 
 // NewGraphOf returns an empty graph whose edge trees use params p.
 func NewGraphOf[V ctree.Value](p ctree.Params) GraphOf[V] {
-	return GraphOf[V]{p: p, ops: vopsFor[V]()}
+	return GraphOf[V]{cls: ctree.ClassOf[V](p), ops: vopsFor[V]()}
 }
 
 // NewGraph returns an empty id-only graph whose edge trees use params p.
@@ -94,11 +94,11 @@ func (g GraphOf[V]) table() *vopsT[V] {
 
 // with returns the version of g rooted at vt.
 func (g GraphOf[V]) with(vt *vnode[V]) GraphOf[V] {
-	return GraphOf[V]{p: g.p, vt: vt, ops: g.table()}
+	return GraphOf[V]{cls: g.cls, vt: vt, ops: g.table()}
 }
 
 // Params returns the edge-tree parameters of g.
-func (g GraphOf[V]) Params() ctree.Params { return g.p }
+func (g GraphOf[V]) Params() ctree.Params { return g.cls.Params() }
 
 // NumVertices returns the number of vertices, in O(1) via the vertex-index
 // augmentation.
@@ -124,7 +124,7 @@ func (g GraphOf[V]) Order() int {
 
 // EdgeTree returns u's edge C-tree. O(log n).
 func (g GraphOf[V]) EdgeTree(u uint32) (ctree.Tree[V], bool) {
-	return findVertex(g.table(), g.vt, u)
+	return findVertex(g.table(), g.cls, g.vt, u)
 }
 
 // HasVertex reports whether u is a vertex of g.
@@ -188,7 +188,7 @@ func (g GraphOf[V]) ForEachNeighborPar(u uint32, f func(v uint32)) {
 // ForEachVertex applies f to every (vertex, edge-tree) pair in id order
 // until f returns false.
 func (g GraphOf[V]) ForEachVertex(f func(u uint32, et ctree.Tree[V]) bool) {
-	forEachVertex(g.table(), g.vt, f)
+	forEachVertex(g.table(), g.cls, g.vt, f)
 }
 
 // sortEdgeBatch encodes, sorts and dedupes a batch of directed edges by id,
@@ -276,7 +276,7 @@ func (g GraphOf[V]) ApplyRuns(runs []Run[V]) GraphOf[V] {
 	if len(sb.packed) == 0 {
 		return g
 	}
-	return g.with(applyCore(g.table(), g.p, g.vt, sb, nil, false))
+	return g.with(applyCore(g.table(), g.cls, g.vt, sb, nil, false))
 }
 
 // InsertEdges returns a graph with the batch inserted (duplicates combined,
@@ -296,7 +296,7 @@ func (g GraphOf[V]) InsertEdgesWith(edges []EdgeOf[V], merge func(old, new V) V)
 		return g
 	}
 	packed, vals := sortEdgeBatchKV(edges)
-	return g.with(applyCore(g.table(), g.p, g.vt, sortedBatch[V]{packed: packed, vals: vals}, merge, false))
+	return g.with(applyCore(g.table(), g.cls, g.vt, sortedBatch[V]{packed: packed, vals: vals}, merge, false))
 }
 
 // DeleteEdges returns a graph with the batch removed (payloads ignored);
@@ -314,13 +314,13 @@ func (g GraphOf[V]) deleteEdges(edges []EdgeOf[V], dropEmpty bool) GraphOf[V] {
 	if len(edges) == 0 {
 		return g
 	}
-	return g.with(applyCore(g.table(), g.p, g.vt, sortedBatch[V]{packed: sortEdgeBatch(edges), del: true}, nil, dropEmpty))
+	return g.with(applyCore(g.table(), g.cls, g.vt, sortedBatch[V]{packed: sortEdgeBatch(edges), del: true}, nil, dropEmpty))
 }
 
 // CollectIsolated returns a graph without its degree-zero vertices — the
 // full-sweep form of the isolated-vertex GC. O(n).
 func (g GraphOf[V]) CollectIsolated() GraphOf[V] {
-	return g.with(collectIsolatedCore(g.table(), g.vt))
+	return g.with(collectIsolatedCore(g.table(), g.cls, g.vt))
 }
 
 // sortedIDs returns a sorted, deduplicated copy of ids.
@@ -335,8 +335,8 @@ func (g GraphOf[V]) InsertVertices(ids []uint32) GraphOf[V] {
 	if len(ids) == 0 {
 		return g
 	}
-	empty := ctree.NewKV[V](g.p)
-	return g.with(upsertVertices(g.table(), g.vt, sortedIDs(ids), func(_ int, old ctree.Tree[V], found bool) (ctree.Tree[V], bool) {
+	empty := ctree.NewKV[V](g.Params())
+	return g.with(upsertVertices(g.table(), g.cls, g.vt, sortedIDs(ids), func(_ int, old ctree.Tree[V], found bool) (ctree.Tree[V], bool) {
 		if found {
 			return old, true
 		}
@@ -352,12 +352,12 @@ func (g GraphOf[V]) DeleteVertices(ids []uint32) GraphOf[V] {
 	}
 	ops := g.table()
 	sorted := sortedIDs(ids)
-	root := upsertVertices(ops, g.vt, sorted, func(int, ctree.Tree[V], bool) (ctree.Tree[V], bool) {
+	root := upsertVertices(ops, g.cls, g.vt, sorted, func(int, ctree.Tree[V], bool) (ctree.Tree[V], bool) {
 		return ctree.Tree[V]{}, false
 	})
 	// Strip edges pointing at the removed vertices from every survivor.
-	del := ctree.BuildKV[V](g.p, sorted, nil)
-	verts, trees := vertices(ops, root)
+	del := ctree.BuildKV[V](g.Params(), sorted, nil)
+	verts, trees := vertices(ops, g.cls, root)
 	parallel.ForGrain(len(trees), 16, func(i int) {
 		trees[i] = trees[i].Difference(del)
 	})

@@ -23,13 +23,19 @@ const (
 )
 
 // page holds the edge trees and degrees of one aligned id range. deg[s] is
-// the size of trees[s] for a present id and −1 for an absent one, whose
-// tree is the zero Tree (so reading it yields no neighbors). A page is never
-// mutated once published, and the index keeps no page without a present id.
-// 16 handles of 40 B plus 16 degrees is 704 B, a Go size class, whatever V
-// is (TestPageLayout).
+// the size of slot s's tree for a present id and −1 for an absent one, whose
+// handle is the zero Handle (so reading it yields no neighbors). heads[s]
+// holds the tree's first two ids, so a flat-view scan that leaves a vertex
+// after one or two neighbors never reaches its chunk; the unused heads of a
+// slot below degree 2 are 0. A slot stores a ctree.Handle, not a Tree: every
+// edge tree of a graph has the graph's class (GraphOf.cls), so the per-tree
+// config pointer would be the same 16 times over. A page is never mutated
+// once published, and the index keeps no page without a present id. 16
+// handles of 32 B, 16 head pairs and 16 degrees is 704 B, a Go size class,
+// whatever V is (TestPageLayout).
 type page[V ctree.Value] struct {
-	trees [pageSize]ctree.Tree[V]
+	trees [pageSize]ctree.Handle[V]
+	heads [pageSize][2]uint32
 	deg   [pageSize]int32
 }
 
@@ -41,13 +47,32 @@ var absentDegrees = func() (d [pageSize]int32) {
 	return d
 }()
 
-// slot returns slot s's edge tree and whether its id is a vertex; a nil
-// page has none.
-func (pg *page[V]) slot(s uint32) (ctree.Tree[V], bool) {
-	if pg == nil || pg.deg[s] < 0 {
+// present reports whether slot s's id is a vertex; a nil page has none.
+func (pg *page[V]) present(s uint32) bool { return pg != nil && pg.deg[s] >= 0 }
+
+// slot returns slot s's edge tree, of class cls, and whether its id is a
+// vertex.
+func (pg *page[V]) slot(cls ctree.Class[V], s uint32) (ctree.Tree[V], bool) {
+	if !pg.present(s) {
 		return ctree.Tree[V]{}, false
 	}
-	return pg.trees[s], true
+	return cls.Tree(pg.trees[s]), true
+}
+
+// set stores et in slot s: its handle, its size and its first two ids.
+func (pg *page[V]) set(s uint32, et ctree.Tree[V]) {
+	pg.trees[s], pg.heads[s], pg.deg[s] = et.Handle(), [2]uint32{}, int32(et.Size())
+	h, i := &pg.heads[s], 0
+	et.ForEach(func(v uint32) bool {
+		h[i] = v
+		i++
+		return i < len(h)
+	})
+}
+
+// clear makes slot s absent.
+func (pg *page[V]) clear(s uint32) {
+	pg.trees[s], pg.heads[s], pg.deg[s] = ctree.Handle[V]{}, [2]uint32{}, -1
 }
 
 // pageCount is the vertex index's augmentation: the edges and vertices
@@ -110,17 +135,17 @@ func vopsFor[V ctree.Value]() *vopsT[V] {
 }
 
 // findVertex returns u's edge tree and whether u is a vertex of vt.
-func findVertex[V ctree.Value](ops *vopsT[V], vt *vnode[V], u uint32) (ctree.Tree[V], bool) {
+func findVertex[V ctree.Value](ops *vopsT[V], cls ctree.Class[V], vt *vnode[V], u uint32) (ctree.Tree[V], bool) {
 	pg, _ := ops.Find(vt, u>>pageBits)
-	return pg.slot(u & pageMask)
+	return pg.slot(cls, u&pageMask)
 }
 
 // forEachVertex applies f to every (vertex, edge tree) pair of vt in id
 // order until f returns false.
-func forEachVertex[V ctree.Value](ops *vopsT[V], vt *vnode[V], f func(u uint32, et ctree.Tree[V]) bool) {
+func forEachVertex[V ctree.Value](ops *vopsT[V], cls ctree.Class[V], vt *vnode[V], f func(u uint32, et ctree.Tree[V]) bool) {
 	ops.ForEach(vt, func(p uint32, pg *page[V]) bool {
 		for s, d := range pg.deg {
-			if d >= 0 && !f(p<<pageBits|uint32(s), pg.trees[s]) {
+			if d >= 0 && !f(p<<pageBits|uint32(s), cls.Tree(pg.trees[s])) {
 				return false
 			}
 		}
@@ -129,10 +154,10 @@ func forEachVertex[V ctree.Value](ops *vopsT[V], vt *vnode[V], f func(u uint32, 
 }
 
 // vertices returns vt's vertex ids and their edge trees, in id order.
-func vertices[V ctree.Value](ops *vopsT[V], vt *vnode[V]) ([]uint32, []ctree.Tree[V]) {
+func vertices[V ctree.Value](ops *vopsT[V], cls ctree.Class[V], vt *vnode[V]) ([]uint32, []ctree.Tree[V]) {
 	n := int(vt.AugOrZero().verts)
 	ids, trees := make([]uint32, 0, n), make([]ctree.Tree[V], 0, n)
-	forEachVertex(ops, vt, func(u uint32, et ctree.Tree[V]) bool {
+	forEachVertex(ops, cls, vt, func(u uint32, et ctree.Tree[V]) bool {
 		ids, trees = append(ids, u), append(trees, et)
 		return true
 	})
@@ -161,8 +186,7 @@ func buildPages[V ctree.Value](ops *vopsT[V], ids []uint32, tree func(i int) ctr
 		lo, hi := runOf(starts, i, len(ids))
 		pg := &page[V]{deg: absentDegrees}
 		for k := lo; k < hi; k++ {
-			et := tree(k)
-			pg.trees[ids[k]&pageMask], pg.deg[ids[k]&pageMask] = et, int32(et.Size())
+			pg.set(ids[k]&pageMask, tree(k))
 		}
 		entries[i] = pftree.Entry[uint32, *page[V]]{Key: ids[lo] >> pageBits, Val: pg}
 	})
@@ -176,8 +200,10 @@ func buildPages[V ctree.Value](ops *vopsT[V], ids []uint32, tree func(i int) ctr
 // the vertex is kept — a present id not kept is removed, an absent one not
 // kept is not created. A page left without vertices is dropped, and one
 // whose slots all keep their trees stays the same pointer, so diffs prune
-// it. f is called once per index, possibly from several goroutines.
-func upsertVertices[V ctree.Value](ops *vopsT[V], vt *vnode[V], ids []uint32, f func(i int, old ctree.Tree[V], found bool) (ctree.Tree[V], bool)) *vnode[V] {
+// it. Only a slot whose tree changed is rewritten, heads included, while
+// the tree f just built is still in cache. f is called once per index,
+// possibly from several goroutines.
+func upsertVertices[V ctree.Value](ops *vopsT[V], cls ctree.Class[V], vt *vnode[V], ids []uint32, f func(i int, old ctree.Tree[V], found bool) (ctree.Tree[V], bool)) *vnode[V] {
 	starts := pageRuns(ids)
 	keys := make([]uint32, len(starts))
 	for i, s := range starts {
@@ -192,14 +218,14 @@ func upsertVertices[V ctree.Value](ops *vopsT[V], vt *vnode[V], ids []uint32, f 
 		lo, hi := runOf(starts, i, len(ids))
 		for k := lo; k < hi; k++ {
 			s := ids[k] & pageMask
-			had := pg.deg[s] >= 0
-			et, keep := f(k, pg.trees[s], had)
+			cur, had := pg.slot(cls, s)
+			et, keep := f(k, cur, had)
 			switch {
-			case keep:
-				changed = changed || !had || !et.EqualRep(pg.trees[s])
-				pg.trees[s], pg.deg[s] = et, int32(et.Size())
-			case had:
-				pg.trees[s], pg.deg[s] = ctree.Tree[V]{}, -1
+			case keep && (!had || !et.EqualRep(cur)):
+				pg.set(s, et)
+				changed = true
+			case !keep && had:
+				pg.clear(s)
 				changed = true
 			}
 		}

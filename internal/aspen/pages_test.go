@@ -13,9 +13,11 @@ import (
 
 // checkIndex verifies the paged vertex index: pftree's order, balance and
 // size bookkeeping; the augmentation equal to a recount of the edge trees;
-// every present slot's degree equal to its tree's Size() and every absent
-// slot at −1 with an empty tree; and no page without a vertex.
-func checkIndex[V ctree.Value](ops *vopsT[V], vt *vnode[V]) error {
+// every present slot's degree equal to its tree's Size() and its heads equal
+// to the tree's first two ids (0 where the tree has fewer); every absent
+// slot at −1 with an empty tree and zero heads; and no page without a
+// vertex.
+func checkIndex[V ctree.Value](ops *vopsT[V], cls ctree.Class[V], vt *vnode[V]) error {
 	if err := ops.CheckInvariants(vt, func(a, b pageCount) bool { return a == b }); err != nil {
 		return err
 	}
@@ -25,16 +27,23 @@ func checkIndex[V ctree.Value](ops *vopsT[V], vt *vnode[V]) error {
 		live := false
 		for s, d := range pg.deg {
 			id := p<<pageBits | uint32(s)
+			et := cls.Tree(pg.trees[s])
+			var heads [2]uint32
+			for i, v := range et.ToSlice()[:min(2, et.Size())] {
+				heads[i] = v
+			}
 			switch {
-			case d >= 0 && uint64(d) != pg.trees[s].Size():
-				err = fmt.Errorf("vertex %d: degree %d, edge tree holds %d", id, d, pg.trees[s].Size())
+			case d >= 0 && uint64(d) != et.Size():
+				err = fmt.Errorf("vertex %d: degree %d, edge tree holds %d", id, d, et.Size())
 			case d < -1:
 				err = fmt.Errorf("slot %d: degree %d", id, d)
-			case d == -1 && !pg.trees[s].Empty():
+			case d == -1 && !et.Empty():
 				err = fmt.Errorf("absent slot %d holds a non-empty tree", id)
+			case pg.heads[s] != heads:
+				err = fmt.Errorf("slot %d (degree %d): heads %v, edge tree starts %v", id, d, pg.heads[s], heads)
 			case d >= 0:
 				live = true
-				recount.edges += pg.trees[s].Size()
+				recount.edges += et.Size()
 				recount.verts++
 			}
 		}
@@ -49,8 +58,9 @@ func checkIndex[V ctree.Value](ops *vopsT[V], vt *vnode[V]) error {
 	return err
 }
 
-// TestPageLayout pins the page at 704 bytes — 16 edge-tree handles of 40
-// bytes and 16 degrees, exactly a Go size class — for every payload type,
+// TestPageLayout pins the page at 704 bytes — 16 edge-tree handles of 32
+// bytes, 16 pairs of head ids and 16 degrees, exactly a Go size class — for
+// every payload type,
 // so a field added later cannot silently move pages into the next class;
 // and the index node at 56 bytes, in the 64-byte class.
 func TestPageLayout(t *testing.T) {
@@ -71,7 +81,7 @@ func TestPageLayout(t *testing.T) {
 // checkGraphIndex fails t when g's index is broken.
 func checkGraphIndex[V ctree.Value](t *testing.T, what string, g GraphOf[V]) {
 	t.Helper()
-	if err := checkIndex(g.table(), g.vt); err != nil {
+	if err := checkIndex(g.table(), g.cls, g.vt); err != nil {
 		t.Fatalf("%s: %v", what, err)
 	}
 }

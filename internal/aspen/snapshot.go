@@ -27,7 +27,7 @@ import (
 // WeightedGraph's float32). Vertex ids are preserved exactly — gaps and
 // isolated vertices survive the round trip.
 func (g GraphOf[V]) Snapshot() *graphio.Snapshot {
-	verts, trees := vertices(g.table(), g.vt)
+	verts, trees := vertices(g.table(), g.cls, g.vt)
 	offs := make([]uint64, len(trees)+1)
 	for i, et := range trees {
 		offs[i+1] = offs[i] + et.Size()

@@ -147,14 +147,47 @@ func cfgFor[V Value](p Params) *config[V] {
 	return actual.(*config[V])
 }
 
+// Class is the configuration shared by every tree of one payload type and
+// one Params: a Tree is a Class plus a Handle. A container of many trees of
+// one class — the graph's vertex pages — keeps the class once and stores
+// handles, 8 bytes a tree less.
+type Class[V Value] struct{ h *config[V] }
+
+// ClassOf returns the class of trees over V with parameters p.
+func ClassOf[V Value](p Params) Class[V] { return Class[V]{cfgFor[V](p)} }
+
+// Params returns the class's parameters (the zero Params for the zero
+// Class).
+func (c Class[V]) Params() Params {
+	if c.h == nil {
+		return Params{}
+	}
+	return c.h.p
+}
+
+// Tree returns the tree of class c with handle h.
+func (c Class[V]) Tree(h Handle[V]) Tree[V] { return Tree[V]{h: c.h, prefix: h.prefix, root: h.root} }
+
+// Handle is a Tree without its class: the prefix chunk and the head-tree
+// root. The zero Handle is the empty tree's.
+type Handle[V Value] struct {
+	prefix encoding.Chunk
+	root   *hnode[V]
+}
+
+// Handle returns t's handle.
+func (t Tree[V]) Handle() Handle[V] { return Handle[V]{prefix: t.prefix, root: t.root} }
+
 // Tree is an immutable C-tree mapping uint32 elements to payloads of type
 // V. The zero Tree has unusable Params; construct trees with New/NewKV or
 // Build/BuildKV. All operations return new trees that share structure with
 // their inputs, so existing snapshots are never disturbed.
 type Tree[V Value] struct {
-	h      *config[V]
+	// The handle's fields come first and in its order, so Class.Tree and
+	// Tree.Handle copy one block.
 	prefix encoding.Chunk
 	root   *hnode[V]
+	h      *config[V]
 }
 
 // Set is the id-only C-tree — the paper's original structure, and the
@@ -333,36 +366,44 @@ func (t Tree[V]) chunkForEach(c encoding.Chunk, f func(e uint32) bool) bool {
 	return encoding.ForEachIDs[V](t.h.p.Codec, c, f)
 }
 
-// Touch loads the first byte a ForEach over t reads — of the prefix chunk,
-// or of the head-tree root when the prefix is empty — and returns it (0 for
-// the empty tree). It decodes nothing: a caller about to traverse many
-// unrelated trees touches them all first, so that their cache misses overlap
-// instead of being taken one per traversal.
-func (t Tree[V]) Touch() byte {
-	if len(t.prefix) != 0 {
-		return t.prefix[0]
-	}
-	if t.root != nil {
-		return byte(t.root.Key())
-	}
-	return 0
-}
-
 // ForEach applies f to every element in increasing order until f returns
 // false.
-func (t Tree[V]) ForEach(f func(e uint32) bool) {
+func (t Tree[V]) ForEach(f func(e uint32) bool) { t.ForEachFrom(0, f) }
+
+// ForEachFrom is ForEach from the element of rank k ≥ 0 on: the prefix and
+// the tails before it are skipped by their counts without being decoded,
+// and only the chunk that holds rank k is decoded up to it. A caller that
+// already holds a tree's first elements (the graph's vertex pages keep two)
+// continues the walk behind them with it.
+func (t Tree[V]) ForEachFrom(k int, f func(e uint32) bool) {
 	if len(t.prefix) == 0 && t.root == nil {
 		return
 	}
 	t = t.norm()
-	if !t.chunkForEach(t.prefix, f) || t.root == nil {
+	codec := t.h.p.Codec
+	if n := t.prefix.Count(); k >= n {
+		k -= n
+	} else if !encoding.ForEachIDsFrom[V](codec, t.prefix, k, f) {
+		return
+	} else {
+		k = 0
+	}
+	if t.root == nil {
 		return // most adjacency sets are below one chunk: all prefix, no heads
 	}
-	t.ops().ops.ForEach(t.root, func(h uint32, tl tail[V]) bool {
-		if !f(h) {
+	t.h.ops.ForEach(t.root, func(h uint32, tl tail[V]) bool {
+		if k > 0 {
+			k--
+		} else if !f(h) {
 			return false
 		}
-		return t.chunkForEach(tl.c, f)
+		if n := tl.c.Count(); k >= n {
+			k -= n
+			return true
+		}
+		ok := encoding.ForEachIDsFrom[V](codec, tl.c, k, f)
+		k = 0
+		return ok
 	})
 }
 
@@ -496,11 +537,14 @@ func (t Tree[V]) samep(u Tree[V]) {
 // and prefix storage). Functional updates leave untouched subtrees
 // pointer-identical across versions, so EqualRep lets version-diffing code
 // skip them in O(1) — the structural-sharing dividend of persistence.
-func (t Tree[V]) EqualRep(u Tree[V]) bool {
-	if t.root != u.root || len(t.prefix) != len(u.prefix) {
+func (t Tree[V]) EqualRep(u Tree[V]) bool { return t.Handle().EqualRep(u.Handle()) }
+
+// EqualRep is Tree.EqualRep on handles.
+func (h Handle[V]) EqualRep(o Handle[V]) bool {
+	if h.root != o.root || len(h.prefix) != len(o.prefix) {
 		return false
 	}
-	return len(t.prefix) == 0 || &t.prefix[0] == &u.prefix[0]
+	return len(h.prefix) == 0 || &h.prefix[0] == &o.prefix[0]
 }
 
 // takeFirst and takeSecond are the canonical merge policies: keep the

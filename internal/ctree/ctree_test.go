@@ -498,39 +498,48 @@ func TestZeroValueTreeReads(t *testing.T) {
 	w.ForEachKV(func(uint32, float32) bool { t.Fatal("zero weighted tree enumerated"); return false })
 }
 
-// TestTouch: Touch returns the first byte a traversal reads — the prefix
-// chunk's when there is a prefix, the head-tree root's key otherwise — and 0
-// for empty and zero-value trees. Plain trees (every element a head) never
-// have a prefix.
-func TestTouch(t *testing.T) {
-	p := DefaultParams()
-	var head, plain uint32
-	for head = 1; !p.isHead(head); head++ {
+// TestForEachFrom: ForEachFrom(k, f) passes f exactly the elements of rank
+// k and on, with early stop, under every configuration and payload width —
+// k inside the prefix, at its end, on a head, inside a tail and past the
+// size — and a tree rebuilt from its class and handle reads the same.
+func TestForEachFrom(t *testing.T) {
+	r := xhash.NewRNG(39)
+	check := func(name string, tr Tree[float32], elems []uint32) {
+		t.Helper()
+		if got := ClassOf[float32](tr.Params()).Tree(tr.Handle()); !got.EqualRep(tr) || got.Size() != tr.Size() {
+			t.Fatalf("%s: class + handle does not rebuild the tree", name)
+		}
+		for k := 0; k <= len(elems)+1; k++ {
+			var got []uint32
+			tr.ForEachFrom(k, func(e uint32) bool { got = append(got, e); return true })
+			if want := elems[min(k, len(elems)):]; !slicesEqual(got, want) {
+				t.Fatalf("%s: ForEachFrom(%d) = %v, want %v", name, k, got, want)
+			}
+			if k < len(elems) {
+				n := 0
+				tr.ForEachFrom(k, func(e uint32) bool { n++; return n < 2 })
+				if want := min(2, len(elems)-k); n != want {
+					t.Fatalf("%s: ForEachFrom(%d) stopping at 2 made %d calls, want %d", name, k, n, want)
+				}
+			}
+		}
 	}
-	for plain = head + 1; p.isHead(plain); plain++ {
+	for _, p := range testParams {
+		for _, n := range []int{0, 1, 2, 3, 40, 700} {
+			elems := sortedUnique(r, n, 5000)
+			vals := make([]float32, n)
+			for i := range vals {
+				vals[i] = float32(i) + 0.5
+			}
+			check(p.Codec.String(), BuildKV(p, elems, vals), elems)
+			set := Build(p, elems)
+			var got []uint32
+			set.ForEachFrom(n/2, func(e uint32) bool { got = append(got, e); return true })
+			if !slicesEqual(got, elems[n/2:]) {
+				t.Fatalf("%+v: id-only ForEachFrom(%d) = %v", p, n/2, got)
+			}
+		}
 	}
-	if got := (Set{}).Touch(); got != 0 {
-		t.Fatalf("zero tree: Touch = %d", got)
-	}
-	if got := New(p).Touch(); got != 0 {
-		t.Fatalf("empty tree: Touch = %d", got)
-	}
-	pre := Build(p, []uint32{plain})
-	if len(pre.prefix) == 0 || pre.root != nil || pre.Touch() != pre.prefix[0] {
-		t.Fatalf("prefix-only tree: prefix %d bytes, Touch = %d", len(pre.prefix), pre.Touch())
-	}
-	hd := Build(p, []uint32{head, head + 1})
-	if len(hd.prefix) != 0 || hd.root == nil || hd.Touch() != byte(hd.root.Key()) {
-		t.Fatalf("head-first tree: prefix %d bytes, Touch = %d", len(hd.prefix), hd.Touch())
-	}
-	both := Build(p, []uint32{0, head, head + 1})
-	if p.isHead(0) {
-		t.Skip("0 is a head under the default parameters")
-	}
-	if both.root == nil || both.Touch() != both.prefix[0] {
-		t.Fatalf("prefix + heads: Touch = %d, want the prefix's first byte", both.Touch())
-	}
-	if pl := Build(PlainParams(), []uint32{7, 9}); len(pl.prefix) != 0 || pl.Touch() != byte(pl.root.Key()) {
-		t.Fatalf("plain tree: Touch = %d", pl.Touch())
-	}
+	var zero Tree[float32]
+	zero.ForEachFrom(0, func(uint32) bool { t.Fatal("zero tree enumerated"); return false })
 }

@@ -122,26 +122,38 @@ func ForEachKV[V Value](codec Codec, c Chunk, f func(x uint32, v V) bool) {
 // path. The per-element work is an open-coded decode (no iterator method
 // calls), matching the zero-allocation ForEach of the id-only format.
 func ForEachIDs[V Value](codec Codec, c Chunk, f func(x uint32) bool) bool {
+	return ForEachIDsFrom[V](codec, c, 0, f)
+}
+
+// ForEachIDsFrom is ForEachIDs starting at the element of rank k: the ids
+// before it are decoded (a Delta chunk has no other way to reach it) but
+// not passed to f. A k at or past the count walks nothing.
+func ForEachIDsFrom[V Value](codec Codec, c Chunk, k int, f func(x uint32) bool) bool {
 	n := c.Count()
-	if n == 0 {
+	if k >= n {
 		return true
 	}
 	w := valueWidth[V]()
 	switch codec {
 	case Raw:
 		stride := 4 + w
-		for i := 0; i < n; i++ {
+		for i := k; i < n; i++ {
 			if !f(binary.LittleEndian.Uint32(c[headerSize+stride*i:])) {
 				return false
 			}
 		}
 	case Delta:
-		v := c.First()
+		v, i := c.First(), headerSize+w
+		for j := 0; j < k; j++ {
+			var d uint32
+			d, i = uvarint(c, i)
+			i += w
+			v += d
+		}
 		if !f(v) {
 			return false
 		}
-		i := headerSize + w
-		for k := 1; k < n; k++ {
+		for j := k + 1; j < n; j++ {
 			var d uint32
 			d, i = uvarint(c, i)
 			i += w

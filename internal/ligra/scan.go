@@ -1,16 +1,16 @@
 package ligra
 
 // Warmer is an optional capability of views that reach a vertex's adjacency
-// through pointers (aspen flat views: page → edge tree → chunk). On a graph
+// through pointers (aspen flat views: table → page → chunk). On a graph
 // that has been streamed into, those chunks sit wherever the allocator had
 // room when a commit last rewrote them, so a scan in vertex order takes one
 // serial cache miss per vertex where a freshly built graph gives the
 // hardware prefetcher a stream to follow. Warm lets the scan take a whole
 // block's misses at once; see Scan.
 type Warmer interface {
-	// Warm loads, for each id that is in range and present, the first byte
+	// Warm loads, for each id that is in range and present, the first word
 	// ForEachNeighbor(id) would read from the heap, and returns a checksum of
-	// those bytes so the loads stay live. It decodes nothing, keeps no state
+	// those words so the loads stay live. It decodes nothing, keeps no state
 	// and is total on any id.
 	Warm(ids []uint32) uint32
 }

@@ -699,10 +699,11 @@ func TestDeltaReadsUnderFaults(t *testing.T) {
 	for _, row := range []string{"primary", "replica"} {
 		t.Run(row, func(t *testing.T) {
 			part := shard.NewRangePartitioner(1, 1<<9)
-			_, addrs := startServers(t, part, true)
+			servers, addrs := startServers(t, part, true)
 			var replicas []string
+			var repl *Replica[aspen.Graph, aspen.Edge]
 			if row == "replica" {
-				repl := NewGraphReplica(addrs[0], testParams(), 0, 1, 0, Options{})
+				repl = NewGraphReplica(addrs[0], testParams(), 0, 1, 0, Options{})
 				rln, err := net.Listen("tcp", "127.0.0.1:0")
 				if err != nil {
 					t.Fatal(err)
@@ -740,6 +741,18 @@ func TestDeltaReadsUnderFaults(t *testing.T) {
 				}
 				if err := c.Barrier(); err != nil {
 					t.Fatal(err)
+				}
+				if repl != nil {
+					// The read must reach the replica for its scheduled fault
+					// to hit a replica read: wait out the tail's lag, or the
+					// read falls back to the primary before the fault fires.
+					want := servers[0].eng.WALSeq()
+					for k := 0; k < 600 && repl.Applied() < want; k++ {
+						time.Sleep(5 * time.Millisecond)
+					}
+					if repl.Applied() < want {
+						t.Fatalf("step %d: replica stuck at %d, want %d", i, repl.Applied(), want)
+					}
 				}
 				before := c.Stats()
 				for attempt := 0; ; attempt++ {
