@@ -24,6 +24,14 @@ const (
 	deltaTooLarge uint8 = 2 // more than a quarter of the shard's edges differ
 )
 
+// Read response chunking: one chunk stops after this many vertices or
+// once it has gathered at least this many edges, whichever comes
+// first, bounding the response frame well under rpc.MaxFrame.
+const (
+	maxReadVerts = 1 << 17
+	maxReadEdges = 1 << 20
+)
+
 // deltaVertex is one changed vertex of a delta: its degree at the target
 // version and how many of the delta's adds and dels are its own.
 type deltaVertex struct {

@@ -504,16 +504,29 @@ func (c *countingConn) Read(p []byte) (int, error) {
 // close — on a loopback 2-shard cluster with one 500-edge batch committed
 // between reads: "delta" is the read path (the held views are patched),
 // "whole" the same read with nothing held, answered from the empty version
-// every time.
+// every time. "replica-delta" is "delta" on durable shards with one replica
+// each: the pin goes to the primary, the read to the replica by WAL seq.
 // rx-B/op is what the client received per read.
 func BenchmarkRemoteFlat(b *testing.B) {
-	for _, mode := range []string{"whole", "delta"} {
+	for _, mode := range []string{"whole", "delta", "replica-delta"} {
 		b.Run(mode, func(b *testing.B) {
 			part := shard.NewRangePartitioner(2, 1<<16)
 			addrs := make([]string, 2)
+			var repls []string
+			var caughtUp []func() bool
 			for s := range addrs {
-				eng := stream.NewGraphEngine(aspen.NewGraph(testParams()), stream.Options{})
-				srv := NewGraphServer(eng, testParams(), "", s, 2)
+				var eng *stream.Engine[aspen.Graph, aspen.Edge]
+				dir := ""
+				if mode == "replica-delta" {
+					dir = b.TempDir()
+					var err error
+					if eng, err = stream.RecoverGraphEngine(testParams(), stream.Options{}, stream.Durability{Dir: dir}); err != nil {
+						b.Fatal(err)
+					}
+				} else {
+					eng = stream.NewGraphEngine(aspen.NewGraph(testParams()), stream.Options{})
+				}
+				srv := NewGraphServer(eng, testParams(), dir, s, 2)
 				ln, err := net.Listen("tcp", "127.0.0.1:0")
 				if err != nil {
 					b.Fatal(err)
@@ -521,9 +534,32 @@ func BenchmarkRemoteFlat(b *testing.B) {
 				go srv.Serve(ln)
 				defer func() { srv.Close(); eng.Close() }()
 				addrs[s] = ln.Addr().String()
+				if dir != "" {
+					repl := NewGraphReplica(addrs[s], testParams(), s, 2, 0, Options{})
+					rln, err := net.Listen("tcp", "127.0.0.1:0")
+					if err != nil {
+						b.Fatal(err)
+					}
+					go repl.Serve(rln)
+					defer repl.Close()
+					repls = append(repls, rln.Addr().String())
+					caughtUp = append(caughtUp, func() bool { return repl.Applied() >= eng.WALSeq() })
+				}
+			}
+			// The replicas apply the tail in this process: wait for them
+			// before a read is timed, so no tail apply is counted in it.
+			waitReplicas := func() {
+				for _, ok := range caughtUp {
+					for i := 0; !ok(); i++ {
+						if i == 5000 {
+							b.Fatal("replica never caught up")
+						}
+						time.Sleep(time.Millisecond)
+					}
+				}
 			}
 			var rx atomic.Int64
-			c, err := DialGraph(part, addrs, nil, Options{Dialer: countingDialer(&rx)})
+			c, err := DialGraph(part, addrs, repls, Options{Dialer: countingDialer(&rx)})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -549,6 +585,7 @@ func BenchmarkRemoteFlat(b *testing.B) {
 			}
 			pos := uint64(500_000)
 			commit(0, pos)
+			waitReplicas()
 			read()
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -560,12 +597,16 @@ func BenchmarkRemoteFlat(b *testing.B) {
 				if mode == "whole" {
 					c.dropViews()
 				}
+				waitReplicas()
 				before := rx.Load()
 				b.StartTimer()
 				read()
 				got += rx.Load() - before
 			}
 			b.ReportMetric(float64(got)/float64(b.N), "rx-B/op")
+			if st := c.Stats(); len(repls) > 0 && st.ReplicaReads == 0 {
+				b.Fatalf("no read was served by a replica: %+v", st)
+			}
 		})
 	}
 }

@@ -85,12 +85,12 @@ func (s *Server[G, E]) RegisterMetrics(reg *obs.Registry, labels ...obs.Label) {
 		// Push-only verbs (tail_rec, tail_snap) never arrive as
 		// requests; skip their always-empty series.
 		if v != rpc.VerbTailRec && v != rpc.VerbTailSnap {
-			summary(v.String(), &s.verbHists[v])
+			summary(v.String(), &s.hists.verbs[v])
 		}
 	}
 	// Reads that name a base (base ≠ 0) — answered with the edge diff, or
 	// from the empty version; verb="read" keeps those that name none.
-	summary("read_delta", &s.deltaReadHist)
+	summary("read_delta", &s.hists.delta)
 	d := s.dedup
 	reg.GaugeFunc("aspen_dedup_clients",
 		"Clients tracked by the exactly-once dedup window.", func() float64 {

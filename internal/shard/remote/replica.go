@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -46,17 +45,13 @@ type seqState[G ligra.Graph] struct {
 // from the tail stream (outcomes in flight at the dead primary are
 // unknowable, so their retries are refused rather than re-applied) and
 // starts accepting submits, stamping each with its applied watermark.
+// The connection layer is shared with Server (endpoint.go).
 type Replica[G ligra.Graph, E any] struct {
-	primary  string
-	codec    stream.Codec[E]
-	snap     stream.SnapshotCodec[G]
-	apply    func(g G, runs []stream.CommitRun[E]) G
-	weighted bool
-	shardID  int
-	shards   int
-	ringCap  int
-	opts     Options
-	dedup    *Dedup
+	endpoint[G, E]
+	primary string
+	apply   func(g G, runs []stream.CommitRun[E]) G
+	ringCap int
+	opts    Options
 
 	promoted atomic.Bool
 
@@ -65,12 +60,6 @@ type Replica[G ligra.Graph, E any] struct {
 	applied uint64
 	cur     G
 
-	mu       sync.Mutex
-	ln       net.Listener
-	conns    map[net.Conn]struct{}
-	closed   bool
-	stop     chan struct{}
-	wg       sync.WaitGroup
 	tailOnce sync.Once
 
 	records, snaps, resyncs atomic.Uint64
@@ -84,21 +73,19 @@ func NewReplica[G ligra.Graph, E any](addr string, empty G, apply func(g G, runs
 		ringCap = defaultReplicaRing
 	}
 	o = o.withDefaults()
-	return &Replica[G, E]{
-		primary:  addr,
+	r := &Replica[G, E]{primary: addr, apply: apply, ringCap: ringCap, opts: o, cur: empty}
+	r.endpoint = endpoint[G, E]{
+		role:     r,
 		codec:    codec,
 		snap:     snap,
-		apply:    apply,
 		weighted: weighted,
 		shardID:  shardID,
 		shards:   shards,
-		ringCap:  ringCap,
-		opts:     o,
 		dedup:    NewDedup(o.DedupWindow),
-		cur:      empty,
 		conns:    make(map[net.Conn]struct{}),
 		stop:     make(chan struct{}),
 	}
+	return r
 }
 
 // NewGraphReplica builds an unweighted replica.
@@ -121,77 +108,18 @@ func (r *Replica[G, E]) Applied() uint64 {
 // Promoted reports whether the replica has assumed primary duty.
 func (r *Replica[G, E]) Promoted() bool { return r.promoted.Load() }
 
-// role is the identity the replica confirms in Hello and Health.
-func (r *Replica[G, E]) role() uint8 {
-	if r.promoted.Load() {
-		return rolePromoted
-	}
-	return roleReplica
-}
-
 // Serve starts the tail loop (once) and accepts read connections on ln
 // until Close. Blocks.
 func (r *Replica[G, E]) Serve(ln net.Listener) error {
-	r.mu.Lock()
-	if r.closed {
-		r.mu.Unlock()
-		ln.Close()
-		return errors.New("remote: replica closed")
-	}
-	r.ln = ln
-	r.mu.Unlock()
 	r.tailOnce.Do(func() {
-		r.wg.Add(1)
-		go r.tailLoop()
-	})
-	for {
-		nc, err := ln.Accept()
-		if err != nil {
-			r.mu.Lock()
-			closed := r.closed
-			r.mu.Unlock()
-			if closed {
-				return nil
-			}
-			return err
-		}
 		r.mu.Lock()
-		if r.closed {
-			r.mu.Unlock()
-			nc.Close()
-			return nil
+		defer r.mu.Unlock()
+		if !r.closed {
+			r.wg.Add(1)
+			go r.tailLoop()
 		}
-		r.conns[nc] = struct{}{}
-		r.wg.Add(1)
-		r.mu.Unlock()
-		go r.handle(nc)
-	}
-}
-
-// Close stops the tail loop and every read connection.
-func (r *Replica[G, E]) Close() {
-	r.mu.Lock()
-	if r.closed {
-		r.mu.Unlock()
-		return
-	}
-	r.closed = true
-	close(r.stop)
-	ln := r.ln
-	for nc := range r.conns {
-		nc.Close()
-	}
-	r.mu.Unlock()
-	if ln != nil {
-		ln.Close()
-	}
-	r.wg.Wait()
-}
-
-func (r *Replica[G, E]) isClosed() bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.closed
+	})
+	return r.endpoint.Serve(ln)
 }
 
 // tailLoop keeps one tail subscription alive against the primary,
@@ -453,262 +381,81 @@ func (r *Replica[G, E]) Stats() ReplicaStats {
 	}
 }
 
-// handle serves one connection: Hello, by-seq Reads, Pin/Release,
-// Health, Stats — and, once promoted, Submit/Flush. The reply path is
-// mutexed because dedup waiters registered by duplicate submits may
-// fire from another connection's commit.
-func (r *Replica[G, E]) handle(nc net.Conn) {
-	defer r.wg.Done()
-	defer func() {
-		nc.Close()
-		r.mu.Lock()
-		delete(r.conns, nc)
-		r.mu.Unlock()
-	}()
-	bw := bufio.NewWriterSize(nc, 1<<16)
-	var wmu sync.Mutex
-	var enc rpc.Encoder
-	reply := func(verb rpc.Verb, flags uint8, id uint64, build func(e *rpc.Encoder)) error {
-		wmu.Lock()
-		defer wmu.Unlock()
-		enc.Begin(verb, flags|rpc.FlagResp, id)
-		if build != nil {
-			build(&enc)
-		}
-		if err := nc.SetWriteDeadline(time.Now().Add(serverWriteTimeout)); err != nil {
-			return err
-		}
-		if _, err := enc.WriteTo(bw); err != nil {
-			return err
-		}
-		return bw.Flush()
+func (r *Replica[G, E]) id() uint8 {
+	if r.promoted.Load() {
+		return rolePromoted
 	}
-	replyErr := func(verb rpc.Verb, id uint64, flags uint8, msg string) error {
-		return reply(verb, rpc.FlagErr|flags, id, func(e *rpc.Encoder) { e.String(msg) })
-	}
-	replyDeduped := func(verb rpc.Verb, id uint64, stamp uint64) {
-		if stamp == 0 {
-			stamp = r.Applied()
-			if stamp == 0 {
-				stamp = 1
-			}
-		}
-		reply(verb, rpc.FlagDeduped, id, func(e *rpc.Encoder) { e.U64(stamp) })
-	}
-	rd := rpc.NewReader(bufio.NewReaderSize(nc, 1<<16))
-	var diff delta // delta-read scratch, reused across requests
-	for {
-		m, err := rd.Next()
-		if err != nil {
-			return
-		}
-		switch m.Verb {
-		case rpc.VerbHello:
-			d := rpc.NewBody(m.Body)
-			proto := d.U32()
-			shard := int(d.U32())
-			shards := int(d.U32())
-			weighted := d.U8() != 0
-			if err := d.Err(); err != nil {
-				err = replyErr(m.Verb, m.ReqID, 0, err.Error())
-			} else if proto != rpc.ProtoVersion {
-				err = replyErr(m.Verb, m.ReqID, 0, fmt.Sprintf("protocol version %d, server speaks %d", proto, rpc.ProtoVersion))
-			} else if shard != r.shardID || shards != r.shards || weighted != r.weighted {
-				err = replyErr(m.Verb, m.ReqID, 0, fmt.Sprintf("replica is shard %d/%d weighted=%v", r.shardID, r.shards, r.weighted))
-			} else {
-				err = reply(m.Verb, 0, m.ReqID, func(e *rpc.Encoder) {
-					e.U32(rpc.ProtoVersion)
-					e.U32(uint32(r.shardID))
-					e.U32(uint32(r.shards))
-					if r.weighted {
-						e.U8(1)
-					} else {
-						e.U8(0)
-					}
-					e.U8(r.role())
-					e.U8(uint8(r.codec.Width))
-				})
-			}
-			if err != nil {
-				return
-			}
-		case rpc.VerbRead:
-			seq, lo, base, err := readRequest(m.Body)
-			if err != nil {
-				if replyErr(m.Verb, m.ReqID, 0, err.Error()) != nil {
-					return
-				}
-				continue
-			}
-			if m.Flags&rpc.FlagBySeq == 0 {
-				if replyErr(m.Verb, m.ReqID, 0, "replica serves by-seq reads only") != nil {
-					return
-				}
-				continue
-			}
-			r.reads.Add(1)
-			g, ok := r.stateAt(seq)
-			if !ok {
-				r.lagging.Add(1)
-				if replyErr(m.Verb, m.ReqID, rpc.FlagLagging, fmt.Sprintf("seq %d not held (applied %d)", seq, r.Applied())) != nil {
-					return
-				}
-				continue
-			}
-			// The base is whatever the ring still retains at that seq; a
-			// retired one is answered from the empty version.
-			var bg ligra.Graph
-			if b, ok := r.stateAt(base); ok && base != 0 {
-				bg = b
-			}
-			status, err := diff.diff(bg, g, lo)
-			if err == nil {
-				err = reply(m.Verb, 0, m.ReqID, func(e *rpc.Encoder) { diff.encode(e, status) })
-			} else {
-				err = replyErr(m.Verb, m.ReqID, 0, err.Error())
-			}
-			diff.reset()
-			if err != nil {
-				return
-			}
-		case rpc.VerbPin:
-			// The replica holds no refcounted pins: the pinned state is
-			// whatever the ring retains at this seq. Stamp is zero while
-			// unpromoted (the read is addressed purely by seq) and the
-			// applied watermark once promoted (its stamp domain).
-			applied := r.Applied()
-			stamp := uint64(0)
-			if r.promoted.Load() {
-				stamp = applied
-			}
-			if reply(m.Verb, 0, m.ReqID, func(e *rpc.Encoder) {
-				e.U64(stamp)
-				e.U64(applied)
-			}) != nil {
-				return
-			}
-		case rpc.VerbRelease:
-			// Pins are not refcounted here; release is a courtesy no-op.
-			if reply(m.Verb, 0, m.ReqID, nil) != nil {
-				return
-			}
-		case rpc.VerbHealth:
-			applied := r.Applied()
-			if reply(m.Verb, 0, m.ReqID, func(e *rpc.Encoder) {
-				e.U8(r.role())
-				e.U64(applied)
-				e.U64(applied)
-			}) != nil {
-				return
-			}
-		case rpc.VerbSubmit:
-			if !r.promoted.Load() {
-				if replyErr(m.Verb, m.ReqID, 0, "replica not promoted; submits go to the primary") != nil {
-					return
-				}
-				continue
-			}
-			if err := r.handlePromotedSubmit(m, reply, replyErr, replyDeduped); err != nil {
-				return
-			}
-		case rpc.VerbFlush:
-			if !r.promoted.Load() {
-				if replyErr(m.Verb, m.ReqID, 0, "replica not promoted; flushes go to the primary") != nil {
-					return
-				}
-				continue
-			}
-			// Promoted submits apply synchronously on their reader
-			// goroutine, so everything this connection submitted before
-			// the flush is already applied.
-			applied := r.Applied()
-			if reply(m.Verb, 0, m.ReqID, func(e *rpc.Encoder) {
-				e.U64(applied)
-				e.U64(applied)
-			}) != nil {
-				return
-			}
-		case rpc.VerbStats:
-			raw, err := json.Marshal(r.Stats())
-			if err != nil {
-				if replyErr(m.Verb, m.ReqID, 0, err.Error()) != nil {
-					return
-				}
-				continue
-			}
-			if reply(m.Verb, 0, m.ReqID, func(e *rpc.Encoder) { e.Bytes(raw) }) != nil {
-				return
-			}
-		default:
-			if replyErr(m.Verb, m.ReqID, 0, fmt.Sprintf("replica: unsupported verb %d", m.Verb)) != nil {
-				return
-			}
-		}
-	}
+	return roleReplica
 }
 
-// handlePromotedSubmit applies one submit on a promoted replica:
-// dedup-gated exactly like the primary, applied synchronously under
-// the state lock, stamped with the advanced watermark. Not durable —
-// the promoted replica is an availability bridge, and DESIGN.md's
-// failure model spells out that trade.
-func (r *Replica[G, E]) handlePromotedSubmit(
-	m rpc.Msg,
-	reply func(verb rpc.Verb, flags uint8, id uint64, build func(e *rpc.Encoder)) error,
-	replyErr func(verb rpc.Verb, id uint64, flags uint8, msg string) error,
-	replyDeduped func(verb rpc.Verb, id uint64, stamp uint64),
-) error {
-	d := rpc.NewBody(m.Body)
-	cid := d.U64()
-	cseq := d.U64()
-	count := d.U32()
-	w := r.codec.Width
-	payload := d.Bytes(int(count) * w)
-	if err := d.Err(); err != nil {
-		return replyErr(m.Verb, m.ReqID, 0, err.Error())
-	}
-	if d.Len() != 0 {
-		return replyErr(m.Verb, m.ReqID, 0, "trailing bytes in submit")
-	}
-	id := m.ReqID
-	verb := m.Verb
-	if cid != 0 {
-		resolved := make(chan struct{})
-		waiter := func(stamp uint64, errMsg string) {
-			defer close(resolved)
-			if errMsg != "" {
-				replyErr(verb, id, 0, errMsg)
-				return
-			}
-			replyDeduped(verb, id, stamp)
-		}
-		switch v, stamp := r.dedup.begin(cid, cseq, waiter); v {
-		case dupDone:
-			replyDeduped(verb, id, stamp)
-			return nil
-		case dupInflight:
-			// Same connection-churn FIFO guard as the primary's gate:
-			// hold this read loop until the original attempt resolves
-			// so later frames cannot be applied ahead of it.
-			<-resolved
-			return nil
-		case dupFenced, dupEvicted:
-			return replyErr(verb, id, 0, fmt.Sprintf("submit (client %d, seq %d) %s: original outcome unknown, refusing re-apply", cid, cseq, v))
-		}
-	}
-	edges := make([]E, count)
-	for i := range edges {
-		edges[i] = r.codec.Decode(payload[i*w:])
-	}
+func (r *Replica[G, E]) writable() bool { return r.promoted.Load() }
+func (r *Replica[G, E]) stats() any     { return r.Stats() }
+
+func (r *Replica[G, E]) progress() (stamp, seq uint64) {
+	applied := r.Applied()
+	return applied, applied
+}
+
+// commit applies one submit on a promoted replica: synchronously under the
+// state lock, stamped with the advanced watermark. Not durable — the
+// promoted replica is an availability bridge, and DESIGN.md's failure
+// model spells out that trade.
+func (r *Replica[G, E]) commit(sc *serverConn[G, E], id uint64, del bool, edges []E, note stream.Note) error {
 	r.smu.Lock()
-	r.cur = r.apply(r.cur, []stream.CommitRun[E]{{Del: m.Flags&rpc.FlagDel != 0, Edges: edges}})
+	r.cur = r.apply(r.cur, []stream.CommitRun[E]{{Del: del, Edges: edges}})
 	r.applied++
 	stamp := r.applied
 	r.pushStateLocked(stamp, r.cur)
 	r.smu.Unlock()
 	r.submits.Add(1)
-	if cid != 0 {
-		r.dedup.complete(cid, cseq, stamp)
+	return sc.settle(id, note, stamp, "")
+}
+
+// resolve reads the ring's state at a WAL seq.
+func (r *Replica[G, E]) resolve(_ *serverConn[G, E], bySeq bool, seq uint64) (g G, flags uint8, err error) {
+	if !bySeq {
+		return g, 0, errors.New("replica serves by-seq reads only")
 	}
-	return reply(verb, 0, id, func(e *rpc.Encoder) { e.U64(stamp) })
+	r.reads.Add(1)
+	g, ok := r.stateAt(seq)
+	if !ok {
+		r.lagging.Add(1)
+		return g, rpc.FlagLagging, fmt.Errorf("seq %d not held (applied %d)", seq, r.Applied())
+	}
+	return g, 0, nil
+}
+
+// held is whatever the ring still retains at seq.
+func (r *Replica[G, E]) held(_ *serverConn[G, E], seq uint64) (G, bool) { return r.stateAt(seq) }
+
+func (r *Replica[G, E]) verb(sc *serverConn[G, E], m rpc.Msg) (bool, error) {
+	switch m.Verb {
+	case rpc.VerbPin:
+		// The replica holds no refcounted pins: the pinned state is
+		// whatever the ring retains at this seq. Stamp is zero while
+		// unpromoted (the read is addressed purely by seq) and the
+		// applied watermark once promoted (its stamp domain).
+		applied := r.Applied()
+		stamp := uint64(0)
+		if r.promoted.Load() {
+			stamp = applied
+		}
+		return true, sc.reply(m.Verb, 0, m.ReqID, func(e *rpc.Encoder) {
+			e.U64(stamp)
+			e.U64(applied)
+		})
+	case rpc.VerbRelease:
+		// Pins are not refcounted here; release is a courtesy no-op.
+		return true, sc.reply(m.Verb, 0, m.ReqID, nil)
+	case rpc.VerbFlush:
+		// Promoted submits apply synchronously on their reader
+		// goroutine, so everything this connection submitted before
+		// the flush is already applied.
+		applied := r.Applied()
+		return true, sc.reply(m.Verb, 0, m.ReqID, func(e *rpc.Encoder) {
+			e.U64(applied)
+			e.U64(applied)
+		})
+	}
+	return false, nil
 }

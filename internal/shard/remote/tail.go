@@ -101,22 +101,22 @@ func (h *tailHub) takeLost(sub *tailSub) bool {
 // server replies with a plain ack, then pushes (with the same request
 // id) an optional VerbTailSnap bootstrap followed by VerbTailRec frames
 // in strict sequence order, forever.
-func (sc *serverConn[G, E]) handleTail(m rpc.Msg) error {
+func (s *Server[G, E]) handleTail(sc *serverConn[G, E], m rpc.Msg) error {
 	d := rpc.NewBody(m.Body)
 	after := d.U64()
 	if err := d.Err(); err != nil {
 		return sc.replyErr(m.Verb, m.ReqID, 0, err.Error())
 	}
-	if sc.s.hub == nil {
+	if s.hub == nil {
 		return sc.replyErr(m.Verb, m.ReqID, 0, "tail unavailable: shard has no durable log")
 	}
 	if err := sc.reply(m.Verb, 0, m.ReqID, nil); err != nil {
 		return err
 	}
-	sc.s.wg.Add(1)
+	s.wg.Add(1)
 	go func() {
-		defer sc.s.wg.Done()
-		sc.serveTail(m.ReqID, after)
+		defer s.wg.Done()
+		s.serveTail(sc, m.ReqID, after)
 	}()
 	return nil
 }
@@ -128,8 +128,7 @@ func (sc *serverConn[G, E]) handleTail(m rpc.Msg) error {
 // checkpoint snapshot, catch up from the WAL files, then serve the live
 // channel with contiguous-seq dedupe. A lost flag (channel overflow)
 // starts a new round; file-visible records cover whatever was dropped.
-func (sc *serverConn[G, E]) serveTail(id uint64, after uint64) {
-	s := sc.s
+func (s *Server[G, E]) serveTail(sc *serverConn[G, E], id uint64, after uint64) {
 	next := after + 1
 	for {
 		sub := s.hub.subscribe()
@@ -148,7 +147,7 @@ func (sc *serverConn[G, E]) serveTail(id uint64, after uint64) {
 			// The log was truncated past the subscriber: bootstrap from
 			// the newest checkpoint (retention keeps one at or behind
 			// the truncation point, so it covers the gap).
-			snapSeq, err := sc.sendTailSnap(id)
+			snapSeq, err := s.sendTailSnap(sc, id)
 			if err != nil {
 				s.hub.unsubscribe(sub)
 				return
@@ -219,8 +218,8 @@ func (sc *serverConn[G, E]) sendTailRec(id, seq uint64, kind wal.Kind, width uin
 
 // sendTailSnap pushes a checkpoint bootstrap frame [seq u64][snapshot]
 // and returns the seq it covers.
-func (sc *serverConn[G, E]) sendTailSnap(id uint64) (uint64, error) {
-	g, seq, ok, err := stream.LoadCheckpoint(sc.s.dir, sc.s.snap)
+func (s *Server[G, E]) sendTailSnap(sc *serverConn[G, E], id uint64) (uint64, error) {
+	g, seq, ok, err := stream.LoadCheckpoint(s.dir, s.snap)
 	if err != nil {
 		sc.replyErr(rpc.VerbTail, id, 0, err.Error())
 		return 0, err
@@ -231,7 +230,7 @@ func (sc *serverConn[G, E]) sendTailSnap(id uint64) (uint64, error) {
 		return 0, err
 	}
 	var buf bytes.Buffer
-	if err := sc.s.snap.Write(&buf, g); err != nil {
+	if err := s.snap.Write(&buf, g); err != nil {
 		sc.replyErr(rpc.VerbTail, id, 0, err.Error())
 		return 0, err
 	}

@@ -198,9 +198,9 @@ type ckptReq[G any] struct {
 	seq   uint64
 }
 
-// durable is the engine's durability state. The sinceCkpt counter is owned
-// by the ingest goroutine; everything else is safe for the checkpointer and
-// sync ticker.
+// durable is the engine's durability state. The sinceCkpt and seq fields
+// are owned by the ingest goroutine; everything else is safe for the
+// checkpointer and sync ticker.
 type durable[G ligra.Graph, E any] struct {
 	opts  Durability
 	log   *wal.Log
@@ -208,6 +208,7 @@ type durable[G ligra.Graph, E any] struct {
 	snap  SnapshotCodec[G]
 
 	sinceCkpt int
+	seq       uint64 // of the last record appended
 	onAppend  func(seq uint64, kind wal.Kind, width uint8, count uint32, data []byte)
 
 	ckptCh    chan ckptReq[G]
@@ -302,6 +303,7 @@ func (d *durable[G, E]) logOne(del bool, edges []E, note Note) error {
 	if err != nil {
 		return err
 	}
+	d.seq = seq
 	if d.onAppend != nil {
 		d.onAppend(seq, kind, uint8(w), uint32(len(edges)), data)
 	}
@@ -424,7 +426,7 @@ func (e *Engine[G, E]) closeDurable() {
 			return
 		}
 		v := e.reg.Acquire()
-		req := ckptReq[G]{g: v.Graph, stamp: v.Stamp, seq: d.log.NextSeq() - 1}
+		req := ckptReq[G]{g: v.Graph.g, stamp: v.Stamp, seq: v.Graph.seq}
 		err := d.writeCheckpoint(req)
 		e.reg.Release(v)
 		if err != nil {
@@ -481,10 +483,10 @@ func (e *Engine[G, E]) OnWALAppend(fn func(seq uint64, kind wal.Kind, width uint
 }
 
 // WALSeq returns the sequence number of the last WAL record appended
-// (0 with an empty log or without durability). Because it is read
-// outside the ingest goroutine it may overestimate the state any
-// pinned version reflects — safe for replica read watermarks, where
-// an overestimate only forces a primary fallback, never a stale read.
+// (0 with an empty log or without durability). It takes the log's lock,
+// and while a commit is being logged it runs ahead of every published
+// version: a replica already holds those records, so a read watermark
+// must be the pinned version's own seq (Tx.Seq), never this.
 func (e *Engine[G, E]) WALSeq() uint64 {
 	if e.dur == nil {
 		return 0
@@ -663,10 +665,11 @@ func Recover[G ligra.Graph, E any](g0 G, apply func(G, []CommitRun[E]) G, opts O
 	if err != nil {
 		return nil, err
 	}
-	e := newEngine(g, apply, opts)
+	e := newEngine(g, last, apply, opts)
 	e.dur = &durable[G, E]{
 		opts:     d,
 		log:      log,
+		seq:      last,
 		codec:    codec,
 		snap:     sc,
 		ckptCh:   make(chan ckptReq[G], 1),

@@ -116,7 +116,7 @@ type pending[E any] struct {
 // New (or the NewGraphEngine / NewWeightedEngine conveniences); the ingest
 // loop starts immediately.
 type Engine[G ligra.Graph, E any] struct {
-	reg   *aspen.Versioned[G]
+	reg   *aspen.Versioned[seqGraph[G]]
 	apply func(G, []CommitRun[E]) G
 	opts  Options
 
@@ -161,16 +161,25 @@ type Engine[G ligra.Graph, E any] struct {
 // call Close to stop it. Submitted edge slices must not be mutated by the
 // caller afterwards (the engine never mutates them).
 func New[G ligra.Graph, E any](g G, apply func(G, []CommitRun[E]) G, opts Options) *Engine[G, E] {
-	e := newEngine(g, apply, opts)
+	e := newEngine(g, 0, apply, opts)
 	e.start()
 	return e
 }
 
-// newEngine builds the engine without starting any goroutine, so durable
-// state (Recover) can attach before the ingest loop first reads it.
-func newEngine[G ligra.Graph, E any](g G, apply func(G, []CommitRun[E]) G, opts Options) *Engine[G, E] {
+// seqGraph is what the version store holds: a snapshot and the last WAL
+// seq it reflects (0 without durability), published together so a reader
+// gets both from one pin.
+type seqGraph[G any] struct {
+	g   G
+	seq uint64
+}
+
+// newEngine builds the engine over g, which reflects the WAL up to seq,
+// without starting any goroutine, so durable state (Recover) can attach
+// before the ingest loop first reads it.
+func newEngine[G ligra.Graph, E any](g G, seq uint64, apply func(G, []CommitRun[E]) G, opts Options) *Engine[G, E] {
 	e := &Engine[G, E]{
-		reg:   aspen.NewVersioned(g),
+		reg:   aspen.NewVersioned(seqGraph[G]{g, seq}),
 		apply: apply,
 		opts:  opts.withDefaults(),
 	}
@@ -617,9 +626,12 @@ func (e *Engine[G, E]) commit(batch []pending[E], totalEdges int, pickup time.Ti
 		}
 		var before, committed G
 		t = time.Now()
-		stamp = e.reg.Update(func(g G) G {
-			before, committed = g, e.apply(g, runs)
-			return committed
+		stamp = e.reg.Update(func(cur seqGraph[G]) seqGraph[G] {
+			before, committed = cur.g, e.apply(cur.g, runs)
+			if e.dur != nil {
+				cur.seq = e.dur.seq
+			}
+			return seqGraph[G]{committed, cur.seq}
 		})
 		tr.Durs[obs.StageApply] = time.Since(t)
 		e.commits.Add(1)
