@@ -77,8 +77,3 @@ func diffVersionsCore[V ctree.Value](ops *vopsT[V], ocls, ncls ctree.Class[V], o
 func DiffVersions[V ctree.Value](old, cur GraphOf[V], f func(VertexDelta[V]) bool) bool {
 	return diffVersionsCore(cur.table(), old.cls, cur.cls, old.vt, cur.vt, f)
 }
-
-// DiffVersionsWeighted is DiffVersions on weighted graphs.
-func DiffVersionsWeighted(old, cur WeightedGraph, f func(VertexDelta[float32]) bool) bool {
-	return DiffVersions(old, cur, f)
-}

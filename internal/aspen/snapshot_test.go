@@ -2,7 +2,6 @@ package aspen
 
 import (
 	"bytes"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/graphio"
@@ -118,84 +117,5 @@ func TestWeightedEqualWeightSensitive(t *testing.T) {
 	g3 := g1.InsertEdges([]WeightedEdge{{Src: 0, Dst: 1, Val: 9}})
 	if g1.Equal(g3) {
 		t.Fatal("weight change not detected")
-	}
-}
-
-// TestHistoryTrimRetention pins retained versions through the epoch
-// refcounts: a trimmed version's pin is released exactly once (the retire
-// hook fires once per superseded version and never for survivors), and a
-// version pinned by an outside reader stays readable through a trim.
-func TestHistoryTrimRetention(t *testing.T) {
-	h := NewHistory(NewGraph(params()))
-	retired := make(map[uint64]*atomic.Int64)
-	for s := uint64(1); s <= 6; s++ {
-		retired[s] = &atomic.Int64{}
-	}
-	h.Versioned().SetRetireHook(func(stamp uint64) {
-		if c, ok := retired[stamp]; ok {
-			c.Add(1)
-		}
-	})
-	var stamps []uint64
-	for i := uint32(0); i < 6; i++ {
-		stamps = append(stamps, h.InsertEdges([]Edge{{Src: i, Dst: i + 1}}))
-	}
-	// All superseded versions are still pinned by the history: none retired.
-	for s, c := range retired {
-		if s != stamps[5] && c.Load() != 0 {
-			t.Fatalf("stamp %d retired while retained", s)
-		}
-	}
-
-	// An outside reader pins the pre-trim current version.
-	pinned := h.Versioned().Acquire()
-
-	dropped := h.TrimBefore(stamps[3])
-	if dropped != 4 { // stamp 0 plus stamps[0..2]
-		t.Fatalf("dropped %d versions, want 4", dropped)
-	}
-	if h.Len() != 3 {
-		t.Fatalf("retained %d versions, want 3", h.Len())
-	}
-	for _, s := range stamps[:3] {
-		if got := retired[s].Load(); got != 1 {
-			t.Fatalf("stamp %d retire count = %d, want 1", s, got)
-		}
-		if _, ok := h.AsOf(s); ok {
-			t.Fatalf("stamp %d still readable after trim", s)
-		}
-	}
-	// Survivors and the current version are untouched.
-	for _, s := range stamps[3:] {
-		if retired[s].Load() != 0 {
-			t.Fatalf("stamp %d retired but should be retained", s)
-		}
-		if _, ok := h.AsOf(s); !ok {
-			t.Fatalf("stamp %d unreadable after trim", s)
-		}
-	}
-
-	// The outside pin kept its version readable independent of the trim.
-	if pinned.Graph.NumEdges() != 6 {
-		t.Fatalf("pinned version edges = %d, want 6", pinned.Graph.NumEdges())
-	}
-	h.Versioned().Release(pinned)
-
-	// Trimming again with the same bound is a no-op: no double release.
-	if n := h.TrimBefore(stamps[3]); n != 0 {
-		t.Fatalf("second trim dropped %d", n)
-	}
-	for _, s := range stamps[:3] {
-		if got := retired[s].Load(); got != 1 {
-			t.Fatalf("stamp %d retire count = %d after re-trim, want 1", s, got)
-		}
-	}
-
-	// Trimming past the end keeps the newest version.
-	if n := h.TrimBefore(stamps[5] + 100); n != 2 {
-		t.Fatalf("trim-all dropped %d, want 2", n)
-	}
-	if h.Len() != 1 || h.Latest().NumEdges() != 6 {
-		t.Fatal("latest version lost by trim-all")
 	}
 }

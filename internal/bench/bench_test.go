@@ -66,4 +66,16 @@ func TestRunAllQuick(t *testing.T) {
 	if !strings.Contains(buf.String(), "Table 2") {
 		t.Fatal("RunAll missing experiments")
 	}
+	// Headers appear in Experiments order; rows sharing a title share one.
+	out, at := buf.String(), -1
+	for _, e := range Experiments {
+		i := strings.Index(out, "== "+e.Title+" ==\n")
+		if i < 0 {
+			t.Fatalf("RunAll missing header for %s", e.ID)
+		}
+		if i < at {
+			t.Fatalf("header for %s out of Experiments order", e.ID)
+		}
+		at = i
+	}
 }

@@ -2,7 +2,8 @@
 // of the paper's evaluation (§7), printing the same rows the paper reports.
 // Absolute numbers reflect this machine and the synthetic stand-in graphs
 // (DESIGN.md documents the substitutions); the comparisons and trends are
-// the reproduction targets recorded in EXPERIMENTS.md.
+// the reproduction targets, indexed in DESIGN.md "Experiment index
+// (`aspen-bench`)".
 package bench
 
 import (

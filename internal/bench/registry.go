@@ -3,7 +3,6 @@ package bench
 import (
 	"fmt"
 	"io"
-	"sort"
 )
 
 // Experiment couples a runner with the paper table/figure it regenerates.
@@ -35,9 +34,6 @@ var Experiments = []Experiment{
 	{"table14", "Tables 14-15: Ligra+ vs Aspen, all algorithms", Table1415},
 	{"table15", "Tables 14-15: Ligra+ vs Aspen, all algorithms", Table1415},
 	{"ablation-diropt", "Ablation: direction optimization on Aspen BFS/BC", AblationDirOpt},
-	{"sec7.8", "§7.8: live-stream engine, simultaneous updates and queries", Sec78},
-	{"flat", "PR-4: §5.1 flat snapshots — parallel build scaling, flat vs tree kernels", Flat},
-	{"shard", "PR-5: sharded serving — multi-writer ingest scaling with stitched flat reads", Shard},
 }
 
 // Lookup finds an experiment by ID.
@@ -53,16 +49,11 @@ func Lookup(id string) (Experiment, bool) {
 // RunAll executes every distinct experiment in order.
 func RunAll(w io.Writer, cfg Config) {
 	seen := map[string]bool{}
-	ids := make([]string, 0, len(Experiments))
 	for _, e := range Experiments {
-		if !seen[e.Title] {
-			seen[e.Title] = true
-			ids = append(ids, e.ID)
+		if seen[e.Title] {
+			continue
 		}
-	}
-	sort.SliceStable(ids, func(i, j int) bool { return i < j }) // preserve listed order
-	for _, id := range ids {
-		e, _ := Lookup(id)
+		seen[e.Title] = true
 		fmt.Fprintf(w, "== %s ==\n", e.Title)
 		e.Run(w, cfg)
 		fmt.Fprintln(w)

@@ -419,16 +419,6 @@ func (t Tree[V]) ForEachPar(f func(e uint32)) {
 	})
 }
 
-// ForEachKVPar is the (element, payload) analogue of ForEachPar.
-func (t Tree[V]) ForEachKVPar(f func(e uint32, v V)) {
-	t = t.norm()
-	encoding.ForEachKV(t.h.p.Codec, t.prefix, func(e uint32, v V) bool { f(e, v); return true })
-	t.ops().ops.ForEachPar(t.root, func(h uint32, tl tail[V]) {
-		f(h, tl.hv)
-		encoding.ForEachKV(t.h.p.Codec, tl.c, func(e uint32, v V) bool { f(e, v); return true })
-	})
-}
-
 // ToSlice returns all elements in increasing order.
 func (t Tree[V]) ToSlice() []uint32 {
 	out := make([]uint32, 0, t.Size())

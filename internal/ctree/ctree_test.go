@@ -399,14 +399,6 @@ func TestIntersectSlice(t *testing.T) {
 	}
 }
 
-func TestBuildUnsorted(t *testing.T) {
-	p := DefaultParams()
-	tr := BuildUnsorted(p, []uint32{5, 1, 5, 3, 1, 9})
-	if !slicesEqual(tr.ToSlice(), []uint32{1, 3, 5, 9}) {
-		t.Fatalf("BuildUnsorted = %v", tr.ToSlice())
-	}
-}
-
 func TestParamMismatchPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

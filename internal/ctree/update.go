@@ -1,9 +1,6 @@
 package ctree
 
-import (
-	"repro/internal/encoding"
-	"repro/internal/parallel"
-)
+import "repro/internal/encoding"
 
 // Insert returns t with e added carrying the zero payload; if e is already
 // present, t is returned unchanged (the stored payload survives). O(log n
@@ -89,13 +86,6 @@ func (t Tree[V]) MultiDelete(batch []uint32) Tree[V] {
 		return t
 	}
 	return t.Difference(t.BuildLike(batch, nil))
-}
-
-// BuildUnsorted sorts and dedupes elems (destructively) and builds an
-// id-only C-tree.
-func BuildUnsorted(p Params, elems []uint32) Set {
-	parallel.SortUint32(elems)
-	return Build(p, parallel.DedupSortedUint32(elems))
 }
 
 // IntersectSlice intersects the tree with a sorted slice, returning the

@@ -109,9 +109,6 @@ func (it *IterKV[V]) nextKV() {
 	it.off = off + w
 }
 
-// Remaining returns the number of elements left, including the current one.
-func (it *IterKV[V]) Remaining() int { return it.rem }
-
 // AppendRemaining appends every not-yet-consumed element (including the
 // current one, with its value) to b in bulk and exhausts the iterator.
 // Because a chunk suffix starting at an element boundary is byte-copyable

@@ -63,11 +63,3 @@ func valAt[V Value](vals []V, i int) V {
 	}
 	return vals[i]
 }
-
-// valRange returns vals[lo:hi], staying nil when vals is nil.
-func valRange[V Value](vals []V, lo, hi int) []V {
-	if vals == nil {
-		return nil
-	}
-	return vals[lo:hi]
-}

@@ -489,11 +489,3 @@ func edgeMapDense(g Graph, sc Scan, degs []int32, u VertexSubset, c func(v uint3
 	})
 	return FromDense(out, int(count.Load()))
 }
-
-// EdgeCount sums the degrees of the subset (used by tests and schedulers).
-func EdgeCount(g Graph, u VertexSubset) uint64 {
-	degs := flatDegrees(g)
-	var sum uint64
-	u.ForEach(func(v uint32) { sum += degree(g, degs, v) })
-	return sum
-}

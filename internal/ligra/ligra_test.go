@@ -139,12 +139,6 @@ func TestEdgeMapDenseMatchesSparse(t *testing.T) {
 	}
 }
 
-func TestEdgeCount(t *testing.T) {
-	if got := EdgeCount(path5, FromSparse(5, []uint32{0, 1})); got != 3 {
-		t.Fatalf("EdgeCount = %d, want 3", got)
-	}
-}
-
 func TestForEachSubset(t *testing.T) {
 	s := FromSparse(6, []uint32{5, 1})
 	var got []uint32

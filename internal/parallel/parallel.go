@@ -139,44 +139,6 @@ func Do(fs ...func()) {
 	wg.Wait()
 }
 
-// ReduceUint64 computes the sum under op of f(i) for i in [0, n); op must be
-// associative and id its identity.
-func ReduceUint64(n int, id uint64, f func(i int) uint64, op func(a, b uint64) uint64) uint64 {
-	if n <= 0 {
-		return id
-	}
-	p := Procs
-	if p <= 1 || n <= defaultGrain {
-		acc := id
-		for i := 0; i < n; i++ {
-			acc = op(acc, f(i))
-		}
-		return acc
-	}
-	nb := p * 4
-	if nb > n {
-		nb = n
-	}
-	partial := make([]uint64, nb)
-	sz := (n + nb - 1) / nb
-	ForGrain(nb, 1, func(b int) {
-		lo, hi := b*sz, (b+1)*sz
-		if hi > n {
-			hi = n
-		}
-		acc := id
-		for i := lo; i < hi; i++ {
-			acc = op(acc, f(i))
-		}
-		partial[b] = acc
-	})
-	acc := id
-	for _, v := range partial {
-		acc = op(acc, v)
-	}
-	return acc
-}
-
 // ScanExclusive replaces a with its exclusive prefix sums and returns the
 // total. Runs in O(n) work and O(log n) depth for large inputs.
 func ScanExclusive(a []uint64) uint64 {

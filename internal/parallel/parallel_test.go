@@ -58,26 +58,6 @@ func TestDoRunsAll(t *testing.T) {
 	}
 }
 
-func TestReduceUint64Sum(t *testing.T) {
-	for _, n := range []int{0, 1, 999, 100_000} {
-		got := ReduceUint64(n, 0, func(i int) uint64 { return uint64(i) },
-			func(a, b uint64) uint64 { return a + b })
-		want := uint64(n) * uint64(max(n-1, 0)) / 2
-		if got != want {
-			t.Fatalf("n=%d: sum = %d, want %d", n, got, want)
-		}
-	}
-}
-
-func TestReduceUint64Max(t *testing.T) {
-	vals := []uint64{5, 99, 3, 42, 99, 7}
-	got := ReduceUint64(len(vals), 0, func(i int) uint64 { return vals[i] },
-		func(a, b uint64) uint64 { return max(a, b) })
-	if got != 99 {
-		t.Fatalf("max = %d, want 99", got)
-	}
-}
-
 func TestScanExclusive(t *testing.T) {
 	for _, n := range []int{0, 1, 5, 4096, 100_000} {
 		a := make([]uint64, n)

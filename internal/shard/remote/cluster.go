@@ -1,7 +1,6 @@
 package remote
 
 import (
-	"context"
 	crand "crypto/rand"
 	"encoding/binary"
 	"encoding/json"
@@ -192,56 +191,27 @@ func (p *Pending) Wait() error {
 // every frame is written (or backpressure admits it), with commit acks
 // collected by the returned Pending. Transport failures are retried
 // with backoff under the clients' exactly-once (clientID, seq) notes;
-// only a server refusal or an exhausted retry budget surfaces.
+// only a server refusal or an exhausted retry budget surfaces, through
+// the Pending (the error result is always nil).
 func (c *Cluster[E]) Insert(edges []E) (*Pending, error) {
-	return c.submit(context.Background(), false, edges)
+	return c.submit(false, edges), nil
 }
 
 // Delete routes a batch of edge deletions.
 func (c *Cluster[E]) Delete(edges []E) (*Pending, error) {
-	return c.submit(context.Background(), true, edges)
+	return c.submit(true, edges), nil
 }
 
-// InsertCtx is Insert with cancellation: ctx aborts waiting for
-// backpressure admission and expires queued retries early.
-func (c *Cluster[E]) InsertCtx(ctx context.Context, edges []E) (*Pending, error) {
-	return c.submit(ctx, false, edges)
-}
-
-// DeleteCtx is Delete with cancellation.
-func (c *Cluster[E]) DeleteCtx(ctx context.Context, edges []E) (*Pending, error) {
-	return c.submit(ctx, true, edges)
-}
-
-func (c *Cluster[E]) submit(ctx context.Context, del bool, edges []E) (*Pending, error) {
-	parts := shard.Route(c.part, edges, c.srcOf)
+func (c *Cluster[E]) submit(del bool, edges []E) *Pending {
 	p := &Pending{}
-	var firstErr error
-	for s, sub := range parts {
-		for len(sub) > 0 && firstErr == nil {
-			chunk := sub
-			if len(chunk) > maxSubmitEdges {
-				chunk = chunk[:maxSubmitEdges]
-			}
+	for s, sub := range shard.Route(c.part, edges, c.srcOf) {
+		for len(sub) > 0 {
+			chunk := sub[:min(len(sub), maxSubmitEdges)]
 			sub = sub[len(chunk):]
-			ca, err := c.submitChunk(ctx, s, del, chunk)
-			if err != nil {
-				firstErr = err
-				break
-			}
-			p.calls = append(p.calls, ca)
-		}
-		if firstErr != nil {
-			break
+			p.calls = append(p.calls, c.submitChunk(s, del, chunk))
 		}
 	}
-	if firstErr != nil {
-		// Frames already queued stay in flight; their acks are still
-		// collected so counters and backpressure stay correct.
-		p.Wait()
-		return p, firstErr
-	}
-	return p, nil
+	return p
 }
 
 // submitChunk allocates the chunk's (clientID, seq) identity, hands it
@@ -249,13 +219,9 @@ func (c *Cluster[E]) submit(ctx context.Context, del bool, edges []E) (*Pending,
 // while the shard's in-flight window is full. The seq is fixed here,
 // so every retransmission of this chunk is the same submit to the
 // server's dedup window.
-func (c *Cluster[E]) submitChunk(ctx context.Context, s int, del bool, chunk []E) (*call, error) {
+func (c *Cluster[E]) submitChunk(s int, del bool, chunk []E) *call {
 	sem := c.sems[s]
-	select {
-	case sem <- struct{}{}:
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
+	sem <- struct{}{}
 	n := uint64(len(chunk))
 	ca := &call{done: make(chan error, 1)}
 	ca.onBody = func(flags uint8, d *rpc.Body) error {
@@ -295,13 +261,12 @@ func (c *Cluster[E]) submitChunk(ctx context.Context, s int, del bool, chunk []E
 			}
 		},
 		ca:          ca,
-		cancel:      ctx.Done(),
 		ackDeadline: c.opts.SubmitAckDeadline,
 		expiry:      time.Now().Add(c.opts.RetryDeadline),
 	}
 	ca.rec = rec
 	c.send[s].enqueue(rec)
-	return ca, nil
+	return ca
 }
 
 // FlushAll flushes every shard concurrently and returns the resulting
@@ -647,8 +612,8 @@ type clusterStore[E any] struct{ *Cluster[E] }
 
 // Submit pipelines the batch; its acks drain through the in-flight window.
 func (s clusterStore[E]) Submit(del bool, edges []E) error {
-	_, err := s.submit(context.Background(), del, edges)
-	return err
+	s.submit(del, edges)
+	return nil
 }
 
 func (s clusterStore[E]) Pin() (stream.Snapshot, error) {

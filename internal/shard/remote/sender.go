@@ -1,7 +1,6 @@
 package remote
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -21,11 +20,10 @@ type sendRec struct {
 	flags       uint8
 	build       func(e *rpc.Encoder)
 	ca          *call
-	cancel      <-chan struct{} // context cancellation, nil = none
-	expiry      time.Time       // total retry budget for this record
-	ackDeadline time.Duration   // per-attempt ack deadline (0 = none)
-	sent        bool            // currently registered on a conn's pending map
-	gen         uint64          // connection generation the record is in flight on
+	expiry      time.Time     // total retry budget for this record
+	ackDeadline time.Duration // per-attempt ack deadline (0 = none)
+	sent        bool          // currently registered on a conn's pending map
+	gen         uint64        // connection generation the record is in flight on
 	tries       int
 	lastErr     error
 }
@@ -134,27 +132,12 @@ func (s *sender) onOutcome(rec *sendRec, err error) bool {
 	return true
 }
 
-// expiredLocked reports whether rec is out of retry budget or its
-// context was cancelled. mu held.
+// expiredLocked reports whether rec is out of retry budget. mu held.
 func (s *sender) expiredLocked(rec *sendRec) bool {
-	if rec.cancel != nil {
-		select {
-		case <-rec.cancel:
-			return true
-		default:
-		}
-	}
 	return !rec.expiry.IsZero() && time.Now().After(rec.expiry)
 }
 
 func (s *sender) budgetErr(rec *sendRec) error {
-	if rec.cancel != nil {
-		select {
-		case <-rec.cancel:
-			return context.Canceled
-		default:
-		}
-	}
 	if rec.lastErr != nil {
 		return fmt.Errorf("remote: retry budget exhausted: %w", rec.lastErr)
 	}

@@ -453,8 +453,9 @@ func (e *Engine[G, E]) Err() error {
 }
 
 // SyncWAL forces an fsync of the WAL, making every acknowledged batch
-// durable against power loss regardless of policy (the shard layer's
-// DurableBarrier). No-op without durability.
+// durable against power loss regardless of policy (a replication tail
+// syncs so the WAL files hold every record it will read back). No-op
+// without durability.
 func (e *Engine[G, E]) SyncWAL() error {
 	if e.dur == nil {
 		return nil
@@ -492,14 +493,6 @@ func (e *Engine[G, E]) WALSeq() uint64 {
 		return 0
 	}
 	return e.dur.log.NextSeq() - 1
-}
-
-// WALStats returns the log's counters (zero without durability).
-func (e *Engine[G, E]) WALStats() wal.Stats {
-	if e.dur == nil {
-		return wal.Stats{}
-	}
-	return e.dur.log.Stats()
 }
 
 // checkpoint file naming: ckpt-<seq hex16>-<stamp hex16>.aspc

@@ -18,7 +18,8 @@ import (
 )
 
 // durBatch deterministically generates the i-th test batch: mostly inserts
-// with periodic deletes of earlier edges, mirroring UpdateSchedule's mix.
+// with periodic deletes of earlier edges, mirroring UpdateScheduleMix at
+// period 5.
 func durBatch(i int) (del bool, edges []aspen.Edge) {
 	r := xhash.NewRNG(uint64(1000 + i))
 	del = i%5 == 4

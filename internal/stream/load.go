@@ -51,24 +51,17 @@ type Workload[E any] struct {
 	Stop <-chan struct{}
 }
 
-// UpdateSchedule returns the §7.8 writer schedule shared by cmd/stream
-// and the bench harness: 9 insert batches of fresh generator edges
-// followed by 1 delete batch replaying a recently inserted range (so
-// deletions perform real work), repeating. start is the first unconsumed
-// generator index, batch the edges drawn per batch, and mk materializes a
-// generator range [lo, hi) as updates. The returned closure is
-// single-goroutine (writer-only), like NextBatch.
-func UpdateSchedule[E any](start, batch uint64, mk func(lo, hi uint64) []E) func(i uint64) (bool, []E) {
-	return UpdateScheduleMix(start, batch, 10, mk)
-}
-
-// UpdateScheduleMix generalizes UpdateSchedule to an arbitrary delete
-// frequency: one delete batch (replaying the oldest recently inserted
-// range) every period batches — period 10 is the classic 9:1 mix, period 2
-// the delete-heavy expiry mix that stresses the incremental-maintenance
-// paths (flat-view patching, IncrementalCC splits). period < 2 (or a dry
-// replay buffer) degenerates to inserts only; the buffer keeps a few spans
-// in flight so deletes never chase the batch just inserted.
+// UpdateScheduleMix returns the §7.8 writer schedule: period-1 insert
+// batches of fresh generator edges followed by 1 delete batch replaying
+// the oldest recently inserted range (so deletions perform real work),
+// repeating. Period 10 is the paper's 9:1 insert/delete mix, period 2 the
+// delete-heavy expiry mix that stresses the incremental-maintenance paths
+// (flat-view patching, IncrementalCC splits). period < 2 (or a dry replay
+// buffer) degenerates to inserts only; the buffer keeps a few spans in
+// flight so deletes never chase the batch just inserted. start is the
+// first unconsumed generator index, batch the edges drawn per batch, and
+// mk materializes a generator range [lo, hi) as updates. The returned
+// closure is single-goroutine (writer-only), like NextBatch.
 func UpdateScheduleMix[E any](start, batch, period uint64, mk func(lo, hi uint64) []E) func(i uint64) (bool, []E) {
 	type span struct{ lo, hi uint64 }
 	var recent []span
