@@ -64,8 +64,6 @@ func run(args []string, stdout io.Writer) error {
 		fsyncPol  = fs.String("fsync", "per-commit", "WAL fsync policy: per-commit, interval, or off")
 		fsyncInt  = fs.Duration("fsync-every", 20*time.Millisecond, "fsync interval under -fsync interval")
 		ckptEvery = fs.Int("ckpt-every", 256, "checkpoint after this many commits")
-		queueCap  = fs.Int("queue", 256, "ingest queue capacity (batches)")
-		coalesce  = fs.Int("coalesce", 32, "max batches folded into one commit")
 		replicaOf = fs.String("replica-of", "", "run as a read replica tailing this primary address instead of a primary")
 		ring      = fs.Int("ring", 0, "replica: retained (seq, graph) states for exact-seq reads (0 = default)")
 		promote   = fs.Duration("promote-after", 0, "replica: promote to accepting primary after this much sustained primary loss (0 = never)")
@@ -133,7 +131,7 @@ func run(args []string, stdout io.Writer) error {
 		CheckpointEvery: *ckptEvery,
 		OnReplayNote:    win.Observe,
 	}
-	opts := stream.Options{QueueCap: *queueCap, MaxCoalesce: *coalesce, TraceSlow: *traceSlow}
+	opts := stream.Options{TraceSlow: *traceSlow}
 
 	t0 := time.Now()
 	if *weighted {

@@ -18,7 +18,7 @@
 // baseline every speedup is quoted against:
 //
 //	stream -scale 16 -init 500000 -shards 1,2,4 -readers 1,4 -interval 20ms
-//	stream -quick -shards 2 -partition hash -priority 64
+//	stream -quick -shards 2 -partition hash
 //	stream -quick -connect 127.0.0.1:7801,127.0.0.1:7802 -read-from 127.0.0.1:7901,
 //
 // Shard servers keep their state between runs, so against -connect the
@@ -90,7 +90,6 @@ var flagModes = map[string][]string{
 	"flat":          {modeEngine, modeShards},
 	"prebuild-flat": {modeEngine, modeShards},
 	"patch-flat":    {modeEngine, modeShards},
-	"priority":      {modeEngine, modeShards},
 	"trace-slow":    {modeEngine, modeShards},
 }
 
@@ -114,7 +113,6 @@ func main() {
 		connect  = flag.String("connect", "", "comma list of shardd primary addresses: drive a remote cluster instead of in-process engines")
 		readFrom = flag.String("read-from", "", "comma list of shardd replica addresses (one per -connect shard, empty entries allowed)")
 		partKind = flag.String("partition", "range", "shard partitioner: range or hash")
-		priority = flag.Int("priority", 0, "priority-lane threshold in edges (0 disables the small-batch lane)")
 		quick    = flag.Bool("quick", false, "tiny smoke-test configuration")
 		jsonOut  = flag.String("json", "", "write results as a BENCH_*.json document")
 		jsonTag  = flag.String("tag", "stream", "tag recorded in the -json document")
@@ -186,7 +184,7 @@ func main() {
 	cfg := config{
 		Scale: *scale, InitEdges: *initE, Batch: *batch, Weighted: *weighted,
 		Algos: *algoList, Flat: *flat, PrebuildFlat: *prebuild, PatchFlat: *patch,
-		IncCC: *incCC, DelPeriod: *delmix, Priority: *priority,
+		IncCC: *incCC, DelPeriod: *delmix,
 		Partition:  *partKind,
 		DurationNS: duration.Nanoseconds(), IntervalNS: interval.Nanoseconds(),
 		Seed: *seed, Procs: runtime.GOMAXPROCS(0),
@@ -277,7 +275,6 @@ type config struct {
 	PatchFlat    bool   `json:"patch_flat"`
 	IncCC        bool   `json:"inc_cc"`
 	DelPeriod    uint64 `json:"del_period"`
-	Priority     int    `json:"priority_edges"`
 	Partition    string `json:"partition"`
 	DurationNS   int64  `json:"duration_ns"`
 	IntervalNS   int64  `json:"interval_ns"`
@@ -295,7 +292,7 @@ type config struct {
 
 func (cfg config) engineOptions() stream.Options {
 	return stream.Options{PrebuildFlat: cfg.PrebuildFlat, PatchFlat: cfg.PatchFlat,
-		PriorityEdges: cfg.Priority, TraceSlow: time.Duration(cfg.TraceSlowNS)}
+		TraceSlow: time.Duration(cfg.TraceSlowNS)}
 }
 
 // partitioner builds the requested partitioner over the id space.

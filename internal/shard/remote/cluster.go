@@ -98,7 +98,7 @@ func Dial[E any](part shard.Partitioner, primaries, replicas []string, codec str
 			anyReplica = true
 		}
 		c.send[s] = newSender(c.prim[s], c.repl[s], o, c.nstat)
-		c.sems[s] = make(chan struct{}, o.MaxInFlight)
+		c.sems[s] = make(chan struct{}, maxInFlight)
 	}
 	if anyReplica {
 		go c.prober()

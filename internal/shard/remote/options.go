@@ -36,13 +36,18 @@ func (b Backoff) delay(attempt int) time.Duration {
 	return d - d/4 + j
 }
 
+// maxInFlight bounds pipelined Submit frames per shard connection
+// (backpressure, mirroring the engine's bounded queue).
+const maxInFlight = 256
+
+// writeTimeout bounds each client frame write, so a server that stops
+// reading cannot wedge a writer goroutine forever.
+const writeTimeout = 10 * time.Second
+
 // Options tunes the cluster client, the shard server's dedup window
 // and the replica tail loop. The zero value selects the defaults
 // documented per field.
 type Options struct {
-	// MaxInFlight bounds pipelined Submit frames per shard connection
-	// (backpressure, mirroring the engine's bounded queue). Default 256.
-	MaxInFlight int
 	// DialWait is how long the FIRST contact with an endpoint retries
 	// dialing before failing (lets cluster processes start in any
 	// order). After an endpoint has been up once, redials are single
@@ -63,10 +68,6 @@ type Options struct {
 	// across redials and retransmits; past it the last transport error
 	// surfaces to the caller. Default 2m.
 	RetryDeadline time.Duration
-	// WriteTimeout bounds each frame write (both ends), so a peer that
-	// stops reading cannot wedge a writer goroutine forever. Default
-	// 10s; <0 disables.
-	WriteTimeout time.Duration
 	// Backoff paces redials, submit retransmits and replica re-tails.
 	Backoff Backoff
 	// BreakerThreshold is how many consecutive failures move an
@@ -100,9 +101,6 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.MaxInFlight <= 0 {
-		o.MaxInFlight = 256
-	}
 	if o.DialWait <= 0 {
 		o.DialWait = 5 * time.Second
 	}
@@ -118,9 +116,6 @@ func (o Options) withDefaults() Options {
 	if o.RetryDeadline <= 0 {
 		o.RetryDeadline = 2 * time.Minute
 	}
-	if o.WriteTimeout == 0 {
-		o.WriteTimeout = 10 * time.Second
-	}
 	o.Backoff = o.Backoff.withDefaults()
 	if o.BreakerThreshold <= 0 {
 		o.BreakerThreshold = 3
@@ -130,9 +125,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.ProbeInterval <= 0 {
 		o.ProbeInterval = 250 * time.Millisecond
-	}
-	if o.DedupWindow <= 0 {
-		o.DedupWindow = 4096
 	}
 	if o.Dialer == nil {
 		o.Dialer = net.DialTimeout

@@ -219,7 +219,7 @@ func (c *Conn) ensureLocked() error {
 		return fmt.Errorf("remote: dial %s: %w", c.addr, err)
 	}
 	bw := bufio.NewWriterSize(nc, 1<<16)
-	if err := handshake(nc, bw, c.hello, c.opts.WriteTimeout); err != nil {
+	if err := handshake(nc, bw, c.hello); err != nil {
 		nc.Close()
 		c.noteFailLocked()
 		return fmt.Errorf("remote: handshake %s: %w", c.addr, err)
@@ -239,7 +239,7 @@ func (c *Conn) ensureLocked() error {
 
 // handshake performs the Hello exchange synchronously on a fresh
 // connection, before the reader goroutine exists.
-func handshake(nc net.Conn, bw *bufio.Writer, hi helloInfo, writeTimeout time.Duration) error {
+func handshake(nc net.Conn, bw *bufio.Writer, hi helloInfo) error {
 	var enc rpc.Encoder
 	enc.Begin(rpc.VerbHello, 0, 0)
 	enc.U32(rpc.ProtoVersion)
@@ -254,10 +254,8 @@ func handshake(nc net.Conn, bw *bufio.Writer, hi helloInfo, writeTimeout time.Du
 	if err != nil {
 		return err
 	}
-	if writeTimeout > 0 {
-		if err := nc.SetWriteDeadline(time.Now().Add(writeTimeout)); err != nil {
-			return err
-		}
+	if err := nc.SetWriteDeadline(time.Now().Add(writeTimeout)); err != nil {
+		return err
 	}
 	if _, err := bw.Write(f); err != nil {
 		return err
@@ -473,10 +471,7 @@ func (c *Conn) startPinned(verb rpc.Verb, flags uint8, build func(e *rpc.Encoder
 	id := c.nextID
 	c.pending[id] = ca
 	c.pmu.Unlock()
-	var err error
-	if c.opts.WriteTimeout > 0 {
-		err = c.nc.SetWriteDeadline(time.Now().Add(c.opts.WriteTimeout))
-	}
+	err := c.nc.SetWriteDeadline(time.Now().Add(writeTimeout))
 	if err == nil {
 		c.enc.Begin(verb, flags, id)
 		if build != nil {

@@ -189,7 +189,7 @@ func (r *Replica[G, E]) tailOnceConn() error {
 	}()
 	bw := bufio.NewWriterSize(nc, 1<<16)
 	hi := helloInfo{shard: r.shardID, shards: r.shards, weighted: r.weighted, width: r.codec.Width, role: rolePrimary}
-	if err := handshake(nc, bw, hi, r.opts.WriteTimeout); err != nil {
+	if err := handshake(nc, bw, hi); err != nil {
 		return err
 	}
 	var enc rpc.Encoder

@@ -27,7 +27,7 @@ func TestConcurrentWritersAndReaders(t *testing.T) {
 		readerRounds = 40
 	)
 	part := NewRangePartitioner(4, idSpace)
-	c := NewGraphCluster(part, testParams(), stream.Options{QueueCap: 16, PriorityEdges: 8})
+	c := NewGraphCluster(part, testParams(), stream.Options{QueueCap: 16})
 	defer c.Close()
 
 	// Pre-generate every writer's batches so the reference union is

@@ -1,7 +1,6 @@
 package stream
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"os"
@@ -457,67 +456,45 @@ func newBlockedEngine(queueCap int) (*Engine[blockGraph, aspen.Edge], chan struc
 	return e, entered, release
 }
 
-func TestTrySubmitSaturatedQueue(t *testing.T) {
+// TestInsertBlocksOnFullQueue is the ingest queue's backpressure: with
+// batch 1 blocked in apply and batch 2 filling the queue (cap 1), a third
+// Insert blocks until the loop makes room, and all three commit in order.
+func TestInsertBlocksOnFullQueue(t *testing.T) {
 	e, entered, release := newBlockedEngine(1)
 	one := []aspen.Edge{{Src: 1, Dst: 2}}
 
 	// First batch: picked up by the loop, now blocked applying.
-	p1, err := e.TrySubmit(false, one)
+	p1, err := e.Insert(one)
 	if err != nil {
 		t.Fatal(err)
 	}
 	<-entered
 	// Second batch fills the queue (cap 1).
-	p2, err := e.TrySubmit(false, one)
+	p2, err := e.Insert(one)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Queue full: TrySubmit must refuse instantly instead of blocking.
-	if _, err := e.TrySubmit(false, one); !errors.Is(err, ErrQueueFull) {
-		t.Fatalf("TrySubmit on full queue = %v, want ErrQueueFull", err)
+	third := make(chan Pending, 1)
+	go func() {
+		p3, err := e.Insert(one)
+		if err != nil {
+			t.Error(err)
+		}
+		third <- p3
+	}()
+	select {
+	case <-third:
+		t.Fatal("Insert on a full queue returned without blocking")
+	case <-time.After(20 * time.Millisecond):
 	}
 	close(release)
-	if p1.Wait() == 0 || p2.Wait() == 0 {
-		t.Fatal("accepted batches must still commit")
+	p3 := <-third
+	if s1, s2, s3 := p1.Wait(), p2.Wait(), p3.Wait(); s1 == 0 || s2 < s1 || s3 < s2 {
+		t.Fatalf("stamps %d, %d, %d: want nonzero and non-decreasing", s1, s2, s3)
 	}
 	e.Close()
-	if _, err := e.TrySubmit(false, one); !errors.Is(err, ErrClosed) {
-		t.Fatalf("TrySubmit after close = %v, want ErrClosed", err)
-	}
-}
-
-func TestSubmitCtxSaturatedQueue(t *testing.T) {
-	e, entered, release := newBlockedEngine(1)
-	one := []aspen.Edge{{Src: 1, Dst: 2}}
-
-	p1, err := e.SubmitCtx(context.Background(), false, one)
-	if err != nil {
-		t.Fatal(err)
-	}
-	<-entered
-	p2, err := e.SubmitCtx(context.Background(), false, one)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Queue full: a deadline must unblock the submitter with ctx's error.
-	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
-	defer cancel()
-	if _, err := e.SubmitCtx(ctx, false, one); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("SubmitCtx on full queue = %v, want DeadlineExceeded", err)
-	}
-	// An already-cancelled context never enqueues.
-	done, cancelNow := context.WithCancel(context.Background())
-	cancelNow()
-	if _, err := e.SubmitCtx(done, false, one); !errors.Is(err, context.Canceled) {
-		t.Fatalf("SubmitCtx with cancelled ctx = %v, want Canceled", err)
-	}
-	close(release)
-	if p1.Wait() == 0 || p2.Wait() == 0 {
-		t.Fatal("accepted batches must still commit")
-	}
-	e.Close()
-	if _, err := e.SubmitCtx(context.Background(), false, one); !errors.Is(err, ErrClosed) {
-		t.Fatalf("SubmitCtx after close = %v, want ErrClosed", err)
+	if _, err := e.Insert(one); !errors.Is(err, ErrClosed) {
+		t.Fatalf("Insert after close = %v, want ErrClosed", err)
 	}
 }
 

@@ -16,7 +16,6 @@
 package stream
 
 import (
-	"context"
 	"errors"
 	"runtime"
 	"sync"
@@ -32,10 +31,6 @@ import (
 
 // ErrClosed is returned by Insert/Delete/Flush after Close.
 var ErrClosed = errors.New("stream: engine closed")
-
-// ErrQueueFull is returned by TrySubmit when the ingest queue is at
-// capacity (the non-blocking alternative to Insert/Delete backpressure).
-var ErrQueueFull = errors.New("stream: queue full")
 
 // Options tunes the ingest queue. The zero value selects defaults.
 type Options struct {
@@ -62,16 +57,6 @@ type Options struct {
 	// The cache then holds its newest view one version past retirement to
 	// anchor the patch chain (see flatCache).
 	PatchFlat bool
-	// PriorityEdges routes batches of at most this many edges through a
-	// priority lane that the ingest loop drains first (a second channel
-	// behind a biased select), so small-batch commit latency under
-	// saturation is bounded by one in-flight commit instead of the whole
-	// backlog of giant coalesced batches. 0 disables the lane. Note the
-	// lane relaxes cross-lane FIFO: a priority batch may commit before
-	// normal-lane batches submitted earlier, so updates whose relative
-	// order matters (insert then delete of the same edge) must ride the
-	// same lane. Flush covers both lanes.
-	PriorityEdges int
 	// TraceSlow arms the stage tracer's slow-commit ring: commits whose
 	// total staged time (enqueue through ack) reaches this threshold are
 	// captured with their per-stage breakdown, readable via
@@ -138,7 +123,6 @@ type Engine[G ligra.Graph, E any] struct {
 	mu     sync.RWMutex // guards closed and the queue close
 	closed bool
 	queue  chan pending[E]
-	prio   chan pending[E] // small-batch priority lane; nil unless enabled
 	wg     sync.WaitGroup
 
 	commitHist obs.Hist
@@ -184,9 +168,6 @@ func newEngine[G ligra.Graph, E any](g G, seq uint64, apply func(G, []CommitRun[
 		opts:  opts.withDefaults(),
 	}
 	e.queue = make(chan pending[E], e.opts.QueueCap)
-	if e.opts.PriorityEdges > 0 {
-		e.prio = make(chan pending[E], e.opts.QueueCap)
-	}
 	if e.opts.TraceSlow > 0 {
 		e.tracer.SetSlowThreshold(e.opts.TraceSlow)
 	}
@@ -319,10 +300,10 @@ func (p Pending) Done() <-chan uint64 { return p.ch }
 // Insert enqueues a batch of edge insertions. Blocks while the queue is
 // full. The returned Pending resolves when the batch is visible to new
 // read transactions.
-func (e *Engine[G, E]) Insert(edges []E) (Pending, error) { return e.submit(false, edges) }
+func (e *Engine[G, E]) Insert(edges []E) (Pending, error) { return e.SubmitNoted(false, edges, Note{}) }
 
 // Delete enqueues a batch of edge deletions.
-func (e *Engine[G, E]) Delete(edges []E) (Pending, error) { return e.submit(true, edges) }
+func (e *Engine[G, E]) Delete(edges []E) (Pending, error) { return e.SubmitNoted(true, edges, Note{}) }
 
 // closedPending is returned on the ErrClosed path so a caller that drops
 // the error and calls Wait fails fast (yields stamp 0) instead of
@@ -333,28 +314,13 @@ var closedPending = func() Pending {
 	return Pending{ch: ch}
 }()
 
-func (e *Engine[G, E]) submit(del bool, edges []E) (Pending, error) {
-	// Small batches jump to the priority lane when it is enabled; zero-edge
-	// markers (Flush) always ride the normal lane so they cover it fully.
-	prio := e.prio != nil && len(edges) > 0 && len(edges) <= e.opts.PriorityEdges
-	return e.submitNoted(del, edges, Note{}, prio)
-}
-
 // SubmitNoted enqueues a batch tagged with an idempotency note: the
 // batch's WAL record carries (note.Client, note.Seq) so a dedup window
 // rebuilt from the log knows the batch is part of the committed prefix.
-// Routing (priority lane, backpressure) matches Insert/Delete. The
-// caller owns deduplication — the engine only journals the tag.
+// It is the engine's one enqueue: Insert, Delete and Flush call it with
+// the zero Note, and it blocks while the queue is full. The caller owns
+// deduplication — the engine only journals the tag.
 func (e *Engine[G, E]) SubmitNoted(del bool, edges []E, note Note) (Pending, error) {
-	prio := e.prio != nil && len(edges) > 0 && len(edges) <= e.opts.PriorityEdges
-	return e.submitNoted(del, edges, note, prio)
-}
-
-func (e *Engine[G, E]) submitTo(del bool, edges []E, prio bool) (Pending, error) {
-	return e.submitNoted(del, edges, Note{}, prio)
-}
-
-func (e *Engine[G, E]) submitNoted(del bool, edges []E, note Note, prio bool) (Pending, error) {
 	done := make(chan uint64, 1)
 	p := pending[E]{del: del, edges: edges, note: note, enq: time.Now(), done: done}
 	e.mu.RLock()
@@ -362,79 +328,20 @@ func (e *Engine[G, E]) submitNoted(del bool, edges []E, note Note, prio bool) (P
 		e.mu.RUnlock()
 		return closedPending, ErrClosed
 	}
-	if prio {
-		e.prio <- p
-	} else {
-		e.queue <- p // may block (backpressure); the loop drains until close
-	}
+	e.queue <- p // may block (backpressure); the loop drains until close
 	e.mu.RUnlock()
 	return Pending{ch: done}, nil
 }
 
-// TrySubmit enqueues a batch without blocking: a full queue returns
-// ErrQueueFull instead of applying backpressure, so latency-sensitive
-// producers can shed load (drop, buffer elsewhere, or retry) rather than
-// stall. Routing (priority lane) matches Insert/Delete.
-func (e *Engine[G, E]) TrySubmit(del bool, edges []E) (Pending, error) {
-	prio := e.prio != nil && len(edges) > 0 && len(edges) <= e.opts.PriorityEdges
-	done := make(chan uint64, 1)
-	p := pending[E]{del: del, edges: edges, enq: time.Now(), done: done}
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	if e.closed {
-		return closedPending, ErrClosed
-	}
-	lane := e.queue
-	if prio {
-		lane = e.prio
-	}
-	select {
-	case lane <- p:
-		return Pending{ch: done}, nil
-	default:
-		return closedPending, ErrQueueFull
-	}
-}
-
-// SubmitCtx enqueues a batch, giving up when ctx is done while blocked on
-// a full queue. The returned error is ctx.Err() on cancellation.
-func (e *Engine[G, E]) SubmitCtx(ctx context.Context, del bool, edges []E) (Pending, error) {
-	prio := e.prio != nil && len(edges) > 0 && len(edges) <= e.opts.PriorityEdges
-	done := make(chan uint64, 1)
-	p := pending[E]{del: del, edges: edges, enq: time.Now(), done: done}
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	if e.closed {
-		return closedPending, ErrClosed
-	}
-	lane := e.queue
-	if prio {
-		lane = e.prio
-	}
-	select {
-	case lane <- p:
-		return Pending{ch: done}, nil
-	case <-ctx.Done():
-		return closedPending, ctx.Err()
-	}
-}
-
 // Flush blocks until every batch submitted before the call has committed,
-// and returns the stamp current at that point. With the priority lane
-// enabled, one marker rides each lane so both are covered.
+// and returns the stamp current at that point: one empty marker rides the
+// FIFO queue behind them.
 func (e *Engine[G, E]) Flush() (uint64, error) {
-	p, err := e.submitTo(false, nil, false)
+	p, err := e.SubmitNoted(false, nil, Note{})
 	if err != nil {
 		return 0, err
 	}
-	if e.prio == nil {
-		return p.Wait(), nil
-	}
-	pp, err := e.submitTo(false, nil, true)
-	if err != nil {
-		return 0, err
-	}
-	return max(p.Wait(), pp.Wait()), nil
+	return p.Wait(), nil
 }
 
 // Close stops the ingest loop after draining every queued batch, then
@@ -446,9 +353,6 @@ func (e *Engine[G, E]) Close() {
 	if !e.closed {
 		e.closed = true
 		close(e.queue)
-		if e.prio != nil {
-			close(e.prio)
-		}
 	}
 	e.mu.Unlock()
 	e.wg.Wait()
@@ -461,97 +365,43 @@ func (e *Engine[G, E]) Close() {
 
 // loop is the single-writer ingest loop: take one batch (blocking), drain
 // whatever else is already queued up to the coalescing caps, commit once.
-// When the lanes run dry the loop yields once, again while batches keep
+// When the queue runs dry the loop yields once, again while batches keep
 // coming, and for up to a millisecond while the group is short of what the
 // last commit left behind (DESIGN.md, "Ingest queue and coalescing").
 // A batch received past the MaxCoalesceEdges budget is carried over to
 // start the next commit group, so the edge cap is a hard bound per group
 // (except for a single batch that alone exceeds it, which commits alone).
-// Intake is biased: the priority lane, when enabled, is checked before the
-// normal queue at every receive, so a queued small batch waits for at most
-// the commit in flight plus one commit group, never the whole backlog.
-// Closed lanes nil out; the loop exits when both are drained.
+// There is one FIFO queue, so batches commit in submission order. The loop
+// exits once the queue is closed and drained.
 func (e *Engine[G, E]) loop() {
 	defer e.wg.Done()
 	var batch []pending[E]
 	var carry pending[E]
 	hasCarry, expect := false, 0 // expect: what the last commit acknowledged and left queued
-	queue, prio := e.queue, e.prio
 	for {
-		var first pending[E]
-		hasFirst := false
-		if hasCarry {
-			first, hasCarry, hasFirst = carry, false, true
-		} else {
-			if prio == nil && queue == nil {
+		first := carry
+		if !hasCarry {
+			p, ok := <-e.queue
+			if !ok {
 				return
 			}
-			if prio != nil {
-				select {
-				case p, ok := <-prio:
-					if ok {
-						first, hasFirst = p, true
-					} else {
-						prio = nil
-					}
-				default:
-				}
-			}
-			if !hasFirst {
-				if prio == nil && queue == nil {
-					return
-				}
-				// Block until either lane delivers; a nil lane's case
-				// blocks forever, leaving the other live.
-				select {
-				case p, ok := <-prio:
-					if !ok {
-						prio = nil
-						continue
-					}
-					first, hasFirst = p, true
-				case p, ok := <-queue:
-					if !ok {
-						queue = nil
-						continue
-					}
-					first, hasFirst = p, true
-				}
-			}
+			first = p
 		}
+		hasCarry = false
 		pickup := time.Now() // StageEnqueue ends, StageCoalesce begins
 		batch = append(batch[:0], first)
 		edges, seen := len(first.edges), 0 // seen: the group size at the last yield
 		for len(batch) < e.opts.MaxCoalesce && edges < e.opts.MaxCoalesceEdges {
 			var next pending[E]
-			got := false
-			if prio != nil {
-				select {
-				case p, ok := <-prio:
-					if ok {
-						next, got = p, true
-					} else {
-						prio = nil
-						continue
-					}
-				default:
-				}
-			}
-			if !got && queue != nil {
-				select {
-				case p, ok := <-queue:
-					if ok {
-						next, got = p, true
-					} else {
-						queue = nil
-						continue
-					}
-				default:
-				}
+			got, open := false, true
+			select {
+			case next, open = <-e.queue:
+				got = open
+			default:
 			}
 			if !got {
-				if len(batch) == seen && ((prio == nil && queue == nil) || len(batch) >= expect || time.Since(pickup) >= time.Millisecond) {
-					break // both lanes idle (or closed): commit what we have
+				if len(batch) == seen && (!open || len(batch) >= expect || time.Since(pickup) >= time.Millisecond) {
+					break // queue idle (or closed): commit what we have
 				}
 				seen = len(batch)
 				runtime.Gosched() // let submitters that are running add theirs
@@ -565,7 +415,7 @@ func (e *Engine[G, E]) loop() {
 			edges += len(next.edges)
 		}
 		e.commit(batch, edges, pickup)
-		expect = len(batch) + len(queue) + len(prio)
+		expect = len(batch) + len(e.queue)
 	}
 }
 
@@ -696,8 +546,7 @@ type Stats struct {
 	Batches uint64 `json:"batches"`
 	// Edges is the number of directed edge updates applied.
 	Edges uint64 `json:"edges"`
-	// QueueDepth is the number of batches waiting in the ingest queue
-	// (both lanes, when the priority lane is enabled).
+	// QueueDepth is the number of batches waiting in the ingest queue.
 	QueueDepth int `json:"queue_depth"`
 	// LiveVersions / RetiredVersions mirror the epoch registry: versions
 	// still pinned (plus the current one) and versions fully released.
@@ -745,7 +594,7 @@ func (e *Engine[G, E]) Stats() Stats {
 		Commits:         e.commits.Load(),
 		Batches:         e.batches.Load(),
 		Edges:           e.edges.Load(),
-		QueueDepth:      len(e.queue) + len(e.prio),
+		QueueDepth:      len(e.queue),
 		LiveVersions:    e.reg.LiveVersions(),
 		RetiredVersions: e.reg.RetiredVersions(),
 		FlatBuilds:      e.flat.builds.Load(),

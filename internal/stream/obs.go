@@ -30,8 +30,8 @@ func (e *Engine[G, E]) RegisterMetrics(reg *obs.Registry, labels ...obs.Label) {
 	reg.CounterFunc("aspen_engine_edges_total",
 		"Directed edge updates applied.", e.edges.Load, labels...)
 	reg.GaugeFunc("aspen_engine_queue_depth",
-		"Batches waiting in the ingest queue (both lanes).",
-		func() float64 { return float64(len(e.queue) + len(e.prio)) }, labels...)
+		"Batches waiting in the ingest queue.",
+		func() float64 { return float64(len(e.queue)) }, labels...)
 	reg.GaugeFunc("aspen_engine_live_versions",
 		"Versions still pinned by readers, plus the current one.",
 		func() float64 { return float64(e.reg.LiveVersions()) }, labels...)

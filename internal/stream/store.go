@@ -109,7 +109,7 @@ func (e *Engine[G, E]) Store() Store[E] { return engineStore[G, E]{e} }
 type engineStore[G ligra.Graph, E any] struct{ *Engine[G, E] }
 
 func (s engineStore[G, E]) Submit(del bool, edges []E) error {
-	_, err := s.submit(del, edges)
+	_, err := s.SubmitNoted(del, edges, Note{})
 	return err
 }
 
