@@ -213,7 +213,7 @@ func wireReplicaObs(stdout io.Writer, addr string, stats func() remote.ReplicaSt
 		"Failpoints currently armed in the process-global registry.",
 		func() float64 { return float64(faults.Default.ArmedCount()) })
 	reg.CounterFunc("aspen_replica_records_total",
-		"WAL records applied from the primary's tail stream.",
+		"WAL commit frames applied from the primary's tail stream.",
 		func() uint64 { return stats().Records })
 	reg.GaugeFunc("aspen_replica_applied_seq",
 		"Highest WAL sequence number applied (read watermark).",

@@ -106,6 +106,6 @@ func runRecoverOnly(dir string, weighted bool) {
 	if err != nil {
 		fatal("recover %s: %v", dir, err)
 	}
-	fmt.Printf("recovered %s in %v: %d vertices, %d edges, %d batches applied\n",
+	fmt.Printf("recovered %s in %v: %d vertices, %d edges, %d commits applied\n",
 		dir, time.Since(t0).Round(time.Millisecond), n, m, stamp)
 }

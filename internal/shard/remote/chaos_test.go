@@ -1,7 +1,6 @@
 package remote
 
 import (
-	"encoding/binary"
 	"net"
 	"sync/atomic"
 	"testing"
@@ -274,16 +273,19 @@ func TestExactlyOnceAckLost(t *testing.T) {
 		seen := make(map[[2]uint64]uint64)
 		noted := 0
 		if _, err := wal.Replay(ts.dir, 0, func(r wal.Record) error {
-			if !r.Kind.HasNote() {
-				return nil
+			_, notes, err := stream.DecodeCommit(stream.EdgeCodec, r)
+			if err != nil {
+				return err
 			}
-			noted++
-			key := [2]uint64{binary.LittleEndian.Uint64(r.Data), binary.LittleEndian.Uint64(r.Data[8:])}
-			if prev, dup := seen[key]; dup {
-				t.Fatalf("shard %d: note (client %d, seq %d) applied at WAL seq %d and again at %d",
-					s, key[0], key[1], prev, r.Seq)
+			for _, n := range notes {
+				noted++
+				key := [2]uint64{n.Client, n.Seq}
+				if prev, dup := seen[key]; dup {
+					t.Fatalf("shard %d: note (client %d, seq %d) applied at WAL seq %d and again at %d",
+						s, key[0], key[1], prev, r.Seq)
+				}
+				seen[key] = r.Seq
 			}
-			seen[key] = r.Seq
 			return nil
 		}); err != nil {
 			t.Fatal(err)

@@ -3,7 +3,6 @@ package remote
 import (
 	"bufio"
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
@@ -20,19 +19,19 @@ import (
 )
 
 // defaultReplicaRing is how many consecutive (seq, graph) states a
-// replica retains for exact-seq reads; behind that, readers fall back
-// to the primary.
+// replica retains for exact-seq reads, one per commit; behind that,
+// readers fall back to the primary.
 const defaultReplicaRing = 512
 
-// seqState is one retained replica state: the graph after applying WAL
-// records 1..seq.
+// seqState is one retained replica state: the graph after applying commit
+// frames 1..seq.
 type seqState[G ligra.Graph] struct {
 	seq uint64
 	g   G
 }
 
-// Replica tails a primary's WAL record stream and serves reads
-// addressed by WAL sequence number. Each applied record yields an
+// Replica tails a primary's WAL commit frames and serves reads
+// addressed by WAL sequence number. Each applied frame yields an
 // immutable graph state; a bounded ring of recent states answers
 // exact-seq reads, and anything outside the ring is refused with
 // rpc.FlagLagging so the client falls back to the primary. The replica
@@ -243,46 +242,35 @@ func (r *Replica[G, E]) tailOnceConn() error {
 	}
 }
 
-// applyRec applies one shipped WAL record, retaining the new state.
-// Idempotency notes on Noted* records are shadowed into the replica's
-// dedup window, so a promotion can answer retried submits the dead
-// primary already committed.
+// applyRec applies one shipped commit frame as one update, retaining the
+// new state. The frame's notes are shadowed into the replica's dedup
+// window, so a promotion can answer retried submits the dead primary
+// already committed.
 func (r *Replica[G, E]) applyRec(body []byte) error {
 	d := rpc.NewBody(body)
-	seq := d.U64()
-	kind := wal.Kind(d.U8())
-	width := int(d.U8())
-	count := d.U32()
-	plen := int(count) * width
-	if kind.HasNote() {
-		plen += wal.NoteLen
-	}
-	payload := d.Bytes(plen)
+	rec := wal.Record{Seq: d.U64(), Kind: wal.Kind(d.U8()), Width: d.U8(), Count: d.U32()}
+	rec.Data = d.Rest()
 	if err := d.Err(); err != nil {
 		return err
 	}
-	if width != r.codec.Width {
-		return fmt.Errorf("remote: tail record width %d, codec %d", width, r.codec.Width)
+	runs, notes, err := stream.DecodeCommit(r.codec, rec)
+	if err != nil {
+		return fmt.Errorf("remote: tail: %w", err)
 	}
 	r.smu.Lock()
 	defer r.smu.Unlock()
-	if seq <= r.applied {
+	if rec.Seq <= r.applied {
 		return nil // already covered (file/live overlap on the server)
 	}
-	if r.applied != 0 && seq != r.applied+1 {
-		return fmt.Errorf("remote: tail gap: applied %d, got %d", r.applied, seq)
+	if r.applied != 0 && rec.Seq != r.applied+1 {
+		return fmt.Errorf("remote: tail gap: applied %d, got %d", r.applied, rec.Seq)
 	}
-	if kind.HasNote() {
-		r.dedup.Observe(binary.LittleEndian.Uint64(payload), binary.LittleEndian.Uint64(payload[8:]))
-		payload = payload[wal.NoteLen:]
+	for _, n := range notes {
+		r.dedup.Observe(n.Client, n.Seq)
 	}
-	edges := make([]E, count)
-	for i := range edges {
-		edges[i] = r.codec.Decode(payload[i*width:])
-	}
-	r.cur = r.apply(r.cur, []stream.CommitRun[E]{{Del: kind.IsDelete(), Edges: edges}})
-	r.applied = seq
-	r.pushStateLocked(seq, r.cur)
+	r.cur = r.apply(r.cur, runs)
+	r.applied = rec.Seq
+	r.pushStateLocked(rec.Seq, r.cur)
 	r.records.Add(1)
 	return nil
 }
@@ -352,8 +340,9 @@ func (r *Replica[G, E]) stateAt(seq uint64) (G, bool) {
 
 // ReplicaStats are the replica's observability counters.
 type ReplicaStats struct {
-	Applied   uint64 `json:"applied"`
-	States    int    `json:"states"`
+	Applied uint64 `json:"applied"`
+	States  int    `json:"states"`
+	// Records counts the commit frames applied from the tail stream.
 	Records   uint64 `json:"records"`
 	Snapshots uint64 `json:"snapshots,omitempty"`
 	Resyncs   uint64 `json:"resyncs,omitempty"`

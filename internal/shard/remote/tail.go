@@ -2,7 +2,9 @@ package remote
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"os"
 
 	"repro/internal/rpc"
 	"repro/internal/stream"
@@ -165,6 +167,12 @@ func (s *Server[G, E]) serveTail(sc *serverConn[G, E], id uint64, after uint64) 
 			next = r.Seq + 1
 			return nil
 		})
+		if errors.Is(err, os.ErrNotExist) {
+			// A checkpoint truncated a segment while it was being read:
+			// resync, which bootstraps past the truncation.
+			s.hub.unsubscribe(sub)
+			continue
+		}
 		if err != nil {
 			s.hub.unsubscribe(sub)
 			return
@@ -203,9 +211,9 @@ func (s *Server[G, E]) serveTail(sc *serverConn[G, E], id uint64, after uint64) 
 //
 //	[seq u64][kind u8][width u8][count u32][payload]
 //
-// payload is count*width edge bytes, preceded by the wal.NoteLen
-// idempotency note for the Noted* kinds — replicas shadow those notes
-// into their own dedup window.
+// payload is the record's commit frame as the log holds it (run and note
+// tables, then the edges; stream.DecodeCommit) — replicas shadow its
+// notes into their own dedup window.
 func (sc *serverConn[G, E]) sendTailRec(id, seq uint64, kind wal.Kind, width uint8, count uint32, data []byte) error {
 	return sc.reply(rpc.VerbTailRec, 0, id, func(e *rpc.Encoder) {
 		e.U64(seq)

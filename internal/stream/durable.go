@@ -22,8 +22,8 @@ import (
 	"repro/internal/wal"
 )
 
-// This file is the durable commit path: every coalesced commit appends its
-// runs to a segmented WAL (internal/wal) before the snapshot is published
+// This file is the durable commit path: every coalesced commit appends one
+// commit frame to a segmented WAL (internal/wal) before the snapshot is published
 // and the batches acknowledged, a background checkpointer periodically
 // persists a full snapshot (internal/graphio) and truncates the log behind
 // it, and Recover reopens a directory by loading the newest valid
@@ -96,12 +96,13 @@ type Durability struct {
 	// plus "checkpoint" (before a checkpoint file is written). Nil in
 	// production.
 	Fail wal.Failpoint
-	// OnReplayNote, when set, observes the idempotency note of every
-	// noted WAL record replayed during Recover, in log order — how the
-	// distributed layer's per-client dedup window survives a restart.
-	// Records covered by the checkpoint are not replayed; notes older
-	// than the checkpoint horizon are gone, which is why the dedup
-	// window must be sized under the checkpoint cadence (see DESIGN.md).
+	// OnReplayNote, when set, observes every note in the note table of
+	// each commit frame replayed during Recover, in log order and, within
+	// a commit, in submit order — how the distributed layer's per-client
+	// dedup window survives a restart. Frames covered by the checkpoint
+	// are not replayed; notes older than the checkpoint horizon are gone,
+	// which is why the dedup window must be sized under the checkpoint
+	// cadence (see DESIGN.md).
 	OnReplayNote func(client, seq uint64)
 }
 
@@ -159,6 +160,92 @@ var WeightedEdgeCodec = Codec[aspen.WeightedEdge]{
 	},
 }
 
+// A commit frame is the payload of the one wal.Commit record each commit
+// writes, little-endian:
+//
+//	[runs u16][notes u16]
+//	runs  × [kind u8 (0 insert, 1 delete)][count u32]  in application order
+//	notes × [client u64][seq u64]                      in submit order
+//	edges × width bytes                                the runs' edges
+//
+// The tables are the record's head (commitHead bytes) and its Count is the
+// total edge count. maxCoalesce keeps the tables within wal.MaxHead.
+
+// commitHead is the byte length of a commit frame's tables.
+func commitHead(runs, notes int) int { return 4 + 5*runs + 16*notes }
+
+// encodeCommit writes the commit frame of runs and notes into p, which is
+// exactly commitHead(len(runs), len(notes)) plus the edges' bytes long.
+func encodeCommit[E any](p []byte, codec Codec[E], runs []CommitRun[E], notes []Note) {
+	binary.LittleEndian.PutUint16(p, uint16(len(runs)))
+	binary.LittleEndian.PutUint16(p[2:], uint16(len(notes)))
+	p = p[4:]
+	for _, r := range runs {
+		p[0] = 0
+		if r.Del {
+			p[0] = 1
+		}
+		binary.LittleEndian.PutUint32(p[1:], uint32(len(r.Edges)))
+		p = p[5:]
+	}
+	for _, n := range notes {
+		binary.LittleEndian.PutUint64(p, n.Client)
+		binary.LittleEndian.PutUint64(p[8:], n.Seq)
+		p = p[16:]
+	}
+	for _, r := range runs {
+		for _, e := range r.Edges {
+			codec.Encode(p, e)
+			p = p[codec.Width:]
+		}
+	}
+}
+
+// DecodeCommit decodes the commit frame rec carries into the commit's runs,
+// ready for the engine's update, and the notes of its noted batches: the
+// one decoder that recovery and the read replicas share. A record that is
+// not exactly a commit frame of codec's width — another kind, tables that
+// disagree with the payload's length or the record's Count — is
+// wal.ErrCorrupt.
+func DecodeCommit[E any](codec Codec[E], rec wal.Record) ([]CommitRun[E], []Note, error) {
+	if rec.Kind != wal.Commit {
+		return nil, nil, fmt.Errorf("%w: record %d is a %v record, not a commit frame", wal.ErrCorrupt, rec.Seq, rec.Kind)
+	}
+	p, w := rec.Data, codec.Width
+	if int(rec.Width) != w || len(p) < 4 {
+		return nil, nil, fmt.Errorf("%w: commit frame %d: width %d (engine expects %d), %d bytes", wal.ErrCorrupt, rec.Seq, rec.Width, w, len(p))
+	}
+	nr, nn := int(binary.LittleEndian.Uint16(p)), int(binary.LittleEndian.Uint16(p[2:]))
+	head := commitHead(nr, nn)
+	if uint64(len(p)) != uint64(head)+uint64(rec.Count)*uint64(w) {
+		return nil, nil, fmt.Errorf("%w: commit frame %d: %d runs, %d notes and %d edges do not fill %d bytes", wal.ErrCorrupt, rec.Seq, nr, nn, rec.Count, len(p))
+	}
+	edges := make([]E, rec.Count)
+	for i := range edges {
+		edges[i] = codec.Decode(p[head+i*w:])
+	}
+	runs := make([]CommitRun[E], nr)
+	off := 0
+	for i := range runs {
+		t := p[4+5*i:]
+		n := int(binary.LittleEndian.Uint32(t[1:]))
+		if t[0] > 1 || n > len(edges)-off {
+			return nil, nil, fmt.Errorf("%w: commit frame %d: bad run %d", wal.ErrCorrupt, rec.Seq, i)
+		}
+		runs[i] = CommitRun[E]{Del: t[0] == 1, Edges: edges[off : off+n : off+n]}
+		off += n
+	}
+	if off != len(edges) {
+		return nil, nil, fmt.Errorf("%w: commit frame %d: runs hold %d of %d edges", wal.ErrCorrupt, rec.Seq, off, len(edges))
+	}
+	notes := make([]Note, nn)
+	for i := range notes {
+		t := p[4+5*nr+16*i:]
+		notes[i] = Note{Client: binary.LittleEndian.Uint64(t), Seq: binary.LittleEndian.Uint64(t[8:])}
+	}
+	return runs, notes, nil
+}
+
 // SnapshotCodec fixes the checkpoint file format of a snapshot type.
 type SnapshotCodec[G any] struct {
 	Write func(w io.Writer, g G) error
@@ -208,7 +295,7 @@ type durable[G ligra.Graph, E any] struct {
 	snap  SnapshotCodec[G]
 
 	sinceCkpt int
-	seq       uint64 // of the last record appended
+	seq       uint64 // of the last commit frame appended
 	onAppend  func(seq uint64, kind wal.Kind, width uint8, count uint32, data []byte)
 
 	ckptCh    chan ckptReq[G]
@@ -231,40 +318,26 @@ func (d *durable[G, E]) fail(err error) {
 	}
 }
 
-// logCommit journals one coalesced commit group before it is applied
-// or acked. With no idempotency notes in the group, same-kind runs
-// collapse to one record each (the PR-6 format). Any noted batch
-// switches the group to one record per batch so every note lands in
-// its own atomic record; application still uses the merged runs — the
-// concatenated edge stream on disk is identical either way. The
-// returned durations split the work for the stage tracer: appendDur is
-// record encoding + buffered writes, syncDur the per-commit fsync
-// (zero unless Policy is SyncEveryCommit) — the split that makes the
-// PR 6 fsync overhead attributable per commit.
-func (d *durable[G, E]) logCommit(batch []pending[E], runs []CommitRun[E]) (appendDur, syncDur time.Duration, err error) {
+// logCommit journals one commit before it is applied or acked: one
+// commit frame, encoded straight into the log's frame, whose seq becomes
+// the commit's. The returned durations split the work for the stage
+// tracer: appendDur is frame encoding + buffered write, syncDur the
+// per-commit fsync (zero unless Policy is SyncEveryCommit).
+func (d *durable[G, E]) logCommit(runs []CommitRun[E], notes []Note) (appendDur, syncDur time.Duration, err error) {
 	start := time.Now()
-	noted := false
-	for _, b := range batch {
-		if b.note != (Note{}) {
-			noted = true
-			break
-		}
+	w, count := d.codec.Width, 0
+	for _, r := range runs {
+		count += len(r.Edges)
 	}
-	if !noted {
-		for _, r := range runs {
-			if err := d.logOne(r.Del, r.Edges, Note{}); err != nil {
-				return time.Since(start), 0, err
-			}
-		}
-	} else {
-		for _, b := range batch {
-			if len(b.edges) == 0 {
-				continue
-			}
-			if err := d.logOne(b.del, b.edges, b.note); err != nil {
-				return time.Since(start), 0, err
-			}
-		}
+	seq, data, err := d.log.AppendFill(wal.Commit, uint8(w), uint32(count), commitHead(len(runs), len(notes))+count*w, func(p []byte) {
+		encodeCommit(p, d.codec, runs, notes)
+	})
+	if err != nil {
+		return time.Since(start), 0, err
+	}
+	d.seq = seq
+	if d.onAppend != nil {
+		d.onAppend(seq, wal.Commit, uint8(w), uint32(count), data)
 	}
 	appended := time.Now()
 	appendDur = appended.Sub(start)
@@ -273,41 +346,6 @@ func (d *durable[G, E]) logCommit(batch []pending[E], runs []CommitRun[E]) (appe
 		syncDur = time.Since(appended)
 	}
 	return appendDur, syncDur, err
-}
-
-// logOne appends one WAL record for a merged run or a noted batch, encoding
-// the edges straight into the log's frame.
-func (d *durable[G, E]) logOne(del bool, edges []E, note Note) error {
-	w := d.codec.Width
-	hdr := 0
-	kind := wal.Insert
-	if del {
-		kind = wal.Delete
-	}
-	if note != (Note{}) {
-		hdr = wal.NoteLen
-		kind = wal.NotedInsert
-		if del {
-			kind = wal.NotedDelete
-		}
-	}
-	seq, data, err := d.log.AppendFill(kind, uint8(w), uint32(len(edges)), hdr+w*len(edges), func(buf []byte) {
-		if hdr != 0 {
-			binary.LittleEndian.PutUint64(buf, note.Client)
-			binary.LittleEndian.PutUint64(buf[8:], note.Seq)
-		}
-		for i, ed := range edges {
-			d.codec.Encode(buf[hdr+i*w:], ed)
-		}
-	})
-	if err != nil {
-		return err
-	}
-	d.seq = seq
-	if d.onAppend != nil {
-		d.onAppend(seq, kind, uint8(w), uint32(len(edges)), data)
-	}
-	return nil
 }
 
 // maybeCheckpoint counts commits and, at the configured cadence, hands the
@@ -470,20 +508,20 @@ func (e *Engine[G, E]) SyncWAL() error {
 	return nil
 }
 
-// OnWALAppend registers fn to observe every WAL record as it is
+// OnWALAppend registers fn to observe every commit frame as it is
 // appended on the commit path, before the commit is acknowledged —
-// the feed a replication tail ships to read replicas. fn runs on the
-// ingest goroutine and data aliases the WAL's frame buffer, valid only
-// until the next append: observers must copy what they keep and return
-// quickly. Like OnCommit, it must be registered before the engine serves
-// traffic. No-op without durability.
+// the feed a replication tail ships to read replicas, which read it back
+// with DecodeCommit. fn runs on the ingest goroutine and data aliases the
+// WAL's frame buffer, valid only until the next append: observers must
+// copy what they keep and return quickly. Like OnCommit, it must be
+// registered before the engine serves traffic. No-op without durability.
 func (e *Engine[G, E]) OnWALAppend(fn func(seq uint64, kind wal.Kind, width uint8, count uint32, data []byte)) {
 	if e.dur != nil {
 		e.dur.onAppend = fn
 	}
 }
 
-// WALSeq returns the sequence number of the last WAL record appended
+// WALSeq returns the sequence number of the last commit frame appended
 // (0 with an empty log or without durability). It takes the log's lock,
 // and while a commit is being logged it runs ahead of every published
 // version: a replica already holds those records, so a read watermark
@@ -557,50 +595,27 @@ func Load[G ligra.Graph, E any](dir string, g0 G, apply func(G, []CommitRun[E]) 
 	return loadWithNotes(dir, g0, apply, codec, sc, nil)
 }
 
-// loadWithNotes is Load plus an observer for the idempotency notes of
-// replayed Noted* records (Durability.OnReplayNote).
+// loadWithNotes is Load plus an observer for the notes of every replayed
+// commit frame (Durability.OnReplayNote).
 func loadWithNotes[G ligra.Graph, E any](dir string, g0 G, apply func(G, []CommitRun[E]) G, codec Codec[E], sc SnapshotCodec[G], onNote func(client, seq uint64)) (G, uint64, error) {
-	g, after := g0, uint64(0)
-	cks, err := listCheckpoints(dir)
-	if err != nil && !errors.Is(err, os.ErrNotExist) {
+	g, after, ok, err := LoadCheckpoint(dir, sc)
+	if err != nil {
 		return g0, 0, err
 	}
-	for i := len(cks) - 1; i >= 0; i-- {
-		f, err := os.Open(cks[i].path)
-		if err != nil {
-			return g0, 0, err
-		}
-		loaded, rerr := sc.Read(f)
-		f.Close()
-		if rerr == nil {
-			g, after = loaded, cks[i].seq
-			break
-		}
-		if !errors.Is(rerr, graphio.ErrCorrupt) {
-			return g0, 0, rerr
-		}
-		// A checkpoint torn mid-write (crash before the atomic rename
-		// completed would leave no file at all, but a damaged disk can):
-		// fall back to the previous one; the WAL still covers the gap.
+	if !ok {
+		g = g0
 	}
-	run := make([]CommitRun[E], 1) // one record is one run
 	last, err := wal.Replay(dir, after, func(rec wal.Record) error {
-		if int(rec.Width) != codec.Width {
-			return fmt.Errorf("%w: record width %d, engine expects %d", wal.ErrCorrupt, rec.Width, codec.Width)
+		runs, notes, err := DecodeCommit(codec, rec)
+		if err != nil {
+			return err
 		}
-		data := rec.Data
-		if rec.Kind.HasNote() {
-			if onNote != nil {
-				onNote(binary.LittleEndian.Uint64(data), binary.LittleEndian.Uint64(data[8:]))
+		if onNote != nil {
+			for _, n := range notes {
+				onNote(n.Client, n.Seq)
 			}
-			data = data[wal.NoteLen:]
 		}
-		edges := make([]E, rec.Count)
-		for i := range edges {
-			edges[i] = codec.Decode(data[i*codec.Width:])
-		}
-		run[0] = CommitRun[E]{Del: rec.Kind.IsDelete(), Edges: edges}
-		g = apply(g, run)
+		g = apply(g, runs)
 		return nil
 	})
 	if err != nil {
@@ -609,12 +624,13 @@ func loadWithNotes[G ligra.Graph, E any](dir string, g0 G, apply func(G, []Commi
 	return g, last, nil
 }
 
-// LoadCheckpoint reads the newest valid checkpoint in dir (falling
-// back past corrupt files like Load) without touching the WAL. It
-// returns the snapshot and the exact WAL sequence number it covers —
-// the pair a tail subscriber needs to bootstrap when its resume point
-// predates the oldest retained WAL record. ok is false when the
-// directory holds no readable checkpoint (resume from seq 0 instead).
+// LoadCheckpoint reads the newest valid checkpoint in dir without
+// touching the WAL; a damaged one falls back to the next older, whose gap
+// the WAL still covers. It returns the snapshot and the exact WAL sequence
+// number it covers — where Load's replay starts, and the pair a tail
+// subscriber needs to bootstrap when its resume point predates the oldest
+// retained WAL record. ok is false when the directory holds no readable
+// checkpoint (resume from seq 0 instead).
 func LoadCheckpoint[G any](dir string, sc SnapshotCodec[G]) (g G, seq uint64, ok bool, err error) {
 	cks, err := listCheckpoints(dir)
 	if err != nil {

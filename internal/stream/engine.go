@@ -38,7 +38,7 @@ type Options struct {
 	// submits block (backpressure) when the queue is full. Default 256.
 	QueueCap int
 	// MaxCoalesce bounds how many queued batches one commit may fold
-	// together. Default 32.
+	// together. Default 32, at most 2048 (maxCoalesce).
 	MaxCoalesce int
 	// MaxCoalesceEdges bounds the total edges one commit may fold
 	// together (a single larger batch still commits, alone). Default
@@ -65,6 +65,10 @@ type Options struct {
 	TraceSlow time.Duration
 }
 
+// maxCoalesce caps MaxCoalesce so that a commit frame's run and note
+// tables, 21 bytes a batch at most, always fit the WAL record's head.
+const maxCoalesce = 2048
+
 func (o Options) withDefaults() Options {
 	if o.QueueCap <= 0 {
 		o.QueueCap = 256
@@ -72,16 +76,18 @@ func (o Options) withDefaults() Options {
 	if o.MaxCoalesce <= 0 {
 		o.MaxCoalesce = 32
 	}
+	o.MaxCoalesce = min(o.MaxCoalesce, maxCoalesce)
 	if o.MaxCoalesceEdges <= 0 {
 		o.MaxCoalesceEdges = 1 << 20
 	}
 	return o
 }
 
-// Note is an idempotency tag carried by SubmitNoted batches: the WAL
-// record of a noted batch embeds (Client, Seq), so recovery and WAL
-// tail shipping rebuild the server's per-client dedup window in the
-// same atomic unit as the data. The zero Note means "untagged".
+// Note is an idempotency tag carried by SubmitNoted batches: the note
+// table of the commit frame holding a noted batch lists (Client, Seq), so
+// recovery and WAL tail shipping rebuild the server's per-client dedup
+// window in the same atomic unit as the data. The zero Note means
+// "untagged".
 type Note struct {
 	Client uint64
 	Seq    uint64
@@ -132,11 +138,13 @@ type Engine[G ligra.Graph, E any] struct {
 
 	// tracer aggregates per-stage commit latency (obs.StageTracer);
 	// trace is the ingest goroutine's reusable scratch record, a
-	// persistent field so recording a commit never allocates. runs is the
-	// same kind of scratch for the commit's folded runs.
+	// persistent field so recording a commit never allocates. runs and
+	// notes are the same kind of scratch for the commit's folded runs and
+	// its noted batches' notes.
 	tracer obs.StageTracer
 	trace  obs.StageTrace
 	runs   []CommitRun[E]
+	notes  []Note
 }
 
 // New builds an engine over an initial snapshot g and the functional
@@ -315,7 +323,7 @@ var closedPending = func() Pending {
 }()
 
 // SubmitNoted enqueues a batch tagged with an idempotency note: the
-// batch's WAL record carries (note.Client, note.Seq) so a dedup window
+// commit frame holding the batch lists (note.Client, note.Seq) so a dedup window
 // rebuilt from the log knows the batch is part of the committed prefix.
 // It is the engine's one enqueue: Insert, Delete and Flush call it with
 // the zero Note, and it blocks while the queue is full. The caller owns
@@ -419,8 +427,8 @@ func (e *Engine[G, E]) loop() {
 	}
 }
 
-// commit folds the batch into same-kind runs, logs them to the WAL (when
-// durability is attached), applies them to the latest snapshot in one call
+// commit folds the batch into same-kind runs and its notes, logs them as
+// one WAL frame (when durability is attached), applies the runs to the latest snapshot in one call
 // of the engine's update, publishes one new version, then acknowledges every batch with the commit
 // stamp. Durability failures are fail-stop: the batch (and every later one)
 // is nacked — its done channel closes without a stamp — and nothing further
@@ -443,10 +451,13 @@ func (e *Engine[G, E]) commit(batch []pending[E], totalEdges int, pickup time.Ti
 	tr.Durs[obs.StageCoalesce] = t.Sub(pickup)
 	stamp := e.reg.Current()
 	if totalEdges > 0 {
-		runs := e.runs[:0]
+		runs, notes := e.runs[:0], e.notes[:0]
 		for _, b := range batch {
 			if len(b.edges) == 0 {
 				continue
+			}
+			if b.note != (Note{}) {
+				notes = append(notes, b.note)
 			}
 			if n := len(runs); n > 0 && runs[n-1].Del == b.del {
 				last := &runs[n-1]
@@ -462,10 +473,10 @@ func (e *Engine[G, E]) commit(batch []pending[E], totalEdges int, pickup time.Ti
 			runs = append(runs, CommitRun[E]{Del: b.del, Edges: b.edges})
 		}
 		// Keep the scratch, but not the edge slices it points at.
-		e.runs = runs
+		e.runs, e.notes = runs, notes
 		defer clear(runs)
 		if e.dur != nil {
-			appendDur, syncDur, err := e.dur.logCommit(batch, runs)
+			appendDur, syncDur, err := e.dur.logCommit(runs, notes)
 			tr.Durs[obs.StageWALAppend] = appendDur
 			tr.Durs[obs.StageFsync] = syncDur
 			if err != nil {

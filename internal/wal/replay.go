@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"os"
 )
 
@@ -32,7 +33,7 @@ func Replay(dir string, after uint64, fn func(Record) error) (uint64, error) {
 	last := after
 	for i, seg := range segs {
 		final := i == len(segs)-1
-		stop, segLast, err := replaySegment(seg, after, final, fn)
+		stop, _, segLast, err := replaySegment(seg, after, final, fn)
 		if err != nil {
 			return last, err
 		}
@@ -48,87 +49,80 @@ func Replay(dir string, after uint64, fn func(Record) error) (uint64, error) {
 
 // replaySegment scans one segment. It returns stop=true when the segment
 // ended at a torn tail (only legal in the final segment; callers stop
-// replay there).
-func replaySegment(seg segment, after uint64, final bool, fn func(Record) error) (stop bool, last uint64, err error) {
+// replay there), and end, the byte offset just past its last valid frame
+// (0 when even the header is damaged).
+func replaySegment(seg segment, after uint64, final bool, fn func(Record) error) (stop bool, end int64, last uint64, err error) {
 	f, err := os.Open(seg.path)
 	if err != nil {
-		return false, 0, err
+		return false, 0, 0, err
 	}
 	defer f.Close()
 	br := bufio.NewReaderSize(f, 1<<16)
 
 	var hdr [headerSize]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		if final {
-			// A header that never finished landing: the process died
-			// creating this segment, which therefore holds no records.
-			return true, 0, nil
-		}
-		return false, 0, fmt.Errorf("%w: short segment header in %s", ErrCorrupt, seg.path)
-	}
-	if binary.LittleEndian.Uint32(hdr[0:]) != segMagic ||
+	if _, err := io.ReadFull(br, hdr[:]); err != nil ||
+		binary.LittleEndian.Uint32(hdr[0:]) != segMagic ||
 		binary.LittleEndian.Uint32(hdr[4:]) != segVersion ||
 		binary.LittleEndian.Uint32(hdr[16:]) != crc32.Checksum(hdr[:16], castagnoli) ||
 		binary.LittleEndian.Uint64(hdr[8:]) != seg.first {
 		if final {
-			return true, 0, nil
+			// A header that never finished landing: the process died
+			// creating this segment, which therefore holds no records.
+			return true, 0, 0, nil
 		}
-		return false, 0, fmt.Errorf("%w: bad segment header in %s", ErrCorrupt, seg.path)
+		return false, 0, 0, fmt.Errorf("%w: bad segment header in %s", ErrCorrupt, seg.path)
 	}
 
+	end = headerSize
 	expect := seg.first
 	var buf []byte
+	torn := func() (bool, int64, uint64, error) {
+		if final {
+			return true, end, last, nil
+		}
+		return false, end, last, fmt.Errorf("%w: torn record before final segment in %s", ErrCorrupt, seg.path)
+	}
 	for {
 		var fh [frameHead]byte
 		if _, err := io.ReadFull(br, fh[:]); err != nil {
 			if err == io.EOF {
-				return false, last, nil // clean segment end
+				return false, end, last, nil // clean segment end
 			}
-			// Torn frame header.
-			return tornOr(final, last, seg)
+			return torn() // torn frame header
 		}
 		payload := binary.LittleEndian.Uint32(fh[0:])
 		if payload < recHead || payload > maxPayload {
-			return tornOr(final, last, seg)
+			return torn()
 		}
 		if cap(buf) < int(payload) {
 			buf = make([]byte, payload)
 		}
 		buf = buf[:payload]
 		if _, err := io.ReadFull(br, buf); err != nil {
-			return tornOr(final, last, seg)
+			return torn()
 		}
 		if crc32.Checksum(buf, castagnoli) != binary.LittleEndian.Uint32(fh[4:]) {
-			return tornOr(final, last, seg)
+			return torn()
 		}
 		seq := binary.LittleEndian.Uint64(buf[0:])
 		kind := Kind(buf[8])
 		width := buf[9]
 		count := binary.LittleEndian.Uint32(buf[12:])
-		want := uint64(count) * uint64(width)
-		if kind.HasNote() {
-			want += NoteLen
-		}
+		want := uint64(count)*uint64(width) + uint64(binary.LittleEndian.Uint16(buf[10:]))
 		if seq != expect || want != uint64(payload-recHead) {
 			// A checksum-valid record with the wrong sequence number or an
-			// inconsistent count is not a torn write — it is corruption.
-			return false, last, fmt.Errorf("%w: record seq %d (want %d) in %s", ErrCorrupt, seq, expect, seg.path)
+			// inconsistent length is not a torn write — it is corruption.
+			return false, end, last, fmt.Errorf("%w: record seq %d (want %d) in %s", ErrCorrupt, seq, expect, seg.path)
 		}
 		expect++
 		last = seq
+		end += frameHead + int64(payload)
 		if seq > after && fn != nil {
 			if err := fn(Record{Seq: seq, Kind: kind, Width: width, Count: count, Data: buf[recHead:]}); err != nil {
-				return false, last, err
+				return false, end, last, err
 			}
 		}
 	}
-}
-
-func tornOr(final bool, last uint64, seg segment) (bool, uint64, error) {
-	if final {
-		return true, last, nil
-	}
-	return false, last, fmt.Errorf("%w: torn record before final segment in %s", ErrCorrupt, seg.path)
 }
 
 // repairTail truncates the last segment back to its last valid frame
@@ -141,11 +135,11 @@ func repairTail(dir string) error {
 		return err
 	}
 	seg := segs[len(segs)-1]
-	validEnd, headerOK, err := validPrefix(seg)
+	_, end, _, err := replaySegment(seg, math.MaxUint64, true, nil)
 	if err != nil {
 		return err
 	}
-	if !headerOK {
+	if end == 0 {
 		if err := os.Remove(seg.path); err != nil {
 			return err
 		}
@@ -155,61 +149,11 @@ func repairTail(dir string) error {
 	if err != nil {
 		return err
 	}
-	if validEnd < fi.Size() {
-		if err := os.Truncate(seg.path, validEnd); err != nil {
+	if end < fi.Size() {
+		if err := os.Truncate(seg.path, end); err != nil {
 			return err
 		}
 		return syncDir(dir)
 	}
 	return nil
-}
-
-// validPrefix returns the byte offset of the end of the segment's last
-// valid frame (headerOK=false when even the header is damaged).
-func validPrefix(seg segment) (end int64, headerOK bool, err error) {
-	f, err := os.Open(seg.path)
-	if err != nil {
-		return 0, false, err
-	}
-	defer f.Close()
-	br := bufio.NewReaderSize(f, 1<<16)
-
-	var hdr [headerSize]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		return 0, false, nil
-	}
-	if binary.LittleEndian.Uint32(hdr[0:]) != segMagic ||
-		binary.LittleEndian.Uint32(hdr[4:]) != segVersion ||
-		binary.LittleEndian.Uint32(hdr[16:]) != crc32.Checksum(hdr[:16], castagnoli) ||
-		binary.LittleEndian.Uint64(hdr[8:]) != seg.first {
-		return 0, false, nil
-	}
-	end = headerSize
-	expect := seg.first
-	var buf []byte
-	for {
-		var fh [frameHead]byte
-		if _, err := io.ReadFull(br, fh[:]); err != nil {
-			return end, true, nil
-		}
-		payload := binary.LittleEndian.Uint32(fh[0:])
-		if payload < recHead || payload > maxPayload {
-			return end, true, nil
-		}
-		if cap(buf) < int(payload) {
-			buf = make([]byte, payload)
-		}
-		buf = buf[:payload]
-		if _, err := io.ReadFull(br, buf); err != nil {
-			return end, true, nil
-		}
-		if crc32.Checksum(buf, castagnoli) != binary.LittleEndian.Uint32(fh[4:]) {
-			return end, true, nil
-		}
-		if binary.LittleEndian.Uint64(buf[0:]) != expect {
-			return end, true, nil
-		}
-		expect++
-		end += int64(frameHead) + int64(payload)
-	}
 }

@@ -1,12 +1,14 @@
 // Package wal is the segmented write-ahead log behind the stream engine's
-// durable commit path. Each record is a checksummed, length-prefixed batch
-// of edge updates (insert/delete kind, fixed payload width, CRC32C); the
-// log is a directory of segment files named by the first sequence number
-// they contain, so truncating history after a checkpoint is deleting whole
-// files. Purely-functional snapshots make the recovery contract simple:
-// replaying the log's surviving prefix over the last checkpoint always
-// reproduces some committed version exactly (batch application is a
-// deterministic function of the record stream).
+// durable commit path. It is framing only: each record is a checksummed
+// (CRC32C), length-prefixed frame holding a kind label, an edge width and
+// count, and a payload of an uninterpreted head plus count*width edge
+// bytes. The engine writes one Commit record per commit, whose head layout
+// internal/stream owns. The log is a directory of segment files named by
+// the first sequence number they contain, so truncating history after a
+// checkpoint is deleting whole files. Purely-functional snapshots make the
+// recovery contract simple: replaying the log's surviving prefix over the
+// last checkpoint always reproduces some committed version exactly (batch
+// application is a deterministic function of the record stream).
 //
 // Crash tolerance is tested, not assumed: every state-changing operation
 // passes through an optional failpoint hook that can simulate the process
@@ -35,49 +37,48 @@ import (
 	"repro/internal/scratch"
 )
 
-// Kind labels a record's batch operation.
+// Kind labels a record's content. The log does not interpret it.
 type Kind uint8
 
 const (
-	// Insert is a batch of edge insertions.
+	// Insert is a bare batch of edge insertions.
 	Insert Kind = iota
-	// Delete is a batch of edge deletions.
+	// Delete is a bare batch of edge deletions.
 	Delete
-	// NotedInsert / NotedDelete are Insert / Delete whose payload leads
-	// with a NoteLen-byte idempotency note — client id u64, client seq
-	// u64, little-endian — ahead of the Count*Width edge bytes. The note
-	// rides inside the same checksummed record as the batch it tags, so
-	// the distributed layer's per-client dedup window is recovered
-	// atomically with the data on replay and ships to replicas through
-	// the ordinary tail stream.
-	NotedInsert
-	NotedDelete
+	// Commit is one stream engine commit: a head of run and note tables,
+	// then the edges (internal/stream owns the layout). Kinds 2 and 3,
+	// the per-batch noted records, are no longer written.
+	Commit Kind = 4
 )
 
-// NoteLen is the idempotency-note prefix length of Noted* payloads.
-const NoteLen = 16
+func (k Kind) String() string {
+	switch k {
+	case Insert:
+		return "insert"
+	case Delete:
+		return "delete"
+	case Commit:
+		return "commit"
+	}
+	return fmt.Sprintf("kind %d", uint8(k))
+}
 
-// IsDelete reports whether the record applies deletions.
-func (k Kind) IsDelete() bool { return k == Delete || k == NotedDelete }
-
-// HasNote reports whether the payload leads with a NoteLen-byte note.
-func (k Kind) HasNote() bool { return k == NotedInsert || k == NotedDelete }
-
-// Record is one appended batch.
+// Record is one appended record.
 type Record struct {
 	// Seq is the record's sequence number; consecutive records have
 	// consecutive numbers, starting at 1.
 	Seq uint64
-	// Kind is the batch operation.
+	// Kind labels the payload.
 	Kind Kind
 	// Width is the fixed encoded size of one edge update in Data (8 for
 	// unweighted src+dst, 12 with a float32 weight).
 	Width uint8
 	// Count is the number of edge updates in Data.
 	Count uint32
-	// Data is the batch payload: Count*Width bytes, preceded by a
-	// NoteLen-byte note for the Noted* kinds. During Replay it aliases
-	// an internal buffer and is only valid inside the callback.
+	// Data is the payload: a head of at most MaxHead bytes the log does
+	// not interpret (none for Insert and Delete), then Count*Width edge
+	// bytes. During Replay it aliases an internal buffer and is only valid
+	// inside the callback.
 	Data []byte
 }
 
@@ -121,13 +122,18 @@ const (
 	segVersion = 1
 	headerSize = 20 // magic u32, version u32, firstSeq u64, crc u32
 	frameHead  = 8  // payload length u32, payload crc u32
-	recHead    = 16 // seq u64, kind u8, width u8, reserved u16, count u32
+	recHead    = 16 // seq u64, kind u8, width u8, head length u16, count u32
 	segPrefix  = "wal-"
 	segSuffix  = ".seg"
 	// maxPayload bounds a frame's declared payload length during replay;
 	// anything larger is framing damage, not a real record.
 	maxPayload = 1 << 30
 )
+
+// MaxHead bounds the head a record's payload may carry ahead of its edges:
+// the record states the head's length in 16 bits, so replay checks every
+// frame's length exactly whatever its kind.
+const MaxHead = 1<<16 - 1
 
 // castagnoli is the CRC32C table (the checksum used throughout).
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
@@ -280,9 +286,10 @@ func (l *Log) Append(kind Kind, width uint8, count uint32, data []byte) (uint64,
 }
 
 // AppendFill is Append without the copy: fill writes the size-byte payload
-// straight into the frame. The returned payload aliases the log's frame
-// buffer and is valid until the next append — what a commit-path observer
-// is handed. A frame above scratch.Keep is released once written (the
+// straight into the frame. A payload is count*width edge bytes after a head
+// of size-count*width bytes, which must be at most MaxHead. The returned
+// payload aliases the log's frame buffer and is valid until the next
+// append — what a commit-path observer is handed. A frame above scratch.Keep is released once written (the
 // returned slice is then its only reference); smaller ones are reused.
 func (l *Log) AppendFill(kind Kind, width uint8, count uint32, size int, fill func(payload []byte)) (uint64, []byte, error) {
 	l.mu.Lock()
@@ -293,6 +300,10 @@ func (l *Log) AppendFill(kind Kind, width uint8, count uint32, size int, fill fu
 	if err := l.fail("append"); err != nil {
 		return 0, nil, err
 	}
+	head := size - int(count)*int(width)
+	if head < 0 || head > MaxHead {
+		return 0, nil, fmt.Errorf("wal: %d-byte payload for %d edges of %d bytes leaves a head of %d", size, count, width, head)
+	}
 	payload := recHead + size
 	if need := frameHead + payload; cap(l.frame) < need {
 		l.frame = make([]byte, 0, scratch.Cap(need))
@@ -302,7 +313,7 @@ func (l *Log) AppendFill(kind Kind, width uint8, count uint32, size int, fill fu
 	binary.LittleEndian.PutUint64(fr[8:], l.next)
 	fr[16] = byte(kind)
 	fr[17] = width
-	fr[18], fr[19] = 0, 0
+	binary.LittleEndian.PutUint16(fr[18:], uint16(head))
 	binary.LittleEndian.PutUint32(fr[20:], count)
 	fill(fr[frameHead+recHead:])
 	binary.LittleEndian.PutUint32(fr[4:], crc32.Checksum(fr[8:], castagnoli))
