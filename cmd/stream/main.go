@@ -216,13 +216,7 @@ func main() {
 		if err != nil {
 			fatal("bad -shards: %v", err)
 		}
-		for _, s := range counts {
-			d := deployment{name: fmt.Sprintf("%d shards", s), shards: s}
-			if s <= 1 {
-				d.name = "single engine"
-			}
-			sw.deps = append(sw.deps, d)
-		}
+		sw.deps = shardDeps(counts)
 	case modeRemote:
 		d := deployment{primaries: splitAddrs(*connect)}
 		d.name = fmt.Sprintf("remote %d shards", len(d.primaries))
@@ -309,6 +303,21 @@ type deployment struct {
 	name                string
 	shards              int
 	primaries, replicas []string
+}
+
+// shardDeps is the -shards sweep: one deployment per count, the lone
+// engine (a count of 1) first, so every cluster row of a load and pace
+// quotes its speedup against it, whatever order the flag lists them in.
+func shardDeps(counts []int) []deployment {
+	var lone, clusters []deployment
+	for _, s := range counts {
+		if s <= 1 {
+			lone = append(lone, deployment{name: "single engine", shards: s})
+			continue
+		}
+		clusters = append(clusters, deployment{name: fmt.Sprintf("%d shards", s), shards: s})
+	}
+	return append(lone, clusters...)
 }
 
 // load is the traffic of one run: readers == 0 is the update-only
@@ -477,7 +486,7 @@ func runSweep[E any](ctx context.Context, cfg config, sw sweep,
 		}
 		for _, ld := range sw.loads {
 			// Speedups are quoted against the lone-engine run of the same
-			// load and pace — like against like.
+			// load and pace — like against like; shardDeps runs it first.
 			var base float64
 			for _, d := range sw.deps {
 				if ctx.Err() != nil {
@@ -599,6 +608,14 @@ func printRun(rr runResult, base float64) {
 	if n := r.FlatBuilds + r.FlatPatches; n+r.FlatHits > 0 {
 		fmt.Printf("flat cache: %d builds, %d patches, %d hits (%.1f queries per materialization)\n",
 			r.FlatBuilds, r.FlatPatches, r.FlatHits, float64(n+r.FlatHits)/float64(max(n, 1)))
+	}
+	var held, declined uint64
+	var parked time.Duration
+	for _, es := range r.PerShard {
+		held, declined, parked = held+es.PriorityHolds, declined+es.PriorityDeclined, parked+es.ReaderWait
+	}
+	if held+declined > 0 {
+		fmt.Printf("writer priority: %d applies held the gate, %d declined, readers parked %v\n", held, declined, parked)
 	}
 	if r.StitchBuilds+r.StitchPatches+r.StitchHits > 0 {
 		fmt.Printf("stitched flat: %d builds, %d delta stitches, %d hits\n", r.StitchBuilds, r.StitchPatches, r.StitchHits)

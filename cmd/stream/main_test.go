@@ -190,3 +190,16 @@ func TestKillRecoverGraceful(t *testing.T) {
 		t.Fatal("graceful recovery diverged from the deterministic stream")
 	}
 }
+
+// TestShardDepsRunLoneEngineFirst: whatever order -shards lists, the lone
+// engine runs first in each load and pace, so every cluster row that
+// follows can quote its speedup against it.
+func TestShardDepsRunLoneEngineFirst(t *testing.T) {
+	var names []string
+	for _, d := range shardDeps([]int{4, 1, 2}) {
+		names = append(names, d.name)
+	}
+	if got, want := strings.Join(names, ", "), "single engine, 4 shards, 2 shards"; got != want {
+		t.Fatalf("sweep order %q, want %q", got, want)
+	}
+}

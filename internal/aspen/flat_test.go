@@ -2,6 +2,7 @@ package aspen
 
 import (
 	"testing"
+	"time"
 
 	"repro/internal/ctree"
 	"repro/internal/parallel"
@@ -246,4 +247,43 @@ func TestFlatWarm(t *testing.T) {
 	checkWarmTotal(t, "weighted built", fw)
 	wp := PatchFlatWeightedSnapshot(fw, wg.InsertEdges(randomWeightedBatch(r, 50, 400)))
 	checkWarmTotal(t, "weighted patched", wp)
+}
+
+// TestFlatWarmWaitsOnGate: Warm waits while the view's gate is held, a
+// patched view waits on its predecessor's gate, and a view without a gate
+// never waits.
+func TestFlatWarmWaitsOnGate(t *testing.T) {
+	r := xhash.NewRNG(57)
+	g := NewGraph(params()).InsertEdges(MakeUndirected(randomEdges(r, 600, 120)))
+	var gate parallel.Gate
+	built := BuildFlatSnapshot(g)
+	built.SetGate(&gate)
+	g2 := g.InsertEdges(MakeUndirected([]Edge{{Src: 3, Dst: 99}}))
+	patched := PatchFlatSnapshot(built, g2)
+	ids := []uint32{1, 2, 3}
+	want := BuildFlatSnapshot(g2).Warm(ids)
+
+	if !gate.Hold() {
+		t.Fatal("hold declined")
+	}
+	BuildFlatSnapshot(g2).Warm(ids) // no gate: does not wait
+	done := make(chan uint32, 2)
+	go func() { done <- built.Warm(ids) }()
+	go func() { done <- patched.Warm(ids) }()
+	select {
+	case <-done:
+		t.Fatal("Warm returned while its gate was held")
+	case <-time.After(20 * time.Millisecond):
+	}
+	gate.Release()
+	for range 2 {
+		select {
+		case <-done:
+		case <-time.After(5 * time.Second):
+			t.Fatal("Warm still waiting after Release")
+		}
+	}
+	if got := patched.Warm(ids); got != want {
+		t.Fatalf("patched Warm = %d, want %d", got, want)
+	}
 }

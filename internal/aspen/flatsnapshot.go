@@ -44,7 +44,8 @@ type FlatView[V ctree.Value] struct {
 	degrees  []int32
 	order    int
 	numEdges uint64
-	root     *vnode[V] // identity of the snapshot the view was built from
+	root     *vnode[V]      // identity of the snapshot the view was built from
+	gate     *parallel.Gate // nil: Warm never waits (see SetGate)
 }
 
 // FlatSnapshot is the id-only flat view (the paper's original §5.1
@@ -119,6 +120,13 @@ func BuildFlatSnapshot[V ctree.Value](g GraphOf[V]) *FlatView[V] {
 	return fv
 }
 
+// SetGate makes Warm, the per-block yield point of every kernel scan, wait
+// while gate is held: an engine holds its gate across each apply, so the
+// kernels reading its views give the commit their cores at the next block
+// boundary. Set it once on a freshly built view, before any reader shares
+// it; PatchFlatSnapshot carries prev's gate forward.
+func (fv *FlatView[V]) SetGate(gate *parallel.Gate) { fv.gate = gate }
+
 // PatchFlatSnapshot returns the flat view of g derived from prev, a view of
 // an earlier (or later — the diff is two-sided) version of the same graph
 // lineage, paying O(diff) work instead of an O(n) rebuild: the page table
@@ -128,7 +136,8 @@ func BuildFlatSnapshot[V ctree.Value](g GraphOf[V]) *FlatView[V] {
 // copied. prev is never mutated — it and the result serve concurrent
 // readers of their respective versions. A nil prev falls back to a full
 // build; a prev already current for g is returned as-is. The result is
-// equivalent to BuildFlatSnapshot(g) in every observable way.
+// equivalent to BuildFlatSnapshot(g) in every observable way, and it waits
+// on prev's gate.
 func PatchFlatSnapshot[V ctree.Value](prev *FlatView[V], g GraphOf[V]) *FlatView[V] {
 	if prev == nil {
 		return BuildFlatSnapshot(g)
@@ -137,6 +146,7 @@ func PatchFlatSnapshot[V ctree.Value](prev *FlatView[V], g GraphOf[V]) *FlatView
 		return prev
 	}
 	fv := newFlatView(g)
+	fv.gate = prev.gate
 	copy(fv.pages, prev.pages) // entries past prev's space start nil
 	copy(fv.degrees, prev.degrees)
 	// No page of g holds a vertex past its order, so a page the diff skips
@@ -218,8 +228,10 @@ func (fv *FlatView[V]) ForEachNeighbor(u uint32, f func(v uint32) bool) {
 // live. The loop's iterations do not depend on one another, so their cache
 // misses overlap: one round trip per block instead of one per scanned
 // vertex. It decodes nothing, stores nothing and is total: out-of-range,
-// absent and degree-0 ids add 0.
+// absent and degree-0 ids add 0. It first waits while the view's gate is
+// held (SetGate).
 func (fv *FlatView[V]) Warm(ids []uint32) (sum uint32) {
+	fv.gate.Wait()
 	for _, u := range ids {
 		if int(u) >= fv.order {
 			continue

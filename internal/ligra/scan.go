@@ -11,7 +11,9 @@ type Warmer interface {
 	// Warm loads, for each id that is in range and present, the first word
 	// ForEachNeighbor(id) would read from the heap, and returns a checksum of
 	// those words so the loads stay live. It decodes nothing, keeps no state
-	// and is total on any id.
+	// and is total on any id. It is also the block's yield point and may
+	// block: an engine's flat view waits in it while that engine applies a
+	// commit (parallel.Gate).
 	Warm(ids []uint32) uint32
 }
 

@@ -165,6 +165,12 @@ func (r *Registry) CounterFunc(name, help string, fn func() uint64, labels ...La
 	r.register(name, help, "counter", labels, series{read: func() float64 { return float64(fn()) }})
 }
 
+// CounterFloatFunc is CounterFunc over a source that is not a whole
+// number, such as a total time in seconds.
+func (r *Registry) CounterFloatFunc(name, help string, fn func() float64, labels ...Label) {
+	r.register(name, help, "counter", labels, series{read: fn})
+}
+
 // GaugeFunc registers a read-through gauge series.
 func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...Label) {
 	r.register(name, help, "gauge", labels, series{read: fn})

@@ -2,6 +2,7 @@ package shard
 
 import (
 	"testing"
+	"time"
 
 	"repro/internal/aspen"
 	"repro/internal/ligra"
@@ -204,5 +205,62 @@ func TestFlatViewWarmForwards(t *testing.T) {
 		}
 		tx.Close()
 		c.Close()
+	}
+}
+
+// TestStitchedViewWaitsOnShardGate: commits land on shard 0 alone while a
+// reader warms every id through the stitched view. The reader parks on
+// shard 0's gate while shard 0 applies, and never on shard 1's, whose
+// engine commits nothing.
+func TestStitchedViewWaitsOnShardGate(t *testing.T) {
+	const span = 1 << 10
+	part := NewRangePartitioner(2, span)
+	c := NewGraphClusterFrom(part, testParams(), aspen.MakeUndirected(randomEdges(4000, span, 5)), stream.Options{})
+	defer c.Close()
+	const half = span / 2
+	if part.Owner(half-1) != 0 || part.Owner(half) != 1 {
+		t.Fatal("ids not split at half the span")
+	}
+
+	stop := make(chan struct{})
+	writerDone := make(chan error, 1)
+	go func() {
+		for i := uint64(0); ; i++ {
+			select {
+			case <-stop:
+				writerDone <- nil
+				return
+			default:
+			}
+			if _, err := c.Insert(randomEdges(500, half, i)); err != nil { // both ends on shard 0
+				writerDone <- err
+				return
+			}
+		}
+	}()
+
+	ids := make([]uint32, span)
+	for u := range ids {
+		ids[u] = uint32(u)
+	}
+	tx := c.Begin()
+	fv := tx.Flat().(ligra.Warmer)
+	deadline := time.Now().Add(10 * time.Second)
+	for c.Engine(0).Stats().ReaderWait == 0 && time.Now().Before(deadline) {
+		for lo := 0; lo < span; lo += 16 {
+			fv.Warm(ids[lo : lo+16])
+		}
+	}
+	tx.Close()
+	close(stop)
+	if err := <-writerDone; err != nil {
+		t.Fatal(err)
+	}
+	s0, s1 := c.Engine(0).Stats(), c.Engine(1).Stats()
+	if s0.ReaderWait == 0 {
+		t.Fatalf("no reader wait on shard 0 after %d commits (%d held)", s0.Commits, s0.PriorityHolds)
+	}
+	if s1.Commits != 0 || s1.PriorityHolds != 0 || s1.ReaderWait != 0 {
+		t.Fatalf("shard 1: %d commits, %d holds, reader wait %v; want none", s1.Commits, s1.PriorityHolds, s1.ReaderWait)
 	}
 }

@@ -26,6 +26,7 @@ import (
 	"repro/internal/ctree"
 	"repro/internal/ligra"
 	"repro/internal/obs"
+	"repro/internal/parallel"
 	"repro/internal/wal"
 )
 
@@ -115,6 +116,13 @@ type Engine[G ligra.Graph, E any] struct {
 	// userRetire is the client hook chained after the cache drop.
 	flat       flatCache[G]
 	userRetire func(stamp uint64)
+
+	// gate is held across each apply, and only there: not across the WAL
+	// append, the fsync, the flat prebuild or the OnCommit hook. The aspen
+	// flat views wireFlat builds wait on it in Warm, so a kernel scanning
+	// one pauses at its next block while the engine applies a commit
+	// (DESIGN.md, "Writer priority").
+	gate parallel.Gate
 
 	// onCommit, when set, observes every published version on the ingest
 	// goroutine — the hook behind incremental kernel maintenance.
@@ -232,15 +240,21 @@ func ApplyRuns[V ctree.Value](g aspen.GraphOf[V], runs []CommitRun[aspen.EdgeOf[
 
 // wireFlat registers the aspen flat-view builder (and, under
 // Options.PatchFlat, the incremental patcher) on an aspen engine — shared by
-// the in-memory and durable constructors of every payload.
+// the in-memory and durable constructors of every payload. Every view it
+// builds waits on the engine's gate; a patched view inherits it.
 func wireFlat[V ctree.Value](e *Engine[aspen.GraphOf[V], aspen.EdgeOf[V]], opts Options) *Engine[aspen.GraphOf[V], aspen.EdgeOf[V]] {
-	e.SetFlatten(func(g aspen.GraphOf[V]) ligra.Graph { return aspen.BuildFlatSnapshot(g) })
+	build := func(g aspen.GraphOf[V]) ligra.Graph {
+		fv := aspen.BuildFlatSnapshot(g)
+		fv.SetGate(&e.gate)
+		return fv
+	}
+	e.SetFlatten(build)
 	if opts.PatchFlat {
 		e.SetFlatPatcher(func(prev ligra.Graph, g aspen.GraphOf[V]) ligra.Graph {
 			if fs, ok := prev.(*aspen.FlatView[V]); ok {
 				return aspen.PatchFlatSnapshot(fs, g)
 			}
-			return aspen.BuildFlatSnapshot(g)
+			return build(g)
 		})
 	}
 	return e
@@ -488,7 +502,7 @@ func (e *Engine[G, E]) commit(batch []pending[E], totalEdges int, pickup time.Ti
 		var before, committed G
 		t = time.Now()
 		stamp = e.reg.Update(func(cur seqGraph[G]) seqGraph[G] {
-			before, committed = cur.g, e.apply(cur.g, runs)
+			before, committed = cur.g, e.applyFirst(cur.g, runs)
 			if e.dur != nil {
 				cur.seq = e.dur.seq
 			}
@@ -535,6 +549,16 @@ func (e *Engine[G, E]) commit(batch []pending[E], totalEdges int, pickup time.Ti
 	}
 }
 
+// applyFirst runs the engine's update with the gate held, when the
+// alternation rule grants it, so readers of this engine's flat views yield
+// to it; the deferred Release also runs if the update panics.
+func (e *Engine[G, E]) applyFirst(g G, runs []CommitRun[E]) G {
+	if e.gate.Hold() {
+		defer e.gate.Release()
+	}
+	return e.apply(g, runs)
+}
+
 // nack closes every waiter's done channel without sending a stamp, so
 // Pending.Wait returns 0 — unambiguous, since real commit stamps start
 // at 1. The fail-stop path after a durability error.
@@ -572,6 +596,12 @@ type Stats struct {
 	FlatPatches uint64 `json:"flat_patches,omitempty"`
 	FlatHits    uint64 `json:"flat_hits"`
 	FlatCached  int    `json:"flat_cached"`
+	// PriorityHolds / PriorityDeclined count the applies that held the
+	// engine's gate and those the alternation rule let run ungated;
+	// ReaderWait is the total time flat-view readers spent parked on it.
+	PriorityHolds    uint64        `json:"priority_holds"`
+	PriorityDeclined uint64        `json:"priority_declined"`
+	ReaderWait       time.Duration `json:"reader_wait_ns"`
 	// Commit digests the enqueue-to-visible latency of committed batches.
 	Commit obs.LatencySummary `json:"commit"`
 	// Durable reports whether the engine has a durable commit path; the
@@ -601,18 +631,21 @@ func (s Stats) CoalesceFactor() float64 {
 // everything else.
 func (e *Engine[G, E]) Stats() Stats {
 	s := Stats{
-		Stamp:           e.reg.Current(),
-		Commits:         e.commits.Load(),
-		Batches:         e.batches.Load(),
-		Edges:           e.edges.Load(),
-		QueueDepth:      len(e.queue),
-		LiveVersions:    e.reg.LiveVersions(),
-		RetiredVersions: e.reg.RetiredVersions(),
-		FlatBuilds:      e.flat.builds.Load(),
-		FlatPatches:     e.flat.patches.Load(),
-		FlatHits:        e.flat.hits.Load(),
-		FlatCached:      e.flat.size(),
-		Commit:          e.commitHist.Summary(),
+		Stamp:            e.reg.Current(),
+		Commits:          e.commits.Load(),
+		Batches:          e.batches.Load(),
+		Edges:            e.edges.Load(),
+		QueueDepth:       len(e.queue),
+		LiveVersions:     e.reg.LiveVersions(),
+		RetiredVersions:  e.reg.RetiredVersions(),
+		FlatBuilds:       e.flat.builds.Load(),
+		FlatPatches:      e.flat.patches.Load(),
+		FlatHits:         e.flat.hits.Load(),
+		FlatCached:       e.flat.size(),
+		PriorityHolds:    e.gate.Holds(),
+		PriorityDeclined: e.gate.Declined(),
+		ReaderWait:       e.gate.Waited(),
+		Commit:           e.commitHist.Summary(),
 	}
 	if e.dur != nil {
 		s.Durable = true

@@ -46,6 +46,15 @@ func (e *Engine[G, E]) RegisterMetrics(reg *obs.Registry, labels ...obs.Label) {
 	reg.GaugeFunc("aspen_flat_cached",
 		"Flat views currently held (<= live versions).",
 		func() float64 { return float64(e.flat.size()) }, labels...)
+	reg.CounterFunc("aspen_engine_priority_holds_total",
+		"Applies that held the engine's gate, pausing its flat-view kernels.",
+		e.gate.Holds, labels...)
+	reg.CounterFunc("aspen_engine_priority_declined_total",
+		"Applies the alternation rule let run beside the kernels.",
+		e.gate.Declined, labels...)
+	reg.CounterFloatFunc("aspen_engine_reader_wait_seconds_total",
+		"Time flat-view readers spent parked while an apply held the gate.",
+		func() float64 { return e.gate.Waited().Seconds() }, labels...)
 	reg.Summary("aspen_commit_latency_seconds",
 		"Enqueue-to-visible latency of committed batches.", &e.commitHist, labels...)
 	e.tracer.Register(reg, "aspen_commit_stage_seconds",
