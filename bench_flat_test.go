@@ -13,9 +13,9 @@ import (
 
 // PR-4 benchmarks: the §5.1 flat view as the default fast path for global
 // kernels. BenchmarkFlatBuild shows the parallel build scaling with
-// workers; BenchmarkFlatKernels records the flat-vs-tree gap CI and
-// BENCHMARKS.md track (the acceptance target is flat ≥ 15% faster on BFS,
-// CC and SSSP over the rMAT benchmark graphs).
+// workers; BenchmarkFlatKernels records the flat-vs-tree gap BENCHMARKS.md
+// tracks (the acceptance target is flat ≥ 15% faster on BFS, CC and SSSP
+// over the rMAT benchmark graphs).
 
 // BenchmarkFlatBuild sweeps the worker count of the per-worker-range
 // parallel flat-snapshot build.
@@ -60,7 +60,7 @@ func BenchmarkFlatWeightedBuild(b *testing.B) {
 // instead of in the vertex order of a one-call build. That is the only kind
 // of graph a streaming system serves, and the one on which the flat view's
 // Warm capability does anything (DESIGN.md "Read path on an aged graph").
-func agedBenchGraph(b *testing.B, g aspen.Graph) aspen.Graph {
+func agedBenchGraph(b testing.TB, g aspen.Graph) aspen.Graph {
 	b.Helper()
 	const parts = 100
 	gen, m := rmat.NewGenerator(benchScale, 1), g.NumEdges()
@@ -80,33 +80,45 @@ func agedBenchGraph(b *testing.B, g aspen.Graph) aspen.Graph {
 	return g
 }
 
-// BenchmarkFlatKernels runs each global kernel against the tree snapshot
-// and the flat view of the same rMAT graph, and BFS and CC also against the
-// flat view of that graph after 200 update batches (the -aged rows). The BFS
-// and CC rows report allocs/op and CI gates them (BENCH_pr4_flat.json): both
-// kernels allocate per parallel block, a few hundred objects here, and a
-// closure per vertex coming back would read ≥ 16 384.
-func BenchmarkFlatKernels(b *testing.B) {
-	g := benchGraph(b, ctree.DefaultParams())
-	fs := aspen.BuildFlatSnapshot(g)
-	fa := aspen.BuildFlatSnapshot(agedBenchGraph(b, g))
-	wg := benchWeightedGraph(ctree.DefaultParams())
-	fw := aspen.BuildFlatWeightedSnapshot(wg)
+// flatKernel is one row of BenchmarkFlatKernels: a global kernel against
+// the tree snapshot or the flat view of the rMAT bench graph. The BFS and
+// CC rows report allocs/op and TestAllocGates holds them: both kernels
+// allocate per parallel block, a few hundred objects here, and a closure
+// per vertex coming back would read ≥ 16 384.
+type flatKernel struct {
+	name   string
+	allocs bool
+	run    func()
+}
 
-	for _, k := range []struct {
-		name   string
-		allocs bool
-		run    func()
-	}{
+// flatKernels runs BFS and CC against g, its flat view fs, and fa, the flat
+// view of g after 200 update batches (the -aged rows); SSSP runs when wg
+// and fw, the weighted graph and its flat view, are given.
+func flatKernels(g aspen.Graph, fs, fa *aspen.FlatSnapshot, wg aspen.WeightedGraph, fw *aspen.FlatWeightedSnapshot) []flatKernel {
+	ks := []flatKernel{
 		{"bfs-tree", true, func() { algos.BFS(g, 0, false) }},
 		{"bfs-flat", true, func() { algos.BFS(fs, 0, false) }},
 		{"bfs-flat-aged", true, func() { algos.BFS(fa, 0, false) }},
 		{"cc-tree", true, func() { algos.ConnectedComponents(g) }},
 		{"cc-flat", true, func() { algos.ConnectedComponents(fs) }},
 		{"cc-flat-aged", true, func() { algos.ConnectedComponents(fa) }},
-		{"sssp-tree", false, func() { algos.SSSP(wg, 0) }},
-		{"sssp-flat", false, func() { algos.SSSP(fw, 0) }},
-	} {
+	}
+	if fw != nil {
+		ks = append(ks,
+			flatKernel{"sssp-tree", false, func() { algos.SSSP(wg, 0) }},
+			flatKernel{"sssp-flat", false, func() { algos.SSSP(fw, 0) }})
+	}
+	return ks
+}
+
+// BenchmarkFlatKernels runs each of flatKernels' rows.
+func BenchmarkFlatKernels(b *testing.B) {
+	g := benchGraph(b, ctree.DefaultParams())
+	fs := aspen.BuildFlatSnapshot(g)
+	fa := aspen.BuildFlatSnapshot(agedBenchGraph(b, g))
+	wg := benchWeightedGraph(ctree.DefaultParams())
+	fw := aspen.BuildFlatWeightedSnapshot(wg)
+	for _, k := range flatKernels(g, fs, fa, wg, fw) {
 		b.Run(k.name, func(b *testing.B) {
 			if k.allocs {
 				b.ReportAllocs()

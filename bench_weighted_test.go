@@ -32,32 +32,40 @@ func benchWeightedGraph(p ctree.Params) aspen.WeightedGraph {
 	return aspen.NewWeightedGraphWith(p).InsertEdges(benchWeightedBatch())
 }
 
+// weightedInsertOp overwrites the weights of the first size edges of the
+// weighted bench batch in base, a new version each call: the op of
+// BenchmarkWeightedInsertEdges and its allocation gate (the weighted
+// analogue of BenchmarkInsertEdges).
+func weightedInsertOp(base aspen.WeightedGraph, all []aspen.WeightedEdge, size int) func() {
+	// Shift weights so every update is a real overwrite.
+	shifted := make([]aspen.WeightedEdge, size)
+	for i, e := range all[:size] {
+		shifted[i] = aspen.WeightedEdge{Src: e.Src, Dst: e.Dst, Val: e.Val + 1}
+	}
+	return func() { base.InsertEdges(shifted) }
+}
+
 // BenchmarkWeightedInsertEdges measures weighted batch ingest into a
-// populated compressed graph at several batch sizes (the weighted analogue
-// of BenchmarkInsertEdges).
+// populated compressed graph at several batch sizes.
 func BenchmarkWeightedInsertEdges(b *testing.B) {
 	base := benchWeightedGraph(ctree.DefaultParams())
 	all := benchWeightedBatch()
 	for _, size := range []int{100, 10_000} {
 		b.Run(fmt.Sprintf("batch=%d", size), func(b *testing.B) {
-			batch := all[:size]
-			// Shift weights so every update is a real overwrite.
-			shifted := make([]aspen.WeightedEdge, len(batch))
-			for i, e := range batch {
-				shifted[i] = aspen.WeightedEdge{Src: e.Src, Dst: e.Dst, Val: e.Val + 1}
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				base.InsertEdges(shifted)
-			}
-			b.ReportMetric(float64(size)*float64(b.N)/b.Elapsed().Seconds(), "edges/sec")
+			benchEdgesPerSec(b, weightedInsertOp(base, all, size), size)
 		})
 	}
 }
 
-// BenchmarkWeightedIngestEmpty measures building a weighted graph from
-// scratch in one batch, compressed versus plain trees.
+// weightedIngestEmptyOp builds a weighted graph of params p from scratch
+// in one batch: the op of BenchmarkWeightedIngestEmpty and its allocation
+// gate.
+func weightedIngestEmptyOp(p ctree.Params, batch []aspen.WeightedEdge) func() {
+	return func() { aspen.NewWeightedGraphWith(p).InsertEdges(batch) }
+}
+
+// BenchmarkWeightedIngestEmpty measures weightedIngestEmptyOp, compressed
+// versus plain trees.
 func BenchmarkWeightedIngestEmpty(b *testing.B) {
 	batch := benchWeightedBatch()
 	for _, f := range []struct {
@@ -68,11 +76,7 @@ func BenchmarkWeightedIngestEmpty(b *testing.B) {
 		{"Plain", ctree.PlainParams()},
 	} {
 		b.Run(f.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				aspen.NewWeightedGraphWith(f.p).InsertEdges(batch)
-			}
-			b.ReportMetric(float64(len(batch))*float64(b.N)/b.Elapsed().Seconds(), "edges/sec")
+			benchEdgesPerSec(b, weightedIngestEmptyOp(f.p, batch), len(batch))
 		})
 	}
 }
@@ -100,19 +104,24 @@ func BenchmarkWeightedMemory(b *testing.B) {
 	}
 }
 
-// BenchmarkSSSP runs Bellman-Ford over the weighted EdgeMap on a compressed
-// weighted snapshot, with the sequential Dijkstra as the reference row.
+// ssspOps are the rows of BenchmarkSSSP and their allocation gates:
+// Bellman-Ford over the weighted EdgeMap on a compressed weighted
+// snapshot, and the sequential Dijkstra as the reference row.
+func ssspOps(g aspen.WeightedGraph) (bellmanFord, dijkstra func()) {
+	return func() { algos.SSSP(g, 0) }, func() { algos.DijkstraRef(g, 0) }
+}
+
 func BenchmarkSSSP(b *testing.B) {
-	g := benchWeightedGraph(ctree.DefaultParams())
+	bellmanFord, dijkstra := ssspOps(benchWeightedGraph(ctree.DefaultParams()))
 	b.Run("BellmanFordEdgeMap", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			algos.SSSP(g, 0)
+			bellmanFord()
 		}
 	})
 	b.Run("DijkstraRef", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			algos.DijkstraRef(g, 0)
+			dijkstra()
 		}
 	})
 }

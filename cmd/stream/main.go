@@ -5,11 +5,10 @@
 // latencies. The store is one of three deployments behind stream.Store —
 // a lone engine (the default), in-process shard clusters (-shards), or a
 // running cluster of cmd/shardd processes (-connect) — and every run goes
-// through the same workload, report and JSON shape. Examples:
+// through the same workload and report. Examples:
 //
 //	stream -scale 17 -init 1000000 -batch 5000 -readers 1,4,8 -duration 5s
 //	stream -weighted -algos bfs,sssp -readers 4
-//	stream -quick -json BENCH_pr3_stream.json -merge bench_snap.json
 //
 // The engine sweep runs each reader count at the offered load (-interval,
 // or saturated) plus update-only and query-only baselines (-isolate). With
@@ -24,11 +23,6 @@
 // Shard servers keep their state between runs, so against -connect the
 // writer schedule keeps one cursor across the sweep.
 //
-// With -json the results are written as a BENCH_*.json document; -merge
-// folds the "benchmarks" array of an existing snapshot (produced with
-// `cmd/benchdiff -out`) into the same file so one document carries both
-// the §7.8 reproduction and the CI-gated benchmark metrics.
-//
 // -obs-addr mounts the observability plane for the whole process:
 // Prometheus-text /metrics for the current run's store, JSON /statusz
 // (with the commit stage breakdown and slow-commit traces of a lone
@@ -42,7 +36,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -114,9 +107,6 @@ func main() {
 		readFrom = flag.String("read-from", "", "comma list of shardd replica addresses (one per -connect shard, empty entries allowed)")
 		partKind = flag.String("partition", "range", "shard partitioner: range or hash")
 		quick    = flag.Bool("quick", false, "tiny smoke-test configuration")
-		jsonOut  = flag.String("json", "", "write results as a BENCH_*.json document")
-		jsonTag  = flag.String("tag", "stream", "tag recorded in the -json document")
-		mergeIn  = flag.String("merge", "", "snapshot file whose benchmarks array is merged into -json")
 		seed     = flag.Uint64("seed", 42, "rMAT stream seed")
 
 		dataDir  = flag.String("data", "", "durability directory: WAL + checkpoints; recovers existing state on start")
@@ -185,11 +175,9 @@ func main() {
 		Scale: *scale, InitEdges: *initE, Batch: *batch, Weighted: *weighted,
 		Algos: *algoList, Flat: *flat, PrebuildFlat: *prebuild, PatchFlat: *patch,
 		IncCC: *incCC, DelPeriod: *delmix,
-		Partition:  *partKind,
-		DurationNS: duration.Nanoseconds(), IntervalNS: interval.Nanoseconds(),
-		Seed: *seed, Procs: runtime.GOMAXPROCS(0),
+		Partition: *partKind, Duration: *duration, Seed: *seed,
 		Data: *dataDir, Fsync: *fsyncPol, CkptEvery: *ckptEv,
-		TraceSlowNS: traceSlow.Nanoseconds(),
+		TraceSlow: *traceSlow,
 	}
 	kernels(cfg, nil) // reject a bad -algos before any store is built
 
@@ -231,7 +219,7 @@ func main() {
 
 	startObs(*obsAddr)
 	fmt.Printf("stream: %s scale=%d init=%d batch=%d weighted=%v algos=%s flat=%v patch=%v inc-cc=%v delmix=%d procs=%d\n",
-		mode, *scale, *initE, *batch, *weighted, *algoList, *flat, *patch, *incCC, *delmix, cfg.Procs)
+		mode, *scale, *initE, *batch, *weighted, *algoList, *flat, *patch, *incCC, *delmix, runtime.GOMAXPROCS(0))
 
 	// Graceful shutdown: SIGINT/SIGTERM stops the in-flight run early (the
 	// writer quits, submitted batches flush, readers drain) and skips the
@@ -246,10 +234,6 @@ func main() {
 	} else {
 		runs = runSweep(ctx, cfg, sw, graphBatch, openGraph)
 	}
-	if *jsonOut != "" {
-		writeJSON(*jsonOut, *jsonTag, *mergeIn, experiment{Deployment: mode, Config: cfg, Runs: runs})
-		fmt.Printf("wrote %s\n", *jsonOut)
-	}
 	for _, rr := range runs {
 		if rr.Report.SubmitErr != "" {
 			fatal("%s: writer stopped early: %s", rr.Name, rr.Report.SubmitErr)
@@ -257,36 +241,34 @@ func main() {
 	}
 }
 
-// config records the experiment parameters in the JSON document.
+// config records the experiment parameters.
 type config struct {
-	Scale        int    `json:"scale"`
-	InitEdges    uint64 `json:"init_edges"`
-	Batch        uint64 `json:"batch"`
-	Weighted     bool   `json:"weighted"`
-	Algos        string `json:"algos"`
-	Flat         bool   `json:"flat"`
-	PrebuildFlat bool   `json:"prebuild_flat"`
-	PatchFlat    bool   `json:"patch_flat"`
-	IncCC        bool   `json:"inc_cc"`
-	DelPeriod    uint64 `json:"del_period"`
-	Partition    string `json:"partition"`
-	DurationNS   int64  `json:"duration_ns"`
-	IntervalNS   int64  `json:"interval_ns"`
-	Seed         uint64 `json:"seed"`
-	Procs        int    `json:"procs"`
+	Scale        int
+	InitEdges    uint64
+	Batch        uint64
+	Weighted     bool
+	Algos        string
+	Flat         bool
+	PrebuildFlat bool
+	PatchFlat    bool
+	IncCC        bool
+	DelPeriod    uint64
+	Partition    string
+	Duration     time.Duration
+	Seed         uint64
 
 	// Durability settings (-data empty means in-memory).
-	Data      string `json:"data_dir,omitempty"`
-	Fsync     string `json:"fsync,omitempty"`
-	CkptEvery int    `json:"ckpt_every,omitempty"`
+	Data      string
+	Fsync     string
+	CkptEvery int
 
-	// TraceSlowNS is the -trace-slow slow-commit threshold (0 = off).
-	TraceSlowNS int64 `json:"trace_slow_ns,omitempty"`
+	// TraceSlow is the -trace-slow slow-commit threshold (0 = off).
+	TraceSlow time.Duration
 }
 
 func (cfg config) engineOptions() stream.Options {
 	return stream.Options{PrebuildFlat: cfg.PrebuildFlat, PatchFlat: cfg.PatchFlat,
-		TraceSlow: time.Duration(cfg.TraceSlowNS)}
+		TraceSlow: cfg.TraceSlow}
 }
 
 // partitioner builds the requested partitioner over the id space.
@@ -450,11 +432,11 @@ func weightedBatch(gen rmat.Generator, lo, hi uint64) []aspen.WeightedEdge {
 
 // runResult is one entry of the sweep.
 type runResult struct {
-	Name   string        `json:"name"`
-	Report stream.Report `json:"report"`
+	Name   string
+	Report stream.Report
 	// IncCC carries the incremental-connectivity maintenance counters when
 	// the run kept a standing algos.IncrementalCC on the commit path.
-	IncCC *algos.IncrementalCCStats `json:"inc_cc,omitempty"`
+	IncCC *algos.IncrementalCCStats
 }
 
 // runSweep executes the plan over one payload type: batch materializes a
@@ -497,7 +479,7 @@ func runSweep[E any](ctx context.Context, cfg config, sw sweep,
 				mountObs(o)
 				w := stream.Workload[E]{
 					Store: o, Readers: ld.readers, Kernels: kernels(cfg, o.incCC),
-					Duration: time.Duration(cfg.DurationNS), Interval: pace,
+					Duration: cfg.Duration, Interval: pace,
 					UseFlat: cfg.Flat, Stop: ctx.Done(),
 				}
 				if ld.writer {
@@ -512,8 +494,8 @@ func runSweep[E any](ctx context.Context, cfg config, sw sweep,
 					base = rr.Report.UpdatesPerSec
 				}
 				printRun(rr, base)
-				if o.tracer != nil && cfg.TraceSlowNS > 0 {
-					dumpSlowTraces(o.tracer, time.Duration(cfg.TraceSlowNS))
+				if o.tracer != nil && cfg.TraceSlow > 0 {
+					dumpSlowTraces(o.tracer, cfg.TraceSlow)
 				}
 				closeStore(cfg, o)
 				runs = append(runs, rr)
@@ -641,56 +623,6 @@ func printRun(rr runResult, base float64) {
 	}
 	if r.StatsErr != "" {
 		fmt.Printf("STATS ERROR (counts miss these shards): %s\n", r.StatsErr)
-	}
-}
-
-// benchDoc is the on-disk BENCH_*.json shape: the benchdiff snapshot
-// fields plus the experiment payload (benchdiff reads only benchmarks).
-type benchDoc struct {
-	Tag         string          `json:"tag"`
-	Description string          `json:"description"`
-	Machine     string          `json:"machine,omitempty"`
-	Benchmarks  json.RawMessage `json:"benchmarks"`
-	Experiment  experiment      `json:"experiment"`
-}
-
-type experiment struct {
-	Deployment string      `json:"deployment"`
-	Config     config      `json:"config"`
-	Runs       []runResult `json:"runs"`
-}
-
-func writeJSON(path, tag, mergePath string, exp experiment) {
-	doc := benchDoc{
-		Tag: tag,
-		Description: "§7.8 reproduction through stream.Store: concurrent readers + one writer over " +
-			"epoch-refcounted snapshots on the deployment named in experiment.deployment " +
-			"(engine, shards or remote); benchmarks array gates allocs in CI via cmd/benchdiff.",
-		Machine:    runtime.GOOS + "/" + runtime.GOARCH,
-		Benchmarks: json.RawMessage("[]"),
-		Experiment: exp,
-	}
-	if mergePath != "" {
-		raw, err := os.ReadFile(mergePath)
-		if err != nil {
-			fatal("-merge: %v", err)
-		}
-		var snap struct {
-			Benchmarks json.RawMessage `json:"benchmarks"`
-		}
-		if err := json.Unmarshal(raw, &snap); err != nil {
-			fatal("-merge: %v", err)
-		}
-		if len(snap.Benchmarks) > 0 {
-			doc.Benchmarks = snap.Benchmarks
-		}
-	}
-	out, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		fatal("marshal: %v", err)
-	}
-	if err := os.WriteFile(path, append(out, '\n'), 0o644); err != nil {
-		fatal("write: %v", err)
 	}
 }
 

@@ -1,6 +1,7 @@
 package ctree
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/xhash"
@@ -17,16 +18,8 @@ func benchElems(n int, seed uint64) []uint32 {
 			elems = append(elems, v)
 		}
 	}
-	sortInPlace(elems)
+	slices.Sort(elems)
 	return elems
-}
-
-func sortInPlace(a []uint32) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j-1] > a[j]; j-- {
-			a[j-1], a[j] = a[j], a[j-1]
-		}
-	}
 }
 
 func BenchmarkBuild(b *testing.B) {
@@ -47,23 +40,55 @@ func BenchmarkFind(b *testing.B) {
 	}
 }
 
-func BenchmarkUnion(b *testing.B) {
+// unionOp is the op of BenchmarkUnion and its allocation gate: the union
+// of two 50 000-element trees.
+func unionOp() func() {
 	t1 := Build(DefaultParams(), benchElems(50_000, 3))
 	t2 := Build(DefaultParams(), benchElems(50_000, 4))
+	return func() { t1.Union(t2) }
+}
+
+// multiInsertSmallBatchOp is the op of BenchmarkMultiInsertSmallBatch and
+// its allocation gate: a 1 000-element batch into a 100 000-element tree.
+func multiInsertSmallBatchOp() func() {
+	t := Build(DefaultParams(), benchElems(100_000, 5))
+	batch := benchElems(1_000, 6)
+	return func() { t.MultiInsert(batch) }
+}
+
+func BenchmarkUnion(b *testing.B) {
+	op := unionOp()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		t1.Union(t2)
+		op()
 	}
 }
 
 func BenchmarkMultiInsertSmallBatch(b *testing.B) {
-	t := Build(DefaultParams(), benchElems(100_000, 5))
-	batch := benchElems(1_000, 6)
+	op := multiInsertSmallBatchOp()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		t.MultiInsert(batch)
+		op()
+	}
+}
+
+// TestAllocGates holds each gated benchmark's op at no more than its
+// pinned allocs/op × 1.15 (a pinned 0 stays 0). Re-pinning a gate edits
+// its number here with a BENCHMARKS.md line saying why.
+func TestAllocGates(t *testing.T) {
+	for _, g := range []struct {
+		name   string
+		op     func() func()
+		allocs float64
+	}{
+		{"BenchmarkUnion", unionOp, 2899},
+		{"BenchmarkMultiInsertSmallBatch", multiInsertSmallBatchOp, 79},
+	} {
+		if n := testing.AllocsPerRun(20, g.op()); n > g.allocs*1.15 {
+			t.Errorf("%s: %.0f allocs/op, gate %.0f × 1.15", g.name, n, g.allocs)
+		}
 	}
 }
 

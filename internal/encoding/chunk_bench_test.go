@@ -41,31 +41,63 @@ func BenchmarkDecodeRaw(b *testing.B) {
 	}
 }
 
-func BenchmarkChunkUnion(b *testing.B) {
+// chunkUnionOp is the op of BenchmarkChunkUnion and its allocation gate:
+// the element-wise merge of two interleaved 256-element delta chunks.
+func chunkUnionOp() func() {
 	a := benchChunk(Delta, 256)
 	elems := make([]uint32, 256)
 	for i := range elems {
 		elems[i] = uint32(4*i + 2) // interleaves with benchChunk's elements
 	}
 	c := Encode(Delta, elems)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Union(Delta, a, c)
-	}
+	return func() { Union(Delta, a, c) }
 }
 
-func BenchmarkChunkUnionDisjoint(b *testing.B) {
+// chunkUnionDisjointOp is the op of BenchmarkChunkUnionDisjoint and its
+// allocation gate: two disjoint ranges, the byte-splice concatenation.
+func chunkUnionDisjointOp() func() {
 	a := benchChunk(Delta, 256)
 	elems := make([]uint32, 256)
 	for i := range elems {
 		elems[i] = 100_000 + uint32(4*i)
 	}
 	c := Encode(Delta, elems)
+	return func() { Union(Delta, a, c) }
+}
+
+func BenchmarkChunkUnion(b *testing.B) {
+	op := chunkUnionOp()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Union(Delta, a, c)
+		op()
+	}
+}
+
+func BenchmarkChunkUnionDisjoint(b *testing.B) {
+	op := chunkUnionDisjointOp()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		op()
+	}
+}
+
+// TestAllocGates holds each gated benchmark's op at no more than its
+// pinned allocs/op × 1.15 (a pinned 0 stays 0). Re-pinning a gate edits
+// its number here with a BENCHMARKS.md line saying why.
+func TestAllocGates(t *testing.T) {
+	for _, g := range []struct {
+		name   string
+		op     func() func()
+		allocs float64
+	}{
+		{"BenchmarkChunkUnion", chunkUnionOp, 1},
+		{"BenchmarkChunkUnionDisjoint", chunkUnionDisjointOp, 1},
+	} {
+		if n := testing.AllocsPerRun(100, g.op()); n > g.allocs*1.15 {
+			t.Errorf("%s: %.0f allocs/op, gate %.0f × 1.15", g.name, n, g.allocs)
+		}
 	}
 }
 

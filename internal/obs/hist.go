@@ -85,7 +85,7 @@ func (h *Hist) Count() uint64 { return h.n.Load() }
 func (h *Hist) Sum() time.Duration { return time.Duration(h.sum.Load()) }
 
 // LatencySummary is a fixed quantile digest of a histogram, in nanoseconds
-// (the JSON shape BENCH_*_stream.json records).
+// (the JSON shape /statusz serves).
 type LatencySummary struct {
 	Count uint64        `json:"count"`
 	Mean  time.Duration `json:"mean_ns"`

@@ -136,15 +136,13 @@ func TestTracerRegister(t *testing.T) {
 
 // TestRecordAllocs pins the zero-allocation contract of the per-commit
 // trace record, with and without the slow ring armed (the armed path
-// copies into a fixed array under a mutex — still no allocation).
+// copies into a fixed array under a mutex — still no allocation): the ops
+// of BenchmarkStageTraceRecord and BenchmarkStageTraceRecordSlow.
 func TestRecordAllocs(t *testing.T) {
-	var tr StageTracer
-	rec := mkTrace(1, time.Millisecond)
-	if n := testing.AllocsPerRun(1000, func() { tr.Record(&rec) }); n != 0 {
+	if n := testing.AllocsPerRun(1000, stageTraceRecordOp()); n != 0 {
 		t.Errorf("Record (disarmed) allocates %v/op", n)
 	}
-	tr.SetSlowThreshold(1)
-	if n := testing.AllocsPerRun(1000, func() { tr.Record(&rec) }); n != 0 {
+	if n := testing.AllocsPerRun(1000, stageTraceRecordSlowOp()); n != 0 {
 		t.Errorf("Record (slow path) allocates %v/op", n)
 	}
 }

@@ -237,17 +237,18 @@ func TestScratchRetentionBound(t *testing.T) {
 	}
 }
 
-func BenchmarkFrameEncode(b *testing.B) {
+// frameEncodeOp is the op of BenchmarkFrameEncode and its allocation gate:
+// a 1 000-edge submit frame built in the encoder's reused buffer.
+func frameEncodeOp(tb testing.TB) func() {
 	var e Encoder
 	edges := make([]byte, 1000*8)
 	for i := range edges {
 		edges[i] = byte(i)
 	}
-	b.ReportAllocs()
-	b.SetBytes(int64(frameHead + msgHead + 8 + len(edges)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.Begin(VerbSubmit, FlagDel, uint64(i))
+	var seq uint64
+	return func() {
+		seq++
+		e.Begin(VerbSubmit, FlagDel, seq)
 		e.U8(8)
 		e.U8(0)
 		e.U8(0)
@@ -255,30 +256,29 @@ func BenchmarkFrameEncode(b *testing.B) {
 		e.U32(1000)
 		copy(e.Reserve(len(edges)), edges)
 		if _, err := e.Finish(); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
 }
 
-func BenchmarkFrameDecode(b *testing.B) {
+// frameDecodeOp is the op of BenchmarkFrameDecode and its allocation gate:
+// an 8 KB frame read through the reader's reused buffer.
+func frameDecodeOp(tb testing.TB) func() {
 	var e Encoder
 	e.Begin(VerbSubmit, 0, 1)
 	copy(e.Reserve(8000), bytes.Repeat([]byte{5}, 8000))
 	f, err := e.Finish()
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	frame := make([]byte, len(f))
 	copy(frame, f)
 	br := bytes.NewReader(frame)
 	r := NewReader(br)
-	b.ReportAllocs()
-	b.SetBytes(int64(len(frame)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	return func() {
 		br.Reset(frame)
 		if _, err := r.Next(); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
 }
@@ -288,38 +288,80 @@ func BenchmarkFrameDecode(b *testing.B) {
 // released once written or handled. On the decode side the buffer grows as
 // the body arrives, Keep, 2·Keep, then the full length.
 
-func BenchmarkFrameEncodeLarge(b *testing.B) {
+func frameEncodeLargeOp(tb testing.TB) func() {
 	var e Encoder
 	body := bytes.Repeat([]byte{7}, 4<<20)
-	b.ReportAllocs()
-	b.SetBytes(int64(frameHead + msgHead + len(body)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.Begin(VerbRead, FlagResp, uint64(i))
+	var seq uint64
+	return func() {
+		seq++
+		e.Begin(VerbRead, FlagResp, seq)
 		copy(e.Reserve(len(body)), body)
 		if _, err := e.WriteTo(io.Discard); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
 }
 
-func BenchmarkFrameDecodeLarge(b *testing.B) {
+func frameDecodeLargeOp(tb testing.TB) func() {
 	var e Encoder
 	e.Begin(VerbRead, FlagResp, 1)
 	e.Reserve(4 << 20)
 	f, err := e.Finish()
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	br := bytes.NewReader(f)
 	r := NewReader(br)
-	b.ReportAllocs()
-	b.SetBytes(int64(len(f)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	return func() {
 		br.Reset(f)
 		if _, err := r.Next(); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
+		}
+	}
+}
+
+func benchOp(b *testing.B, op func(testing.TB) func(), frameBytes int) {
+	run := op(b)
+	b.ReportAllocs()
+	b.SetBytes(int64(frameBytes))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run()
+	}
+}
+
+func BenchmarkFrameEncode(b *testing.B) {
+	benchOp(b, frameEncodeOp, frameHead+msgHead+8+1000*8)
+}
+
+func BenchmarkFrameDecode(b *testing.B) {
+	benchOp(b, frameDecodeOp, frameHead+msgHead+8000)
+}
+
+func BenchmarkFrameEncodeLarge(b *testing.B) {
+	benchOp(b, frameEncodeLargeOp, frameHead+msgHead+4<<20)
+}
+
+func BenchmarkFrameDecodeLarge(b *testing.B) {
+	benchOp(b, frameDecodeLargeOp, frameHead+msgHead+4<<20)
+}
+
+// TestAllocGates holds each gated benchmark's op at no more than its
+// pinned allocs/op × 1.15 (a pinned 0 stays 0). Re-pinning a gate edits
+// its number here with a BENCHMARKS.md line saying why.
+func TestAllocGates(t *testing.T) {
+	for _, g := range []struct {
+		name   string
+		op     func(testing.TB) func()
+		allocs float64
+	}{
+		{"BenchmarkFrameEncode", frameEncodeOp, 0},
+		{"BenchmarkFrameDecode", frameDecodeOp, 0},
+		{"BenchmarkFrameEncodeLarge", frameEncodeLargeOp, 2},
+		{"BenchmarkFrameDecodeLarge", frameDecodeLargeOp, 3},
+	} {
+		if n := testing.AllocsPerRun(20, g.op(t)); n > g.allocs*1.15 {
+			t.Errorf("%s: %.0f allocs/op, gate %.0f × 1.15", g.name, n, g.allocs)
 		}
 	}
 }

@@ -809,15 +809,16 @@ func TestDeltaReadsUnderFaults(t *testing.T) {
 	}
 }
 
-// BenchmarkSubmitEncode measures the healthy-path submit frame encode —
-// the (clientID, seq) identity plus the edge payload. Gated on
-// allocs/op in CI: the hot ingest path must not allocate.
-func BenchmarkSubmitEncode(b *testing.B) {
+// submitEncodeOp is the op of BenchmarkSubmitEncode and its allocation
+// gate: the healthy-path submit frame encode — the (clientID, seq)
+// identity plus the edge payload. The hot ingest path must not allocate.
+func submitEncodeOp(tb testing.TB) func() {
 	codec := stream.EdgeCodec
 	w := codec.Width
 	chunk := aspen.MakeUndirected(rmat.NewGenerator(10, 3).Edges(0, 256))
 	var enc rpc.Encoder
-	encodeOne := func(reqID uint64) {
+	var reqID uint64
+	encodeOne := func() {
 		enc.Begin(rpc.VerbSubmit, 0, reqID)
 		enc.U64(0xdeadbeef | 1)
 		enc.U64(reqID)
@@ -827,27 +828,34 @@ func BenchmarkSubmitEncode(b *testing.B) {
 			codec.Encode(buf[i*w:], ed)
 		}
 		if _, err := enc.Finish(); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
+		reqID++
 	}
-	encodeOne(0) // warm the grow-only buffer
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		encodeOne(uint64(i) + 1)
+	encodeOne() // warm the grow-only buffer
+	return encodeOne
+}
+
+// dedupCheckOp is the op of BenchmarkDedupCheck and its allocation gate:
+// the retried-submit dedup verdict — the path a duplicate ack is answered
+// from.
+func dedupCheckOp(tb testing.TB) func() {
+	d := NewDedup(0)
+	d.complete(7, 1, 42)
+	return func() {
+		if v, stamp := d.begin(7, 1, nil); v != dupDone || stamp != 42 {
+			tb.Fatalf("verdict (%v, %d)", v, stamp)
+		}
 	}
 }
 
-// BenchmarkDedupCheck measures the retried-submit dedup verdict — the
-// path a duplicate ack is answered from. Gated on allocs/op in CI.
-func BenchmarkDedupCheck(b *testing.B) {
-	d := NewDedup(0)
-	d.complete(7, 1, 42)
+func benchOp(b *testing.B, op func()) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if v, stamp := d.begin(7, 1, nil); v != dupDone || stamp != 42 {
-			b.Fatalf("verdict (%v, %d)", v, stamp)
-		}
+		op()
 	}
 }
+
+func BenchmarkSubmitEncode(b *testing.B) { benchOp(b, submitEncodeOp(b)) }
+func BenchmarkDedupCheck(b *testing.B)   { benchOp(b, dedupCheckOp(b)) }

@@ -3,6 +3,7 @@ package remote
 import (
 	"fmt"
 	"net"
+	"runtime"
 	"slices"
 	"sync/atomic"
 	"testing"
@@ -500,113 +501,179 @@ func (c *countingConn) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// BenchmarkRemoteFlat measures one read of a moved cluster — pin, Flat,
-// close — on a loopback 2-shard cluster with one 500-edge batch committed
-// between reads: "delta" is the read path (the held views are patched),
-// "whole" the same read with nothing held, answered from the empty version
-// every time. "replica-delta" is "delta" on durable shards with one replica
-// each: the pin goes to the primary, the read to the replica by WAL seq.
-// rx-B/op is what the client received per read.
+// remoteFlatOp is the op of BenchmarkRemoteFlat and its allocation gate:
+// one read of a moved cluster — pin, Flat, close — on a loopback 2-shard
+// cluster preloaded with 500 000 edges. step commits the next 500-edge
+// batch and readies the read; read is the measured part, and rx reports
+// the bytes the client has received so far. "delta" is the read path (the
+// held views are patched); "whole" is the same read with nothing held
+// (step drops the views), answered from the empty version every time. With
+// replicas the shards are durable with one replica each ("replica-delta"):
+// the pin goes to the primary, the read to the replica by WAL seq.
+func remoteFlatOp(tb testing.TB, replicas bool) (step func(whole bool), read func(), rx func() int64) {
+	part := shard.NewRangePartitioner(2, 1<<16)
+	addrs := make([]string, 2)
+	var repls []string
+	var caughtUp []func() bool
+	for s := range addrs {
+		var eng *stream.Engine[aspen.Graph, aspen.Edge]
+		dir := ""
+		if replicas {
+			dir = tb.TempDir()
+			var err error
+			if eng, err = stream.RecoverGraphEngine(testParams(), stream.Options{}, stream.Durability{Dir: dir}); err != nil {
+				tb.Fatal(err)
+			}
+		} else {
+			eng = stream.NewGraphEngine(aspen.NewGraph(testParams()), stream.Options{})
+		}
+		srv := NewGraphServer(eng, testParams(), dir, s, 2)
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			tb.Fatal(err)
+		}
+		go srv.Serve(ln)
+		tb.Cleanup(func() { srv.Close(); eng.Close() })
+		addrs[s] = ln.Addr().String()
+		if dir != "" {
+			repl := NewGraphReplica(addrs[s], testParams(), s, 2, 0, Options{})
+			rln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				tb.Fatal(err)
+			}
+			go repl.Serve(rln)
+			tb.Cleanup(func() { repl.Close() })
+			repls = append(repls, rln.Addr().String())
+			caughtUp = append(caughtUp, func() bool { return repl.Applied() >= eng.WALSeq() })
+		}
+	}
+	// The replicas apply the tail in this process: wait for them before a
+	// read is measured, so no tail apply is counted in it.
+	waitReplicas := func() {
+		for _, ok := range caughtUp {
+			for i := 0; !ok(); i++ {
+				if i == 5000 {
+					tb.Fatal("replica never caught up")
+				}
+				time.Sleep(time.Millisecond)
+			}
+		}
+	}
+	var received atomic.Int64
+	c, err := DialGraph(part, addrs, repls, Options{Dialer: countingDialer(&received)})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() {
+		if st := c.Stats(); len(repls) > 0 && st.ReplicaReads == 0 {
+			tb.Errorf("no read was served by a replica: %+v", st)
+		}
+		c.Close()
+	})
+	gen := rmat.NewGenerator(16, 11)
+	commit := func(lo, hi uint64) {
+		if _, err := c.Insert(aspen.MakeUndirected(gen.Edges(lo, hi))); err != nil {
+			tb.Fatal(err)
+		}
+		if err := c.Barrier(); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	read = func() {
+		tx, err := c.Begin()
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if _, err := tx.Flat(); err != nil {
+			tb.Fatal(err)
+		}
+		tx.Close()
+	}
+	pos := uint64(500_000)
+	commit(0, pos)
+	waitReplicas()
+	read()
+	step = func(whole bool) {
+		commit(pos, pos+500)
+		pos += 500
+		if whole {
+			c.dropViews()
+		}
+		waitReplicas()
+	}
+	return step, read, received.Load
+}
+
+// BenchmarkRemoteFlat measures remoteFlatOp's read; rx-B/op is what the
+// client received per read.
 func BenchmarkRemoteFlat(b *testing.B) {
 	for _, mode := range []string{"whole", "delta", "replica-delta"} {
 		b.Run(mode, func(b *testing.B) {
-			part := shard.NewRangePartitioner(2, 1<<16)
-			addrs := make([]string, 2)
-			var repls []string
-			var caughtUp []func() bool
-			for s := range addrs {
-				var eng *stream.Engine[aspen.Graph, aspen.Edge]
-				dir := ""
-				if mode == "replica-delta" {
-					dir = b.TempDir()
-					var err error
-					if eng, err = stream.RecoverGraphEngine(testParams(), stream.Options{}, stream.Durability{Dir: dir}); err != nil {
-						b.Fatal(err)
-					}
-				} else {
-					eng = stream.NewGraphEngine(aspen.NewGraph(testParams()), stream.Options{})
-				}
-				srv := NewGraphServer(eng, testParams(), dir, s, 2)
-				ln, err := net.Listen("tcp", "127.0.0.1:0")
-				if err != nil {
-					b.Fatal(err)
-				}
-				go srv.Serve(ln)
-				defer func() { srv.Close(); eng.Close() }()
-				addrs[s] = ln.Addr().String()
-				if dir != "" {
-					repl := NewGraphReplica(addrs[s], testParams(), s, 2, 0, Options{})
-					rln, err := net.Listen("tcp", "127.0.0.1:0")
-					if err != nil {
-						b.Fatal(err)
-					}
-					go repl.Serve(rln)
-					defer repl.Close()
-					repls = append(repls, rln.Addr().String())
-					caughtUp = append(caughtUp, func() bool { return repl.Applied() >= eng.WALSeq() })
-				}
-			}
-			// The replicas apply the tail in this process: wait for them
-			// before a read is timed, so no tail apply is counted in it.
-			waitReplicas := func() {
-				for _, ok := range caughtUp {
-					for i := 0; !ok(); i++ {
-						if i == 5000 {
-							b.Fatal("replica never caught up")
-						}
-						time.Sleep(time.Millisecond)
-					}
-				}
-			}
-			var rx atomic.Int64
-			c, err := DialGraph(part, addrs, repls, Options{Dialer: countingDialer(&rx)})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer c.Close()
-			gen := rmat.NewGenerator(16, 11)
-			commit := func(lo, hi uint64) {
-				if _, err := c.Insert(aspen.MakeUndirected(gen.Edges(lo, hi))); err != nil {
-					b.Fatal(err)
-				}
-				if err := c.Barrier(); err != nil {
-					b.Fatal(err)
-				}
-			}
-			read := func() {
-				tx, err := c.Begin()
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := tx.Flat(); err != nil {
-					b.Fatal(err)
-				}
-				tx.Close()
-			}
-			pos := uint64(500_000)
-			commit(0, pos)
-			waitReplicas()
-			read()
+			step, read, rx := remoteFlatOp(b, mode == "replica-delta")
 			b.ReportAllocs()
 			b.ResetTimer()
 			var got int64
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				commit(pos, pos+500)
-				pos += 500
-				if mode == "whole" {
-					c.dropViews()
-				}
-				waitReplicas()
-				before := rx.Load()
+				step(mode == "whole")
+				before := rx()
 				b.StartTimer()
 				read()
-				got += rx.Load() - before
+				got += rx() - before
 			}
 			b.ReportMetric(float64(got)/float64(b.N), "rx-B/op")
-			if st := c.Stats(); len(repls) > 0 && st.ReplicaReads == 0 {
-				b.Fatalf("no read was served by a replica: %+v", st)
-			}
 		})
 	}
+}
+
+// allocsPerRead reports the mean heap allocations of read over runs
+// calls, each after an uncounted step (b.StopTimer's semantics), once two
+// uncounted rounds have warmed the client's and servers' scratch.
+func allocsPerRead(runs int, step, read func()) float64 {
+	for range 2 {
+		step()
+		read()
+	}
+	var before, after runtime.MemStats
+	var n uint64
+	for range runs {
+		step()
+		runtime.ReadMemStats(&before)
+		read()
+		runtime.ReadMemStats(&after)
+		n += after.Mallocs - before.Mallocs
+	}
+	return float64(n) / float64(runs)
+}
+
+// TestAllocGates holds each gated benchmark's op at no more than its
+// pinned allocs/op × 1.15 (a pinned 0 stays 0). The "delta" and "whole"
+// RemoteFlat rows share one cluster. Re-pinning a gate edits its number
+// here with a BENCHMARKS.md line saying why.
+func TestAllocGates(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under -race")
+	}
+	check := func(name string, n, allocs float64) {
+		t.Logf("%s: %.1f allocs/op (gate %.0f × 1.15)", name, n, allocs)
+		if n > allocs*1.15 {
+			t.Errorf("%s: %.1f allocs/op, gate %.0f × 1.15", name, n, allocs)
+		}
+	}
+	for _, g := range []struct {
+		name   string
+		op     func(testing.TB) func()
+		allocs float64
+	}{
+		{"BenchmarkSubmitEncode", submitEncodeOp, 0},
+		{"BenchmarkDedupCheck", dedupCheckOp, 0},
+		{"BenchmarkRemoteTxBegin", remoteTxBeginOp, 8},
+	} {
+		check(g.name, testing.AllocsPerRun(100, g.op(t)), g.allocs)
+	}
+	step, read, _ := remoteFlatOp(t, false)
+	check("BenchmarkRemoteFlat/delta", allocsPerRead(6, func() { step(false) }, read), 63)
+	check("BenchmarkRemoteFlat/whole", allocsPerRead(3, func() { step(true) }, read), 74)
+	step, read, _ = remoteFlatOp(t, true)
+	check("BenchmarkRemoteFlat/replica-delta", allocsPerRead(6, func() { step(false) }, read), 66)
 }

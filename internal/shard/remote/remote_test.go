@@ -538,40 +538,36 @@ func TestReplicaSnapshotBootstrap(t *testing.T) {
 	checkAgainst(t, single, g)
 }
 
-// BenchmarkRemoteTxBegin measures the pin round trip against a local
-// server — the per-query fixed cost of the remote read path. Gated on
-// allocs/op in CI.
-func BenchmarkRemoteTxBegin(b *testing.B) {
+// remoteTxBeginOp is the op of BenchmarkRemoteTxBegin and its allocation
+// gate: the pin round trip against a local server — the per-query fixed
+// cost of the remote read path.
+func remoteTxBeginOp(tb testing.TB) func() {
 	part := shard.NewRangePartitioner(1, 1<<20)
 	eng := stream.NewGraphEngine(aspen.NewGraph(testParams()), stream.Options{})
 	srv := NewGraphServer(eng, testParams(), "", 0, 1)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	go srv.Serve(ln)
-	defer func() {
+	tb.Cleanup(func() {
 		srv.Close()
 		eng.Close()
-	}()
+	})
 	c, err := DialGraph(part, []string{ln.Addr().String()}, nil, Options{})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	defer c.Close()
-	// Warm the connection.
-	tx, err := c.Begin()
-	if err != nil {
-		b.Fatal(err)
-	}
-	tx.Close()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	tb.Cleanup(func() { c.Close() })
+	begin := func() {
 		tx, err := c.Begin()
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		tx.Close()
 	}
+	begin() // warm the connection
+	return begin
 }
+
+func BenchmarkRemoteTxBegin(b *testing.B) { benchOp(b, remoteTxBeginOp(b)) }

@@ -139,6 +139,10 @@ type Engine[G ligra.Graph, E any] struct {
 	queue  chan pending[E]
 	wg     sync.WaitGroup
 
+	// now is the ingest loop's clock: a group's pickup time and its 1 ms
+	// refill window are read from it (nil: time.Now; tests stop it).
+	now func() time.Time
+
 	commitHist obs.Hist
 	edges      atomic.Uint64 // directed edge updates applied
 	batches    atomic.Uint64 // batches committed
@@ -410,7 +414,7 @@ func (e *Engine[G, E]) loop() {
 			first = p
 		}
 		hasCarry = false
-		pickup := time.Now() // StageEnqueue ends, StageCoalesce begins
+		pickup := e.clock() // StageEnqueue ends, StageCoalesce begins
 		batch = append(batch[:0], first)
 		edges, seen := len(first.edges), 0 // seen: the group size at the last yield
 		for len(batch) < e.opts.MaxCoalesce && edges < e.opts.MaxCoalesceEdges {
@@ -422,7 +426,7 @@ func (e *Engine[G, E]) loop() {
 			default:
 			}
 			if !got {
-				if len(batch) == seen && (!open || len(batch) >= expect || time.Since(pickup) >= time.Millisecond) {
+				if len(batch) == seen && (!open || len(batch) >= expect || e.clock().Sub(pickup) >= time.Millisecond) {
 					break // queue idle (or closed): commit what we have
 				}
 				seen = len(batch)
@@ -439,6 +443,13 @@ func (e *Engine[G, E]) loop() {
 		e.commit(batch, edges, pickup)
 		expect = len(batch) + len(e.queue)
 	}
+}
+
+func (e *Engine[G, E]) clock() time.Time {
+	if e.now != nil {
+		return e.now()
+	}
+	return time.Now()
 }
 
 // commit folds the batch into same-kind runs and its notes, logs them as

@@ -2,6 +2,7 @@ package stream
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -110,18 +111,33 @@ func TestEngineCoalescing(t *testing.T) {
 // (here the two batches queued behind that commit) waits for the resubmission
 // instead of closing the moment its lane runs dry. Without the wait the pair
 // and the refill commit apart, and a saturated closed-loop client's groups
-// stay split in two for the rest of the stream.
+// stay split in two for the rest of the stream. The loop's clock stands
+// still until the group has taken the resubmission, so the 1 ms refill
+// window cannot close first however slowly this goroutine is scheduled;
+// then it jumps an hour, so a group that counted the resubmission among
+// the queued batches it expects closes too.
 func TestGroupWaitsForTheRefill(t *testing.T) {
-	gate := make(chan struct{})
-	e := slowEngine(gate, 0, Options{})
+	gate, applying := make(chan struct{}), make(chan struct{})
+	var gated sync.Once
+	e := New(aspen.NewGraph(testParams()),
+		func(g aspen.Graph, runs []CommitRun[aspen.Edge]) aspen.Graph {
+			gated.Do(func() { close(applying); <-gate })
+			return ApplyRuns(g, runs)
+		}, Options{})
 	defer e.Close()
+	stopped := time.Now()
+	var released atomic.Bool
+	e.now = func() time.Time { // set before the first batch hands the loop its clock
+		if released.Load() {
+			return stopped.Add(time.Hour)
+		}
+		return stopped
+	}
 	a, err := e.Insert(dummyBatch(1, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for len(e.queue) > 0 { // the loop owns batch a and blocks on the gate
-		time.Sleep(time.Millisecond)
-	}
+	<-applying // the loop committed batch a alone and blocks on the gate
 	for i := uint32(1); i <= 2; i++ {
 		if _, err := e.Insert(dummyBatch(1, 10*i)); err != nil {
 			t.Fatal(err)
@@ -133,6 +149,10 @@ func TestGroupWaitsForTheRefill(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	for len(e.queue) > 0 { // the queued pair's group takes it
+		time.Sleep(time.Millisecond)
+	}
+	released.Store(true)
 	d.Wait()
 	if st := e.Stats(); st.Commits != 2 || st.Batches != 4 {
 		t.Fatalf("%d batches in %d commits, want 4 in 2: the queued pair did not wait for the refill", st.Batches, st.Commits)

@@ -401,46 +401,77 @@ func TestHeaderDamageLastSegmentRepaired(t *testing.T) {
 	verifyReplay(t, dir, 0, 10)
 }
 
-// BenchmarkWALAppend is the allocation gate for the durable commit hot
-// path: framing + buffered write of one 5000-edge batch record must not
-// allocate (the frame scratch is kept between appends: 40 KB is far
-// under scratch.Keep).
-func BenchmarkWALAppend(b *testing.B) {
-	dir := b.TempDir()
-	l, err := Open(dir, 1, Options{SegmentBytes: 1 << 30})
+// walAppendOp is the op of BenchmarkWALAppend and its allocation gate,
+// the durable commit hot path: framing + buffered write of one 5000-edge
+// batch record must not allocate (the frame scratch is kept between
+// appends: 40 KB is far under scratch.Keep).
+func walAppendOp(tb testing.TB) func() {
+	l, err := Open(tb.TempDir(), 1, Options{SegmentBytes: 1 << 30})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	defer l.Close()
+	tb.Cleanup(func() { l.Close() })
 	data := mkData(0, 5000, 8)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	return func() {
 		if _, err := l.Append(Insert, 8, 5000, data); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
 }
 
-// BenchmarkWALAppendLarge pins the one-shot cost of a record above
-// scratch.Keep (the shape of a preload): its frame is allocated for the
-// append and released once written, so allocs/op is that one buffer (plus
-// one runtime object per GC cycle: on a heap this small every 8 MiB
-// allocation starts a cycle).
-func BenchmarkWALAppendLarge(b *testing.B) {
-	l, err := Open(b.TempDir(), 1, Options{SegmentBytes: 1 << 30})
+// walAppendLargeOp is the op of BenchmarkWALAppendLarge and its allocation
+// gate: the one-shot cost of a record above scratch.Keep (the shape of a
+// preload). Its frame is allocated for the append and released once
+// written, so allocs/op is that one buffer (plus one runtime object per GC
+// cycle: on a heap this small every 8 MiB allocation starts a cycle).
+func walAppendLargeOp(tb testing.TB) func() {
+	l, err := Open(tb.TempDir(), 1, Options{SegmentBytes: 1 << 30})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	defer l.Close()
-	const edges = 1 << 20
-	data := mkData(0, edges, 8)
+	tb.Cleanup(func() { l.Close() })
+	data := mkData(0, 1<<20, 8)
+	return func() {
+		if _, err := l.Append(Insert, 8, 1<<20, data); err != nil {
+			tb.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkWALAppend(b *testing.B) {
+	op := walAppendOp(b)
 	b.ReportAllocs()
-	b.SetBytes(int64(len(data)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := l.Append(Insert, 8, edges, data); err != nil {
-			b.Fatal(err)
+		op()
+	}
+}
+
+func BenchmarkWALAppendLarge(b *testing.B) {
+	op := walAppendLargeOp(b)
+	b.ReportAllocs()
+	b.SetBytes(8 << 20)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		op()
+	}
+}
+
+// TestAllocGates holds each gated benchmark's op at no more than its
+// pinned allocs/op × 1.15 (a pinned 0 stays 0). Re-pinning a gate edits
+// its number here with a BENCHMARKS.md line saying why.
+func TestAllocGates(t *testing.T) {
+	for _, g := range []struct {
+		name   string
+		op     func(testing.TB) func()
+		runs   int
+		allocs float64
+	}{
+		{"BenchmarkWALAppend", walAppendOp, 100, 0},
+		{"BenchmarkWALAppendLarge", walAppendLargeOp, 4, 2},
+	} {
+		if n := testing.AllocsPerRun(g.runs, g.op(t)); n > g.allocs*1.15 {
+			t.Errorf("%s: %.0f allocs/op, gate %.0f × 1.15", g.name, n, g.allocs)
 		}
 	}
 }
