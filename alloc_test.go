@@ -6,18 +6,17 @@ import (
 
 	"repro/internal/aspen"
 	"repro/internal/ctree"
-	"repro/internal/parallel"
 )
 
 // perOpAt reports op's mean allocations over runs calls, with the runtime
-// and the parallel primitives both at procs workers (0 leaves both as they
-// are). Several runs follow one uncounted warm-up call; a single run is
-// measured cold, as only ops that allocate too much for a refilled pool to
-// show are.
-func perOpAt(procs, runs int, op func()) float64 {
+// and the parallel primitives both at procs workers (atProcs; 0 leaves both
+// as they are). Several runs follow one uncounted warm-up call; a single
+// run is measured cold, as only ops that allocate too much for a refilled
+// pool to show are.
+func perOpAt(procs, runs int, op func()) (n float64) {
 	if procs > 0 {
-		defer func(g, p int) { runtime.GOMAXPROCS(g); parallel.Procs = p }(runtime.GOMAXPROCS(procs), parallel.Procs)
-		parallel.Procs = procs
+		atProcs(procs, func() { n = perOpAt(0, runs, op) })
+		return n
 	}
 	if runs > 1 {
 		op()
@@ -37,8 +36,9 @@ func perOpAt(procs, runs int, op func()) float64 {
 // and the FlatKernels bfs/cc rows allocate per parallel block and were
 // pinned at 4. The other rows read the same at 1, 2 and 4 workers and are
 // measured at 1, except ApplyRuns/one-pass, which runs at the machine's
-// width to keep its 1.7 M-allocation op quick. Re-pinning a gate edits its
-// number here with a BENCHMARKS.md line saying why.
+// width to keep its 1.7 M-allocation op quick and is pinned at the highest
+// count read at 1, 2 and 4. Re-pinning a gate edits its number here with a
+// BENCHMARKS.md line saying why.
 func TestAllocGates(t *testing.T) {
 	applyRuns := make(chan applyRunsFixture) // built beside the others; nothing is measured until it arrives
 	go func() { applyRuns <- newApplyRunsFixture() }()
@@ -57,13 +57,13 @@ func TestAllocGates(t *testing.T) {
 		op          func()
 		allocs      float64
 	}{
-		{"BenchmarkApplyRuns/one-pass", 0, 1, ar.op(aspen.Graph.ApplyRuns), 2_446_826},
+		{"BenchmarkApplyRuns/one-pass", 0, 1, ar.op(aspen.Graph.ApplyRuns), 1_724_967},
 		{"BenchmarkEdgeMap", 4, 10, edgeMapOp(g), 40},
 		{"BenchmarkInsertEdges/batch=100", 1, 5, batchInsertOp(g, 21, 100), 846},
-		{"BenchmarkInsertEdges/batch=10000", 1, 3, batchInsertOp(g, 21, 10_000), 25_019},
+		{"BenchmarkInsertEdges/batch=10000", 1, 3, batchInsertOp(g, 21, 10_000), 17_435},
 		{"BenchmarkInsertEdges/batch=1000000", 1, 1, batchInsertOp(g, 21, 1_000_000), 93_082},
 		{"BenchmarkTable08BatchInsert/batch=10", 1, 5, batchInsertOp(g, 5, 10), 138},
-		{"BenchmarkTable08BatchInsert/batch=1000", 1, 3, batchInsertOp(g, 5, 1_000), 5_039},
+		{"BenchmarkTable08BatchInsert/batch=1000", 1, 3, batchInsertOp(g, 5, 1_000), 3_418},
 		{"BenchmarkTable08BatchInsert/batch=100000", 1, 1, batchInsertOp(g, 5, 100_000), 59_804},
 		{"BenchmarkWeightedInsertEdges/batch=100", 1, 5, weightedInsertOp(wg, all, 100), 64},
 		{"BenchmarkWeightedInsertEdges/batch=10000", 1, 3, weightedInsertOp(wg, all, 10_000), 1_323},
@@ -73,8 +73,8 @@ func TestAllocGates(t *testing.T) {
 		{"BenchmarkFlatKernels/bfs-tree", 4, 3, kernels["bfs-tree"], 203},
 		{"BenchmarkFlatKernels/bfs-flat", 4, 3, kernels["bfs-flat"], 199},
 		{"BenchmarkFlatKernels/bfs-flat-aged", 4, 3, kernels["bfs-flat-aged"], 200},
-		{"BenchmarkFlatKernels/cc-tree", 4, 3, kernels["cc-tree"], 111},
-		{"BenchmarkFlatKernels/cc-flat", 4, 3, kernels["cc-flat"], 113},
+		{"BenchmarkFlatKernels/cc-tree", 4, 3, kernels["cc-tree"], 81},
+		{"BenchmarkFlatKernels/cc-flat", 4, 3, kernels["cc-flat"], 78},
 		{"BenchmarkFlatKernels/cc-flat-aged", 4, 3, kernels["cc-flat-aged"], 78},
 	} {
 		n := perOpAt(c.procs, c.runs, c.op)

@@ -181,9 +181,9 @@ func TestCollectIsolated(t *testing.T) {
 }
 
 // Analytic per-node sizes of the plain purely-functional weighted tree,
-// mirroring internal/bench/memory.go: a pftree node holds key(4) +
-// value(4, the weight) + two pointers(16) + size(4) + aug(8) = 36 bytes,
-// padded to 40. The compressed format pays 48 bytes per head node plus its
+// mirroring aspenMemoryBytes in the root bench_test.go: a pftree node
+// holds key(4) + value(4, the weight) + two pointers(16) + size(4) +
+// aug(8) = 36 bytes, padded to 40. The compressed format pays 48 bytes per head node plus its
 // chunk bytes (gaps + interleaved weights).
 const (
 	plainWeightedEdgeNode = 40

@@ -110,62 +110,3 @@ func BuildAdjacency(n int, edges []aspen.Edge) [][]uint32 {
 	})
 	return adj
 }
-
-// UpdateStream is a mixed insertion/deletion stream following the §7.3
-// methodology: sample edges from the input graph, delete a fraction up
-// front, and replay a random permutation of insertions (of the deleted 90%)
-// and deletions (of the kept 10%).
-type UpdateStream struct {
-	// Ops holds the operations in replay order.
-	Ops []Update
-}
-
-// Update is one stream operation.
-type Update struct {
-	Edge   aspen.Edge
-	Delete bool
-}
-
-// SampleUpdateStream draws k distinct edges from g and builds the §7.3
-// stream. It also returns the graph with the 90% "insertion" sample already
-// removed (the starting state for replay).
-func SampleUpdateStream(g aspen.Graph, k int, seed uint64) (aspen.Graph, UpdateStream) {
-	// Collect the edge set (u < v canonical form).
-	var all []aspen.Edge
-	for u := 0; u < g.Order(); u++ {
-		uu := uint32(u)
-		g.ForEachNeighbor(uu, func(v uint32) bool {
-			if uu < v {
-				all = append(all, aspen.Edge{Src: uu, Dst: v})
-			}
-			return true
-		})
-	}
-	r := xhash.NewRNG(seed)
-	// Partial Fisher-Yates for the first k positions.
-	if k > len(all) {
-		k = len(all)
-	}
-	for i := 0; i < k; i++ {
-		j := i + r.Intn(len(all)-i)
-		all[i], all[j] = all[j], all[i]
-	}
-	sample := all[:k]
-	nIns := k * 9 / 10
-	toInsert := sample[:nIns] // removed now, re-inserted during replay
-	toDelete := sample[nIns:] // kept now, deleted during replay
-	g2 := g.DeleteEdges(aspen.MakeUndirected(toInsert))
-	ops := make([]Update, 0, k)
-	for _, e := range toInsert {
-		ops = append(ops, Update{Edge: e})
-	}
-	for _, e := range toDelete {
-		ops = append(ops, Update{Edge: e, Delete: true})
-	}
-	// Random permutation of the replay order.
-	for i := len(ops) - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		ops[i], ops[j] = ops[j], ops[i]
-	}
-	return g2, UpdateStream{Ops: ops}
-}

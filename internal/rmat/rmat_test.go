@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/aspen"
-	"repro/internal/ctree"
 )
 
 func TestGeneratorDeterministic(t *testing.T) {
@@ -78,45 +77,5 @@ func TestBuildAdjacencySymmetric(t *testing.T) {
 	}
 	if len(adj[2]) != 1 { // self-loop dropped, (1,2) symmetrized
 		t.Fatalf("adj[2] = %v", adj[2])
-	}
-}
-
-func TestSampleUpdateStream(t *testing.T) {
-	gen := NewGenerator(10, 8)
-	adj := gen.Adjacency(20_000)
-	g := aspen.FromAdjacency(ctree.Params{B: 32}, adj)
-	m0 := g.NumEdges()
-	const k = 500
-	g2, stream := SampleUpdateStream(g, k, 7)
-	if len(stream.Ops) != k {
-		t.Fatalf("ops = %d, want %d", len(stream.Ops), k)
-	}
-	nIns, nDel := 0, 0
-	for _, op := range stream.Ops {
-		if op.Delete {
-			nDel++
-		} else {
-			nIns++
-		}
-	}
-	if nIns != k*9/10 || nDel != k-k*9/10 {
-		t.Fatalf("ins=%d del=%d", nIns, nDel)
-	}
-	// The start graph removed the insertion sample.
-	if g2.NumEdges() != m0-uint64(2*nIns) {
-		t.Fatalf("start graph edges = %d, want %d", g2.NumEdges(), m0-uint64(2*nIns))
-	}
-	// Replaying the whole stream returns to the original edge count minus
-	// the deleted 10%.
-	for _, op := range stream.Ops {
-		ue := aspen.MakeUndirected([]aspen.Edge{op.Edge})
-		if op.Delete {
-			g2 = g2.DeleteEdges(ue)
-		} else {
-			g2 = g2.InsertEdges(ue)
-		}
-	}
-	if g2.NumEdges() != m0-uint64(2*nDel) {
-		t.Fatalf("final edges = %d, want %d", g2.NumEdges(), m0-uint64(2*nDel))
 	}
 }

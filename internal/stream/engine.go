@@ -403,7 +403,7 @@ func (e *Engine[G, E]) loop() {
 	defer e.wg.Done()
 	var batch []pending[E]
 	var carry pending[E]
-	hasCarry, expect := false, 0 // expect: what the last commit acknowledged and left queued
+	hasCarry, expect := false, 0 // expect: what the last commit acknowledged and found queued
 	for {
 		first := carry
 		if !hasCarry {
@@ -440,8 +440,7 @@ func (e *Engine[G, E]) loop() {
 			batch = append(batch, next)
 			edges += len(next.edges)
 		}
-		e.commit(batch, edges, pickup)
-		expect = len(batch) + len(e.queue)
+		expect = e.commit(batch, edges, pickup)
 	}
 }
 
@@ -459,10 +458,15 @@ func (e *Engine[G, E]) clock() time.Time {
 // is nacked — its done channel closes without a stamp — and nothing further
 // is applied, so an acknowledged batch is always both applied and logged
 // (and fsynced, under the per-commit policy).
-func (e *Engine[G, E]) commit(batch []pending[E], totalEdges int, pickup time.Time) {
+//
+// commit returns how many batches the next group should expect: this
+// group's, whose closed-loop clients resubmit once acknowledged, plus those
+// already queued. The queue is read before the acks, so a resubmission that
+// an ack wakes is not counted twice. A nacked group expects none.
+func (e *Engine[G, E]) commit(batch []pending[E], totalEdges int, pickup time.Time) (expect int) {
 	if e.dur != nil && e.dur.failed.Load() {
 		nack(batch)
-		return
+		return 0
 	}
 	// Stage trace: e.trace is the ingest goroutine's persistent scratch
 	// record (no per-commit allocation). Enqueue covers the oldest
@@ -507,7 +511,7 @@ func (e *Engine[G, E]) commit(batch []pending[E], totalEdges int, pickup time.Ti
 			if err != nil {
 				e.dur.fail(err)
 				nack(batch)
-				return
+				return 0
 			}
 		}
 		var before, committed G
@@ -547,6 +551,7 @@ func (e *Engine[G, E]) commit(batch []pending[E], totalEdges int, pickup time.Ti
 		}
 	}
 	e.edges.Add(uint64(totalEdges))
+	expect = len(batch) + len(e.queue)
 	for _, b := range batch {
 		if b.done != nil {
 			b.done <- stamp
@@ -558,6 +563,7 @@ func (e *Engine[G, E]) commit(batch []pending[E], totalEdges int, pickup time.Ti
 		tr.Stamp = stamp
 		e.tracer.Record(tr)
 	}
+	return expect
 }
 
 // applyFirst runs the engine's update with the gate held, when the

@@ -124,7 +124,7 @@ func TestAllocGates(t *testing.T) {
 		{"BenchmarkTxBeginClose", txBeginCloseOp, 200, 0},
 		{"BenchmarkTxFlatCached", txFlatCachedOp, 200, 0},
 		{"BenchmarkEngineCommit/batch=100", func(tb testing.TB) func() { return engineCommitOp(tb, base, 100) }, 20, 1355},
-		{"BenchmarkEngineCommit/batch=10000", func(tb testing.TB) func() { return engineCommitOp(tb, base, 10_000) }, 5, 63998},
+		{"BenchmarkEngineCommit/batch=10000", func(tb testing.TB) func() { return engineCommitOp(tb, base, 10_000) }, 5, 50847},
 	} {
 		if n := testing.AllocsPerRun(g.runs, g.op(t)); n > g.allocs*1.15 {
 			t.Errorf("%s: %.0f allocs/op, gate %.0f × 1.15", g.name, n, g.allocs)

@@ -159,6 +159,43 @@ func TestGroupWaitsForTheRefill(t *testing.T) {
 	}
 }
 
+// TestGroupCountsEachResubmissionOnce is the refill wait when the clients
+// resubmit before the commit has acknowledged its whole group: each
+// resubmission is one batch the next group expects, not two. Two clients'
+// batches commit as one group; their acks are unbuffered, so each client's
+// resubmission is queued while the commit still holds the other's ack. The
+// loop's clock stands still for good, so a group that expects more than
+// the two resubmissions never closes, and the test fails on its deadline.
+func TestGroupCountsEachResubmissionOnce(t *testing.T) {
+	e := newEngine(aspen.NewGraph(testParams()), 0, ApplyRuns[struct{}], Options{})
+	stopped := time.Now()
+	e.now = func() time.Time { return stopped }
+	var acks [2]chan uint64
+	for i := range acks {
+		acks[i] = make(chan uint64)
+		e.queue <- pending[aspen.Edge]{edges: dummyBatch(1, 10*uint32(i)), enq: time.Now(), done: acks[i]}
+	}
+	e.start() // both batches are queued, so the first group takes both
+	defer e.Close()
+	var last Pending
+	for i, ack := range acks {
+		<-ack
+		p, err := e.Insert(dummyBatch(1, 10*uint32(i)+100))
+		if err != nil {
+			t.Fatal(err)
+		}
+		last = p
+	}
+	select {
+	case <-last.Done():
+	case <-time.After(10 * time.Second):
+		t.Fatal("the resubmitted pair never committed: its group expected more batches than were resubmitted")
+	}
+	if st := e.Stats(); st.Commits != 2 || st.Batches != 4 {
+		t.Fatalf("%d batches in %d commits, want 4 in 2", st.Batches, st.Commits)
+	}
+}
+
 // TestEngineCoalesceEdgeCap checks that MaxCoalesceEdges is a hard bound
 // per commit group: a batch that would push the group over the budget is
 // carried into the next group instead (and still commits).
