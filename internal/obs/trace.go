@@ -6,11 +6,15 @@ import (
 	"time"
 )
 
-// Stage enumerates the commit pipeline, in order: enqueue (submit to
-// ingest-loop pickup), coalesce (folding the commit group), WAL append,
-// fsync, functional tree apply, flat-view build/patch, and ack (waking
-// the submitters). A stage that did not run for a commit (no WAL
-// without durability, no flat stage without PrebuildFlat) records zero
+// Stage enumerates the commit pipeline: enqueue (submit to ingest-loop
+// pickup), coalesce (folding the commit group), WAL append, fsync,
+// functional tree apply, flat-view build/patch, and ack (waking the
+// submitters). They run in that order except the fsync, which runs beside
+// the apply: its stage is only the part the commit still waited for after
+// the apply returned, so the stages tile enqueue to ack (the whole fsync
+// is the WAL's own aspen_wal_sync_seconds). A stage that did not run for
+// a commit (no WAL without durability, no flat stage without
+// PrebuildFlat, no fsync wait when the fsync finished first) records zero
 // and is excluded from its histogram.
 type Stage uint8
 

@@ -73,6 +73,15 @@ func New(maxVertices int) *Graph {
 	return &Graph{verts: make([]vertex, maxVertices)}
 }
 
+// Reset empties the graph and keeps its vertex slots: a graph allocated
+// once serves many inserts into an empty graph.
+func (g *Graph) Reset() {
+	clear(g.verts)
+	g.m.Store(0)
+	g.blocks.Store(0)
+	g.now.Store(0)
+}
+
 // Order returns the vertex-id space size.
 func (g *Graph) Order() int { return len(g.verts) }
 

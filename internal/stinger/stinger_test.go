@@ -130,3 +130,25 @@ func TestMemoryAccounting(t *testing.T) {
 		t.Fatal("block allocation not accounted")
 	}
 }
+
+// TestResetEmpties: a reset graph reads and accounts as a new one, and an
+// insert into it builds what it builds in a new graph.
+func TestResetEmpties(t *testing.T) {
+	g, fresh := New(100), New(100)
+	for v := uint32(1); v < 40; v++ {
+		g.InsertEdge(0, v)
+		g.InsertEdge(v, 0)
+	}
+	g.Reset()
+	if g.NumEdges() != 0 || g.Degree(0) != 0 || g.MemoryBytes() != fresh.MemoryBytes() {
+		t.Fatalf("reset graph: %d edges, degree %d, %d bytes; a new one has 0, 0, %d",
+			g.NumEdges(), g.Degree(0), g.MemoryBytes(), fresh.MemoryBytes())
+	}
+	batch := []aspen.Edge{{Src: 0, Dst: 5}, {Src: 5, Dst: 0}, {Src: 7, Dst: 8}}
+	g.InsertBatch(batch)
+	fresh.InsertBatch(batch)
+	if g.NumEdges() != 3 || g.MemoryBytes() != fresh.MemoryBytes() || g.Degree(5) != 1 {
+		t.Fatalf("insert after reset: %d edges, %d bytes; into a new graph: %d, %d",
+			g.NumEdges(), g.MemoryBytes(), fresh.NumEdges(), fresh.MemoryBytes())
+	}
+}

@@ -37,8 +37,10 @@ import (
 type SyncPolicy int
 
 const (
-	// SyncEveryCommit fsyncs before each commit is acknowledged: an acked
-	// batch survives power loss. Highest latency cost.
+	// SyncEveryCommit fsyncs each commit's frame before the commit is
+	// published or acknowledged: an acked batch survives power loss. The
+	// fsync runs on the engine's sync goroutine beside the commit's apply,
+	// so it adds to a commit's latency only what outlasts the apply.
 	SyncEveryCommit SyncPolicy = iota
 	// SyncInterval fsyncs from a background ticker: an acked batch survives
 	// process death immediately and power loss after at most Interval.
@@ -287,7 +289,7 @@ type ckptReq[G any] struct {
 
 // durable is the engine's durability state. The sinceCkpt and seq fields
 // are owned by the ingest goroutine; everything else is safe for the
-// checkpointer and sync ticker.
+// checkpointer and the sync goroutine.
 type durable[G ligra.Graph, E any] struct {
 	opts  Durability
 	log   *wal.Log
@@ -298,6 +300,11 @@ type durable[G ligra.Graph, E any] struct {
 	seq       uint64 // of the last commit frame appended
 	onAppend  func(seq uint64, kind wal.Kind, width uint8, count uint32, data []byte)
 
+	// syncReq hands one commit's fsync to the sync goroutine under
+	// SyncEveryCommit; syncDone carries its result back. At most one is
+	// in flight: the ingest goroutine awaits each before the next append.
+	syncReq   chan struct{}
+	syncDone  chan error
 	ckptCh    chan ckptReq[G]
 	stopSync  chan struct{}
 	closeOnce sync.Once
@@ -318,12 +325,13 @@ func (d *durable[G, E]) fail(err error) {
 	}
 }
 
-// logCommit journals one commit before it is applied or acked: one
-// commit frame, encoded straight into the log's frame, whose seq becomes
-// the commit's. The returned durations split the work for the stage
-// tracer: appendDur is frame encoding + buffered write, syncDur the
-// per-commit fsync (zero unless Policy is SyncEveryCommit).
-func (d *durable[G, E]) logCommit(runs []CommitRun[E], notes []Note) (appendDur, syncDur time.Duration, err error) {
+// logCommit journals one commit before it is applied: one commit frame,
+// encoded straight into the log's frame, whose seq becomes the commit's.
+// Under SyncEveryCommit it then hands the frame's fsync to the sync
+// goroutine without waiting for it; the engine applies the commit
+// meanwhile and calls awaitSync before it publishes or acks anything.
+// appendDur is frame encoding + buffered write, for the stage tracer.
+func (d *durable[G, E]) logCommit(runs []CommitRun[E], notes []Note) (appendDur time.Duration, err error) {
 	start := time.Now()
 	w, count := d.codec.Width, 0
 	for _, r := range runs {
@@ -333,19 +341,35 @@ func (d *durable[G, E]) logCommit(runs []CommitRun[E], notes []Note) (appendDur,
 		encodeCommit(p, d.codec, runs, notes)
 	})
 	if err != nil {
-		return time.Since(start), 0, err
+		return time.Since(start), err
 	}
 	d.seq = seq
 	if d.onAppend != nil {
 		d.onAppend(seq, wal.Commit, uint8(w), uint32(count), data)
 	}
-	appended := time.Now()
-	appendDur = appended.Sub(start)
+	appendDur = time.Since(start)
 	if d.opts.Policy == SyncEveryCommit {
-		err = d.log.Sync()
-		syncDur = time.Since(appended)
+		d.syncReq <- struct{}{}
 	}
-	return appendDur, syncDur, err
+	return appendDur, nil
+}
+
+// awaitSync returns the result of the fsync logCommit handed off (nil at
+// once unless Policy is SyncEveryCommit) and how long the caller still
+// waited for it after its apply ended at applied: zero when the fsync had
+// finished first. That wait is the commit's fsync stage, so the stages
+// still tile enqueue to ack.
+func (d *durable[G, E]) awaitSync(applied time.Time) (time.Duration, error) {
+	if d.opts.Policy != SyncEveryCommit {
+		return 0, nil
+	}
+	select {
+	case err := <-d.syncDone:
+		return 0, err
+	default:
+	}
+	err := <-d.syncDone
+	return time.Since(applied), err
 }
 
 // maybeCheckpoint counts commits and, at the configured cadence, hands the
@@ -378,17 +402,25 @@ func (e *Engine[G, E]) checkpointer() {
 	}
 }
 
-// syncLoop is the background fsync ticker of the SyncInterval policy.
+// syncLoop is the engine's one fsync goroutine. Under SyncEveryCommit it
+// runs each commit's fsync on request, beside that commit's apply on the
+// ingest goroutine; under SyncInterval it fsyncs from a ticker.
 func (e *Engine[G, E]) syncLoop() {
 	defer e.durWG.Done()
 	d := e.dur
-	t := time.NewTicker(d.opts.Interval)
-	defer t.Stop()
+	var tick <-chan time.Time
+	if d.opts.Policy == SyncInterval {
+		t := time.NewTicker(d.opts.Interval)
+		defer t.Stop()
+		tick = t.C
+	}
 	for {
 		select {
 		case <-d.stopSync:
 			return
-		case <-t.C:
+		case <-d.syncReq:
+			d.syncDone <- d.log.Sync()
+		case <-tick:
 			if d.failed.Load() {
 				continue
 			}
@@ -681,6 +713,8 @@ func Recover[G ligra.Graph, E any](g0 G, apply func(G, []CommitRun[E]) G, opts O
 		seq:      last,
 		codec:    codec,
 		snap:     sc,
+		syncReq:  make(chan struct{}, 1),
+		syncDone: make(chan error, 1),
 		ckptCh:   make(chan ckptReq[G], 1),
 		stopSync: make(chan struct{}),
 	}

@@ -129,10 +129,11 @@ type Engine[G ligra.Graph, E any] struct {
 	onCommit func(prev, cur G, stamp uint64, runs []CommitRun[E])
 
 	// dur, when non-nil, is the durable commit path (durable.go): WAL
-	// append + policy fsync before apply/ack, background checkpointing.
-	// Attached by Recover between newEngine and start.
+	// append before apply, the policy fsync beside the apply and before
+	// publish/ack, background checkpointing. Attached by Recover between
+	// newEngine and start.
 	dur   *durable[G, E]
-	durWG sync.WaitGroup // checkpointer + sync ticker
+	durWG sync.WaitGroup // checkpointer + sync goroutine
 
 	mu     sync.RWMutex // guards closed and the queue close
 	closed bool
@@ -203,12 +204,12 @@ func newEngine[G ligra.Graph, E any](g G, seq uint64, apply func(G, []CommitRun[
 }
 
 // start launches the ingest loop and, when durability is attached, the
-// checkpointer and (under SyncInterval) the fsync ticker.
+// checkpointer and (unless the policy is SyncOff) the fsync goroutine.
 func (e *Engine[G, E]) start() {
 	if e.dur != nil {
 		e.durWG.Add(1)
 		go e.checkpointer()
-		if e.dur.opts.Policy == SyncInterval {
+		if e.dur.opts.Policy != SyncOff {
 			e.durWG.Add(1)
 			go e.syncLoop()
 		}
@@ -452,12 +453,18 @@ func (e *Engine[G, E]) clock() time.Time {
 }
 
 // commit folds the batch into same-kind runs and its notes, logs them as
-// one WAL frame (when durability is attached), applies the runs to the latest snapshot in one call
-// of the engine's update, publishes one new version, then acknowledges every batch with the commit
-// stamp. Durability failures are fail-stop: the batch (and every later one)
-// is nacked — its done channel closes without a stamp — and nothing further
-// is applied, so an acknowledged batch is always both applied and logged
-// (and fsynced, under the per-commit policy).
+// one WAL frame (when durability is attached), applies the runs to the
+// latest snapshot in one call of the engine's update, publishes one new
+// version, then acknowledges every batch with the commit stamp. Under
+// SyncEveryCommit the frame's fsync runs on the sync goroutine while the
+// apply runs here, and the version is published only once the fsync has
+// returned: a commit waits for the longer of the two, not their sum. The
+// ingest goroutine is the only writer, so the snapshot the apply reads is
+// still the latest when it publishes. Durability failures are fail-stop:
+// the applied snapshot is dropped unpublished, the batch (and every later
+// one) is nacked — its done channel closes without a stamp — and nothing
+// further is applied, so an acknowledged batch is always both applied and
+// logged (and fsynced, under the per-commit policy).
 //
 // commit returns how many batches the next group should expect: this
 // group's, whose closed-loop clients resubmit once acknowledged, plus those
@@ -505,25 +512,34 @@ func (e *Engine[G, E]) commit(batch []pending[E], totalEdges int, pickup time.Ti
 		e.runs, e.notes = runs, notes
 		defer clear(runs)
 		if e.dur != nil {
-			appendDur, syncDur, err := e.dur.logCommit(runs, notes)
+			appendDur, err := e.dur.logCommit(runs, notes)
 			tr.Durs[obs.StageWALAppend] = appendDur
-			tr.Durs[obs.StageFsync] = syncDur
 			if err != nil {
 				e.dur.fail(err)
 				nack(batch)
 				return 0
 			}
 		}
-		var before, committed G
 		t = time.Now()
+		before := e.head()
+		committed := e.applyFirst(before, runs)
+		applied := time.Now()
+		tr.Durs[obs.StageApply] = applied.Sub(t)
+		if e.dur != nil {
+			waited, err := e.dur.awaitSync(applied)
+			tr.Durs[obs.StageFsync] = waited
+			if err != nil {
+				e.dur.fail(err)
+				nack(batch)
+				return 0
+			}
+		}
 		stamp = e.reg.Update(func(cur seqGraph[G]) seqGraph[G] {
-			before, committed = cur.g, e.applyFirst(cur.g, runs)
 			if e.dur != nil {
 				cur.seq = e.dur.seq
 			}
 			return seqGraph[G]{committed, cur.seq}
 		})
-		tr.Durs[obs.StageApply] = time.Since(t)
 		e.commits.Add(1)
 		if e.dur != nil {
 			e.maybeCheckpoint(committed, stamp)
@@ -564,6 +580,14 @@ func (e *Engine[G, E]) commit(batch []pending[E], totalEdges int, pickup time.Ti
 		e.tracer.Record(tr)
 	}
 	return expect
+}
+
+// head returns the latest published snapshot. Only the ingest goroutine
+// publishes, so on it the result stays the latest until its next commit.
+func (e *Engine[G, E]) head() G {
+	v := e.reg.Acquire()
+	defer e.reg.Release(v)
+	return v.Graph.g
 }
 
 // applyFirst runs the engine's update with the gate held, when the

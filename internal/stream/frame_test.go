@@ -235,7 +235,7 @@ func TestLogCommitAllocatesNothing(t *testing.T) {
 		notes = append(notes, Note{Client: 5, Seq: uint64(i + 1)})
 	}
 	logOnce := func() {
-		if _, _, err := d.logCommit(runs, notes); err != nil {
+		if _, err := d.logCommit(runs, notes); err != nil {
 			t.Fatal(err)
 		}
 	}

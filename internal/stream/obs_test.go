@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -84,9 +85,11 @@ func flushTrace(t *testing.T, e *Engine[aspen.Graph, aspen.Edge]) {
 }
 
 // TestDurableEngineMetrics checks the WAL/checkpoint families appear on
-// a durable engine and that fsync/wal_append stages record.
+// a durable engine, that the wal_append stage records, and that the WAL
+// timed the commit's fsync. The fsync stage is only the wait that
+// outlasted the apply, which is zero when the fsync finished first.
 func TestDurableEngineMetrics(t *testing.T) {
-	// Default policy is SyncEveryCommit, so the fsync stage records too.
+	// Default policy is SyncEveryCommit, so every commit fsyncs.
 	e, err := RecoverGraphEngine(testParams(), Options{}, Durability{Dir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
@@ -109,6 +112,7 @@ func TestDurableEngineMetrics(t *testing.T) {
 	text := sb.String()
 	for _, want := range []string{
 		"aspen_wal_appends_total", "aspen_wal_syncs_total",
+		"aspen_wal_sync_seconds_count", `aspen_wal_sync_seconds{quantile="0.5"}`,
 		"aspen_checkpoints_total", "aspen_durability_failed 0",
 	} {
 		if !strings.Contains(text, want) {
@@ -118,8 +122,12 @@ func TestDurableEngineMetrics(t *testing.T) {
 	if got := e.Tracer().StageHist(obs.StageWALAppend).Count(); got == 0 {
 		t.Error("wal_append stage never recorded on a durable engine")
 	}
-	if got := e.Tracer().StageHist(obs.StageFsync).Count(); got == 0 {
-		t.Error("fsync stage never recorded with SyncEveryCommit")
+	syncs, waits := e.Stats().WAL.Syncs, e.Tracer().StageHist(obs.StageFsync).Count()
+	if syncs == 0 || waits > syncs {
+		t.Errorf("WAL fsyncs = %d, fsync stage waits = %d: want the commit's fsync and at most one wait per fsync", syncs, waits)
+	}
+	if want := fmt.Sprintf("aspen_wal_sync_seconds_count %d\n", syncs); !strings.Contains(text, want) {
+		t.Errorf("exposition missing %q: every fsync is timed", want)
 	}
 }
 

@@ -5,7 +5,8 @@ import "repro/internal/obs"
 // RegisterMetrics exposes the log's counters through an obs.Registry as
 // read-through views — the atomics in Log stay the single source of
 // truth (Stats() keeps serving them), the registry only reads them at
-// scrape time. Appends, syncs, and bytes are one atomic load each;
+// scrape time, and the Sync durations' histogram is digested then too.
+// Appends, syncs, and bytes are one atomic load each;
 // segments takes the log mutex, which a scrape may contend with the
 // writer for (scrape-rate, not commit-rate, cost).
 func (l *Log) RegisterMetrics(reg *obs.Registry, labels ...obs.Label) {
@@ -13,6 +14,8 @@ func (l *Log) RegisterMetrics(reg *obs.Registry, labels ...obs.Label) {
 		"WAL records appended.", l.appends.Load, labels...)
 	reg.CounterFunc("aspen_wal_syncs_total",
 		"WAL fsyncs issued (policy, barrier, rotation).", l.syncs.Load, labels...)
+	reg.Summary("aspen_wal_sync_seconds",
+		"Duration of each WAL Sync (flush + fsync), whatever asked for it.", &l.syncTime, labels...)
 	reg.CounterFunc("aspen_wal_bytes_total",
 		"WAL frame bytes appended, headers included.", l.bytes.Load, labels...)
 	reg.GaugeFunc("aspen_wal_segments",

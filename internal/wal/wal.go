@@ -33,7 +33,9 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"time"
 
+	"repro/internal/obs"
 	"repro/internal/scratch"
 )
 
@@ -189,6 +191,10 @@ type Log struct {
 	appends atomic.Uint64
 	syncs   atomic.Uint64
 	bytes   atomic.Uint64
+	// syncTime holds the duration of every successful Sync (flush +
+	// fsync), whoever asked for it: a commit's own fsync stage shows only
+	// the part its apply did not hide.
+	syncTime obs.Hist
 }
 
 // Open opens dir for appending with nextSeq as the next sequence number
@@ -367,6 +373,7 @@ func (l *Log) Sync() error {
 		l.bw.Flush()
 		return err
 	}
+	start := time.Now()
 	if err := l.bw.Flush(); err != nil {
 		return err
 	}
@@ -374,6 +381,7 @@ func (l *Log) Sync() error {
 		return err
 	}
 	l.syncs.Add(1)
+	l.syncTime.Observe(time.Since(start))
 	return nil
 }
 
