@@ -40,6 +40,11 @@ func perOpAt(procs, runs int, op func()) (n float64) {
 // count read at 1, 2 and 4. Re-pinning a gate edits its number here with a
 // BENCHMARKS.md line saying why.
 func TestAllocGates(t *testing.T) {
+	if raceEnabled {
+		// The race runtime drops one sync.Pool.Put in four, so pooled
+		// buffers are allocated again; the non-race run holds the gates.
+		t.Skip("allocation counts are not deterministic under -race")
+	}
 	applyRuns := make(chan applyRunsFixture) // built beside the others; nothing is measured until it arrives
 	go func() { applyRuns <- newApplyRunsFixture() }()
 	g := benchGraph(t, ctree.DefaultParams())

@@ -94,21 +94,9 @@ func run(args []string, stdout io.Writer) error {
 			*shardID, *shards, role, *replicaOf, ln.Addr())
 		ro := remote.Options{PromoteAfter: *promote, DialTimeout: *dialTO, DedupWindow: *dedupWin}
 		if *weighted {
-			r := remote.NewWeightedReplica(*replicaOf, p, *shardID, *shards, *ring, ro)
-			if err := wireReplicaObs(stdout, *obsAddr, r.Stats); err != nil {
-				ln.Close()
-				return err
-			}
-			go func() { <-sigs; r.Close() }()
-			return r.Serve(ln)
+			return serveReplica(stdout, ln, sigs, *obsAddr, remote.NewGraphReplica[float32](*replicaOf, p, *shardID, *shards, *ring, ro))
 		}
-		r := remote.NewGraphReplica(*replicaOf, p, *shardID, *shards, *ring, ro)
-		if err := wireReplicaObs(stdout, *obsAddr, r.Stats); err != nil {
-			ln.Close()
-			return err
-		}
-		go func() { <-sigs; r.Close() }()
-		return r.Serve(ln)
+		return serveReplica(stdout, ln, sigs, *obsAddr, remote.NewGraphReplica[struct{}](*replicaOf, p, *shardID, *shards, *ring, ro))
 	}
 
 	if *dataDir == "" {
@@ -132,34 +120,21 @@ func run(args []string, stdout io.Writer) error {
 		OnReplayNote:    win.Observe,
 	}
 	opts := stream.Options{TraceSlow: *traceSlow}
-
-	t0 := time.Now()
 	if *weighted {
-		eng, err := stream.RecoverWeightedEngine(p, opts, dur)
-		if err != nil {
-			ln.Close()
-			return fmt.Errorf("recover %s: %w", *dataDir, err)
-		}
-		srv := remote.NewWeightedServer(eng, p, *dataDir, *shardID, *shards)
-		srv.SetDedup(win)
-		if err := wirePrimaryObs(stdout, *obsAddr, eng, srv, win, *shardID); err != nil {
-			ln.Close()
-			return err
-		}
-		return servePrimary(stdout, ln, sigs, srv.Serve, srv.Close, eng, t0, *shardID, *shards)
+		return servePrimary[float32](stdout, ln, sigs, p, opts, dur, win, *obsAddr, *shardID, *shards)
 	}
-	eng, err := stream.RecoverGraphEngine(p, opts, dur)
-	if err != nil {
-		ln.Close()
-		return fmt.Errorf("recover %s: %w", *dataDir, err)
-	}
-	srv := remote.NewGraphServer(eng, p, *dataDir, *shardID, *shards)
-	srv.SetDedup(win)
-	if err := wirePrimaryObs(stdout, *obsAddr, eng, srv, win, *shardID); err != nil {
+	return servePrimary[struct{}](stdout, ln, sigs, p, opts, dur, win, *obsAddr, *shardID, *shards)
+}
+
+// serveReplica mounts the replica's observability plane and serves until a
+// signal closes it.
+func serveReplica[G ligra.Graph, E any](stdout io.Writer, ln net.Listener, sigs <-chan os.Signal, obsAddr string, r *remote.Replica[G, E]) error {
+	if err := wireReplicaObs(stdout, obsAddr, r.Stats); err != nil {
 		ln.Close()
 		return err
 	}
-	return servePrimary(stdout, ln, sigs, srv.Serve, srv.Close, eng, t0, *shardID, *shards)
+	go func() { <-sigs; r.Close() }()
+	return r.Serve(ln)
 }
 
 // wirePrimaryObs mounts the observability plane of a primary: the
@@ -246,29 +221,35 @@ func stageStatus(t *obs.StageTracer) map[string]obs.LatencySummary {
 	return out
 }
 
-// engineCloser is the slice of stream.Engine the shutdown path needs.
-type engineCloser interface {
-	Close()
-	Err() error
-	Stats() stream.Stats
-}
-
-// servePrimary announces the listener, serves until a signal, then
-// closes the server (draining connections) and the engine (final
-// checkpoint).
-func servePrimary(stdout io.Writer, ln net.Listener, sigs <-chan os.Signal,
-	serve func(net.Listener) error, closeSrv func(), eng engineCloser,
-	t0 time.Time, shardID, shards int) error {
+// servePrimary recovers the durable engine of payload V in dur.Dir, wraps
+// it in a server with the recovered dedup window, announces the listener,
+// serves until a signal, then closes the server (draining connections)
+// and the engine (final checkpoint).
+func servePrimary[V ctree.Value](stdout io.Writer, ln net.Listener, sigs <-chan os.Signal,
+	p ctree.Params, opts stream.Options, dur stream.Durability, win *remote.Dedup,
+	obsAddr string, shardID, shards int) error {
+	t0 := time.Now()
+	eng, err := stream.RecoverGraphEngineOf[V](p, opts, dur)
+	if err != nil {
+		ln.Close()
+		return fmt.Errorf("recover %s: %w", dur.Dir, err)
+	}
+	srv := remote.NewGraphServer(eng, p, dur.Dir, shardID, shards)
+	srv.SetDedup(win)
+	if err := wirePrimaryObs(stdout, obsAddr, eng, srv, win, shardID); err != nil {
+		ln.Close()
+		return err
+	}
 	st := eng.Stats()
 	fmt.Fprintf(stdout, "shardd: shard %d/%d recovered stamp %d in %v, listening on %s\n",
 		shardID, shards, st.Stamp, time.Since(t0).Round(time.Millisecond), ln.Addr())
 	done := make(chan struct{})
 	go func() {
 		<-sigs
-		closeSrv()
+		srv.Close()
 		close(done)
 	}()
-	err := serve(ln)
+	err = srv.Serve(ln)
 	select {
 	case <-done: // signal-driven shutdown: not an error
 		err = nil

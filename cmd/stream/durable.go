@@ -81,31 +81,15 @@ func runKillTest(dir string, n int) {
 	fmt.Println("done")
 }
 
-// runRecoverOnly opens -data, reports what recovery found, and exits — the
-// operational "is this directory intact?" probe.
-func runRecoverOnly(dir string, weighted bool) {
+// runRecoverOnly opens -data as a directory of aspen graphs of payload V,
+// reports what recovery found, and exits — the operational "is this
+// directory intact?" probe.
+func runRecoverOnly[V ctree.Value](dir string) {
 	t0 := time.Now()
-	var (
-		n, m  uint64
-		stamp uint64
-		err   error
-	)
-	if weighted {
-		var g aspen.WeightedGraph
-		g, stamp, err = stream.LoadWeightedGraph(ctree.DefaultParams(), dir)
-		if err == nil {
-			n, m = uint64(g.Order()), g.NumEdges()
-		}
-	} else {
-		var g aspen.Graph
-		g, stamp, err = stream.LoadGraph(ctree.DefaultParams(), dir)
-		if err == nil {
-			n, m = uint64(g.Order()), g.NumEdges()
-		}
-	}
+	g, stamp, err := stream.LoadGraph[V](ctree.DefaultParams(), dir)
 	if err != nil {
 		fatal("recover %s: %v", dir, err)
 	}
 	fmt.Printf("recovered %s in %v: %d vertices, %d edges, %d commits applied\n",
-		dir, time.Since(t0).Round(time.Millisecond), n, m, stamp)
+		dir, time.Since(t0).Round(time.Millisecond), g.Order(), g.NumEdges(), stamp)
 }

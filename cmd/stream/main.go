@@ -127,7 +127,11 @@ func main() {
 		return
 	}
 	if *recOnly {
-		runRecoverOnly(*dataDir, *weighted)
+		if *weighted {
+			runRecoverOnly[float32](*dataDir)
+		} else {
+			runRecoverOnly[struct{}](*dataDir)
+		}
 		return
 	}
 
@@ -230,7 +234,7 @@ func main() {
 
 	var runs []runResult
 	if cfg.Weighted {
-		runs = runSweep(ctx, cfg, sw, weightedBatch, openWeighted)
+		runs = runSweep(ctx, cfg, sw, weightedBatch, openGraph)
 	} else {
 		runs = runSweep(ctx, cfg, sw, graphBatch, openGraph)
 	}
@@ -336,64 +340,42 @@ type opened[E any] struct {
 	incCC  *algos.IncrementalCC // standing connectivity under -inc-cc
 }
 
-func openedEngine[G ligra.Graph, E any](cfg config, e *stream.Engine[G, E], attachCC func(*stream.Engine[G, E]) *algos.IncrementalCC) opened[E] {
-	o := opened[E]{Store: e.Store(), health: e.Err, tracer: e.Tracer()}
+func openedEngine[V ctree.Value](cfg config, e *stream.Engine[aspen.GraphOf[V], aspen.EdgeOf[V]]) opened[aspen.EdgeOf[V]] {
+	o := opened[aspen.EdgeOf[V]]{Store: e.Store(), health: e.Err, tracer: e.Tracer()}
 	if cfg.IncCC {
 		// Attached with ingest quiescent (after any preload flush): the
 		// bootstrap covers the initial graph, the commit hook everything
 		// after.
-		o.incCC = attachCC(e)
+		o.incCC = stream.AttachGraphIncrementalCC(e)
 	}
 	return o
 }
 
-// openGraph builds deployment d over unweighted graphs. In-process stores
-// load the initial edges outside the serving path, so counters and latency
-// digests see only the stream; a durable engine recovers its directory and
-// preloads through its own ingest path (WAL-logged like any other batch).
-func openGraph(cfg config, d deployment, initial func() []aspen.Edge) opened[aspen.Edge] {
+// openGraph builds deployment d over aspen graphs of payload V. In-process
+// stores load the initial edges outside the serving path, so counters and
+// latency digests see only the stream; a durable engine recovers its
+// directory and preloads through its own ingest path (WAL-logged like any
+// other batch).
+func openGraph[V ctree.Value](cfg config, d deployment, initial func() []aspen.EdgeOf[V]) opened[aspen.EdgeOf[V]] {
 	p, opts := ctree.DefaultParams(), cfg.engineOptions()
 	switch {
 	case d.primaries != nil:
-		c, err := remote.DialGraph(cfg.partitioner(len(d.primaries)), d.primaries, d.replicas, remote.Options{})
+		c, err := remote.DialGraphOf[V](cfg.partitioner(len(d.primaries)), d.primaries, d.replicas, remote.Options{})
 		if err != nil {
 			fatal("%v", err)
 		}
-		return opened[aspen.Edge]{Store: c.Store()}
+		return opened[aspen.EdgeOf[V]]{Store: c.Store()}
 	case d.shards > 1:
-		return opened[aspen.Edge]{Store: shard.NewGraphClusterFrom(cfg.partitioner(d.shards), p, initial(), opts).Store()}
+		return opened[aspen.EdgeOf[V]]{Store: shard.NewGraphClusterFrom(cfg.partitioner(d.shards), p, initial(), opts).Store()}
 	case cfg.Data != "":
-		e, err := stream.RecoverGraphEngine(p, opts, cfg.durability())
+		e, err := stream.RecoverGraphEngineOf[V](p, opts, cfg.durability())
 		if err != nil {
 			fatal("recover %s: %v", cfg.Data, err)
 		}
 		preload(e.Store(), initial())
-		return openedEngine(cfg, e, stream.AttachGraphIncrementalCC)
+		return openedEngine(cfg, e)
 	}
-	return openedEngine(cfg, stream.NewGraphEngine(aspen.NewGraph(p).InsertEdges(initial()), opts), stream.AttachGraphIncrementalCC)
-}
-
-// openWeighted is openGraph for weighted graphs.
-func openWeighted(cfg config, d deployment, initial func() []aspen.WeightedEdge) opened[aspen.WeightedEdge] {
-	p, opts := ctree.DefaultParams(), cfg.engineOptions()
-	switch {
-	case d.primaries != nil:
-		c, err := remote.DialWeighted(cfg.partitioner(len(d.primaries)), d.primaries, d.replicas, remote.Options{})
-		if err != nil {
-			fatal("%v", err)
-		}
-		return opened[aspen.WeightedEdge]{Store: c.Store()}
-	case d.shards > 1:
-		return opened[aspen.WeightedEdge]{Store: shard.NewWeightedClusterFrom(cfg.partitioner(d.shards), p, initial(), opts).Store()}
-	case cfg.Data != "":
-		e, err := stream.RecoverWeightedEngine(p, opts, cfg.durability())
-		if err != nil {
-			fatal("recover %s: %v", cfg.Data, err)
-		}
-		preload(e.Store(), initial())
-		return openedEngine(cfg, e, stream.AttachWeightedIncrementalCC)
-	}
-	return openedEngine(cfg, stream.NewWeightedEngine(aspen.NewWeightedGraph().InsertEdges(initial()), opts), stream.AttachWeightedIncrementalCC)
+	return openedEngine(cfg, stream.NewGraphEngine(aspen.NewGraphOf[V](p).InsertEdges(initial()), opts))
 }
 
 // preload pushes the initial edge set through the store's own ingest path

@@ -100,7 +100,7 @@ func TestKillRecover(t *testing.T) {
 	}
 	_ = cmd.Wait()
 
-	g, lastSeq, err := stream.LoadGraph(killParams(), dir)
+	g, lastSeq, err := stream.LoadGraph[struct{}](killParams(), dir)
 	if err != nil {
 		t.Fatalf("recovery after SIGKILL: %v", err)
 	}
@@ -146,7 +146,7 @@ func TestKillRecover(t *testing.T) {
 	if err := e.Err(); err != nil {
 		t.Fatal(err)
 	}
-	g2, seq2, err := stream.LoadGraph(killParams(), dir)
+	g2, seq2, err := stream.LoadGraph[struct{}](killParams(), dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +179,7 @@ func TestKillRecoverGraceful(t *testing.T) {
 	if !strings.Contains(string(outb), "done") {
 		t.Fatalf("subprocess did not finish cleanly:\n%s", outb)
 	}
-	g, seq, err := stream.LoadGraph(killParams(), dir)
+	g, seq, err := stream.LoadGraph[struct{}](killParams(), dir)
 	if err != nil {
 		t.Fatal(err)
 	}

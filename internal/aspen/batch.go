@@ -95,7 +95,7 @@ func applyCore[V ctree.Value](ops *vopsT[V], cls ctree.Class[V], vt *vnode[V], b
 	n := len(b.packed)
 	starts := parallel.PackIndices(n, func(i int) bool { return i == 0 || b.packed[i]>>32 != b.packed[i-1]>>32 })
 	ids, vals := make([]uint32, n), b.vals
-	if b.comp != nil && payloadWidth[V]() > 0 {
+	if b.comp != nil && PayloadWidth[V]() > 0 {
 		vals = make([]V, n)
 	}
 	keys, ups := make([]uint32, len(starts)), make([]upsert[V], len(starts))

@@ -208,7 +208,7 @@ func sortEdgeBatch[V ctree.Value](edges []EdgeOf[V]) []uint64 {
 // the last payload in batch order. A zero-width V takes the id-only sort and
 // returns nil payloads.
 func sortEdgeBatchKV[V ctree.Value](edges []EdgeOf[V]) ([]uint64, []V) {
-	if payloadWidth[V]() == 0 {
+	if PayloadWidth[V]() == 0 {
 		return sortEdgeBatch(edges), nil
 	}
 	packed := make([]uint64, len(edges))

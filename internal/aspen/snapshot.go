@@ -33,7 +33,7 @@ func (g GraphOf[V]) Snapshot() *graphio.Snapshot {
 		offs[i+1] = offs[i] + et.Size()
 	}
 	m := offs[len(offs)-1]
-	w := uint64(payloadWidth[V]())
+	w := uint64(PayloadWidth[V]())
 	s := &graphio.Snapshot{Width: int(w), Verts: verts, Offs: offs, Edges: make([]uint32, m)}
 	if w > 0 {
 		s.Payload = make([]byte, w*m)
@@ -50,7 +50,7 @@ func (g GraphOf[V]) Snapshot() *graphio.Snapshot {
 		}
 		trees[i].ForEachKV(func(v uint32, val V) bool {
 			s.Edges[k] = v
-			putPayload(s.Payload[w*k:], val)
+			PutPayload(s.Payload[w*k:], val)
 			k++
 			return true
 		})
@@ -67,28 +67,52 @@ func payloadBytes[V ctree.Value](v *V) []byte {
 	return unsafe.Slice((*byte)(unsafe.Pointer(v)), unsafe.Sizeof(*v))
 }
 
-// payloadWidth returns the byte width of V; 0 is the id-only struct{}.
-func payloadWidth[V ctree.Value]() int {
+// PayloadWidth returns the byte width of V; 0 is the id-only struct{}.
+func PayloadWidth[V ctree.Value]() int {
 	var zero V
 	return int(unsafe.Sizeof(zero))
 }
 
-// putPayload writes v's little-endian image to the front of dst. The byte
-// order swap is exact for the scalar payloads (float32, uint64) this
-// repository stores.
-func putPayload[V ctree.Value](dst []byte, v V) {
-	b := dst[:copy(dst, payloadBytes(&v))]
-	if bigEndian {
-		slices.Reverse(b)
+// PutPayload writes v's little-endian image to the front of dst: the payload
+// bytes of a snapshot and of a WAL or wire edge. The byte order swap is
+// exact for the scalar payloads (float32, uint64) this repository stores.
+// The 4- and 8-byte widths move the image as one word through a local,
+// which keeps a per-edge encode free of a memmove call.
+func PutPayload[V ctree.Value](dst []byte, v V) {
+	switch unsafe.Sizeof(v) {
+	case 0:
+	case 4:
+		var u uint32
+		*(*[4]byte)(unsafe.Pointer(&u)) = *(*[4]byte)(unsafe.Pointer(&v))
+		binary.LittleEndian.PutUint32(dst, u)
+	case 8:
+		var u uint64
+		*(*[8]byte)(unsafe.Pointer(&u)) = *(*[8]byte)(unsafe.Pointer(&v))
+		binary.LittleEndian.PutUint64(dst, u)
+	default:
+		b := dst[:copy(dst, payloadBytes(&v))]
+		if bigEndian {
+			slices.Reverse(b)
+		}
 	}
 }
 
-// getPayload decodes the value putPayload wrote at the front of src.
-func getPayload[V ctree.Value](src []byte) (v V) {
-	b := payloadBytes(&v)
-	copy(b, src)
-	if bigEndian {
-		slices.Reverse(b)
+// GetPayload decodes the value PutPayload wrote at the front of src.
+func GetPayload[V ctree.Value](src []byte) (v V) {
+	switch unsafe.Sizeof(v) {
+	case 0:
+	case 4:
+		u := binary.LittleEndian.Uint32(src)
+		*(*[4]byte)(unsafe.Pointer(&v)) = *(*[4]byte)(unsafe.Pointer(&u))
+	case 8:
+		u := binary.LittleEndian.Uint64(src)
+		*(*[8]byte)(unsafe.Pointer(&v)) = *(*[8]byte)(unsafe.Pointer(&u))
+	default:
+		b := payloadBytes(&v)
+		copy(b, src)
+		if bigEndian {
+			slices.Reverse(b)
+		}
 	}
 	return v
 }
@@ -99,7 +123,7 @@ func getPayload[V ctree.Value](src []byte) (v V) {
 // (building a C-tree from an unsorted list would corrupt it silently), so a
 // damaged-but-checksum-valid file still cannot produce an invalid graph.
 func FromSnapshot[V ctree.Value](p ctree.Params, s *graphio.Snapshot) (GraphOf[V], error) {
-	w := payloadWidth[V]()
+	w := PayloadWidth[V]()
 	if s.Width != w {
 		return GraphOf[V]{}, fmt.Errorf("aspen: snapshot has payload width %d, want %d: %w", s.Width, w, graphio.ErrCorrupt)
 	}
@@ -113,7 +137,7 @@ func FromSnapshot[V ctree.Value](p ctree.Params, s *graphio.Snapshot) (GraphOf[V
 		if w > 0 {
 			vals = make([]V, hi-lo)
 			for j := range vals {
-				vals[j] = getPayload[V](s.Payload[uint64(w)*(lo+uint64(j)):])
+				vals[j] = GetPayload[V](s.Payload[uint64(w)*(lo+uint64(j)):])
 			}
 		}
 		return proto.BuildLike(s.Edges[lo:hi], vals)

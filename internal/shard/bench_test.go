@@ -15,7 +15,7 @@ import (
 func benchCluster(b testing.TB, shards int) *Cluster[aspen.Graph, aspen.Edge] {
 	b.Helper()
 	gen := rmat.NewGenerator(14, 42)
-	c := NewGraphCluster(NewRangePartitioner(shards, 1<<14), ctree.DefaultParams(), stream.Options{})
+	c := NewGraphCluster[struct{}](NewRangePartitioner(shards, 1<<14), ctree.DefaultParams(), stream.Options{})
 	if _, err := c.Insert(aspen.MakeUndirected(gen.Edges(0, 200_000))); err != nil {
 		b.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func BenchmarkShardedIngest(b *testing.B) {
 	for _, shards := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
 			gen := rmat.NewGenerator(16, 9)
-			c := NewGraphCluster(NewRangePartitioner(shards, 1<<16), ctree.DefaultParams(), stream.Options{})
+			c := NewGraphCluster[struct{}](NewRangePartitioner(shards, 1<<16), ctree.DefaultParams(), stream.Options{})
 			if _, err := c.Insert(aspen.MakeUndirected(gen.Edges(0, 100_000))); err != nil {
 				b.Fatal(err)
 			}

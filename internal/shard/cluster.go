@@ -26,36 +26,11 @@ type Cluster[G ligra.Graph, E any] struct {
 	stitch stitchCache
 }
 
-// New assembles a cluster from a partitioner and one pre-built engine per
-// shard (len(engines) must equal part.Shards()); srcOf extracts the routing
-// key from an update. The graph-flavored constructors below cover the two
-// aspen instantiations.
-func New[G ligra.Graph, E any](part Partitioner, engines []*stream.Engine[G, E], srcOf func(E) uint32) *Cluster[G, E] {
-	if len(engines) != part.Shards() {
-		panic("shard: engine count does not match partitioner shard count")
-	}
-	return &Cluster[G, E]{part: part, engines: engines, srcOf: srcOf}
-}
-
-// NewGraphCluster builds a cluster of unweighted engines, each starting
-// from an empty graph with edge-tree params p. Route initial edges through
-// Insert + Barrier.
-func NewGraphCluster(part Partitioner, p ctree.Params, opts stream.Options) *Cluster[aspen.Graph, aspen.Edge] {
-	engines := make([]*stream.Engine[aspen.Graph, aspen.Edge], part.Shards())
-	for i := range engines {
-		engines[i] = stream.NewGraphEngine(aspen.NewGraph(p), opts)
-	}
-	return New(part, engines, EdgeSource)
-}
-
-// NewWeightedCluster builds a cluster of weighted engines, each starting
-// from an empty weighted graph with edge-tree params p.
-func NewWeightedCluster(part Partitioner, p ctree.Params, opts stream.Options) *Cluster[aspen.WeightedGraph, aspen.WeightedEdge] {
-	engines := make([]*stream.Engine[aspen.WeightedGraph, aspen.WeightedEdge], part.Shards())
-	for i := range engines {
-		engines[i] = stream.NewWeightedEngine(aspen.NewWeightedGraphWith(p), opts)
-	}
-	return New(part, engines, WeightedEdgeSource)
+// NewGraphCluster builds a cluster of aspen engines of payload V, each
+// starting from an empty graph with edge-tree params p. Route initial edges
+// through Insert + Barrier.
+func NewGraphCluster[V ctree.Value](part Partitioner, p ctree.Params, opts stream.Options) *Cluster[aspen.GraphOf[V], aspen.EdgeOf[V]] {
+	return NewGraphClusterFrom[V](part, p, nil, opts)
 }
 
 // NewGraphClusterFrom builds a cluster whose shards start from an initial
@@ -66,23 +41,13 @@ func NewWeightedCluster(part Partitioner, p ctree.Params, opts stream.Options) *
 // benchmark drivers must use; loading through Cluster.Insert would charge
 // the preload to the streamed-update numbers and land one giant commit
 // sample in every shard's latency digest.
-func NewGraphClusterFrom(part Partitioner, p ctree.Params, initial []aspen.Edge, opts stream.Options) *Cluster[aspen.Graph, aspen.Edge] {
+func NewGraphClusterFrom[V ctree.Value](part Partitioner, p ctree.Params, initial []aspen.EdgeOf[V], opts stream.Options) *Cluster[aspen.GraphOf[V], aspen.EdgeOf[V]] {
 	parts := Route(part, initial, EdgeSource)
-	engines := make([]*stream.Engine[aspen.Graph, aspen.Edge], part.Shards())
+	engines := make([]*stream.Engine[aspen.GraphOf[V], aspen.EdgeOf[V]], part.Shards())
 	for i := range engines {
-		engines[i] = stream.NewGraphEngine(aspen.NewGraph(p).InsertEdges(parts[i]), opts)
+		engines[i] = stream.NewGraphEngine(aspen.NewGraphOf[V](p).InsertEdges(parts[i]), opts)
 	}
-	return New(part, engines, EdgeSource)
-}
-
-// NewWeightedClusterFrom is NewGraphClusterFrom for weighted graphs.
-func NewWeightedClusterFrom(part Partitioner, p ctree.Params, initial []aspen.WeightedEdge, opts stream.Options) *Cluster[aspen.WeightedGraph, aspen.WeightedEdge] {
-	parts := Route(part, initial, WeightedEdgeSource)
-	engines := make([]*stream.Engine[aspen.WeightedGraph, aspen.WeightedEdge], part.Shards())
-	for i := range engines {
-		engines[i] = stream.NewWeightedEngine(aspen.NewWeightedGraphWith(p).InsertEdges(parts[i]), opts)
-	}
-	return New(part, engines, WeightedEdgeSource)
+	return &Cluster[aspen.GraphOf[V], aspen.EdgeOf[V]]{part: part, engines: engines, srcOf: EdgeSource[V]}
 }
 
 // Shards returns the shard count.

@@ -10,7 +10,7 @@ import (
 )
 
 func TestClusterInsertDeleteVisibility(t *testing.T) {
-	c := NewGraphCluster(NewRangePartitioner(2, 100), testParams(), stream.Options{})
+	c := NewGraphCluster[struct{}](NewRangePartitioner(2, 100), testParams(), stream.Options{})
 	defer c.Close()
 
 	batch := aspen.MakeUndirected([]aspen.Edge{{Src: 10, Dst: 90}}) // crosses the shard boundary
@@ -46,7 +46,7 @@ func TestClusterInsertDeleteVisibility(t *testing.T) {
 }
 
 func TestClusterStitchCache(t *testing.T) {
-	c := NewGraphCluster(NewRangePartitioner(2, 1<<8), testParams(), stream.Options{})
+	c := NewGraphCluster[struct{}](NewRangePartitioner(2, 1<<8), testParams(), stream.Options{})
 	defer c.Close()
 	if _, err := c.Insert(aspen.MakeUndirected(randomEdges(500, 1<<8, 1))); err != nil {
 		t.Fatal(err)
@@ -89,7 +89,7 @@ func TestClusterStitchCache(t *testing.T) {
 }
 
 func TestClusterErrClosedAfterClose(t *testing.T) {
-	c := NewGraphCluster(NewHashPartitioner(2), testParams(), stream.Options{})
+	c := NewGraphCluster[struct{}](NewHashPartitioner(2), testParams(), stream.Options{})
 	c.Close()
 	if _, err := c.Insert(aspen.MakeUndirected([]aspen.Edge{{Src: 1, Dst: 2}})); err != stream.ErrClosed {
 		t.Fatalf("Insert after Close: err = %v, want ErrClosed", err)
@@ -97,7 +97,7 @@ func TestClusterErrClosedAfterClose(t *testing.T) {
 }
 
 func TestWeightedClusterViews(t *testing.T) {
-	c := NewWeightedCluster(NewRangePartitioner(2, 1<<8), testParams(), stream.Options{})
+	c := NewGraphCluster[float32](NewRangePartitioner(2, 1<<8), testParams(), stream.Options{})
 	defer c.Close()
 	batch := aspen.MakeUndirectedWeighted([]aspen.WeightedEdge{
 		{Src: 3, Dst: 200, Val: 2.5},
@@ -138,7 +138,7 @@ func TestWeightedClusterViews(t *testing.T) {
 }
 
 func TestTxPoolReuseIsClean(t *testing.T) {
-	c := NewGraphCluster(NewRangePartitioner(2, 1<<8), testParams(), stream.Options{})
+	c := NewGraphCluster[struct{}](NewRangePartitioner(2, 1<<8), testParams(), stream.Options{})
 	defer c.Close()
 	if _, err := c.Insert(aspen.MakeUndirected(randomEdges(200, 1<<8, 3))); err != nil {
 		t.Fatal(err)

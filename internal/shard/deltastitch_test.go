@@ -27,7 +27,7 @@ func stitchedViews(t *testing.T, g ligra.Graph) []ligra.Graph {
 // engine round-trip — and refresh only shard 0's.
 func TestDeltaStitchPointerIdentity(t *testing.T) {
 	part := NewRangePartitioner(2, 1<<8)
-	c := NewGraphCluster(part, testParams(), stream.Options{})
+	c := NewGraphCluster[struct{}](part, testParams(), stream.Options{})
 	defer c.Close()
 	single := aspen.NewGraph(testParams())
 
@@ -87,7 +87,7 @@ func TestDeltaStitchDifferential(t *testing.T) {
 		NewHashPartitioner(3),
 	} {
 		t.Run(fmt.Sprintf("%T-%d", part, part.Shards()), func(t *testing.T) {
-			c := NewGraphCluster(part, testParams(), stream.Options{})
+			c := NewGraphCluster[struct{}](part, testParams(), stream.Options{})
 			defer c.Close()
 			single := aspen.NewGraph(testParams())
 			gen := rmat.NewGenerator(9, 101)
@@ -166,7 +166,7 @@ func TestDeltaStitchDifferential(t *testing.T) {
 // reuse unmoved shards' views.
 func TestDeltaStitchWeighted(t *testing.T) {
 	part := NewRangePartitioner(2, 1<<8)
-	c := NewWeightedCluster(part, testParams(), stream.Options{})
+	c := NewGraphCluster[float32](part, testParams(), stream.Options{})
 	defer c.Close()
 	mkw := func(es []aspen.Edge, w float32) []aspen.WeightedEdge {
 		out := make([]aspen.WeightedEdge, 0, 2*len(es))

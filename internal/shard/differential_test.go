@@ -67,7 +67,7 @@ func randomOps(idSpace uint32, batches, batchSize int, seed uint64) []op {
 func applyBoth(t *testing.T, part Partitioner, ops []op) (aspen.Graph, *Cluster[aspen.Graph, aspen.Edge]) {
 	t.Helper()
 	single := aspen.NewGraph(testParams())
-	c := NewGraphCluster(part, testParams(), stream.Options{})
+	c := NewGraphCluster[struct{}](part, testParams(), stream.Options{})
 	for _, o := range ops {
 		var err error
 		if o.del {
@@ -217,7 +217,7 @@ func TestShardedWeightedMatchesSingleEngine(t *testing.T) {
 	} {
 		t.Run(fmt.Sprintf("%T-%d", part, part.Shards()), func(t *testing.T) {
 			single := aspen.NewWeightedGraphWith(testParams())
-			c := NewWeightedCluster(part, testParams(), stream.Options{})
+			c := NewGraphCluster[float32](part, testParams(), stream.Options{})
 			defer c.Close()
 			var pos uint64
 			for i := 0; i < 6; i++ {

@@ -171,7 +171,7 @@ func TestFootprintAfterPreload(t *testing.T) {
 
 	part := shard.NewRangePartitioner(2, 1<<16)
 	memCluster := drive(func() (stream.Store[aspen.Edge], func() uint64) {
-		return shard.NewGraphCluster(part, p, stream.Options{}).Store(), none
+		return shard.NewGraphCluster[struct{}](part, p, stream.Options{}).Store(), none
 	})
 	wire := drive(func() (stream.Store[aspen.Edge], func() uint64) {
 		addrs := make([]string, part.Shards())

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/aspen"
+	"repro/internal/ctree"
 	"repro/internal/ligra"
 	"repro/internal/rpc"
 	"repro/internal/shard"
@@ -28,7 +29,6 @@ type Cluster[E any] struct {
 	part     shard.Partitioner
 	codec    stream.Codec[E]
 	srcOf    func(E) uint32
-	weighted bool
 	opts     Options
 	clientID uint64
 	prim     []*Conn
@@ -55,11 +55,12 @@ type Cluster[E any] struct {
 	deltaFallbacks                     [numFallReasons]atomic.Uint64
 }
 
-// Dial connects a generic cluster client: one primary address per
+// DialGraphOf connects a cluster client for aspen edges of payload V, whose
+// submit codec and read weights derive from V: one primary address per
 // shard (len must equal part.Shards()) and optional replica addresses
 // (nil, or same length with "" meaning no replica). Connections are
 // lazy: a down shard fails the first operation that needs it.
-func Dial[E any](part shard.Partitioner, primaries, replicas []string, codec stream.Codec[E], srcOf func(E) uint32, weighted bool, o Options) (*Cluster[E], error) {
+func DialGraphOf[V ctree.Value](part shard.Partitioner, primaries, replicas []string, o Options) (*Cluster[aspen.EdgeOf[V]], error) {
 	o = o.withDefaults()
 	if len(primaries) != part.Shards() {
 		return nil, fmt.Errorf("remote: %d primary addresses for %d shards", len(primaries), part.Shards())
@@ -71,11 +72,10 @@ func Dial[E any](part shard.Partitioner, primaries, replicas []string, codec str
 	if _, err := crand.Read(idb[:]); err != nil {
 		return nil, fmt.Errorf("remote: client id: %w", err)
 	}
-	c := &Cluster[E]{
+	c := &Cluster[aspen.EdgeOf[V]]{
 		part:     part,
-		codec:    codec,
-		srcOf:    srcOf,
-		weighted: weighted,
+		codec:    stream.EdgeCodecOf[V](),
+		srcOf:    shard.EdgeSource[V],
 		opts:     o,
 		clientID: binary.LittleEndian.Uint64(idb[:]) | 1, // 0 is the no-dedup sentinel
 		prim:     make([]*Conn, part.Shards()),
@@ -89,7 +89,7 @@ func Dial[E any](part shard.Partitioner, primaries, replicas []string, codec str
 	}
 	anyReplica := false
 	for s := range c.prim {
-		hi := helloInfo{shard: s, shards: part.Shards(), weighted: weighted, width: codec.Width, role: rolePrimary}
+		hi := helloInfo{shard: s, shards: part.Shards(), width: c.codec.Width, role: rolePrimary}
 		c.prim[s] = newConn(primaries[s], hi, o, c.nstat)
 		if replicas != nil && replicas[s] != "" {
 			rhi := hi
@@ -106,14 +106,9 @@ func Dial[E any](part shard.Partitioner, primaries, replicas []string, codec str
 	return c, nil
 }
 
-// DialGraph connects an unweighted cluster client.
+// DialGraph is DialGraphOf for the id-only aspen.Edge.
 func DialGraph(part shard.Partitioner, primaries, replicas []string, o Options) (*Cluster[aspen.Edge], error) {
-	return Dial(part, primaries, replicas, stream.EdgeCodec, shard.EdgeSource, false, o)
-}
-
-// DialWeighted connects a weighted cluster client.
-func DialWeighted(part shard.Partitioner, primaries, replicas []string, o Options) (*Cluster[aspen.WeightedEdge], error) {
-	return Dial(part, primaries, replicas, stream.WeightedEdgeCodec, shard.WeightedEdgeSource, true, o)
+	return DialGraphOf[struct{}](part, primaries, replicas, o)
 }
 
 // Shards returns the shard count.

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/aspen"
+	"repro/internal/ctree"
 	"repro/internal/ligra"
 	"repro/internal/rmat"
 	"repro/internal/shard"
@@ -17,13 +18,14 @@ import (
 	"repro/internal/xhash"
 )
 
-// startWeightedServers is startServers for in-memory weighted shards.
-func startWeightedServers(t testing.TB, part shard.Partitioner) []string {
+// startMemServers brings up one in-memory shard server of payload V per
+// shard of part and returns their addresses.
+func startMemServers[V ctree.Value](t testing.TB, part shard.Partitioner) []string {
 	t.Helper()
 	addrs := make([]string, part.Shards())
 	for s := range addrs {
-		eng := stream.NewWeightedEngine(aspen.NewWeightedGraphWith(testParams()), stream.Options{})
-		srv := NewWeightedServer(eng, testParams(), "", s, len(addrs))
+		eng := stream.NewGraphEngine(aspen.NewGraphOf[V](testParams()), stream.Options{})
+		srv := NewGraphServer(eng, testParams(), "", s, len(addrs))
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
@@ -243,9 +245,9 @@ func TestDeltaReadDifferential(t *testing.T) {
 			}, deltaStep.edges)
 		})
 		t.Run("weighted/"+name, func(t *testing.T) {
-			addrs := startWeightedServers(t, part)
+			addrs := startMemServers[float32](t, part)
 			deltaDifferential(t, func() *Cluster[aspen.WeightedEdge] {
-				c, err := DialWeighted(part, addrs, nil, Options{})
+				c, err := DialGraphOf[float32](part, addrs, nil, Options{})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -536,7 +538,7 @@ func remoteFlatOp(tb testing.TB, replicas bool) (step func(whole bool), read fun
 		tb.Cleanup(func() { srv.Close(); eng.Close() })
 		addrs[s] = ln.Addr().String()
 		if dir != "" {
-			repl := NewGraphReplica(addrs[s], testParams(), s, 2, 0, Options{})
+			repl := NewGraphReplica[struct{}](addrs[s], testParams(), s, 2, 0, Options{})
 			rln, err := net.Listen("tcp", "127.0.0.1:0")
 			if err != nil {
 				tb.Fatal(err)

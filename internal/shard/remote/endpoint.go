@@ -54,14 +54,13 @@ type shardRole[G ligra.Graph, E any] interface {
 // endpoint is the state both roles keep for the connection layer; Server
 // and Replica embed it, so Serve and Close are theirs.
 type endpoint[G ligra.Graph, E any] struct {
-	role     shardRole[G, E]
-	codec    stream.Codec[E]
-	snap     stream.SnapshotCodec[G]
-	weighted bool
-	shardID  int
-	shards   int
-	dedup    *Dedup
-	hists    *dispatchHists // nil: dispatch latency is not recorded
+	role    shardRole[G, E]
+	codec   stream.Codec[E]
+	snap    stream.SnapshotCodec[G]
+	shardID int
+	shards  int
+	dedup   *Dedup
+	hists   *dispatchHists // nil: dispatch latency is not recorded
 
 	mu     sync.Mutex
 	ln     net.Listener
@@ -70,6 +69,11 @@ type endpoint[G ligra.Graph, E any] struct {
 	stop   chan struct{} // closed by Close
 	wg     sync.WaitGroup
 }
+
+// hasPayload reports whether edges of wire width w carry a payload after
+// their two ids. The hello's payload byte and a read's weight arrays derive
+// from it, so neither can disagree with the edge codec.
+func hasPayload(w int) bool { return w > stream.EdgeCodec.Width }
 
 // dispatchHists records the synchronous dispatch latency of each RPC
 // verb (indexed by rpc.Verb): parse-to-reply for reads, parse-to-enqueue
@@ -296,15 +300,15 @@ func (sc *serverConn[G, E]) handleHello(m rpc.Msg) error {
 		return sc.replyErr(m.Verb, m.ReqID, 0, d.Err().Error())
 	case proto != rpc.ProtoVersion:
 		return sc.replyErr(m.Verb, m.ReqID, 0, fmt.Sprintf("protocol version %d, server speaks %d", proto, rpc.ProtoVersion))
-	case shard != ep.shardID || shards != ep.shards || weighted != ep.weighted:
+	case shard != ep.shardID || shards != ep.shards || weighted != hasPayload(ep.codec.Width):
 		return sc.replyErr(m.Verb, m.ReqID, 0, fmt.Sprintf("this is shard %d/%d weighted=%v, client wants %d/%d weighted=%v",
-			ep.shardID, ep.shards, ep.weighted, shard, shards, weighted))
+			ep.shardID, ep.shards, hasPayload(ep.codec.Width), shard, shards, weighted))
 	}
 	return sc.reply(m.Verb, 0, m.ReqID, func(e *rpc.Encoder) {
 		e.U32(rpc.ProtoVersion)
 		e.U32(uint32(ep.shardID))
 		e.U32(uint32(ep.shards))
-		if ep.weighted {
+		if hasPayload(ep.codec.Width) {
 			e.U8(1)
 		} else {
 			e.U8(0)

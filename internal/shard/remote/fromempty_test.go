@@ -25,19 +25,19 @@ func TestFromEmptyReadSparseShard(t *testing.T) {
 				t.Fatal(err)
 			}
 			return c.Store()
-		}, shard.NewGraphCluster(part, testParams(), stream.Options{}).Store(),
+		}, shard.NewGraphCluster[struct{}](part, testParams(), stream.Options{}).Store(),
 			[]aspen.Edge{{Src: 5, Dst: 500}, {Src: 510, Dst: 3}},
 			func(e aspen.Edge) (uint32, uint32, float32) { return e.Src, e.Dst, 0 })
 	})
 	t.Run("weighted", func(t *testing.T) {
-		addrs := startWeightedServers(t, part)
+		addrs := startMemServers[float32](t, part)
 		sparseRead(t, func() stream.Store[aspen.WeightedEdge] {
-			c, err := DialWeighted(part, addrs, nil, Options{})
+			c, err := DialGraphOf[float32](part, addrs, nil, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
 			return c.Store()
-		}, shard.NewWeightedCluster(part, testParams(), stream.Options{}).Store(),
+		}, shard.NewGraphCluster[float32](part, testParams(), stream.Options{}).Store(),
 			[]aspen.WeightedEdge{{Src: 5, Dst: 500, Val: 2.5}, {Src: 510, Dst: 3, Val: 7}},
 			func(e aspen.WeightedEdge) (uint32, uint32, float32) { return e.Src, e.Dst, e.Val })
 	})

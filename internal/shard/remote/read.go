@@ -206,7 +206,7 @@ func (c *Cluster[E]) fetchFrom(cn *Conn, flags uint8, ref, gen uint64, held cach
 				return c.slotFor(v, cn, ref, held.gen), fallNone, nil
 			}
 		default: // answered from the empty version, for the reason status gives
-			if v, err := d.view(c.weighted); err == nil {
+			if v, err := d.view(hasPayload(c.codec.Width)); err == nil {
 				how = [...]int{deltaNoBase: fallNoBase, deltaTooLarge: fallTooLarge}[status]
 				return c.slotFor(v, cn, ref, held.gen), how, nil
 			}
@@ -216,7 +216,7 @@ func (c *Cluster[E]) fetchFrom(cn *Conn, flags uint8, ref, gen uint64, held cach
 	_, gen, err := c.readChunks(cn, flags, ref, 0, gen, &d)
 	var v *remoteView
 	if err == nil {
-		v, err = d.view(c.weighted)
+		v, err = d.view(hasPayload(c.codec.Width))
 	}
 	if err != nil {
 		return cachedView{}, how, err
@@ -227,7 +227,7 @@ func (c *Cluster[E]) fetchFrom(cn *Conn, flags uint8, ref, gen uint64, held cach
 // slotFor wraps a fetched view as the cache slot naming it on cn.
 func (c *Cluster[E]) slotFor(v *remoteView, cn *Conn, ref, gen uint64) cachedView {
 	cv := cachedView{at: time.Now(), view: v, src: cn, ref: ref, gen: gen}
-	if c.weighted {
+	if hasPayload(c.codec.Width) {
 		cv.view = remoteWeightedView{v}
 	}
 	return cv
@@ -248,7 +248,7 @@ func (c *Cluster[E]) readChunks(cn *Conn, flags uint8, ref, base, gen uint64, d 
 			e.U32(lo)
 			e.U64(base)
 		}, func(_ uint8, b *rpc.Body) (err error) {
-			st, err = d.decode(b, c.weighted)
+			st, err = d.decode(b, hasPayload(c.codec.Width))
 			return err
 		})
 		switch {

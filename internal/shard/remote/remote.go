@@ -143,11 +143,10 @@ const (
 
 // helloInfo is the identity the client expects the server to confirm.
 type helloInfo struct {
-	shard    int
-	shards   int
-	weighted bool
-	width    int
-	role     uint8 // rolePrimary, roleReplica (rolePromoted accepted too)
+	shard  int
+	shards int
+	width  int   // edge bytes on the wire; the payload byte derives from it
+	role   uint8 // rolePrimary, roleReplica (rolePromoted accepted too)
 }
 
 func newConn(addr string, hi helloInfo, opts Options, nstat *netCounters) *Conn {
@@ -245,7 +244,7 @@ func handshake(nc net.Conn, bw *bufio.Writer, hi helloInfo) error {
 	enc.U32(rpc.ProtoVersion)
 	enc.U32(uint32(hi.shard))
 	enc.U32(uint32(hi.shards))
-	if hi.weighted {
+	if hasPayload(hi.width) {
 		enc.U8(1)
 	} else {
 		enc.U8(0)
@@ -292,8 +291,8 @@ func handshake(nc net.Conn, bw *bufio.Writer, hi helloInfo) error {
 	if shard != hi.shard || shards != hi.shards {
 		return fmt.Errorf("server is shard %d/%d, want %d/%d", shard, shards, hi.shard, hi.shards)
 	}
-	if weighted != hi.weighted {
-		return fmt.Errorf("server weighted=%v, client weighted=%v", weighted, hi.weighted)
+	if weighted != hasPayload(hi.width) {
+		return fmt.Errorf("server weighted=%v, client weighted=%v", weighted, hasPayload(hi.width))
 	}
 	// A replica endpoint may have promoted itself to an accepting
 	// primary since we last spoke; that is still a valid peer.

@@ -5,6 +5,7 @@ import (
 	"math"
 	"net"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -155,7 +156,7 @@ func TestRemoteMatchesInProcess(t *testing.T) {
 				defer c.Close()
 
 				single := aspen.NewGraph(testParams())
-				inproc := shard.NewGraphCluster(part, testParams(), stream.Options{})
+				inproc := shard.NewGraphCluster[struct{}](part, testParams(), stream.Options{})
 				defer inproc.Close()
 				for _, o := range ops {
 					var p *Pending
@@ -214,9 +215,33 @@ func TestRemoteMatchesInProcess(t *testing.T) {
 	}
 }
 
+// TestHelloRefusesPayloadMismatch: the hello's payload byte derives from
+// the edge width, so an id-only client and a weighted server (or the
+// reverse) must be refused at the hello, with both sides named.
+func TestHelloRefusesPayloadMismatch(t *testing.T) {
+	part := shard.NewRangePartitioner(1, 1<<10)
+	c, err := DialGraph(part, startMemServers[float32](t, part), nil, Options{})
+	checkHelloRefused(t, "id-only client, weighted server", c, err)
+	cw, err := DialGraphOf[float32](part, startMemServers[struct{}](t, part), nil, Options{})
+	checkHelloRefused(t, "weighted client, id-only server", cw, err)
+}
+
+func checkHelloRefused[E any](t *testing.T, name string, c *Cluster[E], err error) {
+	t.Helper()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	// One call on the primary connection: its first contact is the hello.
+	_, _, _, err = c.prim[0].health()
+	if err == nil || !strings.Contains(err.Error(), "weighted=true") || !strings.Contains(err.Error(), "weighted=false") {
+		t.Fatalf("%s: first contact returned %v, want a hello refusal naming both payloads", name, err)
+	}
+}
+
 func TestRemoteWeightedSSSP(t *testing.T) {
 	part := shard.NewRangePartitioner(2, 1<<10)
-	c, err := DialWeighted(part, startWeightedServers(t, part), nil, Options{})
+	c, err := DialGraphOf[float32](part, startMemServers[float32](t, part), nil, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,7 +371,7 @@ func TestReplicaServesReads(t *testing.T) {
 	part := shard.NewRangePartitioner(1, 1<<20)
 	servers, addrs := startServers(t, part, true)
 
-	repl := NewGraphReplica(addrs[0], testParams(), 0, 1, 0, Options{})
+	repl := NewGraphReplica[struct{}](addrs[0], testParams(), 0, 1, 0, Options{})
 	rln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -411,7 +436,7 @@ func TestReplicaLagFallsBack(t *testing.T) {
 	_, addrs := startServers(t, part, true)
 
 	// A replica of an address nothing listens on: applied stays 0.
-	repl := NewGraphReplica("127.0.0.1:1", testParams(), 0, 1, 0, Options{})
+	repl := NewGraphReplica[struct{}]("127.0.0.1:1", testParams(), 0, 1, 0, Options{})
 	rln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -511,7 +536,7 @@ func TestReplicaSnapshotBootstrap(t *testing.T) {
 		t.Skip("log never truncated; cannot exercise the bootstrap path")
 	}
 
-	repl := NewGraphReplica(ln.Addr().String(), testParams(), 0, 1, 0, Options{})
+	repl := NewGraphReplica[struct{}](ln.Addr().String(), testParams(), 0, 1, 0, Options{})
 	rln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

@@ -65,36 +65,26 @@ type Replica[G ligra.Graph, E any] struct {
 	reads, lagging, submits atomic.Uint64
 }
 
-// NewReplica builds a replica of the shard primary at addr. ringCap
+// NewGraphReplica builds a replica of the aspen shard primary of payload V
+// at addr; the WAL codec, checkpoint codec and update derive from V. ringCap
 // bounds retained states (<=0: default 512).
-func NewReplica[G ligra.Graph, E any](addr string, empty G, apply func(g G, runs []stream.CommitRun[E]) G, codec stream.Codec[E], snap stream.SnapshotCodec[G], weighted bool, shardID, shards, ringCap int, o Options) *Replica[G, E] {
+func NewGraphReplica[V ctree.Value](addr string, p ctree.Params, shardID, shards, ringCap int, o Options) *Replica[aspen.GraphOf[V], aspen.EdgeOf[V]] {
 	if ringCap <= 0 {
 		ringCap = defaultReplicaRing
 	}
 	o = o.withDefaults()
-	r := &Replica[G, E]{primary: addr, apply: apply, ringCap: ringCap, opts: o, cur: empty}
-	r.endpoint = endpoint[G, E]{
-		role:     r,
-		codec:    codec,
-		snap:     snap,
-		weighted: weighted,
-		shardID:  shardID,
-		shards:   shards,
-		dedup:    NewDedup(o.DedupWindow),
-		conns:    make(map[net.Conn]struct{}),
-		stop:     make(chan struct{}),
+	r := &Replica[aspen.GraphOf[V], aspen.EdgeOf[V]]{primary: addr, apply: stream.ApplyRuns[V], ringCap: ringCap, opts: o, cur: aspen.NewGraphOf[V](p)}
+	r.endpoint = endpoint[aspen.GraphOf[V], aspen.EdgeOf[V]]{
+		role:    r,
+		codec:   stream.EdgeCodecOf[V](),
+		snap:    stream.GraphSnapshotCodec[V](p),
+		shardID: shardID,
+		shards:  shards,
+		dedup:   NewDedup(o.DedupWindow),
+		conns:   make(map[net.Conn]struct{}),
+		stop:    make(chan struct{}),
 	}
 	return r
-}
-
-// NewGraphReplica builds an unweighted replica.
-func NewGraphReplica(addr string, p ctree.Params, shardID, shards, ringCap int, o Options) *Replica[aspen.Graph, aspen.Edge] {
-	return NewReplica(addr, aspen.NewGraph(p), stream.ApplyRuns[struct{}], stream.EdgeCodec, stream.GraphSnapshotCodec(p), false, shardID, shards, ringCap, o)
-}
-
-// NewWeightedReplica builds a weighted replica.
-func NewWeightedReplica(addr string, p ctree.Params, shardID, shards, ringCap int, o Options) *Replica[aspen.WeightedGraph, aspen.WeightedEdge] {
-	return NewReplica(addr, aspen.NewWeightedGraphWith(p), stream.ApplyRuns[float32], stream.WeightedEdgeCodec, stream.WeightedSnapshotCodec(p), true, shardID, shards, ringCap, o)
 }
 
 // Applied returns the highest WAL seq the replica has applied.
@@ -187,7 +177,7 @@ func (r *Replica[G, E]) tailOnceConn() error {
 		}
 	}()
 	bw := bufio.NewWriterSize(nc, 1<<16)
-	hi := helloInfo{shard: r.shardID, shards: r.shards, weighted: r.weighted, width: r.codec.Width, role: rolePrimary}
+	hi := helloInfo{shard: r.shardID, shards: r.shards, width: r.codec.Width, role: rolePrimary}
 	if err := handshake(nc, bw, hi); err != nil {
 		return err
 	}

@@ -25,23 +25,23 @@ type Server[G ligra.Graph, E any] struct {
 	hub *tailHub
 }
 
-// NewServer wraps an engine. dir is the engine's durable data
+// NewGraphServer wraps an aspen engine of payload V; the WAL codec and
+// checkpoint codec derive from V. dir is the engine's durable data
 // directory ("" disables tail subscriptions); the server registers the
 // engine's OnWALAppend observer, so it must be constructed before the
 // engine serves traffic.
-func NewServer[G ligra.Graph, E any](eng *stream.Engine[G, E], codec stream.Codec[E], snap stream.SnapshotCodec[G], weighted bool, dir string, shardID, shards int) *Server[G, E] {
-	s := &Server[G, E]{eng: eng, dir: dir}
-	s.endpoint = endpoint[G, E]{
-		role:     s,
-		codec:    codec,
-		snap:     snap,
-		weighted: weighted,
-		shardID:  shardID,
-		shards:   shards,
-		dedup:    NewDedup(0),
-		hists:    new(dispatchHists),
-		conns:    make(map[net.Conn]struct{}),
-		stop:     make(chan struct{}),
+func NewGraphServer[V ctree.Value](eng *stream.Engine[aspen.GraphOf[V], aspen.EdgeOf[V]], p ctree.Params, dir string, shardID, shards int) *Server[aspen.GraphOf[V], aspen.EdgeOf[V]] {
+	s := &Server[aspen.GraphOf[V], aspen.EdgeOf[V]]{eng: eng, dir: dir}
+	s.endpoint = endpoint[aspen.GraphOf[V], aspen.EdgeOf[V]]{
+		role:    s,
+		codec:   stream.EdgeCodecOf[V](),
+		snap:    stream.GraphSnapshotCodec[V](p),
+		shardID: shardID,
+		shards:  shards,
+		dedup:   NewDedup(0),
+		hists:   new(dispatchHists),
+		conns:   make(map[net.Conn]struct{}),
+		stop:    make(chan struct{}),
 	}
 	if dir != "" {
 		s.hub = newTailHub()
@@ -58,16 +58,6 @@ func (s *Server[G, E]) SetDedup(d *Dedup) {
 	if d != nil {
 		s.dedup = d
 	}
-}
-
-// NewGraphServer wraps an unweighted durable engine.
-func NewGraphServer(eng *stream.Engine[aspen.Graph, aspen.Edge], p ctree.Params, dir string, shardID, shards int) *Server[aspen.Graph, aspen.Edge] {
-	return NewServer(eng, stream.EdgeCodec, stream.GraphSnapshotCodec(p), false, dir, shardID, shards)
-}
-
-// NewWeightedServer wraps a weighted durable engine.
-func NewWeightedServer(eng *stream.Engine[aspen.WeightedGraph, aspen.WeightedEdge], p ctree.Params, dir string, shardID, shards int) *Server[aspen.WeightedGraph, aspen.WeightedEdge] {
-	return NewServer(eng, stream.WeightedEdgeCodec, stream.WeightedSnapshotCodec(p), true, dir, shardID, shards)
 }
 
 func (s *Server[G, E]) id() uint8                     { return rolePrimary }

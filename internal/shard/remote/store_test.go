@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/algos"
 	"repro/internal/aspen"
+	"repro/internal/ctree"
 	"repro/internal/ligra"
 	"repro/internal/rmat"
 	"repro/internal/shard"
@@ -75,42 +76,21 @@ type storeRow[E any] struct {
 
 const conformScale = 9
 
-// graphRows and weightedRows build the same deployments over the two
-// payloads: a lone engine, in-process clusters, a loopback remote cluster.
-func graphRows() []storeRow[aspen.Edge] {
-	rows := []storeRow[aspen.Edge]{{"engine", 1, true, func(*testing.T) stream.Store[aspen.Edge] {
-		return stream.NewGraphEngine(aspen.NewGraph(testParams()), stream.Options{}).Store()
+// storeRows builds every deployment over payload V: a lone engine,
+// in-process clusters, a loopback remote cluster.
+func storeRows[V ctree.Value]() []storeRow[aspen.EdgeOf[V]] {
+	rows := []storeRow[aspen.EdgeOf[V]]{{"engine", 1, true, func(*testing.T) stream.Store[aspen.EdgeOf[V]] {
+		return stream.NewGraphEngine(aspen.NewGraphOf[V](testParams()), stream.Options{}).Store()
 	}}}
 	for _, s := range []int{1, 2, 4} {
-		rows = append(rows, storeRow[aspen.Edge]{fmt.Sprintf("shard%d", s), s, true, func(*testing.T) stream.Store[aspen.Edge] {
+		rows = append(rows, storeRow[aspen.EdgeOf[V]]{fmt.Sprintf("shard%d", s), s, true, func(*testing.T) stream.Store[aspen.EdgeOf[V]] {
 			part := shard.NewRangePartitioner(s, 1<<conformScale)
-			return shard.NewGraphCluster(part, testParams(), stream.Options{PatchFlat: true}).Store()
+			return shard.NewGraphCluster[V](part, testParams(), stream.Options{PatchFlat: true}).Store()
 		}})
 	}
-	return append(rows, storeRow[aspen.Edge]{"remote2", 2, false, func(t *testing.T) stream.Store[aspen.Edge] {
+	return append(rows, storeRow[aspen.EdgeOf[V]]{"remote2", 2, false, func(t *testing.T) stream.Store[aspen.EdgeOf[V]] {
 		part := shard.NewRangePartitioner(2, 1<<conformScale)
-		_, addrs := startServers(t, part, false)
-		c, err := DialGraph(part, addrs, nil, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return c.Store()
-	}})
-}
-
-func weightedRows() []storeRow[aspen.WeightedEdge] {
-	rows := []storeRow[aspen.WeightedEdge]{{"engine", 1, true, func(*testing.T) stream.Store[aspen.WeightedEdge] {
-		return stream.NewWeightedEngine(aspen.NewWeightedGraphWith(testParams()), stream.Options{}).Store()
-	}}}
-	for _, s := range []int{1, 2, 4} {
-		rows = append(rows, storeRow[aspen.WeightedEdge]{fmt.Sprintf("shard%d", s), s, true, func(*testing.T) stream.Store[aspen.WeightedEdge] {
-			part := shard.NewRangePartitioner(s, 1<<conformScale)
-			return shard.NewWeightedCluster(part, testParams(), stream.Options{PatchFlat: true}).Store()
-		}})
-	}
-	return append(rows, storeRow[aspen.WeightedEdge]{"remote2", 2, false, func(t *testing.T) stream.Store[aspen.WeightedEdge] {
-		part := shard.NewRangePartitioner(2, 1<<conformScale)
-		c, err := DialWeighted(part, startWeightedServers(t, part), nil, Options{})
+		c, err := DialGraphOf[V](part, startMemServers[V](t, part), nil, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -219,14 +199,14 @@ func conform[E any](t *testing.T, row storeRow[E], mk func(lo, hi uint64) []E, e
 // behind stream.Store and holds each to the same contract.
 func TestStoreConformance(t *testing.T) {
 	gen := rmat.NewGenerator(conformScale, 23)
-	for _, row := range graphRows() {
+	for _, row := range storeRows[struct{}]() {
 		t.Run("graph/"+row.name, func(t *testing.T) {
 			conform(t, row,
 				func(lo, hi uint64) []aspen.Edge { return aspen.MakeUndirected(gen.Edges(lo, hi)) },
 				func(e aspen.Edge) (uint32, uint32, float32) { return e.Src, e.Dst, 0 })
 		})
 	}
-	for _, row := range weightedRows() {
+	for _, row := range storeRows[float32]() {
 		t.Run("weighted/"+row.name, func(t *testing.T) {
 			conform(t, row,
 				func(lo, hi uint64) []aspen.WeightedEdge {
@@ -261,7 +241,7 @@ func TestFlushCountsEveryAck(t *testing.T) {
 		}
 	}()
 	gen := rmat.NewGenerator(conformScale, 5)
-	for _, row := range graphRows() {
+	for _, row := range storeRows[struct{}]() {
 		t.Run(row.name, func(t *testing.T) {
 			st := row.open(t)
 			defer st.Close()

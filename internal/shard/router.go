@@ -2,6 +2,7 @@ package shard
 
 import (
 	"repro/internal/aspen"
+	"repro/internal/ctree"
 )
 
 // Route splits one edge batch into per-shard sub-batches by the owner of
@@ -53,8 +54,5 @@ func Route[E any](p Partitioner, edges []E, srcOf func(E) uint32) [][]E {
 	return out
 }
 
-// EdgeSource is the router key for unweighted edge updates.
-func EdgeSource(e aspen.Edge) uint32 { return e.Src }
-
-// WeightedEdgeSource is the router key for weighted edge updates.
-func WeightedEdgeSource(e aspen.WeightedEdge) uint32 { return e.Src }
+// EdgeSource is the router key for aspen edge updates of any payload.
+func EdgeSource[V ctree.Value](e aspen.EdgeOf[V]) uint32 { return e.Src }

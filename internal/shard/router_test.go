@@ -80,7 +80,7 @@ func TestRouteZeroCopyBacking(t *testing.T) {
 
 func TestRouteEmptyAndSingle(t *testing.T) {
 	p := NewRangePartitioner(4, 1<<10)
-	parts := Route(p, nil, EdgeSource)
+	parts := Route(p, nil, EdgeSource[struct{}])
 	for s, sub := range parts {
 		if len(sub) != 0 {
 			t.Fatalf("empty batch produced edges on shard %d", s)

@@ -27,7 +27,7 @@ func TestConcurrentWritersAndReaders(t *testing.T) {
 		readerRounds = 40
 	)
 	part := NewRangePartitioner(4, idSpace)
-	c := NewGraphCluster(part, testParams(), stream.Options{QueueCap: 16})
+	c := NewGraphCluster[struct{}](part, testParams(), stream.Options{QueueCap: 16})
 	defer c.Close()
 
 	// Pre-generate every writer's batches so the reference union is
@@ -113,7 +113,7 @@ func TestConcurrentWritersAndReaders(t *testing.T) {
 // see the new state.
 func TestVersionVectorPinning(t *testing.T) {
 	part := NewHashPartitioner(3)
-	c := NewGraphCluster(part, testParams(), stream.Options{})
+	c := NewGraphCluster[struct{}](part, testParams(), stream.Options{})
 	defer c.Close()
 
 	first := aspen.MakeUndirected([]aspen.Edge{{Src: 1, Dst: 2}, {Src: 3, Dst: 4}})

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -129,38 +128,36 @@ type Codec[E any] struct {
 	Decode func(src []byte) E
 }
 
-// EdgeCodec encodes aspen.Edge as src u32, dst u32.
-var EdgeCodec = Codec[aspen.Edge]{
-	Width: 8,
-	Encode: func(dst []byte, e aspen.Edge) {
-		binary.LittleEndian.PutUint32(dst, e.Src)
-		binary.LittleEndian.PutUint32(dst[4:], e.Dst)
-	},
-	Decode: func(src []byte) aspen.Edge {
-		return aspen.Edge{
-			Src: binary.LittleEndian.Uint32(src),
-			Dst: binary.LittleEndian.Uint32(src[4:]),
-		}
-	},
+// EdgeCodecOf encodes aspen.EdgeOf[V] as src u32, dst u32, then V's
+// little-endian image (aspen.PutPayload): 8 bytes an edge for aspen.Edge,
+// 12 for aspen.WeightedEdge's float32 weight. The WAL and the submit wire
+// both use it, so a payload's width is the one fact both derive from V.
+//
+// It is kept out of line: Go compiles a closure of an inlined function
+// without inlining the closure's own calls, which would leave a call per
+// edge to PutUint32 on the submit-encode, WAL-append and replay paths.
+//
+//go:noinline
+func EdgeCodecOf[V ctree.Value]() Codec[aspen.EdgeOf[V]] {
+	return Codec[aspen.EdgeOf[V]]{
+		Width: 8 + aspen.PayloadWidth[V](),
+		Encode: func(dst []byte, e aspen.EdgeOf[V]) {
+			binary.LittleEndian.PutUint32(dst, e.Src)
+			binary.LittleEndian.PutUint32(dst[4:], e.Dst)
+			aspen.PutPayload(dst[8:], e.Val)
+		},
+		Decode: func(src []byte) aspen.EdgeOf[V] {
+			return aspen.EdgeOf[V]{
+				Src: binary.LittleEndian.Uint32(src),
+				Dst: binary.LittleEndian.Uint32(src[4:]),
+				Val: aspen.GetPayload[V](src[8:]),
+			}
+		},
+	}
 }
 
-// WeightedEdgeCodec encodes aspen.WeightedEdge as src u32, dst u32,
-// float32 weight.
-var WeightedEdgeCodec = Codec[aspen.WeightedEdge]{
-	Width: 12,
-	Encode: func(dst []byte, e aspen.WeightedEdge) {
-		binary.LittleEndian.PutUint32(dst, e.Src)
-		binary.LittleEndian.PutUint32(dst[4:], e.Dst)
-		binary.LittleEndian.PutUint32(dst[8:], math.Float32bits(e.Val))
-	},
-	Decode: func(src []byte) aspen.WeightedEdge {
-		return aspen.WeightedEdge{
-			Src: binary.LittleEndian.Uint32(src),
-			Dst: binary.LittleEndian.Uint32(src[4:]),
-			Val: math.Float32frombits(binary.LittleEndian.Uint32(src[8:])),
-		}
-	},
-}
+// EdgeCodec is the id-only EdgeCodecOf: src u32, dst u32.
+var EdgeCodec = EdgeCodecOf[struct{}]()
 
 // A commit frame is the payload of the one wal.Commit record each commit
 // writes, little-endian:
@@ -254,17 +251,9 @@ type SnapshotCodec[G any] struct {
 	Read  func(r io.Reader) (G, error)
 }
 
-// GraphSnapshotCodec checkpoints aspen.Graph through graphio.Snapshot;
-// p supplies the C-tree parameters for the rebuild.
-func GraphSnapshotCodec(p ctree.Params) SnapshotCodec[aspen.Graph] { return snapshotCodec[struct{}](p) }
-
-// WeightedSnapshotCodec checkpoints aspen.WeightedGraph.
-func WeightedSnapshotCodec(p ctree.Params) SnapshotCodec[aspen.WeightedGraph] {
-	return snapshotCodec[float32](p)
-}
-
-// snapshotCodec checkpoints an aspen graph of any payload V.
-func snapshotCodec[V ctree.Value](p ctree.Params) SnapshotCodec[aspen.GraphOf[V]] {
+// GraphSnapshotCodec checkpoints an aspen graph of any payload V through
+// graphio.Snapshot; p supplies the C-tree parameters for the rebuild.
+func GraphSnapshotCodec[V ctree.Value](p ctree.Params) SnapshotCodec[aspen.GraphOf[V]] {
 	return SnapshotCodec[aspen.GraphOf[V]]{
 		Write: func(w io.Writer, g aspen.GraphOf[V]) error {
 			return graphio.WriteSnapshot(w, g.Snapshot())
@@ -554,10 +543,10 @@ func (e *Engine[G, E]) OnWALAppend(fn func(seq uint64, kind wal.Kind, width uint
 }
 
 // WALSeq returns the sequence number of the last commit frame appended
-// (0 with an empty log or without durability). It takes the log's lock,
-// and while a commit is being logged it runs ahead of every published
-// version: a replica already holds those records, so a read watermark
-// must be the pinned version's own seq (Tx.Seq), never this.
+// (0 with an empty log or without durability). It does not wait on the
+// log's lock, and while a commit is being logged it runs ahead of every
+// published version: a replica already holds those records, so a read
+// watermark must be the pinned version's own seq (Tx.Seq), never this.
 func (e *Engine[G, E]) WALSeq() uint64 {
 	if e.dur == nil {
 		return 0
@@ -722,33 +711,24 @@ func Recover[G ligra.Graph, E any](g0 G, apply func(G, []CommitRun[E]) G, opts O
 	return e, nil
 }
 
-// RecoverGraphEngine recovers (or creates) a durable unweighted engine.
-func RecoverGraphEngine(p ctree.Params, opts Options, d Durability) (*Engine[aspen.Graph, aspen.Edge], error) {
-	return recoverAspen(p, opts, d, EdgeCodec)
-}
-
-// RecoverWeightedEngine recovers (or creates) a durable weighted engine.
-func RecoverWeightedEngine(p ctree.Params, opts Options, d Durability) (*Engine[aspen.WeightedGraph, aspen.WeightedEdge], error) {
-	return recoverAspen(p, opts, d, WeightedEdgeCodec)
-}
-
-// recoverAspen is Recover for an aspen graph of any payload V, with the
-// flat-view cache wired as the in-memory constructors wire it.
-func recoverAspen[V ctree.Value](p ctree.Params, opts Options, d Durability, codec Codec[aspen.EdgeOf[V]]) (*Engine[aspen.GraphOf[V], aspen.EdgeOf[V]], error) {
-	e, err := Recover(aspen.NewGraphOf[V](p), ApplyRuns[V], opts, d, codec, snapshotCodec[V](p))
+// RecoverGraphEngineOf recovers (or creates) a durable aspen engine of
+// payload V: Recover with the WAL codec, checkpoint codec and update all
+// derived from V, and the flat-view cache wired as NewGraphEngine wires it.
+func RecoverGraphEngineOf[V ctree.Value](p ctree.Params, opts Options, d Durability) (*Engine[aspen.GraphOf[V], aspen.EdgeOf[V]], error) {
+	e, err := Recover(aspen.NewGraphOf[V](p), ApplyRuns[V], opts, d, EdgeCodecOf[V](), GraphSnapshotCodec[V](p))
 	if err != nil {
 		return nil, err
 	}
 	return wireFlat(e, opts), nil
 }
 
-// LoadGraph recovers just the unweighted snapshot from dir (read-only; the
-// -recover-only verification path).
-func LoadGraph(p ctree.Params, dir string) (aspen.Graph, uint64, error) {
-	return Load(dir, aspen.NewGraph(p), ApplyRuns[struct{}], EdgeCodec, GraphSnapshotCodec(p))
+// RecoverGraphEngine is RecoverGraphEngineOf for the id-only aspen.Graph.
+func RecoverGraphEngine(p ctree.Params, opts Options, d Durability) (*Engine[aspen.Graph, aspen.Edge], error) {
+	return RecoverGraphEngineOf[struct{}](p, opts, d)
 }
 
-// LoadWeightedGraph is LoadGraph for weighted directories.
-func LoadWeightedGraph(p ctree.Params, dir string) (aspen.WeightedGraph, uint64, error) {
-	return Load(dir, aspen.NewWeightedGraphWith(p), ApplyRuns[float32], WeightedEdgeCodec, WeightedSnapshotCodec(p))
+// LoadGraph recovers just the snapshot of an aspen graph of payload V from
+// dir (read-only; the -recover-only verification path).
+func LoadGraph[V ctree.Value](p ctree.Params, dir string) (aspen.GraphOf[V], uint64, error) {
+	return Load(dir, aspen.NewGraphOf[V](p), ApplyRuns[V], EdgeCodecOf[V](), GraphSnapshotCodec[V](p))
 }

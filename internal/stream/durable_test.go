@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/aspen"
+	"repro/internal/ctree"
 	"repro/internal/graphio"
 	"repro/internal/ligra"
 	"repro/internal/wal"
@@ -124,17 +125,30 @@ func TestDurableCleanRestart(t *testing.T) {
 }
 
 func TestDurableWeightedRestart(t *testing.T) {
+	checkDurableRestart(t, func(i int) float32 { return float32(i) + 0.5 })
+}
+
+// TestDurableUint64Restart: a payload no twin names is served durably by
+// the same generic constructor.
+func TestDurableUint64Restart(t *testing.T) {
+	checkDurableRestart(t, func(i int) uint64 { return uint64(i)<<40 | 7 })
+}
+
+// checkDurableRestart inserts six edges of payload val(i) into a durable
+// engine, closes it, and requires the recovered engine to read the same
+// graph and payloads.
+func checkDurableRestart[V ctree.Value](t *testing.T, val func(int) V) {
 	dir := t.TempDir()
 	d := testDurability(dir)
-	e, err := RecoverWeightedEngine(testParams(), Options{}, d)
+	e, err := RecoverGraphEngineOf[V](testParams(), Options{}, d)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var want aspen.WeightedGraph
+	var want aspen.GraphOf[V]
 	{
-		g := aspen.NewWeightedGraphWith(testParams())
+		g := aspen.NewGraphOf[V](testParams())
 		for i := 0; i < 6; i++ {
-			batch := []aspen.WeightedEdge{{Src: uint32(i), Dst: uint32(i + 1), Val: float32(i) + 0.5}}
+			batch := []aspen.EdgeOf[V]{{Src: uint32(i), Dst: uint32(i + 1), Val: val(i)}}
 			g = g.InsertEdges(batch)
 			p, err := e.Insert(batch)
 			if err != nil || p.Wait() == 0 {
@@ -144,7 +158,7 @@ func TestDurableWeightedRestart(t *testing.T) {
 		want = g
 	}
 	e.Close()
-	e2, err := RecoverWeightedEngine(testParams(), Options{}, d)
+	e2, err := RecoverGraphEngineOf[V](testParams(), Options{}, d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,15 +166,13 @@ func TestDurableWeightedRestart(t *testing.T) {
 	tx := e2.Begin()
 	defer tx.Close()
 	if !tx.Graph().Equal(want) {
-		t.Fatal("recovered weighted graph differs")
+		t.Fatalf("recovered %T graph differs", val(0))
 	}
-	if w, ok := tx.Graph().Weight(3, 4); !ok || w != 3.5 {
-		t.Fatalf("weight(3,4) = %v %v, want 3.5", w, ok)
+	if w, ok := tx.Graph().Weight(3, 4); !ok || w != val(3) {
+		t.Fatalf("weight(3,4) = %v %v, want %v", w, ok, val(3))
 	}
 }
 
-// failAfter returns a failpoint that injects a crash on the n-th occurrence
-// of op.
 func failAfter(op string, n int) wal.Failpoint {
 	var count atomic.Int64
 	return func(got string) error {
@@ -205,7 +217,7 @@ func TestCrashRecoveryMatrix(t *testing.T) {
 				}
 
 				// Recover and match against the committed prefixes.
-				g, _, err := LoadGraph(testParams(), dir)
+				g, _, err := LoadGraph[struct{}](testParams(), dir)
 				if err != nil {
 					t.Fatalf("recovery failed: %v", err)
 				}
@@ -284,7 +296,7 @@ func TestRecoverThenContinueAfterCrash(t *testing.T) {
 	}
 	e2.Close()
 
-	g, _, err := LoadGraph(testParams(), dir)
+	g, _, err := LoadGraph[struct{}](testParams(), dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,7 +335,7 @@ func TestCorruptNewestCheckpointFallsBack(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	g, _, err := LoadGraph(testParams(), dir)
+	g, _, err := LoadGraph[struct{}](testParams(), dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -398,7 +410,7 @@ func TestMidLogCorruptionRefusesRecovery(t *testing.T) {
 	if err := os.WriteFile(segs[0], raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := LoadGraph(testParams(), dir); !errors.Is(err, wal.ErrCorrupt) {
+	if _, _, err := LoadGraph[struct{}](testParams(), dir); !errors.Is(err, wal.ErrCorrupt) {
 		t.Fatalf("recovery over damaged mid-log = %v, want ErrCorrupt", err)
 	}
 }
@@ -424,7 +436,7 @@ func TestSyncPolicies(t *testing.T) {
 				t.Fatal(err)
 			}
 			e.Close()
-			g, _, err := LoadGraph(testParams(), dir)
+			g, _, err := LoadGraph[struct{}](testParams(), dir)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -105,8 +105,8 @@ type pending[E any] struct {
 
 // Engine is the live-stream engine: one ingest goroutine owns the write
 // path; readers run concurrently via Begin/Close transactions. Create with
-// New (or the NewGraphEngine / NewWeightedEngine conveniences); the ingest
-// loop starts immediately.
+// New (or NewGraphEngine, for any aspen payload); the ingest loop starts
+// immediately.
 type Engine[G ligra.Graph, E any] struct {
 	reg   *aspen.Versioned[seqGraph[G]]
 	apply func(G, []CommitRun[E]) G
@@ -218,18 +218,12 @@ func (e *Engine[G, E]) start() {
 	go e.loop()
 }
 
-// NewGraphEngine serves an unweighted aspen.Graph with the §5.1 flat-view
-// cache wired to aspen.BuildFlatSnapshot.
-func NewGraphEngine(g aspen.Graph, opts Options) *Engine[aspen.Graph, aspen.Edge] {
-	return wireFlat(New(g, ApplyRuns[struct{}], opts), opts)
-}
-
-// NewWeightedEngine serves an aspen.WeightedGraph with the flat-view cache
-// wired to aspen.BuildFlatSnapshot (the returned views satisfy
-// ligra.FlatWeightedGraph, so weighted kernels can type-assert for
-// ForEachNeighborW).
-func NewWeightedEngine(g aspen.WeightedGraph, opts Options) *Engine[aspen.WeightedGraph, aspen.WeightedEdge] {
-	return wireFlat(New(g, ApplyRuns[float32], opts), opts)
+// NewGraphEngine serves an aspen graph of any payload V with the §5.1
+// flat-view cache wired to aspen.BuildFlatSnapshot. On aspen.WeightedGraph
+// the views satisfy ligra.FlatWeightedGraph, so weighted kernels can
+// type-assert for ForEachNeighborW.
+func NewGraphEngine[V ctree.Value](g aspen.GraphOf[V], opts Options) *Engine[aspen.GraphOf[V], aspen.EdgeOf[V]] {
+	return wireFlat(New(g, ApplyRuns[V], opts), opts)
 }
 
 // ApplyRuns is the update of every aspen engine, WAL replay and replica,

@@ -277,7 +277,7 @@ func TestEngineFlushAndClose(t *testing.T) {
 // TestWeightedEngineKernels runs the weighted engine with SSSP — the
 // generic-over-WeightedGraph half of the serving layer.
 func TestWeightedEngineKernels(t *testing.T) {
-	e := NewWeightedEngine(aspen.NewWeightedGraph(), Options{})
+	e := NewGraphEngine(aspen.NewWeightedGraph(), Options{})
 	defer e.Close()
 	edges := []aspen.WeightedEdge{
 		{Src: 0, Dst: 1, Val: 1},

@@ -119,7 +119,7 @@ func TestWeightedTxFlat(t *testing.T) {
 			aspen.WeightedEdge{Src: ed.Src, Dst: ed.Dst, Val: w},
 			aspen.WeightedEdge{Src: ed.Dst, Dst: ed.Src, Val: w})
 	}
-	e := NewWeightedEngine(aspen.NewWeightedGraph().InsertEdges(batch), Options{})
+	e := NewGraphEngine(aspen.NewWeightedGraph().InsertEdges(batch), Options{})
 	defer e.Close()
 	tx := e.Begin()
 	defer tx.Close()

@@ -2,6 +2,7 @@ package stream
 
 import (
 	"bytes"
+	"encoding/hex"
 	"errors"
 	"slices"
 	"strings"
@@ -9,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/aspen"
+	"repro/internal/ctree"
 	"repro/internal/wal"
 )
 
@@ -37,7 +39,7 @@ func TestOneFramePerCommit(t *testing.T) {
 		}
 		return nil
 	}}
-	e, err := Recover(aspen.NewGraph(p), apply, Options{QueueCap: 64}, d, EdgeCodec, GraphSnapshotCodec(p))
+	e, err := Recover(aspen.NewGraph(p), apply, Options{QueueCap: 64}, d, EdgeCodec, GraphSnapshotCodec[struct{}](p))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +155,7 @@ func TestOldRecordRefused(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	_, _, err = LoadGraph(testParams(), dir)
+	_, _, err = LoadGraph[struct{}](testParams(), dir)
 	if !errors.Is(err, wal.ErrCorrupt) || !strings.Contains(err.Error(), "insert") {
 		t.Fatalf("Load of an insert record = %v, want wal.ErrCorrupt naming the kind", err)
 	}
@@ -214,6 +216,44 @@ func TestDecodeCommitRoundTrip(t *testing.T) {
 	}
 	if _, _, err := DecodeCommit(EdgeCodec, wal.Record{Kind: wal.Commit, Width: 8, Count: 2, Data: p}); !errors.Is(err, wal.ErrCorrupt) {
 		t.Fatalf("a Count the runs disagree with decoded: %v", err)
+	}
+}
+
+// TestEdgeCodecOfGoldenBytes pins the commit frame the payload-derived
+// codec writes to the bytes of the frame format's fixed layout: src, dst,
+// then the payload's little-endian image (a float32 as its Float32bits).
+// Existing WAL directories and peers of other versions read these bytes,
+// so the codec derived from V must not change them.
+func TestEdgeCodecOfGoldenBytes(t *testing.T) {
+	checkGoldenFrame(t, func(i int) struct{} { return struct{}{} },
+		"0200010000020000000101000000070000000000000009000000000000000100000002000000"+
+			"04030201040000000500000006000000")
+	checkGoldenFrame(t, func(i int) float32 { return []float32{1.5, -2, 0.25}[i] },
+		"0200010000020000000101000000070000000000000009000000000000000100000002000000"+
+			"0000c03f0403020104000000000000c005000000060000000000803e")
+}
+
+func checkGoldenFrame[V ctree.Value](t *testing.T, val func(int) V, want string) {
+	t.Helper()
+	codec := EdgeCodecOf[V]()
+	runs := []CommitRun[aspen.EdgeOf[V]]{
+		{Edges: []aspen.EdgeOf[V]{{Src: 1, Dst: 2, Val: val(0)}, {Src: 0x01020304, Dst: 4, Val: val(1)}}},
+		{Del: true, Edges: []aspen.EdgeOf[V]{{Src: 5, Dst: 6, Val: val(2)}}},
+	}
+	notes := []Note{{Client: 7, Seq: 9}}
+	p := make([]byte, commitHead(2, 1)+3*codec.Width)
+	encodeCommit(p, codec, runs, notes)
+	if got := hex.EncodeToString(p); got != want {
+		t.Fatalf("%T frame\n got %s\nwant %s", val(0), got, want)
+	}
+	gotRuns, _, err := DecodeCommit(codec, wal.Record{Kind: wal.Commit, Width: uint8(codec.Width), Count: 3, Data: p})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range gotRuns {
+		if r.Del != runs[i].Del || !slices.Equal(r.Edges, runs[i].Edges) {
+			t.Fatalf("%T run %d decoded as %+v, want %+v", val(0), i, r, runs[i])
+		}
 	}
 }
 

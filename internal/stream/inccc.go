@@ -3,6 +3,7 @@ package stream
 import (
 	"repro/internal/algos"
 	"repro/internal/aspen"
+	"repro/internal/ctree"
 	"repro/internal/ligra"
 )
 
@@ -15,11 +16,10 @@ import (
 // a Flush the structure reflects everything submitted before it.
 //
 // ends extracts an update's endpoints. Must be called before the first
-// Submit (it claims the engine's OnCommit hook); the graph-flavored
-// AttachGraphIncrementalCC / AttachWeightedIncrementalCC wrap it for the
-// aspen edge types. Note the structure tracks undirected connectivity:
-// engines fed asymmetric (one-direction) batches maintain the components of
-// the symmetrized graph.
+// Submit (it claims the engine's OnCommit hook); AttachGraphIncrementalCC
+// wraps it for the aspen edge types. Note the structure tracks undirected
+// connectivity: engines fed asymmetric (one-direction) batches maintain the
+// components of the symmetrized graph.
 func AttachIncrementalCC[G ligra.Graph, E any](e *Engine[G, E], ends func(E) (uint32, uint32)) *algos.IncrementalCC {
 	tx := e.Begin()
 	cc := algos.NewIncrementalCC(tx.Graph())
@@ -49,14 +49,8 @@ func AttachIncrementalCC[G ligra.Graph, E any](e *Engine[G, E], ends func(E) (ui
 }
 
 // AttachGraphIncrementalCC attaches incremental connectivity maintenance to
-// an unweighted engine.
-func AttachGraphIncrementalCC(e *Engine[aspen.Graph, aspen.Edge]) *algos.IncrementalCC {
-	return AttachIncrementalCC(e, func(ed aspen.Edge) (uint32, uint32) { return ed.Src, ed.Dst })
-}
-
-// AttachWeightedIncrementalCC attaches incremental connectivity maintenance
-// to a weighted engine (weight changes on existing edges do not affect
-// connectivity; re-unions of present edges are no-ops).
-func AttachWeightedIncrementalCC(e *Engine[aspen.WeightedGraph, aspen.WeightedEdge]) *algos.IncrementalCC {
-	return AttachIncrementalCC(e, func(ed aspen.WeightedEdge) (uint32, uint32) { return ed.Src, ed.Dst })
+// an aspen engine of any payload (weight changes on existing edges do not
+// affect connectivity; re-unions of present edges are no-ops).
+func AttachGraphIncrementalCC[V ctree.Value](e *Engine[aspen.GraphOf[V], aspen.EdgeOf[V]]) *algos.IncrementalCC {
+	return AttachIncrementalCC(e, func(ed aspen.EdgeOf[V]) (uint32, uint32) { return ed.Src, ed.Dst })
 }

@@ -99,7 +99,7 @@ func TestPatchFlatWeightedEngine(t *testing.T) {
 		}
 		return batch
 	}
-	e := NewWeightedEngine(aspen.NewWeightedGraph().InsertEdges(mkw(0, 1_500, 1)),
+	e := NewGraphEngine(aspen.NewWeightedGraph().InsertEdges(mkw(0, 1_500, 1)),
 		Options{PatchFlat: true, PrebuildFlat: true})
 	defer e.Close()
 
@@ -282,9 +282,9 @@ func TestIncrementalCCWeighted(t *testing.T) {
 	add(1, 2, 1)
 	add(2, 3, 1)
 	add(10, 11, 1)
-	e := NewWeightedEngine(aspen.NewWeightedGraph().InsertEdges(batch), Options{})
+	e := NewGraphEngine(aspen.NewWeightedGraph().InsertEdges(batch), Options{})
 	defer e.Close()
-	cc := AttachWeightedIncrementalCC(e)
+	cc := AttachGraphIncrementalCC(e)
 	if cc.Component(3) != 1 || cc.Component(11) != 10 {
 		t.Fatal("bootstrap labeling wrong")
 	}

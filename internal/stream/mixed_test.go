@@ -22,7 +22,7 @@ func TestMixedCommitSurvivesRecovery(t *testing.T) {
 }
 
 func TestMixedCommitSurvivesRecoveryWeighted(t *testing.T) {
-	checkMixedCommitRecovery(t, RecoverWeightedEngine, LoadWeightedGraph, func(r *xhash.RNG) float32 { return float32(r.Intn(64)) / 4 })
+	checkMixedCommitRecovery(t, RecoverGraphEngineOf, LoadGraph, func(r *xhash.RNG) float32 { return float32(r.Intn(64)) / 4 })
 }
 
 // mixedSchedule returns the batches: two inserts then a delete, repeating.

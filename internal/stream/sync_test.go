@@ -2,11 +2,14 @@ package stream
 
 import (
 	"errors"
+	"fmt"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/aspen"
+	"repro/internal/obs"
 )
 
 // syncHold is a durable engine under SyncEveryCommit whose next fsync,
@@ -38,7 +41,7 @@ func newSyncHold(t *testing.T, result error) *syncHold {
 		}
 		return nil
 	}}
-	e, err := Recover(aspen.NewGraph(testParams()), apply, Options{}, d, EdgeCodec, GraphSnapshotCodec(testParams()))
+	e, err := Recover(aspen.NewGraph(testParams()), apply, Options{}, d, EdgeCodec, GraphSnapshotCodec[struct{}](testParams()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,8 +126,6 @@ func TestSyncHeldCommitAppliedNotPublished(t *testing.T) {
 	if acked(p) {
 		t.Fatal("a commit was acknowledged while its fsync was held")
 	}
-	// Not Stats: its WAL segment count waits on the log lock the held
-	// fsync keeps.
 	if c, g := h.e.commits.Load(), h.e.gate.Holds()+h.e.gate.Declined(); c != 1 || g != 2 {
 		t.Fatalf("fsync held: %d commits published, %d applies gated or declined; want 1 and 2", c, g)
 	}
@@ -136,6 +137,35 @@ func TestSyncHeldCommitAppliedNotPublished(t *testing.T) {
 	h.checkPin(t, "fsync returned", 2, gA.InsertEdges(b))
 	if got := h.applied.Load(); got != 2 {
 		t.Fatalf("%d applies for two commits: the held one must not be recomputed", got)
+	}
+}
+
+// TestSyncHeldObserversDoNotWait holds a commit inside its fsync, which
+// holds the WAL's lock, and requires Stats, WALSeq and a metrics scrape to
+// answer meanwhile: observers read the log's counters without its lock.
+func TestSyncHeldObserversDoNotWait(t *testing.T) {
+	h := newSyncHold(t, nil)
+	reg := obs.NewRegistry()
+	h.e.RegisterMetrics(reg)
+	if s := h.commit(t, mkEdges(0, 5)); s != 1 {
+		t.Fatalf("first commit stamp %d, want 1", s)
+	}
+	h.holdNext(t, mkEdges(10, 15), 2)
+	done := make(chan string, 1)
+	go func() {
+		st, seq := h.e.Stats(), h.e.WALSeq()
+		var b strings.Builder
+		err := reg.WritePrometheus(&b)
+		done <- fmt.Sprintf("segments %d, seq %d, scrape %v %v", st.WAL.Segments, seq,
+			strings.Contains(b.String(), "aspen_wal_segments"), err)
+	}()
+	select {
+	case got := <-done:
+		if want := "segments 1, seq 2, scrape true <nil>"; got != want {
+			t.Fatalf("observers during a held fsync read %q, want %q", got, want)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("Stats, WALSeq or a metrics scrape waited on the held fsync")
 	}
 }
 
@@ -181,7 +211,7 @@ func TestSyncFailureDropsAppliedCommit(t *testing.T) {
 	}
 
 	h.e.Close()
-	g, _, err := LoadGraph(testParams(), h.dir)
+	g, _, err := LoadGraph[struct{}](testParams(), h.dir)
 	if err != nil {
 		t.Fatalf("recovery failed: %v", err)
 	}

@@ -6,9 +6,8 @@ import "repro/internal/obs"
 // read-through views — the atomics in Log stay the single source of
 // truth (Stats() keeps serving them), the registry only reads them at
 // scrape time, and the Sync durations' histogram is digested then too.
-// Appends, syncs, and bytes are one atomic load each;
-// segments takes the log mutex, which a scrape may contend with the
-// writer for (scrape-rate, not commit-rate, cost).
+// Every counter and the segment gauge are one atomic load each, so a
+// scrape never waits on the log mutex a Sync holds across its fsync.
 func (l *Log) RegisterMetrics(reg *obs.Registry, labels ...obs.Label) {
 	reg.CounterFunc("aspen_wal_appends_total",
 		"WAL records appended.", l.appends.Load, labels...)
@@ -19,9 +18,5 @@ func (l *Log) RegisterMetrics(reg *obs.Registry, labels ...obs.Label) {
 	reg.CounterFunc("aspen_wal_bytes_total",
 		"WAL frame bytes appended, headers included.", l.bytes.Load, labels...)
 	reg.GaugeFunc("aspen_wal_segments",
-		"Live WAL segment files.", func() float64 {
-			l.mu.Lock()
-			defer l.mu.Unlock()
-			return float64(l.segments)
-		}, labels...)
+		"Live WAL segment files.", func() float64 { return float64(l.segments.Load()) }, labels...)
 }

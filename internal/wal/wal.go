@@ -183,14 +183,17 @@ type Log struct {
 	bw       *bufio.Writer
 	segStart uint64 // first seq of the current segment
 	written  int64  // bytes written to the current segment
-	next     uint64 // next seq to assign
-	segments int
 	closed   bool
 	frame    []byte // frame scratch, at most scratch.Keep between appends
 
-	appends atomic.Uint64
-	syncs   atomic.Uint64
-	bytes   atomic.Uint64
+	// next (the seq the next append is assigned) and segments (live
+	// segment files) are written under mu and read without it, so Stats,
+	// NextSeq and a metrics scrape never wait out a Sync's fsync.
+	next     atomic.Uint64
+	segments atomic.Int64
+	appends  atomic.Uint64
+	syncs    atomic.Uint64
+	bytes    atomic.Uint64
 	// syncTime holds the duration of every successful Sync (flush +
 	// fsync), whoever asked for it: a commit's own fsync stage shows only
 	// the part its apply did not hide.
@@ -217,7 +220,9 @@ func Open(dir string, nextSeq uint64, opts Options) (*Log, error) {
 	if err != nil {
 		return nil, err
 	}
-	l := &Log{dir: dir, opts: opts, next: nextSeq, segments: len(segs)}
+	l := &Log{dir: dir, opts: opts}
+	l.next.Store(nextSeq)
+	l.segments.Store(int64(len(segs)))
 	if err := l.openSegment(); err != nil {
 		return nil, err
 	}
@@ -227,7 +232,7 @@ func Open(dir string, nextSeq uint64, opts Options) (*Log, error) {
 // openSegment starts a new segment at l.next. Caller holds l.mu (or has
 // exclusive access during Open).
 func (l *Log) openSegment() error {
-	path := filepath.Join(l.dir, segName(l.next))
+	path := filepath.Join(l.dir, segName(l.next.Load()))
 	// A same-named segment can only exist if a previous process opened at
 	// this seq and died before appending anything durable; truncating it
 	// loses nothing (any surviving record would have advanced nextSeq).
@@ -238,7 +243,7 @@ func (l *Log) openSegment() error {
 	var hdr [headerSize]byte
 	binary.LittleEndian.PutUint32(hdr[0:], segMagic)
 	binary.LittleEndian.PutUint32(hdr[4:], segVersion)
-	binary.LittleEndian.PutUint64(hdr[8:], l.next)
+	binary.LittleEndian.PutUint64(hdr[8:], l.next.Load())
 	binary.LittleEndian.PutUint32(hdr[16:], crc32.Checksum(hdr[:16], castagnoli))
 	if _, err := f.Write(hdr[:]); err != nil {
 		f.Close()
@@ -254,9 +259,9 @@ func (l *Log) openSegment() error {
 	} else {
 		l.bw.Reset(f)
 	}
-	l.segStart = l.next
+	l.segStart = l.next.Load()
 	l.written = headerSize
-	l.segments++
+	l.segments.Add(1)
 	return nil
 }
 
@@ -316,7 +321,7 @@ func (l *Log) AppendFill(kind Kind, width uint8, count uint32, size int, fill fu
 	}
 	fr := l.frame[:frameHead+payload]
 	binary.LittleEndian.PutUint32(fr[0:], uint32(payload))
-	binary.LittleEndian.PutUint64(fr[8:], l.next)
+	binary.LittleEndian.PutUint64(fr[8:], l.next.Load())
 	fr[16] = byte(kind)
 	fr[17] = width
 	binary.LittleEndian.PutUint16(fr[18:], uint16(head))
@@ -342,8 +347,7 @@ func (l *Log) AppendFill(kind Kind, width uint8, count uint32, size int, fill fu
 		return 0, nil, err
 	}
 	l.frame = scratch.Trim(l.frame) // bufio copied or wrote every byte
-	seq := l.next
-	l.next++
+	seq := l.next.Add(1) - 1
 	l.written += int64(len(fr))
 	l.appends.Add(1)
 	l.bytes.Add(uint64(len(fr)))
@@ -386,11 +390,7 @@ func (l *Log) Sync() error {
 }
 
 // NextSeq returns the sequence number the next Append will be assigned.
-func (l *Log) NextSeq() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.next
-}
+func (l *Log) NextSeq() uint64 { return l.next.Load() }
 
 // Close flushes, fsyncs and closes the log (a clean shutdown).
 func (l *Log) Close() error {
@@ -451,7 +451,7 @@ func (l *Log) TruncateBefore(seq uint64) error {
 		if err := os.Remove(segs[i].path); err != nil {
 			return err
 		}
-		l.segments--
+		l.segments.Add(-1)
 		removed = true
 	}
 	if removed {
@@ -462,14 +462,11 @@ func (l *Log) TruncateBefore(seq uint64) error {
 
 // Stats returns the log's counters.
 func (l *Log) Stats() Stats {
-	l.mu.Lock()
-	segments := l.segments
-	l.mu.Unlock()
 	return Stats{
 		Appends:  l.appends.Load(),
 		Syncs:    l.syncs.Load(),
 		Bytes:    l.bytes.Load(),
-		Segments: segments,
+		Segments: int(l.segments.Load()),
 	}
 }
 
