@@ -225,7 +225,7 @@ func stageStatus(t *obs.StageTracer) map[string]obs.LatencySummary {
 // it in a server with the recovered dedup window, announces the listener,
 // serves until a signal, then closes the server (draining connections)
 // and the engine (final checkpoint).
-func servePrimary[V ctree.Value](stdout io.Writer, ln net.Listener, sigs <-chan os.Signal,
+func servePrimary[V remote.Payload](stdout io.Writer, ln net.Listener, sigs <-chan os.Signal,
 	p ctree.Params, opts stream.Options, dur stream.Durability, win *remote.Dedup,
 	obsAddr string, shardID, shards int) error {
 	t0 := time.Now()

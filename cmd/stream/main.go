@@ -356,7 +356,7 @@ func openedEngine[V ctree.Value](cfg config, e *stream.Engine[aspen.GraphOf[V], 
 // latency digests see only the stream; a durable engine recovers its
 // directory and preloads through its own ingest path (WAL-logged like any
 // other batch).
-func openGraph[V ctree.Value](cfg config, d deployment, initial func() []aspen.EdgeOf[V]) opened[aspen.EdgeOf[V]] {
+func openGraph[V remote.Payload](cfg config, d deployment, initial func() []aspen.EdgeOf[V]) opened[aspen.EdgeOf[V]] {
 	p, opts := ctree.DefaultParams(), cfg.engineOptions()
 	switch {
 	case d.primaries != nil:

@@ -76,8 +76,8 @@ func PayloadWidth[V ctree.Value]() int {
 // PutPayload writes v's little-endian image to the front of dst: the payload
 // bytes of a snapshot and of a WAL or wire edge. The byte order swap is
 // exact for the scalar payloads (float32, uint64) this repository stores.
-// The 4- and 8-byte widths move the image as one word through a local,
-// which keeps a per-edge encode free of a memmove call.
+// A 4-byte payload (the float32 weight) moves as one word, which keeps the
+// per-edge weighted encode and decode free of a memmove call.
 func PutPayload[V ctree.Value](dst []byte, v V) {
 	switch unsafe.Sizeof(v) {
 	case 0:
@@ -85,10 +85,6 @@ func PutPayload[V ctree.Value](dst []byte, v V) {
 		var u uint32
 		*(*[4]byte)(unsafe.Pointer(&u)) = *(*[4]byte)(unsafe.Pointer(&v))
 		binary.LittleEndian.PutUint32(dst, u)
-	case 8:
-		var u uint64
-		*(*[8]byte)(unsafe.Pointer(&u)) = *(*[8]byte)(unsafe.Pointer(&v))
-		binary.LittleEndian.PutUint64(dst, u)
 	default:
 		b := dst[:copy(dst, payloadBytes(&v))]
 		if bigEndian {
@@ -104,9 +100,6 @@ func GetPayload[V ctree.Value](src []byte) (v V) {
 	case 4:
 		u := binary.LittleEndian.Uint32(src)
 		*(*[4]byte)(unsafe.Pointer(&v)) = *(*[4]byte)(unsafe.Pointer(&u))
-	case 8:
-		u := binary.LittleEndian.Uint64(src)
-		*(*[8]byte)(unsafe.Pointer(&v)) = *(*[8]byte)(unsafe.Pointer(&u))
 	default:
 		b := payloadBytes(&v)
 		copy(b, src)

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"repro/internal/aspen"
-	"repro/internal/ctree"
 	"repro/internal/ligra"
 	"repro/internal/rpc"
 	"repro/internal/shard"
@@ -60,7 +59,7 @@ type Cluster[E any] struct {
 // shard (len must equal part.Shards()) and optional replica addresses
 // (nil, or same length with "" meaning no replica). Connections are
 // lazy: a down shard fails the first operation that needs it.
-func DialGraphOf[V ctree.Value](part shard.Partitioner, primaries, replicas []string, o Options) (*Cluster[aspen.EdgeOf[V]], error) {
+func DialGraphOf[V Payload](part shard.Partitioner, primaries, replicas []string, o Options) (*Cluster[aspen.EdgeOf[V]], error) {
 	o = o.withDefaults()
 	if len(primaries) != part.Shards() {
 		return nil, fmt.Errorf("remote: %d primary addresses for %d shards", len(primaries), part.Shards())

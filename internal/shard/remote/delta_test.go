@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"repro/internal/aspen"
-	"repro/internal/ctree"
 	"repro/internal/ligra"
 	"repro/internal/rmat"
 	"repro/internal/shard"
@@ -20,7 +19,7 @@ import (
 
 // startMemServers brings up one in-memory shard server of payload V per
 // shard of part and returns their addresses.
-func startMemServers[V ctree.Value](t testing.TB, part shard.Partitioner) []string {
+func startMemServers[V Payload](t testing.TB, part shard.Partitioner) []string {
 	t.Helper()
 	addrs := make([]string, part.Shards())
 	for s := range addrs {

@@ -70,6 +70,12 @@ type endpoint[G ligra.Graph, E any] struct {
 	wg     sync.WaitGroup
 }
 
+// Payload is the set of edge payloads a remote shard serves: a read carries
+// no weight or one float32 weight an edge, so a server, replica or client of
+// any other payload would accept writes and fail every read. The
+// constructors take V under it, and the compiler refuses the rest.
+type Payload interface{ struct{} | float32 }
+
 // hasPayload reports whether edges of wire width w carry a payload after
 // their two ids. The hello's payload byte and a read's weight arrays derive
 // from it, so neither can disagree with the edge codec.

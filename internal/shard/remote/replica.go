@@ -68,7 +68,7 @@ type Replica[G ligra.Graph, E any] struct {
 // NewGraphReplica builds a replica of the aspen shard primary of payload V
 // at addr; the WAL codec, checkpoint codec and update derive from V. ringCap
 // bounds retained states (<=0: default 512).
-func NewGraphReplica[V ctree.Value](addr string, p ctree.Params, shardID, shards, ringCap int, o Options) *Replica[aspen.GraphOf[V], aspen.EdgeOf[V]] {
+func NewGraphReplica[V Payload](addr string, p ctree.Params, shardID, shards, ringCap int, o Options) *Replica[aspen.GraphOf[V], aspen.EdgeOf[V]] {
 	if ringCap <= 0 {
 		ringCap = defaultReplicaRing
 	}

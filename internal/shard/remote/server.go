@@ -30,7 +30,7 @@ type Server[G ligra.Graph, E any] struct {
 // directory ("" disables tail subscriptions); the server registers the
 // engine's OnWALAppend observer, so it must be constructed before the
 // engine serves traffic.
-func NewGraphServer[V ctree.Value](eng *stream.Engine[aspen.GraphOf[V], aspen.EdgeOf[V]], p ctree.Params, dir string, shardID, shards int) *Server[aspen.GraphOf[V], aspen.EdgeOf[V]] {
+func NewGraphServer[V Payload](eng *stream.Engine[aspen.GraphOf[V], aspen.EdgeOf[V]], p ctree.Params, dir string, shardID, shards int) *Server[aspen.GraphOf[V], aspen.EdgeOf[V]] {
 	s := &Server[aspen.GraphOf[V], aspen.EdgeOf[V]]{eng: eng, dir: dir}
 	s.endpoint = endpoint[aspen.GraphOf[V], aspen.EdgeOf[V]]{
 		role:    s,

@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/algos"
 	"repro/internal/aspen"
-	"repro/internal/ctree"
 	"repro/internal/ligra"
 	"repro/internal/rmat"
 	"repro/internal/shard"
@@ -78,7 +77,7 @@ const conformScale = 9
 
 // storeRows builds every deployment over payload V: a lone engine,
 // in-process clusters, a loopback remote cluster.
-func storeRows[V ctree.Value]() []storeRow[aspen.EdgeOf[V]] {
+func storeRows[V Payload]() []storeRow[aspen.EdgeOf[V]] {
 	rows := []storeRow[aspen.EdgeOf[V]]{{"engine", 1, true, func(*testing.T) stream.Store[aspen.EdgeOf[V]] {
 		return stream.NewGraphEngine(aspen.NewGraphOf[V](testParams()), stream.Options{}).Store()
 	}}}

@@ -173,6 +173,8 @@ func checkDurableRestart[V ctree.Value](t *testing.T, val func(int) V) {
 	}
 }
 
+// failAfter returns a failpoint that injects a crash on the n-th occurrence
+// of op.
 func failAfter(op string, n int) wal.Failpoint {
 	var count atomic.Int64
 	return func(got string) error {
