@@ -61,14 +61,10 @@ func run(args []string, stdout io.Writer) error {
 		shards    = fs.Int("shards", 1, "total shard count of the cluster")
 		weighted  = fs.Bool("weighted", false, "serve aspen.WeightedGraph instead of aspen.Graph")
 		dataDir   = fs.String("data", "", "durability directory: WAL + checkpoints; recovers existing state on start (required for primaries)")
-		fsyncPol  = fs.String("fsync", "per-commit", "WAL fsync policy: per-commit, interval, or off")
-		fsyncInt  = fs.Duration("fsync-every", 20*time.Millisecond, "fsync interval under -fsync interval")
+		fsyncPol  = fs.String("fsync", "per-commit", "WAL fsync policy: per-commit or off")
 		ckptEvery = fs.Int("ckpt-every", 256, "checkpoint after this many commits")
 		replicaOf = fs.String("replica-of", "", "run as a read replica tailing this primary address instead of a primary")
-		ring      = fs.Int("ring", 0, "replica: retained (seq, graph) states for exact-seq reads (0 = default)")
 		promote   = fs.Duration("promote-after", 0, "replica: promote to accepting primary after this much sustained primary loss (0 = never)")
-		dialTO    = fs.Duration("dial-timeout", 0, "replica: one dial attempt's timeout (0 = default 1s)")
-		dedupWin  = fs.Int("dedup-window", 0, "exactly-once window: retried submits within the last N client seqs are acked, not re-applied (0 = default 4096)")
 		obsAddr   = fs.String("obs-addr", "", "observability listen address serving /metrics, /statusz, /healthz and /debug/pprof (empty disables)")
 		traceSlow = fs.Duration("trace-slow", 0, "capture per-stage breakdowns of commits slower than this into the /statusz slow ring (0 disables)")
 	)
@@ -77,6 +73,10 @@ func run(args []string, stdout io.Writer) error {
 	}
 	if *shardID < 0 || *shards < 1 || *shardID >= *shards {
 		return fmt.Errorf("bad -shard %d / -shards %d", *shardID, *shards)
+	}
+	pol, err := stream.ParseSyncPolicy(*fsyncPol)
+	if err != nil {
+		return err
 	}
 
 	ln, err := net.Listen("tcp", *addr)
@@ -92,30 +92,24 @@ func run(args []string, stdout io.Writer) error {
 		role := "replica"
 		fmt.Fprintf(stdout, "shardd: shard %d/%d %s of %s listening on %s\n",
 			*shardID, *shards, role, *replicaOf, ln.Addr())
-		ro := remote.Options{PromoteAfter: *promote, DialTimeout: *dialTO, DedupWindow: *dedupWin}
+		ro := remote.Options{PromoteAfter: *promote}
 		if *weighted {
-			return serveReplica(stdout, ln, sigs, *obsAddr, remote.NewGraphReplica[float32](*replicaOf, p, *shardID, *shards, *ring, ro))
+			return serveReplica(stdout, ln, sigs, *obsAddr, remote.NewGraphReplica[float32](*replicaOf, p, *shardID, *shards, ro))
 		}
-		return serveReplica(stdout, ln, sigs, *obsAddr, remote.NewGraphReplica[struct{}](*replicaOf, p, *shardID, *shards, *ring, ro))
+		return serveReplica(stdout, ln, sigs, *obsAddr, remote.NewGraphReplica[struct{}](*replicaOf, p, *shardID, *shards, ro))
 	}
 
 	if *dataDir == "" {
 		ln.Close()
 		return fmt.Errorf("-data is required (primaries are durable; acks imply committed + logged state)")
 	}
-	pol, err := stream.ParseSyncPolicy(*fsyncPol)
-	if err != nil {
-		ln.Close()
-		return err
-	}
 	// The dedup window is rebuilt from the WAL's idempotency notes
 	// before the server takes traffic, so a submit retried across a
 	// crash-restart is still answered from the window, not re-applied.
-	win := remote.NewDedup(*dedupWin)
+	win := remote.NewDedup(0)
 	dur := stream.Durability{
 		Dir:             *dataDir,
 		Policy:          pol,
-		Interval:        *fsyncInt,
 		CheckpointEvery: *ckptEvery,
 		OnReplayNote:    win.Observe,
 	}

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"net"
 	"os"
 	"os/exec"
 	"slices"
@@ -32,6 +33,27 @@ func TestMain(m *testing.M) {
 		os.Exit(0)
 	}
 	os.Exit(m.Run())
+}
+
+// TestFsyncPolicyRefusedBeforeListen: -fsync accepts per-commit and off;
+// any other policy, the removed interval one included, ends run with an
+// error naming the accepted ones before it binds -addr. The address is
+// held here, so a run that listened first would fail with that instead.
+func TestFsyncPolicyRefusedBeforeListen(t *testing.T) {
+	held, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer held.Close()
+	var out strings.Builder
+	err = run([]string{"-addr", held.Addr().String(), "-data", t.TempDir(), "-fsync", "interval"}, &out)
+	if err == nil || !strings.Contains(err.Error(), `"interval"`) ||
+		!strings.Contains(err.Error(), "per-commit") || !strings.Contains(err.Error(), "off") {
+		t.Fatalf("run -fsync interval = %v, want an error naming the accepted policies", err)
+	}
+	if out.Len() != 0 {
+		t.Fatalf("run printed %q before refusing its flags", out.String())
+	}
 }
 
 // shardProc is one spawned shardd child.

@@ -110,7 +110,7 @@ func main() {
 		seed     = flag.Uint64("seed", 42, "rMAT stream seed")
 
 		dataDir  = flag.String("data", "", "durability directory: WAL + checkpoints; recovers existing state on start")
-		fsyncPol = flag.String("fsync", "interval", "WAL fsync policy with -data: per-commit, interval, or off")
+		fsyncPol = flag.String("fsync", "per-commit", "WAL fsync policy with -data: per-commit or off")
 		ckptEv   = flag.Int("ckpt-every", 256, "checkpoint after this many commits with -data")
 		recOnly  = flag.Bool("recover-only", false, "recover -data, report what survived, and exit")
 		killN    = flag.Int("killtest", 0, "ingest N deterministic durable batches into -data, printing an ack line per commit (crash-harness mode)")

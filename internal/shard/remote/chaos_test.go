@@ -389,7 +389,7 @@ func TestPromotionFailover(t *testing.T) {
 		DialTimeout:  200 * time.Millisecond,
 		Backoff:      Backoff{Base: 5 * time.Millisecond, Max: 25 * time.Millisecond},
 	}
-	repl := NewGraphReplica[struct{}](addrs[0], testParams(), 0, 1, 0, ro)
+	repl := NewGraphReplica[struct{}](addrs[0], testParams(), 0, 1, ro)
 	rln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -589,7 +589,7 @@ func TestReplicaChurnFallback(t *testing.T) {
 	part := shard.NewRangePartitioner(1, 1<<9)
 	servers, addrs := startServers(t, part, true)
 
-	repl := NewGraphReplica[struct{}](addrs[0], testParams(), 0, 1, 0, Options{})
+	repl := NewGraphReplica[struct{}](addrs[0], testParams(), 0, 1, Options{})
 	rln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -652,7 +652,7 @@ func TestReplicaChurnFallback(t *testing.T) {
 			if rln2 == nil {
 				t.Fatalf("could not rebind %s: %v", raddr, err)
 			}
-			repl2 = NewGraphReplica[struct{}](addrs[0], testParams(), 0, 1, 0, Options{})
+			repl2 = NewGraphReplica[struct{}](addrs[0], testParams(), 0, 1, Options{})
 			go repl2.Serve(rln2)
 			t.Cleanup(repl2.Close)
 		}
@@ -705,7 +705,7 @@ func TestDeltaReadsUnderFaults(t *testing.T) {
 			var replicas []string
 			var repl *Replica[aspen.Graph, aspen.Edge]
 			if row == "replica" {
-				repl = NewGraphReplica[struct{}](addrs[0], testParams(), 0, 1, 0, Options{})
+				repl = NewGraphReplica[struct{}](addrs[0], testParams(), 0, 1, Options{})
 				rln, err := net.Listen("tcp", "127.0.0.1:0")
 				if err != nil {
 					t.Fatal(err)

@@ -476,7 +476,10 @@ func (c *Cluster[E]) Begin() (*Tx[E], error) {
 	for s := range tx.pinned {
 		tx.stamps[s], tx.seqs[s], tx.pinned[s], tx.gens[s] = 0, 0, nil, 0
 	}
-	calls := make([]*call, len(c.prim))
+	pins := make([]struct {
+		ca  *call
+		err error // the primary's, when its pin fails
+	}, len(c.prim))
 	for s := range c.prim {
 		s := s
 		ca := callPool.Get().(*call)
@@ -493,23 +496,23 @@ func (c *Cluster[E]) Begin() (*Tx[E], error) {
 		if err != nil {
 			ca.onBody = nil
 			callPool.Put(ca)
-			continue // fall back below
+			pins[s].err = err // fall back below
+			continue
 		}
-		calls[s], tx.gens[s] = ca, gen
+		pins[s].ca, tx.gens[s] = ca, gen
 	}
 	var firstErr error
-	for s, ca := range calls {
-		var err error
-		if ca != nil {
-			err = <-ca.done
-			ca.onBody = nil
-			callPool.Put(ca)
-			if err == nil {
+	for s, p := range pins {
+		if p.ca != nil {
+			p.err = <-p.ca.done
+			p.ca.onBody = nil
+			callPool.Put(p.ca)
+			if p.err == nil {
 				tx.pinned[s] = c.prim[s]
 				continue
 			}
 		}
-		if ferr := c.pinFallback(tx, s); ferr != nil && firstErr == nil {
+		if ferr := c.pinFallback(tx, s, p.err); ferr != nil && firstErr == nil {
 			firstErr = ferr
 		}
 	}
@@ -524,9 +527,10 @@ func (c *Cluster[E]) Begin() (*Tx[E], error) {
 }
 
 // pinFallback pins shard s through the degradation ladder after its
-// primary refused: a replica pin if the shard has a live replica, then
-// a bounded-stale cached view under Options.MaxStaleness.
-func (c *Cluster[E]) pinFallback(tx *Tx[E], s int) error {
+// primary refused with primErr: a replica pin if the shard has a live
+// replica, then a bounded-stale cached view under Options.MaxStaleness.
+// With neither, the error wraps primErr.
+func (c *Cluster[E]) pinFallback(tx *Tx[E], s int, primErr error) error {
 	if rc := c.repl[s]; rc != nil {
 		var stamp, seq uint64
 		gen, err := rc.roundTripOn(0, rpc.VerbPin, 0, nil, func(_ uint8, d *rpc.Body) error {
@@ -551,7 +555,7 @@ func (c *Cluster[E]) pinFallback(tx *Tx[E], s int) error {
 			return nil
 		}
 	}
-	return fmt.Errorf("remote: shard %d unreachable and no degraded fallback", s)
+	return fmt.Errorf("remote: shard %d unreachable and no degraded fallback: %w", s, primErr)
 }
 
 // Stamps returns the pinned version vector. Valid until Close.

@@ -537,7 +537,7 @@ func remoteFlatOp(tb testing.TB, replicas bool) (step func(whole bool), read fun
 		tb.Cleanup(func() { srv.Close(); eng.Close() })
 		addrs[s] = ln.Addr().String()
 		if dir != "" {
-			repl := NewGraphReplica[struct{}](addrs[s], testParams(), s, 2, 0, Options{})
+			repl := NewGraphReplica[struct{}](addrs[s], testParams(), s, 2, Options{})
 			rln, err := net.Listen("tcp", "127.0.0.1:0")
 			if err != nil {
 				tb.Fatal(err)

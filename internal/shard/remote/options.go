@@ -44,9 +44,8 @@ const maxInFlight = 256
 // reading cannot wedge a writer goroutine forever.
 const writeTimeout = 10 * time.Second
 
-// Options tunes the cluster client, the shard server's dedup window
-// and the replica tail loop. The zero value selects the defaults
-// documented per field.
+// Options tunes the cluster client and the replica tail loop. The zero
+// value selects the defaults documented per field.
 type Options struct {
 	// DialWait is how long the FIRST contact with an endpoint retries
 	// dialing before failing (lets cluster processes start in any
@@ -91,10 +90,6 @@ type Options struct {
 	// shard's last cached view if it is at most this old, marking the
 	// transaction stale rather than failing it. 0 disables.
 	MaxStaleness time.Duration
-	// DedupWindow is the per-client exactly-once window on servers and
-	// promoted replicas: how many recent client seqs stay answerable as
-	// duplicates. Default 4096.
-	DedupWindow int
 	// Dialer overrides the TCP dial (fault injection; see
 	// faults.Transport.Dialer). Nil uses net.DialTimeout.
 	Dialer func(network, addr string, timeout time.Duration) (net.Conn, error)

@@ -52,6 +52,11 @@ var ErrLagging = errors.New("remote: replica lagging")
 // endpoint's circuit breaker is open.
 var ErrUnavailable = errors.New("remote: endpoint unavailable (breaker open)")
 
+// errRefused is wrapped by the hello checks that find the server is not
+// the endpoint the client was built for (protocol, shard, payload, role or
+// edge width); like a ServerError, a retry would repeat it.
+var errRefused = errors.New("refused at the hello")
+
 // errGenMoved is returned, without touching the network, by an operation
 // pinned to a connection generation that is no longer the live one.
 var errGenMoved = errors.New("connection superseded")
@@ -286,21 +291,21 @@ func handshake(nc net.Conn, bw *bufio.Writer, hi helloInfo) error {
 		return err
 	}
 	if proto != rpc.ProtoVersion {
-		return fmt.Errorf("protocol version %d, want %d", proto, rpc.ProtoVersion)
+		return fmt.Errorf("%w: protocol version %d, want %d", errRefused, proto, rpc.ProtoVersion)
 	}
 	if shard != hi.shard || shards != hi.shards {
-		return fmt.Errorf("server is shard %d/%d, want %d/%d", shard, shards, hi.shard, hi.shards)
+		return fmt.Errorf("%w: server is shard %d/%d, want %d/%d", errRefused, shard, shards, hi.shard, hi.shards)
 	}
 	if weighted != hasPayload(hi.width) {
-		return fmt.Errorf("server weighted=%v, client weighted=%v", weighted, hasPayload(hi.width))
+		return fmt.Errorf("%w: server weighted=%v, client weighted=%v", errRefused, weighted, hasPayload(hi.width))
 	}
 	// A replica endpoint may have promoted itself to an accepting
 	// primary since we last spoke; that is still a valid peer.
 	if role != hi.role && !(hi.role == roleReplica && role == rolePromoted) {
-		return fmt.Errorf("server role %d, want %d", role, hi.role)
+		return fmt.Errorf("%w: server role %d, want %d", errRefused, role, hi.role)
 	}
 	if width != hi.width {
-		return fmt.Errorf("server edge width %d, want %d", width, hi.width)
+		return fmt.Errorf("%w: server edge width %d, want %d", errRefused, width, hi.width)
 	}
 	return nil
 }

@@ -237,6 +237,76 @@ func checkHelloRefused[E any](t *testing.T, name string, c *Cluster[E], err erro
 	if err == nil || !strings.Contains(err.Error(), "weighted=true") || !strings.Contains(err.Error(), "weighted=false") {
 		t.Fatalf("%s: first contact returned %v, want a hello refusal naming both payloads", name, err)
 	}
+	// A pin with no replica or stale view to fall back to keeps the
+	// primary's refusal in its error.
+	tx, err := c.Begin()
+	if err == nil {
+		tx.Close()
+	}
+	if err == nil || !strings.Contains(err.Error(), "weighted=true") || !strings.Contains(err.Error(), "weighted=false") {
+		t.Fatalf("%s: Begin returned %v, want the hello refusal naming both payloads", name, err)
+	}
+}
+
+// TestHelloRefusalEndsRetries: a submit or flush whose connection is
+// refused at the hello is not a transport failure to retry for the whole
+// RetryDeadline; the refusal is the record's final outcome, whether the
+// server refuses (payload) or the client does (role).
+func TestHelloRefusalEndsRetries(t *testing.T) {
+	part := shard.NewRangePartitioner(1, 1<<10)
+	c, err := DialGraph(part, startMemServers[float32](t, part), nil, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	refusedWithin(t, "Insert(...).Wait()", func() error {
+		p, err := c.Insert([]aspen.Edge{{Src: 1, Dst: 2}})
+		if err != nil {
+			return err
+		}
+		return p.Wait()
+	}, "weighted=true", "weighted=false")
+	refusedWithin(t, "FlushAll", func() error {
+		_, err := c.FlushAll()
+		return err
+	}, "weighted=true", "weighted=false")
+
+	// A replica's address given as a primary: the server accepts the
+	// hello, the client refuses the role it confirms.
+	r := NewGraphReplica[struct{}]("127.0.0.1:1", testParams(), 0, 1, Options{})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go r.Serve(ln)
+	defer r.Close()
+	cr, err := DialGraph(part, []string{ln.Addr().String()}, nil, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cr.Close()
+	refusedWithin(t, "FlushAll against a replica", func() error {
+		_, err := cr.FlushAll()
+		return err
+	}, "server role")
+}
+
+// refusedWithin runs op and requires it to fail within 5s with an error
+// naming every one of want.
+func refusedWithin(t *testing.T, name string, op func() error, want ...string) {
+	t.Helper()
+	done := make(chan error, 1)
+	go func() { done <- op() }()
+	select {
+	case err := <-done:
+		for _, w := range want {
+			if err == nil || !strings.Contains(err.Error(), w) {
+				t.Fatalf("%s returned %v, want a hello refusal naming %q", name, err, want)
+			}
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatalf("%s still retrying a hello refusal after 5s", name)
+	}
 }
 
 func TestRemoteWeightedSSSP(t *testing.T) {
@@ -371,7 +441,7 @@ func TestReplicaServesReads(t *testing.T) {
 	part := shard.NewRangePartitioner(1, 1<<20)
 	servers, addrs := startServers(t, part, true)
 
-	repl := NewGraphReplica[struct{}](addrs[0], testParams(), 0, 1, 0, Options{})
+	repl := NewGraphReplica[struct{}](addrs[0], testParams(), 0, 1, Options{})
 	rln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -436,7 +506,7 @@ func TestReplicaLagFallsBack(t *testing.T) {
 	_, addrs := startServers(t, part, true)
 
 	// A replica of an address nothing listens on: applied stays 0.
-	repl := NewGraphReplica[struct{}]("127.0.0.1:1", testParams(), 0, 1, 0, Options{})
+	repl := NewGraphReplica[struct{}]("127.0.0.1:1", testParams(), 0, 1, Options{})
 	rln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -536,7 +606,7 @@ func TestReplicaSnapshotBootstrap(t *testing.T) {
 		t.Skip("log never truncated; cannot exercise the bootstrap path")
 	}
 
-	repl := NewGraphReplica[struct{}](ln.Addr().String(), testParams(), 0, 1, 0, Options{})
+	repl := NewGraphReplica[struct{}](ln.Addr().String(), testParams(), 0, 1, Options{})
 	rln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

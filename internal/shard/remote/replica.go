@@ -18,10 +18,10 @@ import (
 	"repro/internal/wal"
 )
 
-// defaultReplicaRing is how many consecutive (seq, graph) states a
-// replica retains for exact-seq reads, one per commit; behind that,
-// readers fall back to the primary.
-const defaultReplicaRing = 512
+// replicaRing is how many consecutive (seq, graph) states a replica
+// retains for exact-seq reads, one per commit; behind that, readers fall
+// back to the primary.
+const replicaRing = 512
 
 // seqState is one retained replica state: the graph after applying commit
 // frames 1..seq.
@@ -49,7 +49,6 @@ type Replica[G ligra.Graph, E any] struct {
 	endpoint[G, E]
 	primary string
 	apply   func(g G, runs []stream.CommitRun[E]) G
-	ringCap int
 	opts    Options
 
 	promoted atomic.Bool
@@ -66,21 +65,17 @@ type Replica[G ligra.Graph, E any] struct {
 }
 
 // NewGraphReplica builds a replica of the aspen shard primary of payload V
-// at addr; the WAL codec, checkpoint codec and update derive from V. ringCap
-// bounds retained states (<=0: default 512).
-func NewGraphReplica[V Payload](addr string, p ctree.Params, shardID, shards, ringCap int, o Options) *Replica[aspen.GraphOf[V], aspen.EdgeOf[V]] {
-	if ringCap <= 0 {
-		ringCap = defaultReplicaRing
-	}
+// at addr; the WAL codec, checkpoint codec and update derive from V.
+func NewGraphReplica[V Payload](addr string, p ctree.Params, shardID, shards int, o Options) *Replica[aspen.GraphOf[V], aspen.EdgeOf[V]] {
 	o = o.withDefaults()
-	r := &Replica[aspen.GraphOf[V], aspen.EdgeOf[V]]{primary: addr, apply: stream.ApplyRuns[V], ringCap: ringCap, opts: o, cur: aspen.NewGraphOf[V](p)}
+	r := &Replica[aspen.GraphOf[V], aspen.EdgeOf[V]]{primary: addr, apply: stream.ApplyRuns[V], opts: o, cur: aspen.NewGraphOf[V](p)}
 	r.endpoint = endpoint[aspen.GraphOf[V], aspen.EdgeOf[V]]{
 		role:    r,
 		codec:   stream.EdgeCodecOf[V](),
 		snap:    stream.GraphSnapshotCodec[V](p),
 		shardID: shardID,
 		shards:  shards,
-		dedup:   NewDedup(o.DedupWindow),
+		dedup:   NewDedup(0),
 		conns:   make(map[net.Conn]struct{}),
 		stop:    make(chan struct{}),
 	}
@@ -292,10 +287,10 @@ func (r *Replica[G, E]) applySnap(body []byte) error {
 
 func (r *Replica[G, E]) pushStateLocked(seq uint64, g G) {
 	r.states = append(r.states, seqState[G]{seq: seq, g: g})
-	if len(r.states) > r.ringCap {
+	if len(r.states) > replicaRing {
 		// Drop the oldest half in one slide so eviction is amortized
 		// O(1) without holding graphs live through a full reslice.
-		keep := r.ringCap / 2
+		keep := replicaRing / 2
 		n := copy(r.states, r.states[len(r.states)-keep:])
 		for i := n; i < len(r.states); i++ {
 			r.states[i] = seqState[G]{}

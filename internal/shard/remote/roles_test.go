@@ -123,10 +123,10 @@ func TestRoleTable(t *testing.T) {
 		t.Cleanup(r.Close)
 		return ln.Addr().String()
 	}
-	replica := serve(NewGraphReplica[struct{}](addrs[0], testParams(), 0, 1, 0, Options{}))
+	replica := serve(NewGraphReplica[struct{}](addrs[0], testParams(), 0, 1, Options{}))
 	// A promoted replica of a primary that never answered: nothing but its
 	// own submits moves it.
-	promoted := NewGraphReplica[struct{}]("127.0.0.1:1", testParams(), 0, 1, 0, Options{})
+	promoted := NewGraphReplica[struct{}]("127.0.0.1:1", testParams(), 0, 1, Options{})
 	promoted.promote()
 	endpoints := [3]string{addrs[0], replica, serve(promoted)}
 
@@ -226,7 +226,7 @@ func TestPinSeqMatchesStamp(t *testing.T) {
 		srv.Close()
 		eng.Close()
 	})
-	repl := NewGraphReplica[struct{}](ln.Addr().String(), testParams(), 0, 1, 0, Options{})
+	repl := NewGraphReplica[struct{}](ln.Addr().String(), testParams(), 0, 1, Options{})
 	rln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

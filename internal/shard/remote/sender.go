@@ -68,8 +68,9 @@ func (s *sender) enqueue(rec *sendRec) {
 		return
 	}
 	s.queue = append(s.queue, rec)
-	s.pumpLocked()
+	refused, err := s.pumpLocked()
 	s.mu.Unlock()
+	deliverAll(refused, err)
 }
 
 // pumpLocked sends every unsent record in FIFO order, pinned to one
@@ -78,8 +79,12 @@ func (s *sender) enqueue(rec *sendRec) {
 // teardown drain not yet landed — nothing newer goes out, or a retried
 // record could overtake a later one on a fresh connection and break the
 // shard's FIFO. On a transport error it stops (the failed record stays
-// queued, unsent) and arms the backoff timer. mu held.
-func (s *sender) pumpLocked() {
+// queued, unsent) and arms the backoff timer. When the endpoint refuses
+// the connection itself (isPermanent: the hello named another shard,
+// payload or role), every unsent record would be refused the same way: it
+// takes them all off the queue and returns them with that error, for the
+// caller to deliver once mu is released. mu held.
+func (s *sender) pumpLocked() (refused []*sendRec, err error) {
 	tgt := s.target()
 	var pinned uint64 // gen the sent prefix rides; 0 = nothing in flight
 	for _, rec := range s.queue {
@@ -92,10 +97,13 @@ func (s *sender) pumpLocked() {
 			rec.ca.deadline = time.Now().Add(rec.ackDeadline).UnixNano()
 		}
 		gen, err := tgt.startPinned(rec.verb, rec.flags, rec.build, rec.ca, pinned)
+		if isPermanent(err) {
+			return s.takeUnsentLocked(), err
+		}
 		if err != nil {
 			rec.lastErr = err
 			s.scheduleLocked()
-			return
+			return nil, nil
 		}
 		if rec.tries > 0 {
 			s.nstat.retries.Add(1)
@@ -106,6 +114,31 @@ func (s *sender) pumpLocked() {
 		pinned = gen
 	}
 	s.attempts = 0
+	return nil, nil
+}
+
+// takeUnsentLocked removes every record not in flight from the queue and
+// returns them in order. mu held.
+func (s *sender) takeUnsentLocked() []*sendRec {
+	var unsent []*sendRec
+	kept := s.queue[:0]
+	for _, rec := range s.queue {
+		if rec.sent {
+			kept = append(kept, rec)
+		} else {
+			unsent = append(unsent, rec)
+		}
+	}
+	clear(s.queue[len(kept):])
+	s.queue = kept
+	return unsent
+}
+
+// deliverAll resolves each record's call with err, outside mu.
+func deliverAll(recs []*sendRec, err error) {
+	for _, rec := range recs {
+		rec.ca.deliverFinal(err)
+	}
 }
 
 // onOutcome routes a resolved call that belongs to rec. It returns
@@ -184,11 +217,12 @@ func (s *sender) retry() {
 		}
 		i++
 	}
-	s.pumpLocked()
+	refused, err := s.pumpLocked()
 	s.mu.Unlock()
 	for _, rec := range expired {
 		rec.ca.deliverFinal(s.budgetErr(rec))
 	}
+	deliverAll(refused, err)
 }
 
 // failover redirects the stream to the replica endpoint (which must
@@ -204,8 +238,9 @@ func (s *sender) failover() bool {
 	}
 	s.failedOver = true
 	s.attempts = 0
-	s.pumpLocked()
+	refused, err := s.pumpLocked()
 	s.mu.Unlock()
+	deliverAll(refused, err)
 	return true
 }
 
@@ -214,25 +249,18 @@ func (s *sender) failover() bool {
 func (s *sender) close() {
 	s.mu.Lock()
 	s.closed = true
-	var orphans []*sendRec
-	for _, rec := range s.queue {
-		if !rec.sent {
-			orphans = append(orphans, rec)
-		}
-	}
+	orphans := s.takeUnsentLocked()
 	s.queue = nil
 	s.mu.Unlock()
-	err := errors.New("remote: cluster closed")
-	for _, rec := range orphans {
-		rec.ca.deliverFinal(err)
-	}
+	deliverAll(orphans, errors.New("remote: cluster closed"))
 }
 
-// isPermanent reports whether err is a server-side refusal (retrying
-// would repeat it) rather than a transport failure.
+// isPermanent reports whether err is a refusal (retrying would repeat it)
+// rather than a transport failure: a server-side error, a lagging
+// replica, or a hello the client refused.
 func isPermanent(err error) bool {
 	var se *ServerError
-	return errors.As(err, &se) || errors.Is(err, ErrLagging)
+	return errors.As(err, &se) || errors.Is(err, ErrLagging) || errors.Is(err, errRefused)
 }
 
 // deliverFinal resolves a call outside the sender path.

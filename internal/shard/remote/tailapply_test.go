@@ -25,7 +25,7 @@ func tailBody(seq uint64, kind wal.Kind, width uint8, count uint32, data []byte)
 // TestReplicaRefusesOldRecord: a tail frame of a kind other than a commit
 // frame is refused as corruption naming the kind, and applies nothing.
 func TestReplicaRefusesOldRecord(t *testing.T) {
-	r := NewGraphReplica[struct{}]("127.0.0.1:1", testParams(), 0, 1, 0, Options{})
+	r := NewGraphReplica[struct{}]("127.0.0.1:1", testParams(), 0, 1, Options{})
 	data := make([]byte, stream.EdgeCodec.Width)
 	stream.EdgeCodec.Encode(data, aspen.Edge{Src: 1, Dst: 2})
 	err := r.applyRec(tailBody(1, wal.Delete, uint8(stream.EdgeCodec.Width), 1, data))
@@ -106,7 +106,7 @@ func BenchmarkReplicaTailApply(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r := NewGraphReplica[struct{}]("127.0.0.1:1", p, 0, 1, 0, Options{})
+		r := NewGraphReplica[struct{}]("127.0.0.1:1", p, 0, 1, Options{})
 		for _, body := range bodies {
 			if err := r.applyRec(body); err != nil {
 				b.Fatal(err)

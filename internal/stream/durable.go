@@ -41,12 +41,9 @@ const (
 	// fsync runs on the engine's sync goroutine beside the commit's apply,
 	// so it adds to a commit's latency only what outlasts the apply.
 	SyncEveryCommit SyncPolicy = iota
-	// SyncInterval fsyncs from a background ticker: an acked batch survives
-	// process death immediately and power loss after at most Interval.
-	SyncInterval
 	// SyncOff never fsyncs outside rotation, checkpoint and Close: an acked
 	// batch survives process death only once its buffered frame reaches the
-	// file (rotation or interval-free flush on Close/checkpoint).
+	// file (rotation, or the flush on Close and checkpoint).
 	SyncOff
 )
 
@@ -54,8 +51,6 @@ func (p SyncPolicy) String() string {
 	switch p {
 	case SyncEveryCommit:
 		return "per-commit"
-	case SyncInterval:
-		return "interval"
 	case SyncOff:
 		return "off"
 	default:
@@ -68,12 +63,10 @@ func ParseSyncPolicy(s string) (SyncPolicy, error) {
 	switch s {
 	case "per-commit", "commit":
 		return SyncEveryCommit, nil
-	case "interval":
-		return SyncInterval, nil
 	case "off", "none":
 		return SyncOff, nil
 	}
-	return 0, fmt.Errorf("stream: unknown fsync policy %q", s)
+	return 0, fmt.Errorf("stream: unknown fsync policy %q (want per-commit or off)", s)
 }
 
 // Durability configures the durable commit path. The zero Dir disables it.
@@ -82,15 +75,9 @@ type Durability struct {
 	Dir string
 	// Policy selects the fsync policy. Default SyncEveryCommit.
 	Policy SyncPolicy
-	// Interval is the background fsync period under SyncInterval.
-	// Default 20ms.
-	Interval time.Duration
 	// CheckpointEvery requests a checkpoint after this many commits
 	// (skipped while one is already in flight). Default 256.
 	CheckpointEvery int
-	// KeepCheckpoints retains this many newest checkpoint files (older
-	// ones are pruned after each new checkpoint lands). Default 2.
-	KeepCheckpoints int
 	// SegmentBytes is the WAL segment rotation size (wal.Options).
 	SegmentBytes int64
 	// Fail is the crash-injection hook, consulted at every WAL kill point
@@ -107,15 +94,14 @@ type Durability struct {
 	OnReplayNote func(client, seq uint64)
 }
 
+// keepCheckpoints is how many newest checkpoint files a durable engine
+// retains; older ones are pruned after each new checkpoint lands. Two lets
+// recovery fall back from a damaged newest checkpoint to the one before.
+const keepCheckpoints = 2
+
 func (d Durability) withDefaults() Durability {
-	if d.Interval <= 0 {
-		d.Interval = 20 * time.Millisecond
-	}
 	if d.CheckpointEvery <= 0 {
 		d.CheckpointEvery = 256
-	}
-	if d.KeepCheckpoints <= 0 {
-		d.KeepCheckpoints = 2
 	}
 	return d
 }
@@ -295,7 +281,6 @@ type durable[G ligra.Graph, E any] struct {
 	syncReq   chan struct{}
 	syncDone  chan error
 	ckptCh    chan ckptReq[G]
-	stopSync  chan struct{}
 	closeOnce sync.Once
 
 	failed      atomic.Bool
@@ -391,32 +376,14 @@ func (e *Engine[G, E]) checkpointer() {
 	}
 }
 
-// syncLoop is the engine's one fsync goroutine. Under SyncEveryCommit it
+// syncLoop is the engine's one fsync goroutine under SyncEveryCommit: it
 // runs each commit's fsync on request, beside that commit's apply on the
-// ingest goroutine; under SyncInterval it fsyncs from a ticker.
+// ingest goroutine, until closeDurable closes the request channel.
 func (e *Engine[G, E]) syncLoop() {
 	defer e.durWG.Done()
 	d := e.dur
-	var tick <-chan time.Time
-	if d.opts.Policy == SyncInterval {
-		t := time.NewTicker(d.opts.Interval)
-		defer t.Stop()
-		tick = t.C
-	}
-	for {
-		select {
-		case <-d.stopSync:
-			return
-		case <-d.syncReq:
-			d.syncDone <- d.log.Sync()
-		case <-tick:
-			if d.failed.Load() {
-				continue
-			}
-			if err := d.log.Sync(); err != nil {
-				d.fail(err)
-			}
-		}
+	for range d.syncReq {
+		d.syncDone <- d.log.Sync()
 	}
 }
 
@@ -453,13 +420,13 @@ func (d *durable[G, E]) writeCheckpoint(req ckptReq[G]) error {
 	return d.log.TruncateBefore(cks[0].seq)
 }
 
-// pruneCheckpoints removes all but the newest KeepCheckpoints files.
+// pruneCheckpoints removes all but the newest keepCheckpoints files.
 func (d *durable[G, E]) pruneCheckpoints() error {
 	cks, err := listCheckpoints(d.opts.Dir)
 	if err != nil {
 		return err
 	}
-	for i := 0; i+d.opts.KeepCheckpoints < len(cks); i++ {
+	for i := 0; i+keepCheckpoints < len(cks); i++ {
 		if err := os.Remove(cks[i].path); err != nil {
 			return err
 		}
@@ -474,7 +441,7 @@ func (d *durable[G, E]) pruneCheckpoints() error {
 func (e *Engine[G, E]) closeDurable() {
 	d := e.dur
 	d.closeOnce.Do(func() {
-		close(d.stopSync)
+		close(d.syncReq)
 		close(d.ckptCh)
 		e.durWG.Wait()
 		if d.failed.Load() {
@@ -705,7 +672,6 @@ func Recover[G ligra.Graph, E any](g0 G, apply func(G, []CommitRun[E]) G, opts O
 		syncReq:  make(chan struct{}, 1),
 		syncDone: make(chan error, 1),
 		ckptCh:   make(chan ckptReq[G], 1),
-		stopSync: make(chan struct{}),
 	}
 	e.start()
 	return e, nil

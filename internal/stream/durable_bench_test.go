@@ -2,7 +2,6 @@ package stream
 
 import (
 	"testing"
-	"time"
 
 	"repro/internal/aspen"
 	"repro/internal/ctree"
@@ -22,9 +21,8 @@ func BenchmarkDurableIngest(b *testing.B) {
 	}{
 		{"nowal", nil},
 		{"fsync=off", &Durability{Policy: SyncOff, CheckpointEvery: 1 << 30}},
-		{"fsync=interval", &Durability{Policy: SyncInterval, Interval: 20 * time.Millisecond, CheckpointEvery: 1 << 30}},
 		{"fsync=commit", &Durability{Policy: SyncEveryCommit, CheckpointEvery: 1 << 30}},
-		{"fsync=interval/ckpt", &Durability{Policy: SyncInterval, Interval: 20 * time.Millisecond, CheckpointEvery: 64}},
+		{"fsync=commit/ckpt", &Durability{Policy: SyncEveryCommit, CheckpointEvery: 64}},
 	}
 	for _, arm := range arms {
 		b.Run(arm.name, func(b *testing.B) {

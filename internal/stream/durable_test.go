@@ -420,12 +420,11 @@ func TestMidLogCorruptionRefusesRecovery(t *testing.T) {
 // TestSyncPolicies drives each fsync policy through a restart cycle; all
 // must reproduce the committed graph on a clean close.
 func TestSyncPolicies(t *testing.T) {
-	for _, policy := range []SyncPolicy{SyncEveryCommit, SyncInterval, SyncOff} {
+	for _, policy := range []SyncPolicy{SyncEveryCommit, SyncOff} {
 		t.Run(policy.String(), func(t *testing.T) {
 			dir := t.TempDir()
 			d := testDurability(dir)
 			d.Policy = policy
-			d.Interval = time.Millisecond
 			e, err := RecoverGraphEngine(testParams(), Options{}, d)
 			if err != nil {
 				t.Fatal(err)

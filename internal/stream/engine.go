@@ -204,12 +204,12 @@ func newEngine[G ligra.Graph, E any](g G, seq uint64, apply func(G, []CommitRun[
 }
 
 // start launches the ingest loop and, when durability is attached, the
-// checkpointer and (unless the policy is SyncOff) the fsync goroutine.
+// checkpointer and (under SyncEveryCommit) the fsync goroutine.
 func (e *Engine[G, E]) start() {
 	if e.dur != nil {
 		e.durWG.Add(1)
 		go e.checkpointer()
-		if e.dur.opts.Policy != SyncOff {
+		if e.dur.opts.Policy == SyncEveryCommit {
 			e.durWG.Add(1)
 			go e.syncLoop()
 		}

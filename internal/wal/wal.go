@@ -172,8 +172,9 @@ type Stats struct {
 }
 
 // Log is an append-only segmented WAL opened on a directory. One writer
-// appends; Sync may be called concurrently (the interval-fsync policy runs
-// it from a ticker goroutine), so all file state is mutex-guarded.
+// appends; Sync may be called concurrently (the per-commit fsync runs it
+// on the engine's sync goroutine beside the next apply, and a replication
+// tail calls it too), so all file state is mutex-guarded.
 type Log struct {
 	dir  string
 	opts Options
