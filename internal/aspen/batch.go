@@ -14,9 +14,9 @@ import (
 // future fixed-width property) ride the same compressed path, and a batch may
 // mix inserts and deletes (a signed batch: each edge's last update wins), so
 // a commit of several runs is still one sort and one pass. The vertex-tree
-// pass is pftree's batch-driven descent (MultiUpsert) over the paged vertex
-// index (pages.go): the sorted sources, grouped by page, steer it, and only
-// the nodes on the paths to their pages, and those pages, are reallocated.
+// pass is one descent of the vertex index, a trie over pages of ids
+// (pages.go): the sorted sources steer it, and only the nodes on the paths
+// to their pages, and those pages, are reallocated.
 
 // signedVal is the sort companion of one update of a mixed batch: its
 // payload, whether it deletes the edge, and — after the dedup — whether any
@@ -73,11 +73,10 @@ func (b *sortedBatch[V]) split(lo, hi int, ids []uint32, vals []V) (mid int, cre
 	return mid, created
 }
 
-// upsert is what a batch does to one vertex: subtract the ids del, union
-// ins, and create the vertex from ins when it is absent and created is set.
-type upsert[V ctree.Value] struct {
-	ins     ctree.Tree[V]
-	del     []uint32
+// upsert is what a batch does to one source: its updates are b's
+// [lo, hi), and created says that the vertex must exist afterwards.
+type upsert struct {
+	lo, hi  int
 	created bool
 }
 
@@ -90,59 +89,56 @@ type upsert[V ctree.Value] struct {
 // even if a later update deletes the edge, and a delete creates no vertex.
 // Destination-only endpoints ride the descent as empty edge trees. With
 // dropEmpty set, a present source whose edge tree ends up empty is dropped
-// (the opt-in isolated-vertex GC). O(k log n) work, polylog depth.
-func applyCore[V ctree.Value](ops *vopsT[V], cls ctree.Class[V], vt *vnode[V], b sortedBatch[V], merge func(old, new V) V, dropEmpty bool) *vnode[V] {
+// (the opt-in isolated-vertex GC). The descent's callback splits each
+// source's run and builds its edge trees, so the worker that updates a
+// piece of the trie also builds that piece's trees: a commit is one
+// parallel region. O(k log n) work, polylog depth.
+func applyCore[V ctree.Value](cls ctree.Class[V], vt *tnode[V], b sortedBatch[V], merge func(old, new V) V, dropEmpty bool) *tnode[V] {
 	n := len(b.packed)
 	starts := parallel.PackIndices(n, func(i int) bool { return i == 0 || b.packed[i]>>32 != b.packed[i-1]>>32 })
+	keys, ups := make([]uint32, len(starts)), make([]upsert, len(starts))
+	for k := range starts {
+		lo, hi := runOf(starts, k, n)
+		keys[k], ups[k] = uint32(b.packed[lo]>>32), upsert{lo: lo, hi: hi}
+	}
+	// The endpoints inserts make exist, in ids until the descent splits the
+	// runs there.
 	ids, vals := make([]uint32, n), b.vals
 	if b.comp != nil && PayloadWidth[V]() > 0 {
 		vals = make([]V, n)
 	}
-	keys, ups := make([]uint32, len(starts)), make([]upsert[V], len(starts))
-	// One prototype tree interns the per-V operation table; every edge tree
-	// of the batch is built from it instead of re-resolving the table.
-	proto := ctree.NewKV[V](cls.Params())
-	parallel.ForGrain(len(starts), 16, func(k int) {
-		lo, hi := int(starts[k]), n
-		if k+1 < len(starts) {
-			hi = int(starts[k+1])
-		}
-		keys[k] = uint32(b.packed[lo] >> 32)
-		mid, created := b.split(lo, hi, ids, vals)
-		u := &ups[k]
-		u.ins, u.del, u.created = proto, ids[mid:hi], created
-		if mid > lo {
-			var vr []V
-			if vals != nil {
-				vr = vals[lo:mid]
-			}
-			u.ins = proto.BuildLike(ids[lo:mid], vr)
-		}
-	})
-	// The endpoints inserts make exist: in ids, once the insert trees are
-	// built, unless a mixed batch's deletes still need it.
 	ends := ids[:0]
-	if b.comp != nil {
-		ends = make([]uint32, 0, n)
-	}
 	for i, k := range b.packed {
 		if _, ins := b.at(i); ins {
 			ends = append(ends, uint32(k))
 		}
 	}
-	if extra := missingEndpoints(ops, cls, vt, keys, ups, ends); len(extra) > 0 {
-		keys, ups = mergeEndpoints(keys, ups, extra, upsert[V]{ins: proto, created: true})
+	if extra := missingEndpoints(cls, vt, keys, ups, ends); len(extra) > 0 {
+		keys, ups = mergeEndpoints(keys, ups, extra, upsert{created: true})
 	}
-	return upsertVertices(ops, cls, vt, keys, func(i int, old ctree.Tree[V], found bool) (ctree.Tree[V], bool) {
-		u := &ups[i]
+	// One prototype tree interns the per-V operation table; every edge tree
+	// of the batch is built from it instead of re-resolving the table.
+	proto := ctree.NewKV[V](cls.Params())
+	return upsertVertices(cls, vt, keys, func(i int, old ctree.Tree[V], found bool) (ctree.Tree[V], bool) {
+		u := ups[i]
+		lo, hi := u.lo, u.hi
+		mid, created := b.split(lo, hi, ids, vals)
+		ins := proto
+		if mid > lo {
+			var vr []V
+			if vals != nil {
+				vr = vals[lo:mid]
+			}
+			ins = proto.BuildLike(ids[lo:mid], vr)
+		}
 		if !found {
-			return u.ins, u.created
+			return ins, created || u.created
 		}
-		if len(u.del) > 0 { // built here, where the descent found the source
-			old = old.Difference(proto.BuildLike(u.del, nil))
+		if mid < hi { // built here, where the descent found the source
+			old = old.Difference(proto.BuildLike(ids[mid:hi], nil))
 		}
-		if !u.ins.Empty() {
-			old = old.UnionWith(u.ins, merge)
+		if !ins.Empty() {
+			old = old.UnionWith(ins, merge)
 		}
 		return old, !(dropEmpty && old.Empty())
 	})
@@ -153,7 +149,7 @@ func applyCore[V ctree.Value](ops *vopsT[V], cls ctree.Class[V], vt *vnode[V], b
 // traversals can land on them. An id in ends that is a batch source costs no
 // lookup: its update (ups is aligned with srcs) is marked created. On a
 // symmetrised batch that is every id. It sorts ends in place.
-func missingEndpoints[V ctree.Value](ops *vopsT[V], cls ctree.Class[V], vt *vnode[V], srcs []uint32, ups []upsert[V], ends []uint32) []uint32 {
+func missingEndpoints[V ctree.Value](cls ctree.Class[V], vt *tnode[V], srcs []uint32, ups []upsert, ends []uint32) []uint32 {
 	parallel.RadixSortUint32(ends)
 	ends = parallel.DedupSortedUint32(ends)
 	w, j := 0, 0
@@ -169,7 +165,7 @@ func missingEndpoints[V ctree.Value](ops *vopsT[V], cls ctree.Class[V], vt *vnod
 		w++
 	}
 	return parallel.FilterUint32(ends[:w], func(d uint32) bool {
-		_, ok := findVertex(ops, cls, vt, d)
+		_, ok := findVertex(cls, vt, d)
 		return !ok
 	})
 }
@@ -191,8 +187,8 @@ func mergeEndpoints[U any](keys []uint32, ups []U, extra []uint32, empty U) ([]u
 }
 
 // collectIsolatedCore removes every vertex with an empty edge tree.
-func collectIsolatedCore[V ctree.Value](ops *vopsT[V], cls ctree.Class[V], vt *vnode[V]) *vnode[V] {
-	ids, trees := vertices(ops, cls, vt)
+func collectIsolatedCore[V ctree.Value](cls ctree.Class[V], vt *tnode[V]) *tnode[V] {
+	ids, trees := vertices(cls, vt)
 	w := 0
 	for i, et := range trees {
 		if !et.Empty() {
@@ -203,5 +199,5 @@ func collectIsolatedCore[V ctree.Value](ops *vopsT[V], cls ctree.Class[V], vt *v
 	if w == len(ids) {
 		return vt
 	}
-	return buildPages(ops, ids[:w], func(i int) ctree.Tree[V] { return trees[i] })
+	return buildPages(ids[:w], func(i int) ctree.Tree[V] { return trees[i] })
 }

@@ -93,9 +93,9 @@ func (a vertexImage[V]) equal(b vertexImage[V]) bool {
 	return a.id == b.id && slices.Equal(a.nbrs, b.nbrs) && slices.Equal(a.vals, b.vals)
 }
 
-func imagesOf[V ctree.Value](ops *vopsT[V], cls ctree.Class[V], vt *vnode[V]) []vertexImage[V] {
+func imagesOf[V ctree.Value](cls ctree.Class[V], vt *tnode[V]) []vertexImage[V] {
 	var out []vertexImage[V]
-	forEachVertex(ops, cls, vt, func(u uint32, et ctree.Tree[V]) bool {
+	forEachVertex(cls, vt, func(u uint32, et ctree.Tree[V]) bool {
 		out = append(out, imageOf(u, et))
 		return true
 	})
@@ -116,9 +116,9 @@ type deltaImage[V ctree.Value] struct {
 	old, new vertexImage[V]
 }
 
-func deltasOf[V ctree.Value](ops *vopsT[V], cls ctree.Class[V], old, cur *vnode[V]) []deltaImage[V] {
+func deltasOf[V ctree.Value](cls ctree.Class[V], old, cur *tnode[V]) []deltaImage[V] {
 	var out []deltaImage[V]
-	diffVersionsCore(ops, cls, cls, old, cur, func(d VertexDelta[V]) bool {
+	diffVersionsCore(cls, cls, old, cur, func(d VertexDelta[V]) bool {
 		out = append(out, deltaImage[V]{kind: d.Kind, old: imageOf(d.ID, d.Old), new: imageOf(d.ID, d.New)})
 		return true
 	})
@@ -155,35 +155,35 @@ func refDeltas[V ctree.Value](old, cur refIndex[V]) []deltaImage[V] {
 // and through the reference cores, each on its own lineage, and requires
 // equal graphs, equal O(1) aggregates and identical version diffs at every
 // step, with the vertex index's invariants intact.
-func runBatchDifferential[V ctree.Value](t *testing.T, ops *vopsT[V], p ctree.Params, steps []batchStep[V]) {
+func runBatchDifferential[V ctree.Value](t *testing.T, p ctree.Params, steps []batchStep[V]) {
 	t.Helper()
-	var got *vnode[V]
+	var got *tnode[V]
 	cls := ctree.ClassOf[V](p)
 	ref := refIndex[V]{}
 	for i, s := range steps {
 		ctx := fmt.Sprintf("step %d (%s)", i, s.name)
 		prevGot, prevRef := got, ref
 		if s.del {
-			got = applyCore(ops, cls, got, sortedBatch[V]{packed: s.packed, del: true}, nil, s.gc)
+			got = applyCore(cls, got, sortedBatch[V]{packed: s.packed, del: true}, nil, s.gc)
 			ref = refDeleteCore(p, ref, s.packed, s.gc)
 		} else {
-			got = applyCore(ops, cls, got, sortedBatch[V]{packed: s.packed, vals: s.vals}, s.merge, false)
+			got = applyCore(cls, got, sortedBatch[V]{packed: s.packed, vals: s.vals}, s.merge, false)
 			ref = refInsertCore(p, ref, s.packed, s.vals, s.merge)
 		}
-		if err := checkIndex(ops, cls, got); err != nil {
+		if err := checkIndex(cls, got); err != nil {
 			t.Fatalf("%s: %v", ctx, err)
 		}
 		var refEdges uint64
 		for _, et := range ref {
 			refEdges += et.Size()
 		}
-		if c := got.AugOrZero(); c.verts != uint64(len(ref)) || c.edges != refEdges {
-			t.Fatalf("%s: %d vertices / %d edges, reference has %d / %d", ctx, c.verts, c.edges, len(ref), refEdges)
+		if got.numVerts() != uint64(len(ref)) || got.numEdges() != refEdges {
+			t.Fatalf("%s: %d vertices / %d edges, reference has %d / %d", ctx, got.numVerts(), got.numEdges(), len(ref), refEdges)
 		}
-		if !slices.EqualFunc(imagesOf(ops, cls, got), ref.images(), vertexImage[V].equal) {
+		if !slices.EqualFunc(imagesOf(cls, got), ref.images(), vertexImage[V].equal) {
 			t.Fatalf("%s: graph differs from the reference", ctx)
 		}
-		gd, rd := deltasOf(ops, cls, prevGot, got), refDeltas(prevRef, ref)
+		gd, rd := deltasOf(cls, prevGot, got), refDeltas(prevRef, ref)
 		if !slices.EqualFunc(gd, rd, func(a, b deltaImage[V]) bool {
 			return a.kind == b.kind && a.old.equal(b.old) && a.new.equal(b.new)
 		}) {
@@ -231,7 +231,7 @@ func TestBatchCoresMatchReference(t *testing.T) {
 	for _, p := range []ctree.Params{params(), ctree.DefaultParams(), ctree.PlainParams()} {
 		for _, n := range []int{40, 600} {
 			t.Run(fmt.Sprintf("B=%d/plain=%v/n=%d", p.B, p.Plain, n), func(t *testing.T) {
-				runBatchDifferential(t, vops, p, batchSchedule(uint64(n)+uint64(p.B), n))
+				runBatchDifferential(t, p, batchSchedule(uint64(n)+uint64(p.B), n))
 			})
 		}
 	}
@@ -258,14 +258,14 @@ func TestBatchCoresMatchReferenceWeighted(t *testing.T) {
 		packed, _ = weighted(2 * n)
 		steps = append(steps, batchStep[float32]{name: "delete", del: true, gc: round%2 == 1, packed: packed})
 	}
-	runBatchDifferential(t, wvops, params(), steps)
+	runBatchDifferential(t, params(), steps)
 }
 
-// TestBatchCoresForkedMatchReference drives a batch wide enough to take
-// the descent's parallel step, with Procs raised so it forks on any box;
-// under -race this covers the aspen callbacks running concurrently.
+// TestBatchCoresForkedMatchReference drives batches wide enough to split
+// into pieces, with Procs raised so they do on any box; under -race this
+// covers the aspen callbacks running concurrently.
 func TestBatchCoresForkedMatchReference(t *testing.T) {
 	defer func(p int) { parallel.Procs = p }(parallel.Procs)
 	parallel.Procs = 4
-	runBatchDifferential(t, vops, ctree.DefaultParams(), batchSchedule(5, 4000))
+	runBatchDifferential(t, ctree.DefaultParams(), batchSchedule(5, 4000))
 }

@@ -35,35 +35,33 @@ func (d VertexDelta[V]) Edges(emit func(e uint32, kind ctree.DiffKind, oldV, new
 }
 
 // diffVersionsCore walks two vertex indexes, pruning pointer-shared
-// subtrees and pages, and compares the slots of each page that differs by
-// edge-tree representation (EqualRep) — O(1) per untouched vertex, so the
-// walk costs O(d log(n/d+1)) for d touched pages between versions of one
-// lineage. Deltas come out in ascending id order.
-func diffVersionsCore[V ctree.Value](ops *vopsT[V], ocls, ncls ctree.Class[V], old, cur *vnode[V], f func(VertexDelta[V]) bool) bool {
-	return ops.Diff(old, cur,
-		func(a, b *page[V]) bool { return a == b },
-		func(p uint32, _ DiffKind, op, np *page[V]) bool {
-			for s := range uint32(pageSize) {
-				// Compared as handles: an unchanged slot, the common case
-				// in a changed page, builds no tree.
-				was, in := op.present(s), np.present(s)
-				if !was && !in || was && in && op.trees[s].EqualRep(np.trees[s]) {
-					continue
-				}
-				d := VertexDelta[V]{ID: p<<pageBits | s, Kind: DiffChanged}
-				d.Old, _ = op.slot(ocls, s)
-				d.New, _ = np.slot(ncls, s)
-				if !was {
-					d.Kind = DiffAdded
-				} else if !in {
-					d.Kind = DiffRemoved
-				}
-				if !f(d) {
-					return false
-				}
+// subtrees and pages (diffPages), and compares the slots of each page that
+// differs by edge-tree representation (EqualRep) — O(1) per untouched
+// vertex, so the walk costs O(d · height) for d touched pages between
+// versions of one lineage. Deltas come out in ascending id order.
+func diffVersionsCore[V ctree.Value](ocls, ncls ctree.Class[V], old, cur *tnode[V], f func(VertexDelta[V]) bool) bool {
+	return diffPages(old, cur, func(p uint32, op, np *page[V]) bool {
+		for s := range uint32(pageSize) {
+			// Compared as handles: an unchanged slot, the common case
+			// in a changed page, builds no tree.
+			was, in := op.present(s), np.present(s)
+			if !was && !in || was && in && op.trees[s].EqualRep(np.trees[s]) {
+				continue
 			}
-			return true
-		})
+			d := VertexDelta[V]{ID: p<<pageBits | s, Kind: DiffChanged}
+			d.Old, _ = op.slot(ocls, s)
+			d.New, _ = np.slot(ncls, s)
+			if !was {
+				d.Kind = DiffAdded
+			} else if !in {
+				d.Kind = DiffRemoved
+			}
+			if !f(d) {
+				return false
+			}
+		}
+		return true
+	})
 }
 
 // DiffVersions applies f to every vertex whose adjacency differs between
@@ -75,5 +73,5 @@ func diffVersionsCore[V ctree.Value](ops *vopsT[V], ocls, ncls ctree.Class[V], o
 // graph size — the primitive behind flat-view patching and incremental
 // kernel maintenance.
 func DiffVersions[V ctree.Value](old, cur GraphOf[V], f func(VertexDelta[V]) bool) bool {
-	return diffVersionsCore(cur.table(), old.cls, cur.cls, old.vt, cur.vt, f)
+	return diffVersionsCore(old.cls, cur.cls, old.vt, cur.vt, f)
 }

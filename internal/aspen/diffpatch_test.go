@@ -207,7 +207,7 @@ func TestPatchFlatSnapshotSharing(t *testing.T) {
 		fv   *FlatSnapshot
 		g    Graph
 	}{{"built", built, g}, {"patched", p, g2}, {"rebuilt", rebuilt, g2}} {
-		table, pages := uint64(len(c.fv.pages))*8+uint64(c.fv.Order())*4, uint64(c.g.vt.Size())*uint64(unsafe.Sizeof(page[struct{}]{}))
+		table, pages := uint64(len(c.fv.pages))*8+uint64(c.fv.Order())*4, uint64(numPages(c.g.vt))*uint64(unsafe.Sizeof(page[struct{}]{}))
 		if c.fv.MemoryBytes() != table || c.fv.SharedMemoryBytes() != pages {
 			t.Fatalf("%s view owns %d and shares %d bytes, want the table and degrees %d and the graph's pages %d",
 				c.what, c.fv.MemoryBytes(), c.fv.SharedMemoryBytes(), table, pages)

@@ -44,7 +44,7 @@ type FlatView[V ctree.Value] struct {
 	degrees  []int32
 	order    int
 	numEdges uint64
-	root     *vnode[V]      // identity of the snapshot the view was built from
+	root     *tnode[V]      // identity of the snapshot the view was built from
 	gate     *parallel.Gate // nil: Warm never waits (see SetGate)
 }
 
@@ -91,32 +91,26 @@ func (fv *FlatView[V]) setPage(p uint32, pg *page[V]) bool {
 	return true
 }
 
-// BuildFlatSnapshot materializes the flat view of g with an indexed parallel
-// walk of its vertex index: the index's in-order ranks are partitioned into
-// per-worker ranges and each worker walks its range with one rank-pruned
-// descent (pftree.ForEachRankRange), pointing the table at each page and
-// copying its degrees — O(n) work, O(n/P + log n) depth, as §5.1 specifies,
-// and no edge tree is read. Safe to run concurrently with updates: it only
-// reads the persistent version.
+// BuildFlatSnapshot materializes the flat view of g with a parallel leaf
+// walk of its vertex index: each worker walks the subtrees under the root's
+// children it claims, pointing the table at each page and copying its
+// degrees — O(n) work, O(n/P + log n) depth, as §5.1 specifies, and no edge
+// tree is read. Safe to run concurrently with updates: it only reads the
+// persistent version.
 func BuildFlatSnapshot[V ctree.Value](g GraphOf[V]) *FlatView[V] {
-	ops, vt := g.table(), g.vt
-	fv := newFlatView(g)
-	n := vt.Size()
-	nb := min(parallel.Procs*4, n)
-	if parallel.Procs <= 1 || nb <= 1 {
-		ops.ForEachRankRange(vt, 0, n, fv.setPage)
-		return fv
+	fv, vt := newFlatView(g), g.vt
+	switch {
+	case vt == nil:
+	case parallel.Procs <= 1 || vt.level == 1:
+		vt.forEachPage(0, fv.setPage)
+	default:
+		shift := fanBits * uint32(vt.level-1)
+		parallel.ForGrain(fanout, 1, func(d int) {
+			if c := vt.kids[d]; c != nil {
+				c.forEachPage(uint32(d)<<shift, fv.setPage)
+			}
+		})
 	}
-	sz := (n + nb - 1) / nb
-	parallel.ForGrain(nb, 1, func(b int) {
-		lo, hi := b*sz, (b+1)*sz
-		if hi > n {
-			hi = n
-		}
-		if lo < hi {
-			ops.ForEachRankRange(vt, lo, hi, fv.setPage)
-		}
-	})
 	return fv
 }
 
@@ -131,7 +125,7 @@ func (fv *FlatView[V]) SetGate(gate *parallel.Gate) { fv.gate = gate }
 // an earlier (or later — the diff is two-sided) version of the same graph
 // lineage, paying O(diff) work instead of an O(n) rebuild: the page table
 // and degree array are copied wholesale (two memmoves), and the diff of the
-// two vertex indexes (pftree.Diff, pruned by pointer sharing) re-points
+// two vertex indexes (diffPages, pruned by pointer sharing) re-points
 // exactly the pages that changed and copies their degrees. No page is
 // copied. prev is never mutated — it and the result serve concurrent
 // readers of their respective versions. A nil prev falls back to a full
@@ -151,9 +145,7 @@ func PatchFlatSnapshot[V ctree.Value](prev *FlatView[V], g GraphOf[V]) *FlatView
 	copy(fv.degrees, prev.degrees)
 	// No page of g holds a vertex past its order, so a page the diff skips
 	// needs no clipping, and one past a shrunk space is dropped by setPage.
-	g.table().Diff(prev.root, g.vt,
-		func(a, b *page[V]) bool { return a == b },
-		func(p uint32, _ DiffKind, _, pg *page[V]) bool { return fv.setPage(p, pg) })
+	diffPages(prev.root, g.vt, func(p uint32, _, pg *page[V]) bool { return fv.setPage(p, pg) })
 	return fv
 }
 

@@ -1,7 +1,8 @@
 // Package aspen implements the Aspen graph-streaming framework (paper §5–§6):
 // an undirected graph represented as a purely-functional vertex-tree whose
 // values are C-trees of neighbor ids (a tree of compressed trees, Figure 4;
-// here the vertex-tree holds pages of 16 consecutive ids, pages.go), with
+// here the vertex-tree is a 16-ary id trie over pages of 16 consecutive
+// ids, pages.go), with
 // lightweight snapshots, functional batch updates, flat snapshots for
 // global algorithms, and a single-writer / multi-reader versioned store that
 // provides strictly serializable concurrent updates and queries. There is one
@@ -45,8 +46,7 @@ type (
 // the same insertion path, §5).
 type GraphOf[V ctree.Value] struct {
 	cls ctree.Class[V] // of every edge tree; the pages store handles
-	vt  *vnode[V]
-	ops *vopsT[V] // the interned table of V, resolved at construction
+	vt  *tnode[V]
 }
 
 // Graph is the id-only graph; WeightedGraph stores a float32 weight per edge.
@@ -57,7 +57,7 @@ type (
 
 // NewGraphOf returns an empty graph whose edge trees use params p.
 func NewGraphOf[V ctree.Value](p ctree.Params) GraphOf[V] {
-	return GraphOf[V]{cls: ctree.ClassOf[V](p), ops: vopsFor[V]()}
+	return GraphOf[V]{cls: ctree.ClassOf[V](p)}
 }
 
 // NewGraph returns an empty id-only graph whose edge trees use params p.
@@ -80,51 +80,42 @@ func FromAdjacency(p ctree.Params, adj [][]uint32) Graph {
 		ids[u] = uint32(u)
 	}
 	g := NewGraph(p)
-	return g.with(buildPages(g.ops, ids, func(u int) ctree.Set { return ctree.Build(p, sortedIDs(adj[u])) }))
-}
-
-// table returns g's vertex-tree operation table; only the zero graph lacks
-// one and resolves it here.
-func (g GraphOf[V]) table() *vopsT[V] {
-	if g.ops != nil {
-		return g.ops
-	}
-	return vopsFor[V]()
+	return g.with(buildPages(ids, func(u int) ctree.Set { return ctree.Build(p, sortedIDs(adj[u])) }))
 }
 
 // with returns the version of g rooted at vt.
-func (g GraphOf[V]) with(vt *vnode[V]) GraphOf[V] {
-	return GraphOf[V]{cls: g.cls, vt: vt, ops: g.table()}
+func (g GraphOf[V]) with(vt *tnode[V]) GraphOf[V] {
+	return GraphOf[V]{cls: g.cls, vt: vt}
 }
 
 // Params returns the edge-tree parameters of g.
 func (g GraphOf[V]) Params() ctree.Params { return g.cls.Params() }
 
-// NumVertices returns the number of vertices, in O(1) via the vertex-index
-// augmentation.
-func (g GraphOf[V]) NumVertices() int { return int(g.vt.AugOrZero().verts) }
+// NumVertices returns the number of vertices, in O(1) from the vertex
+// index's counts.
+func (g GraphOf[V]) NumVertices() int { return int(g.vt.numVerts()) }
 
-// NumEdges returns the number of directed edges, in O(1) via the
-// vertex-index augmentation.
-func (g GraphOf[V]) NumEdges() uint64 { return g.vt.AugOrZero().edges }
+// NumEdges returns the number of directed edges, in O(1) from the vertex
+// index's counts.
+func (g GraphOf[V]) NumEdges() uint64 { return g.vt.numEdges() }
 
 // Order returns the size of the vertex-id space (max id + 1); algorithm
 // state arrays are indexed by vertex id.
 func (g GraphOf[V]) Order() int {
-	last := g.table().Last(g.vt)
-	if last == nil {
+	if g.vt == nil {
 		return 0
 	}
+	p, pg := g.vt.lastPage()
 	s := pageMask
-	for last.Val().deg[s] < 0 { // the index keeps no page without a vertex
+	for pg.deg[s] < 0 { // the index keeps no page without a vertex
 		s--
 	}
-	return int(last.Key())<<pageBits + s + 1
+	return int(p)<<pageBits + s + 1
 }
 
-// EdgeTree returns u's edge C-tree. O(log n).
+// EdgeTree returns u's edge C-tree. O(log n): one step per trie level.
 func (g GraphOf[V]) EdgeTree(u uint32) (ctree.Tree[V], bool) {
-	return findVertex(g.table(), g.cls, g.vt, u)
+	return findVertex(g.cls, g.vt, u)
 }
 
 // HasVertex reports whether u is a vertex of g.
@@ -135,7 +126,7 @@ func (g GraphOf[V]) HasVertex(u uint32) bool {
 
 // Degree returns the degree of u (0 for absent vertices). O(log n).
 func (g GraphOf[V]) Degree(u uint32) int {
-	pg, _ := g.table().Find(g.vt, u>>pageBits)
+	pg := g.vt.page(u)
 	if pg == nil {
 		return 0
 	}
@@ -188,7 +179,7 @@ func (g GraphOf[V]) ForEachNeighborPar(u uint32, f func(v uint32)) {
 // ForEachVertex applies f to every (vertex, edge-tree) pair in id order
 // until f returns false.
 func (g GraphOf[V]) ForEachVertex(f func(u uint32, et ctree.Tree[V]) bool) {
-	forEachVertex(g.table(), g.cls, g.vt, f)
+	forEachVertex(g.cls, g.vt, f)
 }
 
 // sortEdgeBatch encodes, sorts and dedupes a batch of directed edges by id,
@@ -276,7 +267,7 @@ func (g GraphOf[V]) ApplyRuns(runs []Run[V]) GraphOf[V] {
 	if len(sb.packed) == 0 {
 		return g
 	}
-	return g.with(applyCore(g.table(), g.cls, g.vt, sb, nil, false))
+	return g.with(applyCore(g.cls, g.vt, sb, nil, false))
 }
 
 // InsertEdges returns a graph with the batch inserted (duplicates combined,
@@ -296,7 +287,7 @@ func (g GraphOf[V]) InsertEdgesWith(edges []EdgeOf[V], merge func(old, new V) V)
 		return g
 	}
 	packed, vals := sortEdgeBatchKV(edges)
-	return g.with(applyCore(g.table(), g.cls, g.vt, sortedBatch[V]{packed: packed, vals: vals}, merge, false))
+	return g.with(applyCore(g.cls, g.vt, sortedBatch[V]{packed: packed, vals: vals}, merge, false))
 }
 
 // DeleteEdges returns a graph with the batch removed (payloads ignored);
@@ -314,13 +305,13 @@ func (g GraphOf[V]) deleteEdges(edges []EdgeOf[V], dropEmpty bool) GraphOf[V] {
 	if len(edges) == 0 {
 		return g
 	}
-	return g.with(applyCore(g.table(), g.cls, g.vt, sortedBatch[V]{packed: sortEdgeBatch(edges), del: true}, nil, dropEmpty))
+	return g.with(applyCore(g.cls, g.vt, sortedBatch[V]{packed: sortEdgeBatch(edges), del: true}, nil, dropEmpty))
 }
 
 // CollectIsolated returns a graph without its degree-zero vertices — the
 // full-sweep form of the isolated-vertex GC. O(n).
 func (g GraphOf[V]) CollectIsolated() GraphOf[V] {
-	return g.with(collectIsolatedCore(g.table(), g.cls, g.vt))
+	return g.with(collectIsolatedCore(g.cls, g.vt))
 }
 
 // sortedIDs returns a sorted, deduplicated copy of ids.
@@ -336,7 +327,7 @@ func (g GraphOf[V]) InsertVertices(ids []uint32) GraphOf[V] {
 		return g
 	}
 	empty := ctree.NewKV[V](g.Params())
-	return g.with(upsertVertices(g.table(), g.cls, g.vt, sortedIDs(ids), func(_ int, old ctree.Tree[V], found bool) (ctree.Tree[V], bool) {
+	return g.with(upsertVertices(g.cls, g.vt, sortedIDs(ids), func(_ int, old ctree.Tree[V], found bool) (ctree.Tree[V], bool) {
 		if found {
 			return old, true
 		}
@@ -350,18 +341,17 @@ func (g GraphOf[V]) DeleteVertices(ids []uint32) GraphOf[V] {
 	if len(ids) == 0 {
 		return g
 	}
-	ops := g.table()
 	sorted := sortedIDs(ids)
-	root := upsertVertices(ops, g.cls, g.vt, sorted, func(int, ctree.Tree[V], bool) (ctree.Tree[V], bool) {
+	root := upsertVertices(g.cls, g.vt, sorted, func(int, ctree.Tree[V], bool) (ctree.Tree[V], bool) {
 		return ctree.Tree[V]{}, false
 	})
 	// Strip edges pointing at the removed vertices from every survivor.
 	del := ctree.BuildKV[V](g.Params(), sorted, nil)
-	verts, trees := vertices(ops, g.cls, root)
+	verts, trees := vertices(g.cls, root)
 	parallel.ForGrain(len(trees), 16, func(i int) {
 		trees[i] = trees[i].Difference(del)
 	})
-	return g.with(buildPages(ops, verts, func(i int) ctree.Tree[V] { return trees[i] }))
+	return g.with(buildPages(verts, func(i int) ctree.Tree[V] { return trees[i] }))
 }
 
 // Stats aggregates the memory shape of the whole graph: vertex-tree nodes

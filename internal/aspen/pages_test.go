@@ -11,69 +11,117 @@ import (
 	"repro/internal/xhash"
 )
 
-// checkIndex verifies the paged vertex index: pftree's order, balance and
-// size bookkeeping; the augmentation equal to a recount of the edge trees;
-// every present slot's degree equal to its tree's Size() and its heads equal
-// to the tree's first two ids (0 where the tree has fewer); every absent
-// slot at −1 with an empty tree and zero heads; and no page without a
-// vertex.
-func checkIndex[V ctree.Value](ops *vopsT[V], cls ctree.Class[V], vt *vnode[V]) error {
-	if err := ops.CheckInvariants(vt, func(a, b pageCount) bool { return a == b }); err != nil {
-		return err
+// checkIndex verifies the trie vertex index: every node's level is one
+// below its parent's, a level-1 node holds only pages and a higher one only
+// nodes, and the root's level is at most the height the uint32 id space
+// needs; each node's counts equal a recount of its edge trees; no node and
+// no page without a vertex is kept (the empty graph's root is nil); every
+// present slot's degree equals its tree's Size() and its heads the tree's
+// first two ids (0 where the tree has fewer); every absent slot reads −1
+// with an empty tree and zero heads.
+func checkIndex[V ctree.Value](cls ctree.Class[V], vt *tnode[V]) error {
+	if vt == nil {
+		return nil
 	}
-	var err error
-	var recount pageCount
-	ops.ForEach(vt, func(p uint32, pg *page[V]) bool {
-		live := false
-		for s, d := range pg.deg {
-			id := p<<pageBits | uint32(s)
-			et := cls.Tree(pg.trees[s])
-			var heads [2]uint32
-			for i, v := range et.ToSlice()[:min(2, et.Size())] {
-				heads[i] = v
-			}
-			switch {
-			case d >= 0 && uint64(d) != et.Size():
-				err = fmt.Errorf("vertex %d: degree %d, edge tree holds %d", id, d, et.Size())
-			case d < -1:
-				err = fmt.Errorf("slot %d: degree %d", id, d)
-			case d == -1 && !et.Empty():
-				err = fmt.Errorf("absent slot %d holds a non-empty tree", id)
-			case pg.heads[s] != heads:
-				err = fmt.Errorf("slot %d (degree %d): heads %v, edge tree starts %v", id, d, pg.heads[s], heads)
-			case d >= 0:
-				live = true
-				recount.edges += et.Size()
-				recount.verts++
-			}
-		}
-		if !live && err == nil {
-			err = fmt.Errorf("page %d has no vertex", p)
-		}
-		return err == nil
-	})
-	if err == nil && recount != vt.AugOrZero() {
-		err = fmt.Errorf("augmentation %+v, recount %+v", vt.AugOrZero(), recount)
+	if vt.level < 1 || vt.level > levelFor(^uint32(0)) {
+		return fmt.Errorf("root at level %d", vt.level)
 	}
+	_, _, err := checkNode(cls, vt, 0)
 	return err
+}
+
+// checkNode checks the subtree at n, whose first page is base, and returns
+// its recounted edges and vertices.
+func checkNode[V ctree.Value](cls ctree.Class[V], n *tnode[V], base uint32) (edges, verts uint64, err error) {
+	shift := fanBits * uint32(n.level-1)
+	for d := range fanout {
+		kid, pg := n.kids[d], n.pages[d]
+		var e, v uint64
+		switch {
+		case n.level == 1 && kid != nil:
+			return 0, 0, fmt.Errorf("level-1 node at page %d holds a node at digit %d", base, d)
+		case n.level > 1 && pg != nil:
+			return 0, 0, fmt.Errorf("level-%d node at page %d holds a page at digit %d", n.level, base, d)
+		case kid != nil:
+			if kid.level != n.level-1 {
+				return 0, 0, fmt.Errorf("level-%d node at page %d has a level-%d child", n.level, base, kid.level)
+			}
+			if e, v, err = checkNode(cls, kid, base|uint32(d)<<shift); err != nil {
+				return 0, 0, err
+			}
+			if v == 0 {
+				return 0, 0, fmt.Errorf("node at page %d (level %d) has no vertex", base|uint32(d)<<shift, kid.level)
+			}
+		case pg != nil:
+			if e, v, err = checkPage(cls, pg, base|uint32(d)); err != nil {
+				return 0, 0, err
+			}
+		}
+		edges, verts = edges+e, verts+v
+	}
+	if edges != n.edges || verts != n.verts {
+		return 0, 0, fmt.Errorf("level-%d node at page %d counts %d edges / %d vertices, recount %d / %d", n.level, base, n.edges, n.verts, edges, verts)
+	}
+	return edges, verts, nil
+}
+
+// checkPage checks page p and returns its recounted edges and vertices.
+func checkPage[V ctree.Value](cls ctree.Class[V], pg *page[V], p uint32) (edges, verts uint64, err error) {
+	for s, d := range pg.deg {
+		id := p<<pageBits | uint32(s)
+		et := cls.Tree(pg.trees[s])
+		var heads [2]uint32
+		for i, v := range et.ToSlice()[:min(2, et.Size())] {
+			heads[i] = v
+		}
+		switch {
+		case d >= 0 && uint64(d) != et.Size():
+			return 0, 0, fmt.Errorf("vertex %d: degree %d, edge tree holds %d", id, d, et.Size())
+		case d < -1:
+			return 0, 0, fmt.Errorf("slot %d: degree %d", id, d)
+		case d == -1 && !et.Empty():
+			return 0, 0, fmt.Errorf("absent slot %d holds a non-empty tree", id)
+		case pg.heads[s] != heads:
+			return 0, 0, fmt.Errorf("slot %d (degree %d): heads %v, edge tree starts %v", id, d, pg.heads[s], heads)
+		case d >= 0:
+			edges += et.Size()
+			verts++
+		}
+	}
+	if verts == 0 {
+		return 0, 0, fmt.Errorf("page %d has no vertex", p)
+	}
+	return edges, verts, nil
+}
+
+// numPages counts the pages of the trie rooted at vt.
+func numPages[V ctree.Value](vt *tnode[V]) int {
+	n := 0
+	if vt != nil {
+		vt.forEachPage(0, func(uint32, *page[V]) bool {
+			n++
+			return true
+		})
+	}
+	return n
 }
 
 // TestPageLayout pins the page at 704 bytes — 16 edge-tree handles of 32
 // bytes, 16 pairs of head ids and 16 degrees, exactly a Go size class — for
-// every payload type,
-// so a field added later cannot silently move pages into the next class;
-// and the index node at 56 bytes, in the 64-byte class.
+// every payload type, so a field added later cannot silently move pages
+// into the next class; and the trie node at 280 bytes, in the 288-byte
+// class.
 func TestPageLayout(t *testing.T) {
 	for _, c := range []struct {
 		name       string
 		page, node uintptr
 	}{
-		{"struct{}", unsafe.Sizeof(page[struct{}]{}), unsafe.Sizeof(vnode[struct{}]{})},
-		{"float32", unsafe.Sizeof(page[float32]{}), unsafe.Sizeof(vnode[float32]{})},
-		{"uint64", unsafe.Sizeof(page[uint64]{}), unsafe.Sizeof(vnode[uint64]{})},
+		{"struct{}", unsafe.Sizeof(page[struct{}]{}), unsafe.Sizeof(tnode[struct{}]{})},
+		{"float32", unsafe.Sizeof(page[float32]{}), unsafe.Sizeof(tnode[float32]{})},
+		{"uint64", unsafe.Sizeof(page[uint64]{}), unsafe.Sizeof(tnode[uint64]{})},
 	} {
-		if c.page != 704 || c.node != 56 {
-			t.Errorf("V = %s: sizeof(page) = %d, sizeof(node) = %d, want 704 and 56", c.name, c.page, c.node)
+		if c.page != 704 || c.node != 280 {
+			t.Errorf("V = %s: sizeof(page) = %d, sizeof(node) = %d, want 704 and 280", c.name, c.page, c.node)
 		}
 	}
 }
@@ -81,7 +129,7 @@ func TestPageLayout(t *testing.T) {
 // checkGraphIndex fails t when g's index is broken.
 func checkGraphIndex[V ctree.Value](t *testing.T, what string, g GraphOf[V]) {
 	t.Helper()
-	if err := checkIndex(g.table(), g.cls, g.vt); err != nil {
+	if err := checkIndex(g.cls, g.vt); err != nil {
 		t.Fatalf("%s: %v", what, err)
 	}
 }
@@ -106,8 +154,8 @@ func checkPageEdge(t *testing.T, a uint32) {
 		!g.HasEdge(a, b) || !g.HasEdge(b, a) || g.HasVertex(a-1) || g.HasVertex(b+1) {
 		t.Fatalf("insert across the edge: %d vertices, %d edges, order %d", g.NumVertices(), g.NumEdges(), g.Order())
 	}
-	if g.vt.Size() != 2 {
-		t.Fatalf("ids %d and %d sit in %d pages, want 2", a, b, g.vt.Size())
+	if numPages(g.vt) != 2 {
+		t.Fatalf("ids %d and %d sit in %d pages, want 2", a, b, numPages(g.vt))
 	}
 	gc := g.DeleteEdgesGC(MakeUndirected([]Edge{{Src: a, Dst: b}}))
 	checkGraphIndex(t, "gc", gc)
@@ -116,7 +164,7 @@ func checkPageEdge(t *testing.T, a uint32) {
 	}
 	dv := g.DeleteVertices([]uint32{a})
 	checkGraphIndex(t, "delete vertex", dv)
-	if dv.NumVertices() != 1 || dv.HasVertex(a) || !dv.HasVertex(b) || dv.Degree(b) != 0 || dv.Order() != int(b)+1 || dv.vt.Size() != 1 {
+	if dv.NumVertices() != 1 || dv.HasVertex(a) || !dv.HasVertex(b) || dv.Degree(b) != 0 || dv.Order() != int(b)+1 || numPages(dv.vt) != 1 {
 		t.Fatalf("DeleteVertices(%d): %d vertices, order %d", a, dv.NumVertices(), dv.Order())
 	}
 	if got, want := deltaKinds(g, dv), fmt.Sprintf("%d:removed %d:changed ", a, b); got != want {
@@ -142,8 +190,8 @@ func checkPageEdge(t *testing.T, a uint32) {
 
 // pageEdgeSchedule is a differential schedule around page edges — ids 13–18,
 // 65 533–65 538 and the top four ids — plus a wide, sparse block of one
-// vertex per page (1 500 pages) so the descent and the build of an empty
-// subtree both take their parallel step when Procs allows it.
+// vertex per page (1 500 pages), whose batches split into pieces when Procs
+// allows it.
 func pageEdgeSchedule() []batchStep[struct{}] {
 	const top = ^uint32(0)
 	groups := [][]uint32{
@@ -228,18 +276,17 @@ func TestPageBoundaries(t *testing.T) {
 		}
 	})
 	t.Run("differential", func(t *testing.T) {
-		runBatchDifferential(t, vops, params(), pageEdgeSchedule())
+		runBatchDifferential(t, params(), pageEdgeSchedule())
 	})
 }
 
 // TestPageBoundariesForked runs the page-edge differential with Procs
-// raised, so its wide batches fork the descent and the build of an empty
-// subtree on any box; under -race this covers the page callbacks running
-// concurrently.
+// raised, so its wide batches split into pieces on any box; under -race
+// this covers the page callbacks running concurrently.
 func TestPageBoundariesForked(t *testing.T) {
 	defer func(p int) { parallel.Procs = p }(parallel.Procs)
 	parallel.Procs = 4
-	runBatchDifferential(t, vops, ctree.DefaultParams(), pageEdgeSchedule())
+	runBatchDifferential(t, ctree.DefaultParams(), pageEdgeSchedule())
 }
 
 // allocBytesPerRun returns the bytes f allocates per call, averaged over runs.
@@ -280,4 +327,87 @@ func TestFlatViewsAllocateNoPages(t *testing.T) {
 			t.Errorf("%s: %d bytes, want <= %d (table + degrees %d)", c.name, b, want, built.MemoryBytes())
 		}
 	}
+}
+
+// trieGrowthSchedule grows the trie one level at a time — a chain over ids
+// [0, 16 384) needs three levels, 65 535–65 536 a fourth, 1 << 20 a fifth
+// — then empties whole subtrees with the GC delete: the low chain's, then
+// everything, and regrows from the empty trie. The wide batches split into
+// pieces when Procs is above 1.
+func trieGrowthSchedule() []batchStep[struct{}] {
+	chain := func(lo, n, stride uint32) (es []Edge) {
+		for k := uint32(1); k < n; k++ {
+			es = append(es, Edge{Src: lo + (k-1)*stride, Dst: lo + k*stride})
+		}
+		return MakeUndirected(es)
+	}
+	low, mid, high := chain(0, 1024, 16), chain(65535, 2, 1), chain(1<<20, 600, 64)
+	link := MakeUndirected([]Edge{{Src: 7, Dst: 1 << 20}})
+	var steps []batchStep[struct{}]
+	add := func(name string, del, gc bool, edges []Edge) {
+		steps = append(steps, batchStep[struct{}]{name: name, del: del, gc: gc, packed: sortEdgeBatch(edges)})
+	}
+	add("three levels", false, false, low)
+	add("grow to four", false, false, mid)
+	add("grow to five", false, false, append(high, link...))
+	add("empty the low subtree", true, true, append(low, link...))
+	add("empty all", true, true, append(mid, high...))
+	add("regrow", false, false, chain(3, 300, 5))
+	return steps
+}
+
+// TestTrieGrowth grows the trie past 65 535 → 65 536 and 1 << 20 and checks
+// the levels, that a grown root keeps the old one as its first child, that
+// a GC delete drops a whole subtree, and that DiffVersions and
+// PatchFlatSnapshot (both ways) agree with the graphs across the height
+// changes; then it runs the growth schedule against the reference.
+func TestTrieGrowth(t *testing.T) {
+	g0 := NewGraph(params()).InsertEdges(MakeUndirected([]Edge{{Src: 0, Dst: 65535}}))
+	g1 := g0.InsertEdges(MakeUndirected([]Edge{{Src: 65535, Dst: 65536}}))
+	g2 := g1.InsertEdges(MakeUndirected([]Edge{{Src: 1 << 20, Dst: 1<<20 + 1}}))
+	g3 := g2.DeleteEdgesGC(MakeUndirected([]Edge{{Src: 1 << 20, Dst: 1<<20 + 1}}))
+	for _, c := range []struct {
+		name  string
+		g     Graph
+		level uint8
+		order int
+	}{{"g0", g0, 3, 65536}, {"g1", g1, 4, 65537}, {"g2", g2, 5, 1<<20 + 2}, {"g3", g3, 5, 65537}} {
+		checkGraphIndex(t, c.name, c.g)
+		if c.g.vt.level != c.level || c.g.Order() != c.order {
+			t.Fatalf("%s: level %d, order %d, want %d and %d", c.name, c.g.vt.level, c.g.Order(), c.level, c.order)
+		}
+	}
+	if g2.vt.kids[0] != g1.vt {
+		t.Fatal("growing the trie copied the old root instead of hanging it at digit 0")
+	}
+	if g3.vt.kids[1] != nil {
+		t.Fatal("the GC delete kept the emptied subtree of 1 << 20")
+	}
+	for _, c := range []struct {
+		old, cur Graph
+		want     string
+	}{
+		{g0, g1, "65535:changed 65536:added "},
+		{g1, g0, "65535:changed 65536:removed "},
+		{g1, g2, "1048576:added 1048577:added "},
+		{g2, g1, "1048576:removed 1048577:removed "},
+		{g0, g3, "65535:changed 65536:added "},
+		{g3, g0, "65535:changed 65536:removed "},
+	} {
+		if got := deltaKinds(c.old, c.cur); got != c.want {
+			t.Fatalf("DiffVersions(order %d → %d) = %q, want %q", c.old.Order(), c.cur.Order(), got, c.want)
+		}
+		p := PatchFlatSnapshot(BuildFlatSnapshot(c.old), c.cur)
+		checkFlatAgainstGraph(t, p, c.cur, fmt.Sprintf("patch order %d → %d", c.old.Order(), c.cur.Order()))
+	}
+	runBatchDifferential(t, params(), trieGrowthSchedule())
+}
+
+// TestTrieGrowthForked runs the growth schedule with Procs raised, so its
+// batches split into pieces that the workers claim; under -race this covers
+// the pieces running concurrently.
+func TestTrieGrowthForked(t *testing.T) {
+	defer func(p int) { parallel.Procs = p }(parallel.Procs)
+	parallel.Procs = 4
+	runBatchDifferential(t, ctree.DefaultParams(), trieGrowthSchedule())
 }

@@ -13,13 +13,8 @@ import (
 	"repro/internal/xhash"
 )
 
-// The vertex-tree tables and batch sort of the two payloads the batch-core
-// differential tests drive directly.
-var (
-	vops  = vopsFor[struct{}]()
-	wvops = vopsFor[float32]()
-)
-
+// sortWeightedEdgeBatch is the batch sort the weighted batch-core
+// differential drives directly.
 func sortWeightedEdgeBatch(edges []WeightedEdge) ([]uint64, []float32) {
 	return sortEdgeBatchKV(edges)
 }

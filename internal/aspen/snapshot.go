@@ -27,7 +27,7 @@ import (
 // WeightedGraph's float32). Vertex ids are preserved exactly — gaps and
 // isolated vertices survive the round trip.
 func (g GraphOf[V]) Snapshot() *graphio.Snapshot {
-	verts, trees := vertices(g.table(), g.cls, g.vt)
+	verts, trees := vertices(g.cls, g.vt)
 	offs := make([]uint64, len(trees)+1)
 	for i, et := range trees {
 		offs[i+1] = offs[i] + et.Size()
@@ -124,7 +124,7 @@ func FromSnapshot[V ctree.Value](p ctree.Params, s *graphio.Snapshot) (GraphOf[V
 		return GraphOf[V]{}, err
 	}
 	g, proto := NewGraphOf[V](p), ctree.NewKV[V](p)
-	return g.with(buildPages(g.ops, s.Verts, func(i int) ctree.Tree[V] {
+	return g.with(buildPages(s.Verts, func(i int) ctree.Tree[V] {
 		lo, hi := s.Offs[i], s.Offs[i+1]
 		var vals []V
 		if w > 0 {

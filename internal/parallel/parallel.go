@@ -28,50 +28,21 @@ func For(n int, f func(i int)) {
 }
 
 // ForGrain is For with an explicit grain: ranges smaller than grain run
-// sequentially in the calling goroutine.
+// sequentially in the calling goroutine. Blocks of grain indices are
+// claimed one at a time (claim), which balances irregular per-element work
+// such as skewed vertex degrees.
 func ForGrain(n, grain int, f func(i int)) {
-	if n <= 0 {
-		return
-	}
-	p := Procs
-	if grain < 1 {
-		grain = 1
-	}
-	if p <= 1 || n <= grain {
+	if Procs <= 1 || n <= grain {
 		for i := 0; i < n; i++ {
 			f(i)
 		}
 		return
 	}
-	// Dynamic chunk assignment: workers claim blocks with an atomic cursor,
-	// which balances irregular per-element work (e.g. skewed vertex degrees).
-	blocks := (n + grain - 1) / grain
-	if p > blocks {
-		p = blocks
-	}
-	var cursor atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(p)
-	for w := 0; w < p; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				b := int(cursor.Add(1)) - 1
-				if b >= blocks {
-					return
-				}
-				lo := b * grain
-				hi := lo + grain
-				if hi > n {
-					hi = n
-				}
-				for i := lo; i < hi; i++ {
-					f(i)
-				}
-			}
-		}()
-	}
-	wg.Wait()
+	Range(n, grain, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			f(i)
+		}
+	})
 }
 
 // Range runs f(lo, hi) over a partition of [0, n) into contiguous blocks, one
@@ -84,38 +55,11 @@ func Range(n, grain int, f func(lo, hi int)) {
 	if grain < 1 {
 		grain = 1
 	}
-	p := Procs
-	if p <= 1 || n <= grain {
+	if Procs <= 1 || n <= grain {
 		f(0, n)
 		return
 	}
-	blocks := (n + grain - 1) / grain
-	if p > blocks {
-		p = blocks
-	}
-	// One shared state object and one worker closure, and the caller works
-	// too: a Range call costs two heap objects and p-1 spawns.
-	var st struct {
-		cursor atomic.Int64
-		wg     sync.WaitGroup
-	}
-	worker := func() {
-		defer st.wg.Done()
-		for {
-			b := int(st.cursor.Add(1)) - 1
-			if b >= blocks {
-				return
-			}
-			lo := b * grain
-			f(lo, min(lo+grain, n))
-		}
-	}
-	st.wg.Add(p)
-	for w := 1; w < p; w++ {
-		go worker()
-	}
-	worker()
-	st.wg.Wait()
+	claim(n, grain, goHelper, f)
 }
 
 // Do runs the given thunks, possibly in parallel, and waits for all of them.
@@ -127,16 +71,72 @@ func Do(fs ...func()) {
 		}
 		return
 	}
-	var wg sync.WaitGroup
-	wg.Add(len(fs) - 1)
-	for _, f := range fs[1:] {
-		go func(f func()) {
-			defer wg.Done()
+	claim(len(fs), 1, goHelper, func(lo, hi int) {
+		for _, f := range fs[lo:hi] {
 			f()
-		}(f)
+		}
+	})
+}
+
+// goHelper starts a helper goroutine.
+func goHelper(help func()) { go help() }
+
+// claim is the package's one join: it runs block(lo, hi) over the blocks of
+// grain indices that partition [0, n), on the caller and on up to Procs-1
+// helpers, which spawn starts. Each worker claims the next unclaimed block
+// from a shared cursor until none is left, and the caller is one of them,
+// so it never waits for a helper that has not started: a helper that starts
+// after the last claim finds nothing and exits. The caller returns once
+// every block has run, waiting only for the blocks helpers claimed and are
+// still running. A call costs two heap objects, the shared state and the
+// helper closure, and min(blocks, Procs)-1 spawns.
+func claim(n, grain int, spawn func(help func()), block func(lo, hi int)) {
+	blocks := (n + grain - 1) / grain
+	p := min(Procs, blocks)
+	if p <= 1 {
+		block(0, n)
+		return
 	}
-	fs[0]()
-	wg.Wait()
+	j := &claimJoin{n: n, grain: grain, blocks: int64(blocks), block: block}
+	j.left.Store(j.blocks)
+	j.done.Lock()
+	help := func() { j.work(true) }
+	for range p - 1 {
+		spawn(help)
+	}
+	j.work(false)
+	if j.left.Load() != 0 {
+		j.done.Lock()
+	}
+}
+
+// claimJoin is the state one claim call shares with its helpers.
+type claimJoin struct {
+	next, left atomic.Int64 // the next block to claim; blocks not yet run
+	// done is held from the start and unlocked by the helper that finishes
+	// the last block; when the caller finishes it, nothing unlocks done.
+	done     sync.Mutex
+	n, grain int
+	blocks   int64
+	block    func(lo, hi int)
+}
+
+// work claims and runs blocks until none is left, then counts the blocks it
+// ran off left in one step, so a block costs one shared atomic, its claim.
+func (j *claimJoin) work(helper bool) {
+	ran := int64(0)
+	for {
+		b := j.next.Add(1) - 1
+		if b >= j.blocks {
+			break
+		}
+		lo := int(b) * j.grain
+		j.block(lo, min(lo+j.grain, j.n))
+		ran++
+	}
+	if ran > 0 && j.left.Add(-ran) == 0 && helper {
+		j.done.Unlock()
+	}
 }
 
 // ScanExclusive replaces a with its exclusive prefix sums and returns the

@@ -3,9 +3,11 @@ package parallel
 import (
 	"slices"
 	"sort"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"repro/internal/xhash"
 )
@@ -55,6 +57,78 @@ func TestDoRunsAll(t *testing.T) {
 	Do(func() { a.Store(true) }, func() { b.Store(true) }, func() { c.Store(true) })
 	if !a.Load() || !b.Load() || !c.Load() {
 		t.Fatal("Do did not run all thunks")
+	}
+}
+
+// TestClaimNeverWaitsForAnUnstartedHelper holds every helper off before it
+// starts: the caller must run every piece itself and return, and a helper
+// that starts afterwards must find nothing left to run.
+func TestClaimNeverWaitsForAnUnstartedHelper(t *testing.T) {
+	defer func(p int) { Procs = p }(Procs)
+	Procs = 4
+	const n = 100
+	release, exited := make(chan struct{}), make(chan struct{}, Procs)
+	held := func(help func()) {
+		go func() {
+			<-release
+			help()
+			exited <- struct{}{}
+		}()
+	}
+	hits := make([]atomic.Int32, n)
+	returned := make(chan struct{})
+	go func() {
+		claim(n, 1, held, func(lo, hi int) {
+			for i := lo; i < hi; i++ {
+				hits[i].Add(1)
+			}
+		})
+		close(returned)
+	}()
+	select {
+	case <-returned:
+	case <-time.After(10 * time.Second):
+		t.Fatal("claim waited for a helper that had not started")
+	}
+	close(release)
+	for range Procs - 1 {
+		<-exited
+	}
+	for i := range hits {
+		if got := hits[i].Load(); got != 1 {
+			t.Fatalf("piece %d ran %d times", i, got)
+		}
+	}
+}
+
+// TestClaimWaitsForClaimedPieces: the worker that takes piece 0 holds it
+// until the other has run a piece, which then sleeps, so one worker runs
+// out of pieces while the other's is still running; claim must still
+// return only after every piece has run, each once.
+func TestClaimWaitsForClaimedPieces(t *testing.T) {
+	defer func(p int) { Procs = p }(Procs)
+	Procs = 2
+	for range 50 {
+		const n = 8
+		var hits [n]atomic.Int32
+		var once sync.Once
+		other := make(chan struct{})
+		claim(n, 1, goHelper, func(i, _ int) {
+			if i == 0 {
+				<-other
+			} else {
+				once.Do(func() {
+					close(other)
+					time.Sleep(time.Millisecond)
+				})
+			}
+			hits[i].Add(1)
+		})
+		for i := range hits {
+			if got := hits[i].Load(); got != 1 {
+				t.Fatalf("piece %d ran %d times before claim returned", i, got)
+			}
+		}
 	}
 }
 

@@ -1,7 +1,5 @@
 package pftree
 
-import "slices"
-
 // Tree is the suite's handle on a tree: an Ops plus a root, with the
 // persistent operations as methods so model tests read as sequences of
 // versions.
@@ -42,9 +40,9 @@ func (t Tree[K, V, A]) InsertWith(k K, v V, combine func(old, new V) V) Tree[K, 
 	return Wrap(t.ops, t.ops.Insert(t.root, k, v, combine))
 }
 
-// Delete removes key k if present: a one-key MultiUpsert that keeps nothing.
+// Delete removes key k if present.
 func (t Tree[K, V, A]) Delete(k K) Tree[K, V, A] {
-	return Wrap(t.ops, multiDelete(t.ops, t.root, []K{k}))
+	return Wrap(t.ops, deleteKey(t.ops, t.root, k))
 }
 
 // BuildSorted replaces the contents of t with the sorted entries.
@@ -52,14 +50,21 @@ func (t Tree[K, V, A]) BuildSorted(entries []Entry[K, V]) Tree[K, V, A] {
 	return Wrap(t.ops, t.ops.BuildSorted(entries))
 }
 
-// MultiInsert bulk-inserts sorted, duplicate-free entries.
+// MultiInsert inserts the entries one by one, merging an existing value
+// with combine(old, new) (replacing it when combine is nil).
 func (t Tree[K, V, A]) MultiInsert(entries []Entry[K, V], combine func(old, new V) V) Tree[K, V, A] {
-	return Wrap(t.ops, multiInsert(t.ops, t.root, entries, combine))
+	for _, e := range entries {
+		t = t.InsertWith(e.Key, e.Val, combine)
+	}
+	return t
 }
 
-// MultiDelete bulk-removes sorted keys.
+// MultiDelete removes the keys one by one.
 func (t Tree[K, V, A]) MultiDelete(keys []K) Tree[K, V, A] {
-	return Wrap(t.ops, multiDelete(t.ops, t.root, keys))
+	for _, k := range keys {
+		t = t.Delete(k)
+	}
+	return t
 }
 
 // Keys returns all keys in order.
@@ -72,58 +77,18 @@ func (t Tree[K, V, A]) Keys() []K {
 	return out
 }
 
-// The three batch policies the suite drives MultiUpsert through.
-
-// multiInsert inserts the sorted, duplicate-free entries, merging
-// collisions with combine(oldInTree, newFromBatch) (the batch value when
-// combine is nil).
-func multiInsert[K, V, A any](o *Ops[K, V, A], t *Node[K, V, A], entries []Entry[K, V], combine func(old, new V) V) *Node[K, V, A] {
-	keys := make([]K, len(entries))
-	for i, e := range entries {
-		keys[i] = e.Key
+// deleteKey returns t without key k, by join: the node holding k becomes
+// the Join2 of its children, and every node above it is re-joined.
+func deleteKey[K, V, A any](o *Ops[K, V, A], t *Node[K, V, A], k K) *Node[K, V, A] {
+	if t == nil {
+		return nil
 	}
-	return o.MultiUpsert(t, keys, func(i int, old V, found bool) (V, bool) {
-		if found && combine != nil {
-			return combine(old, entries[i].Val), true
-		}
-		return entries[i].Val, true
-	})
-}
-
-// multiUpdate replaces or drops the values of those sorted keys that are
-// present: f(i, old) returns the new value and whether the entry stays;
-// absent keys are skipped without calling f. A nil f drops every key found.
-func multiUpdate[K, V, A any](o *Ops[K, V, A], t *Node[K, V, A], keys []K, f func(i int, old V) (V, bool)) *Node[K, V, A] {
-	return o.MultiUpsert(t, keys, func(i int, old V, found bool) (V, bool) {
-		if !found || f == nil {
-			return old, false
-		}
-		return f(i, old)
-	})
-}
-
-// multiDelete removes the sorted, duplicate-free keys.
-func multiDelete[K, V, A any](o *Ops[K, V, A], t *Node[K, V, A], keys []K) *Node[K, V, A] {
-	return multiUpdate(o, t, keys, nil)
-}
-
-// fromModel builds the tree holding exactly the model's entries — the
-// reference the batch descents are checked against.
-func fromModel(o *Ops[int, int, int], m map[int]int) *Node[int, int, int] {
-	es := make([]Entry[int, int], 0, len(m))
-	for k, v := range m {
-		es = append(es, Entry[int, int]{Key: k, Val: v})
+	switch c := o.Cmp(k, t.key); {
+	case c == 0:
+		return o.Join2(t.left, t.right)
+	case c < 0:
+		return o.Join(deleteKey(o, t.left, k), t.key, t.val, t.right)
+	default:
+		return o.Join(t.left, t.key, t.val, deleteKey(o, t.right, k))
 	}
-	slices.SortFunc(es, func(a, b Entry[int, int]) int { return a.Key - b.Key })
-	return o.BuildSorted(es)
-}
-
-// modelOf returns t's entries as a map.
-func modelOf(o *Ops[int, int, int], t *Node[int, int, int]) map[int]int {
-	m := map[int]int{}
-	o.ForEach(t, func(k, v int) bool {
-		m[k] = v
-		return true
-	})
-	return m
 }

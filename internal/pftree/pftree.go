@@ -8,20 +8,16 @@
 //
 // Trees are parameterized by key K, value V and augmented value A. The
 // augmented value of a node combines the augmented values of its children
-// with FromEntry(key, value); the vertex-tree uses this to maintain the total
-// edge and vertex counts of the graph in O(1) (paper §5), and C-trees use it
-// to maintain total element counts.
+// with FromEntry(key, value); C-trees use it to maintain total element
+// counts.
 //
-// Join is the one rebalancing primitive; batch updates (MultiUpsert) descend
-// the tree steered by the sorted batch, copy only the paths to its keys and
-// run in parallel using fork-join recursion, matching the work/depth bounds
-// the paper cites. Diff (diff.go) walks two versions of a tree, pruning the
-// subtrees they share.
+// Join is the one rebalancing primitive; bulk builds run in parallel using
+// fork-join recursion. Diff (diff.go) walks two versions of a tree, pruning
+// the subtrees they share.
 package pftree
 
 import (
 	"fmt"
-	"slices"
 
 	"repro/internal/parallel"
 )
@@ -75,12 +71,6 @@ type Augment[K, V, A any] struct {
 	// Combine merges augmented values; it must be associative with
 	// identity Zero.
 	Combine func(A, A) A
-	// Sub, when set, is the inverse of a commutative Combine:
-	// Sub(Combine(a, b), b) == a. A batch descent then re-derives a copied
-	// node's augmented value from the old node's by exchanging only the
-	// parts that changed, without reading the untouched sibling subtree
-	// or recomputing FromEntry of an unchanged value.
-	Sub func(A, A) A
 }
 
 // Ops bundles the comparison and augmentation of a tree type and hosts the
@@ -126,35 +116,6 @@ func (o *Ops[K, V, A]) mk(l *Node[K, V, A], k K, v V, r *Node[K, V, A]) *Node[K,
 	n.size = uint32(l.Size()+r.Size()) + 1
 	n.aug = o.Aug.Combine(o.AugOf(l), o.Aug.Combine(o.Aug.FromEntry(k, v), o.AugOf(r)))
 	return n
-}
-
-// keptShape reports whether l and r, the results of a batch descent into t's
-// children, kept their sizes — no key came or went below t. Pointer equality
-// is tried first so that an untouched sibling is not read for its size.
-func keptShape[K, V, A any](t, l, r *Node[K, V, A]) bool {
-	return (l == t.left || l.Size() == t.left.Size()) && (r == t.right || r.Size() == t.right.Size())
-}
-
-// remk copies t over children l and r that kept the sizes of t's own, with
-// value v (changed reports whether it differs from t's), so the subtree kept
-// its shape. With an invertible augmentation the copy reads nothing but t
-// and the children that were themselves copied.
-func (o *Ops[K, V, A]) remk(t, l *Node[K, V, A], v V, changed bool, r *Node[K, V, A]) *Node[K, V, A] {
-	sub := o.Aug.Sub
-	if sub == nil {
-		return o.mk(l, t.key, v, r)
-	}
-	aug := t.aug
-	if l != t.left { // equal sizes and distinct, so neither is nil
-		aug = o.Aug.Combine(sub(aug, t.left.aug), l.aug)
-	}
-	if r != t.right {
-		aug = o.Aug.Combine(sub(aug, t.right.aug), r.aug)
-	}
-	if changed {
-		aug = o.Aug.Combine(sub(aug, o.Aug.FromEntry(t.key, t.val)), o.Aug.FromEntry(t.key, v))
-	}
-	return &Node[K, V, A]{key: t.key, val: v, left: l, right: r, size: t.size, aug: aug}
 }
 
 // rotateLeft returns the left rotation of n; n.right must be non-nil.
@@ -339,81 +300,6 @@ func (o *Ops[K, V, A]) BuildSorted(entries []Entry[K, V]) *Node[K, V, A] {
 	return o.mk(l, e.Key, e.Val, r)
 }
 
-// Batch updates (MultiUpsert) are driven by the sorted batch, not by a
-// second tree: at every node the batch is binary-searched for the node's key
-// and the two halves descend into the two children. A subtree whose half is empty is returned by
-// pointer, so a batch allocates exactly the nodes on the union of the
-// root-to-key paths of its keys — the spine Diff prunes on. A node both of
-// whose children kept their sizes gained and lost no key below it, so its
-// subtree kept its shape and is rebuilt with a plain mk; Join runs only where
-// a child's size changed.
-
-// forkEntries is the batch-half size at or above which a batch descent runs
-// its two halves in parallel; below it a goroutine costs more than the half.
-const forkEntries = 256
-
-// MultiUpsert applies one update to each of the sorted, duplicate-free keys
-// in a single descent of t: f(i, old, found) receives the key's index in keys
-// and, when t holds the key, its value, and returns the key's new value and
-// whether the entry is kept. A present key that is not kept is dropped; an
-// absent key that is not kept is not created; a subtree whose keys are all
-// absent and not kept is returned by pointer. f is called once per index,
-// possibly from several goroutines. O(m log(n/m + 1)) work, polylog depth.
-func (o *Ops[K, V, A]) MultiUpsert(t *Node[K, V, A], keys []K, f func(i int, old V, found bool) (V, bool)) *Node[K, V, A] {
-	return o.multiUpsert(t, keys, 0, f)
-}
-
-// multiUpsert is MultiUpsert over keys[base:] of the caller's slice, passed
-// as the sub-slice plus its offset so f sees indices into the whole batch.
-// An empty subtree is split at its middle key, as BuildSorted splits, so
-// that when every key is kept each Join below it is a plain mk.
-func (o *Ops[K, V, A]) multiUpsert(t *Node[K, V, A], keys []K, base int, f func(i int, old V, found bool) (V, bool)) *Node[K, V, A] {
-	if len(keys) == 0 {
-		return t
-	}
-	var tl, tr *Node[K, V, A]
-	var v V
-	i, found := len(keys)/2, false
-	if t != nil {
-		tl, tr, v = t.left, t.right, t.val
-		i, found = slices.BinarySearchFunc(keys, t.key, o.Cmp)
-	}
-	lo, hi, hiBase, keep := keys[:i], keys[i:], base+i, true
-	if found || t == nil {
-		hi, hiBase = hi[1:], hiBase+1
-		v, keep = f(base+i, v, found)
-	}
-	var l, r *Node[K, V, A]
-	if parallel.Procs > 1 && len(lo) >= forkEntries && len(hi) >= forkEntries {
-		l, r = o.multiUpsertFork(tl, tr, lo, hi, base, hiBase, f)
-	} else {
-		l, r = o.multiUpsert(tl, lo, base, f), o.multiUpsert(tr, hi, hiBase, f)
-	}
-	switch {
-	case !keep:
-		return o.Join2(l, r)
-	case t == nil:
-		return o.Join(l, keys[i], v, r)
-	case !found && l == t.left && r == t.right:
-		return t
-	case keptShape(t, l, r):
-		return o.remk(t, l, v, found, r)
-	default:
-		return o.Join(l, t.key, v, r)
-	}
-}
-
-// multiUpsertFork is multiUpsert's parallel step. It is a function of its
-// own so that the closures (which move l and r to the heap) stay out of the
-// sequential path.
-func (o *Ops[K, V, A]) multiUpsertFork(tl, tr *Node[K, V, A], lo, hi []K, loBase, hiBase int, f func(i int, old V, found bool) (V, bool)) (l, r *Node[K, V, A]) {
-	parallel.Do(
-		func() { l = o.multiUpsert(tl, lo, loBase, f) },
-		func() { r = o.multiUpsert(tr, hi, hiBase, f) },
-	)
-	return l, r
-}
-
 // ForEach applies f in key order; if f returns false iteration stops.
 func (o *Ops[K, V, A]) ForEach(t *Node[K, V, A], f func(K, V) bool) bool {
 	if t == nil {
@@ -436,34 +322,6 @@ func (o *Ops[K, V, A]) ForEachPar(t *Node[K, V, A], f func(K, V)) {
 		func() { f(t.key, t.val) },
 		func() { o.ForEachPar(t.right, f) },
 	)
-}
-
-// ForEachRankRange applies f, in key order, to every entry whose in-order
-// rank lies in [lo, hi), stopping early if f returns false; it reports
-// whether the traversal ran to completion. The size augmentation prunes the
-// descent, so one call costs O(hi - lo + log n) — partitioning [0, Size())
-// into per-worker rank ranges and issuing one call per worker yields an
-// indexed parallel traversal with O(n) total work and O(n/P + log n) depth,
-// the schedule flat-snapshot construction uses (paper §5.1).
-func (o *Ops[K, V, A]) ForEachRankRange(t *Node[K, V, A], lo, hi int, f func(K, V) bool) bool {
-	if t == nil || hi <= lo || hi <= 0 || lo >= t.Size() {
-		return true
-	}
-	ls := t.left.Size()
-	if lo < ls {
-		if !o.ForEachRankRange(t.left, lo, min(hi, ls), f) {
-			return false
-		}
-	}
-	if lo <= ls && ls < hi {
-		if !f(t.key, t.val) {
-			return false
-		}
-	}
-	if hi > ls+1 {
-		return o.ForEachRankRange(t.right, max(lo-ls-1, 0), hi-ls-1, f)
-	}
-	return true
 }
 
 // CheckInvariants verifies the BST ordering, weight-balance, size and

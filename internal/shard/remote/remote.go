@@ -54,7 +54,9 @@ var ErrUnavailable = errors.New("remote: endpoint unavailable (breaker open)")
 
 // errRefused is wrapped by the hello checks that find the server is not
 // the endpoint the client was built for (protocol, shard, payload, role or
-// edge width); like a ServerError, a retry would repeat it.
+// edge width), and by the server's own refusal of the hello; like a
+// ServerError, a retry would repeat it, and it does not count toward the
+// endpoint's breaker.
 var errRefused = errors.New("refused at the hello")
 
 // errGenMoved is returned, without touching the network, by an operation
@@ -225,7 +227,12 @@ func (c *Conn) ensureLocked() error {
 	bw := bufio.NewWriterSize(nc, 1<<16)
 	if err := handshake(nc, bw, c.hello); err != nil {
 		nc.Close()
-		c.noteFailLocked()
+		// A refusal is an answer, not an outage: the endpoint is up, and
+		// counting it toward the breaker would replace the refusal with
+		// "breaker open" and make callers wait out cooldowns.
+		if !errors.Is(err, errRefused) {
+			c.noteFailLocked()
+		}
 		return fmt.Errorf("remote: handshake %s: %w", c.addr, err)
 	}
 	c.noteOKLocked()
@@ -277,8 +284,8 @@ func handshake(nc net.Conn, bw *bufio.Writer, hi helloInfo) error {
 	if err := nc.SetReadDeadline(time.Time{}); err != nil {
 		return err
 	}
-	if m.Flags&rpc.FlagErr != 0 {
-		return &ServerError{Msg: string(m.Body)}
+	if m.Flags&rpc.FlagErr != 0 { // the server refuses the hello
+		return fmt.Errorf("%w: %w", errRefused, &ServerError{Msg: string(m.Body)})
 	}
 	d := rpc.NewBody(m.Body)
 	proto := d.U32()

@@ -291,6 +291,52 @@ func TestHelloRefusalEndsRetries(t *testing.T) {
 	}, "server role")
 }
 
+// TestHelloRefusalKeepsBreakerClosed: a refused hello is the endpoint's
+// answer, not an outage, so repeated refusals never open its breaker. Each
+// round's submit and pin must fail fast with the refusal itself, never
+// with "breaker open" after a cooldown.
+func TestHelloRefusalKeepsBreakerClosed(t *testing.T) {
+	part := shard.NewRangePartitioner(1, 1<<10)
+	c, err := DialGraph(part, startMemServers[float32](t, part), nil, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for round := range 6 {
+		for _, op := range []struct {
+			name string
+			f    func() error
+		}{
+			{"Insert(...).Wait()", func() error {
+				p, err := c.Insert([]aspen.Edge{{Src: 1, Dst: 2}})
+				if err != nil {
+					return err
+				}
+				return p.Wait()
+			}},
+			{"Begin", func() error {
+				tx, err := c.Begin()
+				if err == nil {
+					tx.Close()
+				}
+				return err
+			}},
+		} {
+			start := time.Now()
+			err := op.f()
+			if took := time.Since(start); took > time.Second {
+				t.Fatalf("round %d: %s took %v", round, op.name, took)
+			}
+			if err == nil || !strings.Contains(err.Error(), "weighted=true") || !strings.Contains(err.Error(), "weighted=false") {
+				t.Fatalf("round %d: %s returned %v, want the hello refusal naming both payloads", round, op.name, err)
+			}
+		}
+	}
+	if n := c.Stats().BreakerOpens; n != 0 {
+		t.Fatalf("refused hellos opened the breaker %d times", n)
+	}
+}
+
 // refusedWithin runs op and requires it to fail within 5s with an error
 // naming every one of want.
 func refusedWithin(t *testing.T, name string, op func() error, want ...string) {
