@@ -78,7 +78,8 @@ func (t Tree[K, V, A]) Keys() []K {
 }
 
 // deleteKey returns t without key k, by join: the node holding k becomes
-// the Join2 of its children, and every node above it is re-joined.
+// the Join2 of its children, and every node above it is re-joined. When k
+// is absent t itself is returned.
 func deleteKey[K, V, A any](o *Ops[K, V, A], t *Node[K, V, A], k K) *Node[K, V, A] {
 	if t == nil {
 		return nil
@@ -87,8 +88,13 @@ func deleteKey[K, V, A any](o *Ops[K, V, A], t *Node[K, V, A], k K) *Node[K, V, 
 	case c == 0:
 		return o.Join2(t.left, t.right)
 	case c < 0:
-		return o.Join(deleteKey(o, t.left, k), t.key, t.val, t.right)
+		if l := deleteKey(o, t.left, k); l != t.left {
+			return o.Join(l, t.key, t.val, t.right)
+		}
 	default:
-		return o.Join(t.left, t.key, t.val, deleteKey(o, t.right, k))
+		if r := deleteKey(o, t.right, k); r != t.right {
+			return o.Join(t.left, t.key, t.val, r)
+		}
 	}
+	return t
 }

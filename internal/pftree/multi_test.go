@@ -2,17 +2,89 @@ package pftree
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"sync"
 	"testing"
 
 	"repro/internal/parallel"
 	"repro/internal/xhash"
 )
 
-// The batch-driven descent (MultiUpsert) is checked under its insert,
-// update and delete policies (helpers_test.go) and under upsert rules
-// against a reference built from a map model of the tree with the batch
-// applied key by key.
+// Batches of keyed updates over one version — inserts, in-place updates,
+// deletes and mixed upserts — are applied key by key through the persistent
+// primitives the C-tree head tree is built on (Find, Insert, Join, Join2,
+// BuildSorted) and checked against a reference built from a map model of the
+// tree with the batch applied: the contents, the tree's invariants, the input
+// version left untouched, ForEachPar's coverage, and how many nodes the new
+// version shares with the old one.
+
+// multiUpsert applies f to each of the sorted, duplicate-free keys in turn:
+// f(i, old, found) returns the key's new value and whether the entry stays.
+// A present key that stays is updated with Insert, one that does not is
+// removed with deleteKey, an absent key that stays is inserted, and an
+// absent key that does not is skipped without touching the tree.
+func multiUpsert(o *Ops[int, int, int], t *Node[int, int, int], keys []int, f func(i int, old int, found bool) (int, bool)) *Node[int, int, int] {
+	for i, k := range keys {
+		old, found := o.Find(t, k)
+		v, keep := f(i, old, found)
+		switch {
+		case keep:
+			t = o.Insert(t, k, v, nil)
+		case found:
+			t = deleteKey(o, t, k)
+		}
+	}
+	return t
+}
+
+// multiInsert inserts the sorted, duplicate-free entries, merging
+// collisions with combine(oldInTree, newFromBatch) (the batch value when
+// combine is nil).
+func multiInsert(o *Ops[int, int, int], t *Node[int, int, int], entries []Entry[int, int], combine func(old, new int) int) *Node[int, int, int] {
+	for _, e := range entries {
+		t = o.Insert(t, e.Key, e.Val, combine)
+	}
+	return t
+}
+
+// multiUpdate replaces or drops the values of those sorted keys that are
+// present: f(i, old) returns the new value and whether the entry stays;
+// absent keys are skipped without calling f. A nil f drops every key found.
+func multiUpdate(o *Ops[int, int, int], t *Node[int, int, int], keys []int, f func(i int, old int) (int, bool)) *Node[int, int, int] {
+	return multiUpsert(o, t, keys, func(i int, old int, found bool) (int, bool) {
+		if !found || f == nil {
+			return old, false
+		}
+		return f(i, old)
+	})
+}
+
+// multiDelete removes the sorted, duplicate-free keys.
+func multiDelete(o *Ops[int, int, int], t *Node[int, int, int], keys []int) *Node[int, int, int] {
+	return multiUpdate(o, t, keys, nil)
+}
+
+// fromModel builds the tree holding exactly the model's entries — the
+// reference the batches are checked against.
+func fromModel(o *Ops[int, int, int], m map[int]int) *Node[int, int, int] {
+	es := make([]Entry[int, int], 0, len(m))
+	for k, v := range m {
+		es = append(es, Entry[int, int]{Key: k, Val: v})
+	}
+	slices.SortFunc(es, func(a, b Entry[int, int]) int { return a.Key - b.Key })
+	return o.BuildSorted(es)
+}
+
+// modelOf returns t's entries as a map.
+func modelOf(o *Ops[int, int, int], t *Node[int, int, int]) map[int]int {
+	m := map[int]int{}
+	o.ForEach(t, func(k, v int) bool {
+		m[k] = v
+		return true
+	})
+	return m
+}
 
 func refMultiInsert(o *Ops[int, int, int], t *Node[int, int, int], es []Entry[int, int], combine func(old, new int) int) *Node[int, int, int] {
 	m := modelOf(o, t)
@@ -44,15 +116,20 @@ func contents(o *Ops[int, int, int], t *Node[int, int, int]) []Entry[int, int] {
 }
 
 func sameContents(a, b []Entry[int, int]) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+	return slices.Equal(a, b)
+}
+
+// parContents collects t's entries with ForEachPar, in key order.
+func parContents(o *Ops[int, int, int], t *Node[int, int, int]) []Entry[int, int] {
+	var mu sync.Mutex
+	var out []Entry[int, int]
+	o.ForEachPar(t, func(k, v int) {
+		mu.Lock()
+		out = append(out, Entry[int, int]{Key: k, Val: v})
+		mu.Unlock()
+	})
+	slices.SortFunc(out, func(a, b Entry[int, int]) int { return a.Key - b.Key })
+	return out
 }
 
 func addNodes(t *Node[int, int, int], set map[*Node[int, int, int]]bool) {
@@ -131,17 +208,7 @@ func height(t *Node[int, int, int]) int {
 // from the keys) through every batch update against its reference.
 func checkBatch(t *testing.T, base Tree[int, int, int], keys []int) {
 	t.Helper()
-	plain := *base.Ops()
-	inv := plain
-	inv.Aug.Sub = func(a, b int) int { return a - b }
-	checkBatchOps(t, &plain, base.Root(), keys)
-	checkBatchOps(t, &inv, base.Root(), keys)
-}
-
-// checkBatchOps is checkBatch under one operation table: the same asserts
-// hold whether or not the augmentation declares its inverse.
-func checkBatchOps(t *testing.T, o *Ops[int, int, int], root *Node[int, int, int], keys []int) {
-	t.Helper()
+	o, root := base.Ops(), base.Root()
 	before := contents(o, root)
 	es := make([]Entry[int, int], len(keys))
 	present := 0
@@ -154,8 +221,12 @@ func checkBatchOps(t *testing.T, o *Ops[int, int, int], root *Node[int, int, int
 	absent := len(keys) - present
 	check := func(what string, got, want *Node[int, int, int]) {
 		t.Helper()
-		if !sameContents(contents(o, got), contents(o, want)) {
+		gotC := contents(o, got)
+		if !sameContents(gotC, contents(o, want)) {
 			t.Fatalf("%s: contents differ from the reference", what)
+		}
+		if !sameContents(parContents(o, got), gotC) {
+			t.Fatalf("%s: ForEachPar does not visit exactly the tree's entries", what)
 		}
 		if err := Wrap(o, got).CheckInvariants(intEq); err != nil {
 			t.Fatalf("%s: %v", what, err)
@@ -248,9 +319,9 @@ func checkBatchOps(t *testing.T, o *Ops[int, int, int], root *Node[int, int, int
 	}
 }
 
-// upsertRule is one MultiUpsert policy over int keys: what happens to a
-// present key (updated to old+k, or dropped) and to an absent one (created
-// as 7k+1, or skipped).
+// upsertRule is one upsert policy over int keys: what happens to a present
+// key (updated to old+k, or dropped) and to an absent one (created as 7k+1,
+// or skipped).
 type upsertRule struct {
 	name         string
 	drop, create func(k int) bool
@@ -263,22 +334,25 @@ var upsertRules = []upsertRule{
 	{"update-or-skip", func(int) bool { return false }, func(int) bool { return false }},
 }
 
-// runUpsert applies rule r to the sorted keys with MultiUpsert and to a map
+// runUpsert applies rule r to the sorted keys with multiUpsert and to a map
 // model of the tree, and returns both trees and the number of keys created
-// or dropped. It checks that f sees each index exactly once, with
-// found telling the truth.
+// or dropped. It checks that f sees each index exactly once, with found
+// telling the truth.
 func runUpsert(t *testing.T, o *Ops[int, int, int], root *Node[int, int, int], keys []int, r upsertRule) (got, want *Node[int, int, int], resized int) {
 	t.Helper()
 	calls := make([]int, len(keys))
-	got = o.MultiUpsert(root, keys, func(i int, old int, found bool) (int, bool) {
+	model := modelOf(o, root)
+	got = multiUpsert(o, root, keys, func(i int, old int, found bool) (int, bool) {
 		calls[i]++
 		k := keys[i]
+		if v, ok := model[k]; ok != found || (found && v != old) {
+			t.Errorf("MultiUpsert/%s: key %d seen as (%d, %v), want (%d, %v)", r.name, k, old, found, v, ok)
+		}
 		if found {
 			return old + k, !r.drop(k)
 		}
 		return 7*k + 1, r.create(k)
 	})
-	model := modelOf(o, root)
 	for i, k := range keys {
 		if calls[i] != 1 {
 			t.Fatalf("MultiUpsert/%s: f called %d times for index %d", r.name, calls[i], i)
@@ -379,43 +453,64 @@ func TestMultiBatchDifferential(t *testing.T) {
 	}
 }
 
-// TestMultiBatchForked forces the parallel step of the descent (batch
-// halves of forkEntries or more, Procs > 1); run under -race it is the data
-// race check for the forked branch.
+// TestMultiBatchForked runs batches over a base large enough that, with
+// Procs raised, the reference's BuildSorted and every ForEachPar coverage
+// check fork; run under -race it is the data race check for those forks
+// over versions that share nodes with the base.
 func TestMultiBatchForked(t *testing.T) {
 	defer func(p int) { parallel.Procs = p }(parallel.Procs)
 	parallel.Procs = 4
-	const n = 6000
+	const n, m = 6000, 2048
 	base := threesTree(99, n)
 	for _, shape := range []string{"random", "all-present", "all-new", "interleaved"} {
-		keys := batchKeys(shape, xhash.NewRNG(5), n, 8*forkEntries)
-		if root := base.Root(); len(keys) < 4*forkEntries || root.left.Size() < 2*forkEntries || root.right.Size() < 2*forkEntries {
+		keys := batchKeys(shape, xhash.NewRNG(5), n, m)
+		if root := base.Root(); len(keys) < m || root.left.Size() <= parThreshold || root.right.Size() <= parThreshold {
 			t.Fatalf("%s: batch of %d keys over a %d/%d root cannot fork", shape, len(keys), root.left.Size(), root.right.Size())
 		}
 		checkBatch(t, base, keys)
 	}
 }
 
-// TestMultiUpsertForked forks MultiUpsert with Procs raised: the descent
-// (batch halves of forkEntries or more) and the build of an empty subtree
-// (thousands of absent keys above the maximum, created or skipped by turns).
-// Run under -race it is the data race check for the forked branches.
+// TestMultiUpsertForked runs the upsert rules with Procs raised over a
+// batch that ends in thousands of absent keys above the maximum, and
+// builds that tail a second way: BuildSorted (forked, the run being longer
+// than parThreshold) joined onto the rest of the batch's result with Join2,
+// which must give the same tree contents as the key-by-key upsert. Run
+// under -race it is the data race check for the forked build.
 func TestMultiUpsertForked(t *testing.T) {
 	defer func(p int) { parallel.Procs = p }(parallel.Procs)
 	parallel.Procs = 4
 	const n = 6000
 	base := threesTree(41, n)
-	keys := batchKeys("random", xhash.NewRNG(8), n, 8*forkEntries)
-	for k := keys[len(keys)-1] + 1; len(keys) < 8*forkEntries+3*parThreshold; k++ {
+	o := base.Ops()
+	keys := batchKeys("random", xhash.NewRNG(8), n, 2048)
+	top := max(keys[len(keys)-1], 3*n)
+	tail := len(keys)
+	for k := top + 1; len(keys)-tail < 3*parThreshold; k++ {
 		keys = append(keys, k)
 	}
 	for _, r := range upsertRules {
-		got, want, _ := runUpsert(t, base.Ops(), base.Root(), keys, r)
-		if !sameContents(contents(base.Ops(), got), contents(base.Ops(), want)) {
+		got, want, _ := runUpsert(t, o, base.Root(), keys, r)
+		if !sameContents(contents(o, got), contents(o, want)) {
 			t.Fatalf("%s: contents differ from the reference", r.name)
 		}
-		if err := Wrap(base.Ops(), got).CheckInvariants(intEq); err != nil {
+		if err := Wrap(o, got).CheckInvariants(intEq); err != nil {
 			t.Fatalf("%s: %v", r.name, err)
+		}
+
+		head, _, _ := runUpsert(t, o, base.Root(), keys[:tail], r)
+		var created []Entry[int, int]
+		for _, k := range keys[tail:] {
+			if r.create(k) {
+				created = append(created, Entry[int, int]{Key: k, Val: 7*k + 1})
+			}
+		}
+		joined := o.Join2(head, o.BuildSorted(created))
+		if !sameContents(contents(o, joined), contents(o, want)) {
+			t.Fatalf("%s: Join2 of the head and the built tail differs from the reference", r.name)
+		}
+		if err := Wrap(o, joined).CheckInvariants(intEq); err != nil {
+			t.Fatalf("%s: joined tail: %v", r.name, err)
 		}
 	}
 }
