@@ -64,10 +64,10 @@ func TestAllocGates(t *testing.T) {
 	}{
 		{"BenchmarkApplyRuns/one-pass", 0, 1, ar.op(aspen.Graph.ApplyRuns), 1_629_952},
 		{"BenchmarkEdgeMap", 4, 10, edgeMapOp(g), 40},
-		{"BenchmarkInsertEdges/batch=100", 1, 5, batchInsertOp(g, 21, 100), 846},
+		{"BenchmarkInsertEdges/batch=100", 1, 5, batchInsertOp(g, 21, 100), 402},
 		{"BenchmarkInsertEdges/batch=10000", 1, 3, batchInsertOp(g, 21, 10_000), 16_467},
 		{"BenchmarkInsertEdges/batch=1000000", 1, 1, batchInsertOp(g, 21, 1_000_000), 93_082},
-		{"BenchmarkTable08BatchInsert/batch=10", 1, 5, batchInsertOp(g, 5, 10), 138},
+		{"BenchmarkTable08BatchInsert/batch=10", 1, 5, batchInsertOp(g, 5, 10), 65},
 		{"BenchmarkTable08BatchInsert/batch=1000", 1, 3, batchInsertOp(g, 5, 1_000), 2_749},
 		{"BenchmarkTable08BatchInsert/batch=100000", 1, 1, batchInsertOp(g, 5, 100_000), 59_804},
 		{"BenchmarkWeightedInsertEdges/batch=100", 1, 5, weightedInsertOp(wg, all, 100), 64},

@@ -145,9 +145,7 @@ func wirePrimaryObs[G ligra.Graph, E any](stdout io.Writer, addr string,
 	reg := obs.NewRegistry()
 	eng.RegisterMetrics(reg)
 	srv.RegisterMetrics(reg)
-	reg.GaugeFunc("aspen_faults_armed",
-		"Failpoints currently armed in the process-global registry.",
-		func() float64 { return float64(faults.Default.ArmedCount()) })
+	faults.Default.RegisterMetrics(reg)
 	osrv := obs.NewServer()
 	osrv.SetRegistry(reg)
 	osrv.SetHealth(eng.Err)
@@ -157,7 +155,7 @@ func wirePrimaryObs[G ligra.Graph, E any](stdout io.Writer, addr string,
 		return map[string]any{
 			"shard":        shardID,
 			"engine":       eng.Stats(),
-			"stages":       stageStatus(eng.Tracer()),
+			"stages":       eng.Tracer().Summaries(),
 			"slow_commits": map[string]any{"seen": seen, "traces": slow},
 			"dedup":        map[string]int{"clients": clients, "entries": entries},
 			"faults_armed": faults.Default.ArmedCount(),
@@ -178,9 +176,7 @@ func wireReplicaObs(stdout io.Writer, addr string, stats func() remote.ReplicaSt
 		return nil
 	}
 	reg := obs.NewRegistry()
-	reg.GaugeFunc("aspen_faults_armed",
-		"Failpoints currently armed in the process-global registry.",
-		func() float64 { return float64(faults.Default.ArmedCount()) })
+	faults.Default.RegisterMetrics(reg)
 	reg.CounterFunc("aspen_replica_records_total",
 		"WAL commit frames applied from the primary's tail stream.",
 		func() uint64 { return stats().Records })
@@ -201,18 +197,6 @@ func wireReplicaObs(stdout io.Writer, addr string, stats func() remote.ReplicaSt
 	}
 	fmt.Fprintf(stdout, "shardd: obs on http://%s (/metrics /statusz /healthz /debug/pprof)\n", osrv.Addr())
 	return nil
-}
-
-// stageStatus renders the tracer's per-stage summaries for /statusz.
-func stageStatus(t *obs.StageTracer) map[string]obs.LatencySummary {
-	sums := t.Summaries()
-	out := make(map[string]obs.LatencySummary, len(sums))
-	for i, s := range sums {
-		if s.Count > 0 {
-			out[obs.Stage(i).String()] = s
-		}
-	}
-	return out
 }
 
 // servePrimary recovers the durable engine of payload V in dur.Dir, wraps

@@ -2,11 +2,14 @@ package main
 
 import (
 	"bufio"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net"
+	"net/http"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"slices"
 	"strings"
 	"syscall"
@@ -60,10 +63,12 @@ func TestFsyncPolicyRefusedBeforeListen(t *testing.T) {
 type shardProc struct {
 	cmd  *exec.Cmd
 	addr string
+	obs  string // the -obs-addr listener, when the child was given one
 }
 
 // startShard spawns a shardd child and scans its stdout for the
-// "listening on" line to learn the bound address.
+// "listening on" line to learn the bound address (and, with -obs-addr,
+// for the "obs on" line).
 func startShard(t *testing.T, args string) *shardProc {
 	t.Helper()
 	cmd := exec.Command(os.Args[0])
@@ -77,12 +82,15 @@ func startShard(t *testing.T, args string) *shardProc {
 		t.Fatal(err)
 	}
 	p := &shardProc{cmd: cmd}
+	wantObs := strings.Contains(args, "-obs-addr")
 	sc := bufio.NewScanner(out)
-	for sc.Scan() {
+	for (p.addr == "" || wantObs && p.obs == "") && sc.Scan() {
 		line := sc.Text()
 		if i := strings.Index(line, "listening on "); i >= 0 {
 			p.addr = strings.TrimSpace(line[i+len("listening on "):])
-			break
+		}
+		if i := strings.Index(line, "obs on http://"); i >= 0 {
+			p.obs = strings.Fields(line[i+len("obs on http://"):])[0]
 		}
 	}
 	if p.addr == "" {
@@ -374,5 +382,134 @@ func TestGracefulShutdown(t *testing.T) {
 	}
 	if err := p.cmd.Wait(); err != nil {
 		t.Fatalf("SIGTERM exit: %v", err)
+	}
+}
+
+// statusz decodes a child's /statusz into v.
+func statusz(t *testing.T, obsAddr string, v any) {
+	t.Helper()
+	resp, err := http.Get("http://" + obsAddr + "/statusz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if err := json.NewDecoder(resp.Body).Decode(v); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestFlagsTakeEffect gives every shardd flag that the kill tests and CI
+// leave at its default one row: the row starts real shardd children with
+// the flag set and observes what it changes.
+func TestFlagsTakeEffect(t *testing.T) {
+	if testing.Short() {
+		t.Skip("subprocess test")
+	}
+	part := shard.NewRangePartitioner(1, 512)
+	primary := func(t *testing.T, dir, flags string) *shardProc {
+		return startShard(t, "-shard 0 -shards 1 -addr 127.0.0.1:0 -data "+dir+" "+flags)
+	}
+	dial := func(t *testing.T, primaries, replicas []string, o remote.Options) *remote.Cluster[aspen.Edge] {
+		c, err := remote.DialGraph(part, primaries, replicas, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(c.Close)
+		return c
+	}
+	insert := func(t *testing.T, c *remote.Cluster[aspen.Edge], batches int) {
+		for i := 0; i < batches; i++ {
+			p, err := c.Insert(clusterBatch(i))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := p.Wait(); err != nil {
+				t.Fatalf("batch %d: %v", i, err)
+			}
+		}
+	}
+	for _, row := range []struct {
+		flag  string
+		check func(t *testing.T, dir string)
+	}{
+		{"-fsync off", func(t *testing.T, dir string) {
+			c := dial(t, []string{primary(t, dir, "-fsync off").addr}, nil, remote.Options{})
+			insert(t, c, 3)
+			st, err := c.ShardStats()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if w := st[0].WAL; w.Appends < 3 || w.Syncs != 0 {
+				t.Fatalf("WAL after 3 acked submits: %d appends, %d syncs; want ≥ 3 and 0", w.Appends, w.Syncs)
+			}
+		}},
+		{"-ckpt-every 2", func(t *testing.T, dir string) {
+			c := dial(t, []string{primary(t, dir, "-ckpt-every 2").addr}, nil, remote.Options{})
+			insert(t, c, 3)
+			for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+				if cks, _ := filepath.Glob(filepath.Join(dir, "ckpt-*")); len(cks) > 0 {
+					return
+				}
+				if time.Now().After(deadline) {
+					t.Fatal("no checkpoint file after 3 commits")
+				}
+			}
+		}},
+		{"-trace-slow 1ns", func(t *testing.T, dir string) {
+			p := primary(t, dir, "-trace-slow 1ns -obs-addr 127.0.0.1:0")
+			insert(t, dial(t, []string{p.addr}, nil, remote.Options{}), 2)
+			var st struct {
+				Slow struct{ Seen uint64 } `json:"slow_commits"`
+			}
+			statusz(t, p.obs, &st)
+			if st.Slow.Seen == 0 {
+				t.Fatal("/statusz counts no slow commit at a 1ns threshold")
+			}
+		}},
+		{"-promote-after 100ms", func(t *testing.T, dir string) {
+			p := primary(t, dir, "")
+			r := startShard(t, "-shard 0 -shards 1 -addr 127.0.0.1:0 -obs-addr 127.0.0.1:0 -promote-after 100ms -replica-of "+p.addr)
+			c := dial(t, []string{p.addr}, []string{r.addr}, remote.Options{
+				DialWait: 2 * time.Second, RetryDeadline: 10 * time.Second, ProbeInterval: 20 * time.Millisecond,
+				BreakerThreshold: 2, BreakerCooldown: 10 * time.Millisecond,
+				Backoff: remote.Backoff{Base: 2 * time.Millisecond, Max: 25 * time.Millisecond},
+			})
+			insert(t, c, 1)
+			if err := p.cmd.Process.Kill(); err != nil {
+				t.Fatal(err)
+			}
+			_ = p.cmd.Wait()
+			insert(t, c, 1)
+			var st remote.ReplicaStats
+			statusz(t, r.obs, &st)
+			if !st.Promoted || st.Submits == 0 {
+				t.Fatalf("replica of a dead primary: %+v, want promoted with a submit served", st)
+			}
+		}},
+		{"-weighted", func(t *testing.T, dir string) {
+			p := primary(t, dir, "-weighted")
+			c := dial(t, []string{p.addr}, nil, remote.Options{})
+			pend, err := c.Insert(clusterBatch(0))
+			if err == nil {
+				err = pend.Wait()
+			}
+			if err == nil || !strings.Contains(err.Error(), "weighted=true") || !strings.Contains(err.Error(), "weighted=false") {
+				t.Fatalf("id-only submit to a weighted shardd: %v, want a hello refusal naming both payloads", err)
+			}
+			cw, err := remote.DialGraphOf[float32](part, []string{p.addr}, nil, remote.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cw.Close()
+			pw, err := cw.Insert([]aspen.WeightedEdge{{Src: 1, Dst: 2, Val: 0.5}, {Src: 2, Dst: 1, Val: 0.5}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := pw.Wait(); err != nil {
+				t.Fatalf("weighted submit to a weighted shardd: %v", err)
+			}
+		}},
+	} {
+		t.Run(strings.TrimPrefix(strings.Fields(row.flag)[0], "-"), func(t *testing.T) { row.check(t, t.TempDir()) })
 	}
 }

@@ -3,33 +3,28 @@
 // snapshots while a single writer sustains batched edge inserts and
 // deletes, reporting update throughput and p50/p95/p99 commit and query
 // latencies. The store is one of three deployments behind stream.Store —
-// a lone engine (the default), in-process shard clusters (-shards), or a
-// running cluster of cmd/shardd processes (-connect) — and every run goes
-// through the same workload and report. Examples:
+// a lone engine (the default), an in-process shard cluster (-shards N), or
+// a running cluster of cmd/shardd processes (-connect) — and every
+// invocation runs one workload against one store and prints one report.
+// Examples:
 //
-//	stream -scale 17 -init 1000000 -batch 5000 -readers 1,4,8 -duration 5s
+//	stream -scale 17 -init 1000000 -batch 5000 -readers 4 -duration 5s
 //	stream -weighted -algos bfs,sssp -readers 4
-//
-// The engine sweep runs each reader count at the offered load (-interval,
-// or saturated) plus update-only and query-only baselines (-isolate). With
-// -shards or -connect the sweep is reader counts × {saturated, paced when
-// -interval is set} × deployments; shard count 1 is the lone engine, the
-// baseline every speedup is quoted against:
-//
-//	stream -scale 16 -init 500000 -shards 1,2,4 -readers 1,4 -interval 20ms
-//	stream -quick -shards 2 -partition hash
+//	stream -quick -shards 2 -partition hash -interval 20ms
 //	stream -quick -connect 127.0.0.1:7801,127.0.0.1:7802 -read-from 127.0.0.1:7901,
 //
-// Shard servers keep their state between runs, so against -connect the
-// writer schedule keeps one cursor across the sweep.
+// -readers 0 is the update-only baseline and -batch 0 (no writer) the
+// query-only one; -interval paces the writer to one batch per interval (0
+// saturates). The §7.8 table is a shell loop over invocations:
 //
-// -obs-addr mounts the observability plane for the whole process:
-// Prometheus-text /metrics for the current run's store, JSON /statusz
-// (with the commit stage breakdown and slow-commit traces of a lone
-// engine), /healthz, and /debug/pprof. -trace-slow <dur> additionally
-// captures every commit slower than <dur> into a bounded ring and dumps it
-// (per-stage: enqueue, coalesce, wal_append, fsync, apply, flat_patch,
-// ack) after each lone-engine run:
+//	for r in 0 1 4; do for s in 1 2 4; do stream -shards $s -readers $r -interval 20ms; done; done
+//
+// -obs-addr mounts the observability plane for the run's store:
+// Prometheus-text /metrics, JSON /statusz (with the commit stage breakdown
+// and slow-commit traces of a lone engine), /healthz, and /debug/pprof.
+// -trace-slow <dur> additionally captures every commit slower than <dur>
+// into a bounded ring and dumps it (per-stage: enqueue, coalesce,
+// wal_append, fsync, apply, flat_patch, ack) after a lone-engine run:
 //
 //	stream -quick -obs-addr 127.0.0.1:9090 -trace-slow 2ms -duration 30s
 package main
@@ -42,7 +37,6 @@ import (
 	"os/signal"
 	"runtime"
 	"slices"
-	"strconv"
 	"strings"
 	"sync/atomic"
 	"syscall"
@@ -60,10 +54,10 @@ import (
 	"repro/internal/xhash"
 )
 
-// The three deployment modes a sweep can select.
+// The three deployments an invocation can select.
 const (
-	modeEngine = "engine" // a lone in-process engine (default)
-	modeShards = "shards" // -shards: in-process clusters, 1 = the lone engine
+	modeEngine = "engine" // a lone in-process engine (default; -shards ≤ 1)
+	modeShards = "shards" // -shards N > 1: an in-process cluster
 	modeRemote = "remote" // -connect: a running cluster of shardd processes
 )
 
@@ -74,35 +68,30 @@ const (
 // cannot tell a deliberate -init from none (shardd servers hold the graph
 // a -connect run starts from).
 var flagModes = map[string][]string{
-	"init":          {modeEngine, modeShards},
-	"shards":        {modeShards},
-	"read-from":     {modeRemote},
-	"partition":     {modeShards, modeRemote},
-	"data":          {modeEngine},
-	"inc-cc":        {modeEngine},
-	"flat":          {modeEngine, modeShards},
-	"prebuild-flat": {modeEngine, modeShards},
-	"patch-flat":    {modeEngine, modeShards},
-	"trace-slow":    {modeEngine, modeShards},
+	"init":       {modeEngine, modeShards},
+	"shards":     {modeEngine, modeShards},
+	"read-from":  {modeRemote},
+	"partition":  {modeShards, modeRemote},
+	"data":       {modeEngine},
+	"inc-cc":     {modeEngine},
+	"flat":       {modeEngine, modeShards},
+	"trace-slow": {modeEngine, modeShards},
 }
 
 func main() {
 	var (
 		scale    = flag.Int("scale", 17, "log2 of the vertex-id space")
 		initE    = flag.Uint64("init", 1_000_000, "rMAT edges sampled for the initial graph")
-		batch    = flag.Uint64("batch", 5_000, "edges per update batch (before symmetrization)")
-		readers  = flag.String("readers", "1,4", "comma list of concurrent reader counts to sweep")
-		duration = flag.Duration("duration", 3*time.Second, "sustained load per run")
+		batch    = flag.Uint64("batch", 5_000, "edges per update batch (before symmetrization); 0 runs no writer (the query-only baseline)")
+		readers  = flag.Int("readers", 1, "concurrent reader goroutines; 0 is the update-only baseline")
+		duration = flag.Duration("duration", 3*time.Second, "sustained load of the run")
 		weighted = flag.Bool("weighted", false, "serve aspen.WeightedGraph instead of aspen.Graph")
 		algoList = flag.String("algos", "", "comma list of kernels: bfs,cc,sssp (default bfs,cc; bfs,sssp when -weighted)")
-		isolate  = flag.Bool("isolate", true, "engine sweep: also run update-only and query-only baselines")
-		flat     = flag.Bool("flat", true, "run kernels on the per-version cached flat view (§5.1)")
-		prebuild = flag.Bool("prebuild-flat", false, "build each version's flat view on commit instead of lazily on first query")
-		patch    = flag.Bool("patch-flat", false, "derive each version's flat view from its predecessor's by O(batch) copy-on-write patching instead of O(n) rebuilds")
+		flat     = flag.Bool("flat", true, "run kernels on the per-version cached flat view (§5.1), patched from its predecessor's")
 		incCC    = flag.Bool("inc-cc", false, "maintain incremental connectivity on the commit path and query it as an extra kernel")
 		delmix   = flag.Uint64("delmix", 10, "delete-batch period of the writer schedule: one delete every N batches (10 = the classic 9:1 mix, 2 = delete-heavy expiry)")
 		interval = flag.Duration("interval", 0, "pace the writer to one batch per interval (0 = saturate)")
-		shards   = flag.String("shards", "", "comma list of shard counts: sweep in-process clusters (1 = the lone-engine baseline)")
+		shards   = flag.Int("shards", 1, "shard count of an in-process cluster (≤ 1 = the lone engine)")
 		connect  = flag.String("connect", "", "comma list of shardd primary addresses: drive a remote cluster instead of in-process engines")
 		readFrom = flag.String("read-from", "", "comma list of shardd replica addresses (one per -connect shard, empty entries allowed)")
 		partKind = flag.String("partition", "range", "shard partitioner: range or hash")
@@ -116,7 +105,7 @@ func main() {
 		killN    = flag.Int("killtest", 0, "ingest N deterministic durable batches into -data, printing an ack line per commit (crash-harness mode)")
 
 		obsAddr   = flag.String("obs-addr", "", "observability listen address serving /metrics, /statusz, /healthz and /debug/pprof (empty disables)")
-		traceSlow = flag.Duration("trace-slow", 0, "capture per-stage breakdowns of commits slower than this; dumped after each run and served via /statusz (0 disables)")
+		traceSlow = flag.Duration("trace-slow", 0, "capture per-stage breakdowns of commits slower than this; dumped after the run and served via /statusz (0 disables)")
 	)
 	flag.Parse()
 	if (*killN > 0 || *recOnly) && *dataDir == "" {
@@ -139,7 +128,7 @@ func main() {
 	switch {
 	case *connect != "":
 		mode = modeRemote
-	case *shards != "":
+	case *shards > 1:
 		mode = modeShards
 	}
 	set := map[string]bool{}
@@ -165,52 +154,30 @@ func main() {
 			*algoList = "bfs,cc"
 		}
 	}
-	readerCounts, err := parseInts(*readers)
-	if err != nil {
-		fatal("bad -readers: %v", err)
-	}
 	if *scale < 1 || *scale > 31 {
 		fatal("-scale must be in [1, 31] (vertex ids are uint32)")
 	}
 	if *delmix == 1 {
 		fatal("-delmix must be 0 (inserts only) or ≥ 2")
 	}
+	if *readers <= 0 && *batch == 0 {
+		fatal("-readers 0 with -batch 0 runs nothing")
+	}
 	cfg := config{
-		Scale: *scale, InitEdges: *initE, Batch: *batch, Weighted: *weighted,
-		Algos: *algoList, Flat: *flat, PrebuildFlat: *prebuild, PatchFlat: *patch,
-		IncCC: *incCC, DelPeriod: *delmix,
+		Scale: *scale, InitEdges: *initE, Batch: *batch, Readers: *readers, Weighted: *weighted,
+		Algos: *algoList, Flat: *flat, IncCC: *incCC, DelPeriod: *delmix, Interval: *interval,
 		Partition: *partKind, Duration: *duration, Seed: *seed,
 		Data: *dataDir, Fsync: *fsyncPol, CkptEvery: *ckptEv,
-		TraceSlow: *traceSlow,
+		TraceSlow: *traceSlow, ObsAddr: *obsAddr,
 	}
 	kernels(cfg, nil) // reject a bad -algos before any store is built
 
-	// The sweep: every load × pace × deployment.
-	sw := sweep{mode: mode, paces: []time.Duration{0}}
-	if *interval > 0 {
-		sw.paces = append(sw.paces, *interval)
-	}
-	for _, r := range readerCounts {
-		sw.loads = append(sw.loads, load{readers: r, writer: true})
-	}
+	d := deployment{name: "single engine"}
 	switch mode {
-	case modeEngine:
-		// The §7.8 sweep measures one offered load, bracketed by the
-		// isolated update and query baselines.
-		sw.paces = []time.Duration{*interval}
-		sw.deps = []deployment{{name: "single engine"}}
-		if *isolate {
-			last := readerCounts[len(readerCounts)-1]
-			sw.loads = append(append([]load{{writer: true}}, sw.loads...), load{readers: last})
-		}
 	case modeShards:
-		counts, err := parseInts(*shards)
-		if err != nil {
-			fatal("bad -shards: %v", err)
-		}
-		sw.deps = shardDeps(counts)
+		d = deployment{name: fmt.Sprintf("%d shards", *shards), shards: *shards}
 	case modeRemote:
-		d := deployment{primaries: splitAddrs(*connect)}
+		d = deployment{primaries: splitAddrs(*connect)}
 		d.name = fmt.Sprintf("remote %d shards", len(d.primaries))
 		if *readFrom != "" {
 			d.replicas = splitAddrs(*readFrom)
@@ -218,48 +185,43 @@ func main() {
 				fatal("-read-from lists %d addresses for %d shards (use empty entries for shards without replicas)", len(d.replicas), len(d.primaries))
 			}
 		}
-		sw.deps = []deployment{d}
 	}
 
-	startObs(*obsAddr)
-	fmt.Printf("stream: %s scale=%d init=%d batch=%d weighted=%v algos=%s flat=%v patch=%v inc-cc=%v delmix=%d procs=%d\n",
-		mode, *scale, *initE, *batch, *weighted, *algoList, *flat, *patch, *incCC, *delmix, runtime.GOMAXPROCS(0))
+	fmt.Printf("stream: %s scale=%d init=%d batch=%d weighted=%v algos=%s flat=%v inc-cc=%v delmix=%d procs=%d\n",
+		mode, *scale, *initE, *batch, *weighted, *algoList, *flat, *incCC, *delmix, runtime.GOMAXPROCS(0))
 
-	// Graceful shutdown: SIGINT/SIGTERM stops the in-flight run early (the
-	// writer quits, submitted batches flush, readers drain) and skips the
-	// rest of the sweep; durable engines still close cleanly, writing a
-	// final checkpoint.
+	// Graceful shutdown: SIGINT/SIGTERM ends the run early (the writer
+	// quits, submitted batches flush, readers drain); a durable engine still
+	// closes cleanly, writing a final checkpoint.
 	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stopSignals()
 
-	var runs []runResult
+	var r stream.Report
 	if cfg.Weighted {
-		runs = runSweep(ctx, cfg, sw, weightedBatch, openGraph)
+		r = run(ctx, cfg, d, weightedBatch)
 	} else {
-		runs = runSweep(ctx, cfg, sw, graphBatch, openGraph)
+		r = run(ctx, cfg, d, graphBatch)
 	}
-	for _, rr := range runs {
-		if rr.Report.SubmitErr != "" {
-			fatal("%s: writer stopped early: %s", rr.Name, rr.Report.SubmitErr)
-		}
+	if r.SubmitErr != "" {
+		fatal("writer stopped early: %s", r.SubmitErr)
 	}
 }
 
 // config records the experiment parameters.
 type config struct {
-	Scale        int
-	InitEdges    uint64
-	Batch        uint64
-	Weighted     bool
-	Algos        string
-	Flat         bool
-	PrebuildFlat bool
-	PatchFlat    bool
-	IncCC        bool
-	DelPeriod    uint64
-	Partition    string
-	Duration     time.Duration
-	Seed         uint64
+	Scale     int
+	InitEdges uint64
+	Batch     uint64
+	Readers   int
+	Weighted  bool
+	Algos     string
+	Flat      bool
+	IncCC     bool
+	DelPeriod uint64
+	Interval  time.Duration
+	Partition string
+	Duration  time.Duration
+	Seed      uint64
 
 	// Durability settings (-data empty means in-memory).
 	Data      string
@@ -268,11 +230,14 @@ type config struct {
 
 	// TraceSlow is the -trace-slow slow-commit threshold (0 = off).
 	TraceSlow time.Duration
+	// ObsAddr is the -obs-addr listen address ("" = no plane).
+	ObsAddr string
 }
 
+// engineOptions always patches flat views: a version's view is derived
+// from its predecessor's in O(batch) instead of rebuilt in O(n).
 func (cfg config) engineOptions() stream.Options {
-	return stream.Options{PrebuildFlat: cfg.PrebuildFlat, PatchFlat: cfg.PatchFlat,
-		TraceSlow: cfg.TraceSlow}
+	return stream.Options{PatchFlat: true, TraceSlow: cfg.TraceSlow}
 }
 
 // partitioner builds the requested partitioner over the id space.
@@ -289,46 +254,6 @@ type deployment struct {
 	name                string
 	shards              int
 	primaries, replicas []string
-}
-
-// shardDeps is the -shards sweep: one deployment per count, the lone
-// engine (a count of 1) first, so every cluster row of a load and pace
-// quotes its speedup against it, whatever order the flag lists them in.
-func shardDeps(counts []int) []deployment {
-	var lone, clusters []deployment
-	for _, s := range counts {
-		if s <= 1 {
-			lone = append(lone, deployment{name: "single engine", shards: s})
-			continue
-		}
-		clusters = append(clusters, deployment{name: fmt.Sprintf("%d shards", s), shards: s})
-	}
-	return append(lone, clusters...)
-}
-
-// load is the traffic of one run: readers == 0 is the update-only
-// baseline, !writer the query-only one.
-type load struct {
-	readers int
-	writer  bool
-}
-
-func (l load) String() string {
-	switch {
-	case !l.writer:
-		return fmt.Sprintf("query-only (%d readers)", l.readers)
-	case l.readers == 0:
-		return "update-only"
-	}
-	return fmt.Sprintf("%d readers", l.readers)
-}
-
-// sweep is the experiment plan: one run per load × pace × deployment.
-type sweep struct {
-	mode  string
-	loads []load
-	paces []time.Duration
-	deps  []deployment
 }
 
 // opened is a store built for one run plus the handles only some
@@ -412,79 +337,49 @@ func weightedBatch(gen rmat.Generator, lo, hi uint64) []aspen.WeightedEdge {
 	return out
 }
 
-// runResult is one entry of the sweep.
-type runResult struct {
-	Name   string
-	Report stream.Report
-	// IncCC carries the incremental-connectivity maintenance counters when
-	// the run kept a standing algos.IncrementalCC on the commit path.
-	IncCC *algos.IncrementalCCStats
-}
-
-// runSweep executes the plan over one payload type: batch materializes a
-// generator range as updates, open builds a deployment's store.
-func runSweep[E any](ctx context.Context, cfg config, sw sweep,
-	batch func(gen rmat.Generator, lo, hi uint64) []E,
-	open func(cfg config, d deployment, initial func() []E) opened[E]) []runResult {
+// run opens deployment d over aspen graphs of payload V, runs the workload
+// on it, prints the report, and closes the store. batch materializes a
+// generator range as updates.
+func run[V remote.Payload](ctx context.Context, cfg config, d deployment,
+	batch func(gen rmat.Generator, lo, hi uint64) []aspen.EdgeOf[V]) stream.Report {
 	gen := rmat.NewGenerator(cfg.Scale, cfg.Seed)
-	mk := func(lo, hi uint64) []E { return batch(gen, lo, hi) }
-	initial := func() []E { return mk(0, cfg.InitEdges) }
-	// An in-process store is rebuilt from the initial graph every run, so
-	// each run's schedule restarts past the initial edges; remote servers
-	// keep their state, so one schedule's cursor spans the sweep (Workload
-	// restarts its batch index at 0 every run; the wrapper counts calls).
-	schedule := func() func(uint64) (bool, []E) {
-		return stream.UpdateScheduleMix(cfg.InitEdges, cfg.Batch, cfg.DelPeriod, mk)
+	mk := func(lo, hi uint64) []aspen.EdgeOf[V] { return batch(gen, lo, hi) }
+	o := openGraph(cfg, d, func() []aspen.EdgeOf[V] { return mk(0, cfg.InitEdges) })
+	startObs(cfg.ObsAddr, o)
+	w := stream.Workload[aspen.EdgeOf[V]]{
+		Store: o, Readers: cfg.Readers, Kernels: kernels(cfg, o.incCC),
+		Duration: cfg.Duration, Interval: cfg.Interval,
+		UseFlat: cfg.Flat, Stop: ctx.Done(),
 	}
-	if sw.mode == modeRemote {
-		inner, calls := stream.UpdateScheduleMix(0, cfg.Batch, cfg.DelPeriod, mk), uint64(0)
-		one := func(uint64) (bool, []E) { calls++; return inner(calls - 1) }
-		schedule = func() func(uint64) (bool, []E) { return one }
+	load := fmt.Sprintf("%d readers", cfg.Readers)
+	switch {
+	case cfg.Batch == 0:
+		load = fmt.Sprintf("query-only (%d readers)", cfg.Readers)
+	case cfg.Readers <= 0:
+		load = "update-only"
 	}
-
-	var runs []runResult
-	for _, pace := range sw.paces {
-		mode := "saturated"
-		if pace > 0 {
-			mode = fmt.Sprintf("paced %v", pace)
-		}
-		for _, ld := range sw.loads {
-			// Speedups are quoted against the lone-engine run of the same
-			// load and pace — like against like; shardDeps runs it first.
-			var base float64
-			for _, d := range sw.deps {
-				if ctx.Err() != nil {
-					fmt.Println("stream: interrupted, skipping remaining runs")
-					return runs
-				}
-				o := open(cfg, d, initial)
-				mountObs(o)
-				w := stream.Workload[E]{
-					Store: o, Readers: ld.readers, Kernels: kernels(cfg, o.incCC),
-					Duration: cfg.Duration, Interval: pace,
-					UseFlat: cfg.Flat, Stop: ctx.Done(),
-				}
-				if ld.writer {
-					w.NextBatch = schedule()
-				}
-				rr := runResult{Name: fmt.Sprintf("%s, %s, %s", d.name, ld, mode), Report: w.Run()}
-				if o.incCC != nil {
-					st := o.incCC.Stats()
-					rr.IncCC = &st
-				}
-				if rr.Report.Shards == 1 {
-					base = rr.Report.UpdatesPerSec
-				}
-				printRun(rr, base)
-				if o.tracer != nil && cfg.TraceSlow > 0 {
-					dumpSlowTraces(o.tracer, cfg.TraceSlow)
-				}
-				closeStore(cfg, o)
-				runs = append(runs, rr)
-			}
-		}
+	if cfg.Batch > 0 {
+		// The schedule starts past the initial edges; a remote cluster,
+		// which holds whatever its servers hold, draws from the same range.
+		w.NextBatch = stream.UpdateScheduleMix(cfg.InitEdges, cfg.Batch, cfg.DelPeriod, mk)
 	}
-	return runs
+	pace := "saturated"
+	if cfg.Interval > 0 {
+		pace = fmt.Sprintf("paced %v", cfg.Interval)
+	}
+	r := w.Run()
+	fmt.Printf("\n== %s, %s, %s ==\n", d.name, load, pace)
+	printRun(r)
+	if o.incCC != nil {
+		st := o.incCC.Stats()
+		fmt.Printf("inc-cc: %d unions, %d delete recomputes, %d vertices reverified\n",
+			st.Unions, st.Recomputes, st.Reverified)
+	}
+	if o.tracer != nil && cfg.TraceSlow > 0 {
+		dumpSlowTraces(o.tracer, cfg.TraceSlow)
+	}
+	closeStore(cfg, o)
+	return r
 }
 
 // closeStore closes o and, when durable, reports the WAL/checkpoint work
@@ -543,19 +438,14 @@ func kernels(cfg config, ccq *algos.IncrementalCC) []stream.Kernel {
 	return ks
 }
 
-func printRun(rr runResult, base float64) {
-	r := rr.Report
-	fmt.Printf("\n== %s ==\n", rr.Name)
+func printRun(r stream.Report) {
 	if r.Updates > 0 {
-		across, worst, speed := "", "", ""
+		across, worst := "", ""
 		if r.Shards > 1 {
 			across, worst = fmt.Sprintf(" across %d shards", r.Shards), " (worst shard)"
-			if base > 0 {
-				speed = fmt.Sprintf(" (%.2fx vs single engine)", r.UpdatesPerSec/base)
-			}
 		}
-		fmt.Printf("updates: %.3g edges/sec%s (%d edges, %d batches, %d commits%s, coalesce %.2f)\n",
-			r.UpdatesPerSec, speed, r.Updates, r.Batches, r.Commits, across, r.Coalesce)
+		fmt.Printf("updates: %.3g edges/sec (%d edges, %d batches, %d commits%s, coalesce %.2f)\n",
+			r.UpdatesPerSec, r.Updates, r.Batches, r.Commits, across, r.Coalesce)
 		fmt.Printf("commit latency%s: p50 %-10v p95 %-10v p99 %-10v max %v\n",
 			worst, r.Commit.P50, r.Commit.P95, r.Commit.P99, r.Commit.Max)
 	}
@@ -596,31 +486,12 @@ func printRun(rr runResult, base float64) {
 				cs.Failovers, cs.Promotions, cs.DegradedPins, cs.StaleReads)
 		}
 	}
-	if rr.IncCC != nil {
-		fmt.Printf("inc-cc: %d unions, %d delete recomputes, %d vertices reverified\n",
-			rr.IncCC.Unions, rr.IncCC.Recomputes, rr.IncCC.Reverified)
-	}
 	if r.SubmitErr != "" {
 		fmt.Printf("SUBMIT ERROR (writer stopped early): %s\n", r.SubmitErr)
 	}
 	if r.StatsErr != "" {
 		fmt.Printf("STATS ERROR (counts miss these shards): %s\n", r.StatsErr)
 	}
-}
-
-func parseInts(s string) ([]int, error) {
-	var out []int
-	for _, f := range strings.Split(s, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(f))
-		if err != nil {
-			return nil, err
-		}
-		if n < 0 {
-			return nil, fmt.Errorf("negative count %d", n)
-		}
-		out = append(out, n)
-	}
-	return out, nil
 }
 
 // splitAddrs splits a comma list, keeping empty entries (a shard with no

@@ -1,9 +1,7 @@
-// Observability plane of cmd/stream: -obs-addr mounts one obs.Server
-// for the whole process (metrics, statusz, healthz, pprof) and each
-// sweep run swaps in a registry for the store it just built — the store
-// is rebuilt per run, the server is not. -trace-slow additionally dumps
-// the slow-commit ring (per-stage breakdown) after every lone-engine run,
-// attributing fsync and flat-patch cost per commit.
+// Observability plane of cmd/stream: -obs-addr mounts one obs.Server for
+// the run's store (metrics, statusz, healthz, pprof). -trace-slow
+// additionally dumps the slow-commit ring (per-stage breakdown) after a
+// lone-engine run, attributing fsync and flat-patch cost per commit.
 package main
 
 import (
@@ -15,63 +13,36 @@ import (
 	"repro/internal/obs"
 )
 
-// obsSrv is the process-wide observability server; nil without
-// -obs-addr. Mutated only during flag handling in main, before any run
-// starts.
-var obsSrv *obs.Server
-
-// startObs mounts the plane on addr ("" disables).
-func startObs(addr string) {
-	if addr == "" {
-		return
-	}
-	obsSrv = obs.NewServer()
-	if err := obsSrv.Start(addr); err != nil {
-		fatal("obs: %v", err)
-	}
-	fmt.Printf("stream: obs on http://%s (/metrics /statusz /healthz /debug/pprof)\n", obsSrv.Addr())
-}
-
-// mountObs swaps the current run's store into the obs server: the store's
+// startObs mounts the plane for o on addr ("" disables): the store's
 // metrics, /healthz from a durable engine's fail-stop error, and /statusz
 // with the store counters — plus, for a lone engine, the stage breakdown
 // and slow-commit ring.
-func mountObs[E any](o opened[E]) {
-	if obsSrv == nil {
+func startObs[E any](addr string, o opened[E]) {
+	if addr == "" {
 		return
 	}
 	reg := obs.NewRegistry()
 	o.RegisterMetrics(reg)
-	reg.GaugeFunc("aspen_faults_armed",
-		"Failpoints currently armed in the process-global registry.",
-		func() float64 { return float64(faults.Default.ArmedCount()) })
-	obsSrv.SetRegistry(reg)
-	obsSrv.SetHealth(o.health)
-	obsSrv.SetStatus(func() any {
+	faults.Default.RegisterMetrics(reg)
+	srv := obs.NewServer()
+	srv.SetRegistry(reg)
+	srv.SetHealth(o.health)
+	srv.SetStatus(func() any {
 		st := map[string]any{
 			"store":        o.Stats(),
 			"faults_armed": faults.Default.ArmedCount(),
 		}
 		if o.tracer != nil {
 			slow, seen := o.tracer.SlowViews()
-			st["stages"] = stageStatus(o.tracer)
+			st["stages"] = o.tracer.Summaries()
 			st["slow_commits"] = map[string]any{"seen": seen, "traces": slow}
 		}
 		return st
 	})
-}
-
-// stageStatus renders the tracer's per-stage summaries for /statusz,
-// dropping stages that never ran.
-func stageStatus(t *obs.StageTracer) map[string]obs.LatencySummary {
-	sums := t.Summaries()
-	out := make(map[string]obs.LatencySummary, len(sums))
-	for i, s := range sums {
-		if s.Count > 0 {
-			out[obs.Stage(i).String()] = s
-		}
+	if err := srv.Start(addr); err != nil {
+		fatal("obs: %v", err)
 	}
-	return out
+	fmt.Printf("stream: obs on http://%s (/metrics /statusz /healthz /debug/pprof)\n", srv.Addr())
 }
 
 // dumpSlowTraces prints the run's slow-commit ring, newest first: one
@@ -90,7 +61,7 @@ func dumpSlowTraces(t *obs.StageTracer, threshold time.Duration) {
 		}
 		fmt.Println()
 	}
-	sums := stageStatus(t)
+	sums := t.Summaries()
 	names := make([]string, 0, len(sums))
 	for n := range sums {
 		names = append(names, n)

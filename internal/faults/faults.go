@@ -12,6 +12,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // ErrInjected is the default error an armed failpoint returns.
@@ -76,6 +78,14 @@ func (r *Registry) ClearAll() {
 // production process can prove no chaos hooks were left set. One
 // atomic load.
 func (r *Registry) ArmedCount() int { return int(r.armed.Load()) }
+
+// RegisterMetrics exports ArmedCount into reg as the aspen_faults_armed
+// gauge.
+func (r *Registry) RegisterMetrics(reg *obs.Registry) {
+	reg.GaugeFunc("aspen_faults_armed",
+		"Failpoints currently armed in the process-global registry.",
+		func() float64 { return float64(r.ArmedCount()) })
+}
 
 // Hit consults a named failpoint, returning its error when it fires.
 // The unarmed fast path is a single atomic load.

@@ -12,10 +12,9 @@ import (
 // Server exposes a registry over HTTP: Prometheus-text /metrics, JSON
 // /statusz (whatever the owner's status function returns), /healthz
 // (200 "ok" or 503 with the error), and net/http/pprof under
-// /debug/pprof. The registry, status, and health hooks are swappable at
-// runtime (atomic pointers) because cmd/stream builds a fresh engine —
-// and therefore a fresh registry — per sweep run while one server stays
-// mounted on -obs-addr for the whole process.
+// /debug/pprof. The registry, status, and health hooks are atomic
+// pointers, so an owner may install or replace them while scrapes are in
+// flight.
 type Server struct {
 	reg    atomic.Pointer[Registry]
 	status atomic.Pointer[func() any]

@@ -147,11 +147,14 @@ func (t *StageTracer) Record(tr *StageTrace) {
 // tracer keeps writing).
 func (t *StageTracer) StageHist(s Stage) *Hist { return &t.hists[s] }
 
-// Summaries digests every stage histogram at once.
-func (t *StageTracer) Summaries() [NumStages]LatencySummary {
-	var out [NumStages]LatencySummary
+// Summaries digests every stage histogram at once, keyed by stage name
+// (the /statusz shape), dropping stages that never ran.
+func (t *StageTracer) Summaries() map[string]LatencySummary {
+	out := make(map[string]LatencySummary, NumStages)
 	for i := range t.hists {
-		out[i] = t.hists[i].Summary()
+		if s := t.hists[i].Summary(); s.Count > 0 {
+			out[Stage(i).String()] = s
+		}
 	}
 	return out
 }
