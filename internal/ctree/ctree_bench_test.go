@@ -83,8 +83,8 @@ func TestAllocGates(t *testing.T) {
 		op     func() func()
 		allocs float64
 	}{
-		{"BenchmarkUnion", unionOp, 2899},
-		{"BenchmarkMultiInsertSmallBatch", multiInsertSmallBatchOp, 79},
+		{"BenchmarkUnion", unionOp, 2798},
+		{"BenchmarkMultiInsertSmallBatch", multiInsertSmallBatchOp, 76},
 	} {
 		if n := testing.AllocsPerRun(20, g.op()); n > g.allocs*1.15 {
 			t.Errorf("%s: %.0f allocs/op, gate %.0f × 1.15", g.name, n, g.allocs)
@@ -98,5 +98,28 @@ func BenchmarkForEach(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		var count int
 		t.ForEach(func(uint32) bool { count++; return true })
+	}
+}
+
+// TestUnionIntoHeadsAllocs holds a one-element union into a tree that has
+// heads — the shape of most sources of a small commit — at its pinned
+// allocation count: the element's head tail is rebuilt and the path to it
+// copied; the head cursor that finds the head lives on the stack.
+func TestUnionIntoHeadsAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race runtime drops pooled builders, so the count varies")
+	}
+	p := DefaultParams()
+	elems := benchElems(10_000, 8)
+	tr := Build(p, elems)
+	var x uint32
+	for x = elems[len(elems)/2] + 1; p.isHead(x) || tr.Contains(x); x++ {
+	}
+	one := Build(p, []uint32{x})
+	if one.root != nil || tr.root == nil {
+		t.Fatal("fixture: want a prefix-only element and a tree with heads")
+	}
+	if n := testing.AllocsPerRun(100, func() { tr.Union(one) }); n > 6 {
+		t.Errorf("one-element union into a tree with heads: %.0f allocs/op, want <= 6", n)
 	}
 }

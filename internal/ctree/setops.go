@@ -180,11 +180,9 @@ func (t Tree[V]) unionBC(p encoding.Chunk, c Tree[V], mPC, mCP func(V, V) V) Tre
 		// Group pr's elements by the head whose tail they join, walking the
 		// head tree in order alongside pr's element stream: the cursor
 		// advances O(1) amortized per run instead of the former
-		// FindLE-per-element probes (O(log n) each). The cursor stack lives
-		// in a stack-resident array (weight-balanced height is ~2·log2 n,
-		// far under its capacity; append spills to the heap only then).
-		var stackBuf [72]*hnode[V]
-		cur := newHeadCursor(c.root, stackBuf[:0])
+		// FindLE-per-element probes (O(log n) each).
+		var cur headCursor[V]
+		cur.init(c.root)
 		it := encoding.NewIterKV[V](t.h.p.Codec, pr)
 		if uint64(it.Value()) < smallestHead(t.h.ops, c.root) {
 			panic("ctree: unionBC element precedes every head")
@@ -208,24 +206,27 @@ func (t Tree[V]) unionBC(p encoding.Chunk, c Tree[V], mPC, mCP func(V, V) V) Tre
 
 // headCursor is an explicit-stack in-order cursor over a head tree with
 // one node of lookahead, used by unionBC to locate each element's head in
-// O(1) amortized instead of a root-to-leaf search.
+// O(1) amortized instead of a root-to-leaf search. The stack is an array
+// inside the cursor, so a cursor declared in a function stays in its frame:
+// a weight-balanced tree (alpha = 0.29) of n < 2^32 heads is at most
+// log(n)/log(1/0.71) < 65 deep.
 type headCursor[V Value] struct {
-	stack []*hnode[V]
+	stack [72]*hnode[V]
+	depth int
 	cur   *hnode[V]
 	next  *hnode[V]
 }
 
-func newHeadCursor[V Value](root *hnode[V], stack []*hnode[V]) headCursor[V] {
-	c := headCursor[V]{stack: stack}
+func (c *headCursor[V]) init(root *hnode[V]) {
 	c.pushLeft(root)
 	c.cur = c.pop()
 	c.next = c.pop()
-	return c
 }
 
 func (c *headCursor[V]) pushLeft(n *hnode[V]) {
 	for n != nil {
-		c.stack = append(c.stack, n)
+		c.stack[c.depth] = n
+		c.depth++
 		n = n.Left()
 	}
 }
@@ -233,11 +234,11 @@ func (c *headCursor[V]) pushLeft(n *hnode[V]) {
 // pop removes and returns the next in-order node, descending into its right
 // subtree; nil when exhausted.
 func (c *headCursor[V]) pop() *hnode[V] {
-	if len(c.stack) == 0 {
+	if c.depth == 0 {
 		return nil
 	}
-	n := c.stack[len(c.stack)-1]
-	c.stack = c.stack[:len(c.stack)-1]
+	c.depth--
+	n := c.stack[c.depth]
 	c.pushLeft(n.Right())
 	return n
 }

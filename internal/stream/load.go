@@ -101,7 +101,9 @@ type Report struct {
 
 	// Commit is the commit-latency digest of the shard with the highest
 	// p99 — tail latency is the serving metric, and the slowest shard is
-	// the tail. PerShard carries every shard's full counters.
+	// the tail. PerShard carries every shard's full counters, except the
+	// writer-priority counts (PriorityHolds, PriorityDeclined, ReaderWait),
+	// which are deltas over the run like the counters above.
 	Commit   obs.LatencySummary `json:"commit_latency"`
 	PerShard []Stats            `json:"per_shard,omitempty"`
 
@@ -269,6 +271,14 @@ func (w *Workload[E]) Run() Report {
 		rep.SubmitErr = submitErr.Error()
 	}
 	rep.StatsErr = cmp.Or(st.Err, before.Err)
+	// A shard whose counters could not be read reports zeros (StatsErr), so
+	// the deltas stop at zero.
+	for i, b := range before.PerShard {
+		es := &rep.PerShard[i]
+		es.PriorityHolds -= min(b.PriorityHolds, es.PriorityHolds)
+		es.PriorityDeclined -= min(b.PriorityDeclined, es.PriorityDeclined)
+		es.ReaderWait -= min(b.ReaderWait, es.ReaderWait)
+	}
 	for _, es := range st.PerShard {
 		if es.Commit.P99 >= rep.Commit.P99 {
 			rep.Commit = es.Commit

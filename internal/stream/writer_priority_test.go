@@ -218,3 +218,42 @@ func TestWriterPriorityMetrics(t *testing.T) {
 		t.Errorf("reader wait exposed as %v s, Stats says %v", secs, st.ReaderWait)
 	}
 }
+
+// TestReportCountsOnlyItsRunsPriority: a Workload's report carries the
+// writer-priority counts of its own run, not the store's lifetime ones, so
+// a query-only run after a writer's run reports no applies, and each run
+// with a writer reports holds + declined = its own commits.
+func TestReportCountsOnlyItsRunsPriority(t *testing.T) {
+	gen := rmat.NewGenerator(10, 71)
+	mk := func(lo, hi uint64) []aspen.Edge { return aspen.MakeUndirected(gen.Edges(lo, hi)) }
+	e := NewGraphEngine(aspen.NewGraph(ctree.DefaultParams()).InsertEdges(mk(0, 5_000)), Options{PatchFlat: true})
+	defer e.Close()
+	next := UpdateScheduleMix(5_000, 500, 10, mk)
+	run := func(writer bool) Report {
+		w := Workload[aspen.Edge]{
+			Store:    e.Store(),
+			Readers:  1,
+			Kernels:  []Kernel{{Name: "bfs", Run: func(g ligra.Graph) { algos.BFS(g, 0, false) }}},
+			Duration: 150 * time.Millisecond,
+			UseFlat:  true,
+		}
+		if writer {
+			w.NextBatch = next
+		}
+		rep := w.Run()
+		if rep.SubmitErr != "" || rep.QueryErrs != 0 || len(rep.PerShard) != 1 {
+			t.Fatalf("submit error %q, %d query errors, %d shards", rep.SubmitErr, rep.QueryErrs, len(rep.PerShard))
+		}
+		return rep
+	}
+	for i, writer := range []bool{true, false, true} {
+		rep := run(writer)
+		es := rep.PerShard[0]
+		if writer && (rep.Commits == 0 || es.PriorityHolds+es.PriorityDeclined != rep.Commits) {
+			t.Fatalf("run %d: %d held + %d declined, want the run's %d commits", i, es.PriorityHolds, es.PriorityDeclined, rep.Commits)
+		}
+		if !writer && (es.PriorityHolds != 0 || es.PriorityDeclined != 0 || es.ReaderWait != 0) {
+			t.Fatalf("query-only run %d: %d held, %d declined, readers parked %v; want none", i, es.PriorityHolds, es.PriorityDeclined, es.ReaderWait)
+		}
+	}
+}
