@@ -1,8 +1,8 @@
 // Command shardd hosts one shard of the distributed serving layer: a
 // durable stream.Engine behind the internal/rpc frame protocol. A
-// cluster of shardd processes (one per shard) serves the same facade
-// as the in-process sharded cluster — cmd/stream -connect drives it,
-// and every algos kernel runs unmodified on stitched remote views.
+// cluster of shardd processes (one per shard) serves the facade of a
+// lone in-process engine — cmd/stream -connect drives it, and every
+// algos kernel runs unmodified on stitched remote views.
 //
 //	shardd -shard 0 -shards 3 -addr 127.0.0.1:7070 -data /var/lib/shard0
 //	shardd -shard 0 -shards 3 -replica-of 127.0.0.1:7070 -addr 127.0.0.1:7170

@@ -2,22 +2,19 @@
 // reader goroutines issue analytics queries (BFS/CC/SSSP) against pinned
 // snapshots while a single writer sustains batched edge inserts and
 // deletes, reporting update throughput and p50/p95/p99 commit and query
-// latencies. The store is one of three deployments behind stream.Store —
-// a lone engine (the default), an in-process shard cluster (-shards N), or
-// a running cluster of cmd/shardd processes (-connect) — and every
-// invocation runs one workload against one store and prints one report.
-// Examples:
+// latencies. The store is one of two deployments behind stream.Store — a
+// lone engine (the default) or a running cluster of cmd/shardd processes
+// (-connect) — and every invocation runs one workload against one store and
+// prints one report. Examples:
 //
 //	stream -scale 17 -init 1000000 -batch 5000 -readers 4 -duration 5s
 //	stream -weighted -algos bfs,sssp -readers 4
-//	stream -quick -shards 2 -partition hash -interval 20ms
+//	stream -quick -connect 127.0.0.1:7801,127.0.0.1:7802 -partition hash -interval 20ms
 //	stream -quick -connect 127.0.0.1:7801,127.0.0.1:7802 -read-from 127.0.0.1:7901,
 //
 // -readers 0 is the update-only baseline and -batch 0 (no writer) the
 // query-only one; -interval paces the writer to one batch per interval (0
-// saturates). The §7.8 table is a shell loop over invocations:
-//
-//	for r in 0 1 4; do for s in 1 2 4; do stream -shards $s -readers $r -interval 20ms; done; done
+// saturates). Each row of the §7.8 table is one invocation.
 //
 // -obs-addr mounts the observability plane for the run's store:
 // Prometheus-text /metrics, JSON /statusz (with the commit stage breakdown
@@ -54,10 +51,9 @@ import (
 	"repro/internal/xhash"
 )
 
-// The three deployments an invocation can select.
+// The two deployments an invocation can select.
 const (
-	modeEngine = "engine" // a lone in-process engine (default; -shards ≤ 1)
-	modeShards = "shards" // -shards N > 1: an in-process cluster
+	modeEngine = "engine" // a lone in-process engine (default)
 	modeRemote = "remote" // -connect: a running cluster of shardd processes
 )
 
@@ -68,14 +64,13 @@ const (
 // cannot tell a deliberate -init from none (shardd servers hold the graph
 // a -connect run starts from).
 var flagModes = map[string][]string{
-	"init":       {modeEngine, modeShards},
-	"shards":     {modeEngine, modeShards},
+	"init":       {modeEngine},
 	"read-from":  {modeRemote},
-	"partition":  {modeShards, modeRemote},
+	"partition":  {modeRemote},
 	"data":       {modeEngine},
 	"inc-cc":     {modeEngine},
-	"flat":       {modeEngine, modeShards},
-	"trace-slow": {modeEngine, modeShards},
+	"flat":       {modeEngine},
+	"trace-slow": {modeEngine},
 }
 
 func main() {
@@ -91,8 +86,7 @@ func main() {
 		incCC    = flag.Bool("inc-cc", false, "maintain incremental connectivity on the commit path and query it as an extra kernel")
 		delmix   = flag.Uint64("delmix", 10, "delete-batch period of the writer schedule: one delete every N batches (10 = the classic 9:1 mix, 2 = delete-heavy expiry)")
 		interval = flag.Duration("interval", 0, "pace the writer to one batch per interval (0 = saturate)")
-		shards   = flag.Int("shards", 1, "shard count of an in-process cluster (≤ 1 = the lone engine)")
-		connect  = flag.String("connect", "", "comma list of shardd primary addresses: drive a remote cluster instead of in-process engines")
+		connect  = flag.String("connect", "", "comma list of shardd primary addresses: drive a remote cluster instead of an in-process engine")
 		readFrom = flag.String("read-from", "", "comma list of shardd replica addresses (one per -connect shard, empty entries allowed)")
 		partKind = flag.String("partition", "range", "shard partitioner: range or hash")
 		quick    = flag.Bool("quick", false, "tiny smoke-test configuration")
@@ -125,11 +119,8 @@ func main() {
 	}
 
 	mode := modeEngine
-	switch {
-	case *connect != "":
+	if *connect != "" {
 		mode = modeRemote
-	case *shards > 1:
-		mode = modeShards
 	}
 	set := map[string]bool{}
 	flag.Visit(func(f *flag.Flag) {
@@ -173,10 +164,7 @@ func main() {
 	kernels(cfg, nil) // reject a bad -algos before any store is built
 
 	d := deployment{name: "single engine"}
-	switch mode {
-	case modeShards:
-		d = deployment{name: fmt.Sprintf("%d shards", *shards), shards: *shards}
-	case modeRemote:
+	if mode == modeRemote {
 		d = deployment{primaries: splitAddrs(*connect)}
 		d.name = fmt.Sprintf("remote %d shards", len(d.primaries))
 		if *readFrom != "" {
@@ -248,11 +236,10 @@ func (cfg config) partitioner(s int) shard.Partitioner {
 	return shard.NewRangePartitioner(s, uint32(1)<<cfg.Scale)
 }
 
-// deployment is one way of serving the graph: a lone engine (shards ≤ 1, no
-// primaries), an in-process cluster, or a dialed remote cluster.
+// deployment is one way of serving the graph: a lone engine (no
+// primaries) or a dialed remote cluster.
 type deployment struct {
 	name                string
-	shards              int
 	primaries, replicas []string
 }
 
@@ -276,11 +263,11 @@ func openedEngine[V ctree.Value](cfg config, e *stream.Engine[aspen.GraphOf[V], 
 	return o
 }
 
-// openGraph builds deployment d over aspen graphs of payload V. In-process
-// stores load the initial edges outside the serving path, so counters and
-// latency digests see only the stream; a durable engine recovers its
-// directory and preloads through its own ingest path (WAL-logged like any
-// other batch).
+// openGraph builds deployment d over aspen graphs of payload V. An
+// in-memory engine loads the initial edges outside the serving path, so
+// counters and latency digests see only the stream; a durable engine
+// recovers its directory and preloads through its own ingest path
+// (WAL-logged like any other batch).
 func openGraph[V remote.Payload](cfg config, d deployment, initial func() []aspen.EdgeOf[V]) opened[aspen.EdgeOf[V]] {
 	p, opts := ctree.DefaultParams(), cfg.engineOptions()
 	switch {
@@ -290,8 +277,6 @@ func openGraph[V remote.Payload](cfg config, d deployment, initial func() []aspe
 			fatal("%v", err)
 		}
 		return opened[aspen.EdgeOf[V]]{Store: c.Store()}
-	case d.shards > 1:
-		return opened[aspen.EdgeOf[V]]{Store: shard.NewGraphClusterFrom(cfg.partitioner(d.shards), p, initial(), opts).Store()}
 	case cfg.Data != "":
 		e, err := stream.RecoverGraphEngineOf[V](p, opts, cfg.durability())
 		if err != nil {
@@ -471,8 +456,8 @@ func printRun(r stream.Report) {
 	if held+declined > 0 {
 		fmt.Printf("writer priority: %d applies held the gate, %d declined, readers parked %v\n", held, declined, parked)
 	}
-	if r.StitchBuilds+r.StitchPatches+r.StitchHits > 0 {
-		fmt.Printf("stitched flat: %d builds, %d delta stitches, %d hits\n", r.StitchBuilds, r.StitchPatches, r.StitchHits)
+	if r.StitchBuilds+r.StitchHits > 0 {
+		fmt.Printf("stitched flat: %d builds, %d hits\n", r.StitchBuilds, r.StitchHits)
 	}
 	if cs, ok := r.Detail.(remote.Stats); ok {
 		fmt.Printf("client: %d range RPCs, %d view fetches, %d view hits, %d replica reads, %d primary fallbacks\n",

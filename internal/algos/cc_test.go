@@ -13,7 +13,6 @@ import (
 	"repro/internal/parallel"
 	"repro/internal/rmat"
 	"repro/internal/shard"
-	"repro/internal/stream"
 	"repro/internal/xhash"
 )
 
@@ -92,7 +91,7 @@ func ccShapes() map[string][]aspen.Edge {
 }
 
 // ccViews returns the same edge set as a tree snapshot, a flat snapshot, a
-// CSR graph and the tree and stitched-flat views of a 3-shard cluster.
+// CSR graph and the stitched flat views of three shards fed by Route.
 func ccViews(t *testing.T, edges []aspen.Edge) map[string]ligra.Graph {
 	t.Helper()
 	var clean []aspen.Edge
@@ -110,15 +109,16 @@ func ccViews(t *testing.T, edges []aspen.Edge) map[string]ligra.Graph {
 			return true
 		})
 	}
-	c := shard.NewGraphClusterFrom(shard.NewRangePartitioner(3, uint32(g.Order())), ctree.DefaultParams(), sym, stream.Options{})
-	tx := c.Begin()
-	t.Cleanup(func() { tx.Close(); c.Close() })
+	part := shard.NewRangePartitioner(3, uint32(g.Order()))
+	views := make([]ligra.Graph, part.Shards())
+	for s, sub := range shard.Route(part, sym, shard.EdgeSource) {
+		views[s] = aspen.BuildFlatSnapshot(aspen.NewGraph(ctree.DefaultParams()).InsertEdges(sub))
+	}
 	return map[string]ligra.Graph{
 		"tree":          g,
 		"flat":          aspen.BuildFlatSnapshot(g),
 		"csr":           csr.FromAdjacency(adj),
-		"shards-tree":   tx.Ligra(),
-		"shards-stitch": tx.Flat(),
+		"shards-stitch": shard.Stitch(part, nil, views, nil),
 	}
 }
 

@@ -1,7 +1,7 @@
 package algos_test
 
 // This table lives in the external test package, beside the CC suite, because
-// its sharded rows import shard, which reaches algos through stream.
+// it imports stream, which reaches algos.
 
 import (
 	"math"
@@ -13,7 +13,6 @@ import (
 	"repro/internal/ctree"
 	"repro/internal/ligra"
 	"repro/internal/rmat"
-	"repro/internal/shard"
 	"repro/internal/stream"
 )
 
@@ -41,7 +40,7 @@ func hideWarm(t *testing.T, g ligra.Graph) ligra.Graph {
 // warmViews returns flat views of one rMAT edge stream taken two ways —
 // "fresh", built in one call, and "aged", reached through 200 insert and
 // delete batches with each view patched from the last — as an unweighted
-// flat snapshot, a weighted one, and the stitched view of a 2-shard cluster.
+// flat snapshot and a weighted one.
 func warmViews(t *testing.T) map[string]ligra.Graph {
 	t.Helper()
 	const scale, preload, batch, batches = 10, 6_000, 40, 200
@@ -63,42 +62,18 @@ func warmViews(t *testing.T) map[string]ligra.Graph {
 		}
 		return ws
 	}
-	part := shard.NewRangePartitioner(2, 1<<scale)
-	cluster := func(initial []aspen.Edge) *shard.Cluster[aspen.Graph, aspen.Edge] {
-		c := shard.NewGraphClusterFrom(part, ctree.DefaultParams(), initial, stream.Options{PatchFlat: true})
-		t.Cleanup(c.Close)
-		return c
-	}
-	stitched := func(c *shard.Cluster[aspen.Graph, aspen.Edge]) ligra.Graph {
-		tx := c.Begin()
-		t.Cleanup(tx.Close)
-		return tx.Flat()
-	}
-
 	g := aspen.NewGraph(ctree.DefaultParams()).InsertEdges(mk(0, preload))
 	wg := aspen.NewWeightedGraph().InsertEdges(weigh(mk(0, preload)))
-	c := cluster(mk(0, preload))
 	fs, fw := aspen.BuildFlatSnapshot(g), aspen.BuildFlatWeightedSnapshot(wg)
 	next := stream.UpdateScheduleMix(preload, batch, 5, mk)
 	for i := uint64(0); i < batches; i++ {
 		del, es := next(i)
-		var p shard.Pending
-		var err error
 		if del {
 			g, wg = g.DeleteEdges(es), wg.DeleteEdges(weigh(es))
-			p, err = c.Delete(es)
 		} else {
 			g, wg = g.InsertEdges(es), wg.InsertEdges(weigh(es))
-			p, err = c.Insert(es)
 		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		p.Wait()
 		fs, fw = aspen.PatchFlatSnapshot(fs, g), aspen.PatchFlatWeightedSnapshot(fw, wg)
-		if i%8 == 0 {
-			stitched(c) // keep the cluster's views chaining patch to patch
-		}
 	}
 	var final []aspen.Edge
 	for u := 0; u < fs.Order(); u++ {
@@ -110,10 +85,8 @@ func warmViews(t *testing.T) map[string]ligra.Graph {
 	return map[string]ligra.Graph{
 		"aged/flat":      fs,
 		"aged/weighted":  fw,
-		"aged/shards":    stitched(c),
 		"fresh/flat":     aspen.BuildFlatSnapshot(aspen.NewGraph(ctree.DefaultParams()).InsertEdges(final)),
 		"fresh/weighted": aspen.BuildFlatWeightedSnapshot(aspen.NewWeightedGraph().InsertEdges(weigh(final))),
-		"fresh/shards":   stitched(cluster(final)),
 	}
 }
 
@@ -125,8 +98,8 @@ func near[F float32 | float64](a, b []F, tol float64) bool {
 
 // TestKernelsSameWithAndWithoutWarm: warming adjacency heads reorders memory
 // accesses and nothing else, so every kernel answers the same on a view and
-// on that view with the capability hidden — built or patched, one engine or
-// two shards, weighted or not.
+// on that view with the capability hidden — built or patched, weighted or
+// not.
 func TestKernelsSameWithAndWithoutWarm(t *testing.T) {
 	for name, g := range warmViews(t) {
 		t.Run(name, func(t *testing.T) {

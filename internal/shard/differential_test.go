@@ -11,7 +11,6 @@ import (
 	"repro/internal/ctree"
 	"repro/internal/ligra"
 	"repro/internal/rmat"
-	"repro/internal/stream"
 	"repro/internal/xhash"
 )
 
@@ -61,30 +60,67 @@ func randomOps(idSpace uint32, batches, batchSize int, seed uint64) []op {
 	return ops
 }
 
-// applyBoth replays the schedule into a fresh single-engine ground truth
-// and into a cluster over part, barriers the cluster, and returns both.
-// The caller owns closing the cluster.
-func applyBoth(t *testing.T, part Partitioner, ops []op) (aspen.Graph, *Cluster[aspen.Graph, aspen.Edge]) {
-	t.Helper()
+// routed is a sharded graph read the way the remote client reads one, with
+// no engines and no processes: one aspen graph per shard fed by Route, each
+// shard's flat view patched from its previous one, and the views stitched
+// off the previous stitch.
+type routed[V ctree.Value] struct {
+	part  Partitioner
+	gs    []aspen.GraphOf[V]
+	views []*aspen.FlatView[V]
+	flat  ligra.Graph
+}
+
+func newRouted[V ctree.Value](part Partitioner) *routed[V] {
+	gs := make([]aspen.GraphOf[V], part.Shards())
+	for s := range gs {
+		gs[s] = aspen.NewGraphOf[V](testParams())
+	}
+	return &routed[V]{part: part, gs: gs, views: make([]*aspen.FlatView[V], len(gs))}
+}
+
+// apply routes one batch by source and applies each shard's share.
+func (r *routed[V]) apply(del bool, edges []aspen.EdgeOf[V]) {
+	for s, sub := range Route(r.part, edges, EdgeSource[V]) {
+		switch {
+		case len(sub) == 0:
+		case del:
+			r.gs[s] = r.gs[s].DeleteEdges(sub)
+		default:
+			r.gs[s] = r.gs[s].InsertEdges(sub)
+		}
+	}
+}
+
+// stitch patches the flat view of every shard whose graph moved since the
+// last stitch and stitches all views off that stitch; a shard that did not
+// move passes its view on unchanged.
+func (r *routed[V]) stitch() ligra.Graph {
+	views := make([]ligra.Graph, len(r.gs))
+	moved := make([]bool, len(r.gs))
+	for s, g := range r.gs {
+		v := aspen.PatchFlatSnapshot(r.views[s], g)
+		moved[s] = v != r.views[s]
+		r.views[s], views[s] = v, v
+	}
+	r.flat = Stitch(r.part, r.flat, views, moved)
+	return r.flat
+}
+
+// applyBoth replays the schedule into a single-graph ground truth and into
+// a routed graph over part, and returns both.
+func applyBoth(part Partitioner, ops []op) (aspen.Graph, *routed[struct{}]) {
 	single := aspen.NewGraph(testParams())
-	c := NewGraphCluster[struct{}](part, testParams(), stream.Options{})
+	r := newRouted[struct{}](part)
 	for _, o := range ops {
-		var err error
 		if o.del {
 			single = single.DeleteEdges(o.edges)
-			_, err = c.Delete(o.edges)
 		} else {
 			single = single.InsertEdges(o.edges)
-			_, err = c.Insert(o.edges)
 		}
-		if err != nil {
-			t.Fatal(err)
-		}
+		r.apply(o.del, o.edges)
 	}
-	if err := c.Barrier(); err != nil {
-		t.Fatal(err)
-	}
-	return single, c
+	return single, r
 }
 
 // checkStructure compares the sharded views against the ground truth at the
@@ -175,25 +211,21 @@ func TestShardedMatchesSingleEngine(t *testing.T) {
 			NewHashPartitioner(3),
 		} {
 			t.Run(fmt.Sprintf("%s/%T-%d", name, part, part.Shards()), func(t *testing.T) {
-				single, c := applyBoth(t, part, ops)
-				defer c.Close()
-				tx := c.Begin()
-				defer tx.Close()
-				tree := tx.Ligra()
-				flat := tx.Flat()
+				single, r := applyBoth(part, ops)
+				flat := r.stitch()
 				if _, ok := flat.(ligra.FlatGraph); !ok {
 					t.Fatal("stitched flat view does not satisfy ligra.FlatGraph")
 				}
-				checkStructure(t, single, tree, flat)
-				checkKernels(t, single, tree, flat)
+				checkStructure(t, single, flat)
+				checkKernels(t, single, flat)
 			})
 		}
 	}
 }
 
 // TestShardedWeightedMatchesSingleEngine runs the weighted suite: SSSP on
-// the sharded tree and stitched flat views against the single weighted
-// graph, plus the unweighted kernels that weighted graphs also serve.
+// the stitched flat view against the single weighted graph, plus the
+// unweighted kernels that weighted graphs also serve.
 func TestShardedWeightedMatchesSingleEngine(t *testing.T) {
 	gen := rmat.NewGenerator(10, 5)
 	weightOf := func(i uint64) float32 { return 1 + float32(xhash.Mix64(i)%1000)/1000 }
@@ -217,54 +249,38 @@ func TestShardedWeightedMatchesSingleEngine(t *testing.T) {
 	} {
 		t.Run(fmt.Sprintf("%T-%d", part, part.Shards()), func(t *testing.T) {
 			single := aspen.NewWeightedGraphWith(testParams())
-			c := NewGraphCluster[float32](part, testParams(), stream.Options{})
-			defer c.Close()
+			r := newRouted[float32](part)
 			var pos uint64
 			for i := 0; i < 6; i++ {
 				batch := mkBatch(pos, pos+1_000)
 				pos += 1_000
 				single = single.InsertEdges(batch)
-				if _, err := c.Insert(batch); err != nil {
-					t.Fatal(err)
-				}
+				r.apply(false, batch)
 				if i == 3 { // delete a slice of the first batch
 					del := mkBatch(0, 500)
 					single = single.DeleteEdges(del)
-					if _, err := c.Delete(del); err != nil {
-						t.Fatal(err)
-					}
+					r.apply(true, del)
 				}
 			}
-			if err := c.Barrier(); err != nil {
-				t.Fatal(err)
-			}
-			tx := c.Begin()
-			defer tx.Close()
-			tree, treeOK := tx.Ligra().(ligra.WeightedGraph)
-			if !treeOK {
-				t.Fatal("weighted cluster tree view does not satisfy ligra.WeightedGraph")
-			}
-			flat, flatOK := tx.Flat().(ligra.FlatWeightedGraph)
+			flat, flatOK := r.stitch().(ligra.FlatWeightedGraph)
 			if !flatOK {
 				t.Fatal("weighted stitched flat view does not satisfy ligra.FlatWeightedGraph")
 			}
 			for _, src := range []uint32{0, 3, 200} {
 				want := algos.SSSP(single, src)
-				for vi, v := range []ligra.WeightedGraph{tree, flat} {
-					got := algos.SSSP(v, src)
-					if len(got) != len(want) {
-						t.Fatalf("view %d: SSSP length %d vs %d", vi, len(got), len(want))
-					}
-					for i := range want {
-						wi, gi := float64(want[i]), float64(got[i])
-						if math.IsInf(wi, 1) != math.IsInf(gi, 1) ||
-							(!math.IsInf(wi, 1) && math.Abs(gi-wi) > 1e-5*(1+math.Abs(wi))) {
-							t.Fatalf("view %d: SSSP(%d)[%d] = %g, want %g", vi, src, i, gi, wi)
-						}
+				got := algos.SSSP(flat, src)
+				if len(got) != len(want) {
+					t.Fatalf("SSSP length %d vs %d", len(got), len(want))
+				}
+				for i := range want {
+					wi, gi := float64(want[i]), float64(got[i])
+					if math.IsInf(wi, 1) != math.IsInf(gi, 1) ||
+						(!math.IsInf(wi, 1) && math.Abs(gi-wi) > 1e-5*(1+math.Abs(wi))) {
+						t.Fatalf("SSSP(%d)[%d] = %g, want %g", src, i, gi, wi)
 					}
 				}
 			}
-			if want, got := algos.BFS(single, 1, false).Distances(), algos.BFS(tree, 1, false).Distances(); !slices.Equal(got, want) {
+			if want, got := algos.BFS(single, 1, false).Distances(), algos.BFS(flat, 1, false).Distances(); !slices.Equal(got, want) {
 				t.Fatal("weighted sharded BFS differs from single engine")
 			}
 			if want, got := algos.ConnectedComponents(single), algos.ConnectedComponents(flat); !slices.Equal(got, want) {

@@ -1,22 +1,20 @@
-// Package shard scales the serving layer across writers: a Cluster runs N
-// independent stream.Engine instances — each the single writer for one
-// slice of the vertex-id space — behind one facade. A
+// Package shard holds what a sharded deployment is built from: a
 // Partitioner assigns every vertex to exactly one shard by its *source*
 // endpoint, so each shard holds the complete out-adjacency of the vertices
-// it owns over the full id space; a Router splits incoming edge batches
-// into per-shard sub-batches (subslices of one backing array, the zero-copy
-// discipline of PR 1) and submits them to all shard writers concurrently.
+// it owns over the full id space; Route splits an edge batch into
+// per-shard sub-batches (subslices of one backing array, the zero-copy
+// discipline of PR 1); and Stitch joins per-shard flat views into one
+// global view. Each shard is one engine in its own process (cmd/shardd),
+// and the remote client (internal/shard/remote) routes, pins and stitches.
 //
 // Purely-functional snapshots make the cross-shard consistency story
-// simple: a "global snapshot" is a vector of immutable per-shard roots. A
-// Tx pins one refcounted version per shard — a version vector — and serves
-// the whole vector through the ligra traversal interfaces (View for the
-// tree path, a stitched FlatView for the §5.1 fast path), so every algos
-// kernel runs unmodified on a sharded snapshot. Each component of the
-// vector is a committed prefix of its shard's serialized history; after
-// Barrier (all shards flushed, writers quiet) the vector is exactly the
-// global graph, which is what the differential tests pin against the
-// single-engine ground truth.
+// simple: a "global snapshot" is a vector of immutable per-shard roots, and
+// the stitched view serves the whole vector through the ligra traversal
+// interfaces, so every algos kernel runs unmodified on a sharded snapshot.
+// Each component of the vector is a committed prefix of its shard's
+// serialized history; with writers flushed and quiet the vector is exactly
+// the global graph, which is what the differential tests pin against the
+// single-graph ground truth.
 package shard
 
 import (

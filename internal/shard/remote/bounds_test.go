@@ -11,6 +11,7 @@ import (
 	"repro/internal/algos"
 	"repro/internal/aspen"
 	"repro/internal/ctree"
+	"repro/internal/ligra"
 	"repro/internal/rmat"
 	"repro/internal/rpc"
 	"repro/internal/scratch"
@@ -171,7 +172,11 @@ func TestFootprintAfterPreload(t *testing.T) {
 
 	part := shard.NewRangePartitioner(2, 1<<16)
 	memCluster := drive(func() (stream.Store[aspen.Edge], func() uint64) {
-		return shard.NewGraphCluster[struct{}](part, p, stream.Options{}).Store(), none
+		r := &routedEngines{part: part}
+		for range part.Shards() {
+			r.engines = append(r.engines, stream.NewGraphEngine(aspen.NewGraph(p), stream.Options{}))
+		}
+		return r, none
 	})
 	wire := drive(func() (stream.Store[aspen.Edge], func() uint64) {
 		addrs := make([]string, part.Shards())
@@ -206,10 +211,81 @@ func TestFootprintAfterPreload(t *testing.T) {
 		}
 	})
 	if tax := wire - memCluster; tax > slack {
-		t.Errorf("loopback cluster holds %d bytes beyond the in-process cluster and its own views after the same traffic, bound %d", tax, slack)
+		t.Errorf("loopback cluster holds %d bytes beyond two in-process engines and its own views after the same traffic, bound %d", tax, slack)
 	}
 	// The traffic itself is part of every baseline above; keep it so.
 	runtime.KeepAlive(preload)
 	runtime.KeepAlive(batches)
-	t.Logf("live beyond baseline: engine %d, +WAL %d, 2-shard cluster %d, +WAL+wire (less client views) %d", memEngine, durEngine, memCluster, wire)
+	t.Logf("live beyond baseline: engine %d, +WAL %d, 2 routed engines %d, +WAL+wire (less client views) %d", memEngine, durEngine, memCluster, wire)
+}
+
+// routedEngines is the in-memory baseline of a sharded deployment: one
+// engine per shard of part, fed by Route, read through their flat views
+// stitched, the last stitch kept as the remote client keeps its own. Only
+// what TestFootprintAfterPreload drives is implemented; the embedded nil
+// Store and Snapshot stand for the rest.
+type routedEngines struct {
+	stream.Store[aspen.Edge]
+	part    shard.Partitioner
+	engines []*stream.Engine[aspen.Graph, aspen.Edge]
+	last    ligra.Graph
+}
+
+func (r *routedEngines) Submit(del bool, edges []aspen.Edge) error {
+	for s, sub := range shard.Route(r.part, edges, shard.EdgeSource) {
+		if len(sub) == 0 {
+			continue
+		}
+		if err := r.engines[s].Store().Submit(del, sub); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func (r *routedEngines) Flush() ([]uint64, error) {
+	stamps := make([]uint64, len(r.engines))
+	for s, e := range r.engines {
+		stamp, err := e.Flush()
+		if err != nil {
+			return nil, err
+		}
+		stamps[s] = stamp
+	}
+	return stamps, nil
+}
+
+func (r *routedEngines) Pin() (stream.Snapshot, error) {
+	txs := make([]stream.Tx[aspen.Graph], len(r.engines))
+	for s, e := range r.engines {
+		txs[s] = e.Begin()
+	}
+	return routedSnapshot{r: r, txs: txs}, nil
+}
+
+func (r *routedEngines) Close() {
+	for _, e := range r.engines {
+		e.Close()
+	}
+}
+
+type routedSnapshot struct {
+	stream.Snapshot
+	r   *routedEngines
+	txs []stream.Tx[aspen.Graph]
+}
+
+func (s routedSnapshot) Flat() (ligra.Graph, error) {
+	views := make([]ligra.Graph, len(s.txs))
+	for i := range s.txs {
+		views[i] = s.txs[i].Flat()
+	}
+	s.r.last = shard.Stitch(s.r.part, s.r.last, views, nil)
+	return s.r.last, nil
+}
+
+func (s routedSnapshot) Close() {
+	for i := range s.txs {
+		s.txs[i].Close()
+	}
 }

@@ -21,9 +21,10 @@ import (
 // into several pipelined frames (the engine coalesces them back).
 const maxSubmitEdges = 1 << 20
 
-// Cluster is the client half of the distributed shard layer: the same
-// facade as the in-process shard.Cluster, speaking rpc frames to one
-// primary (and optionally one read replica) per shard.
+// Cluster is the client half of the distributed shard layer: a lone
+// engine's facade (Insert/Delete → Pending, Begin → Tx, Store) over
+// several shards, speaking rpc frames to one primary (and optionally one
+// read replica) per shard.
 type Cluster[E any] struct {
 	part     shard.Partitioner
 	codec    stream.Codec[E]

@@ -14,7 +14,7 @@ import (
 // edge near the top of its range. A freshly dialed client holds nothing, so
 // each shard is read as its diff from the empty version, which must list
 // every id up to order for the client to size its view from what it
-// received — the view must be the model's, with the in-process order.
+// received — the view must be the model's, with a lone engine's order.
 func TestFromEmptyReadSparseShard(t *testing.T) {
 	part := shard.NewRangePartitioner(2, 1<<9)
 	t.Run("graph", func(t *testing.T) {
@@ -25,7 +25,7 @@ func TestFromEmptyReadSparseShard(t *testing.T) {
 				t.Fatal(err)
 			}
 			return c.Store()
-		}, shard.NewGraphCluster[struct{}](part, testParams(), stream.Options{}).Store(),
+		}, stream.NewGraphEngine(aspen.NewGraph(testParams()), stream.Options{}).Store(),
 			[]aspen.Edge{{Src: 5, Dst: 500}, {Src: 510, Dst: 3}},
 			func(e aspen.Edge) (uint32, uint32, float32) { return e.Src, e.Dst, 0 })
 	})
@@ -37,14 +37,14 @@ func TestFromEmptyReadSparseShard(t *testing.T) {
 				t.Fatal(err)
 			}
 			return c.Store()
-		}, shard.NewGraphCluster[float32](part, testParams(), stream.Options{}).Store(),
+		}, stream.NewGraphEngine(aspen.NewWeightedGraphWith(testParams()), stream.Options{}).Store(),
 			[]aspen.WeightedEdge{{Src: 5, Dst: 500, Val: 2.5}, {Src: 510, Dst: 3, Val: 7}},
 			func(e aspen.WeightedEdge) (uint32, uint32, float32) { return e.Src, e.Dst, e.Val })
 	})
 	t.Run("bodies", fromEmptyBodies)
 }
 
-// sparseRead writes edges through one client and the in-process cluster,
+// sparseRead writes edges through one client and the in-process store,
 // then checks a second, freshly dialed client's view against both.
 func sparseRead[E any](t *testing.T, dial func() stream.Store[E], in stream.Store[E], edges []E, ends func(E) (u, v uint32, w float32)) {
 	defer in.Close()

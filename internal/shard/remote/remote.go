@@ -1,16 +1,16 @@
-// Package remote puts the sharded serving layer on the network: a
+// Package remote is the sharded serving layer, over the network: a
 // Server hosts one durable stream.Engine per process (cmd/shardd) and
 // a client-side Cluster speaks the internal/rpc frame protocol to
-// present the same facade as the in-process shard.Cluster — batches
-// are routed with the same zero-copy shard.Route, reads pin a version
-// vector of per-shard commit stamps, and flat views are stitched with
-// the same shard.Stitch from per-shard views kept current over the wire
+// present the lone engine's facade across shards — batches are routed
+// by source with the zero-copy shard.Route, reads pin a version vector
+// of per-shard commit stamps, and flat views are stitched with
+// shard.Stitch from per-shard views kept current over the wire
 // (a moved shard is read as the edge diff against the view already held
 // and patched; the diff from the empty version is the fallback), so
 // every algos kernel runs unmodified against a cluster of processes.
 //
 // Consistency model. Each pinned stamp is a committed prefix of its
-// shard's serialized history, exactly as in-process; a Barrier with
+// shard's serialized history, as a lone engine's version is of its own; a Barrier with
 // writers quiet makes the pinned vector the exact global graph. Read
 // replicas are fed by WAL tail shipping (every committed record
 // streams to subscribers before it is acknowledged) and serve reads

@@ -1,7 +1,6 @@
 package remote
 
 import (
-	"fmt"
 	"runtime"
 	"slices"
 	"strings"
@@ -75,26 +74,22 @@ type storeRow[E any] struct {
 
 const conformScale = 9
 
-// storeRows builds every deployment over payload V: a lone engine,
-// in-process clusters, a loopback remote cluster.
+// storeRows builds every deployment over payload V: a lone engine and a
+// loopback remote cluster.
 func storeRows[V Payload]() []storeRow[aspen.EdgeOf[V]] {
-	rows := []storeRow[aspen.EdgeOf[V]]{{"engine", 1, true, func(*testing.T) stream.Store[aspen.EdgeOf[V]] {
-		return stream.NewGraphEngine(aspen.NewGraphOf[V](testParams()), stream.Options{}).Store()
-	}}}
-	for _, s := range []int{1, 2, 4} {
-		rows = append(rows, storeRow[aspen.EdgeOf[V]]{fmt.Sprintf("shard%d", s), s, true, func(*testing.T) stream.Store[aspen.EdgeOf[V]] {
-			part := shard.NewRangePartitioner(s, 1<<conformScale)
-			return shard.NewGraphCluster[V](part, testParams(), stream.Options{PatchFlat: true}).Store()
-		}})
+	return []storeRow[aspen.EdgeOf[V]]{
+		{"engine", 1, true, func(*testing.T) stream.Store[aspen.EdgeOf[V]] {
+			return stream.NewGraphEngine(aspen.NewGraphOf[V](testParams()), stream.Options{}).Store()
+		}},
+		{"remote2", 2, false, func(t *testing.T) stream.Store[aspen.EdgeOf[V]] {
+			part := shard.NewRangePartitioner(2, 1<<conformScale)
+			c, err := DialGraphOf[V](part, startMemServers[V](t, part), nil, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return c.Store()
+		}},
 	}
-	return append(rows, storeRow[aspen.EdgeOf[V]]{"remote2", 2, false, func(t *testing.T) stream.Store[aspen.EdgeOf[V]] {
-		part := shard.NewRangePartitioner(2, 1<<conformScale)
-		c, err := DialGraphOf[V](part, startMemServers[V](t, part), nil, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return c.Store()
-	}})
 }
 
 // conform drives one row: a preload through the store's own ingest path,

@@ -21,7 +21,7 @@ import (
 // the CSR's neighbor array and every untouched list — so a transaction
 // pinned on an older version keeps reading the view it was handed while
 // newer ones patch past it. It satisfies ligra.FlatGraph, so shard.Stitch
-// stitches it exactly like an engine-local flat view.
+// copies its degree array into the stitched one.
 //
 // over is what the overlay cost since the base CSR was built, in 4-byte
 // words: every list a patch wrote (live ones and the ones later patches

@@ -131,12 +131,11 @@ type Report struct {
 	// versions published + 1 per shard (under Options.PatchFlat all but the
 	// first are O(batch) patches) while hits cover every other query.
 	// Stitch* are the cross-shard equivalents.
-	FlatBuilds    uint64 `json:"flat_builds"`
-	FlatPatches   uint64 `json:"flat_patches,omitempty"`
-	FlatHits      uint64 `json:"flat_hits"`
-	StitchBuilds  uint64 `json:"stitch_builds,omitempty"`
-	StitchPatches uint64 `json:"stitch_patches,omitempty"`
-	StitchHits    uint64 `json:"stitch_hits,omitempty"`
+	FlatBuilds   uint64 `json:"flat_builds"`
+	FlatPatches  uint64 `json:"flat_patches,omitempty"`
+	FlatHits     uint64 `json:"flat_hits"`
+	StitchBuilds uint64 `json:"stitch_builds,omitempty"`
+	StitchHits   uint64 `json:"stitch_hits,omitempty"`
 
 	// Detail is StoreStats.Detail at the end of the run.
 	Detail any `json:"detail,omitempty"`
@@ -262,7 +261,6 @@ func (w *Workload[E]) Run() Report {
 		FlatPatches:     st.FlatPatches - before.FlatPatches,
 		FlatHits:        st.FlatHits - before.FlatHits,
 		StitchBuilds:    st.StitchBuilds - before.StitchBuilds,
-		StitchPatches:   st.StitchPatches - before.StitchPatches,
 		StitchHits:      st.StitchHits - before.StitchHits,
 		Detail:          st.Detail,
 	}

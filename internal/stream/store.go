@@ -7,10 +7,10 @@ import (
 
 // Store is the paper's serving interface (§6, §7.8) — set a batch, acquire
 // a version, run a kernel on it — as every deployment of this repository
-// offers it: a lone Engine, an in-process shard.Cluster and a networked
-// remote.Cluster each return one from their Store method. A driver written
-// against Store (Workload, cmd/stream, the conformance suite) runs unchanged
-// over all three; a lone engine is the 1-shard case. The native methods
+// offers it: a lone Engine and a networked remote.Cluster each return one
+// from their Store method. A driver written against Store (Workload,
+// cmd/stream, the conformance suite) runs unchanged over both; a lone
+// engine is the 1-shard case. The native methods
 // (Insert/Delete → Pending, Begin → Tx) stay the API for callers that need
 // per-batch acks or the concrete snapshot type.
 type Store[E any] interface {
@@ -63,16 +63,14 @@ type StoreStats struct {
 	LiveVersions    int64  `json:"live_versions"`
 	RetiredVersions uint64 `json:"retired_versions"`
 	// FlatBuilds / FlatPatches / FlatHits sum the per-shard §5.1 flat-view
-	// caches; StitchBuilds / StitchPatches / StitchHits count cross-shard
-	// stitched views (at most one full build or delta stitch per distinct
-	// version vector, served from the cluster's stitch slot otherwise; a
-	// delta stitch reuses unmoved shards' views verbatim).
-	FlatBuilds    uint64 `json:"flat_builds"`
-	FlatPatches   uint64 `json:"flat_patches,omitempty"`
-	FlatHits      uint64 `json:"flat_hits"`
-	StitchBuilds  uint64 `json:"stitch_builds"`
-	StitchPatches uint64 `json:"stitch_patches,omitempty"`
-	StitchHits    uint64 `json:"stitch_hits"`
+	// caches; StitchBuilds / StitchHits count the remote client's
+	// cross-shard stitched views (one stitch per distinct version vector,
+	// served from its stitch cache otherwise).
+	FlatBuilds   uint64 `json:"flat_builds"`
+	FlatPatches  uint64 `json:"flat_patches,omitempty"`
+	FlatHits     uint64 `json:"flat_hits"`
+	StitchBuilds uint64 `json:"stitch_builds"`
+	StitchHits   uint64 `json:"stitch_hits"`
 	// PerShard carries each engine's full counter set, in shard order.
 	PerShard []Stats `json:"per_shard,omitempty"`
 	// Detail carries counters only one deployment has (remote.Stats: the
